@@ -22,7 +22,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lrf_cbir::{collect_log, CorelDataset, CorelSpec, QueryProtocol};
-use lrf_core::{rank_candidates, FeedbackLoop, LrfConfig, QueryContext, SchemeKind};
+use lrf_core::{
+    rank_candidates, FeedbackLoop, LrfConfig, QueryContext, SchemeKind, ScorerRef, WarmState,
+};
 use lrf_logdb::{LogStore, SimulationConfig};
 use lrf_svm::{train, train_precomputed, train_warm, RbfKernel, SmoParams};
 use rand::rngs::StdRng;
@@ -243,17 +245,24 @@ fn bench_session_rounds(c: &mut Criterion) {
         for &(id, y) in &example.labeled {
             fb.mark(id, y > 0.0).unwrap();
         }
-        let _ = fb.rerank(&ds.db, &log, &pool);
+        let score = |scorer: &ScorerRef, ids: &[usize]| scorer.score_ids(&ds.db, &log, ids);
+        let _ = fb.rerank_scattered(&ds.db, &log, &pool, score);
         group.bench_with_input(BenchmarkId::new("warm", n_log), &n_log, |b, _| {
             b.iter(|| {
-                let ranking = fb.rerank(&ds.db, &log, &pool);
+                let ranking = fb.rerank_scattered(&ds.db, &log, &pool, score);
                 black_box(ranking.len())
             })
         });
         let scheme = SchemeKind::Lrf2Svms.build(cfg);
         group.bench_with_input(BenchmarkId::new("cold", n_log), &n_log, |b, _| {
             b.iter(|| {
-                let ranking = rank_candidates(scheme.as_ref(), &ctx, &pool);
+                let ranking = rank_candidates(
+                    scheme.as_ref(),
+                    &ctx,
+                    &pool,
+                    &mut WarmState::default(),
+                    score,
+                );
                 black_box(ranking.len())
             })
         });

@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lrf_cbir::{build_flat_index, collect_log, CorelDataset, CorelSpec};
 use lrf_core::{LrfConfig, SchemeKind};
 use lrf_logdb::SimulationConfig;
-use lrf_service::{DurabilityConfig, Request, Response, Service, ServiceConfig};
+use lrf_service::{DurabilityConfig, Request, Response, Service, ServiceConfig, ServiceMetrics};
 use lrf_storage::MemIo;
 use std::hint::black_box;
 use std::path::Path;
@@ -58,7 +58,7 @@ fn service_config() -> ServiceConfig {
 
 fn durable_service(db: lrf_cbir::ImageDatabase, log: lrf_logdb::LogStore) -> Service {
     let index = Box::new(build_flat_index(&db));
-    let (svc, _) = Service::with_durability(
+    let (svc, _) = Service::with_durability_metrics(
         db,
         index,
         MemIo::io_ref(),
@@ -72,6 +72,7 @@ fn durable_service(db: lrf_cbir::ImageDatabase, log: lrf_logdb::LogStore) -> Ser
             compact_segments: 0,
             ..DurabilityConfig::default()
         },
+        ServiceMetrics::new(),
     )
     .expect("durable service over a fresh MemIo must open");
     svc

@@ -56,8 +56,8 @@ fn main() {
                     example: &example,
                 };
                 p2 += precision_at(&two.rank(&ctx), |id| ds.db.same_category(id, q), 20);
-                let log_svm = two.train_log_svm(&ctx);
-                let scores = Lrf2Svms::score_all_log(&log, &log_svm.model);
+                let log_svm = two.train_log_svm(&ctx, None);
+                let scores = log_svm.model.decision_batch(log.log_vectors());
                 let ranked = lrf_core::feedback::rank_by_scores(&scores);
                 p_log += precision_at(&ranked, |id| ds.db.same_category(id, q), 20);
             }

@@ -1,9 +1,7 @@
 //! The §6.4 experiment runner.
 
 use lrf_cbir::{CorelDataset, CorelSpec, PrecisionCurve, QueryProtocol};
-use lrf_core::{
-    EuclideanScheme, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm,
-};
+use lrf_core::{LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm, SchemeKind};
 use lrf_logdb::{LogStore, SimulationConfig};
 use lrf_obs::{Clock, MonotonicClock};
 use serde::{Deserialize, Serialize};
@@ -234,14 +232,9 @@ pub fn run_on_prepared(
     }
 }
 
-fn build_schemes(spec: &ExperimentSpec) -> Vec<Box<dyn RelevanceFeedback + Sync>> {
+fn build_schemes(spec: &ExperimentSpec) -> Vec<Box<dyn RelevanceFeedback + Send + Sync>> {
     match spec.schemes {
-        SchemeChoice::All => vec![
-            Box::new(EuclideanScheme),
-            Box::new(RfSvm::new(spec.lrf)),
-            Box::new(Lrf2Svms::new(spec.lrf)),
-            Box::new(LrfCsvm::new(spec.lrf)),
-        ],
+        SchemeChoice::All => SchemeKind::all().map(|kind| kind.build(spec.lrf)).into(),
         SchemeChoice::CsvmOnly => vec![Box::new(LrfCsvm::new(spec.lrf))],
         SchemeChoice::CsvmAndRf => {
             vec![

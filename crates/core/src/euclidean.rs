@@ -4,7 +4,7 @@
 //! vector. This is the paper's reference curve and also what produced the
 //! initial screen the user judged.
 
-use crate::feedback::{QueryContext, RelevanceFeedback};
+use crate::feedback::{QueryContext, RelevanceFeedback, ScorerRef, WarmState};
 use lrf_cbir::rank_by_euclidean;
 
 /// Plain content-distance ranking.
@@ -16,6 +16,18 @@ impl RelevanceFeedback for EuclideanScheme {
         "Euclidean"
     }
 
+    /// Nothing to train: a candidate pool keeps its (distance) order.
+    fn fit_warm(
+        &self,
+        _ctx: &QueryContext<'_>,
+        _pool: &[usize],
+        _warm: &mut WarmState,
+    ) -> Option<ScorerRef> {
+        None
+    }
+
+    /// The one `rank` override: with nothing fitted, the provided method
+    /// would return id order; the scheme's ranking is the distance order.
     fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
         rank_by_euclidean(ctx.db, ctx.db.feature(ctx.example.query))
     }

@@ -94,76 +94,54 @@ pub trait PoolScorer: Send + Sync {
 /// production builds).
 pub type ScorerRef = std::sync::Arc<dyn PoolScorer>;
 
-/// A relevance-feedback scheme: given one feedback round, produce a full
-/// ranking of the database (most relevant first).
+/// A relevance-feedback scheme: how one feedback round's decision
+/// function is trained. Ranking is the same for every scheme — score the
+/// candidates with the fitted [`PoolScorer`], sort
+/// ([`crate::pooled::rank_candidates`]) — so [`fit_warm`](Self::fit_warm)
+/// is all a learning scheme implements.
 pub trait RelevanceFeedback {
     /// Human-readable scheme name as used in the paper's tables
     /// (`"Euclidean"`, `"RF-SVM"`, `"LRF-2SVMs"`, `"LRF-CSVM"`).
     fn name(&self) -> &'static str;
 
-    /// Ranks every image id in `ctx.db`, most relevant first. The returned
-    /// permutation must contain each id exactly once.
-    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize>;
+    /// Trains the scheme's decision function for one round and returns it
+    /// as a shippable [`PoolScorer`], seeding the solver from `warm` and
+    /// depositing the new solution (and [`RoundDiagnostics`]) back; a
+    /// fresh [`WarmState`] is the cold start. The `pool` is the candidate
+    /// universe of the round — schemes whose training itself depends on
+    /// the retrieval universe (LRF-CSVM's unlabeled selection) draw from
+    /// it, so fitting against a pool and then scoring that pool is the
+    /// whole algorithm.
+    ///
+    /// `None` means the scheme has no trainable decision function
+    /// (Euclidean): the pool keeps its order. The train/score split is
+    /// what lets a serving coordinator train **once** and scatter the
+    /// scoring across shard workers.
+    fn fit_warm(
+        &self,
+        ctx: &QueryContext<'_>,
+        pool: &[usize],
+        warm: &mut WarmState,
+    ) -> Option<ScorerRef>;
+
+    /// Ranks every image id in `ctx.db`, most relevant first: a cold fit
+    /// over the whole database, scored in place. The returned permutation
+    /// contains each id exactly once.
+    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
+        let all: Vec<usize> = (0..ctx.db.len()).collect();
+        crate::pooled::rank_candidates(self, ctx, &all, &mut WarmState::default(), |scorer, ids| {
+            scorer.score_ids(ctx.db, ctx.log, ids)
+        })
+    }
 
     /// Per-image decision scores aligned with image ids, when the scheme
     /// has a real decision function (SVM-based schemes). Presentation
     /// policies (see `active`) need score *magnitudes* — a ranking alone
-    /// cannot express uncertainty. Default: `None`.
-    fn scores(&self, _ctx: &QueryContext<'_>) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// Decision scores for a *subset* of images, aligned with `ids` — the
-    /// hook the index-fed candidate-pool re-rank (`pooled`) runs on. The
-    /// default scores the whole database and projects; the SVM schemes
-    /// override it to score only the candidates, which is where the
-    /// index's pruning actually pays off at scale.
-    fn score_ids(&self, ctx: &QueryContext<'_>, ids: &[usize]) -> Option<Vec<f64>> {
-        self.scores(ctx)
-            .map(|all| ids.iter().map(|&id| all[id]).collect())
-    }
-
-    /// Trains the scheme's decision function for one round and returns it
-    /// as a shippable [`PoolScorer`], seeding the solver from `warm` and
-    /// depositing the new solution (and [`RoundDiagnostics`]) back. The
-    /// `pool` is the candidate universe of the round — schemes whose
-    /// training itself depends on the retrieval universe (LRF-CSVM's
-    /// unlabeled selection) draw from it, so fitting against a pool and
-    /// then scoring that pool reproduces the fused path exactly.
-    ///
-    /// `None` means the scheme has no trainable decision function
-    /// (Euclidean): callers fall back to [`score_ids`](Self::score_ids) /
-    /// pool order. Schemes with scores override this; the split is what
-    /// lets a serving coordinator train **once** and scatter the scoring
-    /// across shard workers.
-    fn fit_warm(
-        &self,
-        _ctx: &QueryContext<'_>,
-        _pool: &[usize],
-        _warm: &mut WarmState,
-    ) -> Option<ScorerRef> {
-        None
-    }
-
-    /// [`score_ids`](Self::score_ids) with session warm-start state: the
-    /// scheme may seed its solver from `warm`'s previous-round alphas and
-    /// must deposit the new solution (and [`RoundDiagnostics`]) back for
-    /// the next round. Routed through [`fit_warm`](Self::fit_warm) — fit
-    /// once, score the pool locally — so the in-process path and a
-    /// scatter-gather serving plane run the *same* trained model; schemes
-    /// without training (Euclidean) fall back to the cold
-    /// [`score_ids`](Self::score_ids), and a fresh [`WarmState`] makes
-    /// this identical to `score_ids` by construction.
-    fn score_ids_warm(
-        &self,
-        ctx: &QueryContext<'_>,
-        ids: &[usize],
-        warm: &mut WarmState,
-    ) -> Option<Vec<f64>> {
-        match self.fit_warm(ctx, ids, warm) {
-            Some(scorer) => Some(scorer.score_ids(ctx.db, ctx.log, ids)),
-            None => self.score_ids(ctx, ids),
-        }
+    /// cannot express uncertainty.
+    fn scores(&self, ctx: &QueryContext<'_>) -> Option<Vec<f64>> {
+        let all: Vec<usize> = (0..ctx.db.len()).collect();
+        self.fit_warm(ctx, &all, &mut WarmState::default())
+            .map(|scorer| scorer.score_ids(ctx.db, ctx.log, &all))
     }
 }
 

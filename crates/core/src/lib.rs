@@ -1,9 +1,17 @@
 //! # lrf-core — log-based relevance feedback by coupled SVM
 //!
-//! The paper's contribution, plus every compared scheme, behind one trait:
+//! The paper's contribution, plus every compared scheme, behind one trait.
+//! The schemes differ only in *how a round's decision function is trained*;
+//! ranking is always "score the candidates, sort":
 //!
-//! * [`feedback::RelevanceFeedback`] — a scheme ranks the database given a
-//!   query's feedback round ([`QueryContext`]).
+//! * [`feedback::RelevanceFeedback`] — a scheme is one
+//!   [`fit_warm`](feedback::RelevanceFeedback::fit_warm): given a query's
+//!   feedback round ([`QueryContext`]) it trains a [`PoolScorer`], whose
+//!   [`score_ids`](feedback::PoolScorer::score_ids) is the only place
+//!   decision values are computed. `rank` / `scores` are provided on top.
+//! * [`pooled::rank_candidates`] — the only place a (scheme, round, pool,
+//!   warm state, where-to-score) tuple becomes a ranking; the full
+//!   ranking, the index-fed pool re-rank and the serving loop all call it.
 //! * [`euclidean::EuclideanScheme`] — the paper's `Euclidean` reference
 //!   (no learning; the initial content ranking).
 //! * [`rf_svm::RfSvm`] — the `RF-SVM` baseline: a regular SVM trained on
@@ -26,9 +34,9 @@
 //!   generalized for learning on a multiple-modality problem"): a coupled
 //!   machine over *k* dense modalities.
 //! * [`pooled`] — the scale path: an `lrf-index` backend retrieves a
-//!   candidate pool, the scheme re-ranks only the pool
-//!   ([`feedback::RelevanceFeedback::score_ids`]); with the exact flat
-//!   backend and a full pool this reproduces the paper's ranking exactly.
+//!   candidate pool and only the pool is scored and re-ranked; with the
+//!   exact flat backend and a full pool this reproduces the paper's
+//!   ranking exactly.
 //! * [`rounds`] — the serving path: [`rounds::FeedbackLoop`] turns the
 //!   one-shot schemes into resumable multi-round sessions (accumulated
 //!   judgments, typed errors, log-session flush) for `lrf-service`. Each
@@ -84,6 +92,6 @@ pub use kernels::{LogCosineRbfKernel, LogKernel, LogLinearKernel, LogRbfKernel};
 pub use log_collection::collect_feedback_log;
 pub use lrf_2svms::Lrf2Svms;
 pub use lrf_csvm::LrfCsvm;
-pub use pooled::{rank_candidates, rank_candidates_warm, rank_pool_by_scores, PooledRetrieval};
+pub use pooled::{rank_candidates, PooledRetrieval};
 pub use rf_svm::RfSvm;
 pub use rounds::{FeedbackLoop, RoundError, SchemeKind};

@@ -9,8 +9,7 @@
 
 use crate::config::LrfConfig;
 use crate::feedback::{
-    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
-    WarmState,
+    PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
 use crate::kernels::LogKernel;
 use crate::rf_svm::RfSvm;
@@ -32,15 +31,10 @@ impl Lrf2Svms {
     }
 
     /// Trains the log-side SVM on the labeled round, borrowing the log
-    /// vectors from the store (no clone per sample). Exposed for reuse by
-    /// LRF-CSVM (this is its log-side initial model).
-    pub fn train_log_svm(&self, ctx: &QueryContext<'_>) -> TrainedSvm<SparseVector, LogKernel> {
-        self.train_log_svm_warm(ctx, None)
-    }
-
-    /// [`train_log_svm`](Self::train_log_svm), optionally seeded with the
-    /// previous round's log-side alphas (labeled-set order).
-    pub fn train_log_svm_warm(
+    /// vectors from the store (no clone per sample), optionally seeded with
+    /// the previous round's log-side alphas (labeled-set order). Exposed
+    /// for reuse by LRF-CSVM (this is its log-side initial model).
+    pub fn train_log_svm(
         &self,
         ctx: &QueryContext<'_>,
         warm: Option<&[f64]>,
@@ -63,63 +57,11 @@ impl Lrf2Svms {
         )
         .expect("log SVM training cannot fail on validated feedback rounds")
     }
-
-    /// Scores every database image under a log model: one parallel batch
-    /// pass over the store's log vectors.
-    pub fn score_all_log(
-        log: &lrf_logdb::LogStore,
-        model: &SvmModel<SparseVector, LogKernel>,
-    ) -> Vec<f64> {
-        model.decision_batch(log.log_vectors())
-    }
-
-    /// Scores a subset of images under a log model (aligned with `ids`).
-    pub fn score_subset_log(
-        log: &lrf_logdb::LogStore,
-        model: &SvmModel<SparseVector, LogKernel>,
-        ids: &[usize],
-    ) -> Vec<f64> {
-        let rows: Vec<&SparseVector> = ids.iter().map(|&id| log.log_vector(id)).collect();
-        model.decision_batch(&rows)
-    }
 }
 
 impl RelevanceFeedback for Lrf2Svms {
     fn name(&self) -> &'static str {
         "LRF-2SVMs"
-    }
-
-    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        let combined = self.scores(ctx).expect("LRF-2SVMs always produces scores");
-        rank_by_scores(&combined)
-    }
-
-    fn scores(&self, ctx: &QueryContext<'_>) -> Option<Vec<f64>> {
-        let content = RfSvm::new(self.config).train_content_svm(ctx);
-        let logside = self.train_log_svm(ctx);
-        let content_scores = RfSvm::score_all(ctx.db, &content.model);
-        let log_scores = Self::score_all_log(ctx.log, &logside.model);
-        Some(
-            content_scores
-                .iter()
-                .zip(&log_scores)
-                .map(|(c, l)| c + l)
-                .collect(),
-        )
-    }
-
-    fn score_ids(&self, ctx: &QueryContext<'_>, ids: &[usize]) -> Option<Vec<f64>> {
-        let content = RfSvm::new(self.config).train_content_svm(ctx);
-        let logside = self.train_log_svm(ctx);
-        let content_scores = RfSvm::score_subset(ctx.db, &content.model, ids);
-        let log_scores = Self::score_subset_log(ctx.log, &logside.model, ids);
-        Some(
-            content_scores
-                .iter()
-                .zip(&log_scores)
-                .map(|(c, l)| c + l)
-                .collect(),
-        )
     }
 
     fn fit_warm(
@@ -128,13 +70,13 @@ impl RelevanceFeedback for Lrf2Svms {
         _pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let content = RfSvm::new(self.config).train_content_svm_warm(ctx, warm.content.as_deref());
-        let logside = self.train_log_svm_warm(ctx, warm.log.as_deref());
+        let content = RfSvm::new(self.config).train_content_svm(ctx, warm.content.as_deref());
+        let logside = self.train_log_svm(ctx, warm.log.as_deref());
         let mut diag = RoundDiagnostics::all_converged();
         diag.absorb(&content.stats);
         diag.absorb(&logside.stats);
-        warm.content = Some(content.alpha.clone());
-        warm.log = Some(logside.alpha.clone());
+        warm.content = Some(content.alpha);
+        warm.log = Some(logside.alpha);
         warm.last = Some(diag);
         Some(std::sync::Arc::new(SummedScorer {
             content: content.model,
@@ -146,8 +88,8 @@ impl RelevanceFeedback for Lrf2Svms {
 /// [`PoolScorer`] for the two-modality schemes: one content model plus one
 /// log model, summed per id — the `f_w(x_i) + f_u(r_i)` of the paper.
 /// Shared by LRF-2SVMs (independent machines) and LRF-CSVM (the coupled
-/// outcome's machines); only how the models were *trained* differs, so
-/// shard-side scoring is one code path.
+/// outcome's machines, and step 1's initial pair); only how the models
+/// were *trained* differs, so scoring is one code path.
 pub(crate) struct SummedScorer {
     pub(crate) content: SvmModel<[f64], lrf_svm::RbfKernel>,
     pub(crate) log: SvmModel<SparseVector, LogKernel>,
@@ -160,8 +102,10 @@ impl PoolScorer for SummedScorer {
         log: &lrf_logdb::LogStore,
         ids: &[usize],
     ) -> Vec<f64> {
-        let content_scores = RfSvm::score_subset(db, &self.content, ids);
-        let log_scores = Lrf2Svms::score_subset_log(log, &self.log, ids);
+        let rows: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
+        let log_rows: Vec<&SparseVector> = ids.iter().map(|&id| log.log_vector(id)).collect();
+        let content_scores = self.content.decision_batch(&rows);
+        let log_scores = self.log.decision_batch(&log_rows);
         content_scores
             .iter()
             .zip(&log_scores)

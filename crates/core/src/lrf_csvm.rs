@@ -23,7 +23,8 @@
 use crate::config::{LrfConfig, PseudoLabelInit, UnlabeledSelection};
 use crate::coupled::{train_coupled, CoupledOutcome, TrainReport};
 use crate::feedback::{
-    PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
+    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
+    WarmState,
 };
 use crate::lrf_2svms::{Lrf2Svms, SummedScorer};
 use crate::rf_svm::RfSvm;
@@ -31,7 +32,7 @@ use lrf_logdb::SparseVector;
 use lrf_svm::RbfKernel;
 
 /// Output of [`LrfCsvm::fit_on`] — the coupled round's trained decision
-/// function plus the diagnostics `run_inner` folds into its outcome.
+/// function plus the diagnostics `run` folds into its outcome.
 struct CsvmFit {
     scorer: SummedScorer,
     unlabeled_ids: Vec<usize>,
@@ -66,53 +67,17 @@ impl LrfCsvm {
         Self { config }
     }
 
-    /// Runs the full algorithm, returning ranking + diagnostics.
+    /// Runs the full algorithm over the whole database, returning the
+    /// ranking and its diagnostics: the same fit → score → sort as
+    /// [`RelevanceFeedback::rank`], keeping what the trait's scorer-only
+    /// return drops (scores, unlabeled pool, training report).
     pub fn run(&self, ctx: &QueryContext<'_>) -> LrfCsvmOutcome {
-        self.run_on(ctx, None)
-    }
-
-    /// Runs the algorithm restricted to a candidate `pool` (typically the
-    /// top candidates of an ANN index): unlabeled selection, and the final
-    /// `CSVM_Dist` scoring/ranking, only touch pool members — the scale
-    /// path where the index's pruning carries through the learning stack.
-    /// `scores`/`ranking` in the outcome are aligned with/permutations of
-    /// `pool`.
-    pub fn run_pooled(&self, ctx: &QueryContext<'_>, pool: &[usize]) -> LrfCsvmOutcome {
-        self.run_on(ctx, Some(pool))
-    }
-
-    fn run_on(&self, ctx: &QueryContext<'_>, universe: Option<&[usize]>) -> LrfCsvmOutcome {
-        self.run_inner(ctx, universe, None)
-    }
-
-    fn run_inner(
-        &self,
-        ctx: &QueryContext<'_>,
-        universe: Option<&[usize]>,
-        warm: Option<&mut WarmState>,
-    ) -> LrfCsvmOutcome {
-        let universe: Vec<usize> =
-            universe.map_or_else(|| (0..ctx.db.len()).collect(), <[usize]>::to_vec);
-        let fit = self.fit_on(ctx, &universe, warm);
-
-        // ---- Step 3: rank by CSVM_Dist over the retrieval universe. Both
-        // machines score their whole candidate pool in one parallel batch
-        // pass; the per-id sum equals `coupled_score` exactly. Scoring goes
-        // through the fitted [`PoolScorer`] — the same object a
-        // scatter-gather serving plane ships to shard workers, so the fused
-        // and sharded paths run identical arithmetic.
+        let universe: Vec<usize> = (0..ctx.db.len()).collect();
+        let fit = self.fit_on(ctx, &universe, &mut WarmState::default());
+        // ---- Step 3: rank by CSVM_Dist over the retrieval universe. ----
         let scores = fit.scorer.score_ids(ctx.db, ctx.log, &universe);
-        // Order universe members by descending score, ties by id — for the
-        // full universe this is exactly rank_by_scores.
-        let mut order: Vec<usize> = (0..universe.len()).collect();
-        order.sort_by(|&a, &b| {
-            crate::feedback::cmp_scores_desc(scores[a], scores[b])
-                .then(universe[a].cmp(&universe[b]))
-        });
-        let ranking: Vec<usize> = order.into_iter().map(|i| universe[i]).collect();
-
         LrfCsvmOutcome {
-            ranking,
+            ranking: rank_by_scores(&scores),
             scores,
             unlabeled_ids: fit.unlabeled_ids,
             report: fit.report,
@@ -120,41 +85,39 @@ impl LrfCsvm {
     }
 
     /// Steps 1–2 of Fig. 1 — unlabeled selection and coupled training —
-    /// producing the round's trained decision function plus diagnostics.
-    /// The retrieval step is deliberately *not* here: the returned scorer
-    /// is partition-invariant, so callers may score the universe locally
-    /// (`run_inner`) or scatter disjoint slices across shard workers and
-    /// get bit-identical results.
-    fn fit_on(
-        &self,
-        ctx: &QueryContext<'_>,
-        universe: &[usize],
-        warm: Option<&mut WarmState>,
-    ) -> CsvmFit {
+    /// over a candidate `universe` (the whole database, or an index's
+    /// pool: selection only ever touches its members), producing the
+    /// round's trained decision function plus diagnostics. The retrieval
+    /// step is deliberately *not* here: the returned scorer is
+    /// partition-invariant, so callers may score the universe locally or
+    /// scatter disjoint slices across shard workers and get bit-identical
+    /// results.
+    fn fit_on(&self, ctx: &QueryContext<'_>, universe: &[usize], warm: &mut WarmState) -> CsvmFit {
         let cfg = &self.config;
         let db = ctx.db;
 
-        // Previous-round seeds for step 1's labeled-only SVMs: the labeled
-        // prefix of the last coupled solution is bounded by the same `C` as
-        // a labeled-only solve, so it prefix-maps directly.
-        let (seed_content, seed_log) = match warm.as_deref() {
-            Some(w) => (w.content.clone(), w.log.clone()),
-            None => (None, None),
-        };
+        // ---- Step 1: initial per-modality SVMs on the labeled round,
+        // seeded from the previous round: the labeled prefix of the last
+        // coupled solution is bounded by the same `C` as a labeled-only
+        // solve, so it prefix-maps directly.
+        let content0 = RfSvm::new(*cfg).train_content_svm(ctx, warm.content.as_deref());
+        let log0 = Lrf2Svms::new(*cfg).train_log_svm(ctx, warm.log.as_deref());
+        let mut diag = RoundDiagnostics::all_converged();
+        diag.absorb(&content0.stats);
+        diag.absorb(&log0.stats);
 
-        // ---- Step 1: initial per-modality SVMs on the labeled round. ----
-        let content0 = RfSvm::new(*cfg).train_content_svm_warm(ctx, seed_content.as_deref());
-        let log0 = Lrf2Svms::new(*cfg).train_log_svm_warm(ctx, seed_log.as_deref());
-
-        let content_scores = RfSvm::score_subset(db, &content0.model, universe);
-        let log_scores = Lrf2Svms::score_subset_log(ctx.log, &log0.model, universe);
+        let dist = SummedScorer {
+            content: content0.model,
+            log: log0.model,
+        }
+        .score_ids(db, ctx.log, universe);
         let labeled: std::collections::HashSet<usize> =
             ctx.example.labeled.iter().map(|&(id, _)| id).collect();
         let scored: Vec<(usize, f64)> = universe
             .iter()
-            .zip(content_scores.iter().zip(&log_scores))
+            .zip(dist)
             .filter(|(id, _)| !labeled.contains(id))
-            .map(|(&id, (c, l))| (id, c + l))
+            .map(|(&id, d)| (id, d))
             .collect();
 
         let (unlabeled_ids, y_init) = self.select_unlabeled_in(ctx, scored);
@@ -197,17 +160,12 @@ impl LrfCsvm {
         )
         .expect("coupled training cannot fail on validated feedback rounds");
 
-        if let Some(w) = warm {
-            let n_l = y.len();
-            let mut diag = RoundDiagnostics::all_converged();
-            diag.absorb(&content0.stats);
-            diag.absorb(&log0.stats);
-            diag.absorb(&outcome.content.stats);
-            diag.absorb(&outcome.log.stats);
-            w.content = Some(outcome.content.alpha[..n_l].to_vec());
-            w.log = Some(outcome.log.alpha[..n_l].to_vec());
-            w.last = Some(diag);
-        }
+        let n_l = y.len();
+        diag.absorb(&outcome.content.stats);
+        diag.absorb(&outcome.log.stats);
+        warm.content = Some(outcome.content.alpha[..n_l].to_vec());
+        warm.log = Some(outcome.log.alpha[..n_l].to_vec());
+        warm.last = Some(diag);
 
         CsvmFit {
             scorer: SummedScorer {
@@ -314,27 +272,13 @@ impl RelevanceFeedback for LrfCsvm {
         "LRF-CSVM"
     }
 
-    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        self.run(ctx).ranking
-    }
-
-    fn scores(&self, ctx: &QueryContext<'_>) -> Option<Vec<f64>> {
-        Some(self.run(ctx).scores)
-    }
-
-    fn score_ids(&self, ctx: &QueryContext<'_>, ids: &[usize]) -> Option<Vec<f64>> {
-        Some(self.run_pooled(ctx, ids).scores)
-    }
-
     fn fit_warm(
         &self,
         ctx: &QueryContext<'_>,
         pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        Some(std::sync::Arc::new(
-            self.fit_on(ctx, pool, Some(warm)).scorer,
-        ))
+        Some(std::sync::Arc::new(self.fit_on(ctx, pool, warm).scorer))
     }
 }
 
@@ -466,11 +410,14 @@ mod tests {
         };
 
         // Reproduce step 1 manually to check the split.
-        let content0 = RfSvm::new(cfg).train_content_svm(&ctx);
-        let log0 = Lrf2Svms::new(cfg).train_log_svm(&ctx);
-        let cs = RfSvm::score_all(&ds.db, &content0.model);
-        let ls = Lrf2Svms::score_all_log(&log, &log0.model);
-        let dist: Vec<f64> = cs.iter().zip(&ls).map(|(a, b)| a + b).collect();
+        let content0 = RfSvm::new(cfg).train_content_svm(&ctx, None);
+        let log0 = Lrf2Svms::new(cfg).train_log_svm(&ctx, None);
+        let all: Vec<usize> = (0..ds.db.len()).collect();
+        let dist = SummedScorer {
+            content: content0.model,
+            log: log0.model,
+        }
+        .score_ids(&ds.db, &log, &all);
         let (ids, init) = scheme.select_unlabeled(&ctx, &dist);
         let n_top = ids.len() / 2;
         for (i, y0) in init.iter().enumerate() {

@@ -6,8 +6,9 @@
 //!
 //! 1. an [`AnnIndex`] retrieves a candidate pool — `pool_size` nearest
 //!    neighbors of the query feature (sublinear for IVF/LSH);
-//! 2. the learned scheme scores *only the pool*
-//!    ([`RelevanceFeedback::score_ids`]) and re-ranks it; images outside
+//! 2. the learned scheme is fitted on the round
+//!    ([`RelevanceFeedback::fit_warm`]) and its scorer scores *only the
+//!    pool* ([`crate::feedback::PoolScorer::score_ids`]); images outside
 //!    the pool trail in id order (every evaluation cutoff that matters is
 //!    well inside the pool).
 //!
@@ -15,7 +16,7 @@
 //! construction, not by accident — to the paper's full ranking, so the
 //! pooled path is a strict generalization of the reproduction.
 
-use crate::feedback::{QueryContext, RelevanceFeedback, WarmState};
+use crate::feedback::{cmp_scores_desc, QueryContext, RelevanceFeedback, ScorerRef, WarmState};
 use lrf_index::{AnnIndex, SearchStats};
 
 /// The two-stage (index → re-rank) retrieval driver.
@@ -65,7 +66,7 @@ impl<'a> PooledRetrieval<'a> {
     }
 
     /// Full-database ranking: pool members re-ranked by the scheme's
-    /// subset scores (descending, ties by id), then every out-of-pool id
+    /// scores (descending, ties by id), then every out-of-pool id
     /// ascending. Schemes without a decision function (Euclidean) keep the
     /// pool's distance order, which *is* their ranking.
     pub fn rank<S: RelevanceFeedback + ?Sized>(
@@ -73,71 +74,63 @@ impl<'a> PooledRetrieval<'a> {
         scheme: &S,
         ctx: &QueryContext<'_>,
     ) -> Vec<usize> {
-        rank_candidates(scheme, ctx, &self.pool(ctx))
+        rank_candidates(
+            scheme,
+            ctx,
+            &self.pool(ctx),
+            &mut WarmState::default(),
+            |scorer, ids| scorer.score_ids(ctx.db, ctx.log, ids),
+        )
     }
 }
 
-/// Ranks an explicit candidate `pool` under `scheme` and appends every
-/// out-of-pool id in ascending order, yielding a full-database permutation.
-/// The shared re-rank step of [`PooledRetrieval`] and the stateful session
-/// API ([`crate::rounds::FeedbackLoop`]): both paths go through this one
-/// function, which is what makes their rankings bit-identical by
-/// construction.
-pub fn rank_candidates<S: RelevanceFeedback + ?Sized>(
-    scheme: &S,
-    ctx: &QueryContext<'_>,
-    pool: &[usize],
-) -> Vec<usize> {
-    rank_candidates_warm(scheme, ctx, pool, &mut WarmState::default())
-}
-
-/// [`rank_candidates`] with session warm-start state threaded through to
-/// the scheme's solver ([`RelevanceFeedback::score_ids_warm`]). The
-/// stateful session API ([`crate::rounds::FeedbackLoop`]) calls this with
-/// its persistent [`WarmState`]; `rank_candidates` itself passes a fresh
-/// one, so the one-shot and first-round stateful paths remain the same
-/// code and the same arithmetic.
-pub fn rank_candidates_warm<S: RelevanceFeedback + ?Sized>(
+/// The one place a feedback round becomes a ranking: fits `scheme` on the
+/// round (seeded from `warm`; a fresh [`WarmState`] is the cold start),
+/// hands the trained scorer and the `pool` to `score`, and orders the pool
+/// by the returned scores (descending, ties by id, NaN last), appending every
+/// out-of-pool id ascending — a full-database permutation. A scheme with
+/// nothing to fit (Euclidean) never calls `score`; its pool keeps its
+/// order.
+///
+/// `score` decides *where* the decision values are computed — inline via
+/// [`crate::feedback::PoolScorer::score_ids`], or scattered across shard
+/// workers and stitched back in pool order; the scorer's
+/// partition-invariance contract makes the two bit-identical. Every
+/// ranking entry ([`RelevanceFeedback::rank`], [`PooledRetrieval::rank`],
+/// [`crate::rounds::FeedbackLoop::rerank_scattered`]) is this function, so
+/// they cannot drift apart.
+///
+/// # Panics
+/// Panics if `score` returns a vector not aligned with `pool`.
+pub fn rank_candidates<S, F>(
     scheme: &S,
     ctx: &QueryContext<'_>,
     pool: &[usize],
     warm: &mut WarmState,
-) -> Vec<usize> {
-    match scheme.score_ids_warm(ctx, pool, warm) {
-        Some(scores) => rank_pool_by_scores(ctx.db.len(), pool, &scores),
-        None => {
-            let mut head = pool.to_vec();
-            let mut in_head = vec![false; ctx.db.len()];
-            for &id in &head {
-                in_head[id] = true;
-            }
-            head.extend((0..ctx.db.len()).filter(|&id| !in_head[id]));
-            head
+    score: F,
+) -> Vec<usize>
+where
+    S: RelevanceFeedback + ?Sized,
+    F: FnOnce(&ScorerRef, &[usize]) -> Vec<f64>,
+{
+    let mut ranking = match scheme.fit_warm(ctx, pool, warm) {
+        Some(scorer) => {
+            let scores = score(&scorer, pool);
+            assert_eq!(pool.len(), scores.len(), "scores must align with the pool");
+            let mut order: Vec<usize> = (0..pool.len()).collect();
+            order.sort_by(|&a, &b| {
+                cmp_scores_desc(scores[a], scores[b]).then(pool[a].cmp(&pool[b]))
+            });
+            order.into_iter().map(|i| pool[i]).collect()
         }
+        None => pool.to_vec(),
+    };
+    let mut in_pool = vec![false; ctx.db.len()];
+    for &id in &ranking {
+        in_pool[id] = true;
     }
-}
-
-/// The score → full-ranking step shared by every scored path: pool members
-/// sorted by descending score (ties by ascending id, NaN last), then every
-/// out-of-pool id appended ascending. `scores` is aligned with `pool`.
-///
-/// Factored out so the in-process re-rank ([`rank_candidates_warm`]) and a
-/// scatter-gather serving plane (which gathers the same scores from shard
-/// workers) merge through the *same* comparator — the two paths cannot
-/// drift apart in tie-break order.
-pub fn rank_pool_by_scores(n_images: usize, pool: &[usize], scores: &[f64]) -> Vec<usize> {
-    assert_eq!(pool.len(), scores.len(), "scores must align with the pool");
-    let mut order: Vec<usize> = (0..pool.len()).collect();
-    order.sort_by(|&a, &b| {
-        crate::feedback::cmp_scores_desc(scores[a], scores[b]).then(pool[a].cmp(&pool[b]))
-    });
-    let mut head: Vec<usize> = order.into_iter().map(|i| pool[i]).collect();
-    let mut in_head = vec![false; n_images];
-    for &id in &head {
-        in_head[id] = true;
-    }
-    head.extend((0..n_images).filter(|&id| !in_head[id]));
-    head
+    ranking.extend((0..ctx.db.len()).filter(|&id| !in_pool[id]));
+    ranking
 }
 
 #[cfg(test)]

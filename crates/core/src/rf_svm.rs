@@ -7,8 +7,7 @@
 
 use crate::config::LrfConfig;
 use crate::feedback::{
-    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
-    WarmState,
+    PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
 use lrf_svm::{train_warm, RbfKernel, SvmModel, TrainedSvm};
 
@@ -28,18 +27,12 @@ impl RfSvm {
     }
 
     /// Trains the content SVM for one feedback round on borrowed row views
-    /// of the database's flat matrix — no feature is cloned. Exposed for
-    /// reuse by the log-based schemes (this is exactly their content-side
-    /// initial model).
-    pub fn train_content_svm(&self, ctx: &QueryContext<'_>) -> TrainedSvm<[f64], RbfKernel> {
-        self.train_content_svm_warm(ctx, None)
-    }
-
-    /// [`train_content_svm`](Self::train_content_svm), optionally seeded
-    /// with the previous round's content-side alphas (labeled-set order;
-    /// the set grows by appending, so the seed prefix-maps onto the new
-    /// round's samples).
-    pub fn train_content_svm_warm(
+    /// of the database's flat matrix — no feature is cloned — optionally
+    /// seeded with the previous round's content-side alphas (labeled-set
+    /// order; the set grows by appending, so the seed prefix-maps onto the
+    /// new round's samples). Exposed for reuse by the log-based schemes
+    /// (this is exactly their content-side initial model).
+    pub fn train_content_svm(
         &self,
         ctx: &QueryContext<'_>,
         warm: Option<&[f64]>,
@@ -66,43 +59,11 @@ impl RfSvm {
         )
         .expect("content SVM training cannot fail on validated feedback rounds")
     }
-
-    /// Scores every database image under a content model: one parallel
-    /// batch pass over the flat feature matrix.
-    pub fn score_all(db: &lrf_cbir::ImageDatabase, model: &SvmModel<[f64], RbfKernel>) -> Vec<f64> {
-        model.decision_batch_rows(db.features_flat(), db.dim())
-    }
-
-    /// Scores a subset of images under a content model (aligned with
-    /// `ids`) — the candidate-pool path. Batched over borrowed rows.
-    pub fn score_subset(
-        db: &lrf_cbir::ImageDatabase,
-        model: &SvmModel<[f64], RbfKernel>,
-        ids: &[usize],
-    ) -> Vec<f64> {
-        let rows: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
-        model.decision_batch(&rows)
-    }
 }
 
 impl RelevanceFeedback for RfSvm {
     fn name(&self) -> &'static str {
         "RF-SVM"
-    }
-
-    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        let svm = self.train_content_svm(ctx);
-        rank_by_scores(&Self::score_all(ctx.db, &svm.model))
-    }
-
-    fn scores(&self, ctx: &QueryContext<'_>) -> Option<Vec<f64>> {
-        let svm = self.train_content_svm(ctx);
-        Some(Self::score_all(ctx.db, &svm.model))
-    }
-
-    fn score_ids(&self, ctx: &QueryContext<'_>, ids: &[usize]) -> Option<Vec<f64>> {
-        let svm = self.train_content_svm(ctx);
-        Some(Self::score_subset(ctx.db, &svm.model, ids))
     }
 
     fn fit_warm(
@@ -111,10 +72,10 @@ impl RelevanceFeedback for RfSvm {
         _pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let svm = self.train_content_svm_warm(ctx, warm.content.as_deref());
+        let svm = self.train_content_svm(ctx, warm.content.as_deref());
         let mut diag = RoundDiagnostics::all_converged();
         diag.absorb(&svm.stats);
-        warm.content = Some(svm.alpha.clone());
+        warm.content = Some(svm.alpha);
         warm.last = Some(diag);
         Some(std::sync::Arc::new(ContentScorer { model: svm.model }))
     }
@@ -134,7 +95,8 @@ impl PoolScorer for ContentScorer {
         _log: &lrf_logdb::LogStore,
         ids: &[usize],
     ) -> Vec<f64> {
-        RfSvm::score_subset(db, &self.model, ids)
+        let rows: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
+        self.model.decision_batch(&rows)
     }
 }
 
@@ -230,18 +192,23 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 5);
-        let svm = RfSvm::default().train_content_svm(&QueryContext {
-            db: &ds.db,
-            log: &log,
-            example: &example,
-        });
-        let batched = RfSvm::score_all(&ds.db, &svm.model);
+        let svm = RfSvm::default().train_content_svm(
+            &QueryContext {
+                db: &ds.db,
+                log: &log,
+                example: &example,
+            },
+            None,
+        );
         let serial: Vec<f64> = (0..ds.db.len())
             .map(|id| svm.model.decision(ds.db.feature(id)))
             .collect();
+        let scorer = ContentScorer { model: svm.model };
+        let all: Vec<usize> = (0..ds.db.len()).collect();
+        let batched = scorer.score_ids(&ds.db, &log, &all);
         assert_eq!(batched, serial);
         let ids: Vec<usize> = (0..ds.db.len()).step_by(3).collect();
-        let subset = RfSvm::score_subset(&ds.db, &svm.model, &ids);
+        let subset = scorer.score_ids(&ds.db, &log, &ids);
         let expect: Vec<f64> = ids.iter().map(|&id| serial[id]).collect();
         assert_eq!(subset, expect);
     }

@@ -12,9 +12,9 @@
 //! [`LogSession`] for the feedback log — closing the loop the paper
 //! describes, where today's sessions become tomorrow's log vectors.
 //!
-//! Determinism contract: a [`FeedbackLoop`]'s *first* `rerank` is
+//! Determinism contract: a [`FeedbackLoop`]'s *first* rerank is
 //! bit-identical to the one-shot path ([`crate::pooled::rank_candidates`]
-//! on the equivalent [`FeedbackExample`]) — same code, empty
+//! on the equivalent [`FeedbackExample`]) — same function, empty
 //! [`WarmState`] — and the multi-session service asserts exactly this
 //! against its serial reference. Later rounds warm-start each retrain from
 //! the previous round's dual solution ([`WarmState`]): the solver converges
@@ -27,7 +27,7 @@ use crate::euclidean::EuclideanScheme;
 use crate::feedback::{QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState};
 use crate::lrf_2svms::Lrf2Svms;
 use crate::lrf_csvm::LrfCsvm;
-use crate::pooled::{rank_candidates_warm, rank_pool_by_scores};
+use crate::pooled::rank_candidates;
 use crate::rf_svm::RfSvm;
 use lrf_cbir::{FeedbackExample, ImageDatabase};
 use lrf_logdb::{LogSession, LogStore, Relevance};
@@ -208,45 +208,28 @@ impl FeedbackLoop {
     /// Retrains on the accumulated judgments and ranks `pool` (candidate
     /// ids from the retrieval front-end), returning a full-database
     /// permutation: re-ranked pool first, out-of-pool ids trailing in id
-    /// order — exactly [`crate::pooled::rank_candidates`] on
-    /// [`Self::example`] (the first round bit-identically; warm-started
-    /// later rounds within the solver tolerance).
+    /// order — exactly [`rank_candidates`] on [`Self::example`] with the
+    /// session's [`WarmState`] (the first round bit-identical to a cold
+    /// one-shot; warm-started later rounds within the solver tolerance).
     ///
-    /// # Panics
-    /// Panics if `db`/`log` don't cover the session's `n_images` or `pool`
-    /// holds an out-of-range id (infrastructure mismatch, not user input).
-    pub fn rerank(&mut self, db: &ImageDatabase, log: &LogStore, pool: &[usize]) -> Vec<usize> {
-        assert_eq!(db.len(), self.n_images, "database changed under session");
-        let example = self.example();
-        let ctx = QueryContext {
-            db,
-            log,
-            example: &example,
-        };
-        let ranking = rank_candidates_warm(self.scheme.as_ref(), &ctx, pool, &mut self.warm);
-        self.rounds += 1;
-        ranking
-    }
-
-    /// [`rerank`](Self::rerank) with the *scoring* step delegated to the
-    /// caller — the coordinator half of a scatter-gather serving plane.
-    /// The scheme still trains exactly once, here, on the coordinator
-    /// (via [`RelevanceFeedback::fit_warm`]); `scatter` receives the
-    /// trained [`crate::feedback::PoolScorer`] plus the pool and returns
-    /// decision scores
-    /// aligned with the pool, typically by slicing the pool across shard
-    /// workers and stitching their score vectors back in pool order. The
-    /// scorer's partition-invariance contract makes that stitched vector
-    /// bit-identical to scoring the pool in one call, so this method and
-    /// [`rerank`](Self::rerank) produce the same ranking by construction
-    /// (and the sharded service asserts it end to end).
+    /// The scheme trains exactly once, here (via
+    /// [`RelevanceFeedback::fit_warm`]); the *scoring* step belongs to the
+    /// caller. `scatter` receives the trained
+    /// [`crate::feedback::PoolScorer`] plus the pool and returns decision
+    /// scores aligned with the pool — `scorer.score_ids(db, log, ids)`
+    /// inline, or, as the coordinator half of a scatter-gather serving
+    /// plane, by slicing the pool across shard workers and stitching their
+    /// score vectors back in pool order. The scorer's partition-invariance
+    /// contract makes the stitched vector bit-identical to scoring the
+    /// pool in one call (the sharded service asserts it end to end).
     ///
     /// Schemes with no trainable decision function (Euclidean) never call
-    /// `scatter` and fall back to the ordinary local path.
+    /// `scatter`; the pool keeps its order.
     ///
     /// # Panics
-    /// Same contract as [`rerank`](Self::rerank), plus: panics if
-    /// `scatter` returns a score vector not aligned with `pool`.
+    /// Panics if `db`/`log` don't cover the session's `n_images`, `pool`
+    /// holds an out-of-range id (infrastructure mismatch, not user input),
+    /// or `scatter` returns a score vector not aligned with `pool`.
     pub fn rerank_scattered<F>(
         &mut self,
         db: &ImageDatabase,
@@ -264,18 +247,13 @@ impl FeedbackLoop {
             log,
             example: &example,
         };
-        let ranking = match self.scheme.fit_warm(&ctx, pool, &mut self.warm) {
-            Some(scorer) => {
-                let scores = scatter(&scorer, pool);
-                rank_pool_by_scores(db.len(), pool, &scores)
-            }
-            None => rank_candidates_warm(self.scheme.as_ref(), &ctx, pool, &mut self.warm),
-        };
+        let ranking = rank_candidates(self.scheme.as_ref(), &ctx, pool, &mut self.warm, scatter);
         self.rounds += 1;
         ranking
     }
 
-    /// Solver diagnostics from the most recent [`rerank`](Self::rerank):
+    /// Solver diagnostics from the most recent
+    /// [`rerank_scattered`](Self::rerank_scattered):
     /// `None` before the first round or for schemes that never train
     /// (Euclidean). A round whose diagnostics say `!converged` hit the
     /// solver's `max_iter` cap somewhere — the ranking is still usable but
@@ -313,7 +291,7 @@ impl std::fmt::Debug for FeedbackLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pooled::{rank_candidates, PooledRetrieval};
+    use crate::pooled::PooledRetrieval;
     use lrf_cbir::{collect_log, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::SimulationConfig;
 
@@ -342,6 +320,31 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    /// One round with the scoring done in place.
+    fn rerank_in_place(
+        fb: &mut FeedbackLoop,
+        db: &ImageDatabase,
+        log: &LogStore,
+        pool: &[usize],
+    ) -> Vec<usize> {
+        fb.rerank_scattered(db, log, pool, |scorer, ids| scorer.score_ids(db, log, ids))
+    }
+
+    /// The stateless path: a cold fit on `ctx`, scored in place.
+    fn rank_cold(
+        scheme: &dyn RelevanceFeedback,
+        ctx: &QueryContext<'_>,
+        pool: &[usize],
+    ) -> Vec<usize> {
+        rank_candidates(
+            scheme,
+            ctx,
+            pool,
+            &mut WarmState::default(),
+            |scorer, ids| scorer.score_ids(ctx.db, ctx.log, ids),
+        )
     }
 
     #[test]
@@ -379,9 +382,9 @@ mod tests {
                 example: &example,
             };
             let pool = pooled.pool(&ctx);
-            let stateful = fb.rerank(&ds.db, &log, &pool);
+            let stateful = rerank_in_place(&mut fb, &ds.db, &log, &pool);
             let scheme = kind.build(small_config());
-            let oneshot = rank_candidates(scheme.as_ref(), &ctx, &pool);
+            let oneshot = rank_cold(scheme.as_ref(), &ctx, &pool);
             assert_eq!(stateful, oneshot, "{}", kind.name());
             assert_eq!(fb.rounds(), 1);
         }
@@ -411,7 +414,7 @@ mod tests {
                 for &(id, y) in chunk {
                     fb.mark(id, y > 0.0).unwrap();
                 }
-                let stateful = fb.rerank(&ds.db, &log, &pool);
+                let stateful = rerank_in_place(&mut fb, &ds.db, &log, &pool);
                 let sofar = fb.example();
                 let ctx = QueryContext {
                     db: &ds.db,
@@ -419,10 +422,11 @@ mod tests {
                     example: &sofar,
                 };
                 let cold_scheme = kind.build(small_config());
-                let cold = rank_candidates(cold_scheme.as_ref(), &ctx, &pool);
+                let cold = rank_cold(cold_scheme.as_ref(), &ctx, &pool);
                 let cold_scores = cold_scheme
-                    .score_ids(&ctx, &pool)
-                    .expect("SVM schemes produce scores");
+                    .fit_warm(&ctx, &pool, &mut WarmState::default())
+                    .expect("SVM schemes produce scores")
+                    .score_ids(&ds.db, &log, &pool);
                 let mut score_of = vec![0.0; ds.db.len()];
                 for (k, &id) in pool.iter().enumerate() {
                     score_of[id] = cold_scores[k];
@@ -456,13 +460,13 @@ mod tests {
             fb.mark(id, id % 2 == 0).unwrap();
         }
         let pool: Vec<usize> = (0..ds.db.len()).collect();
-        let _ = fb.rerank(&ds.db, &log, &pool);
+        let _ = rerank_in_place(&mut fb, &ds.db, &log, &pool);
         let diag = fb.last_diagnostics().expect("trained round reports stats");
         assert!(!diag.converged, "max_iter=1 must be surfaced: {diag:?}");
         // Euclidean never trains: diagnostics stay empty.
         let mut eu = FeedbackLoop::new(SchemeKind::Euclidean, small_config(), 0, ds.db.len());
         eu.mark(0, true).unwrap();
-        let _ = eu.rerank(&ds.db, &log, &pool);
+        let _ = rerank_in_place(&mut eu, &ds.db, &log, &pool);
         assert_eq!(eu.last_diagnostics(), None);
     }
 
@@ -473,12 +477,12 @@ mod tests {
         fb.mark(0, true).unwrap();
         fb.mark(1, false).unwrap();
         let pool: Vec<usize> = (0..ds.db.len()).collect();
-        let _ = fb.rerank(&ds.db, &log, &pool);
+        let _ = rerank_in_place(&mut fb, &ds.db, &log, &pool);
         // Round 2 marks more; the example now holds all four judgments in
         // mark order.
         fb.mark(2, true).unwrap();
         fb.mark(3, false).unwrap();
-        let _ = fb.rerank(&ds.db, &log, &pool);
+        let _ = rerank_in_place(&mut fb, &ds.db, &log, &pool);
         assert_eq!(fb.rounds(), 2);
         assert_eq!(
             fb.example().labeled,

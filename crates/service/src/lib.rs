@@ -12,7 +12,7 @@
 //! * a [`lrf_logdb::DurableLogStore`]: sessions train on frozen log
 //!   snapshots while completed sessions append concurrently (copy-on-write
 //!   — a flush can never stall a query). Built with
-//!   [`Service::with_durability`], every flush is fsynced into a
+//!   [`Service::with_durability_metrics`], every flush is fsynced into a
 //!   checksummed WAL before the close is acknowledged, with a typed
 //!   degradation path (retry → spill → shed, see [`durability`]) when
 //!   storage fails;
@@ -24,13 +24,22 @@
 //!   transport) so a network listener can be bolted on without touching
 //!   the engine.
 //!
+//! A [`Service`] is built one of four ways, all over one private `build`
+//! and all taking their [`ServiceMetrics`] explicitly except the first:
+//! [`Service::new`] (flat index, fresh metrics), [`Service::with_metrics`]
+//! (any index), [`Service::sharded_with_metrics`] (scatter-gather over a
+//! [`ShardedEngine`]) and [`Service::with_durability_metrics`] (WAL-backed
+//! log).
+//!
 //! ## Session lifecycle
 //!
 //! ```text
 //! Open ──▶ initial screen (index top-k, content only)
 //!   │  Mark*      (judgments accumulate; typed errors, never panics)
-//!   │  Rerank     (retrain scheme on all judgments, re-rank candidate
-//!   │              pool — bit-identical to the one-shot pooled path)
+//!   │  Rerank     (retrain scheme once on all judgments, score the
+//!   │              candidate pool — in place, or scattered across the
+//!   │              shard workers: one `rerank_scattered` call either
+//!   │              way, bit-identical to the one-shot pooled path)
 //!   │  Page*      (read slices of the current ranking)
 //!   ▼
 //! Close / evict ──▶ judgments flush into the shared log

@@ -140,29 +140,20 @@ impl AnnIndex for EngineHandle {
 
 impl Service {
     /// Builds a service over `db` with the exact flat index (shares the
-    /// database's feature allocation — no copy).
+    /// database's feature allocation — no copy) and fresh metrics.
     pub fn new(db: ImageDatabase, log: LogStore, config: ServiceConfig) -> Self {
         let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&db));
-        Self::with_index(db, index, log, config)
+        Self::with_metrics(db, index, log, config, ServiceMetrics::new())
     }
 
-    /// Builds a service with an explicit (possibly approximate) index.
+    /// Builds a service with an explicit (possibly approximate) index and
+    /// explicit observability — [`ServiceMetrics::new`] for the default,
+    /// a [`ServiceMetrics::with_clock`] for deterministic test latencies,
+    /// or [`ServiceMetrics::disabled`] for the untimed baseline build.
     ///
     /// # Panics
     /// Panics if the index or log does not cover `db`, or on nonsensical
     /// config (zero screen/pool size or session capacity).
-    pub fn with_index(
-        db: ImageDatabase,
-        index: Box<dyn AnnIndex>,
-        log: LogStore,
-        config: ServiceConfig,
-    ) -> Self {
-        Self::with_metrics(db, index, log, config, ServiceMetrics::new())
-    }
-
-    /// [`with_index`](Self::with_index) with explicit observability — a
-    /// [`ServiceMetrics::with_clock`] for deterministic test latencies, or
-    /// [`ServiceMetrics::disabled`] for the untimed baseline build.
     pub fn with_metrics(
         db: ImageDatabase,
         index: Box<dyn AnnIndex>,
@@ -188,18 +179,8 @@ impl Service {
     /// and every rerank scatters its pool scoring the same way; both are
     /// bit-identical to the single-shard flat service by construction
     /// (merge on squared distances, partition-invariant scorers).
-    pub fn sharded(
-        db: ImageDatabase,
-        log: LogStore,
-        n_shards: usize,
-        config: ServiceConfig,
-    ) -> Self {
-        Self::sharded_with_metrics(db, log, n_shards, config, ServiceMetrics::new())
-    }
-
-    /// [`sharded`](Self::sharded) with explicit observability. Per-shard
-    /// stage histograms and the queue-depth gauge register in the same
-    /// registry the request path records to.
+    /// Per-shard stage histograms and the queue-depth gauge register in
+    /// the same `metrics` registry the request path records to.
     pub fn sharded_with_metrics(
         db: ImageDatabase,
         log: LogStore,
@@ -231,32 +212,9 @@ impl Service {
     /// `seed` when the directory is empty) before serving starts. Every
     /// flush is fsynced into the WAL before the close is acknowledged;
     /// `policy` governs retries, spilling, and load shedding when
-    /// storage fails.
-    pub fn with_durability(
-        db: ImageDatabase,
-        index: Box<dyn AnnIndex>,
-        io: IoRef,
-        dir: &Path,
-        seed: LogStore,
-        config: ServiceConfig,
-        policy: DurabilityConfig,
-    ) -> Result<(Self, DurableRecovery), WalError> {
-        Self::with_durability_metrics(
-            db,
-            index,
-            io,
-            dir,
-            seed,
-            config,
-            policy,
-            ServiceMetrics::new(),
-        )
-    }
-
-    /// [`with_durability`](Self::with_durability) with explicit
-    /// observability. Recovery counters (sessions recovered, torn tails
-    /// truncated, stale files swept) land in the registry before the
-    /// first request.
+    /// storage fails. Recovery counters (sessions recovered, torn tails
+    /// truncated, stale files swept) land in the `metrics` registry
+    /// before the first request.
     #[allow(clippy::too_many_arguments)]
     pub fn with_durability_metrics(
         db: ImageDatabase,
@@ -520,20 +478,18 @@ impl Service {
         };
         {
             let _retrain = self.metrics.time(&self.metrics.stage_retrain);
-            state.ranking = match &self.sharded {
-                // Sharded plane: train once here, scatter the pool
-                // scoring across the shard workers. Bit-identical to the
-                // local path by the scorer's partition-invariance
-                // contract (asserted end-to-end in tests/net_service.rs).
-                Some(engine) => {
-                    state
-                        .fb
-                        .rerank_scattered(&self.db, &snapshot, &pool, |scorer, ids| {
-                            engine.scatter_scores(scorer, &snapshot, ids)
-                        })
-                }
-                None => state.fb.rerank(&self.db, &snapshot, &pool),
-            };
+            // Train once here; score the pool across the shard workers
+            // when there are any, in place otherwise. Bit-identical either
+            // way by the scorer's partition-invariance contract (asserted
+            // end-to-end in tests/net_service.rs).
+            state.ranking = state
+                .fb
+                .rerank_scattered(&self.db, &snapshot, &pool, |scorer, ids| {
+                    match &self.sharded {
+                        Some(engine) => engine.scatter_scores(scorer, &snapshot, ids),
+                        None => scorer.score_ids(&self.db, &snapshot, ids),
+                    }
+                });
         }
         let page = state.ranking[..self.config.screen_size.min(state.ranking.len())].to_vec();
         // Surface solver health: a max_iter-capped round must not pass as
@@ -1065,6 +1021,32 @@ mod tests {
                 }
             ),
             "{resp}"
+        );
+    }
+
+    #[test]
+    fn deeply_nested_json_is_a_bad_request_not_an_abort() {
+        // A parser that recursed once per `[` would overflow this thread's
+        // stack — an abort, not a panic — taking the whole server down.
+        let svc = service();
+        let (body, status) = svc.handle_wire(&"[".repeat(100_000));
+        assert_eq!(status, 400);
+        let parsed: Response = serde_json::from_str(&body).unwrap();
+        assert!(
+            matches!(
+                parsed,
+                Response::Error {
+                    error: ServiceError::BadRequest { .. }
+                }
+            ),
+            "{body}"
+        );
+        // And the service still answers.
+        assert_eq!(
+            svc.handle(Request::Ping),
+            Response::Pong {
+                proto_version: wire::PROTO_VERSION
+            }
         );
     }
 

@@ -10,10 +10,7 @@
 //! Fig. 2, "some images selected from COREL image CDs").
 
 use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
-use corelog::core::{
-    collect_feedback_log, EuclideanScheme, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext,
-    RelevanceFeedback, RfSvm,
-};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
 fn main() {
@@ -85,12 +82,7 @@ fn main() {
         example.labeled.iter().filter(|&&(_, y)| y > 0.0).count()
     );
 
-    let schemes: Vec<Box<dyn RelevanceFeedback>> = vec![
-        Box::new(EuclideanScheme),
-        Box::new(RfSvm::new(lrf)),
-        Box::new(Lrf2Svms::new(lrf)),
-        Box::new(LrfCsvm::new(lrf)),
-    ];
+    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
     println!("\n{:<10} {:>6}  top-10 result categories", "scheme", "P@20");
     for scheme in &schemes {
         let ranked = scheme.rank(&ctx);

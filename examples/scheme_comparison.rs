@@ -7,10 +7,7 @@
 //! ```
 
 use corelog::cbir::{CorelDataset, CorelSpec, PrecisionCurve, QueryProtocol, CUTOFFS};
-use corelog::core::{
-    collect_feedback_log, EuclideanScheme, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext,
-    RelevanceFeedback, RfSvm,
-};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
 fn main() {
@@ -40,12 +37,7 @@ fn main() {
         n_labeled: 20,
         seed: 17,
     };
-    let schemes: Vec<Box<dyn RelevanceFeedback>> = vec![
-        Box::new(EuclideanScheme),
-        Box::new(RfSvm::new(lrf)),
-        Box::new(Lrf2Svms::new(lrf)),
-        Box::new(LrfCsvm::new(lrf)),
-    ];
+    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
 
     let queries = protocol.sample_queries(&ds.db);
     let mut curves: Vec<PrecisionCurve> = schemes.iter().map(|_| PrecisionCurve::new()).collect();

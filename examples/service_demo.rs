@@ -16,7 +16,9 @@ use corelog::cbir::{build_flat_index, collect_log, CorelDataset, CorelSpec};
 use corelog::core::{LrfConfig, SchemeKind};
 use corelog::logdb::SimulationConfig;
 use corelog::obs::{Clock, MonotonicClock};
-use corelog::service::{DurabilityConfig, Request, Response, Service, ServiceConfig};
+use corelog::service::{
+    DurabilityConfig, Request, Response, Service, ServiceConfig, ServiceMetrics,
+};
 use corelog::storage::MemIo;
 
 fn main() {
@@ -195,7 +197,7 @@ fn main() {
     let mem = MemIo::handle();
     let dir = std::path::Path::new("/srv/feedback-wal");
 
-    let (svc, recovery) = Service::with_durability(
+    let (svc, recovery) = Service::with_durability_metrics(
         ds.db,
         index,
         mem.clone(),
@@ -203,6 +205,7 @@ fn main() {
         seed,
         ServiceConfig::default(),
         DurabilityConfig::default(),
+        ServiceMetrics::new(),
     )
     .expect("empty in-memory disk must open cleanly");
     assert!(
@@ -250,7 +253,7 @@ fn main() {
     // Recovery replays the WAL: the acknowledged session is still there.
     let ds = CorelDataset::build(spec.clone());
     let index = Box::new(build_flat_index(&ds.db));
-    let (svc, recovery) = Service::with_durability(
+    let (svc, recovery) = Service::with_durability_metrics(
         ds.db,
         index,
         mem.clone(),
@@ -258,6 +261,7 @@ fn main() {
         collect_log(&CorelDataset::build(spec.clone()).db, &sim), // ignored: disk wins
         ServiceConfig::default(),
         DurabilityConfig::default(),
+        ServiceMetrics::new(),
     )
     .expect("recovery after a clean power cut must succeed");
     assert!(

@@ -3,8 +3,8 @@
 
 use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
 use corelog::core::{
-    collect_feedback_log, EuclideanScheme, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext,
-    RelevanceFeedback, RfSvm,
+    collect_feedback_log, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm,
+    SchemeKind,
 };
 use lrf_logdb::SimulationConfig;
 
@@ -37,12 +37,7 @@ fn build() -> (CorelDataset, lrf_logdb::LogStore, LrfConfig) {
 #[test]
 fn every_scheme_returns_a_full_permutation_for_every_query() {
     let (ds, log, lrf) = build();
-    let schemes: Vec<Box<dyn RelevanceFeedback>> = vec![
-        Box::new(EuclideanScheme),
-        Box::new(RfSvm::new(lrf)),
-        Box::new(Lrf2Svms::new(lrf)),
-        Box::new(LrfCsvm::new(lrf)),
-    ];
+    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
     let protocol = QueryProtocol {
         n_queries: 5,
         n_labeled: 10,

@@ -13,7 +13,7 @@ use corelog::cbir::{collect_log, CorelDataset, CorelSpec, ImageDatabase};
 use corelog::core::{LrfConfig, SchemeKind};
 use corelog::logdb::{LogStore, SimulationConfig};
 use corelog::service::{
-    NetConfig, NetServer, Request, Response, Service, ServiceConfig, PROTO_VERSION,
+    NetConfig, NetServer, Request, Response, Service, ServiceConfig, ServiceMetrics, PROTO_VERSION,
 };
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -51,7 +51,7 @@ fn config() -> ServiceConfig {
 
 fn sharded_server() -> NetServer {
     let (db, log) = corpus();
-    let service = Service::sharded(db, log, N_SHARDS, config());
+    let service = Service::sharded_with_metrics(db, log, N_SHARDS, config(), ServiceMetrics::new());
     NetServer::serve(
         service,
         NetConfig {
