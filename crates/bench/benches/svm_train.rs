@@ -8,17 +8,14 @@
 //! * `svm_train/round` — one feedback round's solve, cold (zero alphas)
 //!   vs. warm (seeded with the previous round's solution on a slightly
 //!   smaller labeled set, the session steady state).
-//! * `svm_train/gram` — the lazy kernel-row cache vs. the eager
-//!   precomputed Gram matrix, identical arithmetic (shrinking off).
 //! * `svm_train/smo` — solver cost vs. problem size and the coupled
 //!   bound structure (the original scaling benches).
 //! * `svm_train/session` — full multi-round session sequences through
 //!   [`FeedbackLoop`] at feedback-log sizes {0, 1k, 10k}: steady-state
 //!   warm rerank vs. the stateless cold ranking.
 //!
-//! Set `BENCH_QUICK=1` for the CI smoke subset (`round` at N=120 and
-//! `gram` at N=240 only) — `tools/bench_check.sh` gates warm-vs-cold and
-//! cached-vs-precomputed on those names.
+//! Set `BENCH_QUICK=1` for the CI smoke subset (`round` at N=120 only) —
+//! `tools/bench_check.sh` gates warm-vs-cold on those names.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lrf_cbir::{collect_log, CorelDataset, CorelSpec, QueryProtocol};
@@ -26,7 +23,7 @@ use lrf_core::{
     rank_candidates, FeedbackLoop, LrfConfig, QueryContext, SchemeKind, ScorerRef, WarmState,
 };
 use lrf_logdb::{LogStore, SimulationConfig};
-use lrf_svm::{train, train_precomputed, train_warm, RbfKernel, SmoParams};
+use lrf_svm::{train, train_warm, RbfKernel, SmoParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -99,51 +96,6 @@ fn bench_round_latency(c: &mut Criterion) {
                 )
                 .unwrap();
                 black_box(svm.stats.iterations)
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Lazy kernel-row cache vs. the eager Gram precompute, same arithmetic
-/// (shrinking off, so the two paths are bit-identical — see the
-/// `lrf-svm` equivalence tests).
-fn bench_gram_paths(c: &mut Criterion) {
-    let sizes: &[usize] = if quick() { &[240] } else { &[120, 240] };
-    let mut group = c.benchmark_group("svm_train/gram");
-    group.sample_size(20);
-    for &n in sizes {
-        let (samples, labels) = gaussian_problem(n, 36, 9);
-        let bounds = vec![10.0; n];
-        let params = SmoParams {
-            shrinking: false,
-            ..SmoParams::default()
-        };
-        let kernel = RbfKernel::new(1.0 / 36.0);
-        group.bench_with_input(BenchmarkId::new("precomputed", n), &n, |b, _| {
-            b.iter(|| {
-                let svm = train_precomputed(
-                    black_box(&samples),
-                    black_box(&labels),
-                    &bounds,
-                    kernel,
-                    &params,
-                )
-                .unwrap();
-                black_box(svm.stats.iterations)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
-            b.iter(|| {
-                let svm = train(
-                    black_box(&samples),
-                    black_box(&labels),
-                    &bounds,
-                    kernel,
-                    &params,
-                )
-                .unwrap();
-                black_box(svm.stats.cache_misses)
             })
         });
     }
@@ -273,7 +225,6 @@ fn bench_session_rounds(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_round_latency,
-    bench_gram_paths,
     bench_smo_sizes,
     bench_smo_mixed_bounds,
     bench_session_rounds

@@ -6,67 +6,58 @@
 //! (both in the log-collection protocol and in every evaluation query).
 
 use crate::database::ImageDatabase;
-
-/// Euclidean distance between two feature vectors.
-///
-/// # Panics
-/// Debug-panics on dimension mismatch.
-#[inline]
-pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
-    squared_euclidean(a, b).sqrt()
-}
-
-/// Squared Euclidean distance — the monotone surrogate every ranking path
-/// uses internally (the `sqrt` adds nothing to an ordering and costs a
-/// libm call per vector in the hot loop).
-#[inline]
-pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        let d = x - y;
-        acc += d * d;
-    }
-    acc
-}
+use crate::retrieval::{build_flat_index, rank_with_index, top_k_ids};
 
 /// Ranks the whole database by ascending distance to `query_feature`.
 /// Returns image ids; ties break by id for determinism.
 ///
-/// Ordering uses squared distance under [`f64::total_cmp`], so the sort is
-/// total even if a feature vector carries NaNs (they rank last instead of
-/// silently scrambling the comparator, as the old
-/// `partial_cmp(..).unwrap_or(Equal)` did).
+/// This *is* the exact flat index's full ranking (the index shares the
+/// database's feature allocation, so building it copies nothing): squared
+/// distance under [`f64::total_cmp`], so the order is total even if a
+/// feature vector carries NaNs (they rank last).
 pub fn rank_by_euclidean(db: &ImageDatabase, query_feature: &[f64]) -> Vec<usize> {
-    let dim = db.dim();
-    assert_eq!(query_feature.len(), dim, "query feature dimension mismatch");
-    let mut scored: Vec<(usize, f64)> = db
-        .features_flat()
-        .chunks_exact(dim)
-        .enumerate()
-        .map(|(i, row)| (i, squared_euclidean(row, query_feature)))
-        .collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    scored.into_iter().map(|(i, _)| i).collect()
+    rank_with_index(db, &build_flat_index(db), query_feature)
 }
 
 /// The `k` nearest images to the query image (by id); the query itself is
 /// included (distance 0 ranks it first), matching the era's evaluation
-/// protocol where the query is part of the database.
-///
-/// Runs on the bounded-heap scan ([`lrf_index::exact_top_k`]) — `O(N log
-/// k)` instead of sorting all `N` distances — and returns exactly the
-/// first `k` ids of [`rank_by_euclidean`].
+/// protocol where the query is part of the database. Exactly the first
+/// `k` ids of [`rank_by_euclidean`], from the flat index's bounded-heap
+/// scan (`O(N log k)`).
 pub fn top_k_euclidean(db: &ImageDatabase, query_id: usize, k: usize) -> Vec<usize> {
-    lrf_index::exact_top_k(db.features_flat(), db.dim(), db.feature(query_id), k)
-        .into_iter()
-        .map(|(id, _)| id)
-        .collect()
+    top_k_ids(&build_flat_index(db), db.feature(query_id), k)
+}
+
+/// What the index-backed rankings are tested against: a sort-everything
+/// ranking that shares no code with the index.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::database::ImageDatabase;
+
+    pub(crate) fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .fold(0.0, |acc, (x, y)| acc + (x - y) * (x - y))
+    }
+
+    /// Every id by ascending `(d², id)` under `total_cmp`.
+    pub(crate) fn rank_by_sorting(db: &ImageDatabase, query: &[f64]) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..db.len()).collect();
+        let d2 = |id: &usize| squared_euclidean(db.feature(*id), query);
+        ids.sort_by(|a, b| d2(a).total_cmp(&d2(b)).then(a.cmp(b)));
+        ids
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::squared_euclidean;
     use super::*;
+    use lrf_index::AnnIndex;
+
+    fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
+        squared_euclidean(a, b).sqrt()
+    }
 
     fn db_from(feats: Vec<Vec<f64>>) -> ImageDatabase {
         let n = feats.len();
@@ -152,7 +143,7 @@ mod tests {
         let db = db_from(vec![vec![0.0], vec![2.0], vec![1.0]]);
         let ranked = rank_by_euclidean(&db, &[f64::NAN]);
         assert_eq!(ranked, vec![0, 1, 2]);
-        let top = lrf_index::exact_top_k(db.features_flat(), db.dim(), &[f64::NAN], 2);
+        let top = build_flat_index(&db).search(&[f64::NAN], 2);
         assert_eq!(
             top.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
             vec![0, 1]

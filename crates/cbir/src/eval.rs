@@ -12,7 +12,6 @@
 //! this module reproduces exactly that definition.
 
 use crate::database::ImageDatabase;
-use crate::distance::top_k_euclidean;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -141,48 +140,32 @@ impl QueryProtocol {
     }
 
     /// Builds the feedback round for one query: Euclidean top-`n_labeled`,
-    /// labeled by ground-truth category match.
-    ///
-    /// Equivalent to [`Self::feedback_example_with_index`] over the exact
-    /// flat backend (the direct scan skips the index build).
+    /// labeled by ground-truth category match —
+    /// [`Self::feedback_example_with_index`] over the exact flat backend.
     pub fn feedback_example(&self, db: &ImageDatabase, query: usize) -> FeedbackExample {
-        let screen = top_k_euclidean(db, query, self.n_labeled);
-        self.label_screen(db, query, screen)
+        self.feedback_example_with_index(db, &crate::retrieval::build_flat_index(db), query)
     }
 
-    /// Builds the feedback round with the initial screen produced by an
-    /// ANN index instead of the direct scan. With a flat index the result
-    /// is bit-identical to [`Self::feedback_example`]; approximate
-    /// backends may surface a slightly different (still near) screen —
-    /// exactly what a deployed system's users would have judged.
+    /// Builds the feedback round from the initial screen `index` produces.
+    /// Approximate backends may surface a slightly different (still near)
+    /// screen than the exact one — exactly what a deployed system's users
+    /// would have judged.
     pub fn feedback_example_with_index(
         &self,
         db: &ImageDatabase,
         index: &dyn lrf_index::AnnIndex,
         query: usize,
     ) -> FeedbackExample {
-        let screen = crate::retrieval::top_k_ids(index, db.feature(query), self.n_labeled);
-        self.label_screen(db, query, screen)
-    }
-
-    fn label_screen(
-        &self,
-        db: &ImageDatabase,
-        query: usize,
-        screen: Vec<usize>,
-    ) -> FeedbackExample {
-        let labeled = screen
+        let same = |id| {
+            if db.same_category(id, query) {
+                1.0
+            } else {
+                -1.0
+            }
+        };
+        let labeled = crate::retrieval::top_k_ids(index, db.feature(query), self.n_labeled)
             .into_iter()
-            .map(|id| {
-                (
-                    id,
-                    if db.same_category(id, query) {
-                        1.0
-                    } else {
-                        -1.0
-                    },
-                )
-            })
+            .map(|id| (id, same(id)))
             .collect();
         FeedbackExample { query, labeled }
     }
@@ -282,11 +265,22 @@ mod tests {
         };
         let index = crate::retrieval::build_flat_index(&db);
         for q in 0..db.len() {
+            // Reference: the head of a sort-everything ranking.
+            let ranked = crate::distance::oracle::rank_by_sorting(&db, db.feature(q));
+            let label = |id| if db.same_category(id, q) { 1.0 } else { -1.0 };
+            let direct = FeedbackExample {
+                query: q,
+                labeled: ranked[..proto.n_labeled]
+                    .iter()
+                    .map(|&id| (id, label(id)))
+                    .collect(),
+            };
             assert_eq!(
                 proto.feedback_example_with_index(&db, &index, q),
-                proto.feedback_example(&db, q),
+                direct,
                 "query {q}"
             );
+            assert_eq!(proto.feedback_example(&db, q), direct, "query {q}");
         }
     }
 

@@ -11,16 +11,17 @@
 //!   datasets (100 images per category, mirroring the paper's COREL
 //!   subsets).
 //! * [`distance`] — Euclidean content ranking (the paper's `Euclidean`
-//!   reference curve and the initial-retrieval step of every experiment).
+//!   reference curve and the initial-retrieval step of every experiment),
+//!   as one-line calls through the exact flat index.
 //! * [`eval`] — precision@k curves, the paper's MAP definition, and the
 //!   full §6.4 protocol scaffolding (random queries, top-20 auto-judged
 //!   labeled sets).
-//! * [`logglue`] — wires [`lrf_logdb::simulate`] to the Euclidean ranker to
+//! * [`logglue`] — wires [`lrf_logdb::simulate`] to an index's screens to
 //!   reproduce the paper's log-collection procedure.
 //! * [`retrieval`] — index-backed retrieval: builds `lrf-index` backends
 //!   (flat/IVF/LSH) over the database and routes screens and rankings
-//!   through them. Flat is the default and bit-identical to the direct
-//!   Euclidean scan.
+//!   through them. Flat is the default, exact, and the only Euclidean scan
+//!   there is: the tests hold it to a sort-everything oracle.
 
 pub mod corel;
 pub mod database;
@@ -31,7 +32,7 @@ pub mod retrieval;
 
 pub use corel::{CorelDataset, CorelSpec};
 pub use database::ImageDatabase;
-pub use distance::{euclidean_distance, rank_by_euclidean, squared_euclidean, top_k_euclidean};
+pub use distance::{rank_by_euclidean, top_k_euclidean};
 pub use eval::{precision_at, FeedbackExample, PrecisionCurve, QueryProtocol, CUTOFFS};
 pub use logglue::{collect_log, collect_log_with_index};
 pub use retrieval::{

@@ -9,34 +9,22 @@
 //! and the control condition for the log-quality ablation.
 
 use crate::database::ImageDatabase;
-use crate::distance::rank_by_euclidean;
+use crate::retrieval::build_flat_index;
 use lrf_index::AnnIndex;
 use lrf_logdb::{simulate_sessions, LogStore, SimulationConfig};
 
-/// Collects a simulated feedback log over `db` with content-only screens.
+/// Collects a simulated feedback log over `db` with content-only screens:
+/// [`collect_log_with_index`] over the exact flat index.
 pub fn collect_log(db: &ImageDatabase, config: &SimulationConfig) -> LogStore {
-    let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
-        let seen: std::collections::HashSet<usize> = judged.iter().map(|&(id, _)| id).collect();
-        rank_by_euclidean(db, db.feature(query))
-            .into_iter()
-            .filter(|id| !seen.contains(id))
-            .take(k)
-            .collect()
-    });
-    let mut store = LogStore::new(db.len());
-    for s in sessions {
-        store.record(s);
-    }
-    store
+    collect_log_with_index(db, &build_flat_index(db), config)
 }
 
-/// As [`collect_log`], but every screen comes from an ANN index instead of
-/// the full ranking: round `r` fetches the top `k + judged` candidates and
-/// drops the already-judged ones. Because each round's screen is exactly
-/// the next `k` of the exact ranking, a flat index reproduces
-/// [`collect_log`] bit-for-bit; approximate backends collect the log a
-/// real large-scale deployment would have collected (screens from the
-/// index it actually serves).
+/// Collects a log whose every screen comes from `index`: round `r` fetches
+/// the top `k + judged` candidates and drops the already-judged ones, so
+/// with an exact backend each screen is the next `k` of the full Euclidean
+/// ranking without ever sorting the database. Approximate backends collect
+/// the log a real large-scale deployment would have collected (screens
+/// from the index it actually serves).
 pub fn collect_log_with_index(
     db: &ImageDatabase,
     index: &dyn AnnIndex,
@@ -148,10 +136,20 @@ mod tests {
         let ds = CorelDataset::build(CorelSpec::tiny(3, 8, 13));
         let index = crate::retrieval::build_flat_index(&ds.db);
         let c = cfg(12, 6, 2, 0.15, 7);
-        assert_eq!(
-            collect_log_with_index(&ds.db, &index, &c),
-            collect_log(&ds.db, &c)
-        );
+        // Reference: every screen filtered out of a sort-everything ranking.
+        let db = &ds.db;
+        let sessions = simulate_sessions(&c, db.categories(), |query, judged, k| {
+            let mut ranked = crate::distance::oracle::rank_by_sorting(db, db.feature(query));
+            ranked.retain(|id| judged.iter().all(|(seen, _)| seen != id));
+            ranked.truncate(k);
+            ranked
+        });
+        let mut direct = LogStore::new(db.len());
+        for s in sessions {
+            direct.record(s);
+        }
+        assert_eq!(collect_log_with_index(&ds.db, &index, &c), direct);
+        assert_eq!(collect_log(&ds.db, &c), direct);
     }
 
     #[test]

@@ -64,12 +64,12 @@ pub fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -> Vec<u
 
 /// Full-database ranking through an index.
 ///
-/// Exact backends return the complete Euclidean ranking (identical to
-/// [`crate::distance::rank_by_euclidean`]). Approximate backends return
-/// the candidates they found, in distance order, with every unreached id
-/// appended afterwards in id order — so the result is always a permutation
-/// of the database and evaluation cutoffs deep into the tail stay
-/// well-defined.
+/// Exact backends return the complete Euclidean ranking
+/// ([`crate::distance::rank_by_euclidean`] is this over the flat index).
+/// Approximate backends return the candidates they found, in distance
+/// order, with every unreached id appended afterwards in id order — so the
+/// result is always a permutation of the database and evaluation cutoffs
+/// deep into the tail stay well-defined.
 pub fn rank_with_index(
     db: &ImageDatabase,
     index: &dyn AnnIndex,
@@ -103,6 +103,7 @@ pub fn rank_with_index_stats(
 mod tests {
     use super::*;
     use crate::corel::{CorelDataset, CorelSpec};
+    use crate::distance::oracle::rank_by_sorting;
     use crate::distance::{rank_by_euclidean, top_k_euclidean};
 
     fn dataset() -> CorelDataset {
@@ -115,8 +116,9 @@ mod tests {
         let index = build_flat_index(&ds.db);
         for q in 0..ds.db.len() {
             let via_index = rank_with_index(&ds.db, &index, ds.db.feature(q));
-            let direct = rank_by_euclidean(&ds.db, ds.db.feature(q));
+            let direct = rank_by_sorting(&ds.db, ds.db.feature(q));
             assert_eq!(via_index, direct, "query {q}");
+            assert_eq!(rank_by_euclidean(&ds.db, ds.db.feature(q)), direct);
         }
     }
 
@@ -126,11 +128,13 @@ mod tests {
         let index = build_flat_index(&ds.db);
         for q in [0usize, 13, 29] {
             for k in [1usize, 5, 20] {
+                let direct = &rank_by_sorting(&ds.db, ds.db.feature(q))[..k];
                 assert_eq!(
                     top_k_ids(&index, ds.db.feature(q), k),
-                    top_k_euclidean(&ds.db, q, k),
+                    direct,
                     "q={q} k={k}"
                 );
+                assert_eq!(top_k_euclidean(&ds.db, q, k), direct, "q={q} k={k}");
             }
         }
     }

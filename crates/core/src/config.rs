@@ -8,7 +8,10 @@ use lrf_svm::SmoParams;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the coupled-SVM optimization (Eq. 1 + the annealing
-/// schedule of Fig. 1).
+/// schedule of Fig. 1). Both trainers take their schedule from here; the
+/// k-view [`crate::multi::train_multi_coupled`] reads each view's `C` from
+/// its [`crate::multi::ModalityData`], so `c_content` / `c_log` are the
+/// 2-view [`crate::train_coupled`]'s alone.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CoupledConfig {
     /// Penalty `C_w` on labeled content-side slack.
@@ -40,8 +43,8 @@ pub struct CoupledConfig {
     /// when `ρ*` reaches it); the paper's intent — "increase ρ until it
     /// achieves a setting threshold" — is preserved by this final pass.
     pub final_full_rho_pass: bool,
-    /// Seed every retrain inside one [`crate::train_coupled`] call with the
-    /// previous pair's dual solution (clipped to the new `ρ*` bounds and
+    /// Seed every retrain inside one training run with the previous
+    /// machines' dual solutions (clipped to the new `ρ*` bounds and
     /// repaired). The annealing schedule re-solves the same sample set a
     /// dozen-plus times, so warm solves converge in a fraction of the cold
     /// iterations; the final models agree with cold training within the

@@ -22,17 +22,26 @@
 //! early, and doubles per outer round up to `ρ` — "similar to the approach
 //! in transductive SVM" (Joachims).
 //!
-//! **Warm starts.** Every retrain inside one [`train_coupled`] call solves
-//! a QP over the *same* concatenated sample set — only the bounds (`ρ*`
-//! doubling) and a few pseudo-labels change between rounds. With
-//! [`CoupledConfig::warm_start`] (the default) each solve is seeded with
-//! the previous pair's dual solution via [`lrf_svm::train_warm`], which
+//! **One driver.** The schedule above is written once, in the private
+//! `anneal`, over type-erased views: a view owns its borrowed labeled +
+//! unlabeled samples, kernel, per-view `C` and current machine, and can
+//! *retrain at (labels, ρ\*)* and *report its unlabeled slacks*.
+//! [`train_coupled`] builds two views (content, log) and hands back the
+//! typed pair; [`crate::multi::train_multi_coupled`] builds `k` dense ones.
+//! With more than two views the correction rule reads "positive slack on
+//! *every* view, summed slack above `Δ`".
+//!
+//! **Warm starts.** Every retrain inside one run solves a QP over the
+//! *same* concatenated sample set — only the bounds (`ρ*` doubling) and a
+//! few pseudo-labels change between rounds. With
+//! [`CoupledConfig::warm_start`] (the default) each view's solve is seeded
+//! with its previous dual solution via [`lrf_svm::train_warm`], which
 //! clips it to the new bounds and repairs feasibility; the annealing
 //! schedule's dozen-plus retrains then each start a stone's throw from
 //! their optimum instead of from zero.
 
 use crate::config::CoupledConfig;
-use lrf_svm::{train_warm, Kernel, SvmError, TrainedSvm};
+use lrf_svm::{train_warm, Kernel, SmoParams, SvmError, TrainedSvm};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
@@ -147,7 +156,6 @@ where
     B2: Borrow<S2>,
     K2: Kernel<S2> + Clone,
 {
-    cfg.validate();
     assert_eq!(
         labeled_a.len(),
         labeled_b.len(),
@@ -169,202 +177,198 @@ where
         "initial pseudo-labels misaligned"
     );
 
-    let n_l = labeled_a.len();
-    let n_u = unlabeled_a.len();
-    let mut y_prime = y_init.to_vec();
-
-    // Concatenated *borrowed* sample views reused across retrains — a
-    // vector of references, not of cloned samples.
-    let all_a: Vec<&S1> = labeled_a
-        .iter()
-        .chain(unlabeled_a)
-        .map(Borrow::borrow)
-        .collect();
-    let all_b: Vec<&S2> = labeled_b
-        .iter()
-        .chain(unlabeled_b)
-        .map(Borrow::borrow)
-        .collect();
-
-    let mut report = TrainReport {
-        rho_steps: 0,
-        retrains: 0,
-        flips: 0,
-        correction_capped: false,
-        final_labels: Vec::new(),
-    };
-
-    #[allow(clippy::type_complexity)]
-    let train_pair = |rho_star: f64,
-                      y_prime: &[f64],
-                      retrains: &mut usize,
-                      warm_a: Option<&[f64]>,
-                      warm_b: Option<&[f64]>|
-     -> Result<(TrainedSvm<S1, K1>, TrainedSvm<S2, K2>), SvmError> {
-        let mut labels = Vec::with_capacity(n_l + n_u);
-        labels.extend_from_slice(y);
-        labels.extend_from_slice(y_prime);
-        let mut bounds_a = vec![cfg.c_content; n_l];
-        bounds_a.extend(std::iter::repeat_n(rho_star * cfg.c_content, n_u));
-        let mut bounds_b = vec![cfg.c_log; n_l];
-        bounds_b.extend(std::iter::repeat_n(rho_star * cfg.c_log, n_u));
-        let a = train_warm(
-            &all_a,
-            &labels,
-            &bounds_a,
-            kernel_a.clone(),
-            &cfg.smo,
-            warm_a,
-        )?;
-        let b = train_warm(
-            &all_b,
-            &labels,
-            &bounds_b,
-            kernel_b.clone(),
-            &cfg.smo,
-            warm_b,
-        )?;
-        *retrains += 1;
-        Ok((a, b))
-    };
-
-    // Degenerate-but-legal case: no unlabeled points. The coupled problem
-    // collapses to two independent labeled SVMs.
-    if n_u == 0 {
-        let (a, b) = train_pair(cfg.rho, &y_prime, &mut report.retrains, None, None)?;
-        report.rho_steps = 1;
-        return Ok(CoupledOutcome {
-            content: a,
-            log: b,
-            report,
-        });
-    }
-
-    let mut rho_star = cfg.rho_init.min(cfg.rho);
-    let mut pair = train_pair(rho_star, &y_prime, &mut report.retrains, None, None)?;
-    run_label_correction(
-        &mut pair,
-        unlabeled_a,
-        unlabeled_b,
-        &mut y_prime,
-        cfg,
-        &mut report,
-        rho_star,
-        &train_pair,
-    )?;
-    report.rho_steps += 1;
-
-    // Fig. 1: WHILE (ρ* < ρ) { train; correct; ρ* = min(2ρ*, ρ) }.
-    while rho_star < cfg.rho {
-        rho_star = (2.0 * rho_star).min(cfg.rho);
-        // The loop body trains at the *new* ρ* only while it is still below
-        // ρ; the final value is covered by `final_full_rho_pass` below.
-        if rho_star < cfg.rho || cfg.final_full_rho_pass {
-            let (wa, wb) = warm_seeds(cfg, &pair);
-            pair = train_pair(
-                rho_star,
-                &y_prime,
-                &mut report.retrains,
-                wa.as_deref(),
-                wb.as_deref(),
-            )?;
-            run_label_correction(
-                &mut pair,
-                unlabeled_a,
-                unlabeled_b,
-                &mut y_prime,
-                cfg,
-                &mut report,
-                rho_star,
-                &train_pair,
-            )?;
-            report.rho_steps += 1;
-        }
-    }
-
-    report.final_labels = y_prime;
+    let mut content = SvmView::new(labeled_a, unlabeled_a, kernel_a, cfg.c_content, &cfg.smo);
+    let mut log = SvmView::new(labeled_b, unlabeled_b, kernel_b, cfg.c_log, &cfg.smo);
+    let report = anneal(&mut [&mut content, &mut log], y, y_init, cfg)?;
     Ok(CoupledOutcome {
-        content: pair.0,
-        log: pair.1,
+        content: content.into_machine(),
+        log: log.into_machine(),
         report,
     })
 }
 
-/// The dual seeds for the next retrain: clones of the current pair's alpha
-/// vectors when warm starting is enabled, `None` (cold solves) otherwise.
-/// Cloned because the retrain overwrites the pair the seeds come from.
-fn warm_seeds<S1, K1, S2, K2>(
-    cfg: &CoupledConfig,
-    pair: &(TrainedSvm<S1, K1>, TrainedSvm<S2, K2>),
-) -> (Option<Vec<f64>>, Option<Vec<f64>>)
-where
-    S1: ?Sized + ToOwned,
-    S2: ?Sized + ToOwned,
-{
-    if cfg.warm_start {
-        (Some(pair.0.alpha.clone()), Some(pair.1.alpha.clone()))
-    } else {
-        (None, None)
+/// One modality as Fig. 1 sees it: something that can be re-solved at the
+/// current pseudo-labels and `ρ*`, and asked how badly its machine fits
+/// the unlabeled pool. Erasing the sample and kernel types here is what
+/// lets one [`anneal`] serve the content/log pair and `k` dense views.
+pub(crate) trait View {
+    /// Re-solves this view's QP over its labeled + unlabeled samples with
+    /// `labels` (shared labels, then pseudo-labels) and bounds `C` /
+    /// `ρ*·C`; when `warm`, seeded with the current machine's dual
+    /// solution if there is one.
+    fn retrain(&mut self, labels: &[f64], rho_star: f64, warm: bool) -> Result<(), SvmError>;
+
+    /// Hinge slacks of the unlabeled pool under the current machine.
+    fn unlabeled_slacks(&self, y_prime: &[f64]) -> Vec<f64>;
+}
+
+/// The [`View`] over borrowed samples of one type and one kernel.
+pub(crate) struct SvmView<'a, S: ?Sized + ToOwned, K> {
+    /// Labeled then unlabeled samples — references, reused across
+    /// retrains, never cloned.
+    samples: Vec<&'a S>,
+    n_labeled: usize,
+    kernel: K,
+    c: f64,
+    smo: &'a SmoParams,
+    machine: Option<TrainedSvm<S, K>>,
+}
+
+impl<'a, S: ?Sized + ToOwned, K> SvmView<'a, S, K> {
+    pub(crate) fn new<B: Borrow<S>>(
+        labeled: &'a [B],
+        unlabeled: &'a [B],
+        kernel: K,
+        c: f64,
+        smo: &'a SmoParams,
+    ) -> Self {
+        Self {
+            samples: labeled
+                .iter()
+                .chain(unlabeled)
+                .map(Borrow::borrow)
+                .collect(),
+            n_labeled: labeled.len(),
+            kernel,
+            c,
+            smo,
+            machine: None,
+        }
+    }
+
+    /// The machine [`anneal`] left behind.
+    pub(crate) fn into_machine(self) -> TrainedSvm<S, K> {
+        self.machine.expect("anneal trains every view")
     }
 }
 
-/// The inner correction loop of Fig. 1: while any unlabeled point has
-/// positive slack on *both* modalities exceeding `Δ` in sum, flip those
-/// pseudo-labels and retrain both machines.
-#[allow(clippy::too_many_arguments)]
-fn run_label_correction<S1, B1, K1, S2, B2, K2, F>(
-    pair: &mut (TrainedSvm<S1, K1>, TrainedSvm<S2, K2>),
-    unlabeled_a: &[B1],
-    unlabeled_b: &[B2],
-    y_prime: &mut [f64],
-    cfg: &CoupledConfig,
-    report: &mut TrainReport,
-    rho_star: f64,
-    train_pair: &F,
-) -> Result<(), SvmError>
-where
-    S1: ?Sized + ToOwned,
-    B1: Borrow<S1>,
-    K1: Kernel<S1>,
-    S2: ?Sized + ToOwned,
-    B2: Borrow<S2>,
-    K2: Kernel<S2>,
-    F: Fn(
-        f64,
-        &[f64],
-        &mut usize,
-        Option<&[f64]>,
-        Option<&[f64]>,
-    ) -> Result<(TrainedSvm<S1, K1>, TrainedSvm<S2, K2>), SvmError>,
-{
-    for round in 0.. {
-        if round >= cfg.max_correction_rounds {
-            report.correction_capped = true;
-            break;
-        }
-        let xi = pair.0.slacks(unlabeled_a, y_prime);
-        let eta = pair.1.slacks(unlabeled_b, y_prime);
-        let mut flipped_any = false;
-        for j in 0..y_prime.len() {
-            if xi[j] > 0.0 && eta[j] > 0.0 && xi[j] + eta[j] > cfg.delta {
-                y_prime[j] = -y_prime[j];
-                report.flips += 1;
-                flipped_any = true;
-            }
-        }
-        if !flipped_any {
-            break;
-        }
-        let (wa, wb) = warm_seeds(cfg, pair);
-        *pair = train_pair(
-            rho_star,
-            y_prime,
-            &mut report.retrains,
-            wa.as_deref(),
-            wb.as_deref(),
+impl<S: ?Sized + ToOwned, K: Kernel<S> + Clone> View for SvmView<'_, S, K> {
+    fn retrain(&mut self, labels: &[f64], rho_star: f64, warm: bool) -> Result<(), SvmError> {
+        let mut bounds = vec![self.c; self.n_labeled];
+        bounds.resize(self.samples.len(), rho_star * self.c);
+        // Borrowed, not cloned: the seed is last read before the retrained
+        // machine replaces the one it comes from.
+        let seed = self.machine.as_ref().filter(|_| warm);
+        let machine = train_warm(
+            &self.samples,
+            labels,
+            &bounds,
+            self.kernel.clone(),
+            self.smo,
+            seed.map(|m| m.alpha.as_slice()),
         )?;
+        self.machine = Some(machine);
+        Ok(())
     }
-    Ok(())
+
+    fn unlabeled_slacks(&self, y_prime: &[f64]) -> Vec<f64> {
+        let machine = self.machine.as_ref().expect("trained before correction");
+        machine.slacks(&self.samples[self.n_labeled..], y_prime)
+    }
+}
+
+/// Fig. 1's alternating optimization over any number of views sharing the
+/// labels `y` and the pseudo-labels `Y'` (initially `y_init`): train at
+/// `ρ* = min(ρ_init, ρ)`, correct, and double `ρ*` up to `ρ`. Leaves the
+/// final machine in every view.
+pub(crate) fn anneal(
+    views: &mut [&mut dyn View],
+    y: &[f64],
+    y_init: &[f64],
+    cfg: &CoupledConfig,
+) -> Result<TrainReport, SvmError> {
+    cfg.validate();
+    let mut run = Annealing {
+        views,
+        y,
+        y_prime: y_init.to_vec(),
+        cfg,
+        report: TrainReport {
+            rho_steps: 0,
+            retrains: 0,
+            flips: 0,
+            correction_capped: false,
+            final_labels: Vec::new(),
+        },
+    };
+
+    // Degenerate-but-legal case: no unlabeled points. The coupled problem
+    // collapses to independent labeled SVMs.
+    if y_init.is_empty() {
+        run.retrain(cfg.rho)?;
+        run.report.rho_steps = 1;
+        return Ok(run.report);
+    }
+
+    let mut rho_star = cfg.rho_init.min(cfg.rho);
+    run.step(rho_star)?;
+    // Fig. 1: WHILE (ρ* < ρ) { train; correct; ρ* = min(2ρ*, ρ) }.
+    while rho_star < cfg.rho {
+        rho_star = (2.0 * rho_star).min(cfg.rho);
+        // The loop body trains at the *new* ρ* only while it is still below
+        // ρ; the final value is covered by `final_full_rho_pass`.
+        if rho_star < cfg.rho || cfg.final_full_rho_pass {
+            run.step(rho_star)?;
+        }
+    }
+
+    run.report.final_labels = run.y_prime;
+    Ok(run.report)
+}
+
+/// The state one [`anneal`] call threads through its steps.
+struct Annealing<'a, 'v> {
+    views: &'a mut [&'v mut dyn View],
+    y: &'a [f64],
+    y_prime: Vec<f64>,
+    cfg: &'a CoupledConfig,
+    report: TrainReport,
+}
+
+impl Annealing<'_, '_> {
+    /// Re-solves every view at the current pseudo-labels.
+    fn retrain(&mut self, rho_star: f64) -> Result<(), SvmError> {
+        let labels = [self.y, &self.y_prime].concat();
+        for view in self.views.iter_mut() {
+            view.retrain(&labels, rho_star, self.cfg.warm_start)?;
+        }
+        self.report.retrains += 1;
+        Ok(())
+    }
+
+    /// One `ρ*` step: train, then Fig. 1's inner correction loop — while
+    /// any unlabeled point has positive slack on *every* view exceeding
+    /// `Δ` in sum, flip those pseudo-labels and retrain.
+    fn step(&mut self, rho_star: f64) -> Result<(), SvmError> {
+        self.retrain(rho_star)?;
+        for round in 0.. {
+            if round >= self.cfg.max_correction_rounds {
+                self.report.correction_capped = true;
+                break;
+            }
+            let slacks: Vec<Vec<f64>> = self
+                .views
+                .iter()
+                .map(|view| view.unlabeled_slacks(&self.y_prime))
+                .collect();
+            let mut flipped_any = false;
+            for (j, label) in self.y_prime.iter_mut().enumerate() {
+                let rejected_by_all = slacks.iter().all(|s| s[j] > 0.0);
+                let total: f64 = slacks.iter().map(|s| s[j]).sum();
+                if rejected_by_all && total > self.cfg.delta {
+                    *label = -*label;
+                    self.report.flips += 1;
+                    flipped_any = true;
+                }
+            }
+            if !flipped_any {
+                break;
+            }
+            self.retrain(rho_star)?;
+        }
+        self.report.rho_steps += 1;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@
 //!   [`lrf_logdb::SparseVector`]).
 //! * [`multi`] — the generalization the paper sketches ("naturally
 //!   generalized for learning on a multiple-modality problem"): a coupled
-//!   machine over *k* dense modalities.
+//!   machine over *k* dense modalities, trained by the same Fig. 1 driver
+//!   as [`coupled`] on the same [`CoupledConfig`] schedule.
 //! * [`pooled`] — the scale path: an `lrf-index` backend retrieves a
 //!   candidate pool and only the pool is scored and re-ranked; with the
 //!   exact flat backend and a full pool this reproduces the paper's

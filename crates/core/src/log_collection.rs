@@ -27,7 +27,7 @@
 //! are what let the log-based schemes bridge the semantic gap.
 
 use crate::config::LrfConfig;
-use lrf_cbir::{rank_by_euclidean, ImageDatabase};
+use lrf_cbir::{build_flat_index, top_k_ids, ImageDatabase};
 use lrf_logdb::{simulate_sessions, LogStore, Relevance, SimulationConfig};
 use lrf_svm::{train, RbfKernel};
 
@@ -45,13 +45,15 @@ pub fn collect_feedback_log(
     let gamma = lrf
         .gamma_content
         .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
+    let index = build_flat_index(db);
     let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
-        let ranking = if judged.is_empty() {
-            rank_by_euclidean(db, db.feature(query))
+        if judged.is_empty() {
+            top_k_ids(&index, db.feature(query), k)
         } else {
-            refine_with_svm(db, judged, gamma, lrf)
-        };
-        ranking.into_iter().take(k).collect()
+            let mut ranking = refine_with_svm(db, judged, gamma, lrf);
+            ranking.truncate(k);
+            ranking
+        }
     });
     let mut store = LogStore::new(db.len());
     for s in sessions {

@@ -7,13 +7,16 @@
 //!
 //! * one max-margin machine per modality, all sharing labels and the
 //!   unlabeled pseudo-labels `Y'`;
-//! * alternating optimization with the same ρ-annealing schedule;
+//! * alternating optimization by the *same* driver as the two-modality
+//!   [`crate::train_coupled`] (`coupled::anneal`) — there is one Fig. 1 in
+//!   this crate, so the `k = 2` dense case is bit-identical to it;
 //! * the label-correction rule generalizes conjunctively: flip `y'_j` when
 //!   **every** modality has positive slack on it and the summed slack
 //!   exceeds `Δ` (for `k = 2` this is exactly Fig. 1's rule).
 
-use crate::coupled::TrainReport;
-use lrf_svm::{train_warm, Kernel, SmoParams, SvmError, SvmModel, TrainedSvm};
+use crate::config::CoupledConfig;
+use crate::coupled::{anneal, SvmView, TrainReport, View};
+use lrf_svm::{Kernel, SvmError, SvmModel, TrainedSvm};
 use serde::{Deserialize, Serialize};
 
 /// Kernel choice for a dense modality (an enum so heterogeneous modalities
@@ -52,42 +55,6 @@ pub struct ModalityData {
     pub c: f64,
 }
 
-/// Configuration of the multi-modality trainer (the annealing/correction
-/// knobs of [`crate::CoupledConfig`], without the two fixed per-modality
-/// penalties — those live on each [`ModalityData`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MultiCoupledConfig {
-    /// Final unlabeled regularization weight ρ.
-    pub rho: f64,
-    /// Initial annealed ρ*.
-    pub rho_init: f64,
-    /// Label-correction gate Δ (summed slack across all modalities).
-    pub delta: f64,
-    /// Cap on correction rounds per ρ* step.
-    pub max_correction_rounds: usize,
-    /// Whether to run a final pass at ρ* = ρ.
-    pub final_full_rho_pass: bool,
-    /// Seed each retrain with the previous machines' dual solutions (see
-    /// [`crate::CoupledConfig::warm_start`]).
-    pub warm_start: bool,
-    /// Inner solver parameters.
-    pub smo: SmoParams,
-}
-
-impl Default for MultiCoupledConfig {
-    fn default() -> Self {
-        Self {
-            rho: 0.5,
-            rho_init: 1e-4,
-            delta: 2.0,
-            max_correction_rounds: 10,
-            final_full_rho_pass: true,
-            warm_start: true,
-            smo: SmoParams::default(),
-        }
-    }
-}
-
 /// Result of [`train_multi_coupled`].
 #[derive(Clone, Debug)]
 pub struct MultiCoupledOutcome {
@@ -122,7 +89,10 @@ impl MultiCoupledOutcome {
     }
 }
 
-/// Trains the k-modality coupled machine.
+/// Trains the k-modality coupled machine on the schedule in `cfg` (ρ, ρ
+/// init, Δ, correction cap, final pass, warm starts, solver). Per-view `C`
+/// lives on each [`ModalityData`]; `c_content` / `c_log` are the 2-view
+/// entry's and are not read here.
 ///
 /// # Errors
 /// Propagates solver errors.
@@ -133,148 +103,48 @@ pub fn train_multi_coupled(
     modalities: &[ModalityData],
     y: &[f64],
     y_init: &[f64],
-    cfg: &MultiCoupledConfig,
+    cfg: &CoupledConfig,
 ) -> Result<MultiCoupledOutcome, SvmError> {
     assert!(!modalities.is_empty(), "need at least one modality");
-    assert!(
-        cfg.rho > 0.0 && cfg.rho_init > 0.0 && cfg.rho_init <= cfg.rho,
-        "bad rho schedule"
-    );
-    let n_l = y.len();
-    let n_u = y_init.len();
     for (m, data) in modalities.iter().enumerate() {
         assert_eq!(
             data.labeled.len(),
-            n_l,
+            y.len(),
             "modality {m} labeled count mismatch"
         );
         assert_eq!(
             data.unlabeled.len(),
-            n_u,
+            y_init.len(),
             "modality {m} unlabeled count mismatch"
         );
         assert!(data.c > 0.0, "modality {m} penalty must be positive");
     }
 
-    let mut y_prime = y_init.to_vec();
-    let mut report = TrainReport {
-        rho_steps: 0,
-        retrains: 0,
-        flips: 0,
-        correction_capped: false,
-        final_labels: Vec::new(),
-    };
-
-    // Concatenated per-modality sample arrays — borrowed row views into
-    // the caller's modality data, not clones.
-    let all: Vec<Vec<&[f64]>> = modalities
+    let mut views: Vec<SvmView<'_, [f64], DenseKernel>> = modalities
         .iter()
-        .map(|m| {
-            m.labeled
-                .iter()
-                .chain(&m.unlabeled)
-                .map(Vec::as_slice)
-                .collect()
-        })
+        .map(|m| SvmView::new(&m.labeled, &m.unlabeled, m.kernel, m.c, &cfg.smo))
         .collect();
-
-    let train_all = |rho_star: f64,
-                     y_prime: &[f64],
-                     retrains: &mut usize,
-                     warm: Option<&[TrainedSvm<[f64], DenseKernel>]>|
-     -> Result<Vec<TrainedSvm<[f64], DenseKernel>>, SvmError> {
-        let mut labels = Vec::with_capacity(n_l + n_u);
-        labels.extend_from_slice(y);
-        labels.extend_from_slice(y_prime);
-        let mut out = Vec::with_capacity(modalities.len());
-        for (m, data) in modalities.iter().enumerate() {
-            let mut bounds = vec![data.c; n_l];
-            bounds.extend(std::iter::repeat_n(rho_star * data.c, n_u));
-            let seed = warm.map(|w| w[m].alpha.as_slice());
-            out.push(train_warm(
-                &all[m],
-                &labels,
-                &bounds,
-                data.kernel,
-                &cfg.smo,
-                seed,
-            )?);
-        }
-        *retrains += 1;
-        Ok(out)
-    };
-
-    let correction = |machines: &mut Vec<TrainedSvm<[f64], DenseKernel>>,
-                      y_prime: &mut Vec<f64>,
-                      report: &mut TrainReport,
-                      rho_star: f64|
-     -> Result<(), SvmError> {
-        for round in 0.. {
-            if round >= cfg.max_correction_rounds {
-                report.correction_capped = true;
-                break;
-            }
-            // Slack per modality per unlabeled point.
-            let slacks: Vec<Vec<f64>> = machines
-                .iter()
-                .zip(modalities)
-                .map(|(mach, data)| mach.slacks(&data.unlabeled, y_prime))
-                .collect();
-            let mut flipped = false;
-            for j in 0..n_u {
-                let all_positive = slacks.iter().all(|s| s[j] > 0.0);
-                let total: f64 = slacks.iter().map(|s| s[j]).sum();
-                if all_positive && total > cfg.delta {
-                    y_prime[j] = -y_prime[j];
-                    report.flips += 1;
-                    flipped = true;
-                }
-            }
-            if !flipped {
-                break;
-            }
-            *machines = train_all(
-                rho_star,
-                y_prime,
-                &mut report.retrains,
-                cfg.warm_start.then_some(&machines[..]),
-            )?;
-        }
-        Ok(())
-    };
-
-    if n_u == 0 {
-        let machines = train_all(cfg.rho, &y_prime, &mut report.retrains, None)?;
-        report.rho_steps = 1;
-        return Ok(MultiCoupledOutcome { machines, report });
-    }
-
-    let mut rho_star = cfg.rho_init.min(cfg.rho);
-    let mut machines = train_all(rho_star, &y_prime, &mut report.retrains, None)?;
-    correction(&mut machines, &mut y_prime, &mut report, rho_star)?;
-    report.rho_steps += 1;
-
-    while rho_star < cfg.rho {
-        rho_star = (2.0 * rho_star).min(cfg.rho);
-        if rho_star < cfg.rho || cfg.final_full_rho_pass {
-            machines = train_all(
-                rho_star,
-                &y_prime,
-                &mut report.retrains,
-                cfg.warm_start.then_some(machines.as_slice()),
-            )?;
-            correction(&mut machines, &mut y_prime, &mut report, rho_star)?;
-            report.rho_steps += 1;
-        }
-    }
-
-    report.final_labels = y_prime;
-    Ok(MultiCoupledOutcome { machines, report })
+    let mut erased: Vec<&mut dyn View> = views.iter_mut().map(|v| v as &mut dyn View).collect();
+    let report = anneal(&mut erased, y, y_init, cfg)?;
+    Ok(MultiCoupledOutcome {
+        machines: views.into_iter().map(SvmView::into_machine).collect(),
+        report,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The schedule these tests were written against (ρ 0.5, Δ 2), which
+    /// is not the calibrated LRF-CSVM default.
+    fn schedule() -> CoupledConfig {
+        CoupledConfig {
+            rho: 0.5,
+            delta: 2.0,
+            ..Default::default()
+        }
+    }
 
     /// Three views of the same two-cluster concept, with different scales
     /// and one linear modality.
@@ -302,7 +172,7 @@ mod tests {
     #[test]
     fn trains_k_machines_consistently() {
         let (mods, y, y_init) = three_modality_problem();
-        let out = train_multi_coupled(&mods, &y, &y_init, &MultiCoupledConfig::default()).unwrap();
+        let out = train_multi_coupled(&mods, &y, &y_init, &schedule()).unwrap();
         assert_eq!(out.machines.len(), 3);
         for (m, data) in out.machines.iter().zip(&mods) {
             for (x, &label) in data.labeled.iter().zip(&y) {
@@ -320,9 +190,9 @@ mod tests {
         // expect corrections.
         let (mut mods, y, _) = three_modality_problem();
         mods.truncate(2);
-        let cfg = MultiCoupledConfig {
+        let cfg = CoupledConfig {
             delta: 1.0,
-            ..Default::default()
+            ..schedule()
         };
         let out = train_multi_coupled(&mods, &y, &[-1.0, 1.0], &cfg).unwrap();
         assert_eq!(out.report.final_labels, vec![1.0, -1.0]);
@@ -335,7 +205,7 @@ mod tests {
         for m in &mut mods {
             m.unlabeled.clear();
         }
-        let out = train_multi_coupled(&mods, &y, &[], &MultiCoupledConfig::default()).unwrap();
+        let out = train_multi_coupled(&mods, &y, &[], &schedule()).unwrap();
         assert_eq!(out.report.rho_steps, 1);
     }
 
@@ -344,14 +214,14 @@ mod tests {
     fn misaligned_modalities_panic() {
         let (mut mods, y, y_init) = three_modality_problem();
         mods[1].labeled.pop();
-        let _ = train_multi_coupled(&mods, &y, &y_init, &MultiCoupledConfig::default());
+        let _ = train_multi_coupled(&mods, &y, &y_init, &schedule());
     }
 
     #[test]
     #[should_panic(expected = "one view per modality")]
     fn score_requires_all_views() {
         let (mods, y, y_init) = three_modality_problem();
-        let out = train_multi_coupled(&mods, &y, &y_init, &MultiCoupledConfig::default()).unwrap();
+        let out = train_multi_coupled(&mods, &y, &y_init, &schedule()).unwrap();
         let _ = out.coupled_score(&[vec![0.0, 0.0]]);
     }
 
@@ -359,7 +229,7 @@ mod tests {
     fn single_modality_reduces_to_plain_transductive_svm() {
         let (mut mods, y, y_init) = three_modality_problem();
         mods.truncate(1);
-        let out = train_multi_coupled(&mods, &y, &y_init, &MultiCoupledConfig::default()).unwrap();
+        let out = train_multi_coupled(&mods, &y, &y_init, &schedule()).unwrap();
         assert_eq!(out.machines.len(), 1);
         for (x, &label) in mods[0].labeled.iter().zip(&y) {
             assert!(out.machines[0].model.decision(x) * label > 0.0);

@@ -1,12 +1,19 @@
-//! Exact parallel scan with a bounded top-k heap.
+//! Exact scan with a bounded top-k heap.
 //!
 //! The replacement for the seed's sort-everything path: instead of
-//! materializing and sorting all `N` distances, each worker keeps the best
-//! `k` seen so far in a bounded max-heap (`O(N log k)`), over a contiguous
-//! row-major matrix so the scan is one linear pass with no per-vector
-//! pointer chasing.
+//! materializing and sorting all `N` distances, a scan keeps the best `k`
+//! seen so far in a bounded max-heap (`O(N log k)`), over a contiguous
+//! row-major matrix so it is one linear pass with no per-vector pointer
+//! chasing.
+//!
+//! There is one such loop, [`FlatShard::search_d2`], over a contiguous id
+//! range. [`FlatIndex`] is that loop over the whole matrix — split into
+//! one range per core above `PARALLEL_THRESHOLD` rows and merged by
+//! [`merge_top_k`] — and a sharded serving plane is the same loop and the
+//! same merge with the ranges owned by long-lived workers instead of
+//! scoped threads.
 
-use crate::{d2, AnnIndex, Neighbor, SearchStats, TopK};
+use crate::{d2, merge_top_k, AnnIndex, Neighbor, SearchStats, TopK};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -19,26 +26,6 @@ use std::sync::Arc;
 pub struct FlatIndex {
     data: Arc<Vec<f64>>,
     dim: usize,
-}
-
-/// One-shot exact top-k over borrowed row-major data — the bounded-heap
-/// scan without building (and copying into) an index. `lrf-cbir`'s
-/// `top_k_euclidean` runs on this.
-///
-/// # Panics
-/// Panics if `dim == 0`, `data.len()` is not a multiple of `dim`, or the
-/// query dimension mismatches.
-pub fn exact_top_k(data: &[f64], dim: usize, query: &[f64], k: usize) -> Vec<Neighbor> {
-    assert!(dim > 0, "dimension must be positive");
-    assert_eq!(data.len() % dim, 0, "data length must be a multiple of dim");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    let n = data.len() / dim;
-    let mut top = TopK::new(k.min(n));
-    for (id, row) in data.chunks_exact(dim).enumerate() {
-        let dist = d2(query, row);
-        top.push(id, dist);
-    }
-    top.into_sorted()
 }
 
 /// Below this collection size the serial scan wins (thread spawn costs
@@ -82,19 +69,6 @@ impl FlatIndex {
     pub fn vector(&self, id: usize) -> &[f64] {
         &self.data[id * self.dim..(id + 1) * self.dim]
     }
-
-    /// Serial scan over a contiguous id range, reusing a collector.
-    fn scan_range(&self, query: &[f64], start: usize, end: usize, top: &mut TopK) {
-        let dim = self.dim;
-        for (offset, row) in self.data[start * dim..end * dim]
-            .chunks_exact(dim)
-            .enumerate()
-        {
-            let id = start + offset;
-            let dist = d2(query, row);
-            top.push(id, dist);
-        }
-    }
 }
 
 impl AnnIndex for FlatIndex {
@@ -123,79 +97,31 @@ impl AnnIndex for FlatIndex {
             return (Vec::new(), stats);
         }
 
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        if n < PARALLEL_THRESHOLD || threads <= 1 {
-            let mut top = TopK::new(k);
-            self.scan_range(query, 0, n, &mut top);
-            return (top.into_sorted(), stats);
-        }
-
-        // Chunk boundaries depend only on n and the thread count; the merge
-        // re-sorts by (d², id), so results are identical to the serial scan
-        // regardless of scheduling.
-        let chunk = n.div_ceil(threads);
-        let partials: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    scope.spawn(move || {
-                        let mut top = TopK::new(k);
-                        self.scan_range(query, start, end, &mut top);
-                        top.into_sorted_d2()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-
-        let mut merged = TopK::new(k);
-        for partial in partials {
-            for (id, dist) in partial {
-                merged.push(id, dist);
-            }
-        }
-        (merged.into_sorted(), stats)
-    }
-
-    /// Parallelizes across queries (one serial scan each) — better cache
-    /// behavior than splitting every query across cores.
-    fn batch_search(&self, queries: &[Vec<f64>], k: usize) -> Vec<Vec<Neighbor>> {
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        if queries.len() < 2 || threads <= 1 {
-            return queries.iter().map(|q| self.search(q, k)).collect();
-        }
-        let n = self.len();
-        let k = k.min(n);
-        let chunk = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|q| {
-                                assert_eq!(q.len(), self.dim, "query dimension mismatch");
-                                let mut top = TopK::new(k);
-                                self.scan_range(q, 0, n, &mut top);
-                                top.into_sorted()
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        })
+        // One range below the threshold, one per core above it; each is
+        // scanned by [`FlatShard::search_d2`] and the partials go through
+        // [`merge_top_k`] on (d², id) — the same two bodies a sharded
+        // engine runs, so the result cannot depend on how many ranges
+        // there were or on scheduling.
+        let ranges = if n < PARALLEL_THRESHOLD {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |t| t.get())
+        };
+        let shards = FlatShard::split_shared(Arc::clone(&self.data), self.dim, ranges);
+        let partials: Vec<Vec<(usize, f64)>> = match shards.as_slice() {
+            [only] => vec![only.search_d2(query, k).0],
+            _ => std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .iter()
+                    .map(|shard| scope.spawn(move || shard.search_d2(query, k).0))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("scan worker panicked"))
+                    .collect()
+            }),
+        };
+        (merge_top_k(&partials, k), stats)
     }
 }
 
@@ -208,8 +134,8 @@ impl AnnIndex for FlatIndex {
 /// Results are exposed as *squared* distances ([`FlatShard::search_d2`]):
 /// the coordinator must merge on `(d², id)` and take square roots only
 /// after the merge, because distinct `d²` values can round to equal
-/// `sqrt`s and silently reorder ties relative to the single-index scan
-/// (which merges its own parallel partials on `d²` for the same reason).
+/// `sqrt`s and silently reorder ties ([`crate::merge_top_k`] does both in
+/// that order, for the engine and for [`FlatIndex`] alike).
 #[derive(Clone, Debug)]
 pub struct FlatShard {
     data: Arc<Vec<f64>>,
@@ -290,8 +216,8 @@ impl FlatShard {
 
     /// The shard's `k` nearest vectors to `query` as ascending
     /// `(global id, d²)` pairs, plus the scan's work counters — the
-    /// scatter half of a sharded search. Exactly the serial bounded-heap
-    /// scan [`FlatIndex`] runs, restricted to the shard's range.
+    /// scatter half of a sharded search, and the only exact scan in the
+    /// crate: [`FlatIndex`] searches by running it over its own ranges.
     ///
     /// # Panics
     /// Panics if `query.len() != self.dim()`.
@@ -373,6 +299,18 @@ mod tests {
             got.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
             want.iter().map(|&(id, _)| id).collect::<Vec<_>>()
         );
+
+        // The whole collection (`k = n`, what a full ranking asks for) on
+        // tie-heavy data: coordinates from {0, 1, 2}, so most rows have
+        // duplicates on the other side of a range boundary and the merge
+        // must interleave them by id.
+        let mut rng = StdRng::seed_from_u64(9);
+        let data: Vec<f64> = (0..n * dim)
+            .map(|_| f64::from(rng.gen_range(0u8..3)))
+            .collect();
+        let index = FlatIndex::build(&data, dim);
+        let query = [1.0, 0.0, 2.0, 1.0];
+        assert_eq!(index.search(&query, n), brute_force(&data, dim, &query, n));
     }
 
     #[test]
@@ -401,18 +339,6 @@ mod tests {
         let (_, stats) = index.search_with_stats(&[0.0, 0.0], 5);
         assert_eq!(stats.distance_evals, 50);
         assert_eq!(stats.candidates, 50);
-    }
-
-    #[test]
-    fn batch_matches_individual_searches() {
-        let dim = 6;
-        let data = random_matrix(300, dim, 9);
-        let index = FlatIndex::build(&data, dim);
-        let queries: Vec<Vec<f64>> = (0..17).map(|i| random_matrix(1, dim, 100 + i)).collect();
-        let batch = index.batch_search(&queries, 8);
-        for (q, got) in queries.iter().zip(&batch) {
-            assert_eq!(got, &index.search(q, 8));
-        }
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! learned feedback model then re-ranks (the architecture PinView and
 //! Barz & Denzler assume). This crate is that front-end:
 //!
-//! * [`AnnIndex`] — the backend contract: `search`, `batch_search`,
-//!   instrumented [`AnnIndex::search_with_stats`], serde persistence.
+//! * [`AnnIndex`] — the backend contract: `search`, instrumented
+//!   [`AnnIndex::search_with_stats`], serde persistence.
 //! * [`FlatIndex`] — exact search: cache-friendly parallel scan over a
 //!   contiguous row-major matrix with a bounded max-heap top-k (no
-//!   sort-everything). The default backend; paper-fidelity results are
-//!   bit-identical to the full Euclidean ranking.
+//!   sort-everything). The default backend, and the paper's "Euclidean"
+//!   ranking itself.
+//! * [`FlatShard`] + [`merge_top_k`] — the one exact scan body and the
+//!   one merge. A sharded serving plane runs them on its shard workers;
+//!   [`FlatIndex`] runs the same two on scoped threads over ranges of its
+//!   own matrix, so the planes cannot disagree.
 //! * [`IvfIndex`] — inverted-file index: a k-means coarse quantizer splits
 //!   the collection into `nlist` cells; queries scan only the `nprobe`
 //!   nearest cells.
@@ -39,7 +43,7 @@ pub mod ivf;
 pub mod lsh;
 pub mod merge;
 
-pub use flat::{exact_top_k, FlatIndex, FlatShard};
+pub use flat::{FlatIndex, FlatShard};
 pub use ivf::{IvfConfig, IvfIndex};
 pub use lsh::{LshConfig, LshIndex};
 pub use merge::{merge_top_k, merge_top_k_d2};
@@ -91,11 +95,6 @@ pub trait AnnIndex: Send + Sync {
     /// The `k` nearest neighbors of `query`.
     fn search(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         self.search_with_stats(query, k).0
-    }
-
-    /// Searches many queries; backends may parallelize.
-    fn batch_search(&self, queries: &[Vec<f64>], k: usize) -> Vec<Vec<Neighbor>> {
-        queries.iter().map(|q| self.search(q, k)).collect()
     }
 }
 

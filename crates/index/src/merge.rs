@@ -7,9 +7,10 @@
 //! wrong: two distinct `d²` values can round to the same `sqrt`, turning a
 //! strict order into a tie and letting shard arrival order leak into the
 //! ranking. Callers take square roots only after the merge
-//! ([`merge_top_k`]), which is also exactly when [`crate::FlatIndex`]
-//! takes them — so a sharded search is bit-identical to the unsharded one
-//! by construction (property-tested in `lrf-service`).
+//! ([`merge_top_k`]). [`crate::FlatIndex`] merges its own per-range
+//! partials through this same function — so a sharded search is
+//! bit-identical to the unsharded one by construction (property-tested in
+//! `lrf-service`).
 
 use crate::Neighbor;
 use std::cmp::Reverse;

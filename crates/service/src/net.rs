@@ -194,12 +194,20 @@ struct HttpRequest {
     close: bool,
 }
 
+/// Longest request line or header line accepted, terminator included.
+const MAX_LINE_BYTES: usize = 8 << 10;
+/// Most header lines accepted in one request head.
+const MAX_HEADERS: usize = 64;
+
 /// Why reading a request ended without one.
 enum ReadEnd {
     /// Peer closed (or shutdown hit an idle connection): hang up quietly.
     Closed,
     /// Malformed head / oversized body: answer 400 and hang up.
     Malformed,
+    /// A line over [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`]
+    /// headers: answer 431 and hang up.
+    HeadTooLarge,
 }
 
 /// Serves one connection's keep-alive request loop.
@@ -235,16 +243,16 @@ fn handle_connection(
                     return;
                 }
             }
-            Err(ReadEnd::Closed) => return,
-            Err(ReadEnd::Malformed) => {
+            Err(end) => {
+                let (status, body) = match end {
+                    ReadEnd::Closed => return,
+                    ReadEnd::Malformed => (400, "{\"error\":\"malformed_http_request\"}"),
+                    ReadEnd::HeadTooLarge => {
+                        (431, "{\"error\":\"request_header_fields_too_large\"}")
+                    }
+                };
                 net.bad_requests.inc();
-                let _ = write_response(
-                    &stream,
-                    400,
-                    "application/json",
-                    "{\"error\":\"malformed_http_request\"}",
-                    true,
-                );
+                let _ = write_response(&stream, status, "application/json", body, true);
                 return;
             }
         }
@@ -285,25 +293,17 @@ fn read_request(
     max_body: usize,
 ) -> Result<HttpRequest, ReadEnd> {
     // Request line — skipping stray blank lines between pipelined
-    // requests, waiting out idle keep-alive timeouts.
+    // requests.
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Err(ReadEnd::Closed),
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                break;
-            }
-            Err(e) if is_timeout(&e) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(ReadEnd::Closed);
-                }
-            }
-            Err(_) => return Err(ReadEnd::Closed),
+        read_head_line(reader, stop, &mut line)?;
+        if line.is_empty() {
+            return Err(ReadEnd::Closed);
         }
+        if !line.trim().is_empty() {
+            break;
+        }
+        line.clear();
     }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
@@ -314,23 +314,18 @@ fn read_request(
     // Headers until the blank line.
     let mut content_length = 0usize;
     let mut close = false;
-    loop {
+    for n_headers in 0.. {
         let mut header = String::new();
-        loop {
-            match reader.read_line(&mut header) {
-                Ok(0) => return Err(ReadEnd::Malformed),
-                Ok(_) => break,
-                Err(e) if is_timeout(&e) => {
-                    if stop.load(Ordering::SeqCst) {
-                        return Err(ReadEnd::Closed);
-                    }
-                }
-                Err(_) => return Err(ReadEnd::Closed),
-            }
+        read_head_line(reader, stop, &mut header)?;
+        if header.is_empty() {
+            return Err(ReadEnd::Malformed);
         }
         let header = header.trim();
         if header.is_empty() {
             break;
+        }
+        if n_headers == MAX_HEADERS {
+            return Err(ReadEnd::HeadTooLarge);
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(ReadEnd::Malformed);
@@ -371,6 +366,34 @@ fn read_request(
     })
 }
 
+/// Appends one line of the request head to `line`, waiting out idle
+/// keep-alive timeouts. The line is left empty at end of stream. Never
+/// buffers more than [`MAX_LINE_BYTES`]: a peer that streams bytes without
+/// a newline gets [`ReadEnd::HeadTooLarge`], not an ever-growing `String`.
+fn read_head_line(
+    reader: &mut BufReader<&TcpStream>,
+    stop: &AtomicBool,
+    line: &mut String,
+) -> Result<(), ReadEnd> {
+    loop {
+        // A timed-out read keeps what it already appended, so the budget
+        // is what is left of the cap, not the cap.
+        let room = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_line(line) {
+            Ok(_) if line.ends_with('\n') => return Ok(()),
+            Ok(_) if line.len() >= MAX_LINE_BYTES => return Err(ReadEnd::HeadTooLarge),
+            // End of stream, possibly mid-line.
+            Ok(_) => return Ok(()),
+            Err(e) if is_timeout(&e) => {
+                if stop.load(Ordering::SeqCst) {
+                    return Err(ReadEnd::Closed);
+                }
+            }
+            Err(_) => return Err(ReadEnd::Closed),
+        }
+    }
+}
+
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
@@ -389,6 +412,7 @@ fn write_response(
         404 => "Not Found",
         409 => "Conflict",
         410 => "Gone",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Status",
     };

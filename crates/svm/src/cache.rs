@@ -10,10 +10,10 @@
 //! recently used ones inside a byte budget, and counts hits/misses so the
 //! savings are observable through `SolveStats`.
 //!
-//! The solver itself is written against the [`KernelRows`] abstraction so
-//! the same loop runs over either a lazy cache or a fully precomputed
-//! [`GramMatrix`] (the bit-exact reference path, see
-//! [`crate::train_precomputed`]).
+//! The solver itself is written against the crate-private `KernelRows`
+//! abstraction so its tests can run the same loop over a fully
+//! precomputed [`crate::GramMatrix`] — the bit-exact oracle the lazy path
+//! is held to.
 //!
 //! **Symmetry assumption.** When a row is computed, entries whose mirror
 //! row is already cached are copied from it (`K(i,t) = K(t,i)`) instead of
@@ -23,17 +23,16 @@
 //! sparse log kernels built on them.
 
 use crate::error::SvmError;
-use crate::kernel::{GramMatrix, Kernel};
+use crate::kernel::Kernel;
 use lrf_obs::Counter;
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
 /// Row-level access to the (implicit) Gram matrix, as consumed by the SMO
-/// solver. Implemented by the lazy [`KernelCache`] and by the eager
-/// [`GramMatrix`] so the identical solver loop serves both paths.
-pub trait KernelRows {
-    /// Number of samples (the matrix is `n × n`).
-    fn n(&self) -> usize;
+/// solver. Implemented by the lazy [`KernelCache`] and, in tests, by the
+/// eager `GramMatrix` so the identical solver loop serves as its own
+/// oracle.
+pub(crate) trait KernelRows {
     /// `K(i, i)`. Always available without touching a full row.
     fn diag(&self, i: usize) -> f64;
     /// Row `i` (`K(i, ·)`) as a contiguous slice, computing it if needed.
@@ -43,30 +42,6 @@ pub trait KernelRows {
     fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]);
     /// `(hits, misses)` accumulated so far (zeros for precomputed paths).
     fn cache_stats(&self) -> (u64, u64);
-}
-
-impl KernelRows for GramMatrix {
-    fn n(&self) -> usize {
-        GramMatrix::n(self)
-    }
-
-    fn diag(&self, i: usize) -> f64 {
-        self.at(i, i)
-    }
-
-    fn row(&mut self, i: usize) -> &[f64] {
-        GramMatrix::row(self, i)
-    }
-
-    fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
-        let n = GramMatrix::n(self);
-        let s = self.as_slice();
-        (&s[i * n..(i + 1) * n], &s[j * n..(j + 1) * n])
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 /// Lazy kernel-row store: rows are computed on first touch and evicted in
@@ -221,10 +196,6 @@ where
     B: Borrow<S>,
     K: Kernel<S>,
 {
-    fn n(&self) -> usize {
-        self.samples.len()
-    }
-
     fn diag(&self, i: usize) -> f64 {
         self.diag[i]
     }
@@ -257,8 +228,30 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{gram_matrix, LinearKernel, RbfKernel};
+    use crate::kernel::{gram_matrix, GramMatrix, LinearKernel, RbfKernel};
     use proptest::prelude::*;
+
+    /// The eager matrix as a row provider: what lets the solver's tests
+    /// run the identical loop over a fully precomputed Gram as the oracle.
+    impl KernelRows for GramMatrix {
+        fn diag(&self, i: usize) -> f64 {
+            self.at(i, i)
+        }
+
+        fn row(&mut self, i: usize) -> &[f64] {
+            GramMatrix::row(self, i)
+        }
+
+        fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
+            let n = GramMatrix::n(self);
+            let s = self.as_slice();
+            (&s[i * n..(i + 1) * n], &s[j * n..(j + 1) * n])
+        }
+
+        fn cache_stats(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
 
     fn samples_from(flat: &[f64], dims: usize) -> Vec<Vec<f64>> {
         flat.chunks(dims).map(<[f64]>::to_vec).collect()

@@ -18,8 +18,8 @@
 //! * [`cache`] — the lazy kernel-row LRU cache ([`KernelCache`]) the
 //!   default training path computes Gram rows through, with a byte budget
 //!   ([`SmoParams::cache_bytes`]) and hit/miss counters surfaced in
-//!   [`SolveStats`]. [`train_precomputed`] keeps the eager full-matrix
-//!   path as the bit-exact reference.
+//!   [`SolveStats`]. The eager full-matrix solve is the tests' bit-exact
+//!   oracle.
 //! * [`model`] — the trained decision function, slack extraction (needed by
 //!   the coupled SVM's label-correction loop), and degenerate single-class
 //!   handling (a feedback round can return only positives).
@@ -59,8 +59,8 @@ pub mod kernel;
 pub mod model;
 pub mod smo;
 
-pub use cache::{KernelCache, KernelRows};
+pub use cache::KernelCache;
 pub use error::SvmError;
 pub use kernel::{gram_matrix, GramMatrix, Kernel, LinearKernel, PolyKernel, RbfKernel};
 pub use model::{ModelKind, SvmModel, TrainedSvm};
-pub use smo::{train, train_precomputed, train_warm, SmoParams, SolveStats};
+pub use smo::{train, train_warm, SmoParams, SolveStats};

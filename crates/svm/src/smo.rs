@@ -14,17 +14,18 @@
 //! LIBSVM: labeled points keep `C`, the unlabeled transductive points get
 //! `ρ*·C` (Eq. 2/3 of the paper).
 //!
-//! Three entry points share one solver loop:
+//! Two entry points share one solver loop:
 //!
 //! * [`train`] — lazy kernel cache, shrinking per [`SmoParams`], cold
 //!   start. The default path.
 //! * [`train_warm`] — same, seeded with a previous solution whose alphas
 //!   are clipped to the new bounds and repaired onto `Σ y_i α_i = 0`.
-//! * [`train_precomputed`] — eager symmetric Gram matrix, shrinking
-//!   forced off: the bit-exact reference. With shrinking disabled the
-//!   lazy-cache path reproduces it bit for bit (cached rows are bitwise
-//!   identical to precomputed ones); with shrinking on it agrees within
-//!   `eps`.
+//!
+//! The test module runs the same loop over an eager symmetric Gram matrix
+//! with shrinking forced off (`train_precomputed`) as the bit-exact
+//! oracle: with shrinking disabled the lazy-cache path reproduces it bit
+//! for bit (cached rows are bitwise identical to precomputed ones); with
+//! shrinking on it agrees within `eps`.
 //!
 //! Optimality: the pair `(m(α), M(α))` of maximal KKT violations over the
 //! index sets
@@ -38,7 +39,7 @@
 
 use crate::cache::{KernelCache, KernelRows};
 use crate::error::SvmError;
-use crate::kernel::{gram_matrix, Kernel};
+use crate::kernel::Kernel;
 use crate::model::{SvmModel, TrainedSvm};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -60,14 +61,13 @@ pub struct SmoParams {
     pub sv_threshold: f64,
     /// Byte budget for the lazy kernel-row cache used by [`train`] /
     /// [`train_warm`] (rounded down to whole `8n`-byte rows; at least the
-    /// two working-set rows are always kept). Ignored by
-    /// [`train_precomputed`].
+    /// two working-set rows are always kept).
     pub cache_bytes: usize,
     /// Enables LIBSVM-style shrinking: bounded points whose KKT conditions
     /// hold are dropped from the working set, and the full gradient is
     /// reconstructed for a whole-problem optimality check before
     /// convergence is declared. Turning it off makes [`train`] bit-exact
-    /// against [`train_precomputed`].
+    /// against the eager-Gram test oracle.
     pub shrinking: bool,
 }
 
@@ -118,8 +118,7 @@ pub struct SolveStats {
 ///
 /// Kernel rows are computed lazily through a [`KernelCache`] sized by
 /// [`SmoParams::cache_bytes`], and shrinking is applied per
-/// [`SmoParams::shrinking`]; see [`train_precomputed`] for the eager
-/// bit-exact reference path, and [`train_warm`] to seed the solver with a
+/// [`SmoParams::shrinking`]; see [`train_warm`] to seed the solver with a
 /// previous round's solution.
 ///
 /// **Degenerate input:** when every label has the same sign the dual forces
@@ -185,50 +184,6 @@ where
         cache_hits,
         cache_misses,
     ))
-}
-
-/// Trains over an eagerly precomputed Gram matrix with shrinking forced
-/// off — the bit-exact reference the lazy-cache path is validated
-/// against. The full matrix is scanned for non-finite entries up front
-/// (the lazy path checks the kernel diagonal instead, which the dense and
-/// sparse kernels here poison on any NaN/∞ sample).
-///
-/// Warm starts are deliberately not offered here: the reference is the
-/// deterministic from-zero solve.
-pub fn train_precomputed<S, B, K>(
-    samples: &[B],
-    labels: &[f64],
-    upper_bounds: &[f64],
-    kernel: K,
-    params: &SmoParams,
-) -> Result<TrainedSvm<S, K>, SvmError>
-where
-    S: ?Sized + ToOwned,
-    B: Borrow<S>,
-    K: Kernel<S>,
-{
-    validate(samples.len(), labels, upper_bounds)?;
-    if let Some(sign) = single_class_sign(labels) {
-        return Ok(constant_model(samples.len(), sign, kernel));
-    }
-
-    let n = samples.len();
-    let mut k = gram_matrix::<S, B, K>(&kernel, samples);
-    for (idx, &v) in k.as_slice().iter().enumerate() {
-        if !v.is_finite() {
-            return Err(SvmError::NonFiniteKernel {
-                row: idx / n,
-                col: idx % n,
-            });
-        }
-    }
-
-    let reference_params = SmoParams {
-        shrinking: false,
-        ..*params
-    };
-    let sol = solve_dual(&mut k, labels, upper_bounds, &reference_params, None);
-    Ok(finish_model(samples, labels, kernel, params, sol, 0, 0))
 }
 
 /// Detects the single-class degenerate case shared by every entry point,
@@ -781,13 +736,57 @@ fn calculate_rho(y: &[f64], c: &[f64], alpha: &[f64], g: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{LinearKernel, RbfKernel};
+    use crate::kernel::{gram_matrix, LinearKernel, RbfKernel};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn default_params() -> SmoParams {
         SmoParams::default()
+    }
+
+    /// Trains over an eagerly precomputed Gram matrix with shrinking forced
+    /// off — the bit-exact reference the lazy-cache path is validated
+    /// against. The full matrix is scanned for non-finite entries up front
+    /// (the lazy path checks the kernel diagonal instead, which the dense and
+    /// sparse kernels here poison on any NaN/∞ sample).
+    ///
+    /// Warm starts are deliberately not offered here: the reference is the
+    /// deterministic from-zero solve.
+    fn train_precomputed<S, B, K>(
+        samples: &[B],
+        labels: &[f64],
+        upper_bounds: &[f64],
+        kernel: K,
+        params: &SmoParams,
+    ) -> Result<TrainedSvm<S, K>, SvmError>
+    where
+        S: ?Sized + ToOwned,
+        B: Borrow<S>,
+        K: Kernel<S>,
+    {
+        validate(samples.len(), labels, upper_bounds)?;
+        if let Some(sign) = single_class_sign(labels) {
+            return Ok(constant_model(samples.len(), sign, kernel));
+        }
+
+        let n = samples.len();
+        let mut k = gram_matrix::<S, B, K>(&kernel, samples);
+        for (idx, &v) in k.as_slice().iter().enumerate() {
+            if !v.is_finite() {
+                return Err(SvmError::NonFiniteKernel {
+                    row: idx / n,
+                    col: idx % n,
+                });
+            }
+        }
+
+        let reference_params = SmoParams {
+            shrinking: false,
+            ..*params
+        };
+        let sol = solve_dual(&mut k, labels, upper_bounds, &reference_params, None);
+        Ok(finish_model(samples, labels, kernel, params, sol, 0, 0))
     }
 
     /// Independent KKT verification for the solution of a C-SVC dual.

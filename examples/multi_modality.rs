@@ -12,8 +12,8 @@
 //! ```
 
 use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
-use corelog::core::multi::{train_multi_coupled, DenseKernel, ModalityData, MultiCoupledConfig};
-use corelog::core::{collect_feedback_log, LrfConfig};
+use corelog::core::multi::{train_multi_coupled, DenseKernel, ModalityData};
+use corelog::core::{collect_feedback_log, CoupledConfig, LrfConfig};
 use lrf_logdb::SimulationConfig;
 
 fn main() {
@@ -81,8 +81,10 @@ fn main() {
         modality(&log_view, DenseKernel::Rbf { gamma: 0.1 }, 0.5),
     ];
 
-    let cfg = MultiCoupledConfig {
+    // Per-view C is on each ModalityData; the schedule is a CoupledConfig.
+    let cfg = CoupledConfig {
         rho: 0.05,
+        delta: 2.0,
         ..Default::default()
     };
     let out = train_multi_coupled(&modalities, &y, &y_init, &cfg).expect("training");

@@ -6,8 +6,10 @@
 //!
 //! Also covered here: legacy bare-enum framing over TCP, envelope version
 //! rejection with HTTP status mapping, `Ping`/`Pong`, the `/metrics`
-//! Prometheus page including the per-shard stage histograms, and graceful
-//! shutdown draining an unclosed session through the durable-flush path.
+//! Prometheus page including the per-shard stage histograms, graceful
+//! shutdown draining an unclosed session through the durable-flush path,
+//! and the bounded request head (`431` for an endless line or a 65th
+//! header, with the server still serving afterwards).
 
 use corelog::cbir::{collect_log, CorelDataset, CorelSpec, ImageDatabase};
 use corelog::core::{LrfConfig, SchemeKind};
@@ -366,4 +368,79 @@ fn metrics_route_exposes_shard_and_transport_instruments() {
             .expect("numeric count");
         assert!(count >= 1, "shard {shard} recorded no searches");
     }
+}
+
+/// Writes `head` on a fresh connection and returns the status of whatever
+/// comes back. The write may be cut short by the server hanging up, and a
+/// server that never answers fails the read instead of hanging the suite.
+fn status_of_raw_head(addr: SocketAddr, head: Vec<u8>) -> u16 {
+    let stream = TcpStream::connect(addr).expect("connect to server");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&head);
+    });
+    let mut status_line = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut status_line)
+        .expect("the server answers an oversized head instead of buffering it");
+    sender.join().expect("sender thread");
+    status_line
+        .split_whitespace()
+        .nth(1)
+        .expect("status code present")
+        .parse()
+        .expect("numeric status")
+}
+
+/// After an oversized head the server must have counted it and still be
+/// serving: `Ping` on a new connection, one bad request on the books.
+fn assert_rejected_and_still_serving(server: &NetServer) {
+    let mut client = Client::connect(server.addr());
+    assert_eq!(
+        client.ok(&Request::Ping),
+        Response::Pong {
+            proto_version: PROTO_VERSION
+        }
+    );
+    let (_, page) = client.http("GET", "/metrics", "");
+    let bad = page
+        .lines()
+        .find_map(|l| l.strip_prefix("net_bad_requests_total "))
+        .expect("bad-request counter on the metrics page");
+    assert_eq!(bad.trim(), "1", "the oversized head is counted");
+}
+
+/// A line that never ends is answered `431` after 8 KiB and hung up on,
+/// not buffered until the process dies.
+#[test]
+fn endless_request_line_gets_431_and_the_server_survives() {
+    let server = sharded_server();
+    assert_eq!(status_of_raw_head(server.addr(), vec![b'A'; 1 << 20]), 431);
+    assert_rejected_and_still_serving(&server);
+}
+
+/// A head may carry 64 headers; the 65th is answered `431`.
+#[test]
+fn sixty_five_headers_get_431_and_the_server_survives() {
+    let server = sharded_server();
+    let ping_with_fillers = |fillers: usize| {
+        let mut head = b"POST /api HTTP/1.1\r\n".to_vec();
+        for i in 0..fillers {
+            head.extend_from_slice(format!("X-Filler-{i}: 0\r\n").as_bytes());
+        }
+        head.extend_from_slice(b"Content-Length: 6\r\n\r\n\"Ping\"");
+        head
+    };
+    assert_eq!(
+        status_of_raw_head(server.addr(), ping_with_fillers(63)),
+        200
+    );
+    assert_eq!(
+        status_of_raw_head(server.addr(), ping_with_fillers(64)),
+        431
+    );
+    assert_rejected_and_still_serving(&server);
 }

@@ -5,7 +5,6 @@
 #   svm_score           serial decision loop  vs  decision_batch_rows
 #   service_throughput  N sessions one-by-one vs  N sessions on N threads
 #   svm_train/round     cold retrain          vs  warm-started retrain
-#   svm_train/gram      eager Gram precompute vs  lazy kernel-row cache
 #   obs_overhead        untimed baseline      vs  fully instrumented service
 #   wal_flush           volatile close path   vs  WAL-fsynced close path
 #
@@ -170,12 +169,11 @@ check_overhead() { # check_overhead <label> <baseline_name> <instrumented_name> 
 }
 
 # Quick mode pins svm_score to N=2000, service_throughput to 4 sessions,
-# and svm_train to round N=120 / gram N=240.
+# and svm_train to round N=120.
 check_pair "svm_score/nsv8/n2000" "svm_score/nsv8/serial/2000" "svm_score/nsv8/batch/2000"
 check_pair "svm_score/nsv64/n2000" "svm_score/nsv64/serial/2000" "svm_score/nsv64/batch/2000"
 check_pair "service_throughput/4sessions" "service_throughput/serial/4" "service_throughput/concurrent/4"
 check_faster "svm_train/round_warm_vs_cold" "svm_train/round/cold/120" "svm_train/round/warm/120"
-check_pair "svm_train/gram_cached_vs_precomputed" "svm_train/gram/precomputed/240" "svm_train/gram/cached/240"
 check_overhead "obs_overhead/4sessions" "obs_overhead/untimed" "obs_overhead/timed"
 check_overhead "wal_flush/durability_tax" "wal_flush/volatile" "wal_flush/durable" "$WAL_MARGIN_PCT"
 

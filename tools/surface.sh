@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Code-surface report: how much first-party code there is to read and how
-# much of it is public. ROADMAP aim 2 wants both numbers to go down; record
-# the lrf-core / lrf-service / total rows in the CHANGES.md line of any PR
-# that claims to simplify.
+# Code-surface report and ratchet: how much first-party code there is to
+# read and how much of it is public. ROADMAP aim 2 wants both numbers to go
+# down; record the per-crate rows in the CHANGES.md line of any PR that
+# claims to simplify, and lower tools/surface.baseline to the new totals.
 #
 # Per first-party crate (crates/<c>/src/*.rs, vendored stand-ins excluded):
 #   code  lines before the file's first column-0 `#[cfg(test)]` (its test
@@ -12,7 +12,9 @@
 #         (`pub fn|struct|enum|trait|type|const|mod|use`)
 # The examples/ row is reported beside the crates, not in their total.
 #
-# Usage: tools/surface.sh   (informational: always exits 0)
+# Usage: tools/surface.sh [--check]
+#   --check  exit 1 when the `total` row's code or pub count exceeds
+#            tools/surface.baseline (one line: "<code> <pub>"); CI runs this
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,3 +46,12 @@ done
 printf '%-14s %6d %5d\n' total "$total_code" "$total_pub"
 read -r code pub < <(count examples/*.rs)
 printf '%-14s %6d %5d\n' examples/ "$code" "$pub"
+
+if [ "${1:-}" = --check ]; then
+    read -r base_code base_pub < tools/surface.baseline
+    if [ "$total_code" -gt "$base_code" ] || [ "$total_pub" -gt "$base_pub" ]; then
+        echo "surface: total $total_code lines / $total_pub pub exceeds baseline $base_code / $base_pub" >&2
+        exit 1
+    fi
+    echo "surface: within baseline $base_code / $base_pub"
+fi
