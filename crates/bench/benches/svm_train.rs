@@ -1,7 +1,7 @@
 //! Criterion bench: per-round retraining latency — the cost the paper
 //! defers ("the computation cost problem when applying the algorithm to
 //! large scale applications") and the target of the warm-start + lazy
-//! kernel-cache work.
+//! kernel-row work.
 //!
 //! Groups:
 //!

@@ -80,7 +80,8 @@ pub fn figure_series(title: &str, result: &ExperimentResult) -> String {
     out
 }
 
-/// Renders a GitHub-flavored markdown table (used to fill EXPERIMENTS.md).
+/// Renders a GitHub-flavored markdown table (printed by
+/// `reproduce table1|table2`).
 pub fn markdown_table(result: &ExperimentResult) -> String {
     let mut out = String::new();
     let _ = write!(out, "| #TOP |");

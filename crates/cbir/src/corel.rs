@@ -3,7 +3,8 @@
 //! "There are two sets of data collected in our experiment: 20-Category and
 //! 50-Category. ... Each category in the datasets consists exactly 100
 //! images selected from the COREL image CDs." These builders produce the
-//! synthetic equivalents (see DESIGN.md §3 for the substitution argument).
+//! synthetic equivalents (`lrf_imaging::synthetic` documents what the
+//! generator preserves; `reproduce calibrate` measures it).
 
 use crate::database::ImageDatabase;
 use lrf_features::FeatureExtractor;

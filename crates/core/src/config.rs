@@ -2,7 +2,8 @@
 //!
 //! The paper reports no concrete constants; every default below is
 //! documented with its rationale and is swept by the ablation benches in
-//! `lrf-bench` (see `EXPERIMENTS.md` for measured sensitivity).
+//! `lrf-bench` (`reproduce ablate-rho | ablate-delta | ablate-unlabeled |
+//! ablate-noise | ablate-sessions` measure the sensitivity).
 
 use lrf_svm::SmoParams;
 use serde::{Deserialize, Serialize};
@@ -22,9 +23,9 @@ pub struct CoupledConfig {
     /// `ρ*·C` during annealing, capped at `ρ·C`). The paper increases ρ*
     /// "until it achieves a setting threshold" without reporting it. The
     /// default 0.05 is calibrated: pseudo-label precision on this corpus is
-    /// ≈ 0.5 (see EXPERIMENTS.md § analysis), so larger ρ lets wrong
-    /// pseudo-positives poison the boundary — the ρ ablation bench shows
-    /// the collapse.
+    /// ≈ 0.5 (the `tune_csvm` example in `lrf-bench` prints it), so larger
+    /// ρ lets wrong pseudo-positives poison the boundary — the ρ ablation
+    /// bench shows the collapse.
     pub rho: f64,
     /// Starting value of the annealed `ρ*` (Fig. 1: `ρ* = 10⁻⁴`).
     pub rho_init: f64,
@@ -126,8 +127,9 @@ pub struct LrfConfig {
     /// Number of unlabeled samples `N'` engaged in the learning task.
     /// "It is impossible to engage all of the unlabeled data." The default
     /// 10 is calibrated: pseudo-positive precision decays quickly with pool
-    /// depth on this corpus (0.52 at N'=10 → 0.35 at N'=40; see
-    /// EXPERIMENTS.md), so small pools dominate. Swept by the N' ablation.
+    /// depth on this corpus (0.52 at N'=10 → 0.35 at N'=40; the
+    /// `tune_csvm` example prints the curve), so small pools dominate.
+    /// Swept by the N' ablation.
     pub n_unlabeled: usize,
     /// Unlabeled selection strategy.
     pub selection: UnlabeledSelection,
@@ -138,7 +140,7 @@ pub struct LrfConfig {
     /// RBF width for the content kernel; `None` → LIBSVM default `1/d`.
     /// The paper reports no kernel parameters; the default (`Some(1.0)`) is
     /// calibrated so RF-SVM's improvement over Euclidean matches the
-    /// paper's ratio (see EXPERIMENTS.md § calibration).
+    /// paper's ratio (the `tune_rf` example is the grid search).
     pub gamma_content: Option<f64>,
     /// Kernel over the sparse log vectors. Default: cosine-normalized RBF
     /// (see [`crate::kernels::LogCosineRbfKernel`] for why normalization

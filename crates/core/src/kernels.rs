@@ -64,7 +64,8 @@ impl Kernel<SparseVector> for LogLinearKernel {
 /// makes the kernel respond to co-judgment *agreement*: identical feedback
 /// histories → 1, disjoint histories → `e^{−2γ}`, perfectly contradictory
 /// histories → `e^{−4γ}`. This is the default log kernel (`γ` from
-/// [`crate::LrfConfig::log_kernel`] after calibration; see EXPERIMENTS.md).
+/// [`crate::LrfConfig::log_kernel`] after calibration; the `tune_log`
+/// example in `lrf-bench` compares the candidates).
 ///
 /// Mercer validity: `φ` is an explicit feature map and the Gaussian of any
 /// feature map is positive semidefinite.

@@ -9,7 +9,7 @@
 //! * [`color`] — RGB ↔ HSV conversion.
 //! * [`draw`] — shape/gradient/noise rendering primitives.
 //! * [`synthetic`] — a seeded, category-parameterized image generator that
-//!   stands in for the COREL collection (see `DESIGN.md` §3 for why the
+//!   stands in for the COREL collection (its module docs say why the
 //!   substitution preserves the relevant behaviour).
 //! * [`convolve`] — separable convolution, Gaussian blur, Sobel gradients.
 //! * [`mod@canny`] — a full Canny edge detector (blur → gradient → non-maximum

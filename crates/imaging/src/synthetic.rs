@@ -24,7 +24,8 @@
 //!   experiments are bit-reproducible and images never need to be stored.
 //!
 //! The knobs that govern intra/inter-category structure live in
-//! [`StyleDistribution`]; `EXPERIMENTS.md` records the calibration.
+//! [`StyleDistribution`]; `lrf-bench`'s `reproduce calibrate` subcommand
+//! measures the Euclidean baseline they were calibrated against.
 
 use crate::color::Hsv;
 use crate::draw;
@@ -128,7 +129,7 @@ impl Default for StyleDistribution {
     fn default() -> Self {
         // Calibrated so 36-D feature Euclidean P@20 on the 20-category
         // corpus lands near the paper's 0.398 while categories stay
-        // multimodal (see EXPERIMENTS.md § calibration).
+        // multimodal (`reproduce calibrate` in lrf-bench re-measures it).
         Self {
             themes_per_category: (5, 8),
             theme_hue_spread: 0.045,

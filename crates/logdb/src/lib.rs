@@ -20,7 +20,7 @@
 //! * [`simulate`] — the **substitution for the paper's human log
 //!   collection** (150 sessions gathered from real users): simulated users
 //!   judge the top-20 of a content-based ranking by ground-truth category
-//!   with an injectable mislabel (noise) probability. See DESIGN.md §3.
+//!   with an injectable mislabel (noise) probability.
 //! * [`persist`] — JSON round-tripping of the store (a real deployment
 //!   keeps its log database on disk), crash-safe via atomic temp+fsync+
 //!   rename publication.

@@ -13,10 +13,12 @@ use std::path::Path;
 /// Current on-disk format version.
 pub const FORMAT_VERSION: u32 = 1;
 
+/// The on-disk frame. Generic over the store field so writing borrows the
+/// store (`Envelope<&LogStore>`) and reading owns it.
 #[derive(Serialize, Deserialize)]
-struct Envelope {
+struct Envelope<S> {
     version: u32,
-    store: LogStore,
+    store: S,
 }
 
 /// Errors from loading/saving a log store.
@@ -74,13 +76,13 @@ impl From<serde_json::Error> for PersistError {
 pub fn to_json(store: &LogStore) -> Result<Vec<u8>, PersistError> {
     Ok(serde_json::to_vec(&Envelope {
         version: FORMAT_VERSION,
-        store: store.clone(),
+        store,
     })?)
 }
 
 /// Deserializes a store from JSON bytes.
 pub fn from_json(bytes: &[u8]) -> Result<LogStore, PersistError> {
-    let env: Envelope = serde_json::from_slice(bytes)?;
+    let env: Envelope<LogStore> = serde_json::from_slice(bytes)?;
     if env.version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion { found: env.version });
     }

@@ -1,7 +1,7 @@
 //! Simulated collection of user feedback logs.
 //!
-//! **Substitution notice (DESIGN.md §3).** The paper collected 150 log
-//! sessions per dataset from real users of the authors' CBIR system:
+//! **Substitution notice.** The paper collected 150 log sessions per
+//! dataset from real users of the authors' CBIR system:
 //!
 //! > "For each participant user, he or she first specifies a query example
 //! > and submits it to the CBIR system. The CBIR system returns 20 initial

@@ -40,9 +40,6 @@ pub struct NetConfig {
     pub addr: String,
     /// Worker threads handling connections (min 1).
     pub workers: usize,
-    /// Largest accepted request body; bigger requests get `400` and the
-    /// connection is closed.
-    pub max_body_bytes: usize,
 }
 
 impl Default for NetConfig {
@@ -50,7 +47,6 @@ impl Default for NetConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            max_body_bytes: 1 << 20,
         }
     }
 }
@@ -106,11 +102,10 @@ impl NetServer {
             let svc = Arc::clone(&service);
             let worker_stop = Arc::clone(&stop);
             let net = counters();
-            let max_body = config.max_body_bytes;
             workers.push(std::thread::spawn(move || loop {
                 let stream = rx.lock_recover().recv();
                 match stream {
-                    Ok(stream) => handle_connection(&svc, stream, &worker_stop, &net, max_body),
+                    Ok(stream) => handle_connection(&svc, stream, &worker_stop, &net),
                     // Channel hung up: the acceptor exited, we're done.
                     Err(_) => break,
                 }
@@ -198,26 +193,25 @@ struct HttpRequest {
 const MAX_LINE_BYTES: usize = 8 << 10;
 /// Most header lines accepted in one request head.
 const MAX_HEADERS: usize = 64;
+/// Largest request body accepted, as announced by `Content-Length`.
+const MAX_BODY_BYTES: usize = 1 << 20;
 
 /// Why reading a request ended without one.
 enum ReadEnd {
     /// Peer closed (or shutdown hit an idle connection): hang up quietly.
     Closed,
-    /// Malformed head / oversized body: answer 400 and hang up.
+    /// Malformed head or a body that is not UTF-8: answer 400 and hang up.
     Malformed,
+    /// `Content-Length` over [`MAX_BODY_BYTES`]: answer 413 and hang up
+    /// without reading the body.
+    BodyTooLarge,
     /// A line over [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`]
     /// headers: answer 431 and hang up.
     HeadTooLarge,
 }
 
 /// Serves one connection's keep-alive request loop.
-fn handle_connection(
-    service: &Service,
-    stream: TcpStream,
-    stop: &AtomicBool,
-    net: &NetCounters,
-    max_body: usize,
-) {
+fn handle_connection(service: &Service, stream: TcpStream, stop: &AtomicBool, net: &NetCounters) {
     // A finite read timeout keeps idle keep-alive connections from
     // pinning workers across shutdown; the read loop retries on timeout
     // until data arrives or shutdown is signalled.
@@ -232,7 +226,7 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(&stream);
     loop {
-        match read_request(&mut reader, stop, max_body) {
+        match read_request(&mut reader, stop) {
             Ok(request) => {
                 net.requests.inc();
                 let (status, content_type, body) = route(service, &request, net);
@@ -247,6 +241,7 @@ fn handle_connection(
                 let (status, body) = match end {
                     ReadEnd::Closed => return,
                     ReadEnd::Malformed => (400, "{\"error\":\"malformed_http_request\"}"),
+                    ReadEnd::BodyTooLarge => (413, "{\"error\":\"payload_too_large\"}"),
                     ReadEnd::HeadTooLarge => {
                         (431, "{\"error\":\"request_header_fields_too_large\"}")
                     }
@@ -290,7 +285,6 @@ fn route(
 fn read_request(
     reader: &mut BufReader<&TcpStream>,
     stop: &AtomicBool,
-    max_body: usize,
 ) -> Result<HttpRequest, ReadEnd> {
     // Request line — skipping stray blank lines between pipelined
     // requests.
@@ -338,8 +332,8 @@ fn read_request(
             close = true;
         }
     }
-    if content_length > max_body {
-        return Err(ReadEnd::Malformed);
+    if content_length > MAX_BODY_BYTES {
+        return Err(ReadEnd::BodyTooLarge);
     }
 
     // Body: exactly Content-Length bytes, riding out read timeouts.
@@ -412,6 +406,7 @@ fn write_response(
         404 => "Not Found",
         409 => "Conflict",
         410 => "Gone",
+        413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Status",

@@ -1,4 +1,4 @@
-//! Lazy kernel-row cache with byte-budgeted LRU eviction.
+//! Lazy kernel-row store.
 //!
 //! The SMO solver only ever touches the Gram matrix one **row** at a time
 //! (the two working-set rows per iteration, plus occasional rows of
@@ -6,25 +6,26 @@
 //! `n × n` matrix therefore wastes kernel evaluations whenever the solver
 //! converges after touching a subset of rows — which is exactly what
 //! happens on warm-started feedback rounds, where a handful of iterations
-//! suffice. [`KernelCache`] computes rows on first touch, keeps the most
-//! recently used ones inside a byte budget, and counts hits/misses so the
-//! savings are observable through `SolveStats`.
+//! suffice. [`KernelCache`] computes rows on first touch, keeps them until
+//! the solve ends, and counts hits/misses so the savings are observable
+//! through `SolveStats`. Nothing is ever dropped: a feedback round is tens
+//! of samples (a few hundred in the largest bench), so every row of the
+//! largest solve fits in a few hundred KiB.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully
-//! precomputed [`crate::GramMatrix`] — the bit-exact oracle the lazy path
-//! is held to.
+//! precomputed `GramMatrix` — the bit-exact oracle the lazy path is held
+//! to.
 //!
 //! **Symmetry assumption.** When a row is computed, entries whose mirror
-//! row is already cached are copied from it (`K(i,t) = K(t,i)`) instead of
-//! re-evaluated, so a kernel used here must be symmetric *at the IEEE
+//! row is already resident are copied from it (`K(i,t) = K(t,i)`) instead
+//! of re-evaluated, so a kernel used here must be symmetric *at the IEEE
 //! level*. Every kernel in this workspace is: `dot` and `squared_distance`
 //! are commutative bitwise, hence so are the linear, RBF, polynomial and
 //! sparse log kernels built on them.
 
 use crate::error::SvmError;
 use crate::kernel::Kernel;
-use lrf_obs::Counter;
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
@@ -44,37 +45,17 @@ pub(crate) trait KernelRows {
     fn cache_stats(&self) -> (u64, u64);
 }
 
-/// Lazy kernel-row store: rows are computed on first touch and evicted in
-/// least-recently-used order once the byte budget is exceeded. The
-/// diagonal is computed eagerly at construction (it doubles as the
-/// non-finite-sample check) and is never evicted.
-pub struct KernelCache<'a, S: ?Sized, B, K> {
+/// Lazy kernel-row store: a row is computed on first touch and kept until
+/// the store is dropped at the end of the solve. The diagonal is computed
+/// eagerly at construction (it doubles as the non-finite-sample check).
+pub(crate) struct KernelCache<'a, S: ?Sized, B, K> {
     kernel: &'a K,
     samples: &'a [B],
     diag: Vec<f64>,
     rows: Vec<Option<Box<[f64]>>>,
-    /// Cached row indices, most recently used last.
-    lru: Vec<usize>,
-    capacity_rows: usize,
-    // Registry-backed instruments (not plain integers) so a caller can
-    // lift the cache's hit rate into an `lrf_obs::Registry` by handle.
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
+    hits: u64,
+    misses: u64,
     _sample: PhantomData<&'a S>,
-}
-
-impl<S: ?Sized, B, K> std::fmt::Debug for KernelCache<'_, S, B, K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelCache")
-            .field("n", &self.samples.len())
-            .field("capacity_rows", &self.capacity_rows)
-            .field("cached_rows", &self.lru.len())
-            .field("hits", &self.hits.get())
-            .field("misses", &self.misses.get())
-            .field("evictions", &self.evictions.get())
-            .finish()
-    }
 }
 
 impl<'a, S, B, K> KernelCache<'a, S, B, K>
@@ -83,16 +64,14 @@ where
     B: Borrow<S>,
     K: Kernel<S>,
 {
-    /// Builds a cache over `samples` holding at most `budget_bytes` worth
-    /// of rows (`8n` bytes each), clamped to at least two rows — the SMO
-    /// working set — and at most `n`.
+    /// Builds an empty store over `samples`.
     ///
     /// Computes the kernel diagonal eagerly; a non-finite `K(i, i)` is
     /// reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
     /// kernel in this workspace a sample containing NaN/∞ poisons its own
     /// diagonal entry, so this is equivalent to the full-matrix scan of
     /// the precomputed path.
-    pub fn new(kernel: &'a K, samples: &'a [B], budget_bytes: usize) -> Result<Self, SvmError> {
+    pub(crate) fn new(kernel: &'a K, samples: &'a [B]) -> Result<Self, SvmError> {
         let n = samples.len();
         let mut diag = Vec::with_capacity(n);
         for (i, s) in samples.iter().enumerate() {
@@ -102,44 +81,18 @@ where
             }
             diag.push(v);
         }
-        let row_bytes = n.max(1) * std::mem::size_of::<f64>();
-        let capacity_rows = (budget_bytes / row_bytes).clamp(2, n.max(2)).min(n.max(1));
         Ok(Self {
             kernel,
             samples,
             diag,
             rows: (0..n).map(|_| None).collect(),
-            lru: Vec::with_capacity(capacity_rows),
-            capacity_rows,
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
+            hits: 0,
+            misses: 0,
             _sample: PhantomData,
         })
     }
 
-    /// Number of rows the byte budget admits.
-    pub fn capacity_rows(&self) -> usize {
-        self.capacity_rows
-    }
-
-    /// Row accesses served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Row accesses that had to compute the row (including recomputes
-    /// after eviction).
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Rows dropped to stay within the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    /// Computes row `i`, mirroring entries from already-cached rows
+    /// Computes row `i`, mirroring entries from already-resident rows
     /// (`K(i,t) = K(t,i)`, bitwise for the symmetric kernels used here) so
     /// repeated cold solves approach the `n(n+1)/2` evaluations of the
     /// eager symmetric fill.
@@ -160,33 +113,14 @@ where
         data.into_boxed_slice()
     }
 
-    /// Moves `i` to the most-recently-used end of the LRU order.
-    fn touch(&mut self, i: usize) {
-        if let Some(pos) = self.lru.iter().position(|&t| t == i) {
-            self.lru.remove(pos);
-        }
-        self.lru.push(i);
-    }
-
-    /// Ensures row `i` is resident, evicting the least recently used row
-    /// if needed — but never `protect` (the other half of a working-set
-    /// pair) or `i` itself.
-    fn ensure(&mut self, i: usize, protect: Option<usize>) {
+    /// Makes row `i` resident, counting the access as a hit or a miss.
+    fn ensure(&mut self, i: usize) {
         if self.rows[i].is_some() {
-            self.hits.inc();
+            self.hits += 1;
         } else {
-            self.misses.inc();
-            while self.lru.len() >= self.capacity_rows {
-                let Some(pos) = self.lru.iter().position(|&t| t != i && Some(t) != protect) else {
-                    break;
-                };
-                let victim = self.lru.remove(pos);
-                self.rows[victim] = None;
-                self.evictions.inc();
-            }
+            self.misses += 1;
             self.rows[i] = Some(self.compute_row(i));
         }
-        self.touch(i);
     }
 }
 
@@ -201,14 +135,14 @@ where
     }
 
     fn row(&mut self, i: usize) -> &[f64] {
-        self.ensure(i, None);
+        self.ensure(i);
         self.rows[i].as_deref().expect("row resident after ensure")
     }
 
     fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
         assert_ne!(i, j, "working-set pair must be distinct");
-        self.ensure(i, Some(j));
-        self.ensure(j, Some(i));
+        self.ensure(i);
+        self.ensure(j);
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
         let (head, tail) = self.rows.split_at(hi);
         let row_lo = head[lo].as_deref().expect("row resident after ensure");
@@ -221,14 +155,15 @@ where
     }
 
     fn cache_stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
+        (self.hits, self.misses)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{gram_matrix, GramMatrix, LinearKernel, RbfKernel};
+    use crate::kernel::oracle::{gram_matrix, GramMatrix};
+    use crate::kernel::{LinearKernel, RbfKernel};
     use proptest::prelude::*;
 
     /// The eager matrix as a row provider: what lets the solver's tests
@@ -260,22 +195,8 @@ mod tests {
     #[test]
     fn diagonal_validation_reports_nan_sample() {
         let samples = vec![vec![1.0], vec![f64::NAN]];
-        let err = KernelCache::new(&LinearKernel, &samples, 1 << 20).unwrap_err();
+        let err = KernelCache::new(&LinearKernel, &samples).err().unwrap();
         assert_eq!(err, SvmError::NonFiniteKernel { row: 1, col: 1 });
-    }
-
-    #[test]
-    fn capacity_respects_budget_and_floor() {
-        let samples = vec![vec![0.0; 4]; 10];
-        // 10 samples → 80-byte rows; a 200-byte budget admits 2 rows.
-        let c = KernelCache::new(&LinearKernel, &samples, 200).unwrap();
-        assert_eq!(c.capacity_rows(), 2);
-        // Zero budget still admits the working-set pair.
-        let c = KernelCache::new(&LinearKernel, &samples, 0).unwrap();
-        assert_eq!(c.capacity_rows(), 2);
-        // A huge budget is clamped to n rows.
-        let c = KernelCache::new(&LinearKernel, &samples, 1 << 30).unwrap();
-        assert_eq!(c.capacity_rows(), 10);
     }
 
     #[test]
@@ -284,27 +205,28 @@ mod tests {
         let samples = samples_from(&flat, 3);
         let kernel = RbfKernel::new(0.6);
         let gram = gram_matrix(&kernel, &samples);
-        let mut cache = KernelCache::new(&kernel, &samples, 1 << 20).unwrap();
+        let mut cache = KernelCache::new(&kernel, &samples).unwrap();
         for i in 0..samples.len() {
             assert_eq!(cache.row(i), GramMatrix::row(&gram, i), "row {i}");
         }
-        assert_eq!(cache.misses(), samples.len() as u64);
-        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.cache_stats(), (0, samples.len() as u64));
         // Second pass: all hits, bit-identical values again.
         for i in 0..samples.len() {
             assert_eq!(cache.row(i), GramMatrix::row(&gram, i));
         }
-        assert_eq!(cache.hits(), samples.len() as u64);
-        assert_eq!(cache.evictions(), 0);
+        assert_eq!(
+            cache.cache_stats(),
+            (samples.len() as u64, samples.len() as u64)
+        );
     }
 
     #[test]
-    fn pair_returns_both_rows_under_minimal_capacity() {
+    fn pair_returns_both_rows_in_either_order() {
         let flat: Vec<f64> = (0..12).map(|i| (i as f64 * 0.9).sin()).collect();
         let samples = samples_from(&flat, 2);
         let kernel = RbfKernel::new(1.1);
         let gram = gram_matrix(&kernel, &samples);
-        let mut cache = KernelCache::new(&kernel, &samples, 0).unwrap(); // capacity 2
+        let mut cache = KernelCache::new(&kernel, &samples).unwrap();
         for i in 0..samples.len() {
             for j in 0..samples.len() {
                 if i == j {
@@ -315,25 +237,22 @@ mod tests {
                 assert_eq!(rj, GramMatrix::row(&gram, j), "pair({i},{j}) row j");
             }
         }
-        assert!(cache.evictions() > 0, "capacity 2 must evict in this sweep");
     }
 
     proptest! {
-        /// Under random eviction pressure (tiny random budgets, random
-        /// access sequences) every row served by the cache is bit-identical
-        /// to direct kernel evaluation.
+        /// Under random access sequences (rows mirrored from whichever
+        /// rows happen to be resident) every row served by the store is
+        /// bit-identical to direct kernel evaluation.
         #[test]
-        fn rows_bit_identical_under_eviction_pressure(
+        fn rows_bit_identical_to_direct_evaluation(
             flat in proptest::collection::vec(-3.0f64..3.0, 36),
             accesses in proptest::collection::vec(0usize..12, 1..60),
-            budget_rows in 0usize..6,
             gamma in 0.05f64..2.0,
         ) {
             let samples = samples_from(&flat, 3);
             let n = samples.len();
             let kernel = RbfKernel::new(gamma);
-            let mut cache =
-                KernelCache::new(&kernel, &samples, budget_rows * n * 8).unwrap();
+            let mut cache = KernelCache::new(&kernel, &samples).unwrap();
             for (step, &raw) in accesses.iter().enumerate() {
                 let i = raw % n;
                 // Alternate row/pair accesses to exercise both entry points.

@@ -10,7 +10,6 @@
 //! kernels satisfy Mercer's condition on their usual domains.
 
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 
 /// A positive-semidefinite similarity function over samples of type `S`.
 pub trait Kernel<S: ?Sized> {
@@ -124,70 +123,78 @@ impl Kernel<[f64]> for PolyKernel {
     }
 }
 
-/// A dense symmetric Gram matrix in **one contiguous row-major
-/// allocation** — `n` samples, `n × n` values, no per-row boxes. The SMO
-/// solver's gradient loop walks whole rows linearly, so the flat layout
-/// turns its hottest access pattern into a single cache-friendly scan.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GramMatrix {
-    data: Vec<f64>,
-    n: usize,
-}
+/// The eager Gram matrix: what the solver's and the row store's tests hold
+/// the lazy path to, bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Kernel;
+    use std::borrow::Borrow;
 
-impl GramMatrix {
-    /// Number of samples (the matrix is `n × n`).
-    pub fn n(&self) -> usize {
-        self.n
+    /// A dense symmetric Gram matrix in **one contiguous row-major
+    /// allocation** — `n` samples, `n × n` values, no per-row boxes. The SMO
+    /// solver's gradient loop walks whole rows linearly, so the flat layout
+    /// turns its hottest access pattern into a single cache-friendly scan.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) struct GramMatrix {
+        data: Vec<f64>,
+        n: usize,
     }
 
-    /// `K(i, j)`.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
+    impl GramMatrix {
+        /// Number of samples (the matrix is `n × n`).
+        pub(crate) fn n(&self) -> usize {
+            self.n
+        }
 
-    /// Row `i` as a contiguous slice (`K(i, ·)`).
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
+        /// `K(i, j)`.
+        #[inline]
+        pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
+            self.data[i * self.n + j]
+        }
 
-    /// The whole matrix, row-major.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-}
+        /// Row `i` as a contiguous slice (`K(i, ·)`).
+        #[inline]
+        pub(crate) fn row(&self, i: usize) -> &[f64] {
+            &self.data[i * self.n..(i + 1) * self.n]
+        }
 
-/// Precomputes the dense Gram matrix `K_ij` for a sample set into a flat
-/// [`GramMatrix`].
-///
-/// Accepts anything that borrows as the kernel's sample type: owned
-/// vectors, row views of a flat feature matrix, `&SparseVector`s — the
-/// samples are only read, never cloned. Solver-internal; problems in this
-/// workspace are small (tens to a few hundred points), so a full dense
-/// matrix is both the fastest and the simplest correct choice.
-pub fn gram_matrix<S, B, K>(kernel: &K, samples: &[B]) -> GramMatrix
-where
-    S: ?Sized,
-    B: Borrow<S>,
-    K: Kernel<S>,
-{
-    let n = samples.len();
-    let mut data = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            let v = kernel.compute(samples[i].borrow(), samples[j].borrow());
-            data[i * n + j] = v;
-            data[j * n + i] = v;
+        /// The whole matrix, row-major.
+        pub(crate) fn as_slice(&self) -> &[f64] {
+            &self.data
         }
     }
-    GramMatrix { data, n }
+
+    /// Precomputes the dense Gram matrix `K_ij` for a sample set into a flat
+    /// [`GramMatrix`].
+    ///
+    /// Accepts anything that borrows as the kernel's sample type: owned
+    /// vectors, row views of a flat feature matrix, `&SparseVector`s — the
+    /// samples are only read, never cloned.
+    pub(crate) fn gram_matrix<S, B, K>(kernel: &K, samples: &[B]) -> GramMatrix
+    where
+        S: ?Sized,
+        B: Borrow<S>,
+        K: Kernel<S>,
+    {
+        let n = samples.len();
+        let mut data = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let v = kernel.compute(samples[i].borrow(), samples[j].borrow());
+                data[i * n + j] = v;
+                data[j * n + i] = v;
+            }
+        }
+        GramMatrix { data, n }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::gram_matrix;
     use super::*;
     use proptest::prelude::*;
+    use std::borrow::Borrow;
 
     #[test]
     fn linear_kernel_is_dot_product() {

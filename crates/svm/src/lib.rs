@@ -12,12 +12,11 @@
 //!   matrix train and score with zero copies.
 //! * [`smo`] — the C-SVC dual solved by Sequential Minimal Optimization
 //!   with LIBSVM's second-order working-set selection, supporting an
-//!   individual upper bound `C_i` per sample, plus the LIBSVM
-//!   training-path machinery: shrinking and warm starts ([`train_warm`])
-//!   for fast per-round retraining.
-//! * [`cache`] — the lazy kernel-row LRU cache ([`KernelCache`]) the
-//!   default training path computes Gram rows through, with a byte budget
-//!   ([`SmoParams::cache_bytes`]) and hit/miss counters surfaced in
+//!   individual upper bound `C_i` per sample, plus shrinking and warm
+//!   starts ([`train_warm`]) for fast per-round retraining.
+//! * `cache` (crate-private) — the lazy kernel-row store the training path
+//!   computes Gram rows through: a row is computed on first touch and kept
+//!   until the solve ends, with hit/miss counts surfaced in
 //!   [`SolveStats`]. The eager full-matrix solve is the tests' bit-exact
 //!   oracle.
 //! * [`model`] — the trained decision function, slack extraction (needed by
@@ -53,14 +52,13 @@
 //! assert!(svm.model.decision(&samples[0]) < 0.0);
 //! ```
 
-pub mod cache;
+mod cache;
 pub mod error;
 pub mod kernel;
 pub mod model;
 pub mod smo;
 
-pub use cache::KernelCache;
 pub use error::SvmError;
-pub use kernel::{gram_matrix, GramMatrix, Kernel, LinearKernel, PolyKernel, RbfKernel};
+pub use kernel::{Kernel, LinearKernel, PolyKernel, RbfKernel};
 pub use model::{ModelKind, SvmModel, TrainedSvm};
 pub use smo::{train, train_warm, SmoParams, SolveStats};

@@ -1,5 +1,7 @@
 //! Trained SVM models: decision function, batch scoring, margins, slack
-//! extraction.
+//! extraction. Scoring is single-threaded here: callers that have cores to
+//! spend (the sharded engine, the evaluator's per-query threads) own the
+//! threads and hand each one a slice of the work.
 //!
 //! Models are generic over a possibly-unsized sample type `S` (e.g.
 //! `[f64]`): the decision function *reads* borrowed samples, while the
@@ -8,11 +10,10 @@
 
 use crate::kernel::Kernel;
 use crate::smo::SolveStats;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// How a model was produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ModelKind {
     /// A genuine max-margin solution over two classes.
     Trained,
@@ -20,43 +21,6 @@ pub enum ModelKind {
     /// class sign (`±1`). Relevance-feedback rounds where the user marks
     /// everything relevant (or everything irrelevant) produce this.
     Constant,
-}
-
-/// Below this many samples a batch decision call stays serial — the scoped
-/// thread spawn costs more than the scoring itself. Lower than the flat
-/// index's scan threshold because a decision costs `n_sv` kernel
-/// evaluations per sample, not one distance.
-const BATCH_PARALLEL_THRESHOLD: usize = 1024;
-
-/// Threads worth forking for a batch of `n` samples (1 = stay serial).
-fn batch_threads(n: usize) -> usize {
-    if n < BATCH_PARALLEL_THRESHOLD {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-}
-
-/// Shared scoped-thread scaffolding of the batch scorers: applies `score`
-/// to `chunk_len`-sized pieces of `data` concurrently and concatenates the
-/// results in order (so the output is bit-identical to one serial pass).
-fn parallel_map_chunks<T, F>(data: &[T], chunk_len: usize, score: F) -> Vec<f64>
-where
-    T: Sync,
-    F: Fn(&[T]) -> Vec<f64> + Sync,
-{
-    std::thread::scope(|scope| {
-        let score = &score;
-        let handles: Vec<_> = data
-            .chunks(chunk_len)
-            .map(|part| scope.spawn(move || score(part)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch scoring worker panicked"))
-            .collect()
-    })
 }
 
 /// A trained (or degenerate-constant) SVM decision function
@@ -97,32 +61,6 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
             coefficients: Vec::new(),
             bias: sign,
             kind: ModelKind::Constant,
-        }
-    }
-
-    /// Assembles a model from pre-existing parts (a deserialized dual
-    /// solution, a synthetic model for benches/tools). The decision
-    /// function is `Σ coefficients[i]·K(support_vectors[i], x) + bias`.
-    ///
-    /// # Panics
-    /// Panics if `support_vectors` and `coefficients` differ in length.
-    pub fn from_parts(
-        kernel: K,
-        support_vectors: Vec<S::Owned>,
-        coefficients: Vec<f64>,
-        bias: f64,
-    ) -> Self {
-        assert_eq!(
-            support_vectors.len(),
-            coefficients.len(),
-            "support vectors / coefficients mismatch"
-        );
-        Self {
-            kernel,
-            support_vectors,
-            coefficients,
-            bias,
-            kind: ModelKind::Trained,
         }
     }
 
@@ -182,36 +120,19 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
     pub fn kernel(&self) -> &K {
         &self.kernel
     }
-}
 
-impl<S, K> SvmModel<S, K>
-where
-    S: ?Sized + ToOwned + Sync,
-    S::Owned: Sync,
-    K: Kernel<S> + Sync,
-{
-    /// Decision values for many samples, one model pass — the full-database
-    /// `SVM_Dist` scan every relevance-feedback round runs. Large batches
-    /// are split across scoped threads (same pattern as `FlatIndex`'s
-    /// parallel scan); each sample is evaluated exactly as
-    /// [`Self::decision`] would, and chunks are concatenated in order, so
-    /// the result is **bit-identical** to the serial loop.
-    pub fn decision_batch<B: Borrow<S> + Sync>(&self, xs: &[B]) -> Vec<f64> {
-        let score =
-            |part: &[B]| -> Vec<f64> { part.iter().map(|x| self.decision(x.borrow())).collect() };
-        let threads = batch_threads(xs.len());
-        if threads <= 1 {
-            return score(xs);
-        }
-        parallel_map_chunks(xs, xs.len().div_ceil(threads), score)
+    /// Decision values for many samples: [`Self::decision`] mapped over
+    /// `xs` in order, so the result is **bit-identical** to the per-sample
+    /// loop.
+    pub fn decision_batch<B: Borrow<S>>(&self, xs: &[B]) -> Vec<f64> {
+        xs.iter().map(|x| self.decision(x.borrow())).collect()
     }
 }
 
-impl<K: Kernel<[f64]> + Sync> SvmModel<[f64], K> {
+impl<K: Kernel<[f64]>> SvmModel<[f64], K> {
     /// Decision values for every row of a contiguous row-major matrix —
     /// the zero-copy whole-database scoring path (`data` is typically the
-    /// database's shared flat feature matrix). Parallel above the batch
-    /// threshold, chunked on row boundaries; bit-identical to calling
+    /// database's shared flat feature matrix). Bit-identical to calling
     /// [`Self::decision`] per row.
     ///
     /// # Panics
@@ -229,15 +150,7 @@ impl<K: Kernel<[f64]> + Sync> SvmModel<[f64], K> {
                 "row dimension mismatches the model's support vectors"
             );
         }
-        let n = data.len() / dim;
-        let score = |part: &[f64]| -> Vec<f64> {
-            part.chunks_exact(dim).map(|r| self.decision(r)).collect()
-        };
-        let threads = batch_threads(n);
-        if threads <= 1 {
-            return score(data);
-        }
-        parallel_map_chunks(data, n.div_ceil(threads) * dim, score)
+        data.chunks_exact(dim).map(|r| self.decision(r)).collect()
     }
 }
 
@@ -268,46 +181,6 @@ where
             .field("bias", &self.bias)
             .field("kind", &self.kind)
             .finish()
-    }
-}
-
-impl<S: ?Sized + ToOwned, K: Serialize> Serialize for SvmModel<S, K>
-where
-    S::Owned: Serialize,
-{
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("kernel".to_string(), self.kernel.to_value()),
-            (
-                "support_vectors".to_string(),
-                self.support_vectors.to_value(),
-            ),
-            ("coefficients".to_string(), self.coefficients.to_value()),
-            ("bias".to_string(), self.bias.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-        ])
-    }
-}
-
-impl<S: ?Sized + ToOwned, K: Deserialize> Deserialize for SvmModel<S, K>
-where
-    S::Owned: Deserialize,
-{
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let support_vectors: Vec<S::Owned> = serde::__private::field(v, "support_vectors")?;
-        let coefficients: Vec<f64> = serde::__private::field(v, "coefficients")?;
-        if support_vectors.len() != coefficients.len() {
-            return Err(serde::DeError::msg(
-                "support vectors / coefficients mismatch",
-            ));
-        }
-        Ok(Self {
-            kernel: serde::__private::field(v, "kernel")?,
-            support_vectors,
-            coefficients,
-            bias: serde::__private::field(v, "bias")?,
-            kind: serde::__private::field(v, "kind")?,
-        })
     }
 }
 
@@ -417,24 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_matches_internal_constructor() {
-        let m = SvmModel::<[f64], _>::from_parts(
-            LinearKernel,
-            vec![vec![1.0], vec![-1.0]],
-            vec![1.0, -1.0],
-            0.25,
-        );
-        assert_eq!(m.kind(), ModelKind::Trained);
-        assert_eq!(m.decision(&[0.5]), 1.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatch")]
-    fn from_parts_rejects_ragged_input() {
-        let _ = SvmModel::<[f64], _>::from_parts(LinearKernel, vec![vec![1.0]], vec![], 0.0);
-    }
-
-    #[test]
     fn slacks_align_with_samples() {
         let samples = vec![vec![-1.0], vec![1.0]];
         let labels = [-1.0, 1.0];
@@ -471,20 +326,19 @@ mod tests {
         let coefs: Vec<f64> = (0..n_sv)
             .map(|i| if i % 2 == 0 { 0.7 } else { -0.9 })
             .collect();
-        SvmModel::from_parts(kernel, svs, coefs, -0.05)
+        SvmModel::new(kernel, svs, coefs, -0.05)
     }
 
-    /// decision_batch (parallel path included) must be bit-identical to the
-    /// per-sample decision loop for every dense kernel.
+    /// decision_batch must be bit-identical to the per-sample decision loop
+    /// for every dense kernel.
     #[test]
     fn decision_batch_is_bit_identical_to_serial() {
         let dim = 8;
-        // Above BATCH_PARALLEL_THRESHOLD so the scoped-thread path runs.
-        let n = super::BATCH_PARALLEL_THRESHOLD + 321;
+        let n = 1345;
         let data = waves(n, dim, 1.7);
         let rows: Vec<&[f64]> = data.chunks_exact(dim).collect();
 
-        fn check<K: Kernel<[f64]> + Sync>(model: &SvmModel<[f64], K>, rows: &[&[f64]]) {
+        fn check<K: Kernel<[f64]>>(model: &SvmModel<[f64], K>, rows: &[&[f64]]) {
             let serial: Vec<f64> = rows.iter().map(|r| model.decision(r)).collect();
             let batch = model.decision_batch(rows);
             assert_eq!(batch, serial, "batch diverged from serial");
@@ -503,7 +357,7 @@ mod tests {
     #[test]
     fn decision_batch_rows_matches_row_views() {
         let dim = 6;
-        let n = super::BATCH_PARALLEL_THRESHOLD + 77;
+        let n = 1101;
         let data = waves(n, dim, 0.9);
         let rows: Vec<&[f64]> = data.chunks_exact(dim).collect();
         for n_sv in [0usize, 1, 8, 64] {
@@ -515,22 +369,6 @@ mod tests {
             let serial: Vec<f64> = data.chunks_exact(dim).map(|r| model.decision(r)).collect();
             assert_eq!(model.decision_batch_rows(&data, dim), serial, "n_sv={n_sv}");
             assert_eq!(model.decision_batch(&rows), serial, "n_sv={n_sv}");
-        }
-    }
-
-    #[test]
-    fn chunked_scaffolding_preserves_order_for_any_chunk_size() {
-        // Drives the multi-chunk path directly (a 1-core machine would
-        // otherwise always take the serial fallback): every chunk size,
-        // dividing or not, must concatenate back to the serial result.
-        let model = batch_model(RbfKernel::new(0.6), 7, 4);
-        let data = waves(50, 4, 2.2);
-        let serial: Vec<f64> = data.chunks_exact(4).map(|r| model.decision(r)).collect();
-        for chunk_rows in [1usize, 3, 7, 50, 64] {
-            let got = super::parallel_map_chunks(&data, chunk_rows * 4, |part| {
-                part.chunks_exact(4).map(|r| model.decision(r)).collect()
-            });
-            assert_eq!(got, serial, "chunk_rows={chunk_rows}");
         }
     }
 
@@ -556,16 +394,5 @@ mod tests {
         assert!(model.decision_batch_rows(&[], 3).is_empty());
         let empty: Vec<&[f64]> = Vec::new();
         assert!(model.decision_batch(&empty).is_empty());
-    }
-
-    #[test]
-    fn model_serde_roundtrip() {
-        let model = batch_model(RbfKernel::new(0.7), 5, 4);
-        let json = serde_json::to_string(&model).unwrap();
-        let back: SvmModel<[f64], RbfKernel> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_support(), 5);
-        assert_eq!(back.bias(), model.bias());
-        let probe = [0.2, -0.4, 0.8, 0.0];
-        assert_eq!(back.decision(&probe), model.decision(&probe));
     }
 }

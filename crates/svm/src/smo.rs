@@ -2,13 +2,14 @@
 //! upper bounds.
 //!
 //! This is the working-set algorithm of LIBSVM (Fan, Chen & Lin's
-//! second-order selection, "WSS 2") with the rest of the LIBSVM
-//! training-path machinery: a lazy kernel-row LRU cache
-//! ([`crate::KernelCache`]), **shrinking** of bounded points that satisfy
-//! their KKT conditions (with the mandatory full-gradient reconstruction
-//! check before convergence is declared, so shrinking never changes the
-//! returned model beyond `eps`), and **warm starts**
-//! ([`train_warm`]) that resume from a previous round's dual solution.
+//! second-order selection, "WSS 2") with the parts of the LIBSVM
+//! training path a feedback round's tens of samples can use: kernel rows
+//! computed lazily and kept for the solve (the `cache` module),
+//! **shrinking** of bounded points that satisfy their KKT conditions
+//! (with the mandatory full-gradient reconstruction check before
+//! convergence is declared, so shrinking never changes the returned model
+//! beyond `eps`), and **warm starts** ([`train_warm`]) that resume from a
+//! previous round's dual solution.
 //! The one extension over stock LIBSVM is the **individual upper bound
 //! `C_i` per sample**, which is exactly the modification the paper made to
 //! LIBSVM: labeled points keep `C`, the unlabeled transductive points get
@@ -16,15 +17,15 @@
 //!
 //! Two entry points share one solver loop:
 //!
-//! * [`train`] — lazy kernel cache, shrinking per [`SmoParams`], cold
+//! * [`train`] — lazy kernel rows, shrinking per [`SmoParams`], cold
 //!   start. The default path.
 //! * [`train_warm`] — same, seeded with a previous solution whose alphas
 //!   are clipped to the new bounds and repaired onto `Σ y_i α_i = 0`.
 //!
 //! The test module runs the same loop over an eager symmetric Gram matrix
 //! with shrinking forced off (`train_precomputed`) as the bit-exact
-//! oracle: with shrinking disabled the lazy-cache path reproduces it bit
-//! for bit (cached rows are bitwise identical to precomputed ones); with
+//! oracle: with shrinking disabled the lazy path reproduces it bit for bit
+//! (lazily computed rows are bitwise identical to precomputed ones); with
 //! shrinking on it agrees within `eps`.
 //!
 //! Optimality: the pair `(m(α), M(α))` of maximal KKT violations over the
@@ -59,10 +60,6 @@ pub struct SmoParams {
     /// Alphas below this threshold are dropped from the support set when
     /// building the model.
     pub sv_threshold: f64,
-    /// Byte budget for the lazy kernel-row cache used by [`train`] /
-    /// [`train_warm`] (rounded down to whole `8n`-byte rows; at least the
-    /// two working-set rows are always kept).
-    pub cache_bytes: usize,
     /// Enables LIBSVM-style shrinking: bounded points whose KKT conditions
     /// hold are dropped from the working set, and the full gradient is
     /// reconstructed for a whole-problem optimality check before
@@ -78,7 +75,6 @@ impl Default for SmoParams {
             max_iter: 100_000,
             tau: 1e-12,
             sv_threshold: 1e-9,
-            cache_bytes: 16 << 20,
             shrinking: true,
         }
     }
@@ -95,11 +91,11 @@ pub struct SolveStats {
     pub objective: f64,
     /// Number of support vectors (`α_i > sv_threshold`).
     pub n_support: usize,
-    /// Kernel-row accesses served from the lazy cache (0 on the
+    /// Kernel-row accesses served by an already-computed row (0 on the
     /// precomputed path).
     pub cache_hits: u64,
-    /// Kernel-row accesses that computed the row, including recomputes
-    /// after eviction (0 on the precomputed path).
+    /// Kernel-row accesses that computed the row — the number of distinct
+    /// rows the solve touched (0 on the precomputed path).
     pub cache_misses: u64,
 }
 
@@ -116,8 +112,8 @@ pub struct SolveStats {
 /// Returns a [`TrainedSvm`] bundling the decision model, the full dual
 /// solution, and solver statistics.
 ///
-/// Kernel rows are computed lazily through a [`KernelCache`] sized by
-/// [`SmoParams::cache_bytes`], and shrinking is applied per
+/// Kernel rows are computed on first touch and kept until the solve ends
+/// (the `cache` module), and shrinking is applied per
 /// [`SmoParams::shrinking`]; see [`train_warm`] to seed the solver with a
 /// previous round's solution.
 ///
@@ -151,8 +147,10 @@ where
 /// `ρ*` anneals) and the equality constraint `Σ y_i α_i = 0` is repaired
 /// by deterministically draining the surplus side in index order. A warm
 /// start therefore never affects *what* the solver converges to (the
-/// stopping criterion is unchanged), only how many iterations it takes;
-/// `warm = None` or an all-zero seed reproduces the cold path bit for bit.
+/// stopping criterion is unchanged), only how many iterations it takes
+/// (`tests/golden_solver.rs` pins one round's pair: 18 warm against 67
+/// cold); `warm = None` or an all-zero seed reproduces the cold path bit
+/// for bit.
 pub fn train_warm<S, B, K>(
     samples: &[B],
     labels: &[f64],
@@ -171,7 +169,7 @@ where
         return Ok(constant_model(samples.len(), sign, kernel));
     }
 
-    let mut cache = KernelCache::new(&kernel, samples, params.cache_bytes)?;
+    let mut cache = KernelCache::new(&kernel, samples)?;
     let sol = solve_dual(&mut cache, labels, upper_bounds, params, warm);
     let (cache_hits, cache_misses) = cache.cache_stats();
     drop(cache);
@@ -736,7 +734,8 @@ fn calculate_rho(y: &[f64], c: &[f64], alpha: &[f64], g: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{gram_matrix, LinearKernel, RbfKernel};
+    use crate::kernel::oracle::gram_matrix;
+    use crate::kernel::{LinearKernel, RbfKernel};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -885,27 +884,24 @@ mod tests {
 
     #[test]
     fn cached_path_matches_precomputed_bit_exactly() {
-        // With shrinking off, the lazy-cache solver must reproduce the
+        // With shrinking off, the lazy-row solver must reproduce the
         // eager-Gram reference bit for bit — same iterates, same alphas,
-        // same bias — even under heavy eviction pressure.
+        // same bias.
         let (samples, labels) = gaussian_problem(40, 11);
         let bounds = vec![3.0; samples.len()];
         let kernel = RbfKernel::new(0.7);
         let reference =
             train_precomputed(&samples, &labels, &bounds, kernel, &default_params()).unwrap();
-        for cache_bytes in [usize::MAX, 16 << 20, 0] {
-            let params = SmoParams {
-                shrinking: false,
-                cache_bytes,
-                ..SmoParams::default()
-            };
-            let cached = train(&samples, &labels, &bounds, kernel, &params).unwrap();
-            assert_eq!(cached.alpha, reference.alpha, "cache_bytes {cache_bytes}");
-            assert_eq!(cached.model.bias(), reference.model.bias());
-            assert_eq!(cached.stats.iterations, reference.stats.iterations);
-            assert_eq!(cached.stats.objective, reference.stats.objective);
-            assert!(cached.stats.cache_misses > 0);
-        }
+        let params = SmoParams {
+            shrinking: false,
+            ..SmoParams::default()
+        };
+        let cached = train(&samples, &labels, &bounds, kernel, &params).unwrap();
+        assert_eq!(cached.alpha, reference.alpha);
+        assert_eq!(cached.model.bias(), reference.model.bias());
+        assert_eq!(cached.stats.iterations, reference.stats.iterations);
+        assert_eq!(cached.stats.objective, reference.stats.objective);
+        assert!(cached.stats.cache_misses > 0);
     }
 
     #[test]
@@ -1034,7 +1030,7 @@ mod tests {
         assert!(svm.stats.cache_misses > 0, "some rows must be computed");
         assert!(
             svm.stats.cache_misses <= samples.len() as u64,
-            "default budget holds every row — no recomputes"
+            "every row is kept — no recomputes"
         );
         assert!(
             svm.stats.cache_hits > 0,
@@ -1293,8 +1289,8 @@ mod tests {
 
         /// On random binary problems, the SMO solution satisfies all KKT
         /// conditions (checked independently of the solver internals).
-        /// `SmoParams::default()` turns shrinking and the lazy cache on, so
-        /// this exercises the full new training path.
+        /// `SmoParams::default()` turns shrinking on, so this exercises the
+        /// full training path.
         #[test]
         fn random_problems_satisfy_kkt(
             seed in 0u64..500,

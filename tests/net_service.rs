@@ -8,8 +8,9 @@
 //! rejection with HTTP status mapping, `Ping`/`Pong`, the `/metrics`
 //! Prometheus page including the per-shard stage histograms, graceful
 //! shutdown draining an unclosed session through the durable-flush path,
-//! and the bounded request head (`431` for an endless line or a 65th
-//! header, with the server still serving afterwards).
+//! the bounded request head (`431` for an endless line or a 65th header,
+//! with the server still serving afterwards), and the bounded body (`413`
+//! on a `Content-Length` over 1 MiB, answered from the head alone).
 
 use corelog::cbir::{collect_log, CorelDataset, CorelSpec, ImageDatabase};
 use corelog::core::{LrfConfig, SchemeKind};
@@ -443,4 +444,33 @@ fn sixty_five_headers_get_431_and_the_server_survives() {
         431
     );
     assert_rejected_and_still_serving(&server);
+}
+
+/// A head announcing a body one byte over the 1 MiB cap is answered `413`
+/// on the head alone — no body is sent, so a server that waited for it
+/// would time this read out — and hung up on.
+#[test]
+fn oversized_content_length_gets_413_without_waiting_for_the_body() {
+    let server = sharded_server();
+    let head = b"POST /api HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n".to_vec();
+    assert_eq!(status_of_raw_head(server.addr(), head), 413);
+    assert_rejected_and_still_serving(&server);
+}
+
+/// The cap is inclusive: a body of exactly 1 MiB is read and routed.
+#[test]
+fn body_of_exactly_one_mib_is_read_and_routed() {
+    let server = sharded_server();
+    // Legacy bare-enum `Ping`, padded to the cap with JSON whitespace.
+    let body = format!("\"Ping\"{}", " ".repeat((1 << 20) - 6));
+    assert_eq!(body.len(), 1 << 20);
+    let (status, reply) = Client::connect(server.addr()).http("POST", "/api", &body);
+    assert_eq!(status, 200, "{reply}");
+    let response: Response = serde_json::from_str(&reply).expect("decode legacy reply");
+    assert_eq!(
+        response,
+        Response::Pong {
+            proto_version: PROTO_VERSION
+        }
+    );
 }

@@ -80,8 +80,8 @@ fn paper_ordering_holds_at_reduced_scale() {
     );
 
     // The coupled scheme stays competitive with the simple combination
-    // (our reproduction finds parity, not the paper's further gain — see
-    // EXPERIMENTS.md for the analysis; the contract here is "no collapse").
+    // (our reproduction finds parity, not the paper's further gain; the
+    // contract here is "no collapse").
     assert!(
         csvm.at(20) > rf.at(20) * 0.97,
         "LRF-CSVM P@20 {} collapsed below RF-SVM {}",

@@ -2,7 +2,6 @@
 # Bench regression gate: runs the quick-mode perf benches and fails if the
 # optimized paths lost to their baselines on a multi-core runner.
 #
-#   svm_score           serial decision loop  vs  decision_batch_rows
 #   service_throughput  N sessions one-by-one vs  N sessions on N threads
 #   svm_train/round     cold retrain          vs  warm-started retrain
 #   obs_overhead        untimed baseline      vs  fully instrumented service
@@ -34,7 +33,7 @@
 # checks additionally require the warm round to actually be faster than
 # the cold one by the margin, not merely no slower. Parsed numbers are
 # written to bench-results/BENCH_ci.json as a workflow artifact, in the
-# same shape as BENCH_scoring.json's "runs" entries.
+# same shape as BENCH_training.json's "runs" entries.
 #
 # Usage: tools/bench_check.sh [output-dir]   (default: bench-results)
 
@@ -63,13 +62,12 @@ CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || getconf _NPROCESS
 echo "bench_check: running quick-mode benches on ${CORES} core(s)"
 
 : > "$RAW"
-BENCH_QUICK=1 cargo bench -p lrf-bench --bench svm_score | tee -a "$RAW"
 BENCH_QUICK=1 cargo bench -p lrf-bench --bench service_throughput | tee -a "$RAW"
 BENCH_QUICK=1 cargo bench -p lrf-bench --bench svm_train | tee -a "$RAW"
 BENCH_QUICK=1 cargo bench -p lrf-bench --bench obs_overhead | tee -a "$RAW"
 BENCH_QUICK=1 cargo bench -p lrf-bench --bench wal_flush | tee -a "$RAW"
 
-# Lines look like:  bench svm_score/nsv8/serial/2000   344,467 ns/iter
+# Lines look like:  bench svm_train/round/cold/120   344,467 ns/iter
 # The harness prints "123.4" below 1e3, comma-grouped integers below 1e9,
 # and "1.234e9" above; normalize all three to integer nanoseconds so the
 # shell arithmetic below never sees a decimal point or exponent.
@@ -168,10 +166,8 @@ check_overhead() { # check_overhead <label> <baseline_name> <instrumented_name> 
     { \"check\": \"${label}\", \"serial_ns\": ${baseline_ns}, \"parallel_ns\": ${instrumented_ns}, \"overhead_pct\": ${overhead}, \"verdict\": \"${verdict}\" }"
 }
 
-# Quick mode pins svm_score to N=2000, service_throughput to 4 sessions,
-# and svm_train to round N=120.
-check_pair "svm_score/nsv8/n2000" "svm_score/nsv8/serial/2000" "svm_score/nsv8/batch/2000"
-check_pair "svm_score/nsv64/n2000" "svm_score/nsv64/serial/2000" "svm_score/nsv64/batch/2000"
+# Quick mode pins service_throughput to 4 sessions and svm_train to round
+# N=120.
 check_pair "service_throughput/4sessions" "service_throughput/serial/4" "service_throughput/concurrent/4"
 check_faster "svm_train/round_warm_vs_cold" "svm_train/round/cold/120" "svm_train/round/warm/120"
 check_overhead "obs_overhead/4sessions" "obs_overhead/untimed" "obs_overhead/timed"
