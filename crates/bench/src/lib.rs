@@ -1,7 +1,9 @@
-//! # lrf-bench — reproduction and benchmark harness
+//! # lrf-bench — reproduction harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§6) and
-//! hosts the Criterion micro-benchmarks plus ablation sweeps.
+//! hosts the ablation sweeps and the `tune_*` calibration examples.
+//! Retrieval quality is its subject; performance evidence is the
+//! repository's `benchmark/`.
 //!
 //! | Paper artifact | Regenerate with |
 //! |---|---|

@@ -46,7 +46,6 @@ impl Default for CannyParams {
 #[derive(Clone, Debug)]
 pub struct EdgeMap {
     width: usize,
-    height: usize,
     /// `true` where the pixel is an edge.
     edges: Vec<bool>,
     /// Gradient direction in radians in `[0, 2π)`, valid only at edge pixels.
@@ -59,29 +58,6 @@ impl EdgeMap {
         self.width
     }
 
-    /// Map height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Whether the pixel at `(x, y)` is an edge.
-    #[inline]
-    pub fn is_edge(&self, x: usize, y: usize) -> bool {
-        self.edges[y * self.width + x]
-    }
-
-    /// Gradient direction (radians, `[0, 2π)`) at `(x, y)`; meaningful only
-    /// where [`Self::is_edge`] is `true`.
-    #[inline]
-    pub fn direction(&self, x: usize, y: usize) -> f32 {
-        self.directions[y * self.width + x]
-    }
-
-    /// Number of edge pixels.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().filter(|&&e| e).count()
-    }
-
     /// Iterates over `(x, y, direction)` of all edge pixels in row-major order.
     pub fn iter_edges(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
         let w = self.width;
@@ -90,17 +66,6 @@ impl EdgeMap {
             .enumerate()
             .filter(|&(_, &e)| e)
             .map(move |(i, _)| (i % w, i / w, self.directions[i]))
-    }
-
-    /// Renders the edge map as a black/white [`GrayImage`] (1.0 = edge),
-    /// handy for debugging and example output.
-    pub fn to_gray(&self) -> GrayImage {
-        let data = self
-            .edges
-            .iter()
-            .map(|&e| if e { 1.0 } else { 0.0 })
-            .collect();
-        GrayImage::from_vec(self.width, self.height, data)
     }
 }
 
@@ -130,7 +95,6 @@ pub fn canny(img: &GrayImage, params: CannyParams) -> EdgeMap {
         // Perfectly flat image: no edges at all.
         return EdgeMap {
             width: w,
-            height: h,
             edges,
             directions,
         };
@@ -191,7 +155,6 @@ pub fn canny(img: &GrayImage, params: CannyParams) -> EdgeMap {
 
     EdgeMap {
         width: w,
-        height: h,
         edges,
         directions,
     }
@@ -200,6 +163,13 @@ pub fn canny(img: &GrayImage, params: CannyParams) -> EdgeMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EdgeMap {
+        /// Number of edge pixels.
+        fn edge_count(&self) -> usize {
+            self.edges.iter().filter(|&&e| e).count()
+        }
+    }
 
     fn step_image(w: usize, h: usize) -> GrayImage {
         let mut img = GrayImage::new(w, h);
@@ -348,17 +318,5 @@ mod tests {
                 high_ratio: 0.2,
             },
         );
-    }
-
-    #[test]
-    fn edge_map_gray_rendering_matches() {
-        let img = step_image(16, 16);
-        let map = canny(&img, CannyParams::default());
-        let gray = map.to_gray();
-        for y in 0..16 {
-            for x in 0..16 {
-                assert_eq!(gray.get(x, y) == 1.0, map.is_edge(x, y));
-            }
-        }
     }
 }

@@ -67,7 +67,7 @@ pub fn rgb_to_hsv(rgb: [u8; 3]) -> Hsv {
 }
 
 /// Converts a normalized HSV color into 8-bit RGB.
-pub fn hsv_to_rgb(hsv: Hsv) -> [u8; 3] {
+fn hsv_to_rgb(hsv: Hsv) -> [u8; 3] {
     let h = hsv.h.rem_euclid(1.0) * 6.0;
     let s = hsv.s.clamp(0.0, 1.0);
     let v = hsv.v.clamp(0.0, 1.0);

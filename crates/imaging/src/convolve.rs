@@ -6,7 +6,7 @@
 use crate::image::GrayImage;
 
 /// Convolves the image with a horizontal 1-D kernel (centered).
-pub fn convolve_rows(img: &GrayImage, kernel: &[f32]) -> GrayImage {
+fn convolve_rows(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     assert!(
         !kernel.is_empty() && kernel.len() % 2 == 1,
         "kernel must have odd length"
@@ -27,7 +27,7 @@ pub fn convolve_rows(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 }
 
 /// Convolves the image with a vertical 1-D kernel (centered).
-pub fn convolve_cols(img: &GrayImage, kernel: &[f32]) -> GrayImage {
+fn convolve_cols(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     assert!(
         !kernel.is_empty() && kernel.len() % 2 == 1,
         "kernel must have odd length"
@@ -48,7 +48,7 @@ pub fn convolve_cols(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 }
 
 /// Convolves with a separable kernel applied along both axes.
-pub fn convolve_separable(img: &GrayImage, kernel: &[f32]) -> GrayImage {
+fn convolve_separable(img: &GrayImage, kernel: &[f32]) -> GrayImage {
     convolve_cols(&convolve_rows(img, kernel), kernel)
 }
 
@@ -56,7 +56,7 @@ pub fn convolve_separable(img: &GrayImage, kernel: &[f32]) -> GrayImage {
 ///
 /// The radius is `ceil(3σ)`, covering > 99.7% of the mass; coefficients are
 /// normalized to sum to exactly 1 so smoothing preserves mean intensity.
-pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
+fn gaussian_kernel(sigma: f32) -> Vec<f32> {
     assert!(sigma > 0.0, "sigma must be positive");
     let radius = (3.0 * sigma).ceil() as isize;
     let denom = 2.0 * sigma * sigma;
@@ -71,7 +71,7 @@ pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 }
 
 /// Gaussian-blurs the image with standard deviation `sigma`.
-pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
+pub(crate) fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
     convolve_separable(img, &gaussian_kernel(sigma))
 }
 
@@ -80,7 +80,7 @@ pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
 /// `gx` responds to vertical edges (intensity change along x), `gy` to
 /// horizontal edges. Standard 3×3 Sobel masks, separable form
 /// `[1 2 1]ᵀ · [-1 0 1]`.
-pub fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
+pub(crate) fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
     let smooth = [1.0, 2.0, 1.0];
     let diff = [-1.0, 0.0, 1.0];
     let gx = convolve_cols(&convolve_rows(img, &diff), &smooth);
@@ -89,7 +89,7 @@ pub fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
 }
 
 /// Gradient magnitude `sqrt(gx² + gy²)` computed pixel-wise.
-pub fn gradient_magnitude(gx: &GrayImage, gy: &GrayImage) -> GrayImage {
+pub(crate) fn gradient_magnitude(gx: &GrayImage, gy: &GrayImage) -> GrayImage {
     assert_eq!(gx.width(), gy.width());
     assert_eq!(gx.height(), gy.height());
     let data = gx

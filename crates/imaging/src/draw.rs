@@ -12,7 +12,7 @@ use rand::Rng;
 /// Fills the whole image with a vertical HSV gradient from `top` to `bottom`.
 ///
 /// Hue is interpolated along the shorter arc of the hue circle.
-pub fn fill_vertical_gradient(img: &mut RgbImage, top: Hsv, bottom: Hsv) {
+pub(crate) fn fill_vertical_gradient(img: &mut RgbImage, top: Hsv, bottom: Hsv) {
     let h = img.height();
     let w = img.width();
     for y in 0..h {
@@ -29,7 +29,7 @@ pub fn fill_vertical_gradient(img: &mut RgbImage, top: Hsv, bottom: Hsv) {
 }
 
 /// Interpolates two HSV colors; hue takes the shorter arc.
-pub fn lerp_hsv(a: Hsv, b: Hsv, t: f32) -> Hsv {
+fn lerp_hsv(a: Hsv, b: Hsv, t: f32) -> Hsv {
     let mut dh = b.h - a.h;
     if dh > 0.5 {
         dh -= 1.0;
@@ -40,7 +40,14 @@ pub fn lerp_hsv(a: Hsv, b: Hsv, t: f32) -> Hsv {
 }
 
 /// Draws a filled axis-aligned rectangle; clipped to the image bounds.
-pub fn fill_rect(img: &mut RgbImage, x0: isize, y0: isize, w: usize, h: usize, color: [u8; 3]) {
+pub(crate) fn fill_rect(
+    img: &mut RgbImage,
+    x0: isize,
+    y0: isize,
+    w: usize,
+    h: usize,
+    color: [u8; 3],
+) {
     for dy in 0..h as isize {
         for dx in 0..w as isize {
             img.set_clipped(x0 + dx, y0 + dy, color);
@@ -49,7 +56,7 @@ pub fn fill_rect(img: &mut RgbImage, x0: isize, y0: isize, w: usize, h: usize, c
 }
 
 /// Draws a filled disc of radius `r` centered at `(cx, cy)`; clipped.
-pub fn fill_disc(img: &mut RgbImage, cx: isize, cy: isize, r: isize, color: [u8; 3]) {
+pub(crate) fn fill_disc(img: &mut RgbImage, cx: isize, cy: isize, r: isize, color: [u8; 3]) {
     let r2 = r * r;
     for dy in -r..=r {
         for dx in -r..=r {
@@ -62,7 +69,7 @@ pub fn fill_disc(img: &mut RgbImage, cx: isize, cy: isize, r: isize, color: [u8;
 
 /// Draws a straight line of the given thickness between two points using a
 /// dense parametric walk (adequate for small canvases); clipped.
-pub fn draw_line(
+pub(crate) fn draw_line(
     img: &mut RgbImage,
     x0: isize,
     y0: isize,
@@ -91,7 +98,13 @@ pub fn draw_line(
 /// Stripes brighten/darken the existing pixels rather than replacing them,
 /// so they act as a texture carrier on top of the color palette — this is
 /// what gives categories a wavelet-texture signature.
-pub fn overlay_stripes(img: &mut RgbImage, angle: f32, frequency: f32, strength: f32, phase: f32) {
+pub(crate) fn overlay_stripes(
+    img: &mut RgbImage,
+    angle: f32,
+    frequency: f32,
+    strength: f32,
+    phase: f32,
+) {
     let w = img.width() as f32;
     let (sin_a, cos_a) = angle.sin_cos();
     let two_pi = std::f32::consts::TAU;
@@ -107,7 +120,7 @@ pub fn overlay_stripes(img: &mut RgbImage, angle: f32, frequency: f32, strength:
 
 /// Overlays a checkerboard modulation with the given cell size in pixels and
 /// blend strength in `[0,1]`; dark cells are dimmed, light cells brightened.
-pub fn overlay_checker(img: &mut RgbImage, cell: usize, strength: f32) {
+pub(crate) fn overlay_checker(img: &mut RgbImage, cell: usize, strength: f32) {
     let cell = cell.max(1);
     for y in 0..img.height() {
         for x in 0..img.width() {
@@ -126,7 +139,7 @@ pub fn overlay_checker(img: &mut RgbImage, cell: usize, strength: f32) {
 /// Adds independent uniform pixel noise of amplitude `amp` (in 8-bit counts)
 /// to every channel. This models sensor/compression noise and prevents the
 /// synthetic categories from being trivially separable.
-pub fn add_pixel_noise<R: Rng>(img: &mut RgbImage, amp: f32, rng: &mut R) {
+pub(crate) fn add_pixel_noise<R: Rng>(img: &mut RgbImage, amp: f32, rng: &mut R) {
     if amp <= 0.0 {
         return;
     }
@@ -141,7 +154,7 @@ pub fn add_pixel_noise<R: Rng>(img: &mut RgbImage, amp: f32, rng: &mut R) {
 /// Overlays smooth low-frequency "blob" mottling: `count` soft discs that
 /// multiply local brightness. Gives organic texture (foliage / fur-like)
 /// distinct from stripes and checkers in the wavelet domain.
-pub fn overlay_blobs<R: Rng>(img: &mut RgbImage, count: usize, strength: f32, rng: &mut R) {
+pub(crate) fn overlay_blobs<R: Rng>(img: &mut RgbImage, count: usize, strength: f32, rng: &mut R) {
     let w = img.width() as isize;
     let h = img.height() as isize;
     for _ in 0..count {

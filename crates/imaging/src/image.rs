@@ -40,13 +40,13 @@ impl RgbImage {
 
     /// Image width in pixels.
     #[inline]
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Image height in pixels.
     #[inline]
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -67,7 +67,7 @@ impl RgbImage {
     /// # Panics
     /// Panics if out of bounds.
     #[inline]
-    pub fn get(&self, x: usize, y: usize) -> [u8; 3] {
+    pub(crate) fn get(&self, x: usize, y: usize) -> [u8; 3] {
         debug_assert!(x < self.width && y < self.height);
         self.data[y * self.width + x]
     }
@@ -85,7 +85,7 @@ impl RgbImage {
     /// Sets the pixel only when `(x, y)` is inside the image; silently
     /// ignores out-of-bounds writes (useful for shape rasterization).
     #[inline]
-    pub fn set_clipped(&mut self, x: isize, y: isize, color: [u8; 3]) {
+    pub(crate) fn set_clipped(&mut self, x: isize, y: isize, color: [u8; 3]) {
         if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
             self.data[y as usize * self.width + x as usize] = color;
         }
@@ -99,7 +99,7 @@ impl RgbImage {
 
     /// Mutable access to the raw pixel slice (row-major).
     #[inline]
-    pub fn pixels_mut(&mut self) -> &mut [[u8; 3]] {
+    pub(crate) fn pixels_mut(&mut self) -> &mut [[u8; 3]] {
         &mut self.data
     }
 
@@ -183,31 +183,19 @@ impl GrayImage {
 
     /// Image width in pixels.
     #[inline]
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Image height in pixels.
     #[inline]
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
-    }
-
-    /// Total number of pixels.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when the image has no pixels (never true for constructed images).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Returns the intensity at `(x, y)`.
     #[inline]
-    pub fn get(&self, x: usize, y: usize) -> f32 {
+    pub(crate) fn get(&self, x: usize, y: usize) -> f32 {
         debug_assert!(x < self.width && y < self.height);
         self.data[y * self.width + x]
     }
@@ -215,7 +203,7 @@ impl GrayImage {
     /// Returns the intensity at `(x, y)`, clamping coordinates to the edge
     /// (replicate-padding semantics for filters).
     #[inline]
-    pub fn get_clamped(&self, x: isize, y: isize) -> f32 {
+    pub(crate) fn get_clamped(&self, x: isize, y: isize) -> f32 {
         let cx = x.clamp(0, self.width as isize - 1) as usize;
         let cy = y.clamp(0, self.height as isize - 1) as usize;
         self.data[cy * self.width + cx]
@@ -234,20 +222,14 @@ impl GrayImage {
         &self.data
     }
 
-    /// Mutable access to the raw buffer (row-major).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Copies one row into `row` (which must have length `width`).
-    pub fn read_row(&self, y: usize, row: &mut [f32]) {
+    pub(crate) fn read_row(&self, y: usize, row: &mut [f32]) {
         assert_eq!(row.len(), self.width);
         row.copy_from_slice(&self.data[y * self.width..(y + 1) * self.width]);
     }
 
     /// Copies one column into `col` (which must have length `height`).
-    pub fn read_col(&self, x: usize, col: &mut [f32]) {
+    pub(crate) fn read_col(&self, x: usize, col: &mut [f32]) {
         assert_eq!(col.len(), self.height);
         for (y, c) in col.iter_mut().enumerate() {
             *c = self.data[y * self.width + x];
@@ -255,30 +237,24 @@ impl GrayImage {
     }
 
     /// Overwrites one row from `row`.
-    pub fn write_row(&mut self, y: usize, row: &[f32]) {
+    pub(crate) fn write_row(&mut self, y: usize, row: &[f32]) {
         assert_eq!(row.len(), self.width);
         self.data[y * self.width..(y + 1) * self.width].copy_from_slice(row);
     }
 
     /// Overwrites one column from `col`.
-    pub fn write_col(&mut self, x: usize, col: &[f32]) {
+    pub(crate) fn write_col(&mut self, x: usize, col: &[f32]) {
         assert_eq!(col.len(), self.height);
         for (y, &c) in col.iter().enumerate() {
             self.data[y * self.width + x] = c;
         }
     }
 
-    /// Sum of squared intensities; the wavelet tests use this to check
-    /// orthonormal energy preservation.
-    pub fn energy(&self) -> f64 {
-        self.data.iter().map(|&v| f64::from(v) * f64::from(v)).sum()
-    }
-
     /// Extracts the `w × h` sub-image whose top-left corner is `(x0, y0)`.
     ///
     /// # Panics
     /// Panics if the rectangle does not fit inside the image.
-    pub fn crop(&self, x0: usize, y0: usize, w: usize, h: usize) -> GrayImage {
+    pub(crate) fn crop(&self, x0: usize, y0: usize, w: usize, h: usize) -> GrayImage {
         assert!(
             x0 + w <= self.width && y0 + h <= self.height,
             "crop out of bounds"
@@ -295,6 +271,14 @@ impl GrayImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GrayImage {
+        /// Sum of squared intensities; the wavelet tests use this to check
+        /// orthonormal energy preservation.
+        pub(crate) fn energy(&self) -> f64 {
+            self.data.iter().map(|&v| f64::from(v) * f64::from(v)).sum()
+        }
+    }
 
     #[test]
     fn rgb_filled_and_get_set() {

@@ -7,29 +7,30 @@
 //!
 //! * [`RgbImage`] / [`GrayImage`] — owned raster types.
 //! * [`color`] — RGB ↔ HSV conversion.
-//! * [`draw`] — shape/gradient/noise rendering primitives.
 //! * [`synthetic`] — a seeded, category-parameterized image generator that
 //!   stands in for the COREL collection (its module docs say why the
-//!   substitution preserves the relevant behaviour).
-//! * [`convolve`] — separable convolution, Gaussian blur, Sobel gradients.
+//!   substitution preserves the relevant behaviour), over the crate-private
+//!   `draw` module's shape/gradient/noise rendering primitives.
 //! * [`mod@canny`] — a full Canny edge detector (blur → gradient → non-maximum
-//!   suppression → double-threshold hysteresis).
-//! * [`wavelet`] — 1-D/2-D Daubechies-4 discrete wavelet transform with
-//!   inverse, used both by texture features and by the test suite (perfect
-//!   reconstruction / energy-preservation invariants).
+//!   suppression → double-threshold hysteresis), over the crate-private
+//!   `convolve` module (separable convolution, Gaussian blur, Sobel).
+//! * [`wavelet`] — multi-level 2-D Daubechies-4 discrete wavelet transform,
+//!   used by the texture features; the inverse transform lives with the
+//!   test suite, which holds the forward one to perfect reconstruction and
+//!   energy preservation.
 //!
 //! Everything is deterministic: any randomness flows through caller-provided
 //! [`rand::Rng`] instances.
 
 pub mod canny;
 pub mod color;
-pub mod convolve;
-pub mod draw;
+mod convolve;
+mod draw;
 pub mod image;
 pub mod synthetic;
 pub mod wavelet;
 
 pub use crate::image::{GrayImage, RgbImage};
 pub use canny::{canny, CannyParams, EdgeMap};
-pub use color::{hsv_to_rgb, rgb_to_hsv, Hsv};
-pub use synthetic::{CategoryStyle, SyntheticCorpus, SyntheticGenerator, TextureMotif};
+pub use color::{rgb_to_hsv, Hsv};
+pub use synthetic::{SyntheticCorpus, SyntheticGenerator};

@@ -9,7 +9,7 @@
 //!   "photo shoots": within a shoot, images are nearly identical in
 //!   low-level statistics; across shoots of the same category they differ
 //!   wildly (a "car" can be any color). We model this with per-category
-//!   [`ThemeStyle`]s — each image is drawn from one of its category's
+//!   `ThemeStyle`s — each image is drawn from one of its category's
 //!   themes with tight within-theme jitter.
 //! * **The semantic gap is structural.** Theme appearance is only loosely
 //!   anchored to the category (hue anchoring plus a texture-family bias,
@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// motif family (with different parameters) across categories is one of the
 /// deliberate sources of inter-category confusion.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TextureMotif {
+enum TextureMotif {
     /// Sinusoidal stripes with orientation (radians) and frequency
     /// (cycles per image width).
     Stripes { angle: f32, frequency: f32 },
@@ -54,7 +54,7 @@ pub enum TextureMotif {
 
 /// The shape family drawn on top of the background.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShapeMotif {
+enum ShapeMotif {
     /// Filled discs.
     Discs,
     /// Filled axis-aligned boxes.
@@ -67,7 +67,7 @@ pub enum ShapeMotif {
 
 /// One "photo shoot": a tight appearance cluster inside a category.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ThemeStyle {
+struct ThemeStyle {
     /// Background hue center, `[0, 1)`.
     pub hue: f32,
     /// Within-theme hue jitter half-width (small).
@@ -92,7 +92,7 @@ pub struct ThemeStyle {
 
 /// A category: a set of themes plus the outlier rate.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CategoryStyle {
+struct CategoryStyle {
     /// The category's themes ("photo shoots").
     pub themes: Vec<ThemeStyle>,
     /// Probability an image ignores its category's themes entirely and is
@@ -190,7 +190,7 @@ fn sample_shapes<R: Rng>(rng: &mut R) -> ShapeMotif {
 impl ThemeStyle {
     /// Samples one theme for a category anchored at `anchor_hue` whose
     /// texture family is `family`.
-    pub fn sample<R: Rng>(
+    fn sample<R: Rng>(
         anchor_hue: f32,
         family: TextureMotif,
         dist: &StyleDistribution,
@@ -225,7 +225,7 @@ impl ThemeStyle {
 impl CategoryStyle {
     /// Samples a category style: an anchor hue stratified on the hue circle,
     /// a texture family, and `themes_per_category` themes around them.
-    pub fn sample<R: Rng>(
+    fn sample<R: Rng>(
         cat: usize,
         n_categories: usize,
         dist: &StyleDistribution,
@@ -295,13 +295,8 @@ impl SyntheticGenerator {
     }
 
     /// Number of categories.
-    pub fn n_categories(&self) -> usize {
+    fn n_categories(&self) -> usize {
         self.styles.len()
-    }
-
-    /// The style of a category (inspection / debugging).
-    pub fn style(&self, category: usize) -> &CategoryStyle {
-        &self.styles[category]
     }
 
     /// Renders image `index` of `category`. Deterministic in
@@ -463,21 +458,19 @@ impl SyntheticCorpus {
             per_category,
         }
     }
-
-    /// Total number of images.
-    pub fn len(&self) -> usize {
-        self.images.len()
-    }
-
-    /// `true` when the corpus has no images.
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SyntheticGenerator {
+        /// The sampled style of a category, for the tests that check the
+        /// sampler.
+        fn style(&self, category: usize) -> &CategoryStyle {
+            &self.styles[category]
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {
@@ -506,7 +499,7 @@ mod tests {
     fn corpus_layout() {
         let g = SyntheticGenerator::new(4, 16, 16, 7);
         let corpus = SyntheticCorpus::generate(&g, 3);
-        assert_eq!(corpus.len(), 12);
+        assert_eq!(corpus.images.len(), 12);
         assert_eq!(corpus.labels[0], 0);
         assert_eq!(corpus.labels[3], 1);
         assert_eq!(corpus.labels[11], 3);
@@ -603,7 +596,7 @@ mod tests {
         for cat in 0..6 {
             let img = g.generate(cat, 0);
             let gray = img.to_gray();
-            let n = gray.len() as f32;
+            let n = gray.as_slice().len() as f32;
             let mean: f32 = gray.as_slice().iter().sum::<f32>() / n;
             let var: f32 = gray
                 .as_slice()

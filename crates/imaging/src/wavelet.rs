@@ -18,7 +18,7 @@ use crate::image::GrayImage;
 ///
 /// `h_k = (1 ± √3) / (4√2)` pattern; the wavelet (high-pass) filter is the
 /// quadrature mirror `g_k = (-1)^k · h_{3-k}`.
-pub const DB4_H: [f64; 4] = {
+const DB4_H: [f64; 4] = {
     // (1+√3)/(4√2), (3+√3)/(4√2), (3−√3)/(4√2), (1−√3)/(4√2)
     // √3 and √2 are not const fns; values are written out to full f64 precision.
     [
@@ -30,7 +30,7 @@ pub const DB4_H: [f64; 4] = {
 };
 
 /// High-pass (wavelet) filter derived from [`DB4_H`].
-pub const DB4_G: [f64; 4] = [
+const DB4_G: [f64; 4] = [
     // g_k = (-1)^k h_{3-k}
     -0.129_409_522_550_921_44,
     -0.224_143_868_041_857_35,
@@ -43,7 +43,7 @@ pub const DB4_G: [f64; 4] = [
 /// Input length must be even and ≥ 4. The first half of the output receives
 /// the approximation (low-pass) coefficients, the second half the detail
 /// (high-pass) coefficients.
-pub fn dwt1d_forward(signal: &[f32], out: &mut [f32]) {
+fn dwt1d_forward(signal: &[f32], out: &mut [f32]) {
     let n = signal.len();
     assert!(
         n >= 4 && n.is_multiple_of(2),
@@ -65,40 +65,12 @@ pub fn dwt1d_forward(signal: &[f32], out: &mut [f32]) {
     }
 }
 
-/// One level of the inverse 1-D DB4 transform (exact inverse of
-/// [`dwt1d_forward`] up to floating-point error).
-pub fn dwt1d_inverse(coeffs: &[f32], out: &mut [f32]) {
-    let n = coeffs.len();
-    assert!(
-        n >= 4 && n.is_multiple_of(2),
-        "DWT needs even length >= 4, got {n}"
-    );
-    assert_eq!(out.len(), n);
-    let half = n / 2;
-    for o in out.iter_mut() {
-        *o = 0.0;
-    }
-    // Transpose of the forward (orthonormal) analysis operator.
-    let mut acc = vec![0.0f64; n];
-    for i in 0..half {
-        let a = f64::from(coeffs[i]);
-        let d = f64::from(coeffs[half + i]);
-        for k in 0..4 {
-            let idx = (2 * i + k) % n;
-            acc[idx] += DB4_H[k] * a + DB4_G[k] * d;
-        }
-    }
-    for (o, &v) in out.iter_mut().zip(&acc) {
-        *o = v as f32;
-    }
-}
-
 /// One 2-D decomposition level: returns `(ll, lh, hl, hh)` quarter-size
 /// subimages (approximation, horizontal, vertical, diagonal detail).
 ///
 /// Rows are transformed first, then columns — the conventional separable
 /// Mallat scheme. Input dimensions must be even and ≥ 4.
-pub fn dwt2d_level(img: &GrayImage) -> (GrayImage, GrayImage, GrayImage, GrayImage) {
+fn dwt2d_level(img: &GrayImage) -> (GrayImage, GrayImage, GrayImage, GrayImage) {
     let w = img.width();
     let h = img.height();
     assert!(
@@ -140,53 +112,6 @@ pub fn dwt2d_level(img: &GrayImage) -> (GrayImage, GrayImage, GrayImage, GrayIma
     )
 }
 
-/// Inverse of [`dwt2d_level`].
-pub fn dwt2d_level_inverse(
-    ll: &GrayImage,
-    lh: &GrayImage,
-    hl: &GrayImage,
-    hh: &GrayImage,
-) -> GrayImage {
-    let hw = ll.width();
-    let hh_ = ll.height();
-    for sub in [lh, hl, hh] {
-        assert_eq!(sub.width(), hw);
-        assert_eq!(sub.height(), hh_);
-    }
-    let w = hw * 2;
-    let h = hh_ * 2;
-
-    // Reassemble the packed coefficient image.
-    let mut full = GrayImage::new(w, h);
-    for y in 0..hh_ {
-        for x in 0..hw {
-            full.set(x, y, ll.get(x, y));
-            full.set(hw + x, y, lh.get(x, y));
-            full.set(x, hh_ + y, hl.get(x, y));
-            full.set(hw + x, hh_ + y, hh.get(x, y));
-        }
-    }
-
-    // Inverse column pass then inverse row pass.
-    let mut col_in = vec![0.0f32; h];
-    let mut col_out = vec![0.0f32; h];
-    let mut col_done = GrayImage::new(w, h);
-    for x in 0..w {
-        full.read_col(x, &mut col_in);
-        dwt1d_inverse(&col_in, &mut col_out);
-        col_done.write_col(x, &col_out);
-    }
-    let mut row_in = vec![0.0f32; w];
-    let mut row_out = vec![0.0f32; w];
-    let mut out = GrayImage::new(w, h);
-    for y in 0..h {
-        col_done.read_row(y, &mut row_in);
-        dwt1d_inverse(&row_in, &mut row_out);
-        out.write_row(y, &row_out);
-    }
-    out
-}
-
 /// A full multi-level decomposition: `levels` triplets of detail subbands
 /// (finest first) plus the final approximation.
 #[derive(Clone, Debug)]
@@ -204,11 +129,6 @@ impl WaveletPyramid {
     /// texture information").
     pub fn detail_bands(&self) -> impl Iterator<Item = &GrayImage> {
         self.details.iter().flat_map(|(lh, hl, hh)| [lh, hl, hh])
-    }
-
-    /// Number of decomposition levels.
-    pub fn levels(&self) -> usize {
-        self.details.len()
     }
 }
 
@@ -236,6 +156,84 @@ pub fn dwt2d_multilevel(img: &GrayImage, levels: usize) -> WaveletPyramid {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    // The inverse transform: nothing outside the tests runs it — they use
+    // it to hold the forward transform to perfect reconstruction.
+
+    /// One level of the inverse 1-D DB4 transform (exact inverse of
+    /// [`dwt1d_forward`] up to floating-point error).
+    fn dwt1d_inverse(coeffs: &[f32], out: &mut [f32]) {
+        let n = coeffs.len();
+        assert!(
+            n >= 4 && n.is_multiple_of(2),
+            "DWT needs even length >= 4, got {n}"
+        );
+        assert_eq!(out.len(), n);
+        let half = n / 2;
+        for o in out.iter_mut() {
+            *o = 0.0;
+        }
+        // Transpose of the forward (orthonormal) analysis operator.
+        let mut acc = vec![0.0f64; n];
+        for i in 0..half {
+            let a = f64::from(coeffs[i]);
+            let d = f64::from(coeffs[half + i]);
+            for k in 0..4 {
+                let idx = (2 * i + k) % n;
+                acc[idx] += DB4_H[k] * a + DB4_G[k] * d;
+            }
+        }
+        for (o, &v) in out.iter_mut().zip(&acc) {
+            *o = v as f32;
+        }
+    }
+
+    /// Inverse of [`dwt2d_level`].
+    fn dwt2d_level_inverse(
+        ll: &GrayImage,
+        lh: &GrayImage,
+        hl: &GrayImage,
+        hh: &GrayImage,
+    ) -> GrayImage {
+        let hw = ll.width();
+        let hh_ = ll.height();
+        for sub in [lh, hl, hh] {
+            assert_eq!(sub.width(), hw);
+            assert_eq!(sub.height(), hh_);
+        }
+        let w = hw * 2;
+        let h = hh_ * 2;
+
+        // Reassemble the packed coefficient image.
+        let mut full = GrayImage::new(w, h);
+        for y in 0..hh_ {
+            for x in 0..hw {
+                full.set(x, y, ll.get(x, y));
+                full.set(hw + x, y, lh.get(x, y));
+                full.set(x, hh_ + y, hl.get(x, y));
+                full.set(hw + x, hh_ + y, hh.get(x, y));
+            }
+        }
+
+        // Inverse column pass then inverse row pass.
+        let mut col_in = vec![0.0f32; h];
+        let mut col_out = vec![0.0f32; h];
+        let mut col_done = GrayImage::new(w, h);
+        for x in 0..w {
+            full.read_col(x, &mut col_in);
+            dwt1d_inverse(&col_in, &mut col_out);
+            col_done.write_col(x, &col_out);
+        }
+        let mut row_in = vec![0.0f32; w];
+        let mut row_out = vec![0.0f32; w];
+        let mut out = GrayImage::new(w, h);
+        for y in 0..h {
+            col_done.read_row(y, &mut row_in);
+            dwt1d_inverse(&row_in, &mut row_out);
+            out.write_row(y, &row_out);
+        }
+        out
+    }
 
     #[test]
     fn filter_orthonormality() {
@@ -311,7 +309,7 @@ mod tests {
     fn three_level_pyramid_shapes() {
         let img = GrayImage::filled(64, 32, 0.5);
         let pyr = dwt2d_multilevel(&img, 3);
-        assert_eq!(pyr.levels(), 3);
+        assert_eq!(pyr.details.len(), 3);
         assert_eq!(pyr.detail_bands().count(), 9);
         let (lh0, _, _) = &pyr.details[0];
         assert_eq!((lh0.width(), lh0.height()), (32, 16));

@@ -14,7 +14,6 @@
 //! scoped threads.
 
 use crate::{d2, merge_top_k, AnnIndex, Neighbor, SearchStats, TopK};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Exact Euclidean nearest-neighbor search.
@@ -22,7 +21,7 @@ use std::sync::Arc;
 /// The indexed matrix is held behind an [`Arc`]: building from a shared
 /// handle ([`FlatIndex::from_shared`]) costs no copy at all, so a database
 /// and any number of indexes over it share one feature allocation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlatIndex {
     data: Arc<Vec<f64>>,
     dim: usize,
@@ -351,16 +350,6 @@ mod tests {
         // And the search results equal the copying constructor's.
         let copied = FlatIndex::build(&data, 4);
         assert_eq!(index.search(&data[0..4], 5), copied.search(&data[0..4], 5));
-    }
-
-    #[test]
-    fn persistence_roundtrip() {
-        let data = random_matrix(20, 4, 11);
-        let index = FlatIndex::build(&data, 4);
-        let bytes = crate::to_json(&index);
-        let back: FlatIndex = crate::from_json(&bytes).unwrap();
-        assert_eq!(back, index);
-        assert_eq!(back.search(&data[0..4], 3), index.search(&data[0..4], 3));
     }
 
     #[test]

@@ -11,11 +11,10 @@ use crate::{d2, AnnIndex, Neighbor, SearchStats, TopK};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// IVF build/search parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IvfConfig {
     /// Number of k-means cells. Rule of thumb: ~√N; clamped to the
     /// collection size at build time.
@@ -43,7 +42,7 @@ impl Default for IvfConfig {
 /// The inverted-file index. The raw matrix is [`Arc`]-shared with the
 /// caller ([`IvfIndex::build_shared`]); only the centroids and the
 /// inverted lists are index-owned.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IvfIndex {
     data: Arc<Vec<f64>>,
     dim: usize,
@@ -357,23 +356,6 @@ mod tests {
         let mut all: Vec<u32> = ivf.lists.iter().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn persistence_roundtrip() {
-        let data = clustered(100, 4, 4, 0.1, 9);
-        let ivf = IvfIndex::build(
-            &data,
-            4,
-            &IvfConfig {
-                nlist: 8,
-                ..Default::default()
-            },
-        );
-        let back: IvfIndex = crate::from_json(&crate::to_json(&ivf)).unwrap();
-        assert_eq!(back, ivf);
-        let q = &data[0..4];
-        assert_eq!(back.search(q, 5), ivf.search(q, 5));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Barz & Denzler assume). This crate is that front-end:
 //!
 //! * [`AnnIndex`] — the backend contract: `search`, instrumented
-//!   [`AnnIndex::search_with_stats`], serde persistence.
+//!   [`AnnIndex::search_with_stats`].
 //! * [`FlatIndex`] — exact search: cache-friendly parallel scan over a
 //!   contiguous row-major matrix with a bounded max-heap top-k (no
 //!   sort-everything). The default backend, and the paper's "Euclidean"
@@ -36,8 +36,6 @@
 //! | [`IvfIndex`] | ≥ ~0.9 recall | k-means | O((nlist + N·nprobe/nlist)·d) | large N with cluster structure (real image corpora) |
 //! | [`LshIndex`] | ≥ ~0.9 recall | hashing | O(tables·bits·d + candidates·d) | very high N, loose recall targets, streaming inserts |
 
-use serde::{Deserialize, Serialize};
-
 pub mod flat;
 pub mod ivf;
 pub mod lsh;
@@ -54,7 +52,7 @@ pub type Neighbor = (usize, f64);
 /// Instrumentation for one query: how much work the backend actually did.
 /// The whole point of the approximate backends is that
 /// `distance_evals` comes out far below `N`; tests assert exactly that.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Full-dimensional distance computations performed (including, for
     /// IVF, query↔centroid distances).
@@ -83,7 +81,7 @@ pub trait AnnIndex: Send + Sync {
     /// Vector dimensionality.
     fn dim(&self) -> usize;
 
-    /// Backend name for reports and benches.
+    /// Backend name for reports.
     fn name(&self) -> &'static str;
 
     /// The `k` nearest neighbors of `query`, with work counters.
@@ -108,44 +106,6 @@ pub fn recall(exact: &[Neighbor], approx: &[Neighbor]) -> f64 {
     let hit = exact.iter().filter(|&&(id, _)| found.contains(&id)).count();
     hit as f64 / exact.len() as f64
 }
-
-/// Serializes an index (or anything serde-capable) as JSON bytes.
-pub fn to_json<T: Serialize>(index: &T) -> Vec<u8> {
-    serde_json::to_vec(index).expect("index serialization is infallible")
-}
-
-/// Restores an index from [`to_json`] bytes.
-pub fn from_json<T: Deserialize>(bytes: &[u8]) -> Result<T, PersistError> {
-    serde_json::from_slice(bytes).map_err(|e| PersistError(e.to_string()))
-}
-
-/// Saves an index to a file, atomically (temp + fsync + rename): a crash
-/// mid-save leaves the previous index file intact. Routed through the
-/// fault-injectable storage layer like all first-party file IO.
-pub fn save<T: Serialize>(index: &T, path: &std::path::Path) -> std::io::Result<()> {
-    lrf_storage::atomic_write(&lrf_storage::StdIo, path, &to_json(index))
-}
-
-/// Loads an index from a file written by [`save`].
-pub fn load<T: Deserialize>(path: &std::path::Path) -> Result<T, PersistError> {
-    use lrf_storage::StorageIo as _;
-    let bytes = lrf_storage::StdIo
-        .read(path)
-        .map_err(|e| PersistError(e.to_string()))?;
-    from_json(&bytes)
-}
-
-/// An index persistence error (I/O or format).
-#[derive(Debug)]
-pub struct PersistError(pub String);
-
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "index persistence error: {}", self.0)
-    }
-}
-
-impl std::error::Error for PersistError {}
 
 // ---------------------------------------------------------------------------
 // Shared internals

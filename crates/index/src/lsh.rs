@@ -10,11 +10,10 @@
 use crate::{d2, AnnIndex, Neighbor, SearchStats, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// LSH build/search parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LshConfig {
     /// Number of independent hash tables (recall grows with tables, memory
     /// and query cost linearly so).
@@ -42,7 +41,7 @@ impl Default for LshConfig {
 /// One hash table: sorted `(signature, ids)` buckets (sorted pairs instead
 /// of a HashMap so the structure serializes naturally and lookups stay
 /// cache-friendly).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct Table {
     /// Row-major `n_bits × dim` hyperplane normals.
     planes: Vec<f64>,
@@ -75,7 +74,7 @@ impl Table {
 /// The multi-table LSH index. The raw matrix is [`Arc`]-shared with the
 /// caller ([`LshIndex::build_shared`]); only the hyperplanes and buckets
 /// are index-owned.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LshIndex {
     data: Arc<Vec<f64>>,
     dim: usize,
@@ -335,24 +334,6 @@ mod tests {
             let hits = lsh.search(&q, 1);
             assert_eq!(hits.first().map(|&(i, _)| i), Some(id));
         }
-    }
-
-    #[test]
-    fn persistence_roundtrip() {
-        let data = clustered(80, 4, 4, 0.1, 8);
-        let lsh = LshIndex::build(
-            &data,
-            4,
-            &LshConfig {
-                n_tables: 3,
-                n_bits: 6,
-                ..Default::default()
-            },
-        );
-        let back: LshIndex = crate::from_json(&crate::to_json(&lsh)).unwrap();
-        assert_eq!(back, lsh);
-        let q = &data[0..4];
-        assert_eq!(back.search(q, 5), lsh.search(q, 5));
     }
 
     #[test]

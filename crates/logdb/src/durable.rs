@@ -19,8 +19,8 @@
 //!   snapshot + replayed sessions.
 //!
 //! A store opened [`volatile`](DurableLogStore::volatile) has no WAL at
-//! all — the pre-durability behaviour, still used by tests, benches and
-//! read-only tooling.
+//! all — the pre-durability behaviour, which every service not built over
+//! a WAL directory still runs on, as do tests and read-only tooling.
 
 use std::path::Path;
 

@@ -6,7 +6,8 @@
 //! [`SpanTimer`] reads the injected [`Clock`] twice and does one lock-free
 //! [`Histogram::record`] on drop. That keeps per-span overhead in the
 //! tens of nanoseconds — small enough to leave enabled on the hottest
-//! request path (the CI bench gate asserts < 5 % service overhead).
+//! request path (`benchmark/` reports it as `obs.trace_overhead_pct` against
+//! a 5 % budget; `tests/golden_gates.rs` pins the reads per request).
 
 use crate::clock::Clock;
 use crate::metrics::{Counter, Histogram};

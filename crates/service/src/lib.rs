@@ -24,12 +24,11 @@
 //!   transport) so a network listener can be bolted on without touching
 //!   the engine.
 //!
-//! A [`Service`] is built one of four ways, all over one private `build`
-//! and all taking their [`ServiceMetrics`] explicitly except the first:
-//! [`Service::new`] (flat index, fresh metrics), [`Service::with_metrics`]
-//! (any index), [`Service::sharded_with_metrics`] (scatter-gather over a
+//! A [`Service`] is built one of three ways, all over one private `build`:
+//! [`Service::new`] (flat index, fresh metrics),
+//! [`Service::sharded_with_metrics`] (scatter-gather over a
 //! [`ShardedEngine`]) and [`Service::with_durability_metrics`] (WAL-backed
-//! log).
+//! log, any index); the last two take their [`ServiceMetrics`] explicitly.
 //!
 //! ## Session lifecycle
 //!

@@ -10,10 +10,11 @@
 //! Stage timers read the injected [`Clock`]: a [`MonotonicClock`] in
 //! production, a [`lrf_obs::ManualClock`] in tests (deterministic
 //! latencies), or no clock at all in the [`ServiceMetrics::disabled`]
-//! build — the baseline the CI overhead gate compares against. Event
-//! counters are *always* live: they back the public `Stats` endpoint,
-//! and a handful of relaxed atomic increments is noise next to a single
-//! kernel evaluation.
+//! build — the baseline `benchmark/` measures `obs.trace_overhead_pct`
+//! against, and which `tests/golden_gates.rs` holds to zero latency
+//! samples. Event counters are *always* live: they back the public
+//! `Stats` endpoint, and a handful of relaxed atomic increments is noise
+//! next to a single kernel evaluation.
 
 use lrf_obs::{
     Clock, ClockRef, Counter, Gauge, Histogram, MonotonicClock, Registry, RegistrySnapshot,

@@ -383,6 +383,8 @@ fn read_head_line(
                     return Err(ReadEnd::Closed);
                 }
             }
+            // `read_line` found bytes that are not UTF-8.
+            Err(e) if e.kind() == ErrorKind::InvalidData => return Err(ReadEnd::Malformed),
             Err(_) => return Err(ReadEnd::Closed),
         }
     }

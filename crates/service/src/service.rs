@@ -141,32 +141,18 @@ impl AnnIndex for EngineHandle {
 impl Service {
     /// Builds a service over `db` with the exact flat index (shares the
     /// database's feature allocation — no copy) and fresh metrics.
-    pub fn new(db: ImageDatabase, log: LogStore, config: ServiceConfig) -> Self {
-        let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&db));
-        Self::with_metrics(db, index, log, config, ServiceMetrics::new())
-    }
-
-    /// Builds a service with an explicit (possibly approximate) index and
-    /// explicit observability — [`ServiceMetrics::new`] for the default,
-    /// a [`ServiceMetrics::with_clock`] for deterministic test latencies,
-    /// or [`ServiceMetrics::disabled`] for the untimed baseline build.
     ///
     /// # Panics
-    /// Panics if the index or log does not cover `db`, or on nonsensical
-    /// config (zero screen/pool size or session capacity).
-    pub fn with_metrics(
-        db: ImageDatabase,
-        index: Box<dyn AnnIndex>,
-        log: LogStore,
-        config: ServiceConfig,
-        metrics: ServiceMetrics,
-    ) -> Self {
+    /// Panics if the log does not cover `db`, or on nonsensical config
+    /// (zero screen/pool size or session capacity).
+    pub fn new(db: ImageDatabase, log: LogStore, config: ServiceConfig) -> Self {
+        let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&db));
         Self::build(
             Arc::new(db),
             index,
             DurableLogStore::volatile(log),
             config,
-            metrics,
+            ServiceMetrics::new(),
             None,
             None,
         )
@@ -1188,12 +1174,14 @@ mod tests {
         // accumulate — the histogram contents are fully deterministic.
         let (ds, log) = dataset();
         let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&ds.db));
-        let svc = Service::with_metrics(
-            ds.db,
+        let svc = Service::build(
+            Arc::new(ds.db),
             index,
-            log,
+            DurableLogStore::volatile(log),
             config(),
             ServiceMetrics::with_clock(lrf_obs::ManualClock::shared()),
+            None,
+            None,
         );
         svc.handle(Request::Open {
             query: 1,

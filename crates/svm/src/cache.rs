@@ -9,8 +9,9 @@
 //! suffice. [`KernelCache`] computes rows on first touch, keeps them until
 //! the solve ends, and counts hits/misses so the savings are observable
 //! through `SolveStats`. Nothing is ever dropped: a feedback round is tens
-//! of samples (a few hundred in the largest bench), so every row of the
-//! largest solve fits in a few hundred KiB.
+//! of samples (a few hundred at the very most — `tests/golden_solver.rs` pins
+//! an n = 240 solve), so every row of the largest solve fits in a few
+//! hundred KiB.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully

@@ -457,6 +457,16 @@ fn oversized_content_length_gets_413_without_waiting_for_the_body() {
     assert_rejected_and_still_serving(&server);
 }
 
+/// A head that is not UTF-8 is malformed like any other: answered `400`
+/// and counted, not hung up on without a word.
+#[test]
+fn non_utf8_request_head_gets_400_and_the_server_survives() {
+    let server = sharded_server();
+    let head = b"GET /\xff HTTP/1.1\r\n\r\n".to_vec();
+    assert_eq!(status_of_raw_head(server.addr(), head), 400);
+    assert_rejected_and_still_serving(&server);
+}
+
 /// The cap is inclusive: a body of exactly 1 MiB is read and routed.
 #[test]
 fn body_of_exactly_one_mib_is_read_and_routed() {

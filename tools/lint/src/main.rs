@@ -546,9 +546,7 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
             vec!["wall-clock", "no-println", "raw-fs"],
         ),
         // Vendored stand-ins are library code too, so no stray prints —
-        // but they may read the wall clock internally. vendor/criterion is
-        // fully exempt: timing iterations and printing bench reports to
-        // the terminal is its purpose.
+        // but they may read the wall clock internally.
         (
             vec![
                 "crates/vendor/rand/src",
@@ -832,10 +830,8 @@ fn origin() -> std::time::Instant {
                 "{dir} must be held to the wall-clock rule"
             );
         }
-        // Vendored stand-ins time things internally; criterion is exempt
-        // from everything.
+        // Vendored stand-ins time things internally.
         assert!(!rules_for("crates/vendor/proptest/src").contains(&"wall-clock"));
-        assert!(rules_for("crates/vendor/criterion/src").is_empty());
         // Raw file IO is storage's job and nobody else's: every other
         // first-party crate is held to raw-fs, storage itself is not.
         for dir in [
