@@ -100,7 +100,7 @@ impl ImageDatabase {
     /// Extracts features from images (multi-threaded) and builds the
     /// database. `extractor` must use one consistent configuration for the
     /// whole collection.
-    pub fn from_images(
+    pub(crate) fn from_images(
         images: &[RgbImage],
         categories: Vec<usize>,
         extractor: &FeatureExtractor,
@@ -132,7 +132,8 @@ impl ImageDatabase {
     }
 
     /// Iterates the normalized feature rows in image-id order.
-    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
+    #[cfg(test)]
+    fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.flat.chunks_exact(self.dim)
     }
 

@@ -6,7 +6,7 @@
 //! (both in the log-collection protocol and in every evaluation query).
 
 use crate::database::ImageDatabase;
-use crate::retrieval::{build_flat_index, rank_with_index, top_k_ids};
+use crate::retrieval::{build_flat_index, rank_with_index_stats, top_k_ids};
 
 /// Ranks the whole database by ascending distance to `query_feature`.
 /// Returns image ids; ties break by id for determinism.
@@ -16,7 +16,7 @@ use crate::retrieval::{build_flat_index, rank_with_index, top_k_ids};
 /// distance under [`f64::total_cmp`], so the order is total even if a
 /// feature vector carries NaNs (they rank last).
 pub fn rank_by_euclidean(db: &ImageDatabase, query_feature: &[f64]) -> Vec<usize> {
-    rank_with_index(db, &build_flat_index(db), query_feature)
+    rank_with_index_stats(db, &build_flat_index(db), query_feature).0
 }
 
 /// The `k` nearest images to the query image (by id); the query itself is

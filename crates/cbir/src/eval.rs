@@ -84,16 +84,6 @@ impl PrecisionCurve {
     pub fn map(&self) -> f64 {
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
-
-    /// Relative improvement of `self` over `baseline` at each cutoff (the
-    /// parenthesized percentages of Tables 1–2).
-    pub fn improvement_over(&self, baseline: &PrecisionCurve) -> Vec<f64> {
-        self.values
-            .iter()
-            .zip(&baseline.values)
-            .map(|(a, b)| if *b > 0.0 { (a - b) / b } else { 0.0 })
-            .collect()
-    }
 }
 
 /// One evaluation query's feedback round: the judged top-20 of the initial
@@ -140,8 +130,7 @@ impl QueryProtocol {
     }
 
     /// Builds the feedback round for one query: Euclidean top-`n_labeled`,
-    /// labeled by ground-truth category match —
-    /// [`Self::feedback_example_with_index`] over the exact flat backend.
+    /// labeled by ground-truth category match, over the exact flat backend.
     pub fn feedback_example(&self, db: &ImageDatabase, query: usize) -> FeedbackExample {
         self.feedback_example_with_index(db, &crate::retrieval::build_flat_index(db), query)
     }
@@ -150,7 +139,7 @@ impl QueryProtocol {
     /// Approximate backends may surface a slightly different (still near)
     /// screen than the exact one — exactly what a deployed system's users
     /// would have judged.
-    pub fn feedback_example_with_index(
+    pub(crate) fn feedback_example_with_index(
         &self,
         db: &ImageDatabase,
         index: &dyn lrf_index::AnnIndex,
@@ -221,20 +210,6 @@ mod tests {
             .sum::<f64>()
             / 9.0;
         assert!((curve.map() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn improvement_percentages() {
-        let a = PrecisionCurve {
-            values: vec![0.6; 9],
-            n_queries: 1,
-        };
-        let b = PrecisionCurve {
-            values: vec![0.5; 9],
-            n_queries: 1,
-        };
-        let imp = a.improvement_over(&b);
-        assert!(imp.iter().all(|&v| (v - 0.2).abs() < 1e-12));
     }
 
     #[test]

@@ -7,35 +7,34 @@
 //!
 //! * [`database::ImageDatabase`] — normalized 36-D features plus
 //!   ground-truth categories for automatic relevance judgment.
-//! * [`corel`] — builders for the synthetic 20-Category and 50-Category
+//! * [`CorelDataset`] — builders for the synthetic 20-Category and 50-Category
 //!   datasets (100 images per category, mirroring the paper's COREL
 //!   subsets).
-//! * [`distance`] — Euclidean content ranking (the paper's `Euclidean`
+//! * [`rank_by_euclidean`] — Euclidean content ranking (the paper's `Euclidean`
 //!   reference curve and the initial-retrieval step of every experiment),
 //!   as one-line calls through the exact flat index.
-//! * [`eval`] — precision@k curves, the paper's MAP definition, and the
+//! * [`PrecisionCurve`] / [`QueryProtocol`] — precision@k curves, the paper's MAP definition, and the
 //!   full §6.4 protocol scaffolding (random queries, top-20 auto-judged
 //!   labeled sets).
-//! * [`logglue`] — wires [`lrf_logdb::simulate`] to an index's screens to
+//! * [`collect_log`] — wires [`lrf_logdb::simulate_sessions`] to an index's screens to
 //!   reproduce the paper's log-collection procedure.
-//! * [`retrieval`] — index-backed retrieval: builds `lrf-index` backends
+//! * [`build_flat_index`] and siblings — index-backed retrieval: builds `lrf-index` backends
 //!   (flat/IVF/LSH) over the database and routes screens and rankings
 //!   through them. Flat is the default, exact, and the only Euclidean scan
 //!   there is: the tests hold it to a sort-everything oracle.
 
-pub mod corel;
-pub mod database;
-pub mod distance;
-pub mod eval;
-pub mod logglue;
-pub mod retrieval;
+mod corel;
+mod database;
+mod distance;
+mod eval;
+mod logglue;
+mod retrieval;
 
 pub use corel::{CorelDataset, CorelSpec};
 pub use database::ImageDatabase;
 pub use distance::{rank_by_euclidean, top_k_euclidean};
 pub use eval::{precision_at, FeedbackExample, PrecisionCurve, QueryProtocol, CUTOFFS};
-pub use logglue::{collect_log, collect_log_with_index};
+pub use logglue::collect_log;
 pub use retrieval::{
-    build_flat_index, build_flat_shards, build_ivf_index, build_lsh_index, rank_with_index,
-    rank_with_index_stats, top_k_ids,
+    build_flat_index, build_flat_shards, build_lsh_index, rank_with_index_stats, top_k_ids,
 };

@@ -13,8 +13,8 @@ use crate::retrieval::build_flat_index;
 use lrf_index::AnnIndex;
 use lrf_logdb::{simulate_sessions, LogStore, SimulationConfig};
 
-/// Collects a simulated feedback log over `db` with content-only screens:
-/// [`collect_log_with_index`] over the exact flat index.
+/// Collects a simulated feedback log over `db` with content-only screens
+/// served by the exact flat index.
 pub fn collect_log(db: &ImageDatabase, config: &SimulationConfig) -> LogStore {
     collect_log_with_index(db, &build_flat_index(db), config)
 }
@@ -25,7 +25,7 @@ pub fn collect_log(db: &ImageDatabase, config: &SimulationConfig) -> LogStore {
 /// ranking without ever sorting the database. Approximate backends collect
 /// the log a real large-scale deployment would have collected (screens
 /// from the index it actually serves).
-pub fn collect_log_with_index(
+pub(crate) fn collect_log_with_index(
     db: &ImageDatabase,
     index: &dyn AnnIndex,
     config: &SimulationConfig,
@@ -155,8 +155,9 @@ mod tests {
     #[test]
     fn approximate_index_collection_has_configured_shape() {
         let ds = CorelDataset::build(CorelSpec::tiny(3, 8, 13));
-        let index = crate::retrieval::build_ivf_index(
-            &ds.db,
+        let index = lrf_index::IvfIndex::build_shared(
+            ds.db.features_shared(),
+            ds.db.dim(),
             &lrf_index::IvfConfig {
                 nlist: 4,
                 nprobe: 2,

@@ -24,9 +24,7 @@
 //! IVF/LSH trade a bounded recall loss for sublinear distance work.
 
 use crate::database::ImageDatabase;
-use lrf_index::{
-    AnnIndex, FlatIndex, FlatShard, IvfConfig, IvfIndex, LshConfig, LshIndex, SearchStats,
-};
+use lrf_index::{AnnIndex, FlatIndex, FlatShard, LshConfig, LshIndex, SearchStats};
 
 /// Builds the exact (flat) index over the database — the default backend.
 /// The index shares the database's feature allocation (no copy).
@@ -41,11 +39,6 @@ pub fn build_flat_index(db: &ImageDatabase) -> FlatIndex {
 /// to the database size; the ranges partition `0..db.len()` exactly.
 pub fn build_flat_shards(db: &ImageDatabase, n_shards: usize) -> Vec<FlatShard> {
     FlatShard::split_shared(db.features_shared(), db.dim(), n_shards)
-}
-
-/// Builds an IVF index over the database, sharing its feature allocation.
-pub fn build_ivf_index(db: &ImageDatabase, config: &IvfConfig) -> IvfIndex {
-    IvfIndex::build_shared(db.features_shared(), db.dim(), config)
 }
 
 /// Builds an LSH index over the database, sharing its feature allocation.
@@ -69,18 +62,9 @@ pub fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -> Vec<u
 /// Approximate backends return the candidates they found, in distance
 /// order, with every unreached id appended afterwards in id order — so the
 /// result is always a permutation of the database and evaluation cutoffs
-/// deep into the tail stay well-defined.
-pub fn rank_with_index(
-    db: &ImageDatabase,
-    index: &dyn AnnIndex,
-    query_feature: &[f64],
-) -> Vec<usize> {
-    rank_with_index_stats(db, index, query_feature).0
-}
-
-/// [`rank_with_index`] plus the backend's per-query [`SearchStats`]
-/// (distance evaluations, candidates, buckets probed), for callers that
-/// account index work per request.
+/// deep into the tail stay well-defined. Returned with the backend's
+/// per-query [`SearchStats`] (distance evaluations, candidates, buckets
+/// probed), for callers that account index work per request.
 pub fn rank_with_index_stats(
     db: &ImageDatabase,
     index: &dyn AnnIndex,
@@ -106,8 +90,14 @@ mod tests {
     use crate::distance::oracle::rank_by_sorting;
     use crate::distance::{rank_by_euclidean, top_k_euclidean};
 
+    use lrf_index::{IvfConfig, IvfIndex};
+
     fn dataset() -> CorelDataset {
         CorelDataset::build(CorelSpec::tiny(3, 10, 17))
+    }
+
+    fn build_ivf_index(db: &ImageDatabase, config: &IvfConfig) -> IvfIndex {
+        IvfIndex::build_shared(db.features_shared(), db.dim(), config)
     }
 
     #[test]
@@ -115,7 +105,7 @@ mod tests {
         let ds = dataset();
         let index = build_flat_index(&ds.db);
         for q in 0..ds.db.len() {
-            let via_index = rank_with_index(&ds.db, &index, ds.db.feature(q));
+            let via_index = rank_with_index_stats(&ds.db, &index, ds.db.feature(q)).0;
             let direct = rank_by_sorting(&ds.db, ds.db.feature(q));
             assert_eq!(via_index, direct, "query {q}");
             assert_eq!(rank_by_euclidean(&ds.db, ds.db.feature(q)), direct);
@@ -153,7 +143,7 @@ mod tests {
                 seed: 5,
             },
         );
-        let ranked = rank_with_index(&ds.db, &index, ds.db.feature(0));
+        let ranked = rank_with_index_stats(&ds.db, &index, ds.db.feature(0)).0;
         let mut sorted = ranked.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>());

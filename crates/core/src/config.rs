@@ -9,10 +9,7 @@ use lrf_svm::SmoParams;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the coupled-SVM optimization (Eq. 1 + the annealing
-/// schedule of Fig. 1). Both trainers take their schedule from here; the
-/// k-view [`crate::multi::train_multi_coupled`] reads each view's `C` from
-/// its [`crate::multi::ModalityData`], so `c_content` / `c_log` are the
-/// 2-view [`crate::train_coupled`]'s alone.
+/// schedule of Fig. 1) that [`crate::train_coupled`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CoupledConfig {
     /// Penalty `C_w` on labeled content-side slack.
@@ -76,7 +73,7 @@ impl CoupledConfig {
     ///
     /// # Panics
     /// Panics on non-positive penalties, `rho_init > rho`, or a negative Δ.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.c_content > 0.0, "c_content must be positive");
         assert!(self.c_log > 0.0, "c_log must be positive");
         assert!(
@@ -105,20 +102,6 @@ pub enum UnlabeledSelection {
     Random,
 }
 
-/// How the pseudo-labels `Y'` are initialized before alternating
-/// optimization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PseudoLabelInit {
-    /// `+1` for the max-distance half, `−1` for the min-distance half —
-    /// the initialization §6.5 argues provides "more precise label
-    /// information", reducing transductive effort.
-    BySelectionSide,
-    /// Sign of each sample's own combined SVM distance.
-    ByDistanceSign,
-    /// Random signs (the §4.2 fallback: "randomly choose a set of labels").
-    Random,
-}
-
 /// Full configuration of the LRF-CSVM algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LrfConfig {
@@ -131,20 +114,25 @@ pub struct LrfConfig {
     /// `tune_csvm` example prints the curve), so small pools dominate.
     /// Swept by the N' ablation.
     pub n_unlabeled: usize,
-    /// Unlabeled selection strategy.
+    /// Unlabeled selection strategy. It also fixes the initial
+    /// pseudo-labels `Y'`: under
+    /// [`UnlabeledSelection::MaxMinCombinedDistance`], `+1` for the
+    /// max-distance half and `−1` for the min-distance half (the
+    /// initialization §6.5 argues provides "more precise label
+    /// information"); otherwise the sign of each chosen sample's combined
+    /// SVM distance.
     pub selection: UnlabeledSelection,
-    /// Pseudo-label initialization.
-    pub init: PseudoLabelInit,
-    /// Seed used only when `init == PseudoLabelInit::Random`.
+    /// Seed of the draw under [`UnlabeledSelection::Random`] (mixed with
+    /// the query id); read by no other selection.
     pub random_init_seed: u64,
     /// RBF width for the content kernel; `None` → LIBSVM default `1/d`.
     /// The paper reports no kernel parameters; the default (`Some(1.0)`) is
     /// calibrated so RF-SVM's improvement over Euclidean matches the
     /// paper's ratio (the `tune_rf` example is the grid search).
     pub gamma_content: Option<f64>,
-    /// Kernel over the sparse log vectors. Default: cosine-normalized RBF
-    /// (see [`crate::kernels::LogCosineRbfKernel`] for why normalization
-    /// matters on sparse ±1 data).
+    /// Kernel over the sparse log vectors. Default: plain RBF with
+    /// `γ = 0.1` (the `tune_log` example in `lrf-bench` is the grid search
+    /// over kernel family and width that picked it).
     pub log_kernel: crate::kernels::LogKernel,
 }
 
@@ -154,7 +142,6 @@ impl Default for LrfConfig {
             coupled: CoupledConfig::default(),
             n_unlabeled: 10,
             selection: UnlabeledSelection::MaxMinCombinedDistance,
-            init: PseudoLabelInit::BySelectionSide,
             random_init_seed: 0x1f2e3d4c,
             gamma_content: Some(1.0),
             log_kernel: crate::kernels::LogKernel::Rbf { gamma: 0.1 },
@@ -164,7 +151,7 @@ impl Default for LrfConfig {
 
 impl LrfConfig {
     /// Validates parameter ranges (delegates to [`CoupledConfig::validate`]).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.coupled.validate();
         assert!(self.n_unlabeled >= 2, "need at least two unlabeled samples");
         match self.log_kernel {

@@ -22,14 +22,11 @@
 //! early, and doubles per outer round up to `ρ` — "similar to the approach
 //! in transductive SVM" (Joachims).
 //!
-//! **One driver.** The schedule above is written once, in the private
-//! `anneal`, over type-erased views: a view owns its borrowed labeled +
-//! unlabeled samples, kernel, per-view `C` and current machine, and can
-//! *retrain at (labels, ρ\*)* and *report its unlabeled slacks*.
-//! [`train_coupled`] builds two views (content, log) and hands back the
-//! typed pair; [`crate::multi::train_multi_coupled`] builds `k` dense ones.
-//! With more than two views the correction rule reads "positive slack on
-//! *every* view, summed slack above `Δ`".
+//! **Two views.** [`train_coupled`] builds one view per modality (content,
+//! log): a view owns its borrowed labeled + unlabeled samples, kernel,
+//! per-view `C` and current machine, and can *retrain at (labels, ρ\*)*
+//! and *report its unlabeled slacks*. The schedule above runs over that
+//! pair and hands back the two typed machines.
 //!
 //! **Warm starts.** Every retrain inside one run solves a QP over the
 //! *same* concatenated sample set — only the bounds (`ρ*` doubling) and a
@@ -69,52 +66,6 @@ pub struct CoupledOutcome<S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
     pub log: TrainedSvm<S2, K2>,
     /// Training diagnostics.
     pub report: TrainReport,
-}
-
-impl<S1, K1, S2, K2> CoupledOutcome<S1, K1, S2, K2>
-where
-    S1: ?Sized + ToOwned,
-    K1: Kernel<S1>,
-    S2: ?Sized + ToOwned,
-    K2: Kernel<S2>,
-{
-    /// The paper's `CSVM_Dist`: the sum of both machines' decision values —
-    /// the relevance score the final retrieval ranks by.
-    pub fn coupled_score(&self, x: &S1, r: &S2) -> f64 {
-        self.content.model.decision(x) + self.log.model.decision(r)
-    }
-}
-
-impl<S1, K1, S2, K2> Clone for CoupledOutcome<S1, K1, S2, K2>
-where
-    S1: ?Sized + ToOwned,
-    S2: ?Sized + ToOwned,
-    TrainedSvm<S1, K1>: Clone,
-    TrainedSvm<S2, K2>: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            content: self.content.clone(),
-            log: self.log.clone(),
-            report: self.report.clone(),
-        }
-    }
-}
-
-impl<S1, K1, S2, K2> std::fmt::Debug for CoupledOutcome<S1, K1, S2, K2>
-where
-    S1: ?Sized + ToOwned,
-    S2: ?Sized + ToOwned,
-    TrainedSvm<S1, K1>: std::fmt::Debug,
-    TrainedSvm<S2, K2>: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoupledOutcome")
-            .field("content", &self.content)
-            .field("log", &self.log)
-            .field("report", &self.report)
-            .finish()
-    }
 }
 
 /// Trains the coupled SVM over two modalities.
@@ -177,33 +128,34 @@ where
         "initial pseudo-labels misaligned"
     );
 
-    let mut content = SvmView::new(labeled_a, unlabeled_a, kernel_a, cfg.c_content, &cfg.smo);
-    let mut log = SvmView::new(labeled_b, unlabeled_b, kernel_b, cfg.c_log, &cfg.smo);
-    let report = anneal(&mut [&mut content, &mut log], y, y_init, cfg)?;
+    cfg.validate();
+    let mut run = Annealing {
+        content: SvmView::new(labeled_a, unlabeled_a, kernel_a, cfg.c_content, &cfg.smo),
+        log: SvmView::new(labeled_b, unlabeled_b, kernel_b, cfg.c_log, &cfg.smo),
+        y,
+        y_prime: y_init.to_vec(),
+        cfg,
+        report: TrainReport {
+            rho_steps: 0,
+            retrains: 0,
+            flips: 0,
+            correction_capped: false,
+            final_labels: Vec::new(),
+        },
+    };
+    run.anneal()?;
     Ok(CoupledOutcome {
-        content: content.into_machine(),
-        log: log.into_machine(),
-        report,
+        content: run.content.into_machine(),
+        log: run.log.into_machine(),
+        report: run.report,
     })
 }
 
-/// One modality as Fig. 1 sees it: something that can be re-solved at the
-/// current pseudo-labels and `ρ*`, and asked how badly its machine fits
-/// the unlabeled pool. Erasing the sample and kernel types here is what
-/// lets one [`anneal`] serve the content/log pair and `k` dense views.
-pub(crate) trait View {
-    /// Re-solves this view's QP over its labeled + unlabeled samples with
-    /// `labels` (shared labels, then pseudo-labels) and bounds `C` /
-    /// `ρ*·C`; when `warm`, seeded with the current machine's dual
-    /// solution if there is one.
-    fn retrain(&mut self, labels: &[f64], rho_star: f64, warm: bool) -> Result<(), SvmError>;
-
-    /// Hinge slacks of the unlabeled pool under the current machine.
-    fn unlabeled_slacks(&self, y_prime: &[f64]) -> Vec<f64>;
-}
-
-/// The [`View`] over borrowed samples of one type and one kernel.
-pub(crate) struct SvmView<'a, S: ?Sized + ToOwned, K> {
+/// One modality as Fig. 1 sees it: borrowed labeled + unlabeled samples,
+/// a kernel, the view's `C` and its current machine. It can be re-solved
+/// at the current pseudo-labels and `ρ*`, and asked how badly its machine
+/// fits the unlabeled pool.
+struct SvmView<'a, S: ?Sized + ToOwned, K> {
     /// Labeled then unlabeled samples — references, reused across
     /// retrains, never cloned.
     samples: Vec<&'a S>,
@@ -214,8 +166,8 @@ pub(crate) struct SvmView<'a, S: ?Sized + ToOwned, K> {
     machine: Option<TrainedSvm<S, K>>,
 }
 
-impl<'a, S: ?Sized + ToOwned, K> SvmView<'a, S, K> {
-    pub(crate) fn new<B: Borrow<S>>(
+impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Clone> SvmView<'a, S, K> {
+    fn new<B: Borrow<S>>(
         labeled: &'a [B],
         unlabeled: &'a [B],
         kernel: K,
@@ -236,13 +188,17 @@ impl<'a, S: ?Sized + ToOwned, K> SvmView<'a, S, K> {
         }
     }
 
-    /// The machine [`anneal`] left behind.
-    pub(crate) fn into_machine(self) -> TrainedSvm<S, K> {
-        self.machine.expect("anneal trains every view")
+    /// The machine [`Annealing::anneal`] left behind.
+    fn into_machine(self) -> TrainedSvm<S, K> {
+        // lrf-lint: allow(service-panic): both exits of `anneal` follow a
+        // `retrain` of both views, and `train_coupled` returns on its error
+        self.machine.expect("anneal trains both views")
     }
-}
 
-impl<S: ?Sized + ToOwned, K: Kernel<S> + Clone> View for SvmView<'_, S, K> {
+    /// Re-solves this view's QP over its labeled + unlabeled samples with
+    /// `labels` (shared labels, then pseudo-labels) and bounds `C` /
+    /// `ρ*·C`; when `warm`, seeded with the current machine's dual
+    /// solution if there is one.
     fn retrain(&mut self, labels: &[f64], rho_star: f64, warm: bool) -> Result<(), SvmError> {
         let mut bounds = vec![self.c; self.n_labeled];
         bounds.resize(self.samples.len(), rho_star * self.c);
@@ -261,83 +217,74 @@ impl<S: ?Sized + ToOwned, K: Kernel<S> + Clone> View for SvmView<'_, S, K> {
         Ok(())
     }
 
+    /// Hinge slacks of the unlabeled pool under the current machine.
     fn unlabeled_slacks(&self, y_prime: &[f64]) -> Vec<f64> {
+        // lrf-lint: allow(service-panic): `Annealing::step` retrains both
+        // views before its first correction round
         let machine = self.machine.as_ref().expect("trained before correction");
         machine.slacks(&self.samples[self.n_labeled..], y_prime)
     }
 }
 
-/// Fig. 1's alternating optimization over any number of views sharing the
-/// labels `y` and the pseudo-labels `Y'` (initially `y_init`): train at
-/// `ρ* = min(ρ_init, ρ)`, correct, and double `ρ*` up to `ρ`. Leaves the
-/// final machine in every view.
-pub(crate) fn anneal(
-    views: &mut [&mut dyn View],
-    y: &[f64],
-    y_init: &[f64],
-    cfg: &CoupledConfig,
-) -> Result<TrainReport, SvmError> {
-    cfg.validate();
-    let mut run = Annealing {
-        views,
-        y,
-        y_prime: y_init.to_vec(),
-        cfg,
-        report: TrainReport {
-            rho_steps: 0,
-            retrains: 0,
-            flips: 0,
-            correction_capped: false,
-            final_labels: Vec::new(),
-        },
-    };
-
-    // Degenerate-but-legal case: no unlabeled points. The coupled problem
-    // collapses to independent labeled SVMs.
-    if y_init.is_empty() {
-        run.retrain(cfg.rho)?;
-        run.report.rho_steps = 1;
-        return Ok(run.report);
-    }
-
-    let mut rho_star = cfg.rho_init.min(cfg.rho);
-    run.step(rho_star)?;
-    // Fig. 1: WHILE (ρ* < ρ) { train; correct; ρ* = min(2ρ*, ρ) }.
-    while rho_star < cfg.rho {
-        rho_star = (2.0 * rho_star).min(cfg.rho);
-        // The loop body trains at the *new* ρ* only while it is still below
-        // ρ; the final value is covered by `final_full_rho_pass`.
-        if rho_star < cfg.rho || cfg.final_full_rho_pass {
-            run.step(rho_star)?;
-        }
-    }
-
-    run.report.final_labels = run.y_prime;
-    Ok(run.report)
-}
-
-/// The state one [`anneal`] call threads through its steps.
-struct Annealing<'a, 'v> {
-    views: &'a mut [&'v mut dyn View],
+/// The state one [`train_coupled`] call threads through Fig. 1's steps:
+/// the two views, the shared labels `y` and the pseudo-labels `Y'`.
+struct Annealing<'a, S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
+    content: SvmView<'a, S1, K1>,
+    log: SvmView<'a, S2, K2>,
     y: &'a [f64],
     y_prime: Vec<f64>,
     cfg: &'a CoupledConfig,
     report: TrainReport,
 }
 
-impl Annealing<'_, '_> {
-    /// Re-solves every view at the current pseudo-labels.
+impl<S1, K1, S2, K2> Annealing<'_, S1, K1, S2, K2>
+where
+    S1: ?Sized + ToOwned,
+    K1: Kernel<S1> + Clone,
+    S2: ?Sized + ToOwned,
+    K2: Kernel<S2> + Clone,
+{
+    /// Fig. 1's alternating optimization: train at `ρ* = min(ρ_init, ρ)`,
+    /// correct, and double `ρ*` up to `ρ`. Leaves the final machine in
+    /// both views and the final pseudo-labels in the report.
+    fn anneal(&mut self) -> Result<(), SvmError> {
+        let cfg = self.cfg;
+        // Degenerate-but-legal case: no unlabeled points. The coupled problem
+        // collapses to independent labeled SVMs.
+        if self.y_prime.is_empty() {
+            self.retrain(cfg.rho)?;
+            self.report.rho_steps = 1;
+            return Ok(());
+        }
+
+        let mut rho_star = cfg.rho_init.min(cfg.rho);
+        self.step(rho_star)?;
+        // Fig. 1: WHILE (ρ* < ρ) { train; correct; ρ* = min(2ρ*, ρ) }.
+        while rho_star < cfg.rho {
+            rho_star = (2.0 * rho_star).min(cfg.rho);
+            // The loop body trains at the *new* ρ* only while it is still below
+            // ρ; the final value is covered by `final_full_rho_pass`.
+            if rho_star < cfg.rho || cfg.final_full_rho_pass {
+                self.step(rho_star)?;
+            }
+        }
+
+        self.report.final_labels = std::mem::take(&mut self.y_prime);
+        Ok(())
+    }
+
+    /// Re-solves both views, content first, at the current pseudo-labels.
     fn retrain(&mut self, rho_star: f64) -> Result<(), SvmError> {
         let labels = [self.y, &self.y_prime].concat();
-        for view in self.views.iter_mut() {
-            view.retrain(&labels, rho_star, self.cfg.warm_start)?;
-        }
+        self.content
+            .retrain(&labels, rho_star, self.cfg.warm_start)?;
+        self.log.retrain(&labels, rho_star, self.cfg.warm_start)?;
         self.report.retrains += 1;
         Ok(())
     }
 
     /// One `ρ*` step: train, then Fig. 1's inner correction loop — while
-    /// any unlabeled point has positive slack on *every* view exceeding
+    /// any unlabeled point has positive slack on *both* views exceeding
     /// `Δ` in sum, flip those pseudo-labels and retrain.
     fn step(&mut self, rho_star: f64) -> Result<(), SvmError> {
         self.retrain(rho_star)?;
@@ -346,16 +293,11 @@ impl Annealing<'_, '_> {
                 self.report.correction_capped = true;
                 break;
             }
-            let slacks: Vec<Vec<f64>> = self
-                .views
-                .iter()
-                .map(|view| view.unlabeled_slacks(&self.y_prime))
-                .collect();
+            let xi = self.content.unlabeled_slacks(&self.y_prime);
+            let eta = self.log.unlabeled_slacks(&self.y_prime);
             let mut flipped_any = false;
             for (j, label) in self.y_prime.iter_mut().enumerate() {
-                let rejected_by_all = slacks.iter().all(|s| s[j] > 0.0);
-                let total: f64 = slacks.iter().map(|s| s[j]).sum();
-                if rejected_by_all && total > self.cfg.delta {
+                if xi[j] > 0.0 && eta[j] > 0.0 && xi[j] + eta[j] > self.cfg.delta {
                     *label = -*label;
                     self.report.flips += 1;
                     flipped_any = true;
@@ -439,8 +381,10 @@ mod tests {
         for (i, r) in lb.iter().enumerate() {
             assert!(out.log.model.decision(r) * y[i] > 0.0, "log sample {i}");
         }
-        // Coupled score agrees with the shared structure.
-        assert!(out.coupled_score(&ua[0], &ub[0]) > out.coupled_score(&ua[1], &ub[1]));
+        // CSVM_Dist (the summed decisions) agrees with the shared structure.
+        let csvm_dist =
+            |j: usize| out.content.model.decision(&ua[j]) + out.log.model.decision(&ub[j]);
+        assert!(csvm_dist(0) > csvm_dist(1));
         assert!(out.report.retrains >= 1);
         assert!(
             out.report.rho_steps >= 2,

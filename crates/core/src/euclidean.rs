@@ -9,7 +9,7 @@ use lrf_cbir::rank_by_euclidean;
 
 /// Plain content-distance ranking.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct EuclideanScheme;
+pub(crate) struct EuclideanScheme;
 
 impl RelevanceFeedback for EuclideanScheme {
     fn name(&self) -> &'static str {

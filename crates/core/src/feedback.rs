@@ -25,7 +25,7 @@ pub struct RoundDiagnostics {
 
 impl RoundDiagnostics {
     /// Folds one solver run into the round's aggregate.
-    pub fn absorb(&mut self, stats: &SolveStats) {
+    pub(crate) fn absorb(&mut self, stats: &SolveStats) {
         self.converged &= stats.converged;
         self.iterations += stats.iterations;
         self.cache_hits += stats.cache_hits;
@@ -34,7 +34,7 @@ impl RoundDiagnostics {
 
     /// The identity element for [`absorb`](Self::absorb): converged until
     /// a non-converged solve is folded in.
-    pub fn all_converged() -> Self {
+    pub(crate) fn all_converged() -> Self {
         Self {
             converged: true,
             ..Self::default()
@@ -97,7 +97,7 @@ pub type ScorerRef = std::sync::Arc<dyn PoolScorer>;
 /// A relevance-feedback scheme: how one feedback round's decision
 /// function is trained. Ranking is the same for every scheme — score the
 /// candidates with the fitted [`PoolScorer`], sort
-/// ([`crate::pooled::rank_candidates`]) — so [`fit_warm`](Self::fit_warm)
+/// (`pooled::rank_candidates`) — so [`fit_warm`](Self::fit_warm)
 /// is all a learning scheme implements.
 pub trait RelevanceFeedback {
     /// Human-readable scheme name as used in the paper's tables
@@ -149,11 +149,12 @@ pub trait RelevanceFeedback {
 /// *after* every real score (a broken decision value must not surface an
 /// image, and a non-total comparator can panic inside `sort_by`). Shared
 /// by every ranking path so full and pooled rankings stay bit-identical.
-pub fn cmp_scores_desc(a: f64, b: f64) -> std::cmp::Ordering {
+pub(crate) fn cmp_scores_desc(a: f64, b: f64) -> std::cmp::Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => std::cmp::Ordering::Equal,
         (true, false) => std::cmp::Ordering::Greater,
         (false, true) => std::cmp::Ordering::Less,
+        // lrf-lint: allow(service-panic): this arm matched both non-NaN
         (false, false) => b.partial_cmp(&a).expect("both scores are non-NaN"),
     }
 }

@@ -46,7 +46,7 @@ impl Kernel<SparseVector> for LogRbfKernel {
 /// Linear kernel over sparse log vectors: `K(r_a, r_b) = r_aᵀ r_b` — the
 /// raw count of agreeing minus disagreeing co-judgments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogLinearKernel;
+pub(crate) struct LogLinearKernel;
 
 impl Kernel<SparseVector> for LogLinearKernel {
     #[inline]
@@ -63,30 +63,16 @@ impl Kernel<SparseVector> for LogLinearKernel {
 /// judged), which swamps the overlap signal under a plain RBF; normalizing
 /// makes the kernel respond to co-judgment *agreement*: identical feedback
 /// histories → 1, disjoint histories → `e^{−2γ}`, perfectly contradictory
-/// histories → `e^{−4γ}`. This is the default log kernel (`γ` from
-/// [`crate::LrfConfig::log_kernel`] after calibration; the `tune_log`
-/// example in `lrf-bench` compares the candidates).
+/// histories → `e^{−4γ}`. Selected by [`LogKernel::CosineRbf`]; the
+/// `tune_log` example in `lrf-bench` compares it with the default plain
+/// RBF.
 ///
 /// Mercer validity: `φ` is an explicit feature map and the Gaussian of any
 /// feature map is positive semidefinite.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LogCosineRbfKernel {
+pub(crate) struct LogCosineRbfKernel {
     /// Width parameter γ.
     pub gamma: f64,
-}
-
-impl LogCosineRbfKernel {
-    /// Creates the kernel.
-    ///
-    /// # Panics
-    /// Panics unless `gamma` is positive and finite.
-    pub fn new(gamma: f64) -> Self {
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "gamma must be positive and finite"
-        );
-        Self { gamma }
-    }
 }
 
 impl Kernel<SparseVector> for LogCosineRbfKernel {
@@ -110,16 +96,17 @@ impl Kernel<SparseVector> for LogCosineRbfKernel {
 }
 
 /// The log-side kernel choice, configurable per experiment (the paper does
-/// not specify how its RBF treated the sparse log columns; the cosine
-/// variant is our calibrated default, the plain variants are ablations).
+/// not specify how its RBF treated the sparse log columns; plain RBF is
+/// the calibrated default of [`crate::LrfConfig::log_kernel`], the others
+/// are ablations).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LogKernel {
-    /// Plain RBF on raw log vectors.
+    /// Plain RBF on raw log vectors (default).
     Rbf {
         /// Width parameter γ.
         gamma: f64,
     },
-    /// RBF on L2-normalized log vectors (default).
+    /// RBF on L2-normalized log vectors.
     CosineRbf {
         /// Width parameter γ.
         gamma: f64,

@@ -6,39 +6,36 @@
 //!
 //! * [`feedback::RelevanceFeedback`] — a scheme is one
 //!   [`fit_warm`](feedback::RelevanceFeedback::fit_warm): given a query's
-//!   feedback round ([`QueryContext`]) it trains a [`PoolScorer`], whose
+//!   feedback round ([`QueryContext`]) it trains a [`feedback::PoolScorer`], whose
 //!   [`score_ids`](feedback::PoolScorer::score_ids) is the only place
 //!   decision values are computed. `rank` / `scores` are provided on top.
-//! * [`pooled::rank_candidates`] — the only place a (scheme, round, pool,
+//! * `pooled::rank_candidates` — the only place a (scheme, round, pool,
 //!   warm state, where-to-score) tuple becomes a ranking; the full
 //!   ranking, the index-fed pool re-rank and the serving loop all call it.
-//! * [`euclidean::EuclideanScheme`] — the paper's `Euclidean` reference
-//!   (no learning; the initial content ranking).
+//! * `euclidean::EuclideanScheme` — the paper's `Euclidean` reference
+//!   (no learning; the initial content ranking), built by
+//!   [`SchemeKind::Euclidean`].
 //! * [`rf_svm::RfSvm`] — the `RF-SVM` baseline: a regular SVM trained on
 //!   the labeled low-level features only (Tong & Chang style).
 //! * [`lrf_2svms::Lrf2Svms`] — the `LRF-2SVMs` baseline: two independent
 //!   SVMs (content + log) trained on the labeled set, decisions summed —
 //!   the paper's "straightforward approach" that "may lose some coupling
 //!   information".
-//! * [`coupled`] — the **coupled SVM** (Eq. 1): two max-margin models
+//! * [`train_coupled`] — the **coupled SVM** (Eq. 1): two max-margin models
 //!   forced to agree on a shared unlabeled pool whose pseudo-labels are
 //!   optimization variables, trained by alternating optimization with
 //!   ρ-annealing and Δ-gated label correction (§4.2).
 //! * [`lrf_csvm::LrfCsvm`] — the practical `LRF-CSVM` algorithm of Fig. 1:
 //!   unlabeled selection by combined SVM distance, coupled training,
 //!   ranking by `CSVM_Dist`.
-//! * [`kernels`] — RBF/linear kernels over sparse feedback-log vectors
+//! * [`LogKernel`] — RBF/linear kernels over sparse feedback-log vectors
 //!   (implementations of [`lrf_svm::Kernel`] for
 //!   [`lrf_logdb::SparseVector`]).
-//! * [`multi`] — the generalization the paper sketches ("naturally
-//!   generalized for learning on a multiple-modality problem"): a coupled
-//!   machine over *k* dense modalities, trained by the same Fig. 1 driver
-//!   as [`coupled`] on the same [`CoupledConfig`] schedule.
-//! * [`pooled`] — the scale path: an `lrf-index` backend retrieves a
+//! * [`PooledRetrieval`] — the scale path: an `lrf-index` backend retrieves a
 //!   candidate pool and only the pool is scored and re-ranked; with the
 //!   exact flat backend and a full pool this reproduces the paper's
 //!   ranking exactly.
-//! * [`rounds`] — the serving path: [`rounds::FeedbackLoop`] turns the
+//! * [`FeedbackLoop`] — the serving path: it turns the
 //!   one-shot schemes into resumable multi-round sessions (accumulated
 //!   judgments, typed errors, log-session flush) for `lrf-service`. Each
 //!   round after the first warm-starts its solver from the previous
@@ -68,31 +65,27 @@
 //! assert_eq!(ranked.len(), ds.db.len());
 //! ```
 
-pub mod active;
-pub mod config;
-pub mod coupled;
-pub mod euclidean;
+mod active;
+mod config;
+mod coupled;
+mod euclidean;
 pub mod feedback;
-pub mod kernels;
-pub mod log_collection;
-pub mod lrf_2svms;
-pub mod lrf_csvm;
-pub mod multi;
-pub mod pooled;
-pub mod rf_svm;
-pub mod rounds;
+mod kernels;
+mod log_collection;
+mod lrf_2svms;
+mod lrf_csvm;
+mod pooled;
+mod rf_svm;
+mod rounds;
 
 pub use active::RoundSelection;
-pub use config::{CoupledConfig, LrfConfig, PseudoLabelInit, UnlabeledSelection};
+pub use config::{CoupledConfig, LrfConfig, UnlabeledSelection};
 pub use coupled::{train_coupled, CoupledOutcome, TrainReport};
-pub use euclidean::EuclideanScheme;
-pub use feedback::{
-    PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
-};
-pub use kernels::{LogCosineRbfKernel, LogKernel, LogLinearKernel, LogRbfKernel};
+pub use feedback::{QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState};
+pub use kernels::{LogKernel, LogRbfKernel};
 pub use log_collection::collect_feedback_log;
 pub use lrf_2svms::Lrf2Svms;
 pub use lrf_csvm::LrfCsvm;
-pub use pooled::{rank_candidates, PooledRetrieval};
+pub use pooled::PooledRetrieval;
 pub use rf_svm::RfSvm;
 pub use rounds::{FeedbackLoop, RoundError, SchemeKind};

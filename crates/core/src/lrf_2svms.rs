@@ -55,6 +55,10 @@ impl Lrf2Svms {
             &self.config.coupled.smo,
             warm,
         )
+        // lrf-lint: allow(service-panic): a request's fit comes through
+        // `rank_candidates`, which skips an empty round; the labels are
+        // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
+        // made the bound and the kernel width positive; log entries are ±1
         .expect("log SVM training cannot fail on validated feedback rounds")
     }
 }

@@ -20,7 +20,7 @@
 //! achieve promising improvements" and is kept here as
 //! [`UnlabeledSelection::ClosestToBoundary`] to reproduce that finding.
 
-use crate::config::{LrfConfig, PseudoLabelInit, UnlabeledSelection};
+use crate::config::{LrfConfig, UnlabeledSelection};
 use crate::coupled::{train_coupled, CoupledOutcome, TrainReport};
 use crate::feedback::{
     rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
@@ -158,6 +158,10 @@ impl LrfCsvm {
             cfg.log_kernel,
             &cfg.coupled,
         )
+        // lrf-lint: allow(service-panic): the round is non-empty (the two
+        // step-1 fits above ran on it), its labels and the pseudo-labels
+        // are ±1, the views are built aligned, and `LrfConfig::validate`
+        // made every bound positive
         .expect("coupled training cannot fail on validated feedback rounds");
 
         let n_l = y.len();
@@ -239,24 +243,13 @@ impl LrfCsvm {
             }
         };
 
-        let y_init: Vec<f64> = match (self.config.init, self.config.selection) {
-            // Selection-side init only makes sense for the max/min split.
-            (PseudoLabelInit::BySelectionSide, UnlabeledSelection::MaxMinCombinedDistance) => {
+        let y_init: Vec<f64> = match self.config.selection {
+            // The max/min split labels by selection side (§6.5).
+            UnlabeledSelection::MaxMinCombinedDistance => {
                 let n_top = n / 2;
                 (0..n).map(|i| if i < n_top { 1.0 } else { -1.0 }).collect()
             }
-            (PseudoLabelInit::Random, _) => {
-                use rand::Rng;
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(
-                    self.config.random_init_seed ^ (ctx.example.query as u64).rotate_left(17),
-                );
-                (0..n)
-                    .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
-                    .collect()
-            }
-            // ByDistanceSign, and the fallback for BySelectionSide under
-            // non-max/min selections.
+            // The other selections have no sides: sign of the distance.
             _ => chosen
                 .iter()
                 .map(|&(_, d)| if d >= 0.0 { 1.0 } else { -1.0 })
@@ -433,6 +426,41 @@ mod tests {
             .map(|&id| dist[id])
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(top_min >= bottom_max);
+    }
+
+    #[test]
+    fn sideless_selections_init_labels_by_distance_sign() {
+        let (ds, log) = setup(0.0, 20);
+        let proto = QueryProtocol {
+            n_queries: 1,
+            n_labeled: 8,
+            seed: 0,
+        };
+        let example = proto.feedback_example(&ds.db, 5);
+        let ctx = QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        };
+        // Both signs occur, so neither selection can pass by constancy.
+        let dist: Vec<f64> = (0..ds.db.len()).map(|id| id as f64 - 20.5).collect();
+        for selection in [
+            UnlabeledSelection::ClosestToBoundary,
+            UnlabeledSelection::Random,
+        ] {
+            let scheme = LrfCsvm::new(LrfConfig {
+                selection,
+                ..LrfConfig::default()
+            });
+            let (ids, init) = scheme.select_unlabeled(&ctx, &dist);
+            assert_eq!(ids.len(), 10, "{selection:?}");
+            let want: Vec<f64> = ids
+                .iter()
+                .map(|&id| if dist[id] >= 0.0 { 1.0 } else { -1.0 })
+                .collect();
+            assert_eq!(init, want, "{selection:?}");
+            assert!(want.contains(&1.0) && want.contains(&-1.0), "{selection:?}");
+        }
     }
 
     #[test]

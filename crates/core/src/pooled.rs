@@ -90,7 +90,9 @@ impl<'a> PooledRetrieval<'a> {
 /// by the returned scores (descending, ties by id, NaN last), appending every
 /// out-of-pool id ascending — a full-database permutation. A scheme with
 /// nothing to fit (Euclidean) never calls `score`; its pool keeps its
-/// order.
+/// order. So does a round with no labeled image, for every scheme: there
+/// is nothing to fit yet, and the solver is never handed an empty
+/// training set.
 ///
 /// `score` decides *where* the decision values are computed — inline via
 /// [`crate::feedback::PoolScorer::score_ids`], or scattered across shard
@@ -102,7 +104,7 @@ impl<'a> PooledRetrieval<'a> {
 ///
 /// # Panics
 /// Panics if `score` returns a vector not aligned with `pool`.
-pub fn rank_candidates<S, F>(
+pub(crate) fn rank_candidates<S, F>(
     scheme: &S,
     ctx: &QueryContext<'_>,
     pool: &[usize],
@@ -113,7 +115,12 @@ where
     S: RelevanceFeedback + ?Sized,
     F: FnOnce(&ScorerRef, &[usize]) -> Vec<f64>,
 {
-    let mut ranking = match scheme.fit_warm(ctx, pool, warm) {
+    let fitted = if ctx.example.labeled.is_empty() {
+        None
+    } else {
+        scheme.fit_warm(ctx, pool, warm)
+    };
+    let mut ranking = match fitted {
         Some(scorer) => {
             let scores = score(&scorer, pool);
             assert_eq!(pool.len(), scores.len(), "scores must align with the pool");

@@ -32,7 +32,7 @@ impl RfSvm {
     /// order; the set grows by appending, so the seed prefix-maps onto the
     /// new round's samples). Exposed for reuse by the log-based schemes
     /// (this is exactly their content-side initial model).
-    pub fn train_content_svm(
+    pub(crate) fn train_content_svm(
         &self,
         ctx: &QueryContext<'_>,
         warm: Option<&[f64]>,
@@ -57,6 +57,10 @@ impl RfSvm {
             &self.config.coupled.smo,
             warm,
         )
+        // lrf-lint: allow(service-panic): a request's fit comes through
+        // `rank_candidates`, which skips an empty round; the labels are
+        // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
+        // made the bound positive; database features are finite
         .expect("content SVM training cannot fail on validated feedback rounds")
     }
 }

@@ -152,16 +152,6 @@ impl FeedbackLoop {
         }
     }
 
-    /// The session's query image id.
-    pub fn query(&self) -> usize {
-        self.query
-    }
-
-    /// The scheme this session runs.
-    pub fn kind(&self) -> SchemeKind {
-        self.kind
-    }
-
     /// Completed retrain/re-rank rounds.
     pub fn rounds(&self) -> usize {
         self.rounds
@@ -173,7 +163,7 @@ impl FeedbackLoop {
     }
 
     /// The accumulated judgment for `image`, if any (`+1.0` / `−1.0`).
-    pub fn judgment(&self, image: usize) -> Option<f64> {
+    pub(crate) fn judgment(&self, image: usize) -> Option<f64> {
         self.labeled
             .iter()
             .find(|&&(id, _)| id == image)
@@ -208,7 +198,7 @@ impl FeedbackLoop {
     /// Retrains on the accumulated judgments and ranks `pool` (candidate
     /// ids from the retrieval front-end), returning a full-database
     /// permutation: re-ranked pool first, out-of-pool ids trailing in id
-    /// order — exactly [`rank_candidates`] on [`Self::example`] with the
+    /// order — exactly `rank_candidates` on [`Self::example`] with the
     /// session's [`WarmState`] (the first round bit-identical to a cold
     /// one-shot; warm-started later rounds within the solver tolerance).
     ///
@@ -468,6 +458,26 @@ mod tests {
         eu.mark(0, true).unwrap();
         let _ = rerank_in_place(&mut eu, &ds.db, &log, &pool);
         assert_eq!(eu.last_diagnostics(), None);
+    }
+
+    #[test]
+    fn a_round_with_no_marks_keeps_the_pool_order() {
+        // Nothing judged yet means nothing to fit: every scheme answers
+        // with the pool as the front-end ordered it, then the ascending
+        // tail, and never asks for scores.
+        let (ds, log) = setup();
+        let pool = vec![7usize, 3, 40, 0, 12];
+        let mut want = pool.clone();
+        want.extend((0..ds.db.len()).filter(|id| !pool.contains(id)));
+        for kind in SchemeKind::all() {
+            let mut fb = FeedbackLoop::new(kind, small_config(), 7, ds.db.len());
+            let ranking = fb.rerank_scattered(&ds.db, &log, &pool, |_, _| {
+                panic!("{}: scatter called with nothing fitted", kind.name())
+            });
+            assert_eq!(ranking, want, "{}", kind.name());
+            assert_eq!(fb.rounds(), 1);
+            assert_eq!(fb.last_diagnostics(), None);
+        }
     }
 
     #[test]

@@ -13,11 +13,11 @@ use lrf_imaging::color::rgb_to_hsv;
 use lrf_imaging::RgbImage;
 
 /// Number of color-moment dimensions (3 moments × 3 channels).
-pub const DIMS: usize = 9;
+pub(crate) const DIMS: usize = 9;
 
 /// Extracts the 9-D color-moment descriptor, laid out as
 /// `[mean_h, std_h, skew_h, mean_s, std_s, skew_s, mean_v, std_v, skew_v]`.
-pub fn color_moments(img: &RgbImage) -> [f64; DIMS] {
+pub(crate) fn color_moments(img: &RgbImage) -> [f64; DIMS] {
     let n = img.len() as f64;
     debug_assert!(n > 0.0);
 

@@ -11,24 +11,19 @@
 //! all-flat image yields the zero vector, a documented convention).
 
 use lrf_imaging::canny::{canny, CannyParams, EdgeMap};
-use lrf_imaging::{GrayImage, RgbImage};
+use lrf_imaging::GrayImage;
 
 /// Number of histogram bins (18 × 20° = 360°).
-pub const BINS: usize = 18;
+pub(crate) const BINS: usize = 18;
 
 /// Computes the normalized 18-bin edge-direction histogram of a gray image.
-pub fn edge_direction_histogram(img: &GrayImage, params: CannyParams) -> [f64; BINS] {
+pub(crate) fn edge_direction_histogram(img: &GrayImage, params: CannyParams) -> [f64; BINS] {
     let map = canny(img, params);
     histogram_from_edges(&map)
 }
 
-/// Computes the histogram for an RGB image (grayscale conversion included).
-pub fn edge_direction_histogram_rgb(img: &RgbImage, params: CannyParams) -> [f64; BINS] {
-    edge_direction_histogram(&img.to_gray(), params)
-}
-
 /// Builds the normalized histogram from an existing [`EdgeMap`].
-pub fn histogram_from_edges(map: &EdgeMap) -> [f64; BINS] {
+pub(crate) fn histogram_from_edges(map: &EdgeMap) -> [f64; BINS] {
     let mut hist = [0.0f64; BINS];
     let mut count = 0usize;
     let bin_width = std::f32::consts::TAU / BINS as f32;
@@ -118,19 +113,6 @@ mod tests {
         let hist = edge_direction_histogram(&img, default_params());
         let mass: f64 = hist[3] + hist[4] + hist[5];
         assert!(mass > 0.9, "mass near 90° = {mass}, hist = {hist:?}");
-    }
-
-    #[test]
-    fn rgb_wrapper_matches_gray_path() {
-        let mut img = RgbImage::new(16, 16);
-        for y in 0..16 {
-            for x in 8..16 {
-                img.set(x, y, [255, 255, 255]);
-            }
-        }
-        let via_rgb = edge_direction_histogram_rgb(&img, default_params());
-        let via_gray = edge_direction_histogram(&img.to_gray(), default_params());
-        assert_eq!(via_rgb, via_gray);
     }
 
     #[test]

@@ -12,16 +12,16 @@ use lrf_imaging::RgbImage;
 use serde::{Deserialize, Serialize};
 
 /// Dimensions contributed by the color-moment descriptor.
-pub const COLOR_DIMS: usize = color_moments::DIMS;
+pub(crate) const COLOR_DIMS: usize = color_moments::DIMS;
 /// Dimensions contributed by the edge-direction histogram.
-pub const EDGE_DIMS: usize = edge_histogram::BINS;
+pub(crate) const EDGE_DIMS: usize = edge_histogram::BINS;
 /// Dimensions contributed by the wavelet-entropy texture descriptor.
-pub const TEXTURE_DIMS: usize = texture::DIMS;
+pub(crate) const TEXTURE_DIMS: usize = texture::DIMS;
 /// Total feature dimensionality (36).
 pub const TOTAL_DIMS: usize = COLOR_DIMS + EDGE_DIMS + TEXTURE_DIMS;
 
 /// A raw (pre-normalization) 36-D feature vector.
-pub type FeatureVector = Vec<f64>;
+pub(crate) type FeatureVector = Vec<f64>;
 
 /// Extracts the full 36-D descriptor of §6.2 from RGB images.
 #[derive(Clone, Debug, Serialize, Deserialize, Default)]
@@ -69,7 +69,7 @@ impl FeatureExtractor {
     /// # Panics
     /// Panics if the image dimensions are unsuitable for a 3-level DWT
     /// (must be divisible by 8 and at least 16×16).
-    pub fn extract(&self, img: &RgbImage) -> FeatureVector {
+    pub(crate) fn extract(&self, img: &RgbImage) -> FeatureVector {
         let mut out = Vec::with_capacity(TOTAL_DIMS);
         out.extend_from_slice(&color_moments(img));
         let gray = img.to_gray();

@@ -5,22 +5,20 @@
 //!
 //! | Descriptor | Dim | Module |
 //! |---|---|---|
-//! | HSV color moments (mean, std, skewness per channel) | 9 | [`color_moments`] |
-//! | Canny edge-direction histogram (18 bins × 20°) | 18 | [`edge_histogram`] |
-//! | Daubechies-4 wavelet entropy (3 levels × 3 orientations) | 9 | [`texture`] |
+//! | HSV color moments (mean, std, skewness per channel) | 9 | `color_moments` |
+//! | Canny edge-direction histogram (18 bins × 20°) | 18 | `edge_histogram` |
+//! | Daubechies-4 wavelet entropy (3 levels × 3 orientations) | 9 | `texture` |
 //!
 //! [`extractor::FeatureExtractor`] runs the full pipeline;
 //! [`normalize::Normalizer`] applies the classical Gaussian (3σ)
 //! normalization across a database so no descriptor dominates Euclidean
 //! distances or the RBF kernel.
 
-pub mod color_moments;
-pub mod edge_histogram;
-pub mod extractor;
-pub mod normalize;
-pub mod texture;
+mod color_moments;
+mod edge_histogram;
+mod extractor;
+mod normalize;
+mod texture;
 
-pub use extractor::{
-    FeatureExtractor, FeatureVector, COLOR_DIMS, EDGE_DIMS, TEXTURE_DIMS, TOTAL_DIMS,
-};
+pub use extractor::{FeatureExtractor, TOTAL_DIMS};
 pub use normalize::Normalizer;

@@ -32,7 +32,7 @@ impl Normalizer {
     }
 
     /// Fits with an explicit σ multiplier and clamping choice.
-    pub fn fit_with(rows: &[Vec<f64>], sigma_multiplier: f64, clamp: bool) -> Self {
+    pub(crate) fn fit_with(rows: &[Vec<f64>], sigma_multiplier: f64, clamp: bool) -> Self {
         assert!(!rows.is_empty(), "cannot fit a normalizer on zero rows");
         assert!(sigma_multiplier > 0.0, "sigma multiplier must be positive");
         let dims = rows[0].len();
@@ -73,7 +73,7 @@ impl Normalizer {
     }
 
     /// Number of feature dimensions.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.mean.len()
     }
 
@@ -81,7 +81,7 @@ impl Normalizer {
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub fn apply_in_place(&self, v: &mut [f64]) {
+    pub(crate) fn apply_in_place(&self, v: &mut [f64]) {
         assert_eq!(v.len(), self.dims(), "dimension mismatch");
         for ((x, &m), &s) in v.iter_mut().zip(&self.mean).zip(&self.scale) {
             *x = (*x - m) / s;
@@ -92,7 +92,8 @@ impl Normalizer {
     }
 
     /// Returns a normalized copy of `v`.
-    pub fn apply(&self, v: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    fn apply(&self, v: &[f64]) -> Vec<f64> {
         let mut out = v.to_vec();
         self.apply_in_place(&mut out);
         out

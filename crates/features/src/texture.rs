@@ -15,16 +15,16 @@
 //! pattern or flat region).
 
 use lrf_imaging::wavelet::dwt2d_multilevel;
-use lrf_imaging::{GrayImage, RgbImage};
+use lrf_imaging::GrayImage;
 
 /// Number of texture dimensions (3 levels × {LH, HL, HH}).
-pub const DIMS: usize = 9;
+pub(crate) const DIMS: usize = 9;
 
 /// Default decomposition depth used by the paper.
-pub const LEVELS: usize = 3;
+pub(crate) const LEVELS: usize = 3;
 
 /// Shannon entropy of the energy distribution of a coefficient block.
-pub fn band_entropy(band: &GrayImage) -> f64 {
+pub(crate) fn band_entropy(band: &GrayImage) -> f64 {
     let total: f64 = band
         .as_slice()
         .iter()
@@ -51,18 +51,13 @@ pub fn band_entropy(band: &GrayImage) -> f64 {
 /// Panics if the image dimensions are not divisible by `2^LEVELS` (= 8) or
 /// are too small for the transform (the synthetic corpus always satisfies
 /// this; arbitrary inputs should be resized/cropped first).
-pub fn wavelet_texture(img: &GrayImage) -> [f64; DIMS] {
+pub(crate) fn wavelet_texture(img: &GrayImage) -> [f64; DIMS] {
     let pyramid = dwt2d_multilevel(img, LEVELS);
     let mut out = [0.0f64; DIMS];
     for (i, band) in pyramid.detail_bands().enumerate() {
         out[i] = band_entropy(band);
     }
     out
-}
-
-/// RGB convenience wrapper (grayscale conversion included).
-pub fn wavelet_texture_rgb(img: &RgbImage) -> [f64; DIMS] {
-    wavelet_texture(&img.to_gray())
 }
 
 #[cfg(test)]
@@ -161,19 +156,5 @@ mod tests {
         for (a, b) in t1.iter().zip(&t2) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn rgb_wrapper_matches_gray_path() {
-        let mut img = RgbImage::new(32, 32);
-        for y in 0..32 {
-            for x in 0..32 {
-                let v = ((x * 7 + y * 13) % 256) as u8;
-                img.set(x, y, [v, v, v]);
-            }
-        }
-        let a = wavelet_texture_rgb(&img);
-        let b = wavelet_texture(&img.to_gray());
-        assert_eq!(a, b);
     }
 }

@@ -54,19 +54,9 @@ impl FlatIndex {
         Self { data, dim }
     }
 
-    /// The indexed matrix (row-major).
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// The shared handle to the indexed matrix.
     pub fn shared_data(&self) -> Arc<Vec<f64>> {
         Arc::clone(&self.data)
-    }
-
-    /// One indexed vector.
-    pub fn vector(&self, id: usize) -> &[f64] {
-        &self.data[id * self.dim..(id + 1) * self.dim]
     }
 }
 
@@ -150,7 +140,7 @@ impl FlatShard {
     /// # Panics
     /// Panics if `dim == 0`, the matrix is ragged, or the range is empty
     /// or out of bounds.
-    pub fn from_shared(data: Arc<Vec<f64>>, dim: usize, start: usize, end: usize) -> Self {
+    pub(crate) fn from_shared(data: Arc<Vec<f64>>, dim: usize, start: usize, end: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert_eq!(data.len() % dim, 0, "data length must be a multiple of dim");
         let n = data.len() / dim;
@@ -182,16 +172,6 @@ impl FlatShard {
             .collect()
     }
 
-    /// First global id covered by this shard (inclusive).
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// One-past-last global id covered by this shard.
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
     /// Number of vectors in the shard.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -203,23 +183,13 @@ impl FlatShard {
         self.len() == 0
     }
 
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Whether `id` (global) falls in this shard's range.
-    pub fn contains(&self, id: usize) -> bool {
-        (self.start..self.end).contains(&id)
-    }
-
     /// The shard's `k` nearest vectors to `query` as ascending
     /// `(global id, d²)` pairs, plus the scan's work counters — the
     /// scatter half of a sharded search, and the only exact scan in the
     /// crate: [`FlatIndex`] searches by running it over its own ranges.
     ///
     /// # Panics
-    /// Panics if `query.len() != self.dim()`.
+    /// Panics if `query.len()` is not the shard's dimensionality.
     pub fn search_d2(&self, query: &[f64], k: usize) -> (Vec<(usize, f64)>, SearchStats) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let stats = SearchStats {
@@ -375,7 +345,7 @@ mod tests {
             for s in &shards {
                 assert!(!s.is_empty());
                 assert!(Arc::ptr_eq(&data, &s.data), "shards must not copy rows");
-                covered.extend(s.start()..s.end());
+                covered.extend(s.start..s.end);
             }
             assert_eq!(covered, (0..23).collect::<Vec<_>>(), "n_shards={n_shards}");
         }
@@ -396,6 +366,6 @@ mod tests {
         want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         want.truncate(10);
         assert_eq!(got, want);
-        assert!(shard.contains(20) && shard.contains(44) && !shard.contains(45));
+        assert_eq!((shard.start, shard.end), (20, 45));
     }
 }

@@ -153,13 +153,8 @@ impl IvfIndex {
     }
 
     /// Number of cells actually built.
-    pub fn nlist(&self) -> usize {
+    pub(crate) fn nlist(&self) -> usize {
         self.lists.len()
-    }
-
-    /// The default probe count used by trait-object searches.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
     }
 
     /// Adjusts the default probe count (clamped to `[1, nlist]`).
@@ -168,7 +163,7 @@ impl IvfIndex {
     }
 
     /// Search with an explicit probe count.
-    pub fn search_nprobe(
+    pub(crate) fn search_nprobe(
         &self,
         query: &[f64],
         k: usize,

@@ -36,10 +36,10 @@
 //! | [`IvfIndex`] | ≥ ~0.9 recall | k-means | O((nlist + N·nprobe/nlist)·d) | large N with cluster structure (real image corpora) |
 //! | [`LshIndex`] | ≥ ~0.9 recall | hashing | O(tables·bits·d + candidates·d) | very high N, loose recall targets, streaming inserts |
 
-pub mod flat;
-pub mod ivf;
-pub mod lsh;
-pub mod merge;
+mod flat;
+mod ivf;
+mod lsh;
+mod merge;
 
 pub use flat::{FlatIndex, FlatShard};
 pub use ivf::{IvfConfig, IvfIndex};

@@ -154,16 +154,6 @@ impl LshIndex {
         Arc::clone(&self.data)
     }
 
-    /// Number of hash tables.
-    pub fn n_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// The default probe count used by trait-object searches.
-    pub fn probes(&self) -> usize {
-        self.probes
-    }
-
     /// Adjusts the default probe count (extra flipped-bit buckets per
     /// table; clamped to the signature width).
     pub fn set_probes(&mut self, probes: usize) {
@@ -171,7 +161,7 @@ impl LshIndex {
     }
 
     /// Search with an explicit probe count.
-    pub fn search_probes(
+    pub(crate) fn search_probes(
         &self,
         query: &[f64],
         k: usize,
@@ -348,6 +338,6 @@ mod tests {
             },
         );
         lsh.set_probes(100);
-        assert_eq!(lsh.probes(), 6);
+        assert_eq!(lsh.probes, 6);
     }
 }

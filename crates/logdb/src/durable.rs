@@ -31,42 +31,7 @@ use lrf_sync::{Mutex, MutexExt};
 use crate::session::LogSession;
 use crate::shared::{LogStoreCounters, SharedLogStore};
 use crate::store::LogStore;
-use crate::wal::{JudgmentWal, WalError, WalRecoveryReport};
-
-/// How a [`DurableLogStore`] came up, minus the store itself (which is
-/// already inside the wrapper).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DurableRecovery {
-    /// Sessions already on disk when we opened (snapshot + replay).
-    pub recovered_sessions: u64,
-    /// Sessions replayed from WAL segments.
-    pub replayed_sessions: u64,
-    /// Whether the disk was empty and the caller's seed store was
-    /// published instead.
-    pub seeded: bool,
-    /// Torn/corrupt frame runs truncated during recovery.
-    pub truncated_records: u64,
-    /// Bytes dropped with them.
-    pub truncated_bytes: u64,
-    /// Transient read faults healed by re-reading a segment.
-    pub reread_recoveries: u64,
-    /// Stale files swept at open.
-    pub stale_files_removed: u64,
-}
-
-impl DurableRecovery {
-    fn from_report(report: &WalRecoveryReport, seeded: bool) -> Self {
-        Self {
-            recovered_sessions: report.store.n_sessions() as u64,
-            replayed_sessions: report.replayed_sessions,
-            seeded,
-            truncated_records: report.truncated_records,
-            truncated_bytes: report.truncated_bytes,
-            reread_recoveries: report.reread_recoveries,
-            stale_files_removed: report.stale_files_removed,
-        }
-    }
-}
+use crate::wal::{DurableRecovery, JudgmentWal, WalError};
 
 /// A [`SharedLogStore`] with optional write-ahead durability.
 #[derive(Debug)]
@@ -93,11 +58,10 @@ impl DurableLogStore {
         n_images: usize,
         opts: WalOptions,
     ) -> Result<(Self, DurableRecovery), WalError> {
-        let (wal, report) = JudgmentWal::open(io, dir, n_images, opts)?;
-        let recovery = DurableRecovery::from_report(&report, false);
+        let (wal, store, _, recovery) = JudgmentWal::open(io, dir, n_images, opts)?;
         Ok((
             Self {
-                shared: SharedLogStore::from_store(report.store),
+                shared: SharedLogStore::from_store(store),
                 wal: Some(Mutex::new(wal)),
             },
             recovery,
@@ -116,36 +80,21 @@ impl DurableLogStore {
         opts: WalOptions,
     ) -> Result<(Self, DurableRecovery), WalError> {
         let n_images = seed.n_images();
-        let (mut wal, report) = JudgmentWal::open(io, dir, n_images, opts)?;
-        let disk_empty = !report.had_snapshot && report.replayed_sessions == 0;
+        let (mut wal, mut store, had_snapshot, mut recovery) =
+            JudgmentWal::open(io, dir, n_images, opts)?;
+        let disk_empty = !had_snapshot && recovery.replayed_sessions == 0;
         if disk_empty && seed.n_sessions() > 0 {
             wal.compact(&seed)?;
-            let recovery = DurableRecovery {
-                recovered_sessions: 0,
-                seeded: true,
-                ..DurableRecovery::from_report(&report, true)
-            };
-            return Ok((
-                Self {
-                    shared: SharedLogStore::from_store(seed),
-                    wal: Some(Mutex::new(wal)),
-                },
-                recovery,
-            ));
+            recovery.seeded = true;
+            store = seed;
         }
-        let recovery = DurableRecovery::from_report(&report, false);
         Ok((
             Self {
-                shared: SharedLogStore::from_store(report.store),
+                shared: SharedLogStore::from_store(store),
                 wal: Some(Mutex::new(wal)),
             },
             recovery,
         ))
-    }
-
-    /// Whether records go through a WAL before acknowledgement.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// Durably record a session: WAL append first (fsynced), then the
@@ -195,13 +144,6 @@ impl DurableLogStore {
         wal.compact(&snapshot)
     }
 
-    /// Sessions appended to the WAL since the last compaction.
-    pub fn wal_debt(&self) -> u64 {
-        self.wal
-            .as_ref()
-            .map_or(0, |w| w.lock_recover().appended_since_compact())
-    }
-
     /// Segments started in the current WAL epoch (0 for WAL-less).
     pub fn wal_segments(&self) -> u64 {
         self.wal
@@ -214,7 +156,8 @@ impl DurableLogStore {
         self.shared.snapshot()
     }
 
-    /// See [`SharedLogStore::counters`].
+    /// The shared store's operation counters (records, snapshots,
+    /// copy-on-write clones).
     pub fn counters(&self) -> LogStoreCounters {
         self.shared.counters()
     }
@@ -259,11 +202,9 @@ mod tests {
     #[test]
     fn volatile_store_records_without_a_wal() {
         let db = DurableLogStore::volatile(LogStore::new(4));
-        assert!(!db.is_durable());
         let id = db.record_durable(session(&[(0, true)])).unwrap();
         assert_eq!(id, 0);
         assert_eq!(db.n_sessions(), 1);
-        assert_eq!(db.wal_debt(), 0);
     }
 
     #[test]
@@ -291,9 +232,7 @@ mod tests {
         let (db, _) = DurableLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         db.record_durable(session(&[(0, true)])).unwrap();
         db.record_durable(session(&[(1, true)])).unwrap();
-        assert_eq!(db.wal_debt(), 2);
         db.compact().unwrap();
-        assert_eq!(db.wal_debt(), 0);
         db.record_durable(session(&[(2, false)])).unwrap();
         drop(db);
         mem.crash();

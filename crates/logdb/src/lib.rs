@@ -17,35 +17,35 @@
 //!   collected, exactly as a deployed CBIR system would accumulate it.
 //! * [`sparse::SparseVector`] — the sparse vector type with the dot/norm
 //!   operations the log-side SVM kernel needs.
-//! * [`simulate`] — the **substitution for the paper's human log
+//! * [`simulate_sessions`] — the **substitution for the paper's human log
 //!   collection** (150 sessions gathered from real users): simulated users
 //!   judge the top-20 of a content-based ranking by ground-truth category
 //!   with an injectable mislabel (noise) probability.
 //! * [`persist`] — JSON round-tripping of the store (a real deployment
 //!   keeps its log database on disk), crash-safe via atomic temp+fsync+
 //!   rename publication.
-//! * [`shared`] — the concurrent wrapper: snapshot reads + `&self` appends
+//! * [`SharedLogStore`] — the concurrent wrapper: snapshot reads + `&self` appends
 //!   (copy-on-write), so a serving plane can flush completed sessions
 //!   without stalling queries that are training on the log.
-//! * [`wal`] — the judgment WAL: checksummed, fsynced, incremental
+//! * `wal` — the judgment WAL: checksummed, fsynced, incremental
 //!   session appends with snapshot compaction, so acknowledged feedback
 //!   survives a crash without whole-store rewrites.
-//! * [`durable`] — [`durable::DurableLogStore`], uniting [`shared`] and
-//!   [`wal`]: WAL-first recording, spill backfill, compaction.
+//! * [`DurableLogStore`] — unites the shared store and the WAL:
+//!   WAL-first recording, spill backfill, compaction.
 
-pub mod durable;
+mod durable;
 pub mod persist;
-pub mod session;
-pub mod shared;
-pub mod simulate;
-pub mod sparse;
-pub mod store;
-pub mod wal;
+mod session;
+mod shared;
+mod simulate;
+mod sparse;
+mod store;
+mod wal;
 
-pub use durable::{DurableLogStore, DurableRecovery};
+pub use durable::DurableLogStore;
 pub use session::{LogSession, Relevance};
 pub use shared::{LogStoreCounters, SharedLogStore};
 pub use simulate::{simulate_sessions, SimulationConfig};
 pub use sparse::SparseVector;
 pub use store::LogStore;
-pub use wal::{JudgmentWal, WalError, WalRecoveryReport};
+pub use wal::{DurableRecovery, WalError};

@@ -11,7 +11,7 @@ use std::io;
 use std::path::Path;
 
 /// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// The on-disk frame. Generic over the store field so writing borrows the
 /// store (`Envelope<&LogStore>`) and reading owns it.
@@ -73,7 +73,7 @@ impl From<serde_json::Error> for PersistError {
 }
 
 /// Serializes the store to a JSON byte vector.
-pub fn to_json(store: &LogStore) -> Result<Vec<u8>, PersistError> {
+pub(crate) fn to_json(store: &LogStore) -> Result<Vec<u8>, PersistError> {
     Ok(serde_json::to_vec(&Envelope {
         version: FORMAT_VERSION,
         store,
@@ -81,7 +81,7 @@ pub fn to_json(store: &LogStore) -> Result<Vec<u8>, PersistError> {
 }
 
 /// Deserializes a store from JSON bytes.
-pub fn from_json(bytes: &[u8]) -> Result<LogStore, PersistError> {
+pub(crate) fn from_json(bytes: &[u8]) -> Result<LogStore, PersistError> {
     let env: Envelope<LogStore> = serde_json::from_slice(bytes)?;
     if env.version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion { found: env.version });
@@ -99,7 +99,11 @@ pub fn save(store: &LogStore, path: &Path) -> Result<(), PersistError> {
 }
 
 /// [`save`] over an injectable IO backend (fault-injection tests).
-pub fn save_with(io: &dyn StorageIo, store: &LogStore, path: &Path) -> Result<(), PersistError> {
+pub(crate) fn save_with(
+    io: &dyn StorageIo,
+    store: &LogStore,
+    path: &Path,
+) -> Result<(), PersistError> {
     Ok(atomic_write(io, path, &to_json(store)?)?)
 }
 
@@ -109,7 +113,7 @@ pub fn load(path: &Path) -> Result<LogStore, PersistError> {
 }
 
 /// [`load`] over an injectable IO backend (fault-injection tests).
-pub fn load_with(io: &dyn StorageIo, path: &Path) -> Result<LogStore, PersistError> {
+pub(crate) fn load_with(io: &dyn StorageIo, path: &Path) -> Result<LogStore, PersistError> {
     from_json(&io.read(path)?)
 }
 

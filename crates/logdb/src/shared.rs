@@ -83,7 +83,7 @@ impl SharedLogStore {
     /// Handles to the store's event counters (snapshots, appends,
     /// copy-on-write clones). The handles stay live for the store's
     /// lifetime; adopt them into a registry to expose them.
-    pub fn counters(&self) -> LogStoreCounters {
+    pub(crate) fn counters(&self) -> LogStoreCounters {
         LogStoreCounters {
             snapshots: Arc::clone(&self.snapshots),
             appends: Arc::clone(&self.appends),
@@ -135,13 +135,13 @@ impl SharedLogStore {
     }
 
     /// Number of images the store covers.
-    pub fn n_images(&self) -> usize {
+    pub(crate) fn n_images(&self) -> usize {
         self.snapshot().n_images()
     }
 
     /// Extracts the current store, consuming the wrapper (end of serving:
     /// persist the accumulated log). Clones only if snapshots still exist.
-    pub fn into_store(self) -> LogStore {
+    pub(crate) fn into_store(self) -> LogStore {
         let arc = self
             .inner
             .into_inner()

@@ -49,7 +49,7 @@ impl SparseVector {
     }
 
     /// The value at `index` (zero when absent).
-    pub fn get(&self, index: u32) -> f64 {
+    pub(crate) fn get(&self, index: u32) -> f64 {
         match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
             Ok(pos) => self.entries[pos].1,
             Err(_) => 0.0,
@@ -57,7 +57,7 @@ impl SparseVector {
     }
 
     /// Sets `index` to `value`; `value == 0.0` removes the entry.
-    pub fn set(&mut self, index: u32, value: f64) {
+    pub(crate) fn set(&mut self, index: u32, value: f64) {
         assert!(value.is_finite(), "value must be finite");
         match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
             Ok(pos) => {
@@ -111,11 +111,13 @@ impl SparseVector {
         (self.norm_sq() + other.norm_sq() - 2.0 * self.dot(other)).max(0.0)
     }
 
-    /// Densifies into a `dim`-length vector (diagnostics / interop).
+    /// Densifies into a `dim`-length vector: the dense reference the
+    /// tests hold `dot` and `squared_distance` to.
     ///
     /// # Panics
     /// Panics if any stored index is `>= dim`.
-    pub fn to_dense(&self, dim: usize) -> Vec<f64> {
+    #[cfg(test)]
+    fn to_dense(&self, dim: usize) -> Vec<f64> {
         let mut out = vec![0.0; dim];
         for &(i, v) in &self.entries {
             assert!((i as usize) < dim, "index {i} out of dimension {dim}");

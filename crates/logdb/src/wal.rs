@@ -76,46 +76,45 @@ impl From<PersistError> for WalError {
     }
 }
 
-/// What recovery found, alongside the rebuilt store.
-#[derive(Debug)]
-pub struct WalRecoveryReport {
-    /// The store as of the crash: snapshot plus replayed sessions.
-    pub store: LogStore,
-    /// Sessions replayed from WAL segments (not counting the snapshot).
+/// How a [`crate::DurableLogStore`] came up, minus the store itself (which
+/// is already inside the wrapper): what opening the judgment WAL found on disk.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DurableRecovery {
+    /// Sessions already on disk when we opened (snapshot + replay).
+    pub recovered_sessions: u64,
+    /// Sessions replayed from WAL segments.
     pub replayed_sessions: u64,
-    /// Whether a compaction snapshot was present.
-    pub had_snapshot: bool,
-    /// Segments of the current epoch that were replayed.
-    pub segments_replayed: u64,
-    /// Torn/corrupt frame runs dropped during recovery.
+    /// Whether the disk was empty and the caller's seed store was
+    /// published instead.
+    pub seeded: bool,
+    /// Torn/corrupt frame runs truncated during recovery.
     pub truncated_records: u64,
     /// Bytes dropped with them.
     pub truncated_bytes: u64,
     /// Transient read faults healed by re-reading a segment.
     pub reread_recoveries: u64,
-    /// Leftover files from older epochs / interrupted publishes removed.
+    /// Stale files swept at open.
     pub stale_files_removed: u64,
 }
 
 /// Append-only durable log of [`LogSession`]s with snapshot compaction.
 #[derive(Debug)]
-pub struct JudgmentWal {
+pub(crate) struct JudgmentWal {
     wal: Wal,
-    n_images: usize,
-    /// Sessions appended since the last compaction (recovered ones count).
-    appended_since_compact: u64,
 }
 
 impl JudgmentWal {
-    /// Opens (or creates) the WAL at `dir` and runs recovery, rebuilding
-    /// the store it protects. `n_images` must match the image database;
-    /// a snapshot recorded for a different image count is refused.
-    pub fn open(
+    /// Opens (or creates) the WAL at `dir` and runs recovery. Returns the
+    /// WAL, the store it protects as of the crash (snapshot plus replayed
+    /// sessions), whether a compaction snapshot was present, and what
+    /// recovery found. `n_images` must match the image database; a
+    /// snapshot recorded for a different image count is refused.
+    pub(crate) fn open(
         io: IoRef,
         dir: &Path,
         n_images: usize,
         opts: WalOptions,
-    ) -> Result<(Self, WalRecoveryReport), WalError> {
+    ) -> Result<(Self, LogStore, bool, DurableRecovery), WalError> {
         if n_images == 0 {
             return Err(WalError::Replay {
                 record: 0,
@@ -150,64 +149,38 @@ impl JudgmentWal {
             replayed_sessions += 1;
         }
 
-        let report = WalRecoveryReport {
-            store,
+        let report = DurableRecovery {
+            recovered_sessions: store.n_sessions() as u64,
             replayed_sessions,
-            had_snapshot,
-            segments_replayed: recovery.segments_replayed,
+            seeded: false,
             truncated_records: recovery.truncated_records,
             truncated_bytes: recovery.truncated_bytes,
             reread_recoveries: recovery.reread_recoveries,
             stale_files_removed: recovery.stale_files_removed,
         };
-        Ok((
-            Self {
-                wal,
-                n_images,
-                appended_since_compact: replayed_sessions,
-            },
-            report,
-        ))
+        Ok((Self { wal }, store, had_snapshot, report))
     }
 
     /// Durably append one session. `Ok` means it survives a crash.
-    pub fn append(&mut self, session: &LogSession) -> Result<(), WalError> {
+    pub(crate) fn append(&mut self, session: &LogSession) -> Result<(), WalError> {
         let payload =
             serde_json::to_vec(session).map_err(|e| WalError::Persist(PersistError::Format(e)))?;
         self.wal.append(&payload)?;
-        self.appended_since_compact += 1;
         Ok(())
     }
 
     /// Atomically publish `store` as the new snapshot and retire the
     /// replay segments. The caller is responsible for `store` containing
     /// every session appended so far (the durable wrapper guarantees it).
-    pub fn compact(&mut self, store: &LogStore) -> Result<(), WalError> {
+    pub(crate) fn compact(&mut self, store: &LogStore) -> Result<(), WalError> {
         let bytes = persist::to_json(store)?;
         self.wal.compact(&bytes)?;
-        self.appended_since_compact = 0;
         Ok(())
     }
 
-    /// Sessions appended (or recovered) since the last compaction —
-    /// the replay debt a crash right now would incur.
-    pub fn appended_since_compact(&self) -> u64 {
-        self.appended_since_compact
-    }
-
-    /// Current compaction epoch.
-    pub fn epoch(&self) -> u64 {
-        self.wal.epoch()
-    }
-
     /// Segments started this epoch.
-    pub fn segments_started(&self) -> u64 {
+    pub(crate) fn segments_started(&self) -> u64 {
         self.wal.segments_started()
-    }
-
-    /// Image count this WAL validates against.
-    pub fn n_images(&self) -> usize {
-        self.n_images
     }
 }
 
@@ -252,30 +225,31 @@ mod tests {
     #[test]
     fn sessions_survive_crash_and_replay_in_order() {
         let mem = MemIo::handle();
-        let (mut wal, rec) =
+        let (mut wal, store, _, _) =
             JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        assert_eq!(rec.store.n_sessions(), 0);
+        assert_eq!(store.n_sessions(), 0);
         wal.append(&session(&[(0, true), (3, false)])).unwrap();
         wal.append(&session(&[(7, true)])).unwrap();
         drop(wal);
         mem.crash();
 
-        let (_, rec) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (_, store, _, rec) =
+            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(rec.replayed_sessions, 2);
-        assert_eq!(rec.store.n_sessions(), 2);
-        assert_eq!(rec.store.entry(3, 0), -1.0);
-        assert_eq!(rec.store.entry(7, 1), 1.0);
+        assert_eq!(store.n_sessions(), 2);
+        assert_eq!(store.entry(3, 0), -1.0);
+        assert_eq!(store.entry(7, 1), 1.0);
     }
 
     #[test]
     fn compaction_snapshot_is_the_persist_format() {
         let mem = MemIo::handle();
-        let (mut wal, _) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (mut wal, ..) =
+            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         let mut store = LogStore::new(8);
         store.record(session(&[(1, true)]));
         wal.append(&session(&[(1, true)])).unwrap();
         wal.compact(&store).unwrap();
-        assert_eq!(wal.appended_since_compact(), 0);
         wal.append(&session(&[(2, false)])).unwrap();
         drop(wal);
         mem.crash();
@@ -286,17 +260,18 @@ mod tests {
         let from_snapshot = crate::persist::load_with(mem.as_ref(), &snap_path).unwrap();
         assert_eq!(from_snapshot.n_sessions(), 1);
 
-        let (_, rec) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        assert!(rec.had_snapshot);
+        let (_, store, had_snapshot, rec) =
+            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        assert!(had_snapshot);
         assert_eq!(rec.replayed_sessions, 1);
-        assert_eq!(rec.store.n_sessions(), 2);
-        assert_eq!(rec.store.entry(2, 1), -1.0);
+        assert_eq!(store.n_sessions(), 2);
+        assert_eq!(store.entry(2, 1), -1.0);
     }
 
     #[test]
     fn out_of_range_image_id_is_a_typed_replay_error() {
         let mem = MemIo::handle();
-        let (mut wal, _) =
+        let (mut wal, ..) =
             JudgmentWal::open(mem.clone(), dir(), 16, WalOptions::default()).unwrap();
         wal.append(&session(&[(15, true)])).unwrap();
         drop(wal);
@@ -316,7 +291,8 @@ mod tests {
     #[test]
     fn snapshot_image_count_mismatch_is_refused() {
         let mem = MemIo::handle();
-        let (mut wal, _) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (mut wal, ..) =
+            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         wal.append(&session(&[(1, true)])).unwrap();
         let mut store = LogStore::new(8);
         store.record(session(&[(1, true)]));
@@ -331,7 +307,7 @@ mod tests {
     #[test]
     fn failed_append_is_not_replayed() {
         let mem = MemIo::handle();
-        let (wal, _) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (wal, ..) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         drop(wal);
         // Ops through the faulty io: open = mkdir(0)+list(1); first
         // append = append(2)+sync(3); second = append(4), sync(5) fails,
@@ -340,16 +316,17 @@ mod tests {
             mem.clone(),
             FaultPlan::new().with_fault(5, FaultKind::SyncFail),
         );
-        let (mut wal, _) = JudgmentWal::open(faulty, dir(), 8, WalOptions::default()).unwrap();
+        let (mut wal, ..) = JudgmentWal::open(faulty, dir(), 8, WalOptions::default()).unwrap();
         wal.append(&session(&[(0, true)])).unwrap();
         assert!(wal.append(&session(&[(1, true)])).is_err());
         drop(wal);
         mem.crash();
 
-        let (_, rec) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (_, store, _, rec) =
+            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(rec.replayed_sessions, 1);
         assert!(
-            rec.store.log_vector(1).is_empty(),
+            store.log_vector(1).is_empty(),
             "failed append must not resurrect"
         );
     }

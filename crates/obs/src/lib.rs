@@ -13,7 +13,7 @@
 //!   `Arc`s and never touches the registry lock. Snapshots are
 //!   integer-only serde values — mergeable across shards, comparable
 //!   with `==` in tests, servable as JSON.
-//! * **Tracing** ([`SpanTimer`], [`span!`], [`event!`]): scope guards
+//! * **Tracing** ([`SpanTimer`], [`span!`]): scope guards
 //!   that time a stage into a histogram via an injectable [`Clock`] —
 //!   [`MonotonicClock`] in production (the single sanctioned wall-clock
 //!   read, enforced by `tools/lint`'s `wall-clock` rule),
@@ -46,16 +46,13 @@
 //! assert!(page.contains("request_latency_ns_count 3"));
 //! ```
 
-pub mod clock;
-pub mod metrics;
+mod clock;
+mod metrics;
 pub mod prometheus;
-pub mod registry;
-pub mod trace;
+mod registry;
+mod trace;
 
 pub use clock::{Clock, ClockRef, ManualClock, MonotonicClock};
-pub use metrics::{
-    bucket_bounds, bucket_index, BucketCount, Counter, Gauge, Histogram, HistogramSnapshot,
-    NUM_BUCKETS, SUB_BUCKETS,
-};
+pub use metrics::{BucketCount, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{CounterSnapshot, GaugeSnapshot, HistogramEntry, Registry, RegistrySnapshot};
 pub use trace::SpanTimer;

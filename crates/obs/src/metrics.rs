@@ -38,14 +38,12 @@ use serde::{Deserialize, Serialize};
 /// Sub-buckets per power-of-two octave (and the size of the exact linear
 /// region). Higher means finer quantiles and more memory; 32 gives the
 /// documented 1/64 relative-error bound in ~15 KiB per histogram.
-pub const SUB_BUCKETS: usize = 32;
+pub(crate) const SUB_BUCKETS: usize = 32;
 const LOG2_SUB: u32 = SUB_BUCKETS.trailing_zeros();
-/// Buckets needed to cover the full `u64` range.
-pub const NUM_BUCKETS: usize = (64 - LOG2_SUB as usize) * SUB_BUCKETS + SUB_BUCKETS;
 
 /// The bucket index for a value. Exact (identity) below [`SUB_BUCKETS`];
 /// log-linear above.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS as u64 {
         value as usize
     } else {
@@ -56,7 +54,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// The inclusive `(low, high)` value range of a bucket.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
     if index < SUB_BUCKETS {
         (index as u64, index as u64)
     } else {
@@ -119,7 +117,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             value: AtomicU64::new(0),
         }
@@ -150,7 +148,7 @@ impl Gauge {
     }
 
     /// The current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -174,7 +172,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// A histogram covering the full `u64` range (1920 buckets, ~15 KiB).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_value(u64::MAX)
     }
 
@@ -245,7 +243,7 @@ impl Default for Histogram {
 /// One occupied histogram bucket (sparse representation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BucketCount {
-    /// Bucket index; decode with [`bucket_bounds`].
+    /// Bucket index on the log-linear grid (see the module docs).
     pub index: usize,
     /// Samples recorded into the bucket.
     pub count: u64,
@@ -305,15 +303,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Arithmetic mean of the recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Folds `other` into `self` (bucket-wise sum) — snapshots from
     /// different shards/instances merge into one distribution with the
     /// same error bound.
@@ -363,6 +352,9 @@ impl HistogramSnapshot {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Buckets needed to cover the full `u64` range.
+    const NUM_BUCKETS: usize = (64 - LOG2_SUB as usize) * SUB_BUCKETS + SUB_BUCKETS;
 
     #[test]
     fn gauge_inc_dec_saturates_at_zero() {
@@ -458,7 +450,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!((s.count, s.sum, s.max), (0, 0, 0));
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.mean(), 0.0);
         assert!(s.buckets.is_empty());
     }
 

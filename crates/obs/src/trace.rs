@@ -1,6 +1,5 @@
 //! The tracing facade: scope guards that record stage durations into
-//! histograms, and the [`span!`](crate::span)/[`event!`](crate::event)
-//! macro sugar over them.
+//! histograms, and the [`span!`](crate::span) macro sugar over them.
 //!
 //! No background collector, no thread-locals, no allocation: a
 //! [`SpanTimer`] reads the injected [`Clock`] twice and does one lock-free
@@ -10,7 +9,7 @@
 //! a 5 % budget; `tests/golden_gates.rs` pins the reads per request).
 
 use crate::clock::Clock;
-use crate::metrics::{Counter, Histogram};
+use crate::metrics::Histogram;
 
 /// Times a scope into a histogram: starts on construction, records the
 /// elapsed nanoseconds when dropped (or explicitly via [`stop`]).
@@ -34,7 +33,7 @@ impl<'a> SpanTimer<'a> {
     }
 
     /// Nanoseconds since the span started.
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         self.clock.now_ns().saturating_sub(self.started_ns)
     }
 
@@ -60,25 +59,6 @@ macro_rules! span {
     ($clock:expr, $histogram:expr) => {
         $crate::SpanTimer::start($clock, $histogram)
     };
-}
-
-/// Counts an event: `event!(counter)` adds one, `event!(counter, n)` adds
-/// `n`.
-#[macro_export]
-macro_rules! event {
-    ($counter:expr) => {
-        $crate::trace::count_event($counter, 1)
-    };
-    ($counter:expr, $n:expr) => {
-        $crate::trace::count_event($counter, $n)
-    };
-}
-
-/// The function behind [`event!`](crate::event) (a call site the macro
-/// can expand to without caring whether `$counter` is a `Counter`,
-/// `&Counter`, or `Arc<Counter>`).
-pub fn count_event(counter: &Counter, n: u64) {
-    counter.add(n);
 }
 
 #[cfg(test)]
@@ -119,14 +99,10 @@ mod tests {
     fn macros_expand_to_the_guards() {
         let clock = ManualClock::new();
         let h = Histogram::new();
-        let c = Counter::new();
         {
             let _span = span!(&clock, &h);
             clock.advance(9);
-            event!(&c);
-            event!(&c, 4);
         }
         assert_eq!(h.snapshot().sum, 9);
-        assert_eq!(c.get(), 5);
     }
 }

@@ -169,7 +169,7 @@ pub enum Response {
 
 impl Response {
     /// Wraps an error.
-    pub fn err(error: ServiceError) -> Self {
+    pub(crate) fn err(error: ServiceError) -> Self {
         Response::Error { error }
     }
 }
@@ -240,8 +240,8 @@ impl ServiceError {
     /// The stable machine-readable code for this error — the string
     /// clients switch on. Codes are part of the wire contract: they never
     /// change once shipped (unlike `Display` text, which is for humans and
-    /// may be reworded), and every code maps to one HTTP status
-    /// ([`Self::http_status`]). The full table lives in the README's
+    /// may be reworded), and every code maps to one HTTP status. The
+    /// full table lives in the README's
     /// "Networked serving" section.
     pub fn code(&self) -> &'static str {
         match self {
@@ -261,7 +261,7 @@ impl ServiceError {
     /// client policy does the right thing: 404/410/409/400 are terminal
     /// (don't retry the same request), 503 is retryable after backoff
     /// (storage outage or load shedding).
-    pub fn http_status(&self) -> u16 {
+    pub(crate) fn http_status(&self) -> u16 {
         match self {
             ServiceError::UnknownSession { .. } => 404,
             ServiceError::SessionExpired { .. } => 410,

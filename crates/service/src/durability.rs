@@ -43,10 +43,9 @@ pub struct DurabilityConfig {
     pub compact_segments: u64,
     /// WAL append attempts per flush (at least 1).
     pub max_attempts: u32,
-    /// Sleep before the first retry; doubles per retry.
+    /// Sleep before the first retry; doubles per retry up to a 100 ms
+    /// ceiling.
     pub backoff_ns: u64,
-    /// Backoff ceiling.
-    pub max_backoff_ns: u64,
     /// Give up retrying once this much clock time has passed since the
     /// flush started. `0` means no deadline (the attempt count is the
     /// only budget).
@@ -66,9 +65,8 @@ impl Default for DurabilityConfig {
             segment_bytes: 64 * 1024,
             compact_segments: 8,
             max_attempts: 3,
-            backoff_ns: 1_000_000,       // 1 ms
-            max_backoff_ns: 100_000_000, // 100 ms
-            deadline_ns: 1_000_000_000,  // 1 s per flush
+            backoff_ns: 1_000_000,      // 1 ms
+            deadline_ns: 1_000_000_000, // 1 s per flush
             spill_capacity: 1024,
             shed_watermark: 256,
         }

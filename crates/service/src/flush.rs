@@ -31,13 +31,8 @@ impl<T> Flushable<T> {
         }
     }
 
-    /// Whether [`Self::close`] has already been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Shared access while open; `None` once closed.
-    pub fn get(&self) -> Option<&T> {
+    pub(crate) fn get(&self) -> Option<&T> {
         (!self.closed).then_some(&self.value)
     }
 
@@ -73,9 +68,9 @@ mod tests {
     #[test]
     fn close_yields_exactly_once() {
         let mut f = Flushable::new(7);
-        assert!(!f.is_closed());
+        assert!(!f.closed);
         assert_eq!(f.close(), Some(&mut 7));
-        assert!(f.is_closed());
+        assert!(f.closed);
         #[cfg(not(lrf_seeded_bug))]
         assert_eq!(f.close(), None);
     }

@@ -14,9 +14,9 @@
 //!   — a flush can never stall a query). Built with
 //!   [`Service::with_durability_metrics`], every flush is fsynced into a
 //!   checksummed WAL before the close is acknowledged, with a typed
-//!   degradation path (retry → spill → shed, see [`durability`]) when
+//!   degradation path (retry → spill → shed, see [`DurabilityConfig`]) when
 //!   storage fails;
-//! * a [`SessionManager`]: each session is a resumable
+//! * a [`manager::SessionManager`]: each session is a resumable
 //!   [`lrf_core::FeedbackLoop`] behind its own lock, with LRU capacity
 //!   eviction and an idle TTL, both deterministic against a logical clock;
 //! * a synchronous, serde-serializable [`Request`]/[`Response`] API
@@ -71,22 +71,21 @@
 //! svc.handle(Request::Close { session });
 //! ```
 
-pub mod api;
-pub mod durability;
-pub mod flush;
+mod api;
+mod durability;
+mod flush;
 pub mod manager;
 pub mod metrics;
-pub mod net;
-pub mod service;
-pub mod shard;
+mod net;
+mod service;
+mod shard;
 pub mod wire;
 
 pub use api::{Request, Response, ServiceError};
 pub use durability::DurabilityConfig;
 pub use flush::Flushable;
-pub use manager::{EvictReason, Evicted, SessionGone, SessionManager};
 pub use metrics::ServiceMetrics;
 pub use net::{NetConfig, NetServer};
 pub use service::{Service, ServiceConfig};
 pub use shard::ShardedEngine;
-pub use wire::{FrameMode, ParsedRequest, WireError, PROTO_VERSION};
+pub use wire::PROTO_VERSION;

@@ -93,18 +93,8 @@ impl<T> SessionManager<T> {
     }
 
     /// Number of resident sessions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// `true` when no session is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The logical clock (touches so far) — exposed for diagnostics.
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     fn tick(&mut self) -> u64 {
@@ -208,7 +198,7 @@ impl<T> SessionManager<T> {
 
     /// Removes every resident session in ascending id order (service
     /// shutdown: flush everything).
-    pub fn drain(&mut self) -> Vec<(u64, Arc<Mutex<T>>)> {
+    pub(crate) fn drain(&mut self) -> Vec<(u64, Arc<Mutex<T>>)> {
         let mut ids: Vec<u64> = self.entries.keys().copied().collect();
         ids.sort_unstable();
         ids.into_iter()

@@ -254,17 +254,17 @@ impl ServiceMetrics {
     }
 
     /// The underlying registry (e.g. to adopt a component's counters).
-    pub fn registry(&self) -> &Registry {
+    pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }
 
     /// Freezes every instrument into a serializable snapshot.
-    pub fn snapshot(&self) -> RegistrySnapshot {
+    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
         self.registry.snapshot()
     }
 
     /// The injected clock.
-    pub fn clock(&self) -> &dyn Clock {
+    pub(crate) fn clock(&self) -> &dyn Clock {
         &*self.clock
     }
 

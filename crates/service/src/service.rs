@@ -369,7 +369,7 @@ impl Service {
 
     /// [`handle_json`](Self::handle_json) plus the HTTP status the
     /// response maps to — the whole surface a network transport needs.
-    pub fn handle_wire(&self, request_json: &str) -> (String, u16) {
+    pub(crate) fn handle_wire(&self, request_json: &str) -> (String, u16) {
         let (mode, response) = match wire::parse_request(request_json) {
             Ok(parsed) => (parsed.mode, self.handle(parsed.body)),
             Err(err) => (err.mode, Response::err(err.error)),
@@ -639,6 +639,8 @@ impl Service {
         if !dur.is_degraded() {
             let cfg = &dur.config;
             let start = self.metrics.clock().now_ns();
+            /// Ceiling of the doubling backoff: 100 ms.
+            const MAX_BACKOFF_NS: u64 = 100_000_000;
             let mut backoff = cfg.backoff_ns;
             let mut attempt = 0u32;
             loop {
@@ -659,7 +661,7 @@ impl Service {
                         self.metrics.wal_retries.inc();
                         if backoff > 0 {
                             std::thread::sleep(Duration::from_nanos(backoff));
-                            backoff = backoff.saturating_mul(2).min(cfg.max_backoff_ns);
+                            backoff = backoff.saturating_mul(2).min(MAX_BACKOFF_NS);
                         }
                     }
                 }
@@ -798,6 +800,52 @@ mod tests {
             resp,
             Response::err(ServiceError::SessionExpired { session })
         );
+    }
+
+    #[test]
+    fn rerank_before_any_mark_answers_the_opening_screen() {
+        let svc = service();
+        for scheme in SchemeKind::all() {
+            let Response::Opened { session, screen } =
+                svc.handle(Request::Open { query: 5, scheme })
+            else {
+                panic!("open failed")
+            };
+            let before = svc.metrics.smo_iterations.get();
+            assert_eq!(
+                svc.handle(Request::Rerank { session }),
+                Response::Reranked {
+                    session,
+                    round: 1,
+                    page: screen.clone(),
+                    converged: true,
+                },
+                "{scheme:?}"
+            );
+            // Nothing was fitted; the session is intact and a judged
+            // round trains as usual.
+            let solved = svc.metrics.smo_iterations.get();
+            assert_eq!(solved, before, "{scheme:?}");
+            for &id in &screen {
+                let relevant = svc.db().same_category(id, 5);
+                let marked = svc.handle(Request::Mark {
+                    session,
+                    image: id,
+                    relevant,
+                });
+                assert!(matches!(marked, Response::Marked { .. }), "{marked:?}");
+            }
+            let Response::Reranked { round, page, .. } = svc.handle(Request::Rerank { session })
+            else {
+                panic!("{scheme:?}: judged rerank failed")
+            };
+            assert_eq!((round, page.len()), (2, 6), "{scheme:?}");
+            assert_eq!(
+                svc.metrics.smo_iterations.get() > solved,
+                scheme != SchemeKind::Euclidean,
+                "{scheme:?}"
+            );
+        }
     }
 
     #[test]
@@ -1084,7 +1132,10 @@ mod tests {
         else {
             panic!("close failed")
         };
-        assert!(payload.lock().unwrap().is_closed(), "flush must tombstone");
+        assert!(
+            payload.lock().unwrap().get().is_none(),
+            "flush must tombstone"
+        );
         // Re-flushing the detached payload is a no-op (no double log
         // entry), which is what makes racing evict/close paths safe.
         let logged = svc.log_sessions();
@@ -1198,7 +1249,6 @@ mod tests {
         DurabilityConfig {
             max_attempts: 2,
             backoff_ns: 0,
-            max_backoff_ns: 0,
             deadline_ns: 0,
             spill_capacity: 4,
             shed_watermark: 1,

@@ -42,7 +42,7 @@ use lrf_sync::{mpsc, Arc, Mutex, MutexExt};
 
 /// A shareable frozen feedback log — what shard workers score against
 /// (the coordinator's per-round [`lrf_logdb::DurableLogStore::snapshot`]).
-pub type LogRef = Arc<LogStore>;
+pub(crate) type LogRef = Arc<LogStore>;
 
 /// One shard's search reply: `(shard index, top-k partial on squared
 /// distances, scan stats)`.
@@ -155,11 +155,6 @@ impl ShardedEngine {
             queue_depth,
             jobs_total,
         }
-    }
-
-    /// How many shard workers are running.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
     }
 
     /// The shard whose contiguous range holds `id`.

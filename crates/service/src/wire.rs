@@ -173,7 +173,7 @@ pub fn render_response(mode: FrameMode, response: &Response) -> String {
 
 /// The HTTP status a transport maps `response` to: errors carry their
 /// per-code status ([`ServiceError::http_status`]); everything else is 200.
-pub fn http_status(response: &Response) -> u16 {
+pub(crate) fn http_status(response: &Response) -> u16 {
     match response {
         Response::Error { error } => error.http_status(),
         _ => 200,

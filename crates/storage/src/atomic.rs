@@ -13,7 +13,7 @@ use crate::io::StorageIo;
 
 /// Suffix used for in-flight temp files. Recovery code treats `*.tmp`
 /// files as garbage from an interrupted publish and removes them.
-pub const TMP_SUFFIX: &str = ".tmp";
+pub(crate) const TMP_SUFFIX: &str = ".tmp";
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();

@@ -30,7 +30,7 @@ const fn build_table() -> [u32; 256] {
 static TABLE: [u32; 256] = build_table();
 
 /// CRC32 checksum of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in data {
         let idx = ((crc ^ byte as u32) & 0xFF) as usize;

@@ -143,7 +143,6 @@ pub struct FaultIo {
     inner: IoRef,
     plan: FaultPlan,
     op: AtomicU64,
-    injected: AtomicU64,
     crashed: AtomicBool,
 }
 
@@ -153,7 +152,6 @@ impl FaultIo {
             inner,
             plan,
             op: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
         }
     }
@@ -165,11 +163,6 @@ impl FaultIo {
     /// Operations attempted so far (including faulted ones).
     pub fn ops(&self) -> u64 {
         self.op.load(Ordering::Relaxed)
-    }
-
-    /// Faults actually injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
     }
 
     /// Whether the crash point has been reached.
@@ -195,11 +188,7 @@ impl FaultIo {
                 return Err(Self::crash_error());
             }
         }
-        let fault = self.plan.fault_for(op);
-        if fault.is_some() {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(fault)
+        Ok(self.plan.fault_for(op))
     }
 }
 

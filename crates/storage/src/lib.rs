@@ -32,16 +32,15 @@
 //! an append that returned `Ok` is never lost, an append that returned
 //! `Err` is never resurrected.
 
-pub mod atomic;
-pub mod crc;
+mod atomic;
+mod crc;
 pub mod fault;
-pub mod io;
-pub mod mem;
+mod io;
+mod mem;
 pub mod wal;
 
 pub use atomic::atomic_write;
-pub use crc::crc32;
 pub use fault::{FaultIo, FaultKind, FaultPlan};
 pub use io::{IoRef, StdIo, StorageIo};
 pub use mem::MemIo;
-pub use wal::{Wal, WalOptions, WalRecovery};
+pub use wal::{Wal, WalOptions};

@@ -45,7 +45,7 @@ pub struct MemIo {
 }
 
 impl MemIo {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -125,7 +125,8 @@ impl MemIo {
     /// Flip one bit in the *durable* image of `path` (silent media
     /// corruption, as opposed to a torn write). Test hook for checksum
     /// coverage; errors if the file or offset does not exist.
-    pub fn corrupt_durable(&self, path: &Path, offset: usize, mask: u8) -> io::Result<()> {
+    #[cfg(test)]
+    pub(crate) fn corrupt_durable(&self, path: &Path, offset: usize, mask: u8) -> io::Result<()> {
         let mut fs = self.fs.lock_recover();
         let state = fs
             .files
@@ -149,7 +150,8 @@ impl MemIo {
     }
 
     /// Length of the durable image, if the file has ever been synced.
-    pub fn durable_len(&self, path: &Path) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn durable_len(&self, path: &Path) -> Option<u64> {
         let fs = self.fs.lock_recover();
         fs.files
             .get(path)
@@ -158,7 +160,8 @@ impl MemIo {
     }
 
     /// Number of files currently visible (volatile view).
-    pub fn file_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn file_count(&self) -> usize {
         self.fs.lock_recover().files.len()
     }
 

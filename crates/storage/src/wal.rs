@@ -55,7 +55,7 @@ const FRAME_HEADER: usize = 8;
 
 /// Upper bound on a single record; anything larger in a length field is
 /// treated as corruption rather than an allocation request.
-pub const MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
 
 /// Tuning knobs for a [`Wal`].
 #[derive(Debug, Clone, Copy)]
@@ -422,19 +422,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Current compaction epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Segments started this epoch (rotations + the initial one).
     pub fn segments_started(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Known-good byte length of the active segment, if one is open.
-    pub fn active_len(&self) -> Option<u64> {
-        self.active.as_ref().map(|a| a.len)
     }
 }
 
@@ -498,6 +488,7 @@ mod tests {
         // Simulate a torn append that somehow reached the durable image:
         // half a frame straight onto the segment file, synced.
         let seg = dir().join(segment_name(0, 0));
+        let clean_len = mem.durable_len(&seg);
         let torn = &encode_frame(b"never-acknowledged")[..10];
         mem.append(&seg, torn).unwrap();
         mem.sync(&seg).unwrap();
@@ -507,8 +498,10 @@ mod tests {
         assert_eq!(rec.records, payloads, "acked records exact, torn tail gone");
         assert_eq!(rec.truncated_records, 1);
         assert_eq!(rec.truncated_bytes, torn.len() as u64);
-        // The tail was repaired: the active segment is clean again.
-        assert_eq!(wal2.active_len(), Some(mem.durable_len(&seg).unwrap()));
+        // The tail was repaired: the active segment is clean again, at the
+        // length it had before the torn bytes landed.
+        assert_eq!(wal2.active.as_ref().map(|a| a.len), mem.durable_len(&seg));
+        assert_eq!(mem.durable_len(&seg), clean_len);
     }
 
     #[test]
@@ -565,7 +558,7 @@ mod tests {
         wal.append(b"old-1").unwrap();
         wal.append(b"old-2").unwrap();
         wal.compact(b"{\"snapshot\":true}").unwrap();
-        assert_eq!(wal.epoch(), 1);
+        assert_eq!(wal.epoch, 1);
         wal.append(b"new-1").unwrap();
         drop(wal);
         mem.crash();

@@ -17,16 +17,9 @@ pub trait Kernel<S: ?Sized> {
     fn compute(&self, a: &S, b: &S) -> f64;
 }
 
-/// Dot product of two dense vectors (panics on length mismatch in debug).
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Squared Euclidean distance of two dense vectors.
 #[inline]
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
         .zip(b)
@@ -35,17 +28,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
             d * d
         })
         .sum()
-}
-
-/// The linear kernel `K(a, b) = aᵀb`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinearKernel;
-
-impl Kernel<[f64]> for LinearKernel {
-    #[inline]
-    fn compute(&self, a: &[f64], b: &[f64]) -> f64 {
-        dot(a, b)
-    }
 }
 
 /// The Gaussian RBF kernel `K(a, b) = exp(−γ‖a−b‖²)` — the kernel the
@@ -68,13 +50,6 @@ impl RbfKernel {
         );
         Self { gamma }
     }
-
-    /// LIBSVM's historical default `γ = 1 / num_features` — the paper does
-    /// not report its kernel parameters, so experiments use this default
-    /// (and sweep it in the ablation benches).
-    pub fn with_default_gamma(num_features: usize) -> Self {
-        Self::new(1.0 / num_features.max(1) as f64)
-    }
 }
 
 impl Kernel<[f64]> for RbfKernel {
@@ -84,43 +59,25 @@ impl Kernel<[f64]> for RbfKernel {
     }
 }
 
-/// The polynomial kernel `K(a, b) = (γ·aᵀb + c₀)^d`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PolyKernel {
-    /// Scale applied to the inner product.
-    pub gamma: f64,
-    /// Additive constant.
-    pub coef0: f64,
-    /// Polynomial degree.
-    pub degree: u32,
-}
+/// The linear kernel `K(a, b) = aᵀb`: the second dense kernel the
+/// solver's, the row store's and the model's tests run beside
+/// [`RbfKernel`]. No scheme trains with it.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LinearKernel;
 
-impl PolyKernel {
-    /// Creates a polynomial kernel.
-    ///
-    /// # Panics
-    /// Panics unless `gamma > 0`, `coef0 >= 0` (Mercer condition), and
-    /// `degree >= 1`.
-    pub fn new(gamma: f64, coef0: f64, degree: u32) -> Self {
-        assert!(gamma > 0.0 && gamma.is_finite(), "gamma must be positive");
-        assert!(
-            coef0 >= 0.0,
-            "coef0 must be nonnegative for a valid Mercer kernel"
-        );
-        assert!(degree >= 1, "degree must be at least 1");
-        Self {
-            gamma,
-            coef0,
-            degree,
-        }
-    }
-}
-
-impl Kernel<[f64]> for PolyKernel {
-    #[inline]
+#[cfg(test)]
+impl Kernel<[f64]> for LinearKernel {
     fn compute(&self, a: &[f64], b: &[f64]) -> f64 {
-        (self.gamma * dot(a, b) + self.coef0).powi(self.degree as i32)
+        dot(a, b)
     }
+}
+
+/// Dot product of two dense vectors.
+#[cfg(test)]
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// The eager Gram matrix: what the solver's and the row store's tests hold
@@ -221,23 +178,6 @@ mod tests {
         assert!((k.compute(&a, &b) - 1.0).abs() < 1e-12);
         let far = vec![100.0, -30.0];
         assert!(k.compute(&a, &far) < 1e-10);
-    }
-
-    #[test]
-    fn rbf_default_gamma_is_reciprocal_dims() {
-        let k = RbfKernel::with_default_gamma(36);
-        assert!((k.gamma - 1.0 / 36.0).abs() < 1e-15);
-        // guard against division by zero
-        let k0 = RbfKernel::with_default_gamma(0);
-        assert_eq!(k0.gamma, 1.0);
-    }
-
-    #[test]
-    fn poly_kernel_matches_formula() {
-        let k = PolyKernel::new(1.0, 1.0, 2);
-        let a = vec![1.0, 0.0];
-        let b = vec![2.0, 0.0];
-        assert_eq!(k.compute(&a, &b), 9.0); // (2 + 1)^2
     }
 
     #[test]

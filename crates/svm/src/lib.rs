@@ -5,21 +5,25 @@
 //! `C`, unlabeled points get `ρ*·C` (Eq. 2/3). This crate is that solver,
 //! built from scratch:
 //!
-//! * [`kernel`] — the [`Kernel`] trait plus dense linear / RBF / polynomial
-//!   kernels. The trait is generic over the sample type so downstream
-//!   crates can run the same solver over sparse feedback-log vectors; the
-//!   dense kernels target `[f64]`, so borrowed row views of a flat feature
-//!   matrix train and score with zero copies.
-//! * [`smo`] — the C-SVC dual solved by Sequential Minimal Optimization
+//! * `kernel` — the [`Kernel`] trait plus the dense [`RbfKernel`], the one
+//!   content kernel every scheme trains with. The trait is generic over
+//!   the sample type so downstream crates can run the same solver over
+//!   sparse feedback-log vectors; the dense kernel targets `[f64]`, so
+//!   borrowed row views of a flat feature matrix train and score with
+//!   zero copies.
+//! * `smo` — the C-SVC dual solved by Sequential Minimal Optimization
 //!   with LIBSVM's second-order working-set selection, supporting an
 //!   individual upper bound `C_i` per sample, plus shrinking and warm
-//!   starts ([`train_warm`]) for fast per-round retraining.
-//! * `cache` (crate-private) — the lazy kernel-row store the training path
+//!   starts ([`train_warm`]) for fast per-round retraining. [`SmoParams`]
+//!   is the two knobs a caller has turned (`max_iter`, `shrinking`); the
+//!   stopping tolerance [`EPS`], the curvature floor `TAU` and the
+//!   support-vector threshold are constants, as in LIBSVM.
+//! * `cache` — the lazy kernel-row store the training path
 //!   computes Gram rows through: a row is computed on first touch and kept
 //!   until the solve ends, with hit/miss counts surfaced in
 //!   [`SolveStats`]. The eager full-matrix solve is the tests' bit-exact
 //!   oracle.
-//! * [`model`] — the trained decision function, slack extraction (needed by
+//! * `model` — the trained decision function, slack extraction (needed by
 //!   the coupled SVM's label-correction loop), and degenerate single-class
 //!   handling (a feedback round can return only positives).
 //!
@@ -33,7 +37,7 @@
 //! ```
 //!
 //! with `Q_ij = y_i y_j K(x_i, x_j)`. Optimality is certified by the KKT
-//! violation `m(α) − M(α) ≤ ε` (see [`smo`]); the property-test suite
+//! violation `m(α) − M(α) ≤ ε` ([`EPS`]); the property-test suite
 //! re-checks the KKT conditions independently of the solver.
 //!
 //! ## Example
@@ -53,12 +57,12 @@
 //! ```
 
 mod cache;
-pub mod error;
-pub mod kernel;
-pub mod model;
-pub mod smo;
+mod error;
+mod kernel;
+mod model;
+mod smo;
 
 pub use error::SvmError;
-pub use kernel::{Kernel, LinearKernel, PolyKernel, RbfKernel};
-pub use model::{ModelKind, SvmModel, TrainedSvm};
-pub use smo::{train, train_warm, SmoParams, SolveStats};
+pub use kernel::{Kernel, RbfKernel};
+pub use model::{SvmModel, TrainedSvm};
+pub use smo::{train, train_warm, SmoParams, SolveStats, EPS};

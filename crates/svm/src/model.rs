@@ -12,26 +12,16 @@ use crate::kernel::Kernel;
 use crate::smo::SolveStats;
 use std::borrow::Borrow;
 
-/// How a model was produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelKind {
-    /// A genuine max-margin solution over two classes.
-    Trained,
-    /// Degenerate single-class input: the decision function is the constant
-    /// class sign (`±1`). Relevance-feedback rounds where the user marks
-    /// everything relevant (or everything irrelevant) produce this.
-    Constant,
-}
-
-/// A trained (or degenerate-constant) SVM decision function
-/// `f(x) = Σ_i coef_i · K(sv_i, x) + b`.
+/// A trained SVM decision function `f(x) = Σ_i coef_i · K(sv_i, x) + b` —
+/// or, for degenerate single-class input, the constant class sign (`±1`,
+/// no support vectors). Relevance-feedback rounds where the user marks
+/// everything relevant (or everything irrelevant) produce the latter.
 pub struct SvmModel<S: ?Sized + ToOwned, K> {
     kernel: K,
     support_vectors: Vec<S::Owned>,
     /// `α_i · y_i` per support vector.
     coefficients: Vec<f64>,
     bias: f64,
-    kind: ModelKind,
 }
 
 impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
@@ -48,7 +38,6 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
             support_vectors,
             coefficients,
             bias,
-            kind: ModelKind::Trained,
         }
     }
 
@@ -60,7 +49,6 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
             support_vectors: Vec::new(),
             coefficients: Vec::new(),
             bias: sign,
-            kind: ModelKind::Constant,
         }
     }
 
@@ -75,18 +63,9 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
         f
     }
 
-    /// Predicted label (`+1.0` / `-1.0`); ties break positive.
-    pub fn predict(&self, x: &S) -> f64 {
-        if self.decision(x) >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
     /// Hinge slack `ξ = max(0, 1 − y·f(x))` — the quantity the coupled
     /// SVM's label-correction loop thresholds against `Δ`.
-    pub fn hinge_slack(&self, x: &S, y: f64) -> f64 {
+    pub(crate) fn hinge_slack(&self, x: &S, y: f64) -> f64 {
         (1.0 - y * self.decision(x)).max(0.0)
     }
 
@@ -95,30 +74,10 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
         self.bias
     }
 
-    /// Number of support vectors (0 for constant models).
-    pub fn n_support(&self) -> usize {
-        self.support_vectors.len()
-    }
-
-    /// Support vectors retained by the model.
-    pub fn support_vectors(&self) -> &[S::Owned] {
+    /// Support vectors retained by the model (0 for constant models).
+    #[cfg(test)]
+    pub(crate) fn support_vectors(&self) -> &[S::Owned] {
         &self.support_vectors
-    }
-
-    /// `α_i y_i` coefficients aligned with [`Self::support_vectors`].
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// Whether this is a genuine trained model or a degenerate constant.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
-    /// Borrow the kernel (e.g. to evaluate it elsewhere with identical
-    /// parameters).
-    pub fn kernel(&self) -> &K {
-        &self.kernel
     }
 
     /// Decision values for many samples: [`Self::decision`] mapped over
@@ -164,7 +123,6 @@ where
             support_vectors: self.support_vectors.clone(),
             coefficients: self.coefficients.clone(),
             bias: self.bias,
-            kind: self.kind,
         }
     }
 }
@@ -179,7 +137,6 @@ where
             .field("support_vectors", &self.support_vectors)
             .field("coefficients", &self.coefficients)
             .field("bias", &self.bias)
-            .field("kind", &self.kind)
             .finish()
     }
 }
@@ -239,7 +196,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{LinearKernel, PolyKernel, RbfKernel};
+    use crate::kernel::{LinearKernel, RbfKernel};
     use crate::smo::{train, SmoParams};
 
     fn simple_model() -> SvmModel<[f64], LinearKernel> {
@@ -260,14 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_sign_and_tie_break() {
-        let m = simple_model();
-        assert_eq!(m.predict(&[3.0]), 1.0);
-        assert_eq!(m.predict(&[-3.0]), -1.0);
-        assert_eq!(m.predict(&[0.0]), 1.0); // tie → positive
-    }
-
-    #[test]
     fn hinge_slack_formula() {
         let m = simple_model(); // f(x) = 2x
                                 // y=+1, f=2·0.25=0.5 → slack 0.5
@@ -281,10 +230,8 @@ mod tests {
     #[test]
     fn constant_model_reports_kind_and_value() {
         let m: SvmModel<[f64], LinearKernel> = SvmModel::constant(LinearKernel, -1.0);
-        assert_eq!(m.kind(), ModelKind::Constant);
-        assert_eq!(m.n_support(), 0);
+        assert!(m.support_vectors().is_empty());
         assert_eq!(m.decision(&[99.0]), -1.0);
-        assert_eq!(m.predict(&[99.0]), -1.0);
         // slack of a "positive" sample under the constant −1 model is 2
         assert_eq!(m.hinge_slack(&[0.0], 1.0), 2.0);
     }
@@ -346,7 +293,6 @@ mod tests {
 
         check(&batch_model(LinearKernel, 8, dim), &rows);
         check(&batch_model(RbfKernel::new(0.4), 8, dim), &rows);
-        check(&batch_model(PolyKernel::new(0.5, 1.0, 3), 8, dim), &rows);
         // The degenerate constant model must batch too.
         let constant: SvmModel<[f64], RbfKernel> = SvmModel::constant(RbfKernel::new(1.0), 1.0);
         check(&constant, &rows);

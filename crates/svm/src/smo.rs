@@ -8,7 +8,7 @@
 //! **shrinking** of bounded points that satisfy their KKT conditions
 //! (with the mandatory full-gradient reconstruction check before
 //! convergence is declared, so shrinking never changes the returned model
-//! beyond `eps`), and **warm starts** ([`train_warm`]) that resume from a
+//! beyond [`EPS`]), and **warm starts** ([`train_warm`]) that resume from a
 //! previous round's dual solution.
 //! The one extension over stock LIBSVM is the **individual upper bound
 //! `C_i` per sample**, which is exactly the modification the paper made to
@@ -26,7 +26,7 @@
 //! with shrinking forced off (`train_precomputed`) as the bit-exact
 //! oracle: with shrinking disabled the lazy path reproduces it bit for bit
 //! (lazily computed rows are bitwise identical to precomputed ones); with
-//! shrinking on it agrees within `eps`.
+//! shrinking on it agrees within [`EPS`].
 //!
 //! Optimality: the pair `(m(α), M(α))` of maximal KKT violations over the
 //! index sets
@@ -36,7 +36,7 @@
 //! I_low(α) = {t | α_t < C_t, y_t = −1} ∪ {t | α_t > 0, y_t = +1}
 //! ```
 //!
-//! shrinks until `m(α) − M(α) ≤ ε` (default `10⁻³`, LIBSVM's default).
+//! shrinks until `m(α) − M(α) ≤ ε` ([`EPS`]: `10⁻³`, LIBSVM's default).
 
 use crate::cache::{KernelCache, KernelRows};
 use crate::error::SvmError;
@@ -45,21 +45,25 @@ use crate::model::{SvmModel, TrainedSvm};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
-/// Solver tuning parameters.
+/// Stopping tolerance on the KKT violation gap (LIBSVM's default).
+pub const EPS: f64 = 1e-3;
+/// Lower bound substituted for non-positive second-order curvature
+/// (LIBSVM's `TAU`).
+const TAU: f64 = 1e-12;
+/// Alphas at or below this are dropped from the support set when building
+/// the model.
+const SV_THRESHOLD: f64 = 1e-9;
+
+/// The solver parameters a caller has had reason to set. The stopping
+/// tolerance ([`EPS`]), the curvature floor (`TAU`) and the
+/// support-vector threshold have only ever had one value and are
+/// constants of this module.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SmoParams {
-    /// Stopping tolerance on the KKT violation gap.
-    pub eps: f64,
     /// Hard cap on SMO iterations (working-set updates). The cap exists so
     /// a pathological kernel cannot hang a retrieval request; hitting it is
     /// reported through [`SolveStats::converged`].
     pub max_iter: usize,
-    /// Lower bound substituted for non-positive second-order curvature
-    /// (LIBSVM's `TAU`).
-    pub tau: f64,
-    /// Alphas below this threshold are dropped from the support set when
-    /// building the model.
-    pub sv_threshold: f64,
     /// Enables LIBSVM-style shrinking: bounded points whose KKT conditions
     /// hold are dropped from the working set, and the full gradient is
     /// reconstructed for a whole-problem optimality check before
@@ -71,10 +75,7 @@ pub struct SmoParams {
 impl Default for SmoParams {
     fn default() -> Self {
         Self {
-            eps: 1e-3,
             max_iter: 100_000,
-            tau: 1e-12,
-            sv_threshold: 1e-9,
             shrinking: true,
         }
     }
@@ -85,11 +86,11 @@ impl Default for SmoParams {
 pub struct SolveStats {
     /// Number of working-set updates performed.
     pub iterations: usize,
-    /// Whether the KKT gap reached `eps` (vs. hitting `max_iter`).
+    /// Whether the KKT gap reached [`EPS`] (vs. hitting `max_iter`).
     pub converged: bool,
     /// Final dual objective `½αᵀQα − eᵀα`.
     pub objective: f64,
-    /// Number of support vectors (`α_i > sv_threshold`).
+    /// Number of support vectors (`α_i > 10⁻⁹`).
     pub n_support: usize,
     /// Kernel-row accesses served by an already-computed row (0 on the
     /// precomputed path).
@@ -119,7 +120,7 @@ pub struct SolveStats {
 ///
 /// **Degenerate input:** when every label has the same sign the dual forces
 /// `α = 0` and the margin is meaningless; the returned model is a constant
-/// decision equal to that sign (see [`crate::ModelKind::Constant`]), which keeps
+/// decision equal to that sign (no support vectors), which keeps
 /// relevance-feedback rounds total when a user marks everything relevant.
 pub fn train<S, B, K>(
     samples: &[B],
@@ -177,7 +178,6 @@ where
         samples,
         labels,
         kernel,
-        params,
         sol,
         cache_hits,
         cache_misses,
@@ -222,7 +222,6 @@ fn finish_model<S, B, K>(
     samples: &[B],
     labels: &[f64],
     kernel: K,
-    params: &SmoParams,
     sol: DualSolution,
     cache_hits: u64,
     cache_misses: u64,
@@ -237,7 +236,7 @@ where
     let mut support_vectors = Vec::new();
     let mut coefficients = Vec::new();
     for (i, &a) in sol.alpha.iter().enumerate() {
-        if a > params.sv_threshold {
+        if a > SV_THRESHOLD {
             support_vectors.push(samples[i].borrow().to_owned());
             coefficients.push(a * labels[i]);
         }
@@ -417,11 +416,11 @@ fn solve_dual<Q: KernelRows>(
         if counter == 0 {
             counter = n.min(1000);
             if params.shrinking {
-                do_shrinking(q, y, c, &alpha, &mut g, &mut active, &mut unshrunk, params);
+                do_shrinking(q, y, c, &alpha, &mut g, &mut active, &mut unshrunk);
             }
         }
 
-        let (i, j) = match select_working_set(q, &qd, y, c, &alpha, &g, &active, params) {
+        let (i, j) = match select_working_set(q, &qd, y, c, &alpha, &g, &active) {
             Some(pair) => pair,
             None => {
                 if active.len() == n {
@@ -433,7 +432,7 @@ fn solve_dual<Q: KernelRows>(
                 // before declaring convergence.
                 reconstruct_gradient(q, y, &alpha, &mut g, &active);
                 active = (0..n).collect();
-                match select_working_set(q, &qd, y, c, &alpha, &g, &active, params) {
+                match select_working_set(q, &qd, y, c, &alpha, &g, &active) {
                     Some(pair) => {
                         counter = 1; // shrink again on the next iteration
                         pair
@@ -460,7 +459,7 @@ fn solve_dual<Q: KernelRows>(
         if y[i] != y[j] {
             let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
             if quad <= 0.0 {
-                quad = params.tau;
+                quad = TAU;
             }
             let delta = (-g[i] - g[j]) / quad;
             let diff = alpha[i] - alpha[j];
@@ -488,7 +487,7 @@ fn solve_dual<Q: KernelRows>(
         } else {
             let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
             if quad <= 0.0 {
-                quad = params.tau;
+                quad = TAU;
             }
             let delta = (g[i] - g[j]) / quad;
             let sum = alpha[i] + alpha[j];
@@ -585,7 +584,6 @@ fn do_shrinking<Q: KernelRows>(
     g: &mut [f64],
     active: &mut Vec<usize>,
     unshrunk: &mut bool,
-    params: &SmoParams,
 ) {
     let n = y.len();
     // Violation maxima over the active set: gmax1 = m(α), gmax2 = −M(α).
@@ -610,7 +608,7 @@ fn do_shrinking<Q: KernelRows>(
         }
     }
 
-    if !*unshrunk && gmax1 + gmax2 <= params.eps * 10.0 {
+    if !*unshrunk && gmax1 + gmax2 <= EPS * 10.0 {
         *unshrunk = true;
         reconstruct_gradient(q, y, alpha, g, active);
         *active = (0..n).collect();
@@ -632,7 +630,6 @@ fn select_working_set<Q: KernelRows>(
     alpha: &[f64],
     g: &[f64],
     active: &[usize],
-    params: &SmoParams,
 ) -> Option<(usize, usize)> {
     // i = argmax_{t ∈ I_up} −y_t G_t
     let mut gmax = f64::NEG_INFINITY;
@@ -681,7 +678,7 @@ fn select_working_set<Q: KernelRows>(
             // ‖φ(x_i) − φ(x_t)‖² regardless of the label combination.
             let mut quad = kii + qd[t] - 2.0 * ki[t];
             if quad <= 0.0 {
-                quad = params.tau;
+                quad = TAU;
             }
             let obj = -(grad_diff * grad_diff) / quad;
             if obj <= obj_min {
@@ -691,7 +688,7 @@ fn select_working_set<Q: KernelRows>(
         }
     }
 
-    if gmax + gmax2 < params.eps || j < 0 {
+    if gmax + gmax2 < EPS || j < 0 {
         return None;
     }
     Some((i, j as usize))
@@ -785,7 +782,7 @@ mod tests {
             ..*params
         };
         let sol = solve_dual(&mut k, labels, upper_bounds, &reference_params, None);
-        Ok(finish_model(samples, labels, kernel, params, sol, 0, 0))
+        Ok(finish_model(samples, labels, kernel, sol, 0, 0))
     }
 
     /// Independent KKT verification for the solution of a C-SVC dual.
@@ -1086,7 +1083,7 @@ mod tests {
         let labels = [1.0, 1.0];
         let bounds = [1.0, 1.0];
         let svm = train(&samples, &labels, &bounds, LinearKernel, &default_params()).unwrap();
-        assert_eq!(svm.model.kind(), crate::model::ModelKind::Constant);
+        assert!(svm.model.support_vectors().is_empty());
         assert_eq!(svm.model.decision(&[123.0]), 1.0);
         let svm_neg = train(
             &samples,

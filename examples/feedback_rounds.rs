@@ -12,7 +12,7 @@
 //! cargo run --release --example feedback_rounds
 //! ```
 
-use corelog::cbir::{CorelDataset, CorelSpec, FeedbackExample};
+use corelog::cbir::{precision_at, CorelDataset, CorelSpec, FeedbackExample, QueryProtocol};
 use corelog::core::{
     collect_feedback_log, LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm,
 };
@@ -37,14 +37,6 @@ fn judge_round(ds: &CorelDataset, ranked: &[usize], example: &mut FeedbackExampl
         };
         example.labeled.push((id, y));
     }
-}
-
-fn precision_at_20(ds: &CorelDataset, ranked: &[usize], query: usize) -> f64 {
-    ranked[..20]
-        .iter()
-        .filter(|&&id| ds.db.same_category(id, query))
-        .count() as f64
-        / 20.0
 }
 
 fn main() {
@@ -81,29 +73,15 @@ fn main() {
     let csvm = LrfCsvm::new(lrf);
 
     // Each scheme gets its own interaction state (its rounds depend on its
-    // own refined rankings).
-    let euclid_screen: Vec<usize> = corelog::cbir::top_k_euclidean(&ds.db, query, 15);
-    let initial: Vec<(usize, f64)> = euclid_screen
-        .into_iter()
-        .map(|id| {
-            (
-                id,
-                if ds.db.same_category(id, query) {
-                    1.0
-                } else {
-                    -1.0
-                },
-            )
-        })
-        .collect();
-    let mut rf_example = FeedbackExample {
-        query,
-        labeled: initial.clone(),
+    // own refined rankings), starting from the judged Euclidean top-15.
+    let first_screen = QueryProtocol {
+        n_queries: 1,
+        n_labeled: 15,
+        seed: 0,
     };
-    let mut csvm_example = FeedbackExample {
-        query,
-        labeled: initial,
-    };
+    let mut rf_example = first_screen.feedback_example(&ds.db, query);
+    let mut csvm_example = rf_example.clone();
+    let relevant = |id: usize| ds.db.same_category(id, query);
 
     for round in 1..=4 {
         let rf_ranked = rf.rank(&QueryContext {
@@ -119,8 +97,8 @@ fn main() {
         println!(
             "{:>5}  {:>10.3}  {:>10.3}",
             round,
-            precision_at_20(&ds, &rf_ranked, query),
-            precision_at_20(&ds, &csvm_ranked, query)
+            precision_at(&rf_ranked, relevant, 20),
+            precision_at(&csvm_ranked, relevant, 20)
         );
         judge_round(&ds, &rf_ranked, &mut rf_example, 15);
         judge_round(&ds, &csvm_ranked, &mut csvm_example, 15);

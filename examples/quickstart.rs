@@ -9,7 +9,7 @@
 //! `target/quickstart/` so you can eyeball the corpus (cf. the paper's
 //! Fig. 2, "some images selected from COREL image CDs").
 
-use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
+use corelog::cbir::{precision_at, CorelDataset, CorelSpec, QueryProtocol};
 use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
@@ -86,11 +86,7 @@ fn main() {
     println!("\n{:<10} {:>6}  top-10 result categories", "scheme", "P@20");
     for scheme in &schemes {
         let ranked = scheme.rank(&ctx);
-        let p20 = ranked[..20]
-            .iter()
-            .filter(|&&id| ds.db.same_category(id, query))
-            .count() as f64
-            / 20.0;
+        let p20 = precision_at(&ranked, |id| ds.db.same_category(id, query), 20);
         let cats: Vec<String> = ranked[..10]
             .iter()
             .map(|&id| ds.db.category(id).to_string())

@@ -206,7 +206,7 @@ fn warm_round_takes_fewer_iterations_to_the_same_objective() {
         warm.stats.iterations,
         cold.stats.iterations
     );
-    let eps = SmoParams::default().eps;
+    let eps = lrf_svm::EPS;
     assert!(
         (warm.stats.objective - cold.stats.objective).abs() <= eps,
         "warm objective {} vs cold {}",

@@ -10,13 +10,12 @@
 //! assertion prints the observed value in the literal's own syntax.
 
 use corelog::cbir::{collect_log, rank_by_euclidean, CorelDataset, CorelSpec, QueryProtocol};
-use corelog::core::multi::{train_multi_coupled, DenseKernel, ModalityData};
 use corelog::core::{
     collect_feedback_log, train_coupled, CoupledConfig, LrfConfig, LrfCsvm, QueryContext,
     TrainReport,
 };
 use lrf_logdb::{LogStore, Relevance, SimulationConfig};
-use lrf_svm::TrainedSvm;
+use lrf_svm::RbfKernel;
 
 const QUERY: usize = 37;
 
@@ -41,29 +40,12 @@ fn sessions(n_sessions: usize) -> SimulationConfig {
     }
 }
 
-/// The schedule in whatever type `train_multi_coupled` takes. The k-view
-/// trainer's config type is part of what the unification changes, and this
-/// file must compile unedited on both sides of it, so the type is left to
-/// inference and the values travel as JSON (unknown members are ignored).
-fn schedule(cfg: &CoupledConfig) -> String {
-    serde_json::to_string(cfg).expect("config serializes")
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// One machine's dual solution and bias, bit for bit.
-fn dual<K: lrf_svm::Kernel<[f64]>>(svm: &TrainedSvm<[f64], K>) -> (Vec<u64>, u64) {
-    (bits(&svm.alpha), svm.model.bias().to_bits())
-}
-
 /// A view of a two-cluster concept at the given scale whose unlabeled
 /// pool straddles the boundary, so pseudo-labels are contested.
-fn view(scale: f64, kernel: DenseKernel, c: f64) -> ModalityData {
+fn view(scale: f64) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let s = scale;
-    ModalityData {
-        labeled: vec![
+    (
+        vec![
             vec![s, 0.9 * s],
             vec![1.1 * s, s],
             vec![0.7 * s, 1.2 * s],
@@ -71,7 +53,7 @@ fn view(scale: f64, kernel: DenseKernel, c: f64) -> ModalityData {
             vec![-1.1 * s, -s],
             vec![-0.8 * s, -1.3 * s],
         ],
-        unlabeled: vec![
+        vec![
             vec![0.8 * s, s],
             vec![-s, -1.2 * s],
             vec![0.3 * s, -0.2 * s],
@@ -81,9 +63,7 @@ fn view(scale: f64, kernel: DenseKernel, c: f64) -> ModalityData {
             vec![0.1 * s, 0.15 * s],
             vec![-0.15 * s, -0.05 * s],
         ],
-        kernel,
-        c,
-    }
+    )
 }
 
 const Y: [f64; 6] = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0];
@@ -97,14 +77,6 @@ fn contested_schedule() -> CoupledConfig {
         max_correction_rounds: 10,
         ..CoupledConfig::default()
     }
-}
-
-fn views() -> Vec<ModalityData> {
-    vec![
-        view(1.0, DenseKernel::Rbf { gamma: 0.5 }, 10.0),
-        view(3.0, DenseKernel::Rbf { gamma: 0.1 }, 4.0),
-        view(0.5, DenseKernel::Linear, 2.0),
-    ]
 }
 
 #[test]
@@ -137,116 +109,25 @@ fn lrf_csvm_training_trace_is_pinned() {
     );
 }
 
-#[test]
-fn three_view_training_is_pinned() {
-    let schedule = schedule(&contested_schedule());
-    let out = train_multi_coupled(
-        &views(),
-        &Y,
-        &Y_INIT,
-        &serde_json::from_str(&schedule).expect("schedule parses"),
-    )
-    .expect("training succeeds");
-    assert_eq!(
-        out.report,
-        TrainReport {
-            rho_steps: 14,
-            retrains: 154,
-            flips: 783,
-            correction_capped: true,
-            final_labels: vec![1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
-        }
-    );
-    let duals: Vec<(Vec<u64>, u64)> = out.machines.iter().map(dual).collect();
-    let want: [(Vec<u64>, u64); 3] = [
-        (
-            vec![
-                0,
-                0,
-                4602344008007024099,
-                0,
-                0,
-                4606784472717520150,
-                0,
-                0,
-                4617315517961601024,
-                4617315517961601024,
-                4602217738173275221,
-                0,
-                4617315517961601024,
-                4617315517961601024,
-            ],
-            4598484249499906313,
-        ),
-        (
-            vec![
-                0,
-                0,
-                4602782169016683318,
-                0,
-                4600980647764981184,
-                4604024619610385219,
-                0,
-                0,
-                4611686018427387904,
-                4611686018427387904,
-                4603309723804123746,
-                4583258493139873392,
-                4611686018427387904,
-                4611686018427387904,
-            ],
-            4593094161585788010,
-        ),
-        (
-            vec![
-                0,
-                0,
-                0,
-                4599141685450712126,
-                0,
-                0,
-                4599141685450712126,
-                0,
-                4607182418800017408,
-                4607182418800017408,
-                4607182418800017408,
-                4607182418800017408,
-                4607182418800017408,
-                4607182418800017408,
-            ],
-            4583281651212612285,
-        ),
-    ];
-    assert_eq!(duals, want);
-}
-
-/// The twin evidence: the k-view trainer at k = 2 and the 2-view trainer
-/// are the same function of their inputs, bit for bit.
+/// Two dense views of a contested pool through `train_coupled`.
 #[test]
 fn two_dense_views_train_identically_through_either_entry() {
-    let views = views();
-    let two = &views[..2];
+    let (labeled_a, unlabeled_a) = view(1.0);
+    let (labeled_b, unlabeled_b) = view(3.0);
     let cfg = CoupledConfig {
-        c_content: two[0].c,
-        c_log: two[1].c,
+        c_content: 10.0,
+        c_log: 4.0,
         ..contested_schedule()
     };
-    let multi = train_multi_coupled(
-        two,
-        &Y,
-        &Y_INIT,
-        &serde_json::from_str(&schedule(&cfg)).expect("schedule parses"),
-    )
-    .expect("training succeeds");
     let pair = train_coupled::<[f64], _, _, [f64], _, _>(
-        &two[0].labeled,
-        &two[1].labeled,
+        &labeled_a,
+        &labeled_b,
         &Y,
-        &two[0].unlabeled,
-        &two[1].unlabeled,
+        &unlabeled_a,
+        &unlabeled_b,
         &Y_INIT,
-        two[0].kernel,
-        two[1].kernel,
+        RbfKernel::new(0.5),
+        RbfKernel::new(0.1),
         &cfg,
     )
     .expect("training succeeds");
@@ -260,9 +141,6 @@ fn two_dense_views_train_identically_through_either_entry() {
             final_labels: vec![1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0],
         }
     );
-    assert_eq!(multi.report, pair.report);
-    assert_eq!(dual(&multi.machines[0]), dual(&pair.content));
-    assert_eq!(dual(&multi.machines[1]), dual(&pair.log));
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! over the same corpus — the serving topology (shard count, transport,
 //! framing) must be invisible in the results.
 //!
-//! Also covered here: legacy bare-enum framing over TCP, envelope version
+//! Also covered here: a zero-mark `Rerank` leaving the worker pool whole,
+//! legacy bare-enum framing over TCP, envelope version
 //! rejection with HTTP status mapping, `Ping`/`Pong`, the `/metrics`
 //! Prometheus page including the per-shard stage histograms, graceful
 //! shutdown draining an unclosed session through the durable-flush path,
@@ -327,6 +328,43 @@ fn wire_framing_and_status_mapping_over_tcp() {
     assert_eq!(status, 404);
     let (status, _) = client.http("POST", "/api", "\"Stats\"");
     assert_eq!(status, 200, "connection survives the 404");
+}
+
+/// A `Rerank` before any `Mark` is a round with nothing to fit: it is
+/// answered with the opening screen, and the pool's only worker is still
+/// there for the next connection.
+#[test]
+fn rerank_before_any_mark_is_answered_and_the_worker_survives() {
+    let (db, log) = corpus();
+    let service = Service::sharded_with_metrics(db, log, N_SHARDS, config(), ServiceMetrics::new());
+    let server = NetServer::serve(
+        service,
+        NetConfig {
+            workers: 1,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    {
+        let mut client = Client::connect(server.addr());
+        let (session, screen) = open(&mut |request| client.ok(&request), 5);
+        assert_eq!(
+            client.ok(&Request::Rerank { session }),
+            Response::Reranked {
+                session,
+                round: 1,
+                page: screen,
+                converged: true,
+            }
+        );
+    }
+    let mut client = Client::connect(server.addr());
+    assert_eq!(
+        client.ok(&Request::Ping),
+        Response::Pong {
+            proto_version: PROTO_VERSION
+        }
+    );
 }
 
 /// `GET /metrics` serves the Prometheus page, including the per-shard

@@ -5,9 +5,11 @@
 //!
 //! * **service-panic** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in `lrf-service` library
-//!   code: everything reachable from the request path must produce typed
-//!   `ServiceError`s, not poison locks. (Constructor `assert!`s are
-//!   startup validation and stay allowed.)
+//!   code or in the `lrf-core` files a request runs through (rounds,
+//!   pooled re-rank, the schemes, the coupled trainer, the log kernels):
+//!   everything reachable from the request path must produce typed
+//!   `ServiceError`s, not poison locks and dead pool workers. (Constructor
+//!   `assert!`s are startup validation and stay allowed.)
 //! * **std-sync** — no direct `std::sync` in facade-covered crates
 //!   (`lrf-service`, `lrf-logdb`): synchronization goes through
 //!   `lrf-sync`, so the model checker sees every lock the service takes.
@@ -482,9 +484,14 @@ fn lint_source(file: &Path, source: &str, rules: &[&str]) -> Vec<Finding> {
     findings
 }
 
-/// Recursively collects `.rs` files under `dir`, skipping `bin/`
-/// subtrees, in sorted order for deterministic reports.
+/// Recursively collects `.rs` files under `dir` (or `dir` itself when a
+/// scope names one file), skipping `bin/` subtrees, in sorted order for
+/// deterministic reports.
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    if dir.is_file() {
+        out.push(dir.to_path_buf());
+        return;
+    }
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -502,7 +509,9 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// (scope directories, rules) pairs, relative to the workspace root.
+/// (scope directories or files, rules) pairs, relative to the workspace
+/// root. A file is held to the union of the rules of every scope that
+/// covers it.
 fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
     vec![
         // The request path must be panic-free; synchronization and time
@@ -516,6 +525,23 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
                 "no-println",
                 "raw-fs",
             ],
+        ),
+        // The request path does not end at the crate boundary: a rerank
+        // runs the round, the pooled re-rank, a scheme's fit and its
+        // kernels in `lrf-core`, and a panic there kills the same worker.
+        (
+            vec![
+                "crates/core/src/rounds.rs",
+                "crates/core/src/pooled.rs",
+                "crates/core/src/feedback.rs",
+                "crates/core/src/rf_svm.rs",
+                "crates/core/src/lrf_2svms.rs",
+                "crates/core/src/lrf_csvm.rs",
+                "crates/core/src/coupled.rs",
+                "crates/core/src/kernels.rs",
+                "crates/core/src/euclidean.rs",
+            ],
+            vec!["service-panic"],
         ),
         (
             vec!["crates/logdb/src"],
@@ -570,28 +596,46 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The rules a file (relative to the workspace root) is held to: the
+/// union over the scopes covering it.
+fn rules_for(rel: &Path) -> Vec<&'static str> {
+    let mut rules = Vec::new();
+    for (entries, scope_rules) in scopes() {
+        if entries.iter().any(|entry| rel.starts_with(entry)) {
+            for rule in scope_rules {
+                if !rules.contains(&rule) {
+                    rules.push(rule);
+                }
+            }
+        }
+    }
+    rules
+}
+
 fn main() -> ExitCode {
     let root = workspace_root();
+    let mut files = Vec::new();
+    for (entries, _) in scopes() {
+        for entry in entries {
+            rs_files(&root.join(entry), &mut files);
+        }
+    }
+    // One pass per file under all its rules, so a waiver for one scope's
+    // rule is not reported stale by another scope's pass.
+    files.sort();
+    files.dedup();
     let mut findings = Vec::new();
-    let mut n_files = 0usize;
-    for (dirs, rules) in scopes() {
-        for dir in dirs {
-            let mut files = Vec::new();
-            rs_files(&root.join(dir), &mut files);
-            for file in files {
-                let Ok(source) = std::fs::read_to_string(&file) else {
-                    findings.push(Finding {
-                        file: file.clone(),
-                        line: 0,
-                        rule: "io".into(),
-                        message: "unreadable source file".into(),
-                    });
-                    continue;
-                };
-                n_files += 1;
-                let rel = file.strip_prefix(&root).unwrap_or(&file);
-                findings.extend(lint_source(rel, &source, &rules));
-            }
+    let n_files = files.len();
+    for file in files {
+        let rel = file.strip_prefix(&root).unwrap_or(&file);
+        match std::fs::read_to_string(&file) {
+            Ok(source) => findings.extend(lint_source(rel, &source, &rules_for(rel))),
+            Err(_) => findings.push(Finding {
+                file: file.clone(),
+                line: 0,
+                rule: "io".into(),
+                message: "unreadable source file".into(),
+            }),
         }
     }
     if findings.is_empty() {
@@ -817,13 +861,7 @@ fn origin() -> std::time::Instant {
 
     #[test]
     fn first_party_scopes_cover_wall_clock_but_vendor_does_not() {
-        let all = scopes();
-        let rules_for = |dir: &str| -> Vec<&'static str> {
-            all.iter()
-                .filter(|(dirs, _)| dirs.contains(&dir))
-                .flat_map(|(_, rules)| rules.iter().copied())
-                .collect()
-        };
+        let rules_for = |dir: &str| rules_for(Path::new(dir));
         for dir in ["crates/obs/src", "crates/bench/src", "crates/svm/src"] {
             assert!(
                 rules_for(dir).contains(&"wall-clock"),
@@ -847,6 +885,28 @@ fn origin() -> std::time::Instant {
         }
         assert!(!rules_for("crates/storage/src").contains(&"raw-fs"));
         assert!(rules_for("crates/storage/src").contains(&"no-println"));
+    }
+
+    #[test]
+    fn core_request_path_files_are_held_to_service_panic() {
+        for file in [
+            "crates/core/src/rf_svm.rs",
+            "crates/core/src/pooled.rs",
+            "crates/core/src/coupled.rs",
+        ] {
+            let rules = rules_for(Path::new(file));
+            // Still under the crate-wide rules, and now panic-checked too.
+            assert!(rules.contains(&"wall-clock"), "{file}: {rules:?}");
+            let src = "fn fit(r: Result<u32, u32>) -> u32 {\n    r.expect(\"validated\")\n}\n";
+            let findings = lint_source(Path::new(file), src, &rules);
+            assert_eq!(findings.len(), 1, "{file}");
+            assert_eq!(
+                (findings[0].rule.as_str(), findings[0].line),
+                ("service-panic", 2)
+            );
+        }
+        // The evaluation-only modules of the crate are not request path.
+        assert!(!rules_for(Path::new("crates/core/src/active.rs")).contains(&"service-panic"));
     }
 
     #[test]
