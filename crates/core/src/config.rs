@@ -36,11 +36,6 @@ pub struct CoupledConfig {
     /// no termination proof (flips can oscillate); the cap guarantees
     /// bounded retrieval latency and is surfaced in [`crate::TrainReport`].
     pub max_correction_rounds: usize,
-    /// Run one extra train/correct pass at `ρ* = ρ` after the doubling loop
-    /// exits. Fig. 1 as written never trains at exactly `ρ` (the loop exits
-    /// when `ρ*` reaches it); the paper's intent — "increase ρ until it
-    /// achieves a setting threshold" — is preserved by this final pass.
-    pub final_full_rho_pass: bool,
     /// Seed every retrain inside one training run with the previous
     /// machines' dual solutions (clipped to the new `ρ*` bounds and
     /// repaired). The annealing schedule re-solves the same sample set a
@@ -61,7 +56,6 @@ impl Default for CoupledConfig {
             rho_init: 1e-4,
             delta: 0.5,
             max_correction_rounds: 10,
-            final_full_rho_pass: true,
             warm_start: true,
             smo: SmoParams::default(),
         }
@@ -122,9 +116,6 @@ pub struct LrfConfig {
     /// information"); otherwise the sign of each chosen sample's combined
     /// SVM distance.
     pub selection: UnlabeledSelection,
-    /// Seed of the draw under [`UnlabeledSelection::Random`] (mixed with
-    /// the query id); read by no other selection.
-    pub random_init_seed: u64,
     /// RBF width for the content kernel; `None` → LIBSVM default `1/d`.
     /// The paper reports no kernel parameters; the default (`Some(1.0)`) is
     /// calibrated so RF-SVM's improvement over Euclidean matches the
@@ -142,7 +133,6 @@ impl Default for LrfConfig {
             coupled: CoupledConfig::default(),
             n_unlabeled: 10,
             selection: UnlabeledSelection::MaxMinCombinedDistance,
-            random_init_seed: 0x1f2e3d4c,
             gamma_content: Some(1.0),
             log_kernel: crate::kernels::LogKernel::Rbf { gamma: 0.1 },
         }
@@ -150,8 +140,13 @@ impl Default for LrfConfig {
 }
 
 impl LrfConfig {
-    /// Validates parameter ranges (delegates to [`CoupledConfig::validate`]).
-    pub(crate) fn validate(&self) {
+    /// Validates parameter ranges, the coupled-SVM ones included.
+    ///
+    /// # Panics
+    /// Panics on whatever `coupled` rejects (non-positive penalties,
+    /// `rho_init > rho`, a negative Δ), fewer than two unlabeled samples,
+    /// or a non-positive kernel width.
+    pub fn validate(&self) {
         self.coupled.validate();
         assert!(self.n_unlabeled >= 2, "need at least two unlabeled samples");
         match self.log_kernel {

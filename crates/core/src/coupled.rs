@@ -45,8 +45,8 @@ use std::borrow::Borrow;
 /// Diagnostics of one coupled training run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrainReport {
-    /// Number of ρ* annealing steps executed (including the final full-ρ
-    /// pass when enabled).
+    /// Number of ρ* annealing steps executed (including the final pass at
+    /// `ρ* = ρ`).
     pub rho_steps: usize,
     /// Total SVM *pair* trainings (each counts one content + one log QP).
     pub retrains: usize,
@@ -259,14 +259,14 @@ where
 
         let mut rho_star = cfg.rho_init.min(cfg.rho);
         self.step(rho_star)?;
-        // Fig. 1: WHILE (ρ* < ρ) { train; correct; ρ* = min(2ρ*, ρ) }.
+        // Fig. 1: WHILE (ρ* < ρ) { train; correct; ρ* = min(2ρ*, ρ) }. As
+        // written that never trains at exactly ρ (the loop exits when ρ*
+        // reaches it); stepping at the *new* ρ* makes the last pass the one
+        // at ρ — the paper's "increase ρ until it achieves a setting
+        // threshold".
         while rho_star < cfg.rho {
             rho_star = (2.0 * rho_star).min(cfg.rho);
-            // The loop body trains at the *new* ρ* only while it is still below
-            // ρ; the final value is covered by `final_full_rho_pass`.
-            if rho_star < cfg.rho || cfg.final_full_rho_pass {
-                self.step(rho_star)?;
-            }
+            self.step(rho_star)?;
         }
 
         self.report.final_labels = std::mem::take(&mut self.y_prime);
@@ -454,20 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_final_pass_trains_fewer_steps() {
-        let (la, lb, y, ua, ub) = agreeing_problem();
-        let (ka, kb) = kernels();
-        let with_pass = CoupledConfig::default();
-        let without_pass = CoupledConfig {
-            final_full_rho_pass: false,
-            ..with_pass
-        };
-        let a = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &with_pass).unwrap();
-        let b = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &without_pass).unwrap();
-        assert_eq!(a.report.rho_steps, b.report.rho_steps + 1);
-    }
-
-    #[test]
     fn correction_cap_terminates_oscillation() {
         // A pool of contradictory points (content says +, log says −) with
         // a tiny Δ invites oscillation; the cap must terminate training and
@@ -590,10 +576,7 @@ mod tests {
         let (la, lb, y, ua, ub) = agreeing_problem();
         let (ka, kb) = kernels();
         let cfg = CoupledConfig {
-            smo: SmoParams {
-                max_iter: 1,
-                ..Default::default()
-            },
+            smo: SmoParams { max_iter: 1 },
             ..Default::default()
         };
         let out = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cfg).unwrap();

@@ -230,8 +230,11 @@ impl LrfCsvm {
             UnlabeledSelection::Random => {
                 use rand::seq::SliceRandom;
                 use rand::SeedableRng;
+                /// Seed of the ablation control's draw, mixed with the
+                /// query id.
+                const RANDOM_SELECTION_SEED: u64 = 0x1f2e3d4c;
                 let mut rng = rand::rngs::StdRng::seed_from_u64(
-                    self.config.random_init_seed ^ ctx.example.query as u64,
+                    RANDOM_SELECTION_SEED ^ ctx.example.query as u64,
                 );
                 // Shuffle in id order so the draw is independent of the
                 // caller's candidate ordering.

@@ -11,8 +11,8 @@
 //! * **Registry** ([`Registry`] → [`RegistrySnapshot`]): named handles
 //!   resolved once at startup; the hot path records through retained
 //!   `Arc`s and never touches the registry lock. Snapshots are
-//!   integer-only serde values — mergeable across shards, comparable
-//!   with `==` in tests, servable as JSON.
+//!   integer-only serde values — comparable with `==` in tests,
+//!   servable as JSON.
 //! * **Tracing** ([`SpanTimer`], [`span!`]): scope guards
 //!   that time a stage into a histogram via an injectable [`Clock`] —
 //!   [`MonotonicClock`] in production (the single sanctioned wall-clock

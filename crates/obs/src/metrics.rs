@@ -249,7 +249,7 @@ pub struct BucketCount {
     pub count: u64,
 }
 
-/// An immutable, mergeable view of a [`Histogram`]. Integer-only, so it
+/// An immutable view of a [`Histogram`]. Integer-only, so it
 /// derives `Eq` and round-trips exactly through serde.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
@@ -301,50 +301,6 @@ impl HistogramSnapshot {
     /// 99th-percentile estimate.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Folds `other` into `self` (bucket-wise sum) — snapshots from
-    /// different shards/instances merge into one distribution with the
-    /// same error bound.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        let mut merged: Vec<BucketCount> = Vec::with_capacity(self.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) if x.index == y.index => {
-                    merged.push(BucketCount {
-                        index: x.index,
-                        count: x.count + y.count,
-                    });
-                    a.next();
-                    b.next();
-                }
-                (Some(x), Some(y)) if x.index < y.index => {
-                    merged.push(**x);
-                    a.next();
-                }
-                (Some(_), Some(y)) => {
-                    merged.push(**y);
-                    b.next();
-                }
-                (Some(x), None) => {
-                    merged.push(**x);
-                    a.next();
-                }
-                (None, Some(y)) => {
-                    merged.push(**y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
     }
 }
 
@@ -511,21 +467,6 @@ mod tests {
                     "q={} est={} exact={} bound={}", q, est, exact, bound
                 );
             }
-        }
-
-        /// Merging per-shard snapshots equals one histogram over the
-        /// concatenated samples.
-        #[test]
-        fn merge_equals_single_histogram(
-            a in proptest::collection::vec(0u64..(1 << 30), 0..120),
-            b in proptest::collection::vec(0u64..(1 << 30), 0..120),
-        ) {
-            let (ha, hb, hall) = (Histogram::new(), Histogram::new(), Histogram::new());
-            for &v in &a { ha.record(v); hall.record(v); }
-            for &v in &b { hb.record(v); hall.record(v); }
-            let mut merged = ha.snapshot();
-            merged.merge(&hb.snapshot());
-            prop_assert_eq!(merged, hall.snapshot());
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The metrics registry: named instruments, shared handles, mergeable
+//! The metrics registry: named instruments, shared handles, frozen
 //! snapshots.
 //!
 //! Registration (`counter`/`gauge`/`histogram`) takes a short mutex on a
@@ -176,34 +176,6 @@ impl RegistrySnapshot {
             .find(|h| h.name == name)
             .map(|h| &h.histogram)
     }
-
-    /// Folds `other` into `self`: counters add, histograms merge
-    /// distribution-wise, and for gauges (a point-in-time reading, not an
-    /// accumulation) `other`'s value wins. Instruments present on one
-    /// side only are kept. Name order is preserved.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for oc in &other.counters {
-            match self.counters.iter_mut().find(|c| c.name == oc.name) {
-                Some(c) => c.value += oc.value,
-                None => self.counters.push(oc.clone()),
-            }
-        }
-        self.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        for og in &other.gauges {
-            match self.gauges.iter_mut().find(|g| g.name == og.name) {
-                Some(g) => g.value = og.value,
-                None => self.gauges.push(og.clone()),
-            }
-        }
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        for oh in &other.histograms {
-            match self.histograms.iter_mut().find(|h| h.name == oh.name) {
-                Some(h) => h.histogram.merge(&oh.histogram),
-                None => self.histograms.push(oh.clone()),
-            }
-        }
-        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    }
 }
 
 #[cfg(test)]
@@ -263,24 +235,5 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: RegistrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_merges_histograms() {
-        let (ra, rb) = (Registry::new(), Registry::new());
-        ra.counter("shared").add(2);
-        rb.counter("shared").add(5);
-        rb.counter("only_b").add(1);
-        ra.gauge("active").set(3);
-        rb.gauge("active").set(9);
-        ra.histogram("lat").record(100);
-        rb.histogram("lat").record(200);
-        let mut merged = ra.snapshot();
-        merged.merge(&rb.snapshot());
-        assert_eq!(merged.counter("shared"), Some(7));
-        assert_eq!(merged.counter("only_b"), Some(1));
-        assert_eq!(merged.gauge("active"), Some(9), "gauge: right-hand wins");
-        let h = merged.histogram("lat").unwrap();
-        assert_eq!((h.count, h.sum, h.max), (2, 300, 200));
     }
 }

@@ -12,9 +12,7 @@ use crate::clock::Clock;
 use crate::metrics::Histogram;
 
 /// Times a scope into a histogram: starts on construction, records the
-/// elapsed nanoseconds when dropped (or explicitly via [`stop`]).
-///
-/// [`stop`]: SpanTimer::stop
+/// elapsed nanoseconds when dropped.
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct SpanTimer<'a> {
     clock: &'a dyn Clock,
@@ -35,14 +33,6 @@ impl<'a> SpanTimer<'a> {
     /// Nanoseconds since the span started.
     pub(crate) fn elapsed_ns(&self) -> u64 {
         self.clock.now_ns().saturating_sub(self.started_ns)
-    }
-
-    /// Ends the span now, returning the recorded duration.
-    pub fn stop(self) -> u64 {
-        let elapsed = self.elapsed_ns();
-        self.histogram.record(elapsed);
-        std::mem::forget(self);
-        elapsed
     }
 }
 
@@ -78,21 +68,6 @@ mod tests {
         }
         let s = h.snapshot();
         assert_eq!((s.count, s.sum), (1, 150));
-    }
-
-    #[test]
-    fn stop_records_exactly_once() {
-        let clock = ManualClock::new();
-        let h = Histogram::new();
-        let span = SpanTimer::start(&clock, &h);
-        clock.advance(40);
-        assert_eq!(span.stop(), 40);
-        let s = h.snapshot();
-        assert_eq!(
-            (s.count, s.sum),
-            (1, 40),
-            "drop after stop must not double-record"
-        );
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl Service {
     ///
     /// # Panics
     /// Panics if the log does not cover `db`, or on nonsensical config
-    /// (zero screen/pool size or session capacity).
+    /// (zero screen/pool size or session capacity, or a `config.lrf` that
+    /// [`LrfConfig::validate`] rejects).
     pub fn new(db: ImageDatabase, log: LogStore, config: ServiceConfig) -> Self {
         let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&db));
         Self::build(
@@ -167,6 +168,9 @@ impl Service {
     /// (merge on squared distances, partition-invariant scorers).
     /// Per-shard stage histograms and the queue-depth gauge register in
     /// the same `metrics` registry the request path records to.
+    ///
+    /// # Panics
+    /// As [`Service::new`].
     pub fn sharded_with_metrics(
         db: ImageDatabase,
         log: LogStore,
@@ -201,6 +205,9 @@ impl Service {
     /// storage fails. Recovery counters (sessions recovered, torn tails
     /// truncated, stale files swept) land in the `metrics` registry
     /// before the first request.
+    ///
+    /// # Panics
+    /// As [`Service::new`], and if `index` does not cover `db`.
     #[allow(clippy::too_many_arguments)]
     pub fn with_durability_metrics(
         db: ImageDatabase,
@@ -247,6 +254,9 @@ impl Service {
         );
         assert!(config.screen_size > 0, "screen size must be positive");
         assert!(config.pool_size > 0, "pool size must be positive");
+        // Every `Open` builds its scheme from this config; reject a bad one
+        // here rather than panic a request thread per session.
+        config.lrf.validate();
         let sessions = Mutex::new(SessionManager::new(
             config.max_sessions,
             config.ttl_requests,
@@ -1509,5 +1519,14 @@ mod tests {
             panic!("rerank failed")
         };
         assert!(converged);
+    }
+
+    #[test]
+    #[should_panic(expected = "rho_init")]
+    fn invalid_lrf_config_is_rejected_at_construction() {
+        let (ds, log) = dataset();
+        let mut cfg = config();
+        cfg.lrf.coupled.rho_init = 2.0;
+        let _ = Service::new(ds.db, log, cfg);
     }
 }

@@ -13,11 +13,11 @@
 //!   zero copies.
 //! * `smo` — the C-SVC dual solved by Sequential Minimal Optimization
 //!   with LIBSVM's second-order working-set selection, supporting an
-//!   individual upper bound `C_i` per sample, plus shrinking and warm
-//!   starts ([`train_warm`]) for fast per-round retraining. [`SmoParams`]
-//!   is the two knobs a caller has turned (`max_iter`, `shrinking`); the
-//!   stopping tolerance [`EPS`], the curvature floor `TAU` and the
-//!   support-vector threshold are constants, as in LIBSVM.
+//!   individual upper bound `C_i` per sample, plus warm starts
+//!   ([`train_warm`]) for fast per-round retraining. [`SmoParams`] is the
+//!   one knob a caller has turned (`max_iter`); the stopping tolerance
+//!   [`EPS`], the curvature floor `TAU` and the support-vector threshold
+//!   are constants, as in LIBSVM.
 //! * `cache` — the lazy kernel-row store the training path
 //!   computes Gram rows through: a row is computed on first touch and kept
 //!   until the solve ends, with hit/miss counts surfaced in

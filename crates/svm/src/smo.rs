@@ -4,12 +4,9 @@
 //! This is the working-set algorithm of LIBSVM (Fan, Chen & Lin's
 //! second-order selection, "WSS 2") with the parts of the LIBSVM
 //! training path a feedback round's tens of samples can use: kernel rows
-//! computed lazily and kept for the solve (the `cache` module),
-//! **shrinking** of bounded points that satisfy their KKT conditions
-//! (with the mandatory full-gradient reconstruction check before
-//! convergence is declared, so shrinking never changes the returned model
-//! beyond [`EPS`]), and **warm starts** ([`train_warm`]) that resume from a
-//! previous round's dual solution.
+//! computed lazily and kept for the solve (the `cache` module) and
+//! **warm starts** ([`train_warm`]) that resume from a previous round's
+//! dual solution.
 //! The one extension over stock LIBSVM is the **individual upper bound
 //! `C_i` per sample**, which is exactly the modification the paper made to
 //! LIBSVM: labeled points keep `C`, the unlabeled transductive points get
@@ -17,16 +14,14 @@
 //!
 //! Two entry points share one solver loop:
 //!
-//! * [`train`] — lazy kernel rows, shrinking per [`SmoParams`], cold
-//!   start. The default path.
+//! * [`train`] — lazy kernel rows, cold start. The default path.
 //! * [`train_warm`] — same, seeded with a previous solution whose alphas
 //!   are clipped to the new bounds and repaired onto `Σ y_i α_i = 0`.
 //!
 //! The test module runs the same loop over an eager symmetric Gram matrix
-//! with shrinking forced off (`train_precomputed`) as the bit-exact
-//! oracle: with shrinking disabled the lazy path reproduces it bit for bit
-//! (lazily computed rows are bitwise identical to precomputed ones); with
-//! shrinking on it agrees within [`EPS`].
+//! (`train_precomputed`) as the bit-exact oracle: the lazy path reproduces
+//! it bit for bit (lazily computed rows are bitwise identical to
+//! precomputed ones).
 //!
 //! Optimality: the pair `(m(α), M(α))` of maximal KKT violations over the
 //! index sets
@@ -36,7 +31,7 @@
 //! I_low(α) = {t | α_t < C_t, y_t = −1} ∪ {t | α_t > 0, y_t = +1}
 //! ```
 //!
-//! shrinks until `m(α) − M(α) ≤ ε` ([`EPS`]: `10⁻³`, LIBSVM's default).
+//! narrows until `m(α) − M(α) ≤ ε` ([`EPS`]: `10⁻³`, LIBSVM's default).
 
 use crate::cache::{KernelCache, KernelRows};
 use crate::error::SvmError;
@@ -54,7 +49,7 @@ const TAU: f64 = 1e-12;
 /// the model.
 const SV_THRESHOLD: f64 = 1e-9;
 
-/// The solver parameters a caller has had reason to set. The stopping
+/// The solver parameter a caller has had reason to set. The stopping
 /// tolerance ([`EPS`]), the curvature floor (`TAU`) and the
 /// support-vector threshold have only ever had one value and are
 /// constants of this module.
@@ -64,20 +59,11 @@ pub struct SmoParams {
     /// a pathological kernel cannot hang a retrieval request; hitting it is
     /// reported through [`SolveStats::converged`].
     pub max_iter: usize,
-    /// Enables LIBSVM-style shrinking: bounded points whose KKT conditions
-    /// hold are dropped from the working set, and the full gradient is
-    /// reconstructed for a whole-problem optimality check before
-    /// convergence is declared. Turning it off makes [`train`] bit-exact
-    /// against the eager-Gram test oracle.
-    pub shrinking: bool,
 }
 
 impl Default for SmoParams {
     fn default() -> Self {
-        Self {
-            max_iter: 100_000,
-            shrinking: true,
-        }
+        Self { max_iter: 100_000 }
     }
 }
 
@@ -114,8 +100,7 @@ pub struct SolveStats {
 /// solution, and solver statistics.
 ///
 /// Kernel rows are computed on first touch and kept until the solve ends
-/// (the `cache` module), and shrinking is applied per
-/// [`SmoParams::shrinking`]; see [`train_warm`] to seed the solver with a
+/// (the `cache` module); see [`train_warm`] to seed the solver with a
 /// previous round's solution.
 ///
 /// **Degenerate input:** when every label has the same sign the dual forces
@@ -321,60 +306,19 @@ fn clip_and_repair(warm: &[f64], y: &[f64], c: &[f64]) -> Vec<f64> {
     a
 }
 
-/// `G_i = Σ_j Q_ij α_j − 1` computed from scratch for every index whose
-/// `mask` entry is false (pass an all-false mask to initialize a
-/// warm-started gradient). Rows are only touched for nonzero alphas.
-fn recompute_gradient<Q: KernelRows>(
-    q: &mut Q,
-    y: &[f64],
-    alpha: &[f64],
-    g: &mut [f64],
-    skip: &[bool],
-) {
+/// `G_i = Σ_j Q_ij α_j − 1` computed from scratch (the initial gradient
+/// of a warm-started solve). Rows are only touched for nonzero alphas.
+fn recompute_gradient<Q: KernelRows>(q: &mut Q, y: &[f64], alpha: &[f64], g: &mut [f64]) {
     let n = y.len();
-    for t in 0..n {
-        if !skip[t] {
-            g[t] = -1.0;
-        }
-    }
+    g.fill(-1.0);
     for j in 0..n {
         if alpha[j] != 0.0 {
             let coef = alpha[j] * y[j];
             let kj = q.row(j);
             for t in 0..n {
-                if !skip[t] {
-                    g[t] += y[t] * coef * kj[t];
-                }
+                g[t] += y[t] * coef * kj[t];
             }
         }
-    }
-}
-
-/// LIBSVM's `be_shrunk`: a bounded point may leave the active set when its
-/// KKT condition holds with slack against the current violation maxima.
-fn be_shrunk(
-    t: usize,
-    y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
-    g: &[f64],
-    gmax1: f64,
-    gmax2: f64,
-) -> bool {
-    if alpha[t] >= c[t] {
-        if y[t] > 0.0 {
-            -g[t] > gmax1
-        } else {
-            -g[t] > gmax2
-        }
-    } else if alpha[t] <= 0.0 {
-        if y[t] > 0.0 {
-            g[t] > gmax2
-        } else {
-            g[t] > gmax1
-        }
-    } else {
-        false
     }
 }
 
@@ -396,53 +340,17 @@ fn solve_dual<Q: KernelRows>(
     match warm {
         Some(w) => {
             alpha = clip_and_repair(w, y, c);
-            let none_skipped = vec![false; n];
-            recompute_gradient(q, y, &alpha, &mut g, &none_skipped);
+            recompute_gradient(q, y, &alpha, &mut g);
         }
         None => alpha = vec![0.0f64; n],
     }
 
-    // Active-set bookkeeping for shrinking. `active` stays sorted
-    // ascending so that, with shrinking disabled, every loop below visits
-    // indices in exactly the order of the reference implementation.
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut unshrunk = false;
-    let mut counter = n.min(1000) + 1;
-
     let mut iterations = 0usize;
     let mut converged = false;
     while iterations < params.max_iter {
-        counter -= 1;
-        if counter == 0 {
-            counter = n.min(1000);
-            if params.shrinking {
-                do_shrinking(q, y, c, &alpha, &mut g, &mut active, &mut unshrunk);
-            }
-        }
-
-        let (i, j) = match select_working_set(q, &qd, y, c, &alpha, &g, &active) {
-            Some(pair) => pair,
-            None => {
-                if active.len() == n {
-                    converged = true;
-                    break;
-                }
-                // Optimal on the shrunk set only: reconstruct the full
-                // gradient and re-check optimality over the whole problem
-                // before declaring convergence.
-                reconstruct_gradient(q, y, &alpha, &mut g, &active);
-                active = (0..n).collect();
-                match select_working_set(q, &qd, y, c, &alpha, &g, &active) {
-                    Some(pair) => {
-                        counter = 1; // shrink again on the next iteration
-                        pair
-                    }
-                    None => {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
+        let Some((i, j)) = select_working_set(q, &qd, y, c, &alpha, &g) else {
+            converged = true;
+            break;
         };
         iterations += 1;
 
@@ -516,24 +424,18 @@ fn solve_dual<Q: KernelRows>(
 
         // Incremental gradient update: G_t += Q_ti Δα_i + Q_tj Δα_j. The
         // flat row layout makes this the linear scan of two contiguous
-        // rows, restricted to the active set (shrunk gradients are
-        // reconstructed on demand).
+        // rows.
         let dai = alpha[i] - old_ai;
         let daj = alpha[j] - old_aj;
         if dai != 0.0 || daj != 0.0 {
             let yi = y[i];
             let yj = y[j];
-            for &t in &active {
+            for t in 0..n {
                 g[t] += y[t] * (yi * ki[t] * dai + yj * kj[t] * daj);
             }
         }
     }
 
-    // Every exit path needs the exact gradient everywhere: rho averages
-    // y_t G_t and the objective uses the identity below.
-    if active.len() < n {
-        reconstruct_gradient(q, y, &alpha, &mut g, &active);
-    }
     let rho = calculate_rho(y, c, &alpha, &g);
 
     // ½αᵀQα − eᵀα = ½ Σ_i α_i (G_i − 1), since G = Qα − e.
@@ -551,77 +453,8 @@ fn solve_dual<Q: KernelRows>(
     }
 }
 
-/// Recomputes the gradient of every *inactive* index from scratch (the
-/// incremental updates skip them while they are shrunk).
-fn reconstruct_gradient<Q: KernelRows>(
-    q: &mut Q,
-    y: &[f64],
-    alpha: &[f64],
-    g: &mut [f64],
-    active: &[usize],
-) {
-    let n = y.len();
-    if active.len() == n {
-        return;
-    }
-    let mut is_active = vec![false; n];
-    for &t in active {
-        is_active[t] = true;
-    }
-    recompute_gradient(q, y, alpha, g, &is_active);
-}
-
-/// LIBSVM's `do_shrinking`: drop bounded-and-satisfied points from the
-/// active set; once the violation gap falls within `10·eps`, unshrink
-/// everything (reconstructing the gradient) so the endgame runs on the
-/// full problem.
-#[allow(clippy::too_many_arguments)]
-fn do_shrinking<Q: KernelRows>(
-    q: &mut Q,
-    y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
-    g: &mut [f64],
-    active: &mut Vec<usize>,
-    unshrunk: &mut bool,
-) {
-    let n = y.len();
-    // Violation maxima over the active set: gmax1 = m(α), gmax2 = −M(α).
-    let mut gmax1 = f64::NEG_INFINITY;
-    let mut gmax2 = f64::NEG_INFINITY;
-    for &t in active.iter() {
-        let in_i_up = if y[t] > 0.0 {
-            alpha[t] < c[t]
-        } else {
-            alpha[t] > 0.0
-        };
-        if in_i_up {
-            gmax1 = gmax1.max(-y[t] * g[t]);
-        }
-        let in_i_low = if y[t] > 0.0 {
-            alpha[t] > 0.0
-        } else {
-            alpha[t] < c[t]
-        };
-        if in_i_low {
-            gmax2 = gmax2.max(y[t] * g[t]);
-        }
-    }
-
-    if !*unshrunk && gmax1 + gmax2 <= EPS * 10.0 {
-        *unshrunk = true;
-        reconstruct_gradient(q, y, alpha, g, active);
-        *active = (0..n).collect();
-    }
-
-    active.retain(|&t| !be_shrunk(t, y, c, alpha, g, gmax1, gmax2));
-}
-
-/// LIBSVM's second-order working-set selection, restricted to the active
-/// set. Returns `None` when the KKT gap over the active set is within
-/// tolerance (optimal there — the caller decides whether that means the
-/// whole problem is optimal).
-#[allow(clippy::too_many_arguments)]
+/// LIBSVM's second-order working-set selection. Returns `None` when the
+/// KKT gap is within tolerance — the problem is solved.
 fn select_working_set<Q: KernelRows>(
     q: &mut Q,
     qd: &[f64],
@@ -629,12 +462,12 @@ fn select_working_set<Q: KernelRows>(
     c: &[f64],
     alpha: &[f64],
     g: &[f64],
-    active: &[usize],
 ) -> Option<(usize, usize)> {
+    let n = y.len();
     // i = argmax_{t ∈ I_up} −y_t G_t
     let mut gmax = f64::NEG_INFINITY;
     let mut i: isize = -1;
-    for &t in active {
+    for t in 0..n {
         let in_i_up = if y[t] > 0.0 {
             alpha[t] < c[t]
         } else {
@@ -659,7 +492,7 @@ fn select_working_set<Q: KernelRows>(
     let mut gmax2 = f64::NEG_INFINITY; // max_{I_low} y_t G_t  (= −M(α))
     let mut j: isize = -1;
     let mut obj_min = f64::INFINITY;
-    for &t in active {
+    for t in 0..n {
         let in_i_low = if y[t] > 0.0 {
             alpha[t] > 0.0
         } else {
@@ -741,11 +574,11 @@ mod tests {
         SmoParams::default()
     }
 
-    /// Trains over an eagerly precomputed Gram matrix with shrinking forced
-    /// off — the bit-exact reference the lazy-cache path is validated
-    /// against. The full matrix is scanned for non-finite entries up front
-    /// (the lazy path checks the kernel diagonal instead, which the dense and
-    /// sparse kernels here poison on any NaN/∞ sample).
+    /// Trains over an eagerly precomputed Gram matrix — the bit-exact
+    /// reference the lazy-cache path is validated against. The full matrix
+    /// is scanned for non-finite entries up front (the lazy path checks the
+    /// kernel diagonal instead, which the dense and sparse kernels here
+    /// poison on any NaN/∞ sample).
     ///
     /// Warm starts are deliberately not offered here: the reference is the
     /// deterministic from-zero solve.
@@ -777,11 +610,7 @@ mod tests {
             }
         }
 
-        let reference_params = SmoParams {
-            shrinking: false,
-            ..*params
-        };
-        let sol = solve_dual(&mut k, labels, upper_bounds, &reference_params, None);
+        let sol = solve_dual(&mut k, labels, upper_bounds, params, None);
         Ok(finish_model(samples, labels, kernel, sol, 0, 0))
     }
 
@@ -881,19 +710,14 @@ mod tests {
 
     #[test]
     fn cached_path_matches_precomputed_bit_exactly() {
-        // With shrinking off, the lazy-row solver must reproduce the
-        // eager-Gram reference bit for bit — same iterates, same alphas,
-        // same bias.
+        // The lazy-row solver must reproduce the eager-Gram reference bit
+        // for bit — same iterates, same alphas, same bias.
         let (samples, labels) = gaussian_problem(40, 11);
         let bounds = vec![3.0; samples.len()];
         let kernel = RbfKernel::new(0.7);
         let reference =
             train_precomputed(&samples, &labels, &bounds, kernel, &default_params()).unwrap();
-        let params = SmoParams {
-            shrinking: false,
-            ..SmoParams::default()
-        };
-        let cached = train(&samples, &labels, &bounds, kernel, &params).unwrap();
+        let cached = train(&samples, &labels, &bounds, kernel, &default_params()).unwrap();
         assert_eq!(cached.alpha, reference.alpha);
         assert_eq!(cached.model.bias(), reference.model.bias());
         assert_eq!(cached.stats.iterations, reference.stats.iterations);
@@ -902,24 +726,22 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_agrees_with_reference_within_eps() {
+    fn default_params_match_oracle_past_n_iterations() {
+        // n = 60 and 73 iterations: the solve runs longer than it has
+        // points, and still equals the eager-Gram reference in every bit.
         let (samples, labels) = gaussian_problem(60, 5);
         let bounds = vec![5.0; samples.len()];
         let kernel = RbfKernel::new(0.6);
-        let params = default_params();
-        assert!(params.shrinking, "shrinking is the default");
-        let shrunk = train(&samples, &labels, &bounds, kernel, &params).unwrap();
+        let params = SmoParams::default();
+        let cached = train(&samples, &labels, &bounds, kernel, &params).unwrap();
         let reference = train_precomputed(&samples, &labels, &bounds, kernel, &params).unwrap();
-        assert!(shrunk.stats.converged);
-        // Shrinking must not change the model beyond the solver tolerance:
-        // both solutions satisfy the same eps-KKT conditions, so their
-        // decisions agree to that order.
-        for s in &samples {
-            let d = (shrunk.model.decision(s) - reference.model.decision(s)).abs();
-            assert!(d < 1e-2, "decision drift {d}");
-        }
-        let viol = kkt_violation(&samples, &labels, &bounds, &kernel, &shrunk);
-        assert!(viol < 5e-3, "KKT violation {viol} with shrinking on");
+        assert!(cached.stats.iterations > samples.len());
+        assert_eq!(cached.alpha, reference.alpha);
+        assert_eq!(cached.model.bias(), reference.model.bias());
+        assert_eq!(cached.stats.iterations, reference.stats.iterations);
+        assert_eq!(cached.stats.objective, reference.stats.objective);
+        let viol = kkt_violation(&samples, &labels, &bounds, &kernel, &cached);
+        assert!(viol < 5e-3, "KKT violation {viol}");
     }
 
     #[test]
@@ -1286,8 +1108,6 @@ mod tests {
 
         /// On random binary problems, the SMO solution satisfies all KKT
         /// conditions (checked independently of the solver internals).
-        /// `SmoParams::default()` turns shrinking on, so this exercises the
-        /// full training path.
         #[test]
         fn random_problems_satisfy_kkt(
             seed in 0u64..500,
