@@ -1,11 +1,11 @@
 //! Diagnostic: pseudo-label pool precision + final candidate configs.
-use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, ProtocolConfig, SchemeChoice};
+use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, SchemeChoice};
 use lrf_cbir::{CorelDataset, QueryProtocol};
 use lrf_core::{CoupledConfig, LrfConfig, LrfCsvm, QueryContext};
 
 fn main() {
     let mut spec = ExperimentSpec::table1(42);
-    spec.protocol = ProtocolConfig {
+    spec.protocol = QueryProtocol {
         n_queries: 100,
         ..spec.protocol
     };
@@ -15,7 +15,7 @@ fn main() {
 
     // Diagnostic: precision of the max-dist (pseudo-positive) half of the
     // unlabeled pool, per pool size.
-    let protocol: QueryProtocol = spec.protocol.into();
+    let protocol = spec.protocol;
     let queries = protocol.sample_queries(&ds.db);
     for n_unl in [10usize, 20, 40] {
         let scheme = LrfCsvm::new(LrfConfig {

@@ -1,18 +1,18 @@
 //! Scratch tuning harness: log collection depth and log-kernel choice.
-use lrf_bench::experiment::{ExperimentSpec, ProtocolConfig};
+use lrf_bench::experiment::ExperimentSpec;
 use lrf_cbir::CorelDataset;
 use lrf_cbir::{precision_at, QueryProtocol};
 use lrf_core::{LogKernel, Lrf2Svms, LrfConfig, QueryContext, RelevanceFeedback, RfSvm};
 
 fn main() {
     let mut spec = ExperimentSpec::table1(42);
-    spec.protocol = ProtocolConfig {
+    spec.protocol = QueryProtocol {
         n_queries: 30,
         ..spec.protocol
     };
     eprintln!("building dataset ...");
     let ds = CorelDataset::build(spec.dataset.clone());
-    let protocol: QueryProtocol = spec.protocol.into();
+    let protocol = spec.protocol;
     let queries = protocol.sample_queries(&ds.db);
 
     let rf = RfSvm::new(spec.lrf);

@@ -1,11 +1,11 @@
 //! Scratch tuning harness: grid-search RF-SVM kernel parameters.
-use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, ProtocolConfig, SchemeChoice};
-use lrf_cbir::CorelDataset;
+use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, SchemeChoice};
+use lrf_cbir::{CorelDataset, QueryProtocol};
 use lrf_core::LrfConfig;
 
 fn main() {
     let mut spec = ExperimentSpec::table1(42);
-    spec.protocol = ProtocolConfig {
+    spec.protocol = QueryProtocol {
         n_queries: 30,
         ..spec.protocol
     };

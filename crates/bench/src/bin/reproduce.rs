@@ -28,9 +28,9 @@
 //!   --json PATH        also dump results as JSON
 //! ```
 
-use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, ProtocolConfig, SchemeChoice};
+use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, SchemeChoice};
 use lrf_bench::{figure_series, markdown_table, paper_table, run_experiment};
-use lrf_cbir::{CorelDataset, CorelSpec};
+use lrf_cbir::{CorelDataset, CorelSpec, QueryProtocol};
 use lrf_core::{LrfConfig, UnlabeledSelection};
 use std::process::ExitCode;
 
@@ -108,7 +108,7 @@ fn ablation_spec(opts: &Options) -> ExperimentSpec {
     };
     spec.log.n_sessions = opts.sessions.min(80);
     spec.log.noise = opts.noise;
-    spec.protocol = ProtocolConfig {
+    spec.protocol = QueryProtocol {
         n_queries: opts.queries.min(50),
         ..spec.protocol
     };

@@ -4,10 +4,10 @@ use lrf_cbir::{CorelDataset, CorelSpec, PrecisionCurve, QueryProtocol};
 use lrf_core::{LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm, SchemeKind};
 use lrf_logdb::{LogStore, SimulationConfig};
 use lrf_obs::{Clock, MonotonicClock};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which schemes an experiment evaluates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchemeChoice {
     /// All four curves of the paper's figures.
     All,
@@ -17,9 +17,8 @@ pub enum SchemeChoice {
     CsvmAndRf,
 }
 
-/// A complete experiment specification. Everything is serializable so runs
-/// can be recorded alongside their results.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A complete experiment specification.
+#[derive(Clone, Debug)]
 pub struct ExperimentSpec {
     /// Dataset to build (the paper's 20- or 50-category setups).
     pub dataset: CorelSpec,
@@ -27,43 +26,11 @@ pub struct ExperimentSpec {
     /// judged, "more or less noise").
     pub log: SimulationConfig,
     /// Query protocol (the paper: 200 random queries, 20 labeled).
-    pub protocol: ProtocolConfig,
+    pub protocol: QueryProtocol,
     /// Algorithm configuration shared by all SVM-based schemes.
     pub lrf: LrfConfig,
     /// Scheme subset to run.
     pub schemes: SchemeChoice,
-}
-
-/// Serializable mirror of [`QueryProtocol`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ProtocolConfig {
-    /// Number of random queries.
-    pub n_queries: usize,
-    /// Judged images per feedback round.
-    pub n_labeled: usize,
-    /// Query-sampling seed.
-    pub seed: u64,
-}
-
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        let p = QueryProtocol::default();
-        Self {
-            n_queries: p.n_queries,
-            n_labeled: p.n_labeled,
-            seed: p.seed,
-        }
-    }
-}
-
-impl From<ProtocolConfig> for QueryProtocol {
-    fn from(c: ProtocolConfig) -> Self {
-        QueryProtocol {
-            n_queries: c.n_queries,
-            n_labeled: c.n_labeled,
-            seed: c.seed,
-        }
-    }
 }
 
 impl ExperimentSpec {
@@ -75,7 +42,7 @@ impl ExperimentSpec {
                 seed: seed ^ 0x10f0,
                 ..Default::default()
             },
-            protocol: ProtocolConfig {
+            protocol: QueryProtocol {
                 seed: seed ^ 0x20f0,
                 ..Default::default()
             },
@@ -103,7 +70,7 @@ impl ExperimentSpec {
                 noise: 0.1,
                 seed: seed ^ 1,
             },
-            protocol: ProtocolConfig {
+            protocol: QueryProtocol {
                 n_queries: 10,
                 n_labeled: 10,
                 seed: seed ^ 2,
@@ -118,8 +85,8 @@ impl ExperimentSpec {
 }
 
 /// Result of one experiment: a named precision curve per scheme, in the
-/// paper's column order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// paper's column order — what `reproduce --json` writes.
+#[derive(Clone, Debug, Serialize)]
 pub struct ExperimentResult {
     /// `(scheme name, averaged curve)` in evaluation order.
     pub curves: Vec<(String, PrecisionCurve)>,
@@ -167,7 +134,7 @@ pub fn run_on_prepared(
         dataset.db.len()
     );
     let schemes = build_schemes(spec);
-    let protocol: QueryProtocol = spec.protocol.into();
+    let protocol = spec.protocol;
     let queries = protocol.sample_queries(&dataset.db);
 
     let clock = MonotonicClock::new();
@@ -263,7 +230,7 @@ pub fn run_rounds_experiment(
     selection: lrf_core::RoundSelection,
 ) -> Vec<(String, Vec<f64>)> {
     let schemes = build_schemes(spec);
-    let protocol: QueryProtocol = spec.protocol.into();
+    let protocol = spec.protocol;
     let queries = protocol.sample_queries(&dataset.db);
     let db = &dataset.db;
 

@@ -3,17 +3,14 @@
 //! "There are two sets of data collected in our experiment: 20-Category and
 //! 50-Category. ... Each category in the datasets consists exactly 100
 //! images selected from the COREL image CDs." These builders produce the
-//! synthetic equivalents (`lrf_imaging::synthetic` documents what the
-//! generator preserves; `reproduce calibrate` measures it).
+//! synthetic equivalents (`lrf-imaging`'s synthetic module documents what
+//! the generator preserves; `reproduce calibrate` measures it).
 
 use crate::database::ImageDatabase;
-use lrf_features::FeatureExtractor;
-use lrf_imaging::synthetic::StyleDistribution;
 use lrf_imaging::{SyntheticCorpus, SyntheticGenerator};
-use serde::{Deserialize, Serialize};
 
 /// Specification of a synthetic COREL-like dataset.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CorelSpec {
     /// Number of semantic categories (paper: 20 or 50).
     pub n_categories: usize,
@@ -24,60 +21,6 @@ pub struct CorelSpec {
     pub image_size: usize,
     /// Master seed for styles and images.
     pub seed: u64,
-    /// Style distribution (the corpus calibration surface).
-    pub style: StyleDistributionConfig,
-}
-
-/// Serializable mirror of [`StyleDistribution`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StyleDistributionConfig {
-    /// Inclusive range of themes ("photo shoots") per category.
-    pub themes_per_category: (usize, usize),
-    /// Theme hue spread around the category anchor.
-    pub theme_hue_spread: f32,
-    /// Probability a theme's hue is drawn globally (off-palette theme).
-    pub theme_off_palette: f32,
-    /// Probability a theme uses the category's texture family.
-    pub theme_family_adherence: f32,
-    /// Within-theme per-image hue jitter.
-    pub within_theme_hue_jitter: f32,
-    /// Probability an image is an off-theme outlier.
-    pub off_theme_prob: f32,
-    /// Per-theme pixel-noise amplitude range (8-bit counts).
-    pub noise_amp: (f32, f32),
-    /// Max foreground shapes per image.
-    pub max_shapes: usize,
-}
-
-impl Default for StyleDistributionConfig {
-    fn default() -> Self {
-        let d = StyleDistribution::default();
-        Self {
-            themes_per_category: d.themes_per_category,
-            theme_hue_spread: d.theme_hue_spread,
-            theme_off_palette: d.theme_off_palette,
-            theme_family_adherence: d.theme_family_adherence,
-            within_theme_hue_jitter: d.within_theme_hue_jitter,
-            off_theme_prob: d.off_theme_prob,
-            noise_amp: d.noise_amp,
-            max_shapes: d.max_shapes,
-        }
-    }
-}
-
-impl From<&StyleDistributionConfig> for StyleDistribution {
-    fn from(c: &StyleDistributionConfig) -> Self {
-        StyleDistribution {
-            themes_per_category: c.themes_per_category,
-            theme_hue_spread: c.theme_hue_spread,
-            theme_off_palette: c.theme_off_palette,
-            theme_family_adherence: c.theme_family_adherence,
-            within_theme_hue_jitter: c.within_theme_hue_jitter,
-            off_theme_prob: c.off_theme_prob,
-            noise_amp: c.noise_amp,
-            max_shapes: c.max_shapes,
-        }
-    }
 }
 
 impl CorelSpec {
@@ -88,7 +31,6 @@ impl CorelSpec {
             per_category: 100,
             image_size: 64,
             seed,
-            style: StyleDistributionConfig::default(),
         }
     }
 
@@ -107,7 +49,6 @@ impl CorelSpec {
             per_category,
             image_size: 32,
             seed,
-            style: StyleDistributionConfig::default(),
         }
     }
 
@@ -144,16 +85,14 @@ impl CorelDataset {
     /// full 50×100 dataset takes a few seconds in release mode.
     pub fn build(spec: CorelSpec) -> Self {
         spec.validate();
-        let generator = SyntheticGenerator::with_distribution(
+        let generator = SyntheticGenerator::new(
             spec.n_categories,
             spec.image_size,
             spec.image_size,
             spec.seed,
-            &(&spec.style).into(),
         );
         let corpus = SyntheticCorpus::generate(&generator, spec.per_category);
-        let db =
-            ImageDatabase::from_images(&corpus.images, corpus.labels, &FeatureExtractor::default());
+        let db = ImageDatabase::from_images(&corpus.images, corpus.labels);
         Self {
             db,
             generator,

@@ -1,8 +1,7 @@
 //! The image database: features + ground-truth categories.
 
-use lrf_features::{FeatureExtractor, Normalizer};
+use lrf_features::{extract_all, Normalizer};
 use lrf_imaging::RgbImage;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A retrieval database: one normalized feature vector and one ground-truth
@@ -15,54 +14,15 @@ use std::sync::Arc;
 /// ([`Self::feature`]), and the index backends share the same allocation
 /// ([`Self::features_shared`]) instead of copying it — so at any scale the
 /// collection's features exist exactly once in memory.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+///
+/// A database is rebuilt from features, never persisted.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ImageDatabase {
     /// The shared row-major feature matrix.
     flat: Arc<Vec<f64>>,
     dim: usize,
     categories: Vec<usize>,
     n_categories: usize,
-}
-
-// Manual deserialization so a persisted database is validated on load:
-// `len()` reads `categories` while the feature accessors read `flat`, and
-// the two must never disagree (the derive would accept any shape).
-impl Deserialize for ImageDatabase {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let flat: Arc<Vec<f64>> = serde::__private::field(v, "flat")?;
-        let dim: usize = serde::__private::field(v, "dim")?;
-        let categories: Vec<usize> = serde::__private::field(v, "categories")?;
-        let n_categories: usize = serde::__private::field(v, "n_categories")?;
-        if dim == 0 {
-            return Err(serde::DeError::msg("feature dimension must be positive"));
-        }
-        if categories.is_empty() {
-            return Err(serde::DeError::msg("database cannot be empty"));
-        }
-        let expected = categories
-            .len()
-            .checked_mul(dim)
-            .ok_or_else(|| serde::DeError::msg("image count × dimension overflows"))?;
-        if flat.len() != expected {
-            return Err(serde::DeError::msg(format!(
-                "feature matrix / categories mismatch: {} values != {} images × {} dims",
-                flat.len(),
-                categories.len(),
-                dim
-            )));
-        }
-        if categories.iter().any(|&c| c >= n_categories) {
-            return Err(serde::DeError::msg(
-                "category id out of range for n_categories",
-            ));
-        }
-        Ok(Self {
-            flat,
-            dim,
-            categories,
-            n_categories,
-        })
-    }
 }
 
 impl ImageDatabase {
@@ -98,15 +58,10 @@ impl ImageDatabase {
     }
 
     /// Extracts features from images (multi-threaded) and builds the
-    /// database. `extractor` must use one consistent configuration for the
-    /// whole collection.
-    pub(crate) fn from_images(
-        images: &[RgbImage],
-        categories: Vec<usize>,
-        extractor: &FeatureExtractor,
-    ) -> Self {
+    /// database.
+    pub(crate) fn from_images(images: &[RgbImage], categories: Vec<usize>) -> Self {
         assert_eq!(images.len(), categories.len(), "images/categories mismatch");
-        let features = extract_parallel(images, extractor);
+        let features = extract_parallel(images);
         Self::from_features(features, categories)
     }
 
@@ -174,19 +129,19 @@ impl ImageDatabase {
 
 /// Chunked multi-threaded feature extraction (std scoped threads — feature
 /// extraction is embarrassingly parallel and dominates dataset build time).
-fn extract_parallel(images: &[RgbImage], extractor: &FeatureExtractor) -> Vec<Vec<f64>> {
+fn extract_parallel(images: &[RgbImage]) -> Vec<Vec<f64>> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     if threads <= 1 || images.len() < 32 {
-        return extractor.extract_all(images);
+        return extract_all(images);
     }
     let chunk = images.len().div_ceil(threads);
     let mut out: Vec<Vec<f64>> = Vec::with_capacity(images.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = images
             .chunks(chunk)
-            .map(|part| scope.spawn(move || extractor.extract_all(part)))
+            .map(|part| scope.spawn(move || extract_all(part)))
             .collect();
         for h in handles {
             out.extend(h.join().expect("feature extraction thread panicked"));
@@ -210,7 +165,7 @@ mod tests {
                 cats.push(c);
             }
         }
-        ImageDatabase::from_images(&images, cats, &FeatureExtractor::default())
+        ImageDatabase::from_images(&images, cats)
     }
 
     #[test]
@@ -260,9 +215,8 @@ mod tests {
     fn parallel_extraction_matches_serial() {
         let gen = SyntheticGenerator::new(2, 32, 32, 4);
         let images: Vec<_> = (0..40).map(|i| gen.generate(i % 2, i / 2)).collect();
-        let ex = FeatureExtractor::default();
-        let parallel = extract_parallel(&images, &ex);
-        let serial = ex.extract_all(&images);
+        let parallel = extract_parallel(&images);
+        let serial = extract_all(&images);
         assert_eq!(parallel, serial);
     }
 
@@ -286,35 +240,6 @@ mod tests {
         for d in 0..2 {
             let m: f64 = db.rows().map(|f| f[d]).sum::<f64>() / 3.0;
             assert!(m.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_matrix() {
-        let feats = vec![vec![0.0, 1.0], vec![2.0, 3.0], vec![4.0, 5.0]];
-        let db = ImageDatabase::from_features(feats, vec![0, 1, 1]);
-        let json = serde_json::to_string(&db).unwrap();
-        let back: ImageDatabase = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, db);
-    }
-
-    #[test]
-    fn deserialization_rejects_inconsistent_shapes() {
-        // A matrix that doesn't cover N × dim, a zero dim, or an
-        // out-of-range category id must fail on load, not panic later.
-        for bad in [
-            r#"{"flat": [0.0, 1.0, 2.0, 3.0], "dim": 2, "categories": [0, 1, 1], "n_categories": 2}"#,
-            r#"{"flat": [], "dim": 0, "categories": [], "n_categories": 0}"#,
-            r#"{"flat": [0.0, 1.0], "dim": 2, "categories": [5], "n_categories": 2}"#,
-            // Empty database (from_features forbids it; loading must too).
-            r#"{"flat": [], "dim": 2, "categories": [], "n_categories": 0}"#,
-            // N × dim overflows usize — must reject, not wrap to 0.
-            r#"{"flat": [], "dim": 4611686018427387904, "categories": [0, 0, 0, 0], "n_categories": 1}"#,
-        ] {
-            assert!(
-                serde_json::from_str::<ImageDatabase>(bad).is_err(),
-                "accepted malformed database: {bad}"
-            );
         }
     }
 }

@@ -14,7 +14,7 @@
 use crate::database::ImageDatabase;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The cutoffs of the paper's tables: top-20 … top-100 in steps of 10.
 pub const CUTOFFS: [usize; 9] = [20, 30, 40, 50, 60, 70, 80, 90, 100];
@@ -36,7 +36,7 @@ pub fn precision_at(ranked: &[usize], is_relevant: impl Fn(usize) -> bool, k: us
 }
 
 /// A precision curve over [`CUTOFFS`], averaged over queries.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct PrecisionCurve {
     /// `values[i]` = mean precision at `CUTOFFS[i]`.
     pub values: Vec<f64>,
@@ -90,7 +90,7 @@ impl PrecisionCurve {
 /// Euclidean retrieval, labeled automatically by ground truth (the paper
 /// "simulate\[s\] the relevance judgements that would have been made by
 /// users").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FeedbackExample {
     /// The query image id.
     pub query: usize,

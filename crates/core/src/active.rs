@@ -21,11 +21,10 @@
 //! * [`RoundSelection::Mixed`] — half confident (user satisfaction), half
 //!   uncertain (model improvement), a common practical compromise.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Policy for choosing the next round's screen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoundSelection {
     /// Highest-scoring unjudged images.
     TopConfident,

@@ -6,11 +6,10 @@
 //! ablate-noise | ablate-sessions` measure the sensitivity).
 
 use lrf_svm::SmoParams;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the coupled-SVM optimization (Eq. 1 + the annealing
 /// schedule of Fig. 1) that [`crate::train_coupled`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoupledConfig {
     /// Penalty `C_w` on labeled content-side slack.
     pub c_content: f64,
@@ -81,7 +80,7 @@ impl CoupledConfig {
 
 /// How LRF-CSVM picks its `N'` unlabeled samples (Fig. 1 step 1 vs. the
 /// §6.5 discussion).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnlabeledSelection {
     /// The paper's strategy: `N'/2` with the largest combined SVM distance
     /// (closest to the positive labeled data) and `N'/2` with the smallest
@@ -97,7 +96,7 @@ pub enum UnlabeledSelection {
 }
 
 /// Full configuration of the LRF-CSVM algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LrfConfig {
     /// Coupled-SVM parameters.
     pub coupled: CoupledConfig,
@@ -201,13 +200,5 @@ mod tests {
             ..Default::default()
         };
         cfg.validate();
-    }
-
-    #[test]
-    fn config_serializes() {
-        let cfg = LrfConfig::default();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: LrfConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
     }
 }

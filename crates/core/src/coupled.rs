@@ -39,11 +39,10 @@
 
 use crate::config::CoupledConfig;
 use lrf_svm::{train_warm, Kernel, SmoParams, SvmError, TrainedSvm};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// Diagnostics of one coupled training run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrainReport {
     /// Number of ρ* annealing steps executed (including the final pass at
     /// `ρ* = ρ`).

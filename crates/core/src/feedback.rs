@@ -3,14 +3,13 @@
 use lrf_cbir::{FeedbackExample, ImageDatabase};
 use lrf_logdb::LogStore;
 use lrf_svm::SolveStats;
-use serde::{Deserialize, Serialize};
 
 /// Solver diagnostics for the most recent retrain of a scheme, aggregated
 /// over however many SVMs the scheme trains (content + log side for the
 /// two-machine and coupled schemes). Surfaced by
 /// [`crate::rounds::FeedbackLoop::last_diagnostics`] so a
 /// `max_iter`-capped solve is observable instead of silent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundDiagnostics {
     /// Whether *every* solve of the round reached its KKT tolerance (vs.
     /// hitting `max_iter`).

@@ -8,7 +8,6 @@
 
 use lrf_logdb::SparseVector;
 use lrf_svm::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// Gaussian RBF over sparse log vectors:
 /// `K(r_a, r_b) = exp(−γ‖r_a − r_b‖²)`.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Entries are ±1 judgments, so `‖r_a − r_b‖²` counts (4×) disagreeing
 /// sessions plus unshared judgments — two images consistently co-judged
 /// get kernel ≈ 1, images with opposite feedback histories decay fast.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogRbfKernel {
     /// Width parameter γ.
     pub gamma: f64,
@@ -43,75 +42,34 @@ impl Kernel<SparseVector> for LogRbfKernel {
     }
 }
 
-/// Linear kernel over sparse log vectors: `K(r_a, r_b) = r_aᵀ r_b` — the
-/// raw count of agreeing minus disagreeing co-judgments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct LogLinearKernel;
-
-impl Kernel<SparseVector> for LogLinearKernel {
-    #[inline]
-    fn compute(&self, a: &SparseVector, b: &SparseVector) -> f64 {
-        a.dot(b)
-    }
-}
-
-/// RBF over **L2-normalized** log vectors:
-/// `K(r_a, r_b) = exp(−γ‖φ(r_a) − φ(r_b)‖²)` with `φ(r) = r/‖r‖` (and
-/// `φ(0) = 0`).
-///
-/// Raw log vectors differ mostly in their *degree* (how often an image was
-/// judged), which swamps the overlap signal under a plain RBF; normalizing
-/// makes the kernel respond to co-judgment *agreement*: identical feedback
-/// histories → 1, disjoint histories → `e^{−2γ}`, perfectly contradictory
-/// histories → `e^{−4γ}`. Selected by [`LogKernel::CosineRbf`]; the
-/// `tune_log` example in `lrf-bench` compares it with the default plain
-/// RBF.
-///
-/// Mercer validity: `φ` is an explicit feature map and the Gaussian of any
-/// feature map is positive semidefinite.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub(crate) struct LogCosineRbfKernel {
-    /// Width parameter γ.
-    pub gamma: f64,
-}
-
-impl Kernel<SparseVector> for LogCosineRbfKernel {
-    #[inline]
-    fn compute(&self, a: &SparseVector, b: &SparseVector) -> f64 {
-        let na = a.norm_sq();
-        let nb = b.norm_sq();
-        // ‖φa − φb‖² = 1{a≠0} + 1{b≠0} − 2·cos(a, b)
-        let mut d2 = 0.0;
-        if na > 0.0 {
-            d2 += 1.0;
-        }
-        if nb > 0.0 {
-            d2 += 1.0;
-        }
-        if na > 0.0 && nb > 0.0 {
-            d2 -= 2.0 * a.dot(b) / (na.sqrt() * nb.sqrt());
-        }
-        (-self.gamma * d2.max(0.0)).exp()
-    }
-}
-
 /// The log-side kernel choice, configurable per experiment (the paper does
 /// not specify how its RBF treated the sparse log columns; plain RBF is
 /// the calibrated default of [`crate::LrfConfig::log_kernel`], the others
-/// are ablations).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// are ablations the `tune_log` example in `lrf-bench` compares).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LogKernel {
-    /// Plain RBF on raw log vectors (default).
+    /// Plain RBF on raw log vectors (default): [`LogRbfKernel`].
     Rbf {
         /// Width parameter γ.
         gamma: f64,
     },
-    /// RBF on L2-normalized log vectors.
+    /// RBF on **L2-normalized** log vectors:
+    /// `K(r_a, r_b) = exp(−γ‖φ(r_a) − φ(r_b)‖²)` with `φ(r) = r/‖r‖` (and
+    /// `φ(0) = 0`).
+    ///
+    /// Raw log vectors differ mostly in their *degree* (how often an image
+    /// was judged), which swamps the overlap signal under a plain RBF;
+    /// normalizing makes the kernel respond to co-judgment *agreement*:
+    /// identical feedback histories → 1, disjoint histories → `e^{−2γ}`,
+    /// perfectly contradictory histories → `e^{−4γ}`. Mercer-valid: `φ` is
+    /// an explicit feature map and the Gaussian of any feature map is
+    /// positive semidefinite.
     CosineRbf {
         /// Width parameter γ.
         gamma: f64,
     },
-    /// Raw signed co-judgment count.
+    /// Raw signed co-judgment count, `K(r_a, r_b) = r_aᵀ r_b`: agreeing
+    /// minus disagreeing co-judgments.
     Linear,
 }
 
@@ -120,8 +78,23 @@ impl Kernel<SparseVector> for LogKernel {
     fn compute(&self, a: &SparseVector, b: &SparseVector) -> f64 {
         match *self {
             LogKernel::Rbf { gamma } => LogRbfKernel { gamma }.compute(a, b),
-            LogKernel::CosineRbf { gamma } => LogCosineRbfKernel { gamma }.compute(a, b),
-            LogKernel::Linear => LogLinearKernel.compute(a, b),
+            LogKernel::CosineRbf { gamma } => {
+                let na = a.norm_sq();
+                let nb = b.norm_sq();
+                // ‖φa − φb‖² = 1{a≠0} + 1{b≠0} − 2·cos(a, b)
+                let mut d2 = 0.0;
+                if na > 0.0 {
+                    d2 += 1.0;
+                }
+                if nb > 0.0 {
+                    d2 += 1.0;
+                }
+                if na > 0.0 && nb > 0.0 {
+                    d2 -= 2.0 * a.dot(b) / (na.sqrt() * nb.sqrt());
+                }
+                (-gamma * d2.max(0.0)).exp()
+            }
+            LogKernel::Linear => a.dot(b),
         }
     }
 }
@@ -170,7 +143,7 @@ mod tests {
         let a = sv(&[(0, 1.0), (1, 1.0), (2, -1.0)]);
         let b = sv(&[(0, 1.0), (2, 1.0), (7, -1.0)]);
         // session 0 agrees (+1), session 2 disagrees (−1) → 0
-        assert_eq!(LogLinearKernel.compute(&a, &b), 0.0);
+        assert_eq!(LogKernel::Linear.compute(&a, &b), 0.0);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl SchemeKind {
 }
 
 /// A rejected judgment — the session stays usable after any of these.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RoundError {
     /// The image id is outside the database.
     UnknownImage {

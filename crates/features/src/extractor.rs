@@ -1,15 +1,14 @@
 //! The combined 36-D feature pipeline.
 //!
 //! Concatenation order matches the paper's presentation: color (9), edge
-//! (18), texture (9). [`FeatureExtractor`] carries the Canny parameters so
-//! a database is guaranteed to be extracted under one consistent setting.
+//! (18), texture (9). Every image is extracted under the one Canny setting,
+//! `CannyParams::default()`, so a database is consistent by construction.
 
 use crate::color_moments::{self, color_moments};
 use crate::edge_histogram::{self, edge_direction_histogram};
 use crate::texture::{self, wavelet_texture};
 use lrf_imaging::canny::CannyParams;
 use lrf_imaging::RgbImage;
-use serde::{Deserialize, Serialize};
 
 /// Dimensions contributed by the color-moment descriptor.
 pub(crate) const COLOR_DIMS: usize = color_moments::DIMS;
@@ -23,66 +22,26 @@ pub const TOTAL_DIMS: usize = COLOR_DIMS + EDGE_DIMS + TEXTURE_DIMS;
 /// A raw (pre-normalization) 36-D feature vector.
 pub(crate) type FeatureVector = Vec<f64>;
 
-/// Extracts the full 36-D descriptor of §6.2 from RGB images.
-#[derive(Clone, Debug, Serialize, Deserialize, Default)]
-pub struct FeatureExtractor {
-    /// Canny parameters used for the edge histogram.
-    pub canny: CannyParamsConfig,
+/// Extracts the concatenated `[color | edge | texture]` descriptor, with
+/// edges from a Canny detector at its default parameters.
+///
+/// # Panics
+/// Panics if the image dimensions are unsuitable for a 3-level DWT
+/// (must be divisible by 8 and at least 16×16).
+fn extract(img: &RgbImage) -> FeatureVector {
+    let mut out = Vec::with_capacity(TOTAL_DIMS);
+    out.extend_from_slice(&color_moments(img));
+    let gray = img.to_gray();
+    out.extend_from_slice(&edge_direction_histogram(&gray, CannyParams::default()));
+    out.extend_from_slice(&wavelet_texture(&gray));
+    debug_assert_eq!(out.len(), TOTAL_DIMS);
+    out
 }
 
-/// Serializable mirror of [`CannyParams`] (the imaging type intentionally
-/// stays serde-free; this config is what experiment manifests persist).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CannyParamsConfig {
-    /// Gaussian pre-smoothing σ.
-    pub sigma: f32,
-    /// Low hysteresis threshold ratio.
-    pub low_ratio: f32,
-    /// High hysteresis threshold ratio.
-    pub high_ratio: f32,
-}
-
-impl Default for CannyParamsConfig {
-    fn default() -> Self {
-        let p = CannyParams::default();
-        Self {
-            sigma: p.sigma,
-            low_ratio: p.low_ratio,
-            high_ratio: p.high_ratio,
-        }
-    }
-}
-
-impl From<CannyParamsConfig> for CannyParams {
-    fn from(c: CannyParamsConfig) -> Self {
-        CannyParams {
-            sigma: c.sigma,
-            low_ratio: c.low_ratio,
-            high_ratio: c.high_ratio,
-        }
-    }
-}
-
-impl FeatureExtractor {
-    /// Extracts the concatenated `[color | edge | texture]` descriptor.
-    ///
-    /// # Panics
-    /// Panics if the image dimensions are unsuitable for a 3-level DWT
-    /// (must be divisible by 8 and at least 16×16).
-    pub(crate) fn extract(&self, img: &RgbImage) -> FeatureVector {
-        let mut out = Vec::with_capacity(TOTAL_DIMS);
-        out.extend_from_slice(&color_moments(img));
-        let gray = img.to_gray();
-        out.extend_from_slice(&edge_direction_histogram(&gray, self.canny.into()));
-        out.extend_from_slice(&wavelet_texture(&gray));
-        debug_assert_eq!(out.len(), TOTAL_DIMS);
-        out
-    }
-
-    /// Extracts features for a whole image slice, preserving order.
-    pub fn extract_all(&self, images: &[RgbImage]) -> Vec<FeatureVector> {
-        images.iter().map(|img| self.extract(img)).collect()
-    }
+/// Extracts the full 36-D descriptor of §6.2 for a whole image slice,
+/// preserving order.
+pub fn extract_all(images: &[RgbImage]) -> Vec<FeatureVector> {
+    images.iter().map(extract).collect()
 }
 
 #[cfg(test)]
@@ -101,9 +60,8 @@ mod tests {
     #[test]
     fn extraction_has_expected_length_and_is_finite() {
         let gen = SyntheticGenerator::new(3, 32, 32, 77);
-        let ex = FeatureExtractor::default();
         for cat in 0..3 {
-            let v = ex.extract(&gen.generate(cat, 0));
+            let v = extract(&gen.generate(cat, 0));
             assert_eq!(v.len(), TOTAL_DIMS);
             assert!(v.iter().all(|x| x.is_finite()), "{v:?}");
         }
@@ -113,8 +71,7 @@ mod tests {
     fn extraction_is_deterministic() {
         let gen = SyntheticGenerator::new(2, 32, 32, 5);
         let img = gen.generate(1, 4);
-        let ex = FeatureExtractor::default();
-        assert_eq!(ex.extract(&img), ex.extract(&img));
+        assert_eq!(extract(&img), extract(&img));
     }
 
     #[test]
@@ -122,13 +79,12 @@ mod tests {
         // The whole premise of CBIR features: intra-category feature
         // distance below inter-category distance in expectation.
         let gen = SyntheticGenerator::new(6, 32, 32, 123);
-        let ex = FeatureExtractor::default();
         let per_cat = 6;
         let mut feats: Vec<Vec<FeatureVector>> = Vec::new();
         for cat in 0..6 {
             feats.push(
                 (0..per_cat)
-                    .map(|i| ex.extract(&gen.generate(cat, i)))
+                    .map(|i| extract(&gen.generate(cat, i)))
                     .collect(),
             );
         }
@@ -169,10 +125,9 @@ mod tests {
     fn extract_all_preserves_order() {
         let gen = SyntheticGenerator::new(2, 32, 32, 9);
         let imgs = vec![gen.generate(0, 0), gen.generate(1, 0)];
-        let ex = FeatureExtractor::default();
-        let all = ex.extract_all(&imgs);
+        let all = extract_all(&imgs);
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0], ex.extract(&imgs[0]));
-        assert_eq!(all[1], ex.extract(&imgs[1]));
+        assert_eq!(all[0], extract(&imgs[0]));
+        assert_eq!(all[1], extract(&imgs[1]));
     }
 }

@@ -9,7 +9,7 @@
 //! | Canny edge-direction histogram (18 bins × 20°) | 18 | `edge_histogram` |
 //! | Daubechies-4 wavelet entropy (3 levels × 3 orientations) | 9 | `texture` |
 //!
-//! [`extractor::FeatureExtractor`] runs the full pipeline;
+//! [`extract_all`] runs the full pipeline;
 //! [`normalize::Normalizer`] applies the classical Gaussian (3σ)
 //! normalization across a database so no descriptor dominates Euclidean
 //! distances or the RBF kernel.
@@ -20,5 +20,5 @@ mod extractor;
 mod normalize;
 mod texture;
 
-pub use extractor::{FeatureExtractor, TOTAL_DIMS};
+pub use extractor::{extract_all, TOTAL_DIMS};
 pub use normalize::Normalizer;

@@ -9,10 +9,8 @@
 //! `[-1, 1]`, which puts ~99.7% of values in range without letting
 //! outliers stretch the scale.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-dimension affine normalizer fitted on a feature matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Normalizer {
     mean: Vec<f64>,
     /// Divisor per dimension (`3σ`, floored to a tiny epsilon for

@@ -8,10 +8,8 @@
 //! usual angle divided by 360°. Using a unit-range hue keeps the three
 //! channels commensurate for moment statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// A normalized HSV color; every component lies in `[0, 1]`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Hsv {
     /// Hue as a fraction of the full circle (`0.0` = red, `1/3` = green, ...).
     pub h: f32,

@@ -7,12 +7,10 @@
 //! * [`GrayImage`] — `f32` luminance in `[0, 1]`, the working format for
 //!   convolution, Canny, and the wavelet transform.
 
-use serde::{Deserialize, Serialize};
-
 /// An 8-bit interleaved RGB image.
 ///
 /// Pixels are stored row-major; `(x, y)` addresses column `x` of row `y`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RgbImage {
     width: usize,
     height: usize,
@@ -137,7 +135,7 @@ impl RgbImage {
 ///
 /// Intermediate processing results (gradients, wavelet coefficients) may
 /// exceed the nominal range; no clamping is applied except where documented.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GrayImage {
     width: usize,
     height: usize,

@@ -7,8 +7,9 @@
 //!
 //! * [`RgbImage`] / [`GrayImage`] — owned raster types.
 //! * [`color`] — RGB ↔ HSV conversion.
-//! * [`synthetic`] — a seeded, category-parameterized image generator that
-//!   stands in for the COREL collection (its module docs say why the
+//! * [`SyntheticGenerator`] / [`SyntheticCorpus`] — a seeded,
+//!   category-parameterized image generator that stands in for the COREL
+//!   collection (the crate-private `synthetic` module's docs say why the
 //!   substitution preserves the relevant behaviour), over the crate-private
 //!   `draw` module's shape/gradient/noise rendering primitives.
 //! * [`mod@canny`] — a full Canny edge detector (blur → gradient → non-maximum
@@ -27,7 +28,7 @@ pub mod color;
 mod convolve;
 mod draw;
 pub mod image;
-pub mod synthetic;
+mod synthetic;
 pub mod wavelet;
 
 pub use crate::image::{GrayImage, RgbImage};

@@ -32,14 +32,13 @@ use crate::draw;
 use crate::image::RgbImage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The texture family a theme carries.
 ///
 /// Different motifs produce distinct wavelet-entropy signatures; sharing a
 /// motif family (with different parameters) across categories is one of the
 /// deliberate sources of inter-category confusion.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum TextureMotif {
     /// Sinusoidal stripes with orientation (radians) and frequency
     /// (cycles per image width).
@@ -53,7 +52,7 @@ enum TextureMotif {
 }
 
 /// The shape family drawn on top of the background.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ShapeMotif {
     /// Filled discs.
     Discs,
@@ -66,63 +65,63 @@ enum ShapeMotif {
 }
 
 /// One "photo shoot": a tight appearance cluster inside a category.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct ThemeStyle {
     /// Background hue center, `[0, 1)`.
-    pub hue: f32,
+    hue: f32,
     /// Within-theme hue jitter half-width (small).
-    pub hue_jitter: f32,
+    hue_jitter: f32,
     /// Background saturation center.
-    pub saturation: f32,
+    saturation: f32,
     /// Background value (brightness) center.
-    pub value: f32,
+    value: f32,
     /// Texture carrier (fixed parameters for the whole theme).
-    pub motif: TextureMotif,
+    motif: TextureMotif,
     /// Texture blend strength `[0, 1]`.
-    pub motif_strength: f32,
+    motif_strength: f32,
     /// Foreground shape family.
-    pub shapes: ShapeMotif,
+    shapes: ShapeMotif,
     /// Inclusive range of foreground shapes per image.
-    pub shape_count: (usize, usize),
+    shape_count: (usize, usize),
     /// Hue offset of foreground shapes relative to the background hue.
-    pub shape_hue_offset: f32,
+    shape_hue_offset: f32,
     /// Per-pixel uniform noise amplitude (8-bit counts).
-    pub noise_amp: f32,
+    noise_amp: f32,
 }
 
 /// A category: a set of themes plus the outlier rate.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct CategoryStyle {
     /// The category's themes ("photo shoots").
-    pub themes: Vec<ThemeStyle>,
+    themes: Vec<ThemeStyle>,
     /// Probability an image ignores its category's themes entirely and is
     /// rendered from a freshly sampled global theme (an outlier photo).
-    pub off_theme_prob: f32,
+    off_theme_prob: f32,
 }
 
 /// The distribution category styles are sampled from — the single
 /// calibration surface of the corpus.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StyleDistribution {
+#[derive(Clone, Debug)]
+struct StyleDistribution {
     /// Inclusive range of themes per category.
-    pub themes_per_category: (usize, usize),
+    themes_per_category: (usize, usize),
     /// Std-dev-like half-width of theme hue spread around the category
     /// anchor hue.
-    pub theme_hue_spread: f32,
+    theme_hue_spread: f32,
     /// Probability a theme's hue is drawn globally (off-palette theme) —
     /// "a car can be any color".
-    pub theme_off_palette: f32,
+    theme_off_palette: f32,
     /// Probability a theme uses the category's texture family (with fresh
     /// parameters) rather than a random family.
-    pub theme_family_adherence: f32,
+    theme_family_adherence: f32,
     /// Within-theme per-image hue jitter half-width.
-    pub within_theme_hue_jitter: f32,
+    within_theme_hue_jitter: f32,
     /// Probability an image is an off-theme outlier.
-    pub off_theme_prob: f32,
+    off_theme_prob: f32,
     /// Range per-theme pixel-noise amplitude is drawn from (8-bit counts).
-    pub noise_amp: (f32, f32),
+    noise_amp: (f32, f32),
     /// Maximum foreground shapes per image.
-    pub max_shapes: usize,
+    max_shapes: usize,
 }
 
 impl Default for StyleDistribution {
@@ -249,7 +248,7 @@ impl CategoryStyle {
 }
 
 /// Deterministic image generator for a fixed set of category styles.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SyntheticGenerator {
     styles: Vec<CategoryStyle>,
     dist: StyleDistribution,
@@ -271,9 +270,9 @@ impl SyntheticGenerator {
         )
     }
 
-    /// As [`Self::new`] but with an explicit style distribution (used by the
-    /// calibration ablation).
-    pub fn with_distribution(
+    /// As [`Self::new`] but with an explicit style distribution (the
+    /// sampler tests build non-default ones).
+    fn with_distribution(
         n_categories: usize,
         width: usize,
         height: usize,

@@ -37,10 +37,9 @@
 use crate::session::{LogSession, Relevance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the simulated collection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimulationConfig {
     /// Total number of sessions to collect (the paper: 150 per dataset).
     /// Sessions group into user interactions of `rounds_per_query` rounds.

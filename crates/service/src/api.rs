@@ -1,11 +1,10 @@
-//! The service wire format: serde-serializable requests, responses, and
-//! typed errors.
+//! The service API: requests, responses, and typed errors.
 //!
-//! The API is a plain enum pair so any transport — an HTTP handler, a
-//! message queue consumer, a CLI — can be bolted on by (de)serializing one
-//! value per exchange ([`crate::Service::handle_json`] does exactly that).
-//! Every failure mode is a [`ServiceError`] variant inside a normal
-//! [`Response::Error`]; the service never panics on client input.
+//! The API is a plain enum pair handled by [`crate::Service::handle`]. On
+//! the network these are the `body` of the one `{v, id, body}` frame
+//! ([`crate::wire`]), so they are the wire's serde types. Every failure
+//! mode is a [`ServiceError`] variant inside a normal [`Response::Error`];
+//! the service never panics on client input.
 
 use lrf_core::{RoundError, SchemeKind};
 use lrf_obs::RegistrySnapshot;
@@ -207,7 +206,7 @@ pub enum ServiceError {
         /// The re-judged image id.
         image: usize,
     },
-    /// The request could not be parsed (JSON transport only).
+    /// The request frame could not be parsed (wire transport only).
     BadRequest {
         /// Parser message.
         reason: String,

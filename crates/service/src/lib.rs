@@ -19,10 +19,9 @@
 //! * a [`manager::SessionManager`]: each session is a resumable
 //!   [`lrf_core::FeedbackLoop`] behind its own lock, with LRU capacity
 //!   eviction and an idle TTL, both deterministic against a logical clock;
-//! * a synchronous, serde-serializable [`Request`]/[`Response`] API
-//!   ([`Service::handle`], or [`Service::handle_json`] for a string
-//!   transport) so a network listener can be bolted on without touching
-//!   the engine.
+//! * a synchronous [`Request`]/[`Response`] API ([`Service::handle`]),
+//!   which [`NetServer`] serves over HTTP in the one `{v, id, body}` frame
+//!   of [`wire`] without touching the engine.
 //!
 //! A [`Service`] is built one of three ways, all over one private `build`:
 //! [`Service::new`] (flat index, fresh metrics),

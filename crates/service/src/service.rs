@@ -207,7 +207,8 @@ impl Service {
     /// before the first request.
     ///
     /// # Panics
-    /// As [`Service::new`], and if `index` does not cover `db`.
+    /// As [`Service::new`], and if `index` does not cover `db` or its
+    /// dimension differs from the database's.
     #[allow(clippy::too_many_arguments)]
     pub fn with_durability_metrics(
         db: ImageDatabase,
@@ -247,6 +248,11 @@ impl Service {
         sharded: Option<Arc<ShardedEngine>>,
     ) -> Self {
         assert_eq!(index.len(), db.len(), "index does not cover the database");
+        assert_eq!(
+            index.dim(),
+            db.dim(),
+            "index dimension does not match the database"
+        );
         assert_eq!(
             log.n_images(),
             db.len(),
@@ -368,17 +374,10 @@ impl Service {
         }
     }
 
-    /// JSON transport: parses a [`Request`] (bare legacy enum *or* the
-    /// versioned `{v, id, body}` envelope — see [`crate::wire`]), handles
-    /// it, renders the [`Response`] in the framing the request used.
-    /// Legacy requests get byte-identical output to what this method has
-    /// always produced.
-    pub fn handle_json(&self, request_json: &str) -> String {
-        self.handle_wire(request_json).0
-    }
-
-    /// [`handle_json`](Self::handle_json) plus the HTTP status the
-    /// response maps to — the whole surface a network transport needs.
+    /// Wire transport: parses one `{v, id, body}` frame (see
+    /// [`crate::wire`]), handles it, and returns the rendered reply frame
+    /// plus the HTTP status it maps to — the whole surface a network
+    /// transport needs.
     pub(crate) fn handle_wire(&self, request_json: &str) -> (String, u16) {
         let (mode, response) = match wire::parse_request(request_json) {
             Ok(parsed) => (parsed.mode, self.handle(parsed.body)),
@@ -1049,14 +1048,22 @@ mod tests {
         ));
     }
 
+    /// The body of a `{v, id, code, body}` reply frame.
+    fn frame_body(frame: &str) -> Response {
+        use serde::Deserialize;
+        let value: serde::Value = serde_json::from_str(frame).unwrap();
+        Response::from_value(value.get("body").unwrap()).unwrap()
+    }
+
     #[test]
     fn json_transport_roundtrips_and_rejects_garbage() {
         let svc = service();
-        let resp = svc.handle_json(r#"{"Open": {"query": 2, "scheme": "RfSvm"}}"#);
-        let parsed: Response = serde_json::from_str(&resp).unwrap();
+        let (resp, _) = svc
+            .handle_wire(r#"{"v": 1, "id": 1, "body": {"Open": {"query": 2, "scheme": "RfSvm"}}}"#);
+        let parsed = frame_body(&resp);
         assert!(matches!(parsed, Response::Opened { .. }), "{resp}");
-        let resp = svc.handle_json("not json at all");
-        let parsed: Response = serde_json::from_str(&resp).unwrap();
+        let (resp, _) = svc.handle_wire("not json at all");
+        let parsed = frame_body(&resp);
         assert!(
             matches!(
                 parsed,
@@ -1075,7 +1082,7 @@ mod tests {
         let svc = service();
         let (body, status) = svc.handle_wire(&"[".repeat(100_000));
         assert_eq!(status, 400);
-        let parsed: Response = serde_json::from_str(&body).unwrap();
+        let parsed = frame_body(&body);
         assert!(
             matches!(
                 parsed,
@@ -1218,9 +1225,11 @@ mod tests {
         assert_eq!(snapshot.gauge("active_sessions"), Some(0));
         // The same snapshot round-trips through the JSON transport and
         // renders as well-formed Prometheus text.
-        let json = svc.handle_json(r#""Metrics""#);
-        let parsed: Response = serde_json::from_str(&json).unwrap();
-        assert!(matches!(parsed, Response::Metrics { .. }), "{json}");
+        let (json, _) = svc.handle_wire(r#"{"v": 1, "id": 2, "body": "Metrics"}"#);
+        assert!(
+            matches!(frame_body(&json), Response::Metrics { .. }),
+            "{json}"
+        );
         let page = svc.metrics_prometheus();
         assert!(page.contains("# TYPE request_latency_ns histogram"));
         assert!(page.contains("request_latency_ns_count"));
@@ -1528,5 +1537,25 @@ mod tests {
         let mut cfg = config();
         cfg.lrf.coupled.rho_init = 2.0;
         let _ = Service::new(ds.db, log, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "index dimension")]
+    fn index_of_the_wrong_dimension_is_rejected_at_construction() {
+        // An index covering every image in 2-D over a 36-D database used to
+        // construct fine and then panic a request thread on every `Open`.
+        let (ds, log) = dataset();
+        let index: Box<dyn AnnIndex> =
+            Box::new(lrf_index::FlatIndex::build(&vec![0.0; ds.db.len() * 2], 2));
+        let _ = Service::with_durability_metrics(
+            ds.db,
+            index,
+            lrf_storage::MemIo::handle(),
+            wal_dir(),
+            log,
+            config(),
+            durable_policy(),
+            ServiceMetrics::new(),
+        );
     }
 }

@@ -1,27 +1,21 @@
 //! The versioned wire envelope — framing for networked transports.
 //!
-//! A transport exchange is one JSON document per direction. Two request
-//! forms are accepted:
+//! A transport exchange is one JSON document per direction, and there is
+//! one frame: the request `{"v": 1, "id": 7, "body": <Request>}` is
+//! answered by `{"v": 1, "id": 7, "code": "ok" | <error code>, "body":
+//! <Response>}`. `v` is the protocol version ([`PROTO_VERSION`]); `id` is
+//! an opaque client-chosen correlation id echoed back verbatim, so clients
+//! may pipeline requests over one connection and match responses by id;
+//! `code` duplicates the error's stable [`ServiceError::code`] at the frame
+//! level so clients can branch without destructuring the body.
 //!
-//! * **Envelope** (preferred): `{"v": 1, "id": 7, "body": <Request>}`.
-//!   `v` is the protocol version ([`PROTO_VERSION`]); `id` is an opaque
-//!   client-chosen correlation id echoed back verbatim, so clients may
-//!   pipeline requests over one connection and match responses by id.
-//!   The reply is `{"v": 1, "id": 7, "code": "ok" | <error code>,
-//!   "body": <Response>}` — `code` duplicates the error's stable
-//!   [`ServiceError::code`] at the frame level so clients can branch
-//!   without destructuring the body.
-//! * **Legacy**: the bare [`Request`] enum JSON the in-process
-//!   [`crate::Service::handle_json`] has always accepted. The reply is the
-//!   bare [`Response`] enum, unchanged — existing clients keep working.
-//!
-//! The two forms cannot collide: every legacy request is either a JSON
-//! string (`"Stats"`) or an object whose single key is a `Request` variant
-//! name, and `"v"` is not a variant name. An envelope with an unknown
-//! version is rejected with the typed
-//! [`ServiceError::UnsupportedVersion`] — never silently parsed as
-//! something else — so the protocol can evolve by bumping [`PROTO_VERSION`]
-//! without old servers misreading new frames.
+//! Anything else — a bare [`Request`] enum, an envelope whose `v` is not a
+//! non-negative integer, text that is not JSON — is a typed
+//! [`ServiceError::BadRequest`], framed on the request's `id` when that is
+//! readable and on `0` otherwise. An envelope with an unknown version is
+//! rejected with the typed [`ServiceError::UnsupportedVersion`] — never
+//! silently parsed as something else — so the protocol can evolve by
+//! bumping [`PROTO_VERSION`] without old servers misreading new frames.
 
 use crate::api::{Request, Response, ServiceError};
 use serde::{Deserialize, Serialize, Value};
@@ -34,8 +28,6 @@ pub const PROTO_VERSION: u32 = 1;
 /// How a request was framed — decides how its response must be framed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameMode {
-    /// Bare `Request` enum JSON; reply with bare `Response` enum JSON.
-    Legacy,
     /// `{v, id, body}` envelope; reply with a `{v, id, code, body}` frame
     /// echoing this correlation id.
     Envelope {
@@ -53,10 +45,8 @@ pub struct ParsedRequest {
     pub body: Request,
 }
 
-/// A wire-level failure, carrying the best-known framing so the error
-/// response can still be framed the way the client expects (an envelope
-/// client gets an envelope error with its correlation id when the id was
-/// readable).
+/// A wire-level failure, carrying the framing its error response is
+/// rendered in (the client's correlation id when it was readable).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireError {
     /// Framing to render the error response in.
@@ -65,36 +55,16 @@ pub struct WireError {
     pub error: ServiceError,
 }
 
-/// Parses one wire request, auto-detecting envelope vs. legacy framing.
+/// Parses one `{v, id, body}` request frame.
 pub fn parse_request(raw: &str) -> Result<ParsedRequest, WireError> {
+    let bad_request = |mode, reason: String| WireError {
+        mode,
+        error: ServiceError::BadRequest { reason },
+    };
     let value: Value = match serde_json::from_str(raw) {
         Ok(v) => v,
-        Err(e) => {
-            return Err(WireError {
-                mode: FrameMode::Legacy,
-                error: ServiceError::BadRequest {
-                    reason: e.to_string(),
-                },
-            })
-        }
+        Err(e) => return Err(bad_request(FrameMode::Envelope { id: 0 }, e.to_string())),
     };
-
-    let is_envelope = matches!(&value, Value::Object(_)) && value.get("v").is_some();
-    if !is_envelope {
-        // Legacy bare-enum form.
-        return match Request::from_value(&value) {
-            Ok(body) => Ok(ParsedRequest {
-                mode: FrameMode::Legacy,
-                body,
-            }),
-            Err(e) => Err(WireError {
-                mode: FrameMode::Legacy,
-                error: ServiceError::BadRequest {
-                    reason: e.to_string(),
-                },
-            }),
-        };
-    }
 
     // The correlation id is read before version validation so even an
     // unsupported-version error can be correlated by the client.
@@ -104,12 +74,10 @@ pub fn parse_request(raw: &str) -> Result<ParsedRequest, WireError> {
     };
 
     let Some(v) = value.get("v").and_then(Value::as_u64) else {
-        return Err(WireError {
+        return Err(bad_request(
             mode,
-            error: ServiceError::BadRequest {
-                reason: "envelope field \"v\" must be a non-negative integer".into(),
-            },
-        });
+            "envelope field \"v\" must be a non-negative integer".into(),
+        ));
     };
     if v != u64::from(PROTO_VERSION) {
         return Err(WireError {
@@ -121,51 +89,36 @@ pub fn parse_request(raw: &str) -> Result<ParsedRequest, WireError> {
         });
     }
     if id.is_none() {
-        return Err(WireError {
+        return Err(bad_request(
             mode,
-            error: ServiceError::BadRequest {
-                reason: "envelope field \"id\" must be a non-negative integer".into(),
-            },
-        });
+            "envelope field \"id\" must be a non-negative integer".into(),
+        ));
     }
     let Some(body) = value.get("body") else {
-        return Err(WireError {
+        return Err(bad_request(
             mode,
-            error: ServiceError::BadRequest {
-                reason: "envelope is missing the \"body\" field".into(),
-            },
-        });
+            "envelope is missing the \"body\" field".into(),
+        ));
     };
     match Request::from_value(body) {
         Ok(body) => Ok(ParsedRequest { mode, body }),
-        Err(e) => Err(WireError {
-            mode,
-            error: ServiceError::BadRequest {
-                reason: e.to_string(),
-            },
-        }),
+        Err(e) => Err(bad_request(mode, e.to_string())),
     }
 }
 
-/// Renders a response in the framing the request used: the bare enum for
-/// legacy requests (byte-identical to what `handle_json` always returned),
-/// or a `{v, id, code, body}` frame for envelope requests.
+/// Renders a response as the `{v, id, code, body}` frame answering `mode`.
 pub fn render_response(mode: FrameMode, response: &Response) -> String {
-    let value = match mode {
-        FrameMode::Legacy => response.to_value(),
-        FrameMode::Envelope { id } => {
-            let code = match response {
-                Response::Error { error } => error.code(),
-                _ => "ok",
-            };
-            Value::Object(vec![
-                ("v".into(), Value::U64(u64::from(PROTO_VERSION))),
-                ("id".into(), Value::U64(id)),
-                ("code".into(), Value::Str(code.into())),
-                ("body".into(), response.to_value()),
-            ])
-        }
+    let FrameMode::Envelope { id } = mode;
+    let code = match response {
+        Response::Error { error } => error.code(),
+        _ => "ok",
     };
+    let value = Value::Object(vec![
+        ("v".into(), Value::U64(u64::from(PROTO_VERSION))),
+        ("id".into(), Value::U64(id)),
+        ("code".into(), Value::Str(code.into())),
+        ("body".into(), response.to_value()),
+    ]);
     // lrf-lint: allow(service-panic): serializing an owned value tree is
     // infallible; a failure here is a serializer bug, not client input.
     serde_json::to_string(&value).expect("response serialization is infallible")
@@ -186,39 +139,42 @@ mod tests {
     use lrf_core::SchemeKind;
 
     #[test]
-    fn legacy_requests_parse_unchanged() {
-        let parsed = parse_request(r#"{"Open": {"query": 9, "scheme": "RfSvm"}}"#).unwrap();
-        assert_eq!(parsed.mode, FrameMode::Legacy);
-        assert_eq!(
-            parsed.body,
+    fn envelope_roundtrips_with_correlation_id() {
+        for (id, request) in [
             Request::Open {
                 query: 9,
-                scheme: SchemeKind::RfSvm
-            }
-        );
-        let parsed = parse_request("\"Stats\"").unwrap();
-        assert_eq!(parsed.mode, FrameMode::Legacy);
-        assert_eq!(parsed.body, Request::Stats);
-    }
-
-    #[test]
-    fn legacy_responses_render_as_the_bare_enum() {
-        let resp = Response::Pong {
-            proto_version: PROTO_VERSION,
-        };
-        let legacy = render_response(FrameMode::Legacy, &resp);
-        assert_eq!(legacy, serde_json::to_string(&resp).unwrap());
-    }
-
-    #[test]
-    fn envelope_roundtrips_with_correlation_id() {
-        let raw = r#"{"v": 1, "id": 42, "body": {"Rerank": {"session": 3}}}"#;
-        let parsed = parse_request(raw).unwrap();
-        assert_eq!(parsed.mode, FrameMode::Envelope { id: 42 });
-        assert_eq!(parsed.body, Request::Rerank { session: 3 });
+                scheme: SchemeKind::RfSvm,
+            },
+            Request::Mark {
+                session: 7,
+                image: 41,
+                relevant: true,
+            },
+            Request::Rerank { session: 3 },
+            Request::Page {
+                session: 7,
+                offset: 20,
+                count: 10,
+            },
+            Request::Close { session: 7 },
+            Request::SyncLog,
+            Request::Stats,
+            Request::Metrics,
+            Request::Ping,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let id = 40 + id as u64;
+            let body = serde_json::to_string(&request).unwrap();
+            let raw = format!(r#"{{"v": 1, "id": {id}, "body": {body}}}"#);
+            let parsed = parse_request(&raw).unwrap();
+            assert_eq!(parsed.mode, FrameMode::Envelope { id }, "{raw}");
+            assert_eq!(parsed.body, request, "{raw}");
+        }
 
         let rendered = render_response(
-            parsed.mode,
+            FrameMode::Envelope { id: 42 },
             &Response::Pong {
                 proto_version: PROTO_VERSION,
             },
@@ -234,6 +190,19 @@ mod tests {
                 proto_version: PROTO_VERSION
             }
         );
+    }
+
+    #[test]
+    fn bare_enum_requests_are_bad_requests() {
+        for raw in ["\"Stats\"", r#"{"Open": {"query": 9, "scheme": "RfSvm"}}"#] {
+            let err = parse_request(raw).unwrap_err();
+            assert_eq!(err.mode, FrameMode::Envelope { id: 0 }, "{raw}");
+            assert!(
+                matches!(err.error, ServiceError::BadRequest { .. }),
+                "{raw} -> {:?}",
+                err.error
+            );
+        }
     }
 
     #[test]
@@ -272,9 +241,9 @@ mod tests {
                 err.error
             );
         }
-        // Garbage that is not JSON at all stays a legacy-framed bad request.
+        // Garbage that is not JSON at all is a bad request on id 0.
         let err = parse_request("definitely not json").unwrap_err();
-        assert_eq!(err.mode, FrameMode::Legacy);
+        assert_eq!(err.mode, FrameMode::Envelope { id: 0 });
         assert!(matches!(err.error, ServiceError::BadRequest { .. }));
     }
 

@@ -9,8 +9,6 @@
 //! row view of a contiguous matrix is already the right shape. All provided
 //! kernels satisfy Mercer's condition on their usual domains.
 
-use serde::{Deserialize, Serialize};
-
 /// A positive-semidefinite similarity function over samples of type `S`.
 pub trait Kernel<S: ?Sized> {
     /// Evaluates `K(a, b)`.
@@ -32,7 +30,7 @@ pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 
 /// The Gaussian RBF kernel `K(a, b) = exp(−γ‖a−b‖²)` — the kernel the
 /// paper uses for all compared schemes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RbfKernel {
     /// Width parameter γ.
     pub gamma: f64,

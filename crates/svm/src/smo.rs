@@ -37,7 +37,6 @@ use crate::cache::{KernelCache, KernelRows};
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::model::{SvmModel, TrainedSvm};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// Stopping tolerance on the KKT violation gap (LIBSVM's default).
@@ -53,7 +52,7 @@ const SV_THRESHOLD: f64 = 1e-9;
 /// tolerance ([`EPS`]), the curvature floor (`TAU`) and the
 /// support-vector threshold have only ever had one value and are
 /// constants of this module.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SmoParams {
     /// Hard cap on SMO iterations (working-set updates). The cap exists so
     /// a pathological kernel cannot hang a retrieval request; hitting it is
@@ -68,7 +67,7 @@ impl Default for SmoParams {
 }
 
 /// Diagnostics from one solver run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolveStats {
     /// Number of working-set updates performed.
     pub iterations: usize,

@@ -46,7 +46,6 @@ fn main() {
         per_category: 40,
         image_size: 64,
         seed: 33,
-        ..CorelSpec::twenty_category(33)
     });
     let lrf = LrfConfig::default();
     let log = collect_feedback_log(

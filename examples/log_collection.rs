@@ -51,7 +51,6 @@ fn main() {
         per_category: 30,
         image_size: 64,
         seed: 21,
-        ..CorelSpec::twenty_category(21)
     });
 
     let cfg = SimulationConfig {

@@ -21,7 +21,6 @@ fn main() {
         per_category: 40,
         image_size: 64,
         seed: 7,
-        ..CorelSpec::twenty_category(7)
     };
     let ds = CorelDataset::build(spec);
     println!(

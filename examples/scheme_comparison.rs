@@ -17,7 +17,6 @@ fn main() {
         per_category: 50,
         image_size: 64,
         seed: 42,
-        ..CorelSpec::twenty_category(42)
     });
     let lrf = LrfConfig::default();
     let log = collect_feedback_log(

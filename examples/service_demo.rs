@@ -6,8 +6,8 @@
 //!
 //! Builds a synthetic corpus with an initial feedback log, starts the
 //! service, drives several users concurrently (each a full open → judge →
-//! retrain → close loop on its own thread), shows the JSON transport,
-//! reads the live metrics endpoint back out (asserting it is well-formed,
+//! retrain → close loop on its own thread), reads the live metrics
+//! endpoint back out through JSON (asserting it is well-formed,
 //! so CI runs this demo as an observability smoke), and prints how the
 //! shared log grew — the paper's loop, live: every finished session
 //! becomes log evidence for the next user's coupled SVM.
@@ -116,20 +116,12 @@ fn main() {
         clock.now_ns() as f64 / 1e6
     );
 
-    // 4. The JSON transport — what a network listener would relay.
-    println!("JSON transport:");
-    let reply = svc.handle_json(r#"{"Open": {"query": 9, "scheme": "RfSvm"}}"#);
-    println!("  open  -> {reply}");
-    let reply = svc.handle_json("{\"Stats\": null}");
-    println!("  stats -> {reply}");
-    let reply = svc.handle_json("definitely not json");
-    println!("  junk  -> {reply}");
-
-    // 5. The live metrics endpoint: the same JSON transport serves a full
-    //    registry snapshot, and the typed API renders a Prometheus page.
-    //    Asserted well-formed so this demo doubles as the CI smoke for the
-    //    observability layer.
-    let body = svc.handle_json(r#""Metrics""#);
+    // 4. The live metrics endpoint: a full registry snapshot that
+    //    round-trips through JSON, and the typed API renders a Prometheus
+    //    page. Asserted well-formed so this demo doubles as the CI smoke
+    //    for the observability layer.
+    let body =
+        serde_json::to_string(&svc.handle(Request::Metrics)).expect("metrics response serializes");
     let parsed: Response =
         serde_json::from_str(&body).expect("metrics endpoint returned invalid JSON");
     let Response::Metrics { snapshot } = parsed else {
@@ -168,7 +160,7 @@ fn main() {
         page.len()
     );
 
-    // 6. The log grew by one session per closed user session: tomorrow's
+    // 5. The log grew by one session per closed user session: tomorrow's
     //    queries train on today's feedback.
     let log = svc.into_log();
     println!(
@@ -178,7 +170,7 @@ fn main() {
         log.nnz()
     );
 
-    // 7. Crash safety. The same service rebuilt over a checksummed WAL on
+    // 6. Crash safety. The same service rebuilt over a checksummed WAL on
     //    an in-memory disk with a power-cut model: a `Close` is only
     //    acknowledged as durable once the flush is fsynced, so judgments
     //    from acknowledged sessions survive the cut and feed recovery.

@@ -20,7 +20,6 @@ fn fixture() -> (CorelDataset, lrf_logdb::LogStore) {
         per_category: 20,
         image_size: 32,
         seed: 99,
-        ..CorelSpec::twenty_category(99)
     });
     let log = collect_feedback_log(
         &ds.db,
@@ -121,7 +120,6 @@ fn coupled_training_survives_hostile_log_noise() {
         per_category: 15,
         image_size: 32,
         seed: 1,
-        ..CorelSpec::twenty_category(1)
     });
     let log = collect_feedback_log(
         &ds.db,

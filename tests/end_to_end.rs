@@ -14,7 +14,6 @@ fn build() -> (CorelDataset, lrf_logdb::LogStore, LrfConfig) {
         per_category: 24,
         image_size: 32,
         seed: 404,
-        ..CorelSpec::twenty_category(404)
     });
     let lrf = LrfConfig {
         n_unlabeled: 8,

@@ -5,8 +5,8 @@
 //! framing) must be invisible in the results.
 //!
 //! Also covered here: a zero-mark `Rerank` leaving the worker pool whole,
-//! legacy bare-enum framing over TCP, envelope version
-//! rejection with HTTP status mapping, `Ping`/`Pong`, the `/metrics`
+//! a bare (unframed) request enum answered as a 400 over TCP, envelope
+//! version rejection with HTTP status mapping, `Ping`/`Pong`, the `/metrics`
 //! Prometheus page including the per-shard stage histograms, graceful
 //! shutdown draining an unclosed session through the durable-flush path,
 //! the bounded request head (`431` for an endless line or a 65th header,
@@ -282,23 +282,20 @@ fn sharded_tcp_rankings_bit_identical_to_in_process_flat_reference() {
     assert_eq!(log_net.n_sessions(), 24 + 3);
 }
 
-/// Legacy bare-enum JSON keeps working over TCP, envelope version
+/// A bare request enum is a typed 400 over TCP, envelope version
 /// mismatches map to a typed 400, and unknown routes are 404s.
 #[test]
 fn wire_framing_and_status_mapping_over_tcp() {
     let server = sharded_server();
     let mut client = Client::connect(server.addr());
 
-    // Legacy framing: bare request enum in, bare response enum out.
+    // No envelope, no request: a bare enum is a bad request on id 0, and
+    // the keep-alive connection still serves.
     let (status, body) = client.http("POST", "/api", "\"Ping\"");
-    assert_eq!(status, 200);
-    let response: Response = serde_json::from_str(&body).expect("bare response enum");
-    assert_eq!(
-        response,
-        Response::Pong {
-            proto_version: PROTO_VERSION
-        }
-    );
+    assert_eq!(status, 400);
+    let value: Value = serde_json::from_str(&body).expect("error frame");
+    assert_eq!(value.get("code"), Some(&Value::Str("bad_request".into())));
+    assert_eq!(value.get("id").and_then(Value::as_u64), Some(0));
 
     // Envelope framing: Ping reports the protocol version.
     let response = client.ok(&Request::Ping);
@@ -326,7 +323,7 @@ fn wire_framing_and_status_mapping_over_tcp() {
     // Unknown routes 404 without breaking the connection.
     let (status, _) = client.http("GET", "/nope", "");
     assert_eq!(status, 404);
-    let (status, _) = client.http("POST", "/api", "\"Stats\"");
+    let (status, _) = client.http("POST", "/api", "{\"v\":1,\"id\":6,\"body\":\"Stats\"}");
     assert_eq!(status, 200, "connection survives the 404");
 }
 
@@ -470,7 +467,7 @@ fn sixty_five_headers_get_431_and_the_server_survives() {
         for i in 0..fillers {
             head.extend_from_slice(format!("X-Filler-{i}: 0\r\n").as_bytes());
         }
-        head.extend_from_slice(b"Content-Length: 6\r\n\r\n\"Ping\"");
+        head.extend_from_slice(b"Content-Length: 28\r\n\r\n{\"v\":1,\"id\":0,\"body\":\"Ping\"}");
         head
     };
     assert_eq!(
@@ -509,12 +506,15 @@ fn non_utf8_request_head_gets_400_and_the_server_survives() {
 #[test]
 fn body_of_exactly_one_mib_is_read_and_routed() {
     let server = sharded_server();
-    // Legacy bare-enum `Ping`, padded to the cap with JSON whitespace.
-    let body = format!("\"Ping\"{}", " ".repeat((1 << 20) - 6));
+    // An enveloped `Ping`, padded to the cap with JSON whitespace.
+    let frame = "{\"v\":1,\"id\":0,\"body\":\"Ping\"}";
+    let body = format!("{frame}{}", " ".repeat((1 << 20) - frame.len()));
     assert_eq!(body.len(), 1 << 20);
     let (status, reply) = Client::connect(server.addr()).http("POST", "/api", &body);
     assert_eq!(status, 200, "{reply}");
-    let response: Response = serde_json::from_str(&reply).expect("decode legacy reply");
+    let value: Value = serde_json::from_str(&reply).expect("reply frame");
+    let body = serde_json::to_string(value.get("body").expect("frame body")).expect("re-encode");
+    let response: Response = serde_json::from_str(&body).expect("decode reply body");
     assert_eq!(
         response,
         Response::Pong {

@@ -136,7 +136,7 @@ fn metrics_endpoint_covers_every_stage_of_the_feedback_loop() {
 #[test]
 fn metrics_snapshot_round_trips_through_the_json_transport() {
     let svc = driven_service();
-    let body = svc.handle_json(r#""Metrics""#);
+    let body = serde_json::to_string(&svc.handle(Request::Metrics)).expect("response serializes");
     let parsed: Response = serde_json::from_str(&body).expect("transport returned invalid JSON");
     let Response::Metrics { snapshot } = parsed else {
         panic!("transport returned a non-Metrics response: {body}")

@@ -11,7 +11,6 @@ fn fixture() -> (CorelDataset, lrf_logdb::LogStore) {
         per_category: 25,
         image_size: 32,
         seed: 555,
-        ..CorelSpec::twenty_category(555)
     });
     let log = collect_feedback_log(
         &ds.db,

@@ -14,7 +14,6 @@ fn run_reduced(seed: u64) -> Vec<PrecisionCurve> {
         per_category: 30,
         image_size: 64,
         seed,
-        ..CorelSpec::twenty_category(seed)
     });
     let lrf = LrfConfig::default();
     let log = collect_feedback_log(
