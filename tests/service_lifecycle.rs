@@ -2,10 +2,12 @@
 //! the serial single-session reference, eviction/TTL behavior through the
 //! public API, and the log-closure loop (sessions → log → future queries).
 
-use corelog::cbir::{collect_log, CorelDataset, CorelSpec, ImageDatabase};
-use corelog::core::{LrfConfig, SchemeKind};
+use corelog::cbir::{
+    build_flat_index, collect_log, rank_with_index_stats, CorelDataset, CorelSpec, ImageDatabase,
+};
+use corelog::core::{FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, SchemeKind};
 use corelog::logdb::{LogStore, SimulationConfig};
-use corelog::service::{Request, Response, Service, ServiceConfig, ServiceError};
+use corelog::service::{Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics};
 use std::sync::Barrier;
 
 fn corpus() -> (ImageDatabase, LogStore) {
@@ -233,6 +235,113 @@ fn eviction_and_ttl_yield_typed_errors_and_flush_the_log() {
             error: ServiceError::SessionExpired { session: idle }
         }
     );
+}
+
+/// The `Page` windows the pins below read: every offset from three before
+/// the pool's end to three past it, each at counts 1, 7 and "the rest",
+/// and the last two positions of the database.
+fn page_windows(n: usize, pool_size: usize) -> Vec<(usize, usize)> {
+    let offsets = (pool_size - 3..=pool_size + 3).chain([n - 2]);
+    offsets
+        .flat_map(|offset| [1, 7, usize::MAX].map(|count| (offset, count)))
+        .collect()
+}
+
+fn page(svc: &Service, session: u64, offset: usize, count: usize) -> Vec<usize> {
+    match svc.handle(Request::Page {
+        session,
+        offset,
+        count,
+    }) {
+        Response::Page { ids, .. } => ids,
+        other => panic!("page {offset}+{count} failed: {other:?}"),
+    }
+}
+
+/// `Page` is a window on one ranking, on the flat and on the sharded
+/// service alike. Before any rerank that ranking is the query's full
+/// distance order, `rank_with_index_stats`. After one it is the re-ranked
+/// candidate pool — the same round replayed on a standalone
+/// `FeedbackLoop` over `PooledRetrieval`'s pool — followed by every id
+/// outside the pool, ascending.
+#[test]
+fn pages_are_windows_on_the_distance_order_then_on_the_reranked_pool() {
+    let (db, log) = corpus();
+    let n = db.len();
+    let cfg = config();
+    let query = 9;
+    let flat = build_flat_index(&db);
+    let distance_order = rank_with_index_stats(&db, &flat, db.feature(query)).0;
+
+    // The reference rerank: judge the opening screen, re-rank the pool.
+    let mut fb = FeedbackLoop::new(SchemeKind::LrfCsvm, cfg.lrf, query, n);
+    for &id in &distance_order[..cfg.screen_size] {
+        fb.mark(id, db.same_category(id, query))
+            .expect("fresh judgment");
+    }
+    let example = fb.example();
+    let ctx = QueryContext {
+        db: &db,
+        log: &log,
+        example: &example,
+    };
+    let pool = PooledRetrieval::new(&flat, cfg.pool_size).pool(&ctx);
+    let ranked = fb.rerank_scattered(&db, &log, &pool, |scorer, ids| {
+        scorer.score_ids(&db, &log, ids)
+    });
+    let mut reranked = ranked[..pool.len()].to_vec();
+    reranked.extend((0..n).filter(|id| !pool.contains(id)));
+
+    let window = |ranking: &[usize], offset: usize, count: usize| -> Vec<usize> {
+        let start = offset.min(n);
+        ranking[start..offset.saturating_add(count).min(n)].to_vec()
+    };
+    let services = [
+        ("flat", Service::new(db.clone(), log.clone(), cfg)),
+        (
+            "3 shards",
+            Service::sharded_with_metrics(db.clone(), log.clone(), 3, cfg, ServiceMetrics::new()),
+        ),
+    ];
+    for (plane, svc) in &services {
+        let Response::Opened { session, screen } = svc.handle(Request::Open {
+            query,
+            scheme: SchemeKind::LrfCsvm,
+        }) else {
+            panic!("{plane}: open failed")
+        };
+        assert_eq!(
+            screen,
+            window(&distance_order, 0, cfg.screen_size),
+            "{plane}"
+        );
+        for (offset, count) in page_windows(n, cfg.pool_size) {
+            assert_eq!(
+                page(svc, session, offset, count),
+                window(&distance_order, offset, count),
+                "{plane}: page {offset}+{count} before any rerank"
+            );
+        }
+        for &id in &screen {
+            let marked = svc.handle(Request::Mark {
+                session,
+                image: id,
+                relevant: db.same_category(id, query),
+            });
+            assert!(matches!(marked, Response::Marked { .. }), "{marked:?}");
+        }
+        let Response::Reranked { page: head, .. } = svc.handle(Request::Rerank { session }) else {
+            panic!("{plane}: rerank failed")
+        };
+        assert_eq!(head, window(&reranked, 0, cfg.screen_size), "{plane}");
+        for (offset, count) in page_windows(n, cfg.pool_size) {
+            assert_eq!(
+                page(svc, session, offset, count),
+                window(&reranked, offset, count),
+                "{plane}: page {offset}+{count} after a rerank"
+            );
+        }
+    }
 }
 
 /// The paper's loop, end to end through the service: sessions flushed into
