@@ -36,5 +36,5 @@ pub use distance::{rank_by_euclidean, top_k_euclidean};
 pub use eval::{precision_at, FeedbackExample, PrecisionCurve, QueryProtocol, CUTOFFS};
 pub use logglue::collect_log;
 pub use retrieval::{
-    build_flat_index, build_flat_shards, build_lsh_index, rank_with_index_stats, top_k_ids,
+    build_flat_index, build_flat_shards, build_lsh_index, rank_with_index_stats, ranking_window,
 };

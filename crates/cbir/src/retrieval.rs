@@ -47,7 +47,7 @@ pub fn build_lsh_index(db: &ImageDatabase, config: &LshConfig) -> LshIndex {
 }
 
 /// The `k` nearest image ids for a query feature, through an index.
-pub fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -> Vec<usize> {
+pub(crate) fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -> Vec<usize> {
     index
         .search(query_feature, k)
         .into_iter()
@@ -72,15 +72,28 @@ pub fn rank_with_index_stats(
 ) -> (Vec<usize>, SearchStats) {
     let n = db.len();
     let (neighbors, stats) = index.search_with_stats(query_feature, n);
-    let mut ranked: Vec<usize> = neighbors.into_iter().map(|(id, _)| id).collect();
-    if ranked.len() < n {
-        let mut in_ranked = vec![false; n];
-        for &id in &ranked {
-            in_ranked[id] = true;
-        }
-        ranked.extend((0..n).filter(|&id| !in_ranked[id]));
+    let ranked: Vec<usize> = neighbors.into_iter().map(|(id, _)| id).collect();
+    (ranking_window(&ranked, n, 0, n), stats)
+}
+
+/// Positions `offset..offset + count` (clamped to `n`) of the ranking a
+/// `head` of distinct ids defines: the head, then every id of `0..n` it
+/// lacks, ascending — the tail every ranking in the stack puts after its
+/// head. A window past the head costs a sort of `head` and a binary search
+/// per tail id up to the window's end, never an `n`-sized allocation, so a
+/// serving session can page a pool-sized head over any database.
+pub fn ranking_window(head: &[usize], n: usize, offset: usize, count: usize) -> Vec<usize> {
+    let end = offset.saturating_add(count).min(n);
+    let start = offset.min(end);
+    let mut window = head[start.min(head.len())..end.min(head.len())].to_vec();
+    if window.len() < end - start {
+        let mut taken = head.to_vec();
+        taken.sort_unstable();
+        let tail = (0..n).filter(|id| taken.binary_search(id).is_err());
+        let skip = start.saturating_sub(head.len());
+        window.extend(tail.skip(skip).take(end - start - window.len()));
     }
-    (ranked, stats)
+    window
 }
 
 #[cfg(test)]
@@ -147,6 +160,41 @@ mod tests {
         let mut sorted = ranked.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ranking_window_is_a_slice_of_head_then_ascending_rest() {
+        let n = 40;
+        for head in [
+            vec![],
+            vec![7usize, 3, 39, 0, 12, 13, 14],
+            (0..40).rev().step_by(3).collect(),
+            (5..40).collect(),
+            (0..40).rev().collect(),
+        ] {
+            let mut ranking = head.clone();
+            ranking.extend((0..n).filter(|id| !head.contains(id)));
+            for offset in [
+                0,
+                1,
+                4,
+                head.len() - head.len().min(2),
+                head.len(),
+                38,
+                n,
+                usize::MAX,
+            ] {
+                for count in [0, 1, 6, usize::MAX] {
+                    let want: Vec<usize> =
+                        ranking.iter().copied().skip(offset).take(count).collect();
+                    assert_eq!(
+                        ranking_window(&head, n, offset, count),
+                        want,
+                        "{head:?} {offset}+{count}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   [`score_ids`](feedback::PoolScorer::score_ids) is the only place
 //!   decision values are computed. `rank` / `scores` are provided on top.
 //! * `pooled::rank_candidates` — the only place a (scheme, round, pool,
-//!   warm state, where-to-score) tuple becomes a ranking; the full
-//!   ranking, the index-fed pool re-rank and the serving loop all call it.
+//!   warm state, where-to-score) tuple becomes a ranking of the pool; the
+//!   full ranking, the index-fed pool re-rank and the serving loop all
+//!   call it, and only the first two append the out-of-pool tail.
 //! * `euclidean::EuclideanScheme` — the paper's `Euclidean` reference
 //!   (no learning; the initial content ranking), built by
 //!   [`SchemeKind::Euclidean`].

@@ -27,7 +27,7 @@
 //! are what let the log-based schemes bridge the semantic gap.
 
 use crate::config::LrfConfig;
-use lrf_cbir::{build_flat_index, top_k_ids, ImageDatabase};
+use lrf_cbir::{top_k_euclidean, ImageDatabase};
 use lrf_logdb::{simulate_sessions, LogStore, Relevance, SimulationConfig};
 use lrf_svm::{train, RbfKernel};
 
@@ -45,10 +45,9 @@ pub fn collect_feedback_log(
     let gamma = lrf
         .gamma_content
         .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
-    let index = build_flat_index(db);
     let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
         if judged.is_empty() {
-            top_k_ids(&index, db.feature(query), k)
+            top_k_euclidean(db, query, k)
         } else {
             let mut ranking = refine_with_svm(db, judged, gamma, lrf);
             ranking.truncate(k);

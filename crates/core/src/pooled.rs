@@ -51,18 +51,8 @@ impl<'a> PooledRetrieval<'a> {
         let (neighbors, stats) = self
             .index
             .search_with_stats(query_feature, self.pool_size.min(ctx.db.len()));
-        let mut pool: Vec<usize> = neighbors.into_iter().map(|(id, _)| id).collect();
-        let mut in_pool = vec![false; ctx.db.len()];
-        for &id in &pool {
-            in_pool[id] = true;
-        }
-        for &(id, _) in &ctx.example.labeled {
-            if !in_pool[id] {
-                in_pool[id] = true;
-                pool.push(id);
-            }
-        }
-        (pool, stats)
+        let neighbors = neighbors.into_iter().map(|(id, _)| id).collect();
+        (candidate_pool(neighbors, &ctx.example.labeled), stats)
     }
 
     /// Full-database ranking: pool members re-ranked by the scheme's
@@ -74,25 +64,42 @@ impl<'a> PooledRetrieval<'a> {
         scheme: &S,
         ctx: &QueryContext<'_>,
     ) -> Vec<usize> {
-        rank_candidates(
+        let ranked_pool = rank_candidates(
             scheme,
             ctx,
             &self.pool(ctx),
             &mut WarmState::default(),
             |scorer, ids| scorer.score_ids(ctx.db, ctx.log, ids),
-        )
+        );
+        lrf_cbir::ranking_window(&ranked_pool, ctx.db.len(), 0, usize::MAX)
     }
+}
+
+/// The one place a candidate pool is assembled: the query's nearest
+/// `neighbors` in index order, then every labeled id they lack, in mark
+/// order — the scheme trains on those, so they must be rankable.
+/// [`PooledRetrieval::pool_with_stats`] feeds it a fresh search; a serving
+/// session feeds it the neighbours it searched at `Open`
+/// ([`crate::FeedbackLoop::rerank_scattered`]).
+pub(crate) fn candidate_pool(mut pool: Vec<usize>, labeled: &[(usize, f64)]) -> Vec<usize> {
+    for &(id, _) in labeled {
+        if !pool.contains(&id) {
+            pool.push(id);
+        }
+    }
+    pool
 }
 
 /// The one place a feedback round becomes a ranking: fits `scheme` on the
 /// round (seeded from `warm`; a fresh [`WarmState`] is the cold start),
-/// hands the trained scorer and the `pool` to `score`, and orders the pool
-/// by the returned scores (descending, ties by id, NaN last), appending every
-/// out-of-pool id ascending — a full-database permutation. A scheme with
-/// nothing to fit (Euclidean) never calls `score`; its pool keeps its
-/// order. So does a round with no labeled image, for every scheme: there
-/// is nothing to fit yet, and the solver is never handed an empty
-/// training set.
+/// hands the trained scorer and the `pool` to `score`, and returns the pool
+/// ordered by the returned scores (descending, ties by id, NaN last). Only
+/// the pool: the evaluation entry points append the out-of-pool tail
+/// ([`lrf_cbir::ranking_window`]) themselves, and a serving session pages it
+/// without ever holding it. A scheme with nothing to fit (Euclidean) never
+/// calls `score`; its pool keeps its order. So does a round with no
+/// labeled image, for every scheme: there is nothing to fit yet, and the
+/// solver is never handed an empty training set.
 ///
 /// `score` decides *where* the decision values are computed — inline via
 /// [`crate::feedback::PoolScorer::score_ids`], or scattered across shard
@@ -120,7 +127,7 @@ where
     } else {
         scheme.fit_warm(ctx, pool, warm)
     };
-    let mut ranking = match fitted {
+    match fitted {
         Some(scorer) => {
             let scores = score(&scorer, pool);
             assert_eq!(pool.len(), scores.len(), "scores must align with the pool");
@@ -131,13 +138,7 @@ where
             order.into_iter().map(|i| pool[i]).collect()
         }
         None => pool.to_vec(),
-    };
-    let mut in_pool = vec![false; ctx.db.len()];
-    for &id in &ranking {
-        in_pool[id] = true;
     }
-    ranking.extend((0..ctx.db.len()).filter(|&id| !in_pool[id]));
-    ranking
 }
 
 #[cfg(test)]

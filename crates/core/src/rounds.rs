@@ -27,7 +27,7 @@ use crate::euclidean::EuclideanScheme;
 use crate::feedback::{QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState};
 use crate::lrf_2svms::Lrf2Svms;
 use crate::lrf_csvm::LrfCsvm;
-use crate::pooled::rank_candidates;
+use crate::pooled::{candidate_pool, rank_candidates};
 use crate::rf_svm::RfSvm;
 use lrf_cbir::{FeedbackExample, ImageDatabase};
 use lrf_logdb::{LogSession, LogStore, Relevance};
@@ -195,12 +195,16 @@ impl FeedbackLoop {
         }
     }
 
-    /// Retrains on the accumulated judgments and ranks `pool` (candidate
-    /// ids from the retrieval front-end), returning a full-database
-    /// permutation: re-ranked pool first, out-of-pool ids trailing in id
-    /// order — exactly `rank_candidates` on [`Self::example`] with the
-    /// session's [`WarmState`] (the first round bit-identical to a cold
-    /// one-shot; warm-started later rounds within the solver tolerance).
+    /// Retrains on the accumulated judgments and re-ranks the round's
+    /// candidate pool: `pool` (the query's nearest ids from the retrieval
+    /// front-end, in index order) plus every judged id it lacks, appended
+    /// in mark order — the pool [`crate::PooledRetrieval::pool_with_stats`]
+    /// builds, through the same function. Returns that pool re-ranked, not
+    /// a full-database permutation: the out-of-pool ids trail it in id
+    /// order ([`lrf_cbir::ranking_window`]), for a caller that needs them. This
+    /// is exactly `rank_candidates` on [`Self::example`] with the session's
+    /// [`WarmState`] (the first round bit-identical to a cold one-shot;
+    /// warm-started later rounds within the solver tolerance).
     ///
     /// The scheme trains exactly once, here (via
     /// [`RelevanceFeedback::fit_warm`]); the *scoring* step belongs to the
@@ -237,7 +241,8 @@ impl FeedbackLoop {
             log,
             example: &example,
         };
-        let ranking = rank_candidates(self.scheme.as_ref(), &ctx, pool, &mut self.warm, scatter);
+        let pool = candidate_pool(pool.to_vec(), &example.labeled);
+        let ranking = rank_candidates(self.scheme.as_ref(), &ctx, &pool, &mut self.warm, scatter);
         self.rounds += 1;
         ranking
     }
@@ -463,21 +468,40 @@ mod tests {
     #[test]
     fn a_round_with_no_marks_keeps_the_pool_order() {
         // Nothing judged yet means nothing to fit: every scheme answers
-        // with the pool as the front-end ordered it, then the ascending
-        // tail, and never asks for scores.
+        // with the pool as the front-end ordered it and never asks for
+        // scores.
         let (ds, log) = setup();
         let pool = vec![7usize, 3, 40, 0, 12];
-        let mut want = pool.clone();
-        want.extend((0..ds.db.len()).filter(|id| !pool.contains(id)));
         for kind in SchemeKind::all() {
             let mut fb = FeedbackLoop::new(kind, small_config(), 7, ds.db.len());
             let ranking = fb.rerank_scattered(&ds.db, &log, &pool, |_, _| {
                 panic!("{}: scatter called with nothing fitted", kind.name())
             });
-            assert_eq!(ranking, want, "{}", kind.name());
+            assert_eq!(ranking, pool, "{}", kind.name());
             assert_eq!(fb.rounds(), 1);
             assert_eq!(fb.last_diagnostics(), None);
         }
+    }
+
+    #[test]
+    fn judged_ids_the_pool_lacks_join_it_in_mark_order() {
+        // A serving session hands over the neighbours it searched at open;
+        // images judged from deeper pages still have to be ranked.
+        let (ds, log) = setup();
+        let pool = [7usize, 3, 40];
+        let mut fb = FeedbackLoop::new(SchemeKind::RfSvm, small_config(), 7, ds.db.len());
+        for (id, relevant) in [(11, true), (3, false), (25, false)] {
+            fb.mark(id, relevant).unwrap();
+        }
+        let mut scored = Vec::new();
+        let ranking = fb.rerank_scattered(&ds.db, &log, &pool, |scorer, ids| {
+            scored = ids.to_vec();
+            scorer.score_ids(&ds.db, &log, ids)
+        });
+        assert_eq!(scored, [7, 3, 40, 11, 25]);
+        let mut ranked = ranking.clone();
+        ranked.sort_unstable();
+        assert_eq!(ranked, [3, 7, 11, 25, 40]);
     }
 
     #[test]

@@ -31,12 +31,7 @@ impl<T> Flushable<T> {
         }
     }
 
-    /// Shared access while open; `None` once closed.
-    pub(crate) fn get(&self) -> Option<&T> {
-        (!self.closed).then_some(&self.value)
-    }
-
-    /// Mutable access while open; `None` once closed. The expired-session
+    /// Access while open; `None` once closed. The expired-session
     /// guarantee lives here: a request that raced a close/evict and still
     /// holds the payload's `Arc` gets `None` instead of mutating a
     /// detached session whose judgments would silently miss the log.
@@ -78,10 +73,8 @@ mod tests {
     #[test]
     fn accessors_expire_with_the_close() {
         let mut f = Flushable::new(String::from("s"));
-        assert!(f.get().is_some());
         f.get_mut().unwrap().push('x');
         f.close();
-        assert_eq!(f.get(), None);
         assert_eq!(f.get_mut(), None);
     }
 }

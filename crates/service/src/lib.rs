@@ -32,13 +32,16 @@
 //! ## Session lifecycle
 //!
 //! ```text
-//! Open ──▶ initial screen (index top-k, content only)
+//! Open ──▶ initial screen (one index top-k search, pool-deep; the
+//!   │              session keeps the neighbours, content only)
 //!   │  Mark*      (judgments accumulate; typed errors, never panics)
-//!   │  Rerank     (retrain scheme once on all judgments, score the
-//!   │              candidate pool — in place, or scattered across the
+//!   │  Rerank     (no search: retrain scheme once on all judgments, score
+//!   │              the stored pool — in place, or scattered across the
 //!   │              shard workers: one `rerank_scattered` call either
 //!   │              way, bit-identical to the one-shot pooled path)
-//!   │  Page*      (read slices of the current ranking)
+//!   │  Page*      (read slices of the current ranking: the stored head,
+//!   │              then the ids it lacks ascending; before a rerank a
+//!   │              page past the head deepens the search geometrically)
 //!   ▼
 //! Close / evict ──▶ judgments flush into the shared log
 //!                    └──▶ future sessions' log vectors (the paper's loop)

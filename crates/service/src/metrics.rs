@@ -33,7 +33,8 @@ pub mod names {
     pub const STAGE_SESSION_LOOKUP: &str = "stage_session_lookup_ns";
     /// Coupled-SVM retrain + re-rank per `Rerank` request.
     pub const STAGE_RETRAIN: &str = "stage_retrain_ns";
-    /// Candidate generation (initial screen ranking, rerank pooling).
+    /// Candidate generation: `Open`'s pool-deep index search, and a
+    /// `Page`'s continuation of it (a rerank reuses the pool, unsearched).
     pub const STAGE_SCORING: &str = "stage_scoring_ns";
     /// Log flush per close / eviction that had judgments.
     pub const STAGE_FLUSH: &str = "stage_flush_ns";

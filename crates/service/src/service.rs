@@ -12,6 +12,7 @@
 //!                  │        │                  bounded sweeps)  │
 //!                  │        ▼                                   │
 //!                  │  Arc<Mutex<SessionState>> (per session:    │
+//!                  │        │                   O(pool) ids;    │
 //!                  │        │                   retrain runs    │
 //!                  │        │                   here, parallel  │
 //!                  │        ▼                   across sessions)│
@@ -25,7 +26,10 @@
 //!
 //! The global lock covers only the session table; all learning runs under
 //! per-session locks against an immutable database/index and a frozen log
-//! snapshot, so N sessions retrain genuinely in parallel. Closing (or
+//! snapshot, so N sessions retrain genuinely in parallel. The index is
+//! searched once per session, at `Open`, as deep as the candidate pool;
+//! every rerank re-ranks those neighbours, and no session holds an N-long
+//! ranking. Closing (or
 //! evicting) a session appends it to the shared log through the
 //! copy-on-write store — queries in flight keep their snapshot and are
 //! never stalled — which is how today's sessions become the log vectors
@@ -38,8 +42,8 @@ use crate::manager::{Evicted, SessionGone, SessionManager};
 use crate::metrics::{names, ServiceMetrics};
 use crate::shard::ShardedEngine;
 use crate::wire;
-use lrf_cbir::{build_flat_index, rank_with_index_stats, ImageDatabase};
-use lrf_core::{FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, SchemeKind};
+use lrf_cbir::{build_flat_index, ranking_window, ImageDatabase};
+use lrf_core::{FeedbackLoop, LrfConfig, SchemeKind};
 use lrf_index::AnnIndex;
 use lrf_logdb::{DurableLogStore, DurableRecovery, LogSession, LogStore, WalError};
 use lrf_obs::RegistrySnapshot;
@@ -62,7 +66,10 @@ pub struct ServiceConfig {
     /// Images per screen/page (the paper's `N_l`, 20 in its protocol).
     pub screen_size: usize,
     /// Candidate-pool size for the rerank step (see
-    /// [`lrf_core::PooledRetrieval`]).
+    /// [`lrf_core::PooledRetrieval`]), and so also `Open`'s search depth
+    /// (with `screen_size`, if that is larger): the one index search a
+    /// session makes, unless it pages past the pool before its first
+    /// rerank.
     pub pool_size: usize,
     /// Learning configuration shared by every session's scheme.
     pub lrf: LrfConfig,
@@ -80,8 +87,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One resident session: the resumable feedback loop plus the ranking its
-/// pages are served from. Always held as a [`Flushable`], whose tombstone
+/// One resident session: the resumable feedback loop plus the head of the
+/// ranking its pages are served from — O(`pool_size` + judged) ids, never
+/// an N-long ranking. Past the head, the ranking is the ids the head lacks
+/// in ascending order, derived per page ([`ranking_window`]). Always held
+/// as a [`Flushable`], whose tombstone
 /// (set under the state's lock when the session is flushed on close or
 /// eviction) makes every interleaving consistent: a request that looked
 /// the session up *before* it was removed from the manager either fully
@@ -89,12 +99,24 @@ impl Default for ServiceConfig {
 /// `SessionExpired` — never a mutation of a detached session.
 struct SessionState {
     fb: FeedbackLoop,
-    /// Current full-database ranking (initial content ranking until the
-    /// first rerank).
-    ranking: Vec<usize>,
+    /// The query's nearest neighbours in index order, searched at `Open`
+    /// at depth `pool_size.max(screen_size)`: the first `pool_size` are
+    /// every rerank's candidate pool, since the query never changes. They
+    /// are the ranking's head until the first rerank. A `Page` past them
+    /// before then deepens the search, at least doubling it; the first
+    /// rerank trims them back to the pool.
+    neighbors: Vec<usize>,
+    /// The last rerank's re-ranked pool, the ranking's head from then on.
+    reranked: Option<Vec<usize>>,
 }
 
 /// The thread-safe multi-session feedback service.
+///
+/// Each session's ranking starts from one index search at `Open`, of depth
+/// `pool_size.max(screen_size)`. With the flat and sharded backends that
+/// search is exact, so the screen and every page are the full distance
+/// order. With an approximate [`AnnIndex`], the screen is the head of the
+/// pool search, which is the search `Rerank` already trusted.
 pub struct Service {
     db: Arc<ImageDatabase>,
     index: Box<dyn AnnIndex>,
@@ -407,19 +429,19 @@ impl Service {
         }
         let fb = FeedbackLoop::new(scheme, self.config.lrf, query, self.db.len());
         // The initial ranking is the content-based index ranking — exactly
-        // what the paper's users judged first.
-        let ranking = {
-            let _scoring = self.metrics.time(&self.metrics.stage_scoring);
-            let (ranking, search) =
-                rank_with_index_stats(&self.db, self.index.as_ref(), self.db.feature(query));
-            self.metrics.count_search(search);
-            ranking
+        // what the paper's users judged first — searched as deep as the
+        // pool every rerank re-ranks, and no deeper.
+        let neighbors = self.search(query, self.config.pool_size.max(self.config.screen_size));
+        let screen = ranking_window(&neighbors, self.db.len(), 0, self.config.screen_size);
+        let state = SessionState {
+            fb,
+            neighbors,
+            reranked: None,
         };
-        let screen = ranking[..self.config.screen_size.min(ranking.len())].to_vec();
         let (session, evicted) = {
             let _lookup = self.metrics.time(&self.metrics.stage_session_lookup);
             let mut sessions = self.sessions.lock_recover();
-            let inserted = sessions.insert(Flushable::new(SessionState { fb, ranking }));
+            let inserted = sessions.insert(Flushable::new(state));
             self.metrics.active_sessions.set(sessions.len() as u64);
             inserted
         };
@@ -458,35 +480,28 @@ impl Service {
             return Response::err(ServiceError::SessionExpired { session });
         };
         let snapshot = self.log.snapshot();
-        let example = state.fb.example();
-        let ctx = QueryContext {
-            db: &self.db,
-            log: &snapshot,
-            example: &example,
-        };
-        let pool = {
-            let _scoring = self.metrics.time(&self.metrics.stage_scoring);
-            let (pool, search) = PooledRetrieval::new(self.index.as_ref(), self.config.pool_size)
-                .pool_with_stats(&ctx);
-            self.metrics.count_search(search);
-            pool
-        };
-        {
+        // The query never changes, so the neighbours `Open` searched are
+        // the pool a fresh search would return: no search here.
+        let neighbors = &state.neighbors[..self.config.pool_size.min(state.neighbors.len())];
+        let reranked = {
             let _retrain = self.metrics.time(&self.metrics.stage_retrain);
             // Train once here; score the pool across the shard workers
             // when there are any, in place otherwise. Bit-identical either
             // way by the scorer's partition-invariance contract (asserted
             // end-to-end in tests/net_service.rs).
-            state.ranking = state
+            state
                 .fb
-                .rerank_scattered(&self.db, &snapshot, &pool, |scorer, ids| {
+                .rerank_scattered(&self.db, &snapshot, neighbors, |scorer, ids| {
                     match &self.sharded {
                         Some(engine) => engine.scatter_scores(scorer, &snapshot, ids),
                         None => scorer.score_ids(&self.db, &snapshot, ids),
                     }
-                });
-        }
-        let page = state.ranking[..self.config.screen_size.min(state.ranking.len())].to_vec();
+                })
+        };
+        state.neighbors.truncate(self.config.pool_size);
+        state.neighbors.shrink_to_fit();
+        let page = ranking_window(&reranked, self.db.len(), 0, self.config.screen_size);
+        state.reranked = Some(reranked);
         // Surface solver health: a max_iter-capped round must not pass as
         // a silently exact one (schemes that never train report converged).
         // `count_round` also lifts the round's SMO iteration and
@@ -511,16 +526,35 @@ impl Service {
             Ok(payload) => payload,
             Err(e) => return Response::err(e),
         };
-        let guard = payload.lock_recover();
-        let Some(state) = guard.get() else {
+        let mut guard = payload.lock_recover();
+        let Some(state) = guard.get_mut() else {
             return Response::err(ServiceError::SessionExpired { session });
         };
-        let start = offset.min(state.ranking.len());
-        let end = offset.saturating_add(count).min(state.ranking.len());
+        let end = offset.saturating_add(count).min(self.db.len());
+        if state.reranked.is_none() && offset < end && end > state.neighbors.len() {
+            // Before the first rerank the head is the distance order only
+            // as deep as it was searched: continue it, at least doubling
+            // the depth, so a client walking the pages pays O(log N) scans.
+            // (An approximate index that runs out of candidates returns
+            // fewer; the ascending rest is then its ranking's tail.)
+            let depth = end.max(2 * state.neighbors.len());
+            state.neighbors = self.search(state.fb.example().query, depth);
+        }
+        let head = state.reranked.as_deref().unwrap_or(&state.neighbors);
         Response::Page {
             session,
-            ids: state.ranking[start..end].to_vec(),
+            ids: ranking_window(head, self.db.len(), offset, count),
         }
+    }
+
+    /// The query's `depth` nearest ids in index order (`depth` clamped to
+    /// the database; an approximate index may find fewer).
+    fn search(&self, query: usize, depth: usize) -> Vec<usize> {
+        let _scoring = self.metrics.time(&self.metrics.stage_scoring);
+        let depth = depth.min(self.db.len());
+        let (neighbors, stats) = self.index.search_with_stats(self.db.feature(query), depth);
+        self.metrics.count_search(stats);
+        neighbors.into_iter().map(|(id, _)| id).collect()
     }
 
     fn close(&self, session: u64) -> Response {
@@ -1150,7 +1184,7 @@ mod tests {
             panic!("close failed")
         };
         assert!(
-            payload.lock().unwrap().get().is_none(),
+            payload.lock().unwrap().get_mut().is_none(),
             "flush must tombstone"
         );
         // Re-flushing the detached payload is a no-op (no double log
@@ -1207,13 +1241,14 @@ mod tests {
         assert_eq!(snapshot.counter("requests_total"), Some(10));
         assert_eq!(snapshot.histogram("request_latency_ns").unwrap().count, 9);
         // Every stage saw work: the table was touched by marks/rerank/open/
-        // close, scoring ran on open + rerank, the retrain once, the flush
-        // once (close; empty-eviction flushes also record).
+        // close, scoring (the index search) ran on open, the retrain once,
+        // the flush once (close; empty-eviction flushes also record).
         assert_eq!(
             snapshot.histogram("stage_session_lookup_ns").unwrap().count,
             9
         );
-        assert_eq!(snapshot.histogram("stage_scoring_ns").unwrap().count, 2);
+        // 1, not 2: the rerank re-ranks the pool open searched, no search.
+        assert_eq!(snapshot.histogram("stage_scoring_ns").unwrap().count, 1);
         assert_eq!(snapshot.histogram("stage_retrain_ns").unwrap().count, 1);
         assert_eq!(snapshot.histogram("stage_flush_ns").unwrap().count, 1);
         // The solver, index and log totals flowed through.

@@ -184,14 +184,16 @@ fn timed_service_reads_the_clock_a_fixed_number_of_times_per_request() {
         [
             ("open", 8),
             ("mark", 4),
-            ("rerank", 12),
+            // 8, not 12: a rerank no longer searches (scoring span + shard job).
+            ("rerank", 8),
             ("page", 4),
             ("close", 6),
             ("ping", 2),
             ("metrics", 2),
         ]
     );
-    assert_eq!(clock.reads(), 66);
+    // 62, not 66: the rerank's search went.
+    assert_eq!(clock.reads(), 62);
 
     // Every pair of reads is one span and left one sample: the books
     // balance against the histograms. (This snapshot is taken after the

@@ -3,11 +3,16 @@
 //! public API, and the log-closure loop (sessions → log → future queries).
 
 use corelog::cbir::{
-    build_flat_index, collect_log, rank_with_index_stats, CorelDataset, CorelSpec, ImageDatabase,
+    build_flat_index, build_lsh_index, collect_log, rank_with_index_stats, CorelDataset, CorelSpec,
+    ImageDatabase,
 };
 use corelog::core::{FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, SchemeKind};
 use corelog::logdb::{LogStore, SimulationConfig};
-use corelog::service::{Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics};
+use corelog::service::{
+    DurabilityConfig, Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics,
+};
+use corelog::storage::MemIo;
+use lrf_index::LshConfig;
 use std::sync::Barrier;
 
 fn corpus() -> (ImageDatabase, LogStore) {
@@ -342,6 +347,138 @@ fn pages_are_windows_on_the_distance_order_then_on_the_reranked_pool() {
             );
         }
     }
+}
+
+/// A rerank re-ranks the neighbours `Open` already searched: it adds no
+/// distance evaluation and sends no shard a search job.
+#[test]
+fn a_rerank_searches_nothing() {
+    let (db, log) = corpus();
+    let n_shards = 3;
+    let services = [
+        Service::new(db.clone(), log.clone(), config()),
+        Service::sharded_with_metrics(db, log, n_shards, config(), ServiceMetrics::new()),
+    ];
+    for svc in &services {
+        let Response::Opened { session, screen } = svc.handle(Request::Open {
+            query: 17,
+            scheme: SchemeKind::LrfCsvm,
+        }) else {
+            panic!("open failed")
+        };
+        for &id in &screen {
+            svc.handle(Request::Mark {
+                session,
+                image: id,
+                relevant: svc.db().same_category(id, 17),
+            });
+        }
+        let searches = || {
+            let snapshot = svc.metrics_snapshot();
+            let shard_searches: Vec<Option<u64>> = (0..n_shards)
+                .map(|i| {
+                    let name = format!("shard{i}_search_ns");
+                    snapshot.histogram(&name).map(|h| h.count)
+                })
+                .collect();
+            (snapshot.counter("ann_distance_evals_total"), shard_searches)
+        };
+        let before = searches();
+        assert!(before.0 > Some(0), "open searched");
+        let reranked = svc.handle(Request::Rerank { session });
+        assert!(
+            matches!(reranked, Response::Reranked { .. }),
+            "{reranked:?}"
+        );
+        assert_eq!(searches(), before);
+    }
+}
+
+/// An approximate index may find fewer neighbours than a page asks for:
+/// the pages are still windows on its own full ranking — what it found,
+/// then every id it missed, ascending.
+#[test]
+fn pages_over_a_starved_approximate_index_follow_its_ranking() {
+    let (db, log) = corpus();
+    let lsh = LshConfig {
+        n_tables: 1,
+        n_bits: 8,
+        probes: 0,
+        seed: 5,
+    };
+    let (query, n) = (3, db.len());
+    let index = build_lsh_index(&db, &lsh);
+    let (ranking, _) = rank_with_index_stats(&db, &index, db.feature(query));
+    let (svc, _) = Service::with_durability_metrics(
+        db,
+        Box::new(index),
+        MemIo::handle(),
+        std::path::Path::new("/srv/feedback-wal"),
+        log,
+        ServiceConfig {
+            pool_size: 4,
+            screen_size: 3,
+            ..config()
+        },
+        DurabilityConfig::default(),
+        ServiceMetrics::new(),
+    )
+    .expect("in-memory storage opens");
+    let Response::Opened { session, screen } = svc.handle(Request::Open {
+        query,
+        scheme: SchemeKind::Euclidean,
+    }) else {
+        panic!("open failed")
+    };
+    assert_eq!(screen, ranking[..3]);
+    for (offset, count) in page_windows(n, 4) {
+        let end = offset.saturating_add(count).min(n);
+        assert_eq!(page(&svc, session, offset, count), ranking[offset..end]);
+    }
+}
+
+/// A client walking twenty pages past the pool before any rerank pays for
+/// the deepening searches geometrically — at most ⌈log2(N / pool)⌉ + 1 full
+/// scans in all, not one per page — and still reads the distance order.
+#[test]
+fn deep_pages_before_a_rerank_cost_logarithmically_many_scans() {
+    let (n, dim) = (3200, 8);
+    // A splitmix-style hash: deterministic features without a corpus build.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let features: Vec<Vec<f64>> = (0..n).map(|_| (0..dim).map(|_| next()).collect()).collect();
+    let db = ImageDatabase::from_features(features, (0..n).map(|i| i % 10).collect());
+    let cfg = ServiceConfig::default();
+    let distance_order = rank_with_index_stats(&db, &build_flat_index(&db), db.feature(0)).0;
+    let svc = Service::new(db, LogStore::new(n), cfg);
+    let Response::Opened { session, .. } = svc.handle(Request::Open {
+        query: 0,
+        scheme: SchemeKind::RfSvm,
+    }) else {
+        panic!("open failed")
+    };
+    let evals = || {
+        svc.metrics_snapshot()
+            .counter("ann_distance_evals_total")
+            .expect("search counter")
+    };
+    let opened = evals();
+    assert_eq!(opened, n as u64, "open is one scan");
+    for i in 0..20 {
+        let offset = cfg.pool_size + 20 * i;
+        assert_eq!(
+            page(&svc, session, offset, 20),
+            distance_order[offset..offset + 20],
+            "page at {offset}"
+        );
+    }
+    let scans = (evals() - opened) / n as u64;
+    let bound = (n as f64 / cfg.pool_size as f64).log2().ceil() as u64 + 1;
+    assert!(scans <= bound, "{scans} scans for 20 pages, bound {bound}");
 }
 
 /// The paper's loop, end to end through the service: sessions flushed into
