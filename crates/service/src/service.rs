@@ -114,9 +114,10 @@ struct SessionState {
 ///
 /// Each session's ranking starts from one index search at `Open`, of depth
 /// `pool_size.max(screen_size)`. With the flat and sharded backends that
-/// search is exact, so the screen and every page are the full distance
-/// order. With an approximate [`AnnIndex`], the screen is the head of the
-/// pool search, which is the search `Rerank` already trusted.
+/// search is exact, so the screen and every page before a rerank are
+/// windows on the full distance order, bit for bit. With an approximate
+/// [`AnnIndex`], the screen is the head of the pool search, which is the
+/// search `Rerank` already trusted.
 pub struct Service {
     db: Arc<ImageDatabase>,
     index: Box<dyn AnnIndex>,
@@ -535,8 +536,9 @@ impl Service {
             // Before the first rerank the head is the distance order only
             // as deep as it was searched: continue it, at least doubling
             // the depth, so a client walking the pages pays O(log N) scans.
-            // (An approximate index that runs out of candidates returns
-            // fewer; the ascending rest is then its ranking's tail.)
+            // (An approximate index may find fewer than asked: the ids it
+            // missed then follow ascending, as in its full ranking, and
+            // each later page past them searches again.)
             let depth = end.max(2 * state.neighbors.len());
             state.neighbors = self.search(state.fb.example().query, depth);
         }
