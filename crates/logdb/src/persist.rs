@@ -145,6 +145,25 @@ mod tests {
         assert_eq!(back.entry(3, 1), 1.0);
     }
 
+    /// The exact bytes a version-1 build wrote for [`sample_store`]: both
+    /// the sessions and one column per image.
+    const V1_SAMPLE: &str = concat!(
+        r#"{"version":1,"store":{"n_images":8,"sessions":["#,
+        r#"{"judgments":[[0,"Relevant"],[3,"Irrelevant"]]},"#,
+        r#"{"judgments":[[3,"Relevant"],[7,"Relevant"]]}],"#,
+        r#""columns":[{"entries":[[0,1.0]]},{"entries":[]},{"entries":[]},"#,
+        r#"{"entries":[[0,-1.0],[1,1.0]]},{"entries":[]},{"entries":[]},"#,
+        r#"{"entries":[]},{"entries":[[1,1.0]]}]}}"#,
+    );
+
+    #[test]
+    fn version_1_snapshot_loads_to_an_equal_store() {
+        let back = from_json(V1_SAMPLE.as_bytes()).unwrap();
+        assert_eq!(back, sample_store());
+        assert_eq!(back.entry(3, 0), -1.0);
+        assert_eq!(back.log_vector(7).nnz(), 1);
+    }
+
     #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("lrf_logdb_persist_test");

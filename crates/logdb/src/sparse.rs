@@ -131,6 +131,7 @@ impl SparseVector {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn empty_vector_behaves_like_zero() {
@@ -194,8 +195,36 @@ mod tests {
         let b = SparseVector::from_entries(vec![(0, -1.0), (7, 1.0)]);
         let da = a.to_dense(8);
         let db = b.to_dense(8);
-        let dense: f64 = da.iter().zip(&db).map(|(x, y)| (x - y) * (x - y)).sum();
-        assert!((a.squared_distance(&b) - dense).abs() < 1e-12);
+        let dense = dense_sum(da.iter().zip(&db).map(|(x, y)| (x - y) * (x - y)));
+        assert_eq!(bits(a.squared_distance(&b)), bits(dense));
+    }
+
+    /// Dense reference sum: folds from `+0.0`, so every partial sum of
+    /// ±1 products is an exact integer and a zero total is `+0.0`.
+    fn dense_sum(terms: impl Iterator<Item = f64>) -> f64 {
+        terms.fold(0.0, |acc, t| acc + t)
+    }
+
+    /// The bit pattern of `x`, with `−0.0` read as `+0.0`: the two are one
+    /// value, and an empty `f64` iterator sum is `−0.0`. Any rounding
+    /// difference still shows.
+    fn bits(x: f64) -> u64 {
+        (x + 0.0).to_bits()
+    }
+
+    /// A ±1 vector from sorted indices and a sign per index, plus its
+    /// dense form over `dim` coordinates (built here, not by `to_dense`).
+    fn signed(idx: &BTreeSet<u32>, signs: &[bool], dim: usize) -> (SparseVector, Vec<f64>) {
+        let pairs: Vec<(u32, f64)> = idx
+            .iter()
+            .zip(signs.iter().cycle())
+            .map(|(&i, &s)| (i, if s { 1.0 } else { -1.0 }))
+            .collect();
+        let mut dense = vec![0.0; dim];
+        for &(i, v) in &pairs {
+            dense[i as usize] = v;
+        }
+        (SparseVector::from_entries(pairs), dense)
     }
 
     #[test]
@@ -206,22 +235,30 @@ mod tests {
     }
 
     proptest! {
-        /// Sparse dot agrees with the dense dot for random ±1 patterns.
+        /// `dot`, `norm_sq` and `squared_distance` equal the dense ±1
+        /// reference bit for bit, for nnz from 0 to ~200 and against the
+        /// empty vector. Kernel values are functions of these three, so
+        /// this is what keeps every log-side kernel value bit-identical.
         #[test]
         fn dot_agrees_with_dense(
-            a_idx in proptest::collection::btree_set(0u32..40, 0..15),
-            b_idx in proptest::collection::btree_set(0u32..40, 0..15),
-            signs in proptest::collection::vec(proptest::bool::ANY, 30),
+            a_idx in proptest::collection::btree_set(0u32..400, 0..200),
+            b_idx in proptest::collection::btree_set(0u32..400, 0..200),
+            a_signs in proptest::collection::vec(proptest::bool::ANY, 1..200),
+            b_signs in proptest::collection::vec(proptest::bool::ANY, 1..200),
         ) {
-            let mut s = signs.iter().cycle();
-            let a = SparseVector::from_entries(
-                a_idx.iter().map(|&i| (i, if *s.next().unwrap() { 1.0 } else { -1.0 })).collect());
-            let b = SparseVector::from_entries(
-                b_idx.iter().map(|&i| (i, if *s.next().unwrap() { 1.0 } else { -1.0 })).collect());
-            let da = a.to_dense(40);
-            let db = b.to_dense(40);
-            let dense: f64 = da.iter().zip(&db).map(|(x, y)| x * y).sum();
-            prop_assert!((a.dot(&b) - dense).abs() < 1e-12);
+            let (a, da) = signed(&a_idx, &a_signs, 400);
+            let (b, db) = signed(&b_idx, &b_signs, 400);
+            let (z, dz) = signed(&BTreeSet::new(), &[true], 400);
+            for (x, dx) in [(&a, &da), (&b, &db), (&z, &dz)] {
+                let norm = dense_sum(dx.iter().map(|v| v * v));
+                prop_assert_eq!(bits(x.norm_sq()), bits(norm));
+                for (y, dy) in [(&a, &da), (&b, &db), (&z, &dz)] {
+                    let dot = dense_sum(dx.iter().zip(dy).map(|(p, q)| p * q));
+                    let d2 = dense_sum(dx.iter().zip(dy).map(|(p, q)| (p - q) * (p - q)));
+                    prop_assert_eq!(bits(x.dot(y)), bits(dot));
+                    prop_assert_eq!(bits(x.squared_distance(y)), bits(d2));
+                }
+            }
         }
 
         /// Distance is symmetric, nonnegative, and zero iff equal patterns.
