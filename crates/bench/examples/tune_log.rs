@@ -57,7 +57,8 @@ fn main() {
                 };
                 p2 += precision_at(&two.rank(&ctx), |id| ds.db.same_category(id, q), 20);
                 let log_svm = two.train_log_svm(&ctx, None);
-                let scores = log_svm.model.decision_batch(log.log_vectors());
+                let columns: Vec<_> = (0..log.n_images()).map(|i| log.log_vector(i)).collect();
+                let scores = log_svm.model.decision_batch(&columns);
                 let ranked = lrf_core::feedback::rank_by_scores(&scores);
                 p_log += precision_at(&ranked, |id| ds.db.same_category(id, q), 20);
             }

@@ -12,9 +12,10 @@ use lrf_svm::Kernel;
 /// Gaussian RBF over sparse log vectors:
 /// `K(r_a, r_b) = exp(−γ‖r_a − r_b‖²)`.
 ///
-/// Entries are ±1 judgments, so `‖r_a − r_b‖²` counts (4×) disagreeing
-/// sessions plus unshared judgments — two images consistently co-judged
-/// get kernel ≈ 1, images with opposite feedback histories decay fast.
+/// Entries are ±1 judgments, so `‖r_a − r_b‖²` is an exact integer count:
+/// 4 per disagreeing session plus 1 per unshared judgment — two images
+/// consistently co-judged get kernel ≈ 1, images with opposite feedback
+/// histories decay fast.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogRbfKernel {
     /// Width parameter γ.

@@ -15,15 +15,20 @@
 //!   column-sparse view: per image, a sparse **log vector** `r_i` over
 //!   session ids. Dimension `M` = number of sessions grows as feedback is
 //!   collected, exactly as a deployed CBIR system would accumulate it.
-//! * [`sparse::SparseVector`] — the sparse vector type with the dot/norm
-//!   operations the log-side SVM kernel needs.
+//!   Every session, live or read back from disk, enters through one check:
+//!   image ids strictly ascending and inside the database.
+//! * [`sparse::SparseVector`] — a column as the paper defines it: the
+//!   ascending ids of the sessions that judged the image, each carrying its
+//!   ±1 sign, with the dot/norm/distance the log-side SVM kernel needs
+//!   computed as exact integer counts.
 //! * [`simulate_sessions`] — the **substitution for the paper's human log
 //!   collection** (150 sessions gathered from real users): simulated users
 //!   judge the top-20 of a content-based ranking by ground-truth category
 //!   with an injectable mislabel (noise) probability.
 //! * [`persist`] — JSON round-tripping of the store (a real deployment
 //!   keeps its log database on disk), crash-safe via atomic temp+fsync+
-//!   rename publication.
+//!   rename publication. A snapshot holds `R` once, as `n_images` and the
+//!   sessions; loading rebuilds the columns.
 //! * [`SharedLogStore`] — the concurrent wrapper: snapshot reads + `&self` appends
 //!   (copy-on-write), so a serving plane can flush completed sessions
 //!   without stalling queries that are training on the log.

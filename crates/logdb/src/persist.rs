@@ -2,23 +2,41 @@
 //!
 //! A deployed CBIR system accumulates its feedback log across restarts, so
 //! the store must round-trip to disk. JSON keeps the artifact
-//! human-inspectable; the format is versioned so future layouts can evolve.
+//! human-inspectable, and the format is versioned.
+//!
+//! A snapshot holds the relevance matrix once: its image count and its
+//! sessions, `{"version": 2, "store": {"n_images", "sessions"}}`. The
+//! columns are not written; loading rebuilds them by recording each
+//! session through [`LogStore`]'s one validating path, so a snapshot whose
+//! sessions name an image outside the database, or repeat one, is a typed
+//! [`PersistError::Format`] rather than a store that panics later.
+//! Version 1 also wrote every column beside the sessions. Its `store`
+//! object has the same two fields, so it loads through the same code, and
+//! its columns are ignored.
 
+use crate::session::LogSession;
 use crate::store::LogStore;
 use lrf_storage::{atomic_write, StdIo, StorageIo};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
 
-/// Current on-disk format version.
-pub(crate) const FORMAT_VERSION: u32 = 1;
+/// Current on-disk format version; every version from 1 up to it loads.
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
-/// The on-disk frame. Generic over the store field so writing borrows the
-/// store (`Envelope<&LogStore>`) and reading owns it.
+/// The on-disk frame. Generic over the session list so writing borrows
+/// the store's sessions and reading owns them.
 #[derive(Serialize, Deserialize)]
 struct Envelope<S> {
     version: u32,
-    store: S,
+    store: Snapshot<S>,
+}
+
+/// The relevance matrix as stored: its column count and its rows.
+#[derive(Serialize, Deserialize)]
+struct Snapshot<S> {
+    n_images: usize,
+    sessions: S,
 }
 
 /// Errors from loading/saving a log store.
@@ -26,7 +44,8 @@ struct Envelope<S> {
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file is not valid JSON for this schema.
+    /// The file is not valid JSON for this schema, or its sessions do
+    /// not fit its image count.
     Format(serde_json::Error),
     /// The file's version field is not supported by this build.
     UnsupportedVersion {
@@ -43,7 +62,7 @@ impl std::fmt::Display for PersistError {
             PersistError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "log store version {found} unsupported (expected {FORMAT_VERSION})"
+                    "log store version {found} unsupported (this build reads 1 to {FORMAT_VERSION})"
                 )
             }
         }
@@ -72,21 +91,45 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// Serializes the store to a JSON byte vector.
+/// Serializes the store to a JSON byte vector: `n_images` and the
+/// sessions.
 pub(crate) fn to_json(store: &LogStore) -> Result<Vec<u8>, PersistError> {
     Ok(serde_json::to_vec(&Envelope {
         version: FORMAT_VERSION,
-        store,
+        store: Snapshot {
+            n_images: store.n_images(),
+            sessions: store.sessions().collect::<Vec<_>>(),
+        },
     })?)
 }
 
-/// Deserializes a store from JSON bytes.
-pub(crate) fn from_json(bytes: &[u8]) -> Result<LogStore, PersistError> {
-    let env: Envelope<LogStore> = serde_json::from_slice(bytes)?;
-    if env.version != FORMAT_VERSION {
+/// Deserializes a store from JSON bytes, rebuilding its columns by
+/// recording each session. A snapshot that parses but does not describe a
+/// valid store does not fit the schema either: a [`PersistError::Format`].
+/// `expect_images`, when given, must equal the snapshot's image count; it
+/// is checked before that count sizes any allocation.
+pub(crate) fn decode(bytes: &[u8], expect_images: Option<usize>) -> Result<LogStore, PersistError> {
+    let env: Envelope<Vec<LogSession>> = serde_json::from_slice(bytes)?;
+    if !(1..=FORMAT_VERSION).contains(&env.version) {
         return Err(PersistError::UnsupportedVersion { found: env.version });
     }
-    Ok(env.store)
+    let invalid = |reason: String| PersistError::Format(serde::DeError::msg(reason).into());
+    let Snapshot { n_images, sessions } = env.store;
+    if n_images == 0 {
+        return Err(invalid("snapshot covers no images".into()));
+    }
+    if let Some(want) = expect_images.filter(|&want| want != n_images) {
+        return Err(invalid(format!(
+            "snapshot covers {n_images} images, database has {want}"
+        )));
+    }
+    let mut store = LogStore::new(n_images);
+    for (sid, session) in sessions.into_iter().enumerate() {
+        store
+            .try_record(session)
+            .map_err(|e| invalid(format!("session {sid}: {e}")))?;
+    }
+    Ok(store)
 }
 
 /// Saves the store to a file, crash-safely: the JSON is written to a
@@ -114,13 +157,18 @@ pub fn load(path: &Path) -> Result<LogStore, PersistError> {
 
 /// [`load`] over an injectable IO backend (fault-injection tests).
 pub(crate) fn load_with(io: &dyn StorageIo, path: &Path) -> Result<LogStore, PersistError> {
-    from_json(&io.read(path)?)
+    decode(&io.read(path)?, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::{LogSession, Relevance};
+
+    /// The decoder as [`load`] runs it: no expected image count.
+    fn from_json(bytes: &[u8]) -> Result<LogStore, PersistError> {
+        decode(bytes, None)
+    }
 
     fn sample_store() -> LogStore {
         let mut store = LogStore::new(8);
@@ -155,6 +203,18 @@ mod tests {
         r#"{"entries":[[0,-1.0],[1,1.0]]},{"entries":[]},{"entries":[]},"#,
         r#"{"entries":[]},{"entries":[[1,1.0]]}]}}"#,
     );
+
+    #[test]
+    fn snapshot_holds_n_images_and_sessions_only() {
+        let v: serde_json::Value =
+            serde_json::from_slice(&to_json(&sample_store()).unwrap()).unwrap();
+        assert_eq!(v["version"], serde_json::json!(FORMAT_VERSION));
+        let serde_json::Value::Object(members) = &v["store"] else {
+            panic!("store is not an object: {v:?}");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["n_images", "sessions"], "no columns key");
+    }
 
     #[test]
     fn version_1_snapshot_loads_to_an_equal_store() {

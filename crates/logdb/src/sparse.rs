@@ -1,41 +1,68 @@
 //! Sparse vectors over session indices.
 //!
-//! An image's log vector `r_i` has one ±1 entry per session that judged it
-//! and is zero elsewhere; with 150 sessions of 20 judgments over thousands
-//! of images, the matrix is overwhelmingly sparse. Entries are kept sorted
-//! by index so dot products merge in linear time.
+//! An image's log vector `r_i` is its column of the relevance matrix: one
+//! ±1 entry per session that judged it, zero elsewhere. With 150 sessions
+//! of 20 judgments over thousands of images the matrix is overwhelmingly
+//! sparse, and `R` has no other values, so a column is stored as what it
+//! is: the ascending list of session ids that judged the image, each with
+//! its sign packed into the id's top bit (4 bytes per judgment; this caps
+//! the session count `M` at 2³¹).
+//!
+//! Over ±1 entries the vector algebra is counting. `‖r‖²` is the nnz,
+//! `r_a·r_b` is agreements minus disagreements over the sessions both
+//! judged (one merge of the two id lists), and `‖r_a − r_b‖²` is
+//! `nnz_a + nnz_b − 2·r_a·r_b` from that same merge. Each is an exact
+//! integer converted to `f64` once.
 
-use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
-/// A sparse `f64` vector: sorted `(index, value)` pairs, zeros omitted.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// Top bit of a packed entry: set when the judgment is `−1`.
+const NEG: u32 = 1 << 31;
+
+/// The value a packed entry stands for: `+1.0`, or `−1.0` when `NEG` is set.
+fn sign(entry: u32) -> f64 {
+    1.0 - 2.0 * f64::from(entry >> 31)
+}
+
+/// A sparse ±1 vector: ascending indices with their signs, zeros omitted.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseVector {
-    entries: Vec<(u32, f64)>,
+    /// Indices in ascending order, each `| NEG` when its value is `−1`.
+    entries: Vec<u32>,
 }
 
 impl SparseVector {
     /// The empty (all-zero) vector.
     pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Builds from `(index, value)` pairs.
     ///
     /// # Panics
-    /// Panics on duplicate indices or zero values (a zero entry is a bug in
-    /// the caller — sparse semantics treat absence as zero).
+    /// Panics on duplicate indices, on an index `>= 2³¹`, or on a value
+    /// other than `±1` (`R` holds nothing else; a zero is an absent entry).
     pub fn from_entries(mut entries: Vec<(u32, f64)>) -> Self {
         entries.sort_unstable_by_key(|&(i, _)| i);
-        for w in entries.windows(2) {
-            assert!(w[0].0 != w[1].0, "duplicate index {}", w[0].0);
+        let mut v = Self::new();
+        for (i, x) in entries {
+            assert!(x == 1.0 || x == -1.0, "entries must be ±1, got {x}");
+            v.push(i, x < 0.0);
         }
+        v
+    }
+
+    /// Appends `index` with value `−1` if `negative`, else `+1`. Indices
+    /// must ascend: the store pushes each new session id, and session ids
+    /// only grow.
+    pub(crate) fn push(&mut self, index: u32, negative: bool) {
+        assert!(index < NEG, "index {index} does not fit in 31 bits");
         assert!(
-            entries.iter().all(|&(_, v)| v != 0.0 && v.is_finite()),
-            "entries must be nonzero and finite"
+            self.entries.last().is_none_or(|&e| e & !NEG < index),
+            "duplicate index {index} (indices must ascend)"
         );
-        Self { entries }
+        let entry = if negative { index | NEG } else { index };
+        self.entries.push(entry);
     }
 
     /// Number of stored (nonzero) entries.
@@ -50,80 +77,48 @@ impl SparseVector {
 
     /// The value at `index` (zero when absent).
     pub(crate) fn get(&self, index: u32) -> f64 {
-        match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
-            Ok(pos) => self.entries[pos].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Sets `index` to `value`; `value == 0.0` removes the entry.
-    pub(crate) fn set(&mut self, index: u32, value: f64) {
-        assert!(value.is_finite(), "value must be finite");
-        match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
-            Ok(pos) => {
-                if value == 0.0 {
-                    self.entries.remove(pos);
-                } else {
-                    self.entries[pos].1 = value;
-                }
-            }
-            Err(pos) => {
-                if value != 0.0 {
-                    self.entries.insert(pos, (index, value));
-                }
-            }
-        }
+        let found = self.entries.binary_search_by_key(&index, |&e| e & !NEG);
+        found.map_or(0.0, |pos| sign(self.entries[pos]))
     }
 
     /// Iterates stored `(index, value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.entries.iter().copied()
+        self.entries.iter().map(|&e| (e & !NEG, sign(e)))
     }
 
-    /// Sparse dot product (linear merge over the two entry lists).
-    pub fn dot(&self, other: &SparseVector) -> f64 {
-        let mut acc = 0.0;
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.entries.len() && b < other.entries.len() {
-            let (ia, va) = self.entries[a];
-            let (ib, vb) = other.entries[b];
-            match ia.cmp(&ib) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += va * vb;
-                    a += 1;
-                    b += 1;
+    /// Agreements minus disagreements over the indices both vectors hold:
+    /// one linear merge of the two sorted lists.
+    fn signed_overlap(&self, other: &SparseVector) -> i64 {
+        let (mut i, mut j, mut acc) = (0, 0, 0i64);
+        while let (Some(&a), Some(&b)) = (self.entries.get(i), other.entries.get(j)) {
+            match (a & !NEG).cmp(&(b & !NEG)) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    acc += 1 - 2 * i64::from((a ^ b) >> 31);
+                    (i, j) = (i + 1, j + 1);
                 }
             }
         }
         acc
     }
 
-    /// Squared Euclidean norm.
+    /// Sparse dot product: agreements minus disagreements.
+    pub fn dot(&self, other: &SparseVector) -> f64 {
+        self.signed_overlap(other) as f64
+    }
+
+    /// Squared Euclidean norm: the nnz, since every entry is `±1`.
     pub fn norm_sq(&self) -> f64 {
-        self.entries.iter().map(|&(_, v)| v * v).sum()
+        self.nnz() as f64
     }
 
-    /// Squared Euclidean distance `‖a − b‖²`, computed without
-    /// materializing the difference: `‖a‖² + ‖b‖² − 2·a·b`.
+    /// Squared Euclidean distance `‖a − b‖² = nnz_a + nnz_b − 2·a·b`, from
+    /// one merge: an index only one side holds adds 1, a shared agreeing
+    /// one 0, a shared disagreeing one 4.
     pub fn squared_distance(&self, other: &SparseVector) -> f64 {
-        (self.norm_sq() + other.norm_sq() - 2.0 * self.dot(other)).max(0.0)
-    }
-
-    /// Densifies into a `dim`-length vector: the dense reference the
-    /// tests hold `dot` and `squared_distance` to.
-    ///
-    /// # Panics
-    /// Panics if any stored index is `>= dim`.
-    #[cfg(test)]
-    fn to_dense(&self, dim: usize) -> Vec<f64> {
-        let mut out = vec![0.0; dim];
-        for &(i, v) in &self.entries {
-            assert!((i as usize) < dim, "index {i} out of dimension {dim}");
-            out[i as usize] = v;
-        }
-        out
+        let nnz = (self.nnz() + other.nnz()) as i64;
+        (nnz - 2 * self.signed_overlap(other)) as f64
     }
 }
 
@@ -132,6 +127,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    impl SparseVector {
+        /// Densifies into a `dim`-length vector: the dense reference the
+        /// tests hold `dot` and `squared_distance` to.
+        ///
+        /// # Panics
+        /// Panics if any stored index is `>= dim`.
+        fn to_dense(&self, dim: usize) -> Vec<f64> {
+            let mut out = vec![0.0; dim];
+            for (i, v) in self.iter() {
+                assert!((i as usize) < dim, "index {i} out of dimension {dim}");
+                out[i as usize] = v;
+            }
+            out
+        }
+    }
 
     #[test]
     fn empty_vector_behaves_like_zero() {
@@ -159,24 +170,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nonzero")]
+    #[should_panic(expected = "must be ±1")]
     fn zero_entries_rejected() {
-        let _ = SparseVector::from_entries(vec![(1, 0.0)]);
+        // ±1 is accepted; a zero is an absent entry, not a stored one.
+        let _ = SparseVector::from_entries(vec![(1, 1.0), (2, -1.0), (3, 0.0)]);
     }
 
     #[test]
-    fn set_inserts_updates_removes() {
-        let mut v = SparseVector::new();
-        v.set(4, 1.0);
-        v.set(2, -1.0);
-        assert_eq!(v.nnz(), 2);
-        v.set(4, 0.5);
-        assert_eq!(v.get(4), 0.5);
-        v.set(4, 0.0);
-        assert_eq!(v.nnz(), 1);
-        assert_eq!(v.get(4), 0.0);
-        v.set(9, 0.0); // removing an absent entry is a no-op
-        assert_eq!(v.nnz(), 1);
+    #[should_panic(expected = "must be ±1")]
+    fn general_values_rejected() {
+        let _ = SparseVector::from_entries(vec![(4, 0.5)]);
     }
 
     #[test]

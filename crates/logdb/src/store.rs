@@ -1,22 +1,49 @@
-//! The log store — the relevance matrix `R` in column-sparse form.
+//! The log store — the relevance matrix `R`, kept once.
 //!
-//! Rows are sessions, columns are images; [`LogStore`] maintains, for each
-//! image, its sparse log vector `r_i` (the column), because that is what
+//! Rows are sessions, columns are images. The sessions are the record:
+//! they are what a snapshot writes and what the WAL appends. For each
+//! image, [`LogStore`] also keeps its sparse log vector `r_i` (the column),
+//! derived from the sessions as they are recorded, because that is what
 //! the learning algorithms consume: "each image corresponds to a user log
 //! vector r_i, whose dimension M is the total number of user log sessions
 //! collected."
+//!
+//! Every session enters through one validating path,
+//! [`LogStore::try_record`]: image ids strictly ascending and inside the
+//! database. A live append, a WAL replay and a snapshot load all take it,
+//! so a session that decoded from bytes (and so skipped
+//! [`LogSession::new`]'s sort and duplicate check) is held to the same
+//! rule as one built in memory.
 
-use crate::session::LogSession;
+use crate::session::{LogSession, Relevance};
 use crate::sparse::SparseVector;
-use serde::{Deserialize, Serialize};
+
+/// Why a session cannot enter a store; each variant names the image id.
+#[derive(Debug, PartialEq)]
+pub(crate) enum InvalidSession {
+    /// An image id at or past the store's image count.
+    OutOfRange(usize),
+    /// An image id not above the one before it: judged twice, or the
+    /// judgments are not in ascending id order.
+    NotAscending(usize),
+}
+
+impl std::fmt::Display for InvalidSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::OutOfRange(id) => write!(f, "image id {id} out of range (outside database)"),
+            Self::NotAscending(id) => write!(f, "image id {id} repeated or not ascending"),
+        }
+    }
+}
 
 /// Append-only store of feedback sessions over a fixed image database.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogStore {
     n_images: usize,
     sessions: Vec<LogSession>,
     /// Column view: `columns[i]` is image `i`'s log vector `r_i`, indexed by
-    /// session id.
+    /// session id. Derived from `sessions`; a snapshot does not write it.
     columns: Vec<SparseVector>,
 }
 
@@ -49,20 +76,34 @@ impl LogStore {
     /// new session's id.
     ///
     /// # Panics
-    /// Panics if the session references an image id `>= n_images`.
+    /// Panics if the session's image ids are not strictly ascending or
+    /// reach past `n_images` (the check a WAL replay or a snapshot load
+    /// reports as a typed error), or if the store already holds 2³¹
+    /// sessions.
     pub fn record(&mut self, session: LogSession) -> usize {
+        self.try_record(session).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`record`](Self::record), returning an invalid session as an error
+    /// instead of panicking; the store is unchanged on `Err`.
+    pub(crate) fn try_record(&mut self, session: LogSession) -> Result<usize, InvalidSession> {
+        let mut next = 0; // the least id the next judgment may name
+        for (id, _) in session.iter() {
+            if id >= self.n_images {
+                return Err(InvalidSession::OutOfRange(id));
+            }
+            if id < next {
+                return Err(InvalidSession::NotAscending(id));
+            }
+            next = id + 1;
+        }
         let sid = self.sessions.len();
-        assert!(sid <= u32::MAX as usize, "session id overflow");
+        assert!(sid < 1 << 31, "session id overflow");
         for (image_id, judgment) in session.iter() {
-            assert!(
-                image_id < self.n_images,
-                "session references image {image_id} outside database of {}",
-                self.n_images
-            );
-            self.columns[image_id].set(sid as u32, judgment.sign());
+            self.columns[image_id].push(sid as u32, judgment == Relevance::Irrelevant);
         }
         self.sessions.push(session);
-        sid
+        Ok(sid)
     }
 
     /// The sparse log vector `r_i` of image `i`.
@@ -71,11 +112,6 @@ impl LogStore {
     /// Panics if `image_id >= n_images`.
     pub fn log_vector(&self, image_id: usize) -> &SparseVector {
         &self.columns[image_id]
-    }
-
-    /// All log vectors, indexed by image id.
-    pub fn log_vectors(&self) -> &[SparseVector] {
-        &self.columns
     }
 
     /// A recorded session by id.
@@ -112,7 +148,6 @@ impl LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Relevance;
 
     fn session(pairs: &[(usize, bool)]) -> LogSession {
         LogSession::new(
@@ -183,5 +218,23 @@ mod tests {
         store.record(s.clone());
         assert_eq!(store.session(0), &s);
         assert_eq!(store.sessions().count(), 1);
+    }
+
+    #[test]
+    fn decoded_sessions_must_be_strictly_ascending() {
+        // A session decoded from bytes skips LogSession::new's sort and
+        // duplicate check; try_record is where it is held to them.
+        let mut store = LogStore::new(8);
+        for (json, image_id) in [
+            (r#"{"judgments":[[3,"Relevant"],[3,"Irrelevant"]]}"#, 3),
+            (r#"{"judgments":[[5,"Relevant"],[2,"Relevant"]]}"#, 2),
+        ] {
+            let s: LogSession = serde_json::from_str(json).unwrap();
+            assert_eq!(
+                store.try_record(s),
+                Err(InvalidSession::NotAscending(image_id))
+            );
+        }
+        assert_eq!(store, LogStore::new(8), "a refused session leaves no trace");
     }
 }

@@ -11,9 +11,12 @@
 //!   versioned JSON format `save`/`load` use — a compacted WAL directory
 //!   holds a file any existing tooling can read);
 //! * **recovery** rebuilds the [`LogStore`] by loading the snapshot and
-//!   replaying intact sessions, validating every image id against the
-//!   store's image count (a corrupt-but-CRC-valid record must surface as
-//!   a typed error, not a panic deep inside `LogStore::record`).
+//!   replaying intact sessions. Snapshot sessions and replayed records
+//!   enter through the same check, [`LogStore::try_record`]: image ids
+//!   strictly ascending and inside the database. A corrupt-but-CRC-valid
+//!   record surfaces as a typed [`WalError::Replay`] (a snapshot's as
+//!   [`WalError::Persist`]), not as a panic or a column that disagrees
+//!   with its session.
 
 use std::io;
 use std::path::Path;
@@ -125,33 +128,23 @@ impl JudgmentWal {
 
         let had_snapshot = recovery.snapshot.is_some();
         let mut store = match &recovery.snapshot {
-            Some(bytes) => {
-                let store = persist::from_json(bytes)?;
-                if store.n_images() != n_images {
-                    return Err(WalError::Replay {
-                        record: 0,
-                        reason: format!(
-                            "snapshot covers {} images, database has {n_images}",
-                            store.n_images()
-                        ),
-                    });
-                }
-                store
-            }
+            Some(bytes) => persist::decode(bytes, Some(n_images))?,
             None => LogStore::new(n_images),
         };
 
-        let mut replayed_sessions = 0;
         for (idx, payload) in recovery.records.iter().enumerate() {
-            let session = decode_session(idx, payload)?;
-            validate_session(idx, &session, n_images)?;
-            store.record(session);
-            replayed_sessions += 1;
+            serde_json::from_slice(payload)
+                .map_err(|e| format!("undecodable session payload: {e}"))
+                .and_then(|session| store.try_record(session).map_err(|e| e.to_string()))
+                .map_err(|reason| WalError::Replay {
+                    record: idx,
+                    reason,
+                })?;
         }
 
         let report = DurableRecovery {
             recovered_sessions: store.n_sessions() as u64,
-            replayed_sessions,
+            replayed_sessions: recovery.records.len() as u64,
             seeded: false,
             truncated_records: recovery.truncated_records,
             truncated_bytes: recovery.truncated_bytes,
@@ -163,8 +156,7 @@ impl JudgmentWal {
 
     /// Durably append one session. `Ok` means it survives a crash.
     pub(crate) fn append(&mut self, session: &LogSession) -> Result<(), WalError> {
-        let payload =
-            serde_json::to_vec(session).map_err(|e| WalError::Persist(PersistError::Format(e)))?;
+        let payload = serde_json::to_vec(session).map_err(PersistError::Format)?;
         self.wal.append(&payload)?;
         Ok(())
     }
@@ -182,25 +174,6 @@ impl JudgmentWal {
     pub(crate) fn segments_started(&self) -> u64 {
         self.wal.segments_started()
     }
-}
-
-fn decode_session(idx: usize, payload: &[u8]) -> Result<LogSession, WalError> {
-    serde_json::from_slice(payload).map_err(|e| WalError::Replay {
-        record: idx,
-        reason: format!("undecodable session payload: {e}"),
-    })
-}
-
-fn validate_session(idx: usize, session: &LogSession, n_images: usize) -> Result<(), WalError> {
-    for (image_id, _) in session.iter() {
-        if image_id >= n_images {
-            return Err(WalError::Replay {
-                record: idx,
-                reason: format!("image id {image_id} out of range (n_images = {n_images})"),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -336,5 +309,94 @@ mod tests {
         let mem = MemIo::handle();
         let err = JudgmentWal::open(mem, dir(), 0, WalOptions::default()).unwrap_err();
         assert!(matches!(err, WalError::Replay { .. }));
+    }
+
+    /// A fresh WAL directory holding `snapshot` as its compaction snapshot
+    /// and `records` as its replay segment, each CRC-framed by the storage
+    /// layer: intact on disk, whatever their content says.
+    fn raw_disk(snapshot: Option<&str>, records: &[&str]) -> lrf_storage::IoRef {
+        let mem = MemIo::handle();
+        let (mut wal, _) =
+            lrf_storage::Wal::open(mem.clone(), dir(), WalOptions::default()).unwrap();
+        if let Some(bytes) = snapshot {
+            wal.compact(bytes.as_bytes()).unwrap();
+        }
+        for record in records {
+            wal.append(record.as_bytes()).unwrap();
+        }
+        drop(wal);
+        mem.crash();
+        mem
+    }
+
+    /// A version-1 snapshot over 8 images, with the given session and
+    /// column lists: the format older builds wrote and this one still reads.
+    fn v1_snapshot(sessions: &str, columns: &str) -> String {
+        format!(
+            r#"{{"version":1,"store":{{"n_images":8,"sessions":{sessions},"columns":{columns}}}}}"#
+        )
+    }
+
+    /// Eight empty version-1 columns.
+    const NO_COLUMNS: &str = r#"[{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[]}]"#;
+
+    #[test]
+    fn snapshot_session_outside_the_database_is_a_typed_error() {
+        let snapshot = v1_snapshot(r#"[{"judgments":[[9,"Relevant"]]}]"#, NO_COLUMNS);
+        let io = raw_disk(Some(&snapshot), &[]);
+        let err = crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, WalError::Persist(PersistError::Format(_))),
+            "got: {err}"
+        );
+        assert!(err
+            .to_string()
+            .contains("session 0: image id 9 out of range"));
+    }
+
+    #[test]
+    fn snapshot_columns_are_rebuilt_from_its_sessions() {
+        let sessions = r#"[{"judgments":[[3,"Irrelevant"],[7,"Relevant"]]}]"#;
+        // Columns cut short of n_images, and columns that contradict the
+        // sessions (image 3 marked +1, image 5 judged by no session).
+        let short = r#"[{"entries":[]}]"#;
+        let contradicting = r#"[{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[[0,1.0]]},{"entries":[]},{"entries":[[0,-1.0]]},{"entries":[]},{"entries":[]}]"#;
+        for columns in [short, contradicting] {
+            let io = raw_disk(Some(&v1_snapshot(sessions, columns)), &[]);
+            let (db, _) =
+                crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap();
+            let store = db.snapshot();
+            assert_eq!(store.log_vector(7).iter().collect::<Vec<_>>(), [(0, 1.0)]);
+            assert_eq!(store.entry(3, 0), -1.0);
+            assert!(store.log_vector(5).is_empty());
+            assert_eq!(store.nnz(), 2);
+        }
+    }
+
+    #[test]
+    fn snapshot_image_count_is_checked_before_it_sizes_the_columns() {
+        // 2^60 columns would overflow the allocation: the count must be
+        // refused against the database's before the store is built.
+        let snapshot = r#"{"version":2,"store":{"n_images":1152921504606846976,"sessions":[]}}"#;
+        let io = raw_disk(Some(snapshot), &[]);
+        let err = crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("database has 8"), "got: {err}");
+    }
+
+    #[test]
+    fn repeated_or_descending_image_id_is_a_typed_replay_error() {
+        for record in [
+            r#"{"judgments":[[3,"Relevant"],[3,"Irrelevant"]]}"#,
+            r#"{"judgments":[[5,"Relevant"],[2,"Relevant"]]}"#,
+        ] {
+            let io = raw_disk(None, &[r#"{"judgments":[[1,"Relevant"]]}"#, record]);
+            let err =
+                crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, WalError::Replay { record: 1, .. }),
+                "got: {err}"
+            );
+            assert!(err.to_string().contains("ascending"), "got: {err}");
+        }
     }
 }
