@@ -11,7 +11,7 @@ use std::sync::Arc;
 ///
 /// Features live in **one contiguous row-major `N × dim` matrix** behind an
 /// [`Arc`]: per-image access is a borrowed `&[f64]` row view
-/// ([`Self::feature`]), and the index backends share the same allocation
+/// ([`Self::feature`]), and the index and its shards share the same allocation
 /// ([`Self::features_shared`]) instead of copying it — so at any scale the
 /// collection's features exist exactly once in memory.
 ///
@@ -98,12 +98,12 @@ impl ImageDatabase {
     }
 
     /// The contiguous row-major `N × dim` feature matrix — the input the
-    /// ANN index backends and the Euclidean hot loop consume.
+    /// index scan consumes.
     pub fn features_flat(&self) -> &[f64] {
         &self.flat
     }
 
-    /// A shared handle to the feature matrix. Index backends hold this
+    /// A shared handle to the feature matrix. Indexes and shards hold this
     /// instead of copying the data, keeping peak feature storage at one
     /// copy regardless of how many indexes serve the collection.
     pub fn features_shared(&self) -> Arc<Vec<f64>> {

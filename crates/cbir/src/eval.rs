@@ -130,21 +130,8 @@ impl QueryProtocol {
     }
 
     /// Builds the feedback round for one query: Euclidean top-`n_labeled`,
-    /// labeled by ground-truth category match, over the exact flat backend.
+    /// labeled by ground-truth category match, over the exact flat index.
     pub fn feedback_example(&self, db: &ImageDatabase, query: usize) -> FeedbackExample {
-        self.feedback_example_with_index(db, &crate::retrieval::build_flat_index(db), query)
-    }
-
-    /// Builds the feedback round from the initial screen `index` produces.
-    /// Approximate backends may surface a slightly different (still near)
-    /// screen than the exact one — exactly what a deployed system's users
-    /// would have judged.
-    pub(crate) fn feedback_example_with_index(
-        &self,
-        db: &ImageDatabase,
-        index: &dyn lrf_index::AnnIndex,
-        query: usize,
-    ) -> FeedbackExample {
         let same = |id| {
             if db.same_category(id, query) {
                 1.0
@@ -152,7 +139,7 @@ impl QueryProtocol {
                 -1.0
             }
         };
-        let labeled = crate::retrieval::top_k_ids(index, db.feature(query), self.n_labeled)
+        let labeled = crate::distance::top_k_euclidean(db, query, self.n_labeled)
             .into_iter()
             .map(|id| (id, same(id)))
             .collect();
@@ -238,7 +225,6 @@ mod tests {
             n_labeled: 8,
             seed: 3,
         };
-        let index = crate::retrieval::build_flat_index(&db);
         for q in 0..db.len() {
             // Reference: the head of a sort-everything ranking.
             let ranked = crate::distance::oracle::rank_by_sorting(&db, db.feature(q));
@@ -250,11 +236,6 @@ mod tests {
                     .map(|&id| (id, label(id)))
                     .collect(),
             };
-            assert_eq!(
-                proto.feedback_example_with_index(&db, &index, q),
-                direct,
-                "query {q}"
-            );
             assert_eq!(proto.feedback_example(&db, q), direct, "query {q}");
         }
     }

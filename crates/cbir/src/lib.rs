@@ -18,10 +18,11 @@
 //!   labeled sets).
 //! * [`collect_log`] — wires [`lrf_logdb::simulate_sessions`] to an index's screens to
 //!   reproduce the paper's log-collection procedure.
-//! * [`build_flat_index`] and siblings — index-backed retrieval: builds `lrf-index` backends
-//!   (flat/IVF/LSH) over the database and routes screens and rankings
-//!   through them. Flat is the default, exact, and the only Euclidean scan
-//!   there is: the tests hold it to a sort-everything oracle.
+//! * [`build_flat_index`] and siblings — index-backed retrieval: builds the
+//!   `lrf-index` exact flat scan over the database and routes screens and
+//!   rankings through it. It is the only Euclidean scan there is, and the
+//!   only index: no workload is served faster by an approximate one. The
+//!   tests hold it to a sort-everything oracle.
 
 mod corel;
 mod database;
@@ -35,6 +36,4 @@ pub use database::ImageDatabase;
 pub use distance::{rank_by_euclidean, top_k_euclidean};
 pub use eval::{precision_at, FeedbackExample, PrecisionCurve, QueryProtocol, CUTOFFS};
 pub use logglue::collect_log;
-pub use retrieval::{
-    build_flat_index, build_flat_shards, build_lsh_index, rank_with_index_stats, ranking_window,
-};
+pub use retrieval::{build_flat_index, build_flat_shards, rank_with_index_stats, ranking_window};

@@ -9,31 +9,19 @@
 //! and the control condition for the log-quality ablation.
 
 use crate::database::ImageDatabase;
-use crate::retrieval::build_flat_index;
-use lrf_index::AnnIndex;
+use crate::retrieval::{build_flat_index, top_k_ids};
 use lrf_logdb::{simulate_sessions, LogStore, SimulationConfig};
 
 /// Collects a simulated feedback log over `db` with content-only screens
-/// served by the exact flat index.
+/// served by the exact flat index: round `r` fetches the top `k + judged`
+/// candidates and drops the already-judged ones, so each screen is the
+/// next `k` of the full Euclidean ranking without ever sorting the
+/// database.
 pub fn collect_log(db: &ImageDatabase, config: &SimulationConfig) -> LogStore {
-    collect_log_with_index(db, &build_flat_index(db), config)
-}
-
-/// Collects a log whose every screen comes from `index`: round `r` fetches
-/// the top `k + judged` candidates and drops the already-judged ones, so
-/// with an exact backend each screen is the next `k` of the full Euclidean
-/// ranking without ever sorting the database. Approximate backends collect
-/// the log a real large-scale deployment would have collected (screens
-/// from the index it actually serves).
-pub(crate) fn collect_log_with_index(
-    db: &ImageDatabase,
-    index: &dyn AnnIndex,
-    config: &SimulationConfig,
-) -> LogStore {
-    assert_eq!(index.len(), db.len(), "index does not cover the database");
+    let index = build_flat_index(db);
     let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
         let seen: std::collections::HashSet<usize> = judged.iter().map(|&(id, _)| id).collect();
-        crate::retrieval::top_k_ids(index, db.feature(query), k + judged.len())
+        top_k_ids(&index, db.feature(query), k + judged.len())
             .into_iter()
             .filter(|id| !seen.contains(id))
             .take(k)
@@ -134,7 +122,6 @@ mod tests {
     #[test]
     fn flat_index_collection_reproduces_direct_collection() {
         let ds = CorelDataset::build(CorelSpec::tiny(3, 8, 13));
-        let index = crate::retrieval::build_flat_index(&ds.db);
         let c = cfg(12, 6, 2, 0.15, 7);
         // Reference: every screen filtered out of a sort-everything ranking.
         let db = &ds.db;
@@ -148,25 +135,7 @@ mod tests {
         for s in sessions {
             direct.record(s);
         }
-        assert_eq!(collect_log_with_index(&ds.db, &index, &c), direct);
         assert_eq!(collect_log(&ds.db, &c), direct);
-    }
-
-    #[test]
-    fn approximate_index_collection_has_configured_shape() {
-        let ds = CorelDataset::build(CorelSpec::tiny(3, 8, 13));
-        let index = lrf_index::IvfIndex::build_shared(
-            ds.db.features_shared(),
-            ds.db.dim(),
-            &lrf_index::IvfConfig {
-                nlist: 4,
-                nprobe: 2,
-                ..Default::default()
-            },
-        );
-        let log = collect_log_with_index(&ds.db, &index, &cfg(9, 6, 2, 0.1, 2));
-        assert_eq!(log.n_sessions(), 9);
-        assert_eq!(log.n_images(), ds.db.len());
     }
 
     #[test]

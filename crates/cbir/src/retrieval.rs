@@ -1,5 +1,5 @@
 //! Index-backed retrieval: the bridge between [`ImageDatabase`] and the
-//! `lrf-index` backends.
+//! `lrf-index` exact scan.
 //!
 //! Every entry point of the retrieval pipeline — the initial screen users
 //! judge, the evaluation protocol's feedback rounds, the log-collection
@@ -8,7 +8,7 @@
 //! the ranking operations the rest of the stack consumes:
 //!
 //! ```text
-//! ImageDatabase ──build──▶ AnnIndex (flat | IVF | LSH)
+//! ImageDatabase ──build──▶ AnnIndex (exact flat scan)
 //!                             │ search(query, k)
 //!                             ▼
 //!                   candidate ids (+ distances)
@@ -19,15 +19,16 @@
 //!                       full ranking
 //! ```
 //!
-//! The **flat** backend is exact and is the default everywhere, so
-//! paper-fidelity results are bit-identical to the full Euclidean ranking;
-//! IVF/LSH trade a bounded recall loss for sublinear distance work.
+//! The index is the exact flat scan, so paper-fidelity results are
+//! bit-identical to the full Euclidean ranking. It is the only index
+//! because no `benchmark/` workload is served faster by an approximate
+//! one that it can also afford to build.
 
 use crate::database::ImageDatabase;
-use lrf_index::{AnnIndex, FlatIndex, FlatShard, LshConfig, LshIndex, SearchStats};
+use lrf_index::{AnnIndex, FlatIndex, FlatShard, SearchStats};
 
-/// Builds the exact (flat) index over the database — the default backend.
-/// The index shares the database's feature allocation (no copy).
+/// Builds the exact (flat) index over the database. The index shares the
+/// database's feature allocation (no copy).
 pub fn build_flat_index(db: &ImageDatabase) -> FlatIndex {
     FlatIndex::from_shared(db.features_shared(), db.dim())
 }
@@ -41,11 +42,6 @@ pub fn build_flat_shards(db: &ImageDatabase, n_shards: usize) -> Vec<FlatShard> 
     FlatShard::split_shared(db.features_shared(), db.dim(), n_shards)
 }
 
-/// Builds an LSH index over the database, sharing its feature allocation.
-pub fn build_lsh_index(db: &ImageDatabase, config: &LshConfig) -> LshIndex {
-    LshIndex::build_shared(db.features_shared(), db.dim(), config)
-}
-
 /// The `k` nearest image ids for a query feature, through an index.
 pub(crate) fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -> Vec<usize> {
     index
@@ -55,25 +51,17 @@ pub(crate) fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -
         .collect()
 }
 
-/// Full-database ranking through an index.
-///
-/// Exact backends return the complete Euclidean ranking
-/// ([`crate::distance::rank_by_euclidean`] is this over the flat index).
-/// Approximate backends return the candidates they found, in distance
-/// order, with every unreached id appended afterwards in id order — so the
-/// result is always a permutation of the database and evaluation cutoffs
-/// deep into the tail stay well-defined. Returned with the backend's
-/// per-query [`SearchStats`] (distance evaluations, candidates, buckets
-/// probed), for callers that account index work per request.
+/// Full-database ranking through an index: the complete Euclidean ranking
+/// ([`crate::distance::rank_by_euclidean`] is this over the flat index),
+/// returned with the search's [`SearchStats`] for callers that account
+/// index work per request.
 pub fn rank_with_index_stats(
     db: &ImageDatabase,
     index: &dyn AnnIndex,
     query_feature: &[f64],
 ) -> (Vec<usize>, SearchStats) {
-    let n = db.len();
-    let (neighbors, stats) = index.search_with_stats(query_feature, n);
-    let ranked: Vec<usize> = neighbors.into_iter().map(|(id, _)| id).collect();
-    (ranking_window(&ranked, n, 0, n), stats)
+    let (neighbors, stats) = index.search_with_stats(query_feature, db.len());
+    (neighbors.into_iter().map(|(id, _)| id).collect(), stats)
 }
 
 /// Positions `offset..offset + count` (clamped to `n`) of the ranking a
@@ -103,14 +91,8 @@ mod tests {
     use crate::distance::oracle::rank_by_sorting;
     use crate::distance::{rank_by_euclidean, top_k_euclidean};
 
-    use lrf_index::{IvfConfig, IvfIndex};
-
     fn dataset() -> CorelDataset {
         CorelDataset::build(CorelSpec::tiny(3, 10, 17))
-    }
-
-    fn build_ivf_index(db: &ImageDatabase, config: &IvfConfig) -> IvfIndex {
-        IvfIndex::build_shared(db.features_shared(), db.dim(), config)
     }
 
     #[test]
@@ -140,26 +122,6 @@ mod tests {
                 assert_eq!(top_k_euclidean(&ds.db, q, k), direct, "q={q} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn approximate_ranking_is_still_a_permutation() {
-        let ds = dataset();
-        let index = build_lsh_index(
-            &ds.db,
-            // Deliberately starved settings so candidates < N and the
-            // id-order tail fill kicks in.
-            &lrf_index::LshConfig {
-                n_tables: 1,
-                n_bits: 8,
-                probes: 0,
-                seed: 5,
-            },
-        );
-        let ranked = rank_with_index_stats(&ds.db, &index, ds.db.feature(0)).0;
-        let mut sorted = ranked.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -198,66 +160,15 @@ mod tests {
     }
 
     #[test]
-    fn ivf_backend_agrees_on_most_of_the_screen() {
-        let ds = dataset();
-        let index = build_ivf_index(
-            &ds.db,
-            &lrf_index::IvfConfig {
-                nlist: 6,
-                nprobe: 4,
-                ..Default::default()
-            },
-        );
-        let mut overlap = 0usize;
-        let k = 10;
-        for q in 0..ds.db.len() {
-            let approx = top_k_ids(&index, ds.db.feature(q), k);
-            let exact = top_k_euclidean(&ds.db, q, k);
-            overlap += exact.iter().filter(|id| approx.contains(id)).count();
-        }
-        let recall = overlap as f64 / (ds.db.len() * k) as f64;
-        assert!(recall >= 0.8, "IVF screen recall {recall} unreasonably low");
-    }
-
-    #[test]
     fn all_backends_share_the_database_allocation() {
-        // The zero-copy contract of the retrieval path: database + every
-        // index backend hold the *same* feature matrix, not copies.
+        // The zero-copy contract of the retrieval path: the database and
+        // the index hold the *same* feature matrix, not copies.
         let ds = dataset();
-        let shared = ds.db.features_shared();
         let flat = build_flat_index(&ds.db);
-        assert!(std::sync::Arc::ptr_eq(&shared, &flat.shared_data()));
-        let ivf = build_ivf_index(
-            &ds.db,
-            &IvfConfig {
-                nlist: 4,
-                ..Default::default()
-            },
-        );
-        assert!(std::sync::Arc::ptr_eq(&shared, &ivf.shared_data()));
-        let lsh = build_lsh_index(&ds.db, &LshConfig::default());
-        assert!(std::sync::Arc::ptr_eq(&shared, &lsh.shared_data()));
-    }
-
-    #[test]
-    fn trait_objects_expose_backend_metadata() {
-        let ds = dataset();
-        let boxed: Vec<Box<dyn AnnIndex>> = vec![
-            Box::new(build_flat_index(&ds.db)),
-            Box::new(build_ivf_index(
-                &ds.db,
-                &IvfConfig {
-                    nlist: 4,
-                    ..Default::default()
-                },
-            )),
-            Box::new(build_lsh_index(&ds.db, &LshConfig::default())),
-        ];
-        let names: Vec<&str> = boxed.iter().map(|i| i.name()).collect();
-        assert_eq!(names, vec!["flat", "ivf", "lsh"]);
-        for index in &boxed {
-            assert_eq!(index.len(), ds.db.len());
-            assert_eq!(index.dim(), ds.db.dim());
-        }
+        assert!(std::sync::Arc::ptr_eq(
+            &ds.db.features_shared(),
+            &flat.shared_data()
+        ));
+        assert_eq!((flat.len(), flat.dim()), (ds.db.len(), ds.db.dim()));
     }
 }

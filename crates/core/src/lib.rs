@@ -32,10 +32,9 @@
 //! * [`LogKernel`] — RBF/linear kernels over sparse feedback-log vectors
 //!   (implementations of [`lrf_svm::Kernel`] for
 //!   [`lrf_logdb::SparseVector`]).
-//! * [`PooledRetrieval`] — the scale path: an `lrf-index` backend retrieves a
-//!   candidate pool and only the pool is scored and re-ranked; with the
-//!   exact flat backend and a full pool this reproduces the paper's
-//!   ranking exactly.
+//! * [`PooledRetrieval`] — the scale path: an `lrf-index` search retrieves a
+//!   candidate pool and only the pool is scored and re-ranked; with a full
+//!   pool this reproduces the paper's ranking exactly.
 //! * [`FeedbackLoop`] — the serving path: it turns the
 //!   one-shot schemes into resumable multi-round sessions (accumulated
 //!   judgments, typed errors, log-session flush) for `lrf-service`. Each

@@ -5,14 +5,15 @@
 //! related systems (PinView; Barz & Denzler) assume:
 //!
 //! 1. an [`AnnIndex`] retrieves a candidate pool — `pool_size` nearest
-//!    neighbors of the query feature (sublinear for IVF/LSH);
+//!    neighbors of the query feature (an exact scan: no workload is served
+//!    faster by an approximate index);
 //! 2. the learned scheme is fitted on the round
 //!    ([`RelevanceFeedback::fit_warm`]) and its scorer scores *only the
 //!    pool* ([`crate::feedback::PoolScorer::score_ids`]); images outside
 //!    the pool trail in id order (every evaluation cutoff that matters is
 //!    well inside the pool).
 //!
-//! With the exact flat backend and `pool_size ≥ N` this degrades — by
+//! With the exact flat index and `pool_size ≥ N` this degrades — by
 //! construction, not by accident — to the paper's full ranking, so the
 //! pooled path is a strict generalization of the reproduction.
 
@@ -37,15 +38,15 @@ impl<'a> PooledRetrieval<'a> {
 
     /// The candidate pool for a query: the index's nearest neighbors of
     /// the query feature, in index (distance) order, with the round's
-    /// labeled ids appended if an approximate backend missed any — the
-    /// scheme trained on them, so they must be rankable.
+    /// labeled ids appended if the pool is too shallow to hold them all —
+    /// the scheme trained on them, so they must be rankable.
     pub fn pool(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
         self.pool_with_stats(ctx).0
     }
 
     /// [`pool`](Self::pool) plus the index's per-query [`SearchStats`]
-    /// (distance evaluations, candidates, buckets probed) so a serving
-    /// layer can account the candidate-generation work per request.
+    /// (distance evaluations) so a serving layer can account the
+    /// candidate-generation work per request.
     pub fn pool_with_stats(&self, ctx: &QueryContext<'_>) -> (Vec<usize>, SearchStats) {
         let query_feature = ctx.db.feature(ctx.example.query);
         let (neighbors, stats) = self
@@ -234,16 +235,8 @@ mod tests {
     #[test]
     fn pooled_ranking_is_always_a_permutation() {
         let (ds, log) = setup();
-        let index = lrf_cbir::build_lsh_index(
-            &ds.db,
-            &lrf_index::LshConfig {
-                n_tables: 2,
-                n_bits: 8,
-                probes: 1,
-                seed: 3,
-            },
-        );
-        let pooled = PooledRetrieval::new(&index, 16);
+        let index = lrf_cbir::build_flat_index(&ds.db);
+        let pooled = PooledRetrieval::new(&index, 4);
         let proto = QueryProtocol {
             n_queries: 1,
             n_labeled: 8,
@@ -285,25 +278,17 @@ mod tests {
             pooled.pool(&ctx),
             "stats variant must not change the pool"
         );
-        // The flat backend evaluates every database distance per query.
+        // The flat scan evaluates every database distance per query, not
+        // one per pool slot.
         assert_eq!(stats.distance_evals, ds.db.len());
-        assert!(stats.candidates > 0);
     }
 
     #[test]
     fn labeled_ids_always_enter_the_pool() {
-        // A starved approximate index may miss labeled images; the pool
-        // must still include them.
+        // A pool shallower than the labeled set misses labeled images;
+        // the pool must still include them.
         let (ds, log) = setup();
-        let index = lrf_cbir::build_lsh_index(
-            &ds.db,
-            &lrf_index::LshConfig {
-                n_tables: 1,
-                n_bits: 10,
-                probes: 0,
-                seed: 9,
-            },
-        );
+        let index = lrf_cbir::build_flat_index(&ds.db);
         let pooled = PooledRetrieval::new(&index, 4);
         let proto = QueryProtocol {
             n_queries: 1,
@@ -316,6 +301,11 @@ mod tests {
             log: &log,
             example: &example,
         };
+        let searched = lrf_cbir::top_k_euclidean(&ds.db, 11, 4);
+        assert!(
+            example.labeled.iter().any(|(id, _)| !searched.contains(id)),
+            "precondition: some labeled id lies outside the top-4"
+        );
         let pool = pooled.pool(&ctx);
         for &(id, _) in &example.labeled {
             assert!(pool.contains(&id), "labeled id {id} missing from pool");

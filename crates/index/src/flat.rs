@@ -69,19 +69,11 @@ impl AnnIndex for FlatIndex {
         self.dim
     }
 
-    fn name(&self) -> &'static str {
-        "flat"
-    }
-
     fn search_with_stats(&self, query: &[f64], k: usize) -> (Vec<Neighbor>, SearchStats) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let n = self.len();
         let k = k.min(n);
-        let stats = SearchStats {
-            distance_evals: n,
-            candidates: n,
-            buckets_probed: 1,
-        };
+        let stats = SearchStats { distance_evals: n };
         if k == 0 {
             return (Vec::new(), stats);
         }
@@ -194,8 +186,6 @@ impl FlatShard {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let stats = SearchStats {
             distance_evals: self.len(),
-            candidates: self.len(),
-            buckets_probed: 1,
         };
         let mut top = TopK::new(k.min(self.len()));
         let dim = self.dim;
@@ -305,9 +295,11 @@ mod tests {
     fn stats_count_full_scan() {
         let data = random_matrix(50, 2, 3);
         let index = FlatIndex::build(&data, 2);
-        let (_, stats) = index.search_with_stats(&[0.0, 0.0], 5);
-        assert_eq!(stats.distance_evals, 50);
-        assert_eq!(stats.candidates, 50);
+        // Every row, whatever `k` asks for.
+        for k in [0, 5, 50, 500] {
+            let (_, stats) = index.search_with_stats(&[0.0, 0.0], k);
+            assert_eq!(stats.distance_evals, 50, "k={k}");
+        }
     }
 
     #[test]

@@ -106,21 +106,24 @@ pub(crate) fn to_json(store: &LogStore) -> Result<Vec<u8>, PersistError> {
 /// Deserializes a store from JSON bytes, rebuilding its columns by
 /// recording each session. A snapshot that parses but does not describe a
 /// valid store does not fit the schema either: a [`PersistError::Format`].
-/// `expect_images`, when given, must equal the snapshot's image count; it
-/// is checked before that count sizes any allocation.
-pub(crate) fn decode(bytes: &[u8], expect_images: Option<usize>) -> Result<LogStore, PersistError> {
+/// The snapshot's image count must equal `n_images`, the database's; it is
+/// checked before that count sizes any allocation.
+pub(crate) fn decode(bytes: &[u8], n_images: usize) -> Result<LogStore, PersistError> {
     let env: Envelope<Vec<LogSession>> = serde_json::from_slice(bytes)?;
     if !(1..=FORMAT_VERSION).contains(&env.version) {
         return Err(PersistError::UnsupportedVersion { found: env.version });
     }
     let invalid = |reason: String| PersistError::Format(serde::DeError::msg(reason).into());
-    let Snapshot { n_images, sessions } = env.store;
-    if n_images == 0 {
+    let Snapshot {
+        n_images: found,
+        sessions,
+    } = env.store;
+    if found == 0 {
         return Err(invalid("snapshot covers no images".into()));
     }
-    if let Some(want) = expect_images.filter(|&want| want != n_images) {
+    if found != n_images {
         return Err(invalid(format!(
-            "snapshot covers {n_images} images, database has {want}"
+            "snapshot covers {found} images, database has {n_images}"
         )));
     }
     let mut store = LogStore::new(n_images);
@@ -150,24 +153,31 @@ pub(crate) fn save_with(
     Ok(atomic_write(io, path, &to_json(store)?)?)
 }
 
-/// Loads a store from a file.
-pub fn load(path: &Path) -> Result<LogStore, PersistError> {
-    load_with(&StdIo, path)
+/// Loads a store over a database of `n_images` images from a file. A
+/// snapshot recorded for any other image count is a
+/// [`PersistError::Format`], refused before its count sizes anything.
+pub fn load(path: &Path, n_images: usize) -> Result<LogStore, PersistError> {
+    load_with(&StdIo, path, n_images)
 }
 
 /// [`load`] over an injectable IO backend (fault-injection tests).
-pub(crate) fn load_with(io: &dyn StorageIo, path: &Path) -> Result<LogStore, PersistError> {
-    decode(&io.read(path)?, None)
+pub(crate) fn load_with(
+    io: &dyn StorageIo,
+    path: &Path,
+    n_images: usize,
+) -> Result<LogStore, PersistError> {
+    decode(&io.read(path)?, n_images)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::{LogSession, Relevance};
+    use lrf_storage::MemIo;
 
-    /// The decoder as [`load`] runs it: no expected image count.
+    /// The decoder as [`load`] runs it over [`sample_store`]'s 8 images.
     fn from_json(bytes: &[u8]) -> Result<LogStore, PersistError> {
-        decode(bytes, None)
+        decode(bytes, 8)
     }
 
     fn sample_store() -> LogStore {
@@ -231,9 +241,25 @@ mod tests {
         let path = dir.join("store.json");
         let store = sample_store();
         save(&store, &path).unwrap();
-        let back = load(&path).unwrap();
+        let back = load(&path, 8).unwrap();
         assert_eq!(store, back);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_image_count_is_a_format_error_before_any_allocation() {
+        // 2⁶⁰ columns: sizing the store from the file would abort the
+        // process. The database's count is checked first.
+        let mem = MemIo::handle();
+        let path = Path::new("/db/huge.json");
+        let bytes = br#"{"version":2,"store":{"n_images":1152921504606846976,"sessions":[]}}"#;
+        mem.write(path, bytes).unwrap();
+        let err = load_with(mem.as_ref(), path, 8).unwrap_err();
+        assert!(matches!(err, PersistError::Format(_)), "{err}");
+        assert!(
+            err.to_string().contains("1152921504606846976 images"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -271,13 +297,13 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_typed_io_error() {
-        let err = load(Path::new("/definitely/not/here.json")).unwrap_err();
+        let err = load(Path::new("/definitely/not/here.json"), 8).unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
     }
 
     #[test]
     fn crash_mid_save_preserves_previous_snapshot() {
-        use lrf_storage::{FaultIo, FaultPlan, MemIo};
+        use lrf_storage::{FaultIo, FaultPlan};
 
         let mem = MemIo::handle();
         let path = Path::new("/db/store.json");
@@ -292,7 +318,7 @@ mod tests {
             let faulty = FaultIo::new(mem.clone(), FaultPlan::new().with_crash_at(crash_at));
             assert!(save_with(&faulty, &bigger, path).is_err());
             mem.crash();
-            let back = load_with(mem.as_ref(), path).unwrap();
+            let back = load_with(mem.as_ref(), path, 8).unwrap();
             assert_eq!(
                 back, old,
                 "crash at publish op {crash_at} must keep the old snapshot"

@@ -128,7 +128,7 @@ impl JudgmentWal {
 
         let had_snapshot = recovery.snapshot.is_some();
         let mut store = match &recovery.snapshot {
-            Some(bytes) => persist::decode(bytes, Some(n_images))?,
+            Some(bytes) => persist::decode(bytes, n_images)?,
             None => LogStore::new(n_images),
         };
 
@@ -230,7 +230,7 @@ mod tests {
         // The compacted snapshot is readable by plain persist::load_with —
         // the on-disk contract the module docs promise.
         let snap_path = dir().join("snapshot-000001.json");
-        let from_snapshot = crate::persist::load_with(mem.as_ref(), &snap_path).unwrap();
+        let from_snapshot = crate::persist::load_with(mem.as_ref(), &snap_path, 8).unwrap();
         assert_eq!(from_snapshot.n_sessions(), 1);
 
         let (_, store, had_snapshot, rec) =

@@ -50,12 +50,8 @@ pub mod names {
     pub const KERNEL_CACHE_HITS: &str = "kernel_cache_hits_total";
     /// Kernel-row cache misses across all retrains.
     pub const KERNEL_CACHE_MISSES: &str = "kernel_cache_misses_total";
-    /// ANN distance evaluations across all index queries.
+    /// Index distance evaluations across all index queries.
     pub const ANN_DISTANCE_EVALS: &str = "ann_distance_evals_total";
-    /// ANN candidates scored across all index queries.
-    pub const ANN_CANDIDATES: &str = "ann_candidates_total";
-    /// ANN inverted lists / hash buckets probed.
-    pub const ANN_BUCKETS_PROBED: &str = "ann_buckets_probed_total";
     /// Log-store snapshots taken (adopted from the shared store).
     pub const LOG_SNAPSHOTS: &str = "log_snapshots_total";
     /// Log-store session appends (adopted from the shared store).
@@ -139,8 +135,6 @@ pub struct ServiceMetrics {
     pub(crate) kernel_cache_hits: Arc<Counter>,
     pub(crate) kernel_cache_misses: Arc<Counter>,
     pub(crate) ann_distance_evals: Arc<Counter>,
-    pub(crate) ann_candidates: Arc<Counter>,
-    pub(crate) ann_buckets_probed: Arc<Counter>,
     pub(crate) wal_appends: Arc<Counter>,
     pub(crate) wal_retries: Arc<Counter>,
     pub(crate) wal_append_failures: Arc<Counter>,
@@ -205,8 +199,6 @@ impl ServiceMetrics {
         let kernel_cache_hits = registry.counter(names::KERNEL_CACHE_HITS);
         let kernel_cache_misses = registry.counter(names::KERNEL_CACHE_MISSES);
         let ann_distance_evals = registry.counter(names::ANN_DISTANCE_EVALS);
-        let ann_candidates = registry.counter(names::ANN_CANDIDATES);
-        let ann_buckets_probed = registry.counter(names::ANN_BUCKETS_PROBED);
         let wal_appends = registry.counter(names::WAL_APPENDS);
         let wal_retries = registry.counter(names::WAL_RETRIES);
         let wal_append_failures = registry.counter(names::WAL_APPEND_FAILURES);
@@ -234,8 +226,6 @@ impl ServiceMetrics {
             kernel_cache_hits,
             kernel_cache_misses,
             ann_distance_evals,
-            ann_candidates,
-            ann_buckets_probed,
             wal_appends,
             wal_retries,
             wal_append_failures,
@@ -287,8 +277,6 @@ impl ServiceMetrics {
     /// Accounts one index query's [`lrf_index::SearchStats`].
     pub(crate) fn count_search(&self, stats: lrf_index::SearchStats) {
         self.ann_distance_evals.add(stats.distance_evals as u64);
-        self.ann_candidates.add(stats.candidates as u64);
-        self.ann_buckets_probed.add(stats.buckets_probed as u64);
     }
 
     /// Accounts a startup recovery's [`lrf_logdb::DurableRecovery`] —
@@ -375,11 +363,8 @@ mod tests {
     #[test]
     fn search_and_round_accounting_reach_the_registry() {
         let m = ServiceMetrics::disabled();
-        m.count_search(lrf_index::SearchStats {
-            distance_evals: 10,
-            candidates: 7,
-            buckets_probed: 2,
-        });
+        m.count_search(lrf_index::SearchStats { distance_evals: 10 });
+        m.count_search(lrf_index::SearchStats { distance_evals: 7 });
         m.count_round(&lrf_core::RoundDiagnostics {
             converged: false,
             iterations: 42,
@@ -387,9 +372,7 @@ mod tests {
             cache_misses: 3,
         });
         let s = m.snapshot();
-        assert_eq!(s.counter(names::ANN_DISTANCE_EVALS), Some(10));
-        assert_eq!(s.counter(names::ANN_CANDIDATES), Some(7));
-        assert_eq!(s.counter(names::ANN_BUCKETS_PROBED), Some(2));
+        assert_eq!(s.counter(names::ANN_DISTANCE_EVALS), Some(17));
         assert_eq!(s.counter(names::SMO_ITERATIONS), Some(42));
         assert_eq!(s.counter(names::KERNEL_CACHE_HITS), Some(5));
         assert_eq!(s.counter(names::KERNEL_CACHE_MISSES), Some(3));

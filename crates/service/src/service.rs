@@ -113,11 +113,9 @@ struct SessionState {
 /// The thread-safe multi-session feedback service.
 ///
 /// Each session's ranking starts from one index search at `Open`, of depth
-/// `pool_size.max(screen_size)`. With the flat and sharded backends that
-/// search is exact, so the screen and every page before a rerank are
-/// windows on the full distance order, bit for bit. With an approximate
-/// [`AnnIndex`], the screen is the head of the pool search, which is the
-/// search `Rerank` already trusted.
+/// `pool_size.max(screen_size)`. The search is exact, so the screen and
+/// every page before a rerank are windows on the full distance order, bit
+/// for bit.
 pub struct Service {
     db: Arc<ImageDatabase>,
     index: Box<dyn AnnIndex>,
@@ -146,10 +144,6 @@ impl AnnIndex for EngineHandle {
 
     fn dim(&self) -> usize {
         self.0.dim()
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
     }
 
     fn search_with_stats(
@@ -536,9 +530,6 @@ impl Service {
             // Before the first rerank the head is the distance order only
             // as deep as it was searched: continue it, at least doubling
             // the depth, so a client walking the pages pays O(log N) scans.
-            // (An approximate index may find fewer than asked: the ids it
-            // missed then follow ascending, as in its full ranking, and
-            // each later page past them searches again.)
             let depth = end.max(2 * state.neighbors.len());
             state.neighbors = self.search(state.fb.example().query, depth);
         }
@@ -550,7 +541,7 @@ impl Service {
     }
 
     /// The query's `depth` nearest ids in index order (`depth` clamped to
-    /// the database; an approximate index may find fewer).
+    /// the database).
     fn search(&self, query: usize, depth: usize) -> Vec<usize> {
         let _scoring = self.metrics.time(&self.metrics.stage_scoring);
         let depth = depth.min(self.db.len());

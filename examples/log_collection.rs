@@ -82,7 +82,7 @@ fn main() {
     std::fs::create_dir_all(dir).expect("create output dir");
     let path = dir.join("feedback_log.json");
     persist::save(&refined, &path).expect("save log store");
-    let reloaded = persist::load(&path).expect("load log store");
+    let reloaded = persist::load(&path, ds.db.len()).expect("load log store");
     assert_eq!(reloaded, refined);
     println!(
         "\nlog store round-tripped through {} ({} bytes)",

@@ -127,12 +127,12 @@ fn full_stack_is_deterministic_across_rebuilds() {
 
 #[test]
 fn log_store_persistence_round_trips_through_disk() {
-    let (_ds, log, _lrf) = build();
+    let (ds, log, _lrf) = build();
     let dir = std::env::temp_dir().join("corelog_e2e_persist");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("log.json");
     corelog::logdb::persist::save(&log, &path).unwrap();
-    let back = corelog::logdb::persist::load(&path).unwrap();
+    let back = corelog::logdb::persist::load(&path, ds.db.len()).unwrap();
     assert_eq!(log, back);
     std::fs::remove_file(&path).ok();
 }

@@ -3,16 +3,11 @@
 //! public API, and the log-closure loop (sessions → log → future queries).
 
 use corelog::cbir::{
-    build_flat_index, build_lsh_index, collect_log, rank_with_index_stats, CorelDataset, CorelSpec,
-    ImageDatabase,
+    build_flat_index, collect_log, rank_with_index_stats, CorelDataset, CorelSpec, ImageDatabase,
 };
 use corelog::core::{FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, SchemeKind};
 use corelog::logdb::{LogStore, SimulationConfig};
-use corelog::service::{
-    DurabilityConfig, Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics,
-};
-use corelog::storage::MemIo;
-use lrf_index::LshConfig;
+use corelog::service::{Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics};
 use std::sync::Barrier;
 
 fn corpus() -> (ImageDatabase, LogStore) {
@@ -391,49 +386,6 @@ fn a_rerank_searches_nothing() {
             "{reranked:?}"
         );
         assert_eq!(searches(), before);
-    }
-}
-
-/// An approximate index may find fewer neighbours than a page asks for:
-/// the pages are still windows on its own full ranking — what it found,
-/// then every id it missed, ascending.
-#[test]
-fn pages_over_a_starved_approximate_index_follow_its_ranking() {
-    let (db, log) = corpus();
-    let lsh = LshConfig {
-        n_tables: 1,
-        n_bits: 8,
-        probes: 0,
-        seed: 5,
-    };
-    let (query, n) = (3, db.len());
-    let index = build_lsh_index(&db, &lsh);
-    let (ranking, _) = rank_with_index_stats(&db, &index, db.feature(query));
-    let (svc, _) = Service::with_durability_metrics(
-        db,
-        Box::new(index),
-        MemIo::handle(),
-        std::path::Path::new("/srv/feedback-wal"),
-        log,
-        ServiceConfig {
-            pool_size: 4,
-            screen_size: 3,
-            ..config()
-        },
-        DurabilityConfig::default(),
-        ServiceMetrics::new(),
-    )
-    .expect("in-memory storage opens");
-    let Response::Opened { session, screen } = svc.handle(Request::Open {
-        query,
-        scheme: SchemeKind::Euclidean,
-    }) else {
-        panic!("open failed")
-    };
-    assert_eq!(screen, ranking[..3]);
-    for (offset, count) in page_windows(n, 4) {
-        let end = offset.saturating_add(count).min(n);
-        assert_eq!(page(&svc, session, offset, count), ranking[offset..end]);
     }
 }
 
