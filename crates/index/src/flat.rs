@@ -7,11 +7,11 @@
 //! chasing.
 //!
 //! There is one such loop, [`FlatShard::search_d2`], over a contiguous id
-//! range. [`FlatIndex`] is that loop over the whole matrix — split into
-//! one range per core above `PARALLEL_THRESHOLD` rows and merged by
-//! [`merge_top_k`] — and a sharded serving plane is the same loop and the
-//! same merge with the ranges owned by long-lived workers instead of
-//! scoped threads.
+//! range. [`FlatIndex`] is that loop run serially over the whole matrix
+//! and finished by [`merge_top_k`] — the reference scan for evaluation
+//! and tests. A sharded serving plane is the same loop and the same merge
+//! with the ranges owned by long-lived workers; parallelism lives there
+//! (and across queries in batch evaluation), not inside one search.
 
 use crate::{d2, merge_top_k, AnnIndex, Neighbor, SearchStats, TopK};
 use std::sync::Arc;
@@ -26,10 +26,6 @@ pub struct FlatIndex {
     data: Arc<Vec<f64>>,
     dim: usize,
 }
-
-/// Below this collection size the serial scan wins (thread spawn costs
-/// more than the scan itself).
-const PARALLEL_THRESHOLD: usize = 8192;
 
 impl FlatIndex {
     /// Indexes `n = data.len() / dim` vectors from a row-major matrix
@@ -73,36 +69,14 @@ impl AnnIndex for FlatIndex {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let n = self.len();
         let k = k.min(n);
-        let stats = SearchStats { distance_evals: n };
         if k == 0 {
-            return (Vec::new(), stats);
+            return (Vec::new(), SearchStats { distance_evals: n });
         }
-
-        // One range below the threshold, one per core above it; each is
-        // scanned by [`FlatShard::search_d2`] and the partials go through
-        // [`merge_top_k`] on (d², id) — the same two bodies a sharded
-        // engine runs, so the result cannot depend on how many ranges
-        // there were or on scheduling.
-        let ranges = if n < PARALLEL_THRESHOLD {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |t| t.get())
-        };
-        let shards = FlatShard::split_shared(Arc::clone(&self.data), self.dim, ranges);
-        let partials: Vec<Vec<(usize, f64)>> = match shards.as_slice() {
-            [only] => vec![only.search_d2(query, k).0],
-            _ => std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.search_d2(query, k).0))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect()
-            }),
-        };
-        (merge_top_k(&partials, k), stats)
+        // One range over every row: the same scan and the same (d², id)
+        // merge a sharded engine runs, so the two agree bit for bit.
+        let (partial, stats) =
+            FlatShard::from_shared(Arc::clone(&self.data), self.dim, 0, n).search_d2(query, k);
+        (merge_top_k(&[partial], k), stats)
     }
 }
 
@@ -178,7 +152,7 @@ impl FlatShard {
     /// The shard's `k` nearest vectors to `query` as ascending
     /// `(global id, d²)` pairs, plus the scan's work counters — the
     /// scatter half of a sharded search, and the only exact scan in the
-    /// crate: [`FlatIndex`] searches by running it over its own ranges.
+    /// crate: [`FlatIndex`] searches by running it over all its rows.
     ///
     /// # Panics
     /// Panics if `query.len()` is not the shard's dimensionality.
@@ -243,26 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial_ordering() {
-        // Above PARALLEL_THRESHOLD the scan forks; results must be
-        // bit-identical to brute force anyway.
-        let dim = 4;
-        let n = PARALLEL_THRESHOLD + 513;
-        let data = random_matrix(n, dim, 42);
-        let index = FlatIndex::build(&data, dim);
-        let query = random_matrix(1, dim, 7);
-        let got = index.search(&query, 25);
-        let want = brute_force(&data, dim, &query, 25);
-        assert_eq!(got.len(), 25);
-        assert_eq!(
-            got.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-            want.iter().map(|&(id, _)| id).collect::<Vec<_>>()
-        );
-
+    fn full_ranking_on_tie_heavy_data_matches_brute_force() {
         // The whole collection (`k = n`, what a full ranking asks for) on
-        // tie-heavy data: coordinates from {0, 1, 2}, so most rows have
-        // duplicates on the other side of a range boundary and the merge
-        // must interleave them by id.
+        // tie-heavy data: coordinates from {0, 1, 2}, so most rows share
+        // their distance with others and ties must come out by id.
+        let (n, dim) = (8705, 4);
         let mut rng = StdRng::seed_from_u64(9);
         let data: Vec<f64> = (0..n * dim)
             .map(|_| f64::from(rng.gen_range(0u8..3)))

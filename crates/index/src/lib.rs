@@ -7,13 +7,14 @@
 //!
 //! * [`AnnIndex`] — the index contract: `search`, instrumented
 //!   [`AnnIndex::search_with_stats`].
-//! * [`FlatIndex`] — exact search: cache-friendly parallel scan over a
+//! * [`FlatIndex`] — exact search: one cache-friendly serial scan over a
 //!   contiguous row-major matrix with a bounded max-heap top-k (no
-//!   sort-everything). The paper's "Euclidean" ranking itself.
+//!   sort-everything). The paper's "Euclidean" ranking itself, and the
+//!   reference scan for evaluation and tests.
 //! * [`FlatShard`] + [`merge_top_k`] — the one exact scan body and the
 //!   one merge. A sharded serving plane runs them on its shard workers;
-//!   [`FlatIndex`] runs the same two on scoped threads over ranges of its
-//!   own matrix, so the planes cannot disagree.
+//!   [`FlatIndex`] runs the same two over all of its rows, so the two
+//!   cannot disagree.
 //!
 //! Distances are Euclidean; all internal comparisons use *squared*
 //! distance with [`f64::total_cmp`] and break ties by ascending id, so

@@ -5,10 +5,10 @@
 //! into the log that future queries train on. This crate is that serving
 //! plane, built on the zero-copy data plane underneath it:
 //!
-//! * one `Arc`-shared [`lrf_cbir::ImageDatabase`] + [`lrf_index::AnnIndex`]
-//!   (the index shares the database's feature allocation via
-//!   `build_shared` — the collection's features exist once in memory, no
-//!   matter how many sessions are live);
+//! * one `Arc`-shared [`lrf_cbir::ImageDatabase`] searched and scored by
+//!   a [`ShardedEngine`] whose shards are views over the database's
+//!   feature allocation — the collection's features exist once in memory,
+//!   no matter how many shards or sessions are live;
 //! * a [`lrf_logdb::DurableLogStore`]: sessions train on frozen log
 //!   snapshots while completed sessions append concurrently (copy-on-write
 //!   — a flush can never stall a query). Built with
@@ -23,22 +23,23 @@
 //!   which [`NetServer`] serves over HTTP in the one `{v, id, body}` frame
 //!   of [`wire`] without touching the engine.
 //!
-//! A [`Service`] is built one of three ways, all over one private `build`:
-//! [`Service::new`] (flat index, fresh metrics),
-//! [`Service::sharded_with_metrics`] (scatter-gather over a
-//! [`ShardedEngine`]) and [`Service::with_durability_metrics`] (WAL-backed
-//! log, any index); the last two take their [`ServiceMetrics`] explicitly.
+//! Every [`Service`] serves through its own [`ShardedEngine`], built by one
+//! private `build` from a shard count: [`Service::new`] (one shard, fresh
+//! metrics), [`Service::sharded_with_metrics`] (`n_shards`) and
+//! [`Service::with_durability_metrics`] (WAL-backed log, one shard); the
+//! last two take their [`ServiceMetrics`] explicitly.
 //!
 //! ## Session lifecycle
 //!
 //! ```text
-//! Open ──▶ initial screen (one index top-k search, pool-deep; the
-//!   │              session keeps the neighbours, content only)
+//! Open ──▶ initial screen (one top-k search across the shards,
+//!   │              pool-deep; the session keeps the neighbours, content
+//!   │              only)
 //!   │  Mark*      (judgments accumulate; typed errors, never panics)
 //!   │  Rerank     (no search: retrain scheme once on all judgments, score
-//!   │              the stored pool — in place, or scattered across the
-//!   │              shard workers: one `rerank_scattered` call either
-//!   │              way, bit-identical to the one-shot pooled path)
+//!   │              the stored pool across the shard workers — one
+//!   │              `rerank_scattered` call, bit-identical to the one-shot
+//!   │              pooled path)
 //!   │  Page*      (read slices of the current ranking: the stored head,
 //!   │              then the ids it lacks ascending; before a rerank a
 //!   │              page past the head deepens the search geometrically)

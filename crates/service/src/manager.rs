@@ -26,28 +26,6 @@
 use lrf_sync::{Arc, Mutex};
 use std::collections::HashMap;
 
-/// Why a session left the manager.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvictReason {
-    /// The manager was at capacity and this was the least-recently-used
-    /// session.
-    Capacity,
-    /// The session sat idle longer than the TTL.
-    Idle,
-}
-
-/// A session pushed out by an eviction policy, with its payload so the
-/// caller can salvage it (flush judgments to the log).
-#[derive(Debug)]
-pub struct Evicted<T> {
-    /// The evicted session's id.
-    pub id: u64,
-    /// The session payload.
-    pub payload: Arc<Mutex<T>>,
-    /// Which policy evicted it.
-    pub reason: EvictReason,
-}
-
 /// Why a lookup failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionGone {
@@ -102,9 +80,9 @@ impl<T> SessionManager<T> {
         self.clock
     }
 
-    /// Inserts a new session and returns its id, plus any sessions the
-    /// capacity policy pushed out (oldest `last_used` first).
-    pub fn insert(&mut self, payload: T) -> (u64, Vec<Evicted<T>>) {
+    /// Inserts a new session and returns its id, plus the payloads of any
+    /// sessions the capacity policy pushed out (oldest `last_used` first).
+    pub fn insert(&mut self, payload: T) -> (u64, Vec<Arc<Mutex<T>>>) {
         let now = self.tick();
         let id = self.next_id;
         self.next_id += 1;
@@ -131,11 +109,7 @@ impl<T> SessionManager<T> {
                 // lrf-lint: allow(service-panic): `lru` was produced by the
                 // min scan over this map one statement ago, under &mut self
                 .expect("lru id just found");
-            evicted.push(Evicted {
-                id: lru,
-                payload: entry.payload,
-                reason: EvictReason::Capacity,
-            });
+            evicted.push(entry.payload);
         }
         (id, evicted)
     }
@@ -161,11 +135,11 @@ impl<T> SessionManager<T> {
         }
     }
 
-    /// Expires every session idle for more than the TTL, returning them in
-    /// ascending id order. A sweep advances the clock, so a caller that
-    /// sweeps once per request gets "idle for N requests" TTL semantics
-    /// even when the requests themselves touch no session.
-    pub fn sweep(&mut self) -> Vec<Evicted<T>> {
+    /// Expires every session idle for more than the TTL, returning their
+    /// payloads in ascending id order. A sweep advances the clock, so a
+    /// caller that sweeps once per request gets "idle for N requests" TTL
+    /// semantics even when the requests themselves touch no session.
+    pub fn sweep(&mut self) -> Vec<Arc<Mutex<T>>> {
         if self.ttl == 0 {
             return Vec::new();
         }
@@ -181,17 +155,12 @@ impl<T> SessionManager<T> {
         stale
             .into_iter()
             .map(|id| {
-                let entry = self
-                    .entries
+                self.entries
                     .remove(&id)
                     // lrf-lint: allow(service-panic): `stale` ids were
                     // collected from this map above, under &mut self
-                    .expect("stale id just found");
-                Evicted {
-                    id,
-                    payload: entry.payload,
-                    reason: EvictReason::Idle,
-                }
+                    .expect("stale id just found")
+                    .payload
             })
             .collect()
     }
@@ -246,16 +215,16 @@ mod tests {
         let mut mgr: SessionManager<u32> = SessionManager::new(2, 0);
         let (a, _) = mgr.insert(10);
         let (b, _) = mgr.insert(20);
+        let b_handle = mgr.get(b).unwrap();
         // Touch a so b becomes LRU.
         mgr.get(a).unwrap();
         let (c, evicted) = mgr.insert(30);
         assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].id, b);
-        assert_eq!(evicted[0].reason, EvictReason::Capacity);
-        assert_eq!(*evicted[0].payload.lock().unwrap(), 20);
+        assert!(Arc::ptr_eq(&evicted[0], &b_handle));
+        assert_eq!(*evicted[0].lock().unwrap(), 20);
         assert!(mgr.get(a).is_ok());
         assert!(mgr.get(c).is_ok());
-        assert!(matches!(mgr.get(b), Err(SessionGone::Expired)));
+        assert_eq!(mgr.get(b).err(), Some(SessionGone::Expired));
     }
 
     #[test]
@@ -263,15 +232,15 @@ mod tests {
         let mut mgr: SessionManager<u32> = SessionManager::new(8, 3);
         let (a, _) = mgr.insert(1); // touched at clock 1
         let (b, _) = mgr.insert(2); // touched at clock 2
+        let a_handle = mgr.get(a).unwrap(); // clock 3
         for _ in 0..4 {
-            mgr.get(b).unwrap(); // clock 3..6, keeps b fresh
+            mgr.get(b).unwrap(); // clock 4..7, keeps b fresh
         }
-        let evicted = mgr.sweep(); // ticks to 7; deadline 4: a (1) < 4 ≤ b (6)
+        let evicted = mgr.sweep(); // ticks to 8; deadline 5: a (3) < 5 ≤ b (7)
         assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].id, a);
-        assert_eq!(evicted[0].reason, EvictReason::Idle);
+        assert!(Arc::ptr_eq(&evicted[0], &a_handle));
         assert!(mgr.get(b).is_ok());
-        assert!(matches!(mgr.get(a), Err(SessionGone::Expired)));
+        assert_eq!(mgr.get(a).err(), Some(SessionGone::Expired));
     }
 
     #[test]

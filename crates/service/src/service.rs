@@ -1,4 +1,5 @@
-//! The serving engine: one shared database + index + log, many sessions.
+//! The serving engine: one shared database + shard engine + log, many
+//! sessions.
 //!
 //! ## Concurrency architecture
 //!
@@ -17,7 +18,10 @@
 //!                  │        │                   here, parallel  │
 //!                  │        ▼                   across sessions)│
 //!                  │  Arc<ImageDatabase> ── Arc-shared flat     │
-//!                  │  Box<dyn AnnIndex>  ── matrix (one copy)   │
+//!                  │  ShardedEngine      ── matrix (one copy),  │
+//!                  │                        scanned and scored  │
+//!                  │                        by 1..N shard       │
+//!                  │                        workers             │
 //!                  │  DurableLogStore    ── snapshot reads,     │
 //!                  │                        COW appends,        │
 //!                  │                        WAL-first flushes   │
@@ -25,24 +29,25 @@
 //! ```
 //!
 //! The global lock covers only the session table; all learning runs under
-//! per-session locks against an immutable database/index and a frozen log
-//! snapshot, so N sessions retrain genuinely in parallel. The index is
-//! searched once per session, at `Open`, as deep as the candidate pool;
-//! every rerank re-ranks those neighbours, and no session holds an N-long
-//! ranking. Closing (or
-//! evicting) a session appends it to the shared log through the
-//! copy-on-write store — queries in flight keep their snapshot and are
+//! per-session locks against an immutable database and a frozen log
+//! snapshot, so N sessions retrain genuinely in parallel. Every service
+//! searches and scores through its engine's shard workers — one shard for
+//! [`Service::new`] and durable services. The database is searched once
+//! per session, at `Open`, as deep as the candidate pool; every rerank
+//! re-ranks those neighbours, and no session holds an N-long ranking.
+//! Closing (or evicting) a session appends it to the shared log through
+//! the copy-on-write store — queries in flight keep their snapshot and are
 //! never stalled — which is how today's sessions become the log vectors
 //! tomorrow's coupled-SVM queries train on.
 
 use crate::api::{Request, Response, ServiceError};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::flush::Flushable;
-use crate::manager::{Evicted, SessionGone, SessionManager};
+use crate::manager::{SessionGone, SessionManager};
 use crate::metrics::{names, ServiceMetrics};
 use crate::shard::ShardedEngine;
 use crate::wire;
-use lrf_cbir::{build_flat_index, ranking_window, ImageDatabase};
+use lrf_cbir::{ranking_window, ImageDatabase};
 use lrf_core::{FeedbackLoop, LrfConfig, SchemeKind};
 use lrf_index::AnnIndex;
 use lrf_logdb::{DurableLogStore, DurableRecovery, LogSession, LogStore, WalError};
@@ -67,7 +72,7 @@ pub struct ServiceConfig {
     pub screen_size: usize,
     /// Candidate-pool size for the rerank step (see
     /// [`lrf_core::PooledRetrieval`]), and so also `Open`'s search depth
-    /// (with `screen_size`, if that is larger): the one index search a
+    /// (with `screen_size`, if that is larger): the one search a
     /// session makes, unless it pages past the pool before its first
     /// rerank.
     pub pool_size: usize,
@@ -99,7 +104,7 @@ impl Default for ServiceConfig {
 /// `SessionExpired` — never a mutation of a detached session.
 struct SessionState {
     fb: FeedbackLoop,
-    /// The query's nearest neighbours in index order, searched at `Open`
+    /// The query's nearest neighbours in distance order, searched at `Open`
     /// at depth `pool_size.max(screen_size)`: the first `pool_size` are
     /// every rerank's candidate pool, since the query never changes. They
     /// are the ranking's head until the first rerank. A `Page` past them
@@ -112,13 +117,14 @@ struct SessionState {
 
 /// The thread-safe multi-session feedback service.
 ///
-/// Each session's ranking starts from one index search at `Open`, of depth
-/// `pool_size.max(screen_size)`. The search is exact, so the screen and
-/// every page before a rerank are windows on the full distance order, bit
-/// for bit.
+/// Each session's ranking starts from one search at `Open`, scattered over
+/// the engine's shards, of depth `pool_size.max(screen_size)`. The search
+/// is exact, so the screen and every page before a rerank are windows on
+/// the full distance order, bit for bit.
 pub struct Service {
     db: Arc<ImageDatabase>,
-    index: Box<dyn AnnIndex>,
+    /// Every search and every pool scoring runs on these shard workers.
+    engine: ShardedEngine,
     log: DurableLogStore,
     sessions: Mutex<SessionManager<Flushable<SessionState>>>,
     metrics: ServiceMetrics,
@@ -126,37 +132,10 @@ pub struct Service {
     /// Present on WAL-backed services; `None` means flushes are
     /// in-memory only (the pre-durability behaviour).
     durability: Option<Durability>,
-    /// Present on sharded services: the same engine `index` wraps, held
-    /// typed so the rerank path can scatter pool scoring across the
-    /// shard workers.
-    sharded: Option<Arc<ShardedEngine>>,
-}
-
-/// [`ShardedEngine`] behind the service's `Box<dyn AnnIndex>` slot while
-/// the service also holds the typed `Arc` (the orphan rule forbids
-/// implementing the foreign-ish trait for `Arc<ShardedEngine>` directly).
-struct EngineHandle(Arc<ShardedEngine>);
-
-impl AnnIndex for EngineHandle {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-
-    fn search_with_stats(
-        &self,
-        query: &[f64],
-        k: usize,
-    ) -> (Vec<lrf_index::Neighbor>, lrf_index::SearchStats) {
-        self.0.search_with_stats(query, k)
-    }
 }
 
 impl Service {
-    /// Builds a service over `db` with the exact flat index (shares the
+    /// Builds a service over `db` with one shard worker (a view over the
     /// database's feature allocation — no copy) and fresh metrics.
     ///
     /// # Panics
@@ -164,14 +143,12 @@ impl Service {
     /// (zero screen/pool size or session capacity, or a `config.lrf` that
     /// [`LrfConfig::validate`] rejects).
     pub fn new(db: ImageDatabase, log: LogStore, config: ServiceConfig) -> Self {
-        let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&db));
         Self::build(
             Arc::new(db),
-            index,
+            1,
             DurableLogStore::volatile(log),
             config,
             ServiceMetrics::new(),
-            None,
             None,
         )
     }
@@ -179,15 +156,15 @@ impl Service {
     /// Builds a sharded service: the database is split into `n_shards`
     /// contiguous-id flat shards (views over the one shared feature
     /// matrix — no rows are copied), each pinned to a worker thread. The
-    /// initial screen scatter-gathers the ANN search across the shards
-    /// and every rerank scatters its pool scoring the same way; both are
-    /// bit-identical to the single-shard flat service by construction
-    /// (merge on squared distances, partition-invariant scorers).
-    /// Per-shard stage histograms and the queue-depth gauge register in
-    /// the same `metrics` registry the request path records to.
+    /// initial screen scatter-gathers the search across the shards and
+    /// every rerank scatters its pool scoring the same way; both are
+    /// bit-identical to the one-shard service by construction (merge on
+    /// squared distances, partition-invariant scorers). Per-shard stage
+    /// histograms and the queue-depth gauge register in the same
+    /// `metrics` registry the request path records to.
     ///
     /// # Panics
-    /// As [`Service::new`].
+    /// As [`Service::new`], and if `n_shards == 0`.
     pub fn sharded_with_metrics(
         db: ImageDatabase,
         log: LogStore,
@@ -195,33 +172,30 @@ impl Service {
         config: ServiceConfig,
         metrics: ServiceMetrics,
     ) -> Self {
-        let db = Arc::new(db);
-        let engine = Arc::new(ShardedEngine::new(
-            Arc::clone(&db),
-            n_shards,
-            metrics.registry(),
-            metrics.clock_ref(),
-        ));
-        let index: Box<dyn AnnIndex> = Box::new(EngineHandle(Arc::clone(&engine)));
         Self::build(
-            db,
-            index,
+            Arc::new(db),
+            n_shards,
             DurableLogStore::volatile(log),
             config,
             metrics,
             None,
-            Some(engine),
         )
     }
 
-    /// Builds a crash-safe service: the feedback log lives behind a
-    /// checksummed WAL at `dir` on `io`, recovered (or seeded from
-    /// `seed` when the directory is empty) before serving starts. Every
-    /// flush is fsynced into the WAL before the close is acknowledged;
-    /// `policy` governs retries, spilling, and load shedding when
-    /// storage fails. Recovery counters (sessions recovered, torn tails
-    /// truncated, stale files swept) land in the `metrics` registry
+    /// Builds a crash-safe service with one shard worker: the feedback log
+    /// lives behind a checksummed WAL at `dir` on `io`, recovered (or
+    /// seeded from `seed` when the directory is empty) before serving
+    /// starts. Every flush is fsynced into the WAL before the close is
+    /// acknowledged; `policy` governs retries, spilling, and load shedding
+    /// when storage fails. Recovery counters (sessions recovered, torn
+    /// tails truncated, stale files swept) land in the `metrics` registry
     /// before the first request.
+    ///
+    /// `index` is checked against `db` — it must cover every image at the
+    /// database's dimension — and then dropped: the service searches
+    /// through its engine like every other. The parameter stays only
+    /// because `benchmark/` passes one; it goes when the benchmark reaches
+    /// the service through a single adapter (ROADMAP item 1).
     ///
     /// # Panics
     /// As [`Service::new`], and if `index` does not cover `db` or its
@@ -237,6 +211,13 @@ impl Service {
         policy: DurabilityConfig,
         metrics: ServiceMetrics,
     ) -> Result<(Self, DurableRecovery), WalError> {
+        assert_eq!(index.len(), db.len(), "index does not cover the database");
+        assert_eq!(
+            index.dim(),
+            db.dim(),
+            "index dimension does not match the database"
+        );
+        drop(index);
         let opts = WalOptions {
             segment_bytes: policy.segment_bytes,
         };
@@ -244,32 +225,25 @@ impl Service {
         metrics.count_recovery(&recovery);
         let svc = Self::build(
             Arc::new(db),
-            index,
+            1,
             log,
             config,
             metrics,
             Some(Durability::new(policy)),
-            None,
         );
         Ok((svc, recovery))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Checks the log and config against `db`, then spawns the engine's
+    /// `n_shards` workers — a rejected service starts no thread.
     fn build(
         db: Arc<ImageDatabase>,
-        index: Box<dyn AnnIndex>,
+        n_shards: usize,
         log: DurableLogStore,
         config: ServiceConfig,
         metrics: ServiceMetrics,
         durability: Option<Durability>,
-        sharded: Option<Arc<ShardedEngine>>,
     ) -> Self {
-        assert_eq!(index.len(), db.len(), "index does not cover the database");
-        assert_eq!(
-            index.dim(),
-            db.dim(),
-            "index dimension does not match the database"
-        );
         assert_eq!(
             log.n_images(),
             db.len(),
@@ -284,6 +258,12 @@ impl Service {
             config.max_sessions,
             config.ttl_requests,
         ));
+        let engine = ShardedEngine::new(
+            Arc::clone(&db),
+            n_shards,
+            metrics.registry(),
+            metrics.clock_ref(),
+        );
         // The store counts its own events; adopting the handles makes them
         // part of this service's snapshots.
         let log_counters = log.counters();
@@ -298,13 +278,12 @@ impl Service {
             .adopt_counter(names::LOG_COW_CLONES, log_counters.cow_clones);
         Self {
             db,
-            index,
+            engine,
             log,
             sessions,
             metrics,
             config,
             durability,
-            sharded,
         }
     }
 
@@ -480,17 +459,13 @@ impl Service {
         let neighbors = &state.neighbors[..self.config.pool_size.min(state.neighbors.len())];
         let reranked = {
             let _retrain = self.metrics.time(&self.metrics.stage_retrain);
-            // Train once here; score the pool across the shard workers
-            // when there are any, in place otherwise. Bit-identical either
-            // way by the scorer's partition-invariance contract (asserted
-            // end-to-end in tests/net_service.rs).
+            // Train once here; score the pool across the shard workers,
+            // bit-identical to one call by the scorer's partition-invariance
+            // contract (asserted end-to-end in tests/net_service.rs).
             state
                 .fb
                 .rerank_scattered(&self.db, &snapshot, neighbors, |scorer, ids| {
-                    match &self.sharded {
-                        Some(engine) => engine.scatter_scores(scorer, &snapshot, ids),
-                        None => scorer.score_ids(&self.db, &snapshot, ids),
-                    }
+                    self.engine.scatter_scores(scorer, &snapshot, ids)
                 })
         };
         state.neighbors.truncate(self.config.pool_size);
@@ -540,12 +515,12 @@ impl Service {
         }
     }
 
-    /// The query's `depth` nearest ids in index order (`depth` clamped to
-    /// the database).
+    /// The query's `depth` nearest ids in distance order (`depth` clamped
+    /// to the database).
     fn search(&self, query: usize, depth: usize) -> Vec<usize> {
         let _scoring = self.metrics.time(&self.metrics.stage_scoring);
         let depth = depth.min(self.db.len());
-        let (neighbors, stats) = self.index.search_with_stats(self.db.feature(query), depth);
+        let (neighbors, stats) = self.engine.search_with_stats(self.db.feature(query), depth);
         self.metrics.count_search(stats);
         neighbors.into_iter().map(|(id, _)| id).collect()
     }
@@ -735,9 +710,9 @@ impl Service {
         }
     }
 
-    fn flush_evicted(&self, evicted: Vec<Evicted<Flushable<SessionState>>>) {
-        for e in evicted {
-            let _ = self.flush(&e.payload);
+    fn flush_evicted(&self, evicted: Vec<Arc<Mutex<Flushable<SessionState>>>>) {
+        for payload in evicted {
+            let _ = self.flush(&payload);
         }
     }
 }
@@ -745,7 +720,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrf_cbir::{collect_log, CorelDataset, CorelSpec};
+    use lrf_cbir::{build_flat_index, collect_log, CorelDataset, CorelSpec};
     use lrf_logdb::SimulationConfig;
 
     fn dataset() -> (CorelDataset, LogStore) {
@@ -1271,14 +1246,12 @@ mod tests {
         // so every recorded duration is exactly zero while counts still
         // accumulate — the histogram contents are fully deterministic.
         let (ds, log) = dataset();
-        let index: Box<dyn AnnIndex> = Box::new(build_flat_index(&ds.db));
         let svc = Service::build(
             Arc::new(ds.db),
-            index,
+            1,
             DurableLogStore::volatile(log),
             config(),
             ServiceMetrics::with_clock(lrf_obs::ManualClock::shared()),
-            None,
             None,
         );
         svc.handle(Request::Open {

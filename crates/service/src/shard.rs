@@ -38,7 +38,7 @@ use lrf_core::ScorerRef;
 use lrf_index::{merge_top_k, AnnIndex, FlatShard, Neighbor, SearchStats};
 use lrf_logdb::LogStore;
 use lrf_obs::{ClockRef, Counter, Gauge, Histogram, Registry, SpanTimer};
-use lrf_sync::{mpsc, Arc, Mutex, MutexExt};
+use lrf_sync::{mpsc, Arc};
 
 /// A shareable frozen feedback log — what shard workers score against
 /// (the coordinator's per-round [`lrf_logdb::DurableLogStore::snapshot`]).
@@ -69,10 +69,10 @@ enum ShardJob {
 }
 
 /// The scatter-gather engine: shard worker threads plus the coordinator
-/// operations that fan work out and merge it back. Implements
-/// [`AnnIndex`], so a [`crate::Service`] can use it as a drop-in search
-/// backend while also scattering its rerank scoring through
-/// [`scatter_scores`](Self::scatter_scores).
+/// operations that fan work out and merge it back. Every
+/// [`crate::Service`] owns one (one shard unless built sharded) and runs
+/// each search ([`AnnIndex::search_with_stats`]) and each rerank's pool
+/// scoring ([`scatter_scores`](Self::scatter_scores)) through it.
 pub struct ShardedEngine {
     n: usize,
     dim: usize,
@@ -81,10 +81,9 @@ pub struct ShardedEngine {
     /// chunks partitioning `0..n`.
     chunk: usize,
     n_shards: usize,
-    /// Per-shard job feeds. `mpsc::Sender` is not `Sync`, so each sits
-    /// behind a mutex; sends are tiny (one enum move) and per-request
-    /// contention is one lock per shard.
-    senders: Vec<Mutex<mpsc::Sender<ShardJob>>>,
+    /// Per-shard job feeds, shared by every request thread without a lock
+    /// (`mpsc::Sender` is `Sync`).
+    senders: Vec<mpsc::Sender<ShardJob>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     queue_depth: Arc<Gauge>,
     jobs_total: Arc<Counter>,
@@ -126,7 +125,7 @@ impl ShardedEngine {
         let mut workers = Vec::with_capacity(n_shards);
         for (i, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel();
-            senders.push(Mutex::new(tx));
+            senders.push(tx);
             let search_ns = registry.histogram(&names::shard_search_ns(i));
             let score_ns = registry.histogram(&names::shard_score_ns(i));
             let worker_db = Arc::clone(&db);
@@ -166,7 +165,7 @@ impl ShardedEngine {
     fn dispatch(&self, shard: usize, job: ShardJob) {
         self.queue_depth.inc();
         self.jobs_total.inc();
-        let sent = self.senders[shard].lock_recover().send(job);
+        let sent = self.senders[shard].send(job);
         // A send can only fail if the worker thread is gone, which means
         // it panicked — an infrastructure failure the request cannot
         // recover from or route around.

@@ -50,7 +50,7 @@ impl Harness {
     fn open(&self) -> u64 {
         let (id, evicted) = self.sessions.lock_recover().insert(Flushable::new(0));
         for e in evicted {
-            self.flush(&e.payload);
+            self.flush(&e);
         }
         id
     }
@@ -89,7 +89,7 @@ impl Harness {
     fn sweep(&self) {
         let expired = self.sessions.lock_recover().sweep();
         for e in expired {
-            self.flush(&e.payload);
+            self.flush(&e);
         }
     }
 

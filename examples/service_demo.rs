@@ -41,7 +41,8 @@ fn main() {
         log.n_sessions()
     );
 
-    // 2. The service: one shared database + flat index + log.
+    // 2. The service: one shared database + log, searched and scored by a
+    //    one-shard engine (the worker thread scans the database's rows).
     let svc = Service::new(
         ds.db,
         log,

@@ -206,7 +206,7 @@ fn feedback_round(
 /// to the in-process single-shard reference, round after round, and both
 /// deployments flush the same number of sessions into the log.
 #[test]
-fn sharded_tcp_rankings_bit_identical_to_in_process_flat_reference() {
+fn sharded_tcp_rankings_bit_identical_to_in_process_one_shard_reference() {
     let (db, log) = corpus();
     let reference = Service::new(db, log, config());
     let server = sharded_server();

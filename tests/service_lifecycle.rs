@@ -7,7 +7,11 @@ use corelog::cbir::{
 };
 use corelog::core::{FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, SchemeKind};
 use corelog::logdb::{LogStore, SimulationConfig};
-use corelog::service::{Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics};
+use corelog::service::{
+    DurabilityConfig, Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics,
+};
+use corelog::storage::MemIo;
+use std::path::Path;
 use std::sync::Barrier;
 
 fn corpus() -> (ImageDatabase, LogStore) {
@@ -23,6 +27,24 @@ fn corpus() -> (ImageDatabase, LogStore) {
         },
     );
     (ds.db, log)
+}
+
+/// A durable service on an in-memory disk with the default policy, seeded
+/// from `log`.
+fn durable(db: ImageDatabase, log: LogStore, config: ServiceConfig) -> Service {
+    let index = Box::new(build_flat_index(&db));
+    Service::with_durability_metrics(
+        db,
+        index,
+        MemIo::handle(),
+        Path::new("/srv/feedback-wal"),
+        log,
+        config,
+        DurabilityConfig::default(),
+        ServiceMetrics::new(),
+    )
+    .expect("an empty in-memory disk opens")
+    .0
 }
 
 fn config() -> ServiceConfig {
@@ -258,8 +280,8 @@ fn page(svc: &Service, session: u64, offset: usize, count: usize) -> Vec<usize> 
     }
 }
 
-/// `Page` is a window on one ranking, on the flat and on the sharded
-/// service alike. Before any rerank that ranking is the query's full
+/// `Page` is a window on one ranking, on the one-shard, the sharded and
+/// the durable service alike. Before any rerank that ranking is the query's full
 /// distance order, `rank_with_index_stats`. After one it is the re-ranked
 /// candidate pool — the same round replayed on a standalone
 /// `FeedbackLoop` over `PooledRetrieval`'s pool — followed by every id
@@ -297,11 +319,12 @@ fn pages_are_windows_on_the_distance_order_then_on_the_reranked_pool() {
         ranking[start..offset.saturating_add(count).min(n)].to_vec()
     };
     let services = [
-        ("flat", Service::new(db.clone(), log.clone(), cfg)),
+        ("1 shard", Service::new(db.clone(), log.clone(), cfg)),
         (
             "3 shards",
             Service::sharded_with_metrics(db.clone(), log.clone(), 3, cfg, ServiceMetrics::new()),
         ),
+        ("durable", durable(db.clone(), log.clone(), cfg)),
     ];
     for (plane, svc) in &services {
         let Response::Opened { session, screen } = svc.handle(Request::Open {
@@ -345,16 +368,27 @@ fn pages_are_windows_on_the_distance_order_then_on_the_reranked_pool() {
 }
 
 /// A rerank re-ranks the neighbours `Open` already searched: it adds no
-/// distance evaluation and sends no shard a search job.
+/// distance evaluation and sends no shard a search job, but it does send
+/// the pool's scoring to the shards — one job on a one-shard service.
 #[test]
 fn a_rerank_searches_nothing() {
     let (db, log) = corpus();
     let n_shards = 3;
     let services = [
-        Service::new(db.clone(), log.clone(), config()),
-        Service::sharded_with_metrics(db, log, n_shards, config(), ServiceMetrics::new()),
+        ("1 shard", Service::new(db.clone(), log.clone(), config())),
+        (
+            "3 shards",
+            Service::sharded_with_metrics(
+                db.clone(),
+                log.clone(),
+                n_shards,
+                config(),
+                ServiceMetrics::new(),
+            ),
+        ),
+        ("durable", durable(db, log, config())),
     ];
-    for svc in &services {
+    for (plane, svc) in &services {
         let Response::Opened { session, screen } = svc.handle(Request::Open {
             query: 17,
             scheme: SchemeKind::LrfCsvm,
@@ -378,14 +412,22 @@ fn a_rerank_searches_nothing() {
                 .collect();
             (snapshot.counter("ann_distance_evals_total"), shard_searches)
         };
+        let jobs = || svc.metrics_snapshot().counter("shard_jobs_total");
         let before = searches();
-        assert!(before.0 > Some(0), "open searched");
+        let jobs_before = jobs().unwrap_or_else(|| panic!("{plane}: no shard job counter"));
+        assert!(before.0 > Some(0), "{plane}: open searched");
         let reranked = svc.handle(Request::Rerank { session });
         assert!(
             matches!(reranked, Response::Reranked { .. }),
-            "{reranked:?}"
+            "{plane}: {reranked:?}"
         );
-        assert_eq!(searches(), before);
+        assert_eq!(searches(), before, "{plane}");
+        let scored = jobs().unwrap() - jobs_before;
+        if *plane == "3 shards" {
+            assert!(scored >= 1, "{plane}: the rerank scored nothing");
+        } else {
+            assert_eq!(scored, 1, "{plane}: one score job on one shard");
+        }
     }
 }
 
