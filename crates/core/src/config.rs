@@ -5,6 +5,7 @@
 //! `lrf-bench` (`reproduce ablate-rho | ablate-delta | ablate-unlabeled |
 //! ablate-noise | ablate-sessions` measure the sensitivity).
 
+use crate::kernels::LogRbfKernel;
 use lrf_svm::SmoParams;
 
 /// Parameters of the coupled-SVM optimization (Eq. 1 + the annealing
@@ -35,13 +36,6 @@ pub struct CoupledConfig {
     /// no termination proof (flips can oscillate); the cap guarantees
     /// bounded retrieval latency and is surfaced in [`crate::TrainReport`].
     pub max_correction_rounds: usize,
-    /// Seed every retrain inside one training run with the previous
-    /// machines' dual solutions (clipped to the new `ρ*` bounds and
-    /// repaired). The annealing schedule re-solves the same sample set a
-    /// dozen-plus times, so warm solves converge in a fraction of the cold
-    /// iterations; the final models agree with cold training within the
-    /// solver's KKT tolerance. Disable to reproduce cold-start behavior.
-    pub warm_start: bool,
     /// Inner QP solver parameters.
     pub smo: SmoParams,
 }
@@ -55,7 +49,6 @@ impl Default for CoupledConfig {
             rho_init: 1e-4,
             delta: 0.5,
             max_correction_rounds: 10,
-            warm_start: true,
             smo: SmoParams::default(),
         }
     }
@@ -120,10 +113,10 @@ pub struct LrfConfig {
     /// calibrated so RF-SVM's improvement over Euclidean matches the
     /// paper's ratio (the `tune_rf` example is the grid search).
     pub gamma_content: Option<f64>,
-    /// Kernel over the sparse log vectors. Default: plain RBF with
-    /// `γ = 0.1` (the `tune_log` example in `lrf-bench` is the grid search
-    /// over kernel family and width that picked it).
-    pub log_kernel: crate::kernels::LogKernel,
+    /// RBF kernel over the sparse log vectors. Default `γ = 0.1`, picked
+    /// by a grid search over kernel family and width (the table is in
+    /// `lrf-bench`'s crate docs).
+    pub log_kernel: LogRbfKernel,
 }
 
 impl Default for LrfConfig {
@@ -133,7 +126,7 @@ impl Default for LrfConfig {
             n_unlabeled: 10,
             selection: UnlabeledSelection::MaxMinCombinedDistance,
             gamma_content: Some(1.0),
-            log_kernel: crate::kernels::LogKernel::Rbf { gamma: 0.1 },
+            log_kernel: LogRbfKernel { gamma: 0.1 },
         }
     }
 }
@@ -148,13 +141,10 @@ impl LrfConfig {
     pub fn validate(&self) {
         self.coupled.validate();
         assert!(self.n_unlabeled >= 2, "need at least two unlabeled samples");
-        match self.log_kernel {
-            crate::kernels::LogKernel::Rbf { gamma }
-            | crate::kernels::LogKernel::CosineRbf { gamma } => {
-                assert!(gamma > 0.0, "log kernel gamma must be positive");
-            }
-            crate::kernels::LogKernel::Linear => {}
-        }
+        assert!(
+            self.log_kernel.gamma > 0.0,
+            "log kernel gamma must be positive"
+        );
         if let Some(g) = self.gamma_content {
             assert!(g > 0.0, "gamma_content must be positive");
         }

@@ -30,12 +30,13 @@
 //!
 //! **Warm starts.** Every retrain inside one run solves a QP over the
 //! *same* concatenated sample set — only the bounds (`ρ*` doubling) and a
-//! few pseudo-labels change between rounds. With
-//! [`CoupledConfig::warm_start`] (the default) each view's solve is seeded
-//! with its previous dual solution via [`lrf_svm::train_warm`], which
-//! clips it to the new bounds and repairs feasibility; the annealing
-//! schedule's dozen-plus retrains then each start a stone's throw from
-//! their optimum instead of from zero.
+//! few pseudo-labels change between rounds. So each view's solve after
+//! its first is seeded with its previous dual solution via
+//! [`lrf_svm::train_warm`], which clips it to the new bounds and repairs
+//! feasibility; the annealing schedule's dozen-plus retrains then each
+//! start a stone's throw from their optimum instead of from zero. The
+//! final models agree with cold training within the solver's KKT
+//! tolerance (the tests keep a cold reference run).
 
 use crate::config::CoupledConfig;
 use lrf_svm::{train_warm, Kernel, SmoParams, SvmError, TrainedSvm};
@@ -106,6 +107,44 @@ where
     B2: Borrow<S2>,
     K2: Kernel<S2> + Clone,
 {
+    anneal_views(
+        labeled_a,
+        labeled_b,
+        y,
+        unlabeled_a,
+        unlabeled_b,
+        y_init,
+        kernel_a,
+        kernel_b,
+        cfg,
+        true,
+    )
+}
+
+/// [`train_coupled`], with every retrain after a view's first seeded from
+/// its previous solution when `warm` (cold solves are the tests'
+/// reference).
+#[allow(clippy::too_many_arguments)]
+fn anneal_views<S1, B1, K1, S2, B2, K2>(
+    labeled_a: &[B1],
+    labeled_b: &[B2],
+    y: &[f64],
+    unlabeled_a: &[B1],
+    unlabeled_b: &[B2],
+    y_init: &[f64],
+    kernel_a: K1,
+    kernel_b: K2,
+    cfg: &CoupledConfig,
+    warm: bool,
+) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
+where
+    S1: ?Sized + ToOwned,
+    B1: Borrow<S1>,
+    K1: Kernel<S1> + Clone,
+    S2: ?Sized + ToOwned,
+    B2: Borrow<S2>,
+    K2: Kernel<S2> + Clone,
+{
     assert_eq!(
         labeled_a.len(),
         labeled_b.len(),
@@ -134,6 +173,7 @@ where
         y,
         y_prime: y_init.to_vec(),
         cfg,
+        warm,
         report: TrainReport {
             rho_steps: 0,
             retrains: 0,
@@ -233,6 +273,8 @@ struct Annealing<'a, S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
     y: &'a [f64],
     y_prime: Vec<f64>,
     cfg: &'a CoupledConfig,
+    /// Seed each retrain from the view's previous solution.
+    warm: bool,
     report: TrainReport,
 }
 
@@ -275,9 +317,8 @@ where
     /// Re-solves both views, content first, at the current pseudo-labels.
     fn retrain(&mut self, rho_star: f64) -> Result<(), SvmError> {
         let labels = [self.y, &self.y_prime].concat();
-        self.content
-            .retrain(&labels, rho_star, self.cfg.warm_start)?;
-        self.log.retrain(&labels, rho_star, self.cfg.warm_start)?;
+        self.content.retrain(&labels, rho_star, self.warm)?;
+        self.log.retrain(&labels, rho_star, self.warm)?;
         self.report.retrains += 1;
         Ok(())
     }
@@ -540,14 +581,10 @@ mod tests {
         // spending no more total SMO iterations.
         let (la, lb, y, ua, ub) = agreeing_problem();
         let (ka, kb) = kernels();
-        let warm_cfg = CoupledConfig::default();
-        assert!(warm_cfg.warm_start, "warm starts must be the default");
-        let cold_cfg = CoupledConfig {
-            warm_start: false,
-            ..warm_cfg
-        };
-        let warm = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &warm_cfg).unwrap();
-        let cold = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cold_cfg).unwrap();
+        let cfg = CoupledConfig::default();
+        let y_init = [1.0, -1.0];
+        let warm = train_coupled(&la, &lb, &y, &ua, &ub, &y_init, ka, kb, &cfg).unwrap();
+        let cold = anneal_views(&la, &lb, &y, &ua, &ub, &y_init, ka, kb, &cfg, false).unwrap();
         assert_eq!(warm.report.final_labels, cold.report.final_labels);
         assert_eq!(warm.report.retrains, cold.report.retrains);
         for x in la.iter().chain(&ua) {

@@ -29,8 +29,8 @@
 //! * [`lrf_csvm::LrfCsvm`] — the practical `LRF-CSVM` algorithm of Fig. 1:
 //!   unlabeled selection by combined SVM distance, coupled training,
 //!   ranking by `CSVM_Dist`.
-//! * [`LogKernel`] — RBF/linear kernels over sparse feedback-log vectors
-//!   (implementations of [`lrf_svm::Kernel`] for
+//! * [`LogRbfKernel`] — the RBF kernel over sparse feedback-log vectors
+//!   (an implementation of [`lrf_svm::Kernel`] for
 //!   [`lrf_logdb::SparseVector`]).
 //! * [`PooledRetrieval`] — the scale path: an `lrf-index` search retrieves a
 //!   candidate pool and only the pool is scored and re-ranked; with a full
@@ -82,7 +82,7 @@ pub use active::RoundSelection;
 pub use config::{CoupledConfig, LrfConfig, UnlabeledSelection};
 pub use coupled::{train_coupled, CoupledOutcome, TrainReport};
 pub use feedback::{QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState};
-pub use kernels::{LogKernel, LogRbfKernel};
+pub use kernels::LogRbfKernel;
 pub use log_collection::collect_feedback_log;
 pub use lrf_2svms::Lrf2Svms;
 pub use lrf_csvm::LrfCsvm;

@@ -11,7 +11,7 @@ use crate::config::LrfConfig;
 use crate::feedback::{
     PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
-use crate::kernels::LogKernel;
+use crate::kernels::LogRbfKernel;
 use crate::rf_svm::RfSvm;
 use lrf_logdb::SparseVector;
 use lrf_svm::{train_warm, SvmModel, TrainedSvm};
@@ -38,7 +38,7 @@ impl Lrf2Svms {
         &self,
         ctx: &QueryContext<'_>,
         warm: Option<&[f64]>,
-    ) -> TrainedSvm<SparseVector, LogKernel> {
+    ) -> TrainedSvm<SparseVector, LogRbfKernel> {
         let samples: Vec<&SparseVector> = ctx
             .example
             .labeled
@@ -96,7 +96,7 @@ impl RelevanceFeedback for Lrf2Svms {
 /// were *trained* differs, so scoring is one code path.
 pub(crate) struct SummedScorer {
     pub(crate) content: SvmModel<[f64], lrf_svm::RbfKernel>,
-    pub(crate) log: SvmModel<SparseVector, LogKernel>,
+    pub(crate) log: SvmModel<SparseVector, LogRbfKernel>,
 }
 
 impl PoolScorer for SummedScorer {

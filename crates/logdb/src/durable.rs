@@ -8,24 +8,27 @@
 //! * **WAL order == store order.** [`DurableLogStore::record_durable`]
 //!   holds the WAL lock across the in-memory append, so session ids
 //!   assigned by the store match the WAL's replay order exactly.
-//! * **Memory ⊇ WAL.** A session is never in the WAL without also being
-//!   in memory; [`DurableLogStore::append_wal_only`] (the spill-drain
-//!   path) is the one deliberate exception's repair: it backfills the
-//!   WAL for sessions already recorded volatile, and compaction is the
-//!   caller's tool to reconcile (see `lrf-service`'s durability policy).
-//! * **Compaction never duplicates.** [`DurableLogStore::compact`]
-//!   snapshots the in-memory store, which contains every WAL session
-//!   (per the previous invariant), so snapshot + empty WAL ≡ old
-//!   snapshot + replayed sessions.
+//! * **Disk is a prefix of memory.** The sessions on disk (snapshot plus
+//!   WAL) are the store's first sessions; the rest, recorded by
+//!   [`DurableLogStore::record_volatile`] while storage failed, are
+//!   [`unsynced`](DurableLogStore::unsynced). While any is, the WAL
+//!   refuses appends, so no later session can overtake one in replay.
+//! * **Compaction is the one repair, and never duplicates.**
+//!   [`DurableLogStore::compact`] snapshots the whole in-memory store under
+//!   the WAL lock: every WAL session and every unsynced one, each exactly
+//!   once. Snapshot + empty WAL ≡ the store; nothing is ever appended to
+//!   the WAL after a snapshot that already holds it.
 //!
 //! A store opened [`volatile`](DurableLogStore::volatile) has no WAL at
 //! all — the pre-durability behaviour, which every service not built over
-//! a WAL directory still runs on, as do tests and read-only tooling.
+//! a WAL directory still runs on, as do tests and read-only tooling. It
+//! counts nothing as unsynced and takes no lock beyond the store's own.
 
 use std::path::Path;
 
 use lrf_storage::wal::WalOptions;
 use lrf_storage::IoRef;
+use lrf_sync::atomic::{AtomicUsize, Ordering};
 use lrf_sync::{Mutex, MutexExt};
 
 use crate::session::LogSession;
@@ -38,6 +41,11 @@ use crate::wal::{DurableRecovery, JudgmentWal, WalError};
 pub struct DurableLogStore {
     shared: SharedLogStore,
     wal: Option<Mutex<JudgmentWal>>,
+    /// Sessions in memory but neither in the WAL nor in its snapshot.
+    /// Relaxed is enough: every write, and the read that gates an append,
+    /// happen under the WAL lock, which orders them; reads without the
+    /// lock (admission, gauges) are advisory.
+    unsynced: AtomicUsize,
 }
 
 impl DurableLogStore {
@@ -47,6 +55,7 @@ impl DurableLogStore {
         Self {
             shared: SharedLogStore::from_store(store),
             wal: None,
+            unsynced: AtomicUsize::new(0),
         }
     }
 
@@ -63,6 +72,7 @@ impl DurableLogStore {
             Self {
                 shared: SharedLogStore::from_store(store),
                 wal: Some(Mutex::new(wal)),
+                unsynced: AtomicUsize::new(0),
             },
             recovery,
         ))
@@ -92,6 +102,7 @@ impl DurableLogStore {
             Self {
                 shared: SharedLogStore::from_store(store),
                 wal: Some(Mutex::new(wal)),
+                unsynced: AtomicUsize::new(0),
             },
             recovery,
         ))
@@ -103,12 +114,21 @@ impl DurableLogStore {
     /// an in-memory record.
     ///
     /// An `Err` means *neither* the WAL nor the store recorded the
-    /// session — the caller may retry, spill, or degrade.
+    /// session — the caller may retry or record it volatile. While any
+    /// session is [`unsynced`](Self::unsynced) the append is refused
+    /// without touching storage: replaying this session ahead of the
+    /// unsynced ones would give it another id. [`compact`](Self::compact)
+    /// lifts the refusal.
     pub fn record_durable(&self, session: LogSession) -> Result<usize, WalError> {
         match &self.wal {
             None => Ok(self.shared.record(session)),
             Some(wal) => {
                 let mut wal = wal.lock_recover();
+                if self.unsynced() > 0 {
+                    return Err(WalError::Io(std::io::Error::other(
+                        "unsynced sessions precede this one; compact first",
+                    )));
+                }
                 wal.append(&session)?;
                 Ok(self.shared.record(session))
             }
@@ -116,32 +136,42 @@ impl DurableLogStore {
     }
 
     /// Record in memory only, bypassing the WAL. This is the degraded
-    /// path: the session is *not* crash-safe until a later
-    /// [`append_wal_only`](Self::append_wal_only) or
-    /// [`compact`](Self::compact) reconciles it.
+    /// path: the session counts as [`unsynced`](Self::unsynced), and is
+    /// not crash-safe, until a [`compact`](Self::compact) snapshots it.
     pub fn record_volatile(&self, session: LogSession) -> usize {
-        self.shared.record(session)
+        let Some(wal) = &self.wal else {
+            return self.shared.record(session);
+        };
+        // Under the WAL lock a compaction's snapshot holds both the
+        // session and its count, or neither.
+        let _wal = wal.lock_recover();
+        let id = self.shared.record(session);
+        self.unsynced.fetch_add(1, Ordering::Relaxed);
+        id
     }
 
-    /// Backfill the WAL with a session that is already in memory (the
-    /// spill-drain path after a degraded stretch). Call in the same
-    /// order the sessions were recorded volatile.
-    pub fn append_wal_only(&self, session: &LogSession) -> Result<(), WalError> {
-        match &self.wal {
-            None => Ok(()),
-            Some(wal) => wal.lock_recover().append(session),
-        }
+    /// Sessions recorded [`volatile`](Self::record_volatile) since the
+    /// last successful [`compact`](Self::compact): in memory, not on disk.
+    /// Always 0 on a WAL-less store.
+    pub fn unsynced(&self) -> usize {
+        self.unsynced.load(Ordering::Relaxed)
     }
 
     /// Publish the current in-memory store as the WAL's snapshot and
-    /// retire the replay segments. No-op on a WAL-less store.
+    /// retire the replay segments, making every unsynced session durable.
+    /// No-op on a WAL-less store. On `Err` the unsynced count is unchanged
+    /// and recovery still finds the previous snapshot plus the WAL.
     pub fn compact(&self) -> Result<(), WalError> {
         let Some(wal) = &self.wal else { return Ok(()) };
         let mut wal = wal.lock_recover();
-        // Snapshot under the WAL lock: no durable append can interleave,
-        // so the snapshot is guaranteed to contain every WAL session.
+        // Snapshot under the WAL lock: no record of either kind can
+        // interleave, so the snapshot holds every WAL session and exactly
+        // the `covered` unsynced ones.
         let snapshot = self.shared.snapshot();
-        wal.compact(&snapshot)
+        let covered = self.unsynced();
+        wal.compact(&snapshot)?;
+        self.unsynced.fetch_sub(covered, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Segments started in the current WAL epoch (0 for WAL-less).
@@ -204,7 +234,10 @@ mod tests {
         let db = DurableLogStore::volatile(LogStore::new(4));
         let id = db.record_durable(session(&[(0, true)])).unwrap();
         assert_eq!(id, 0);
-        assert_eq!(db.n_sessions(), 1);
+        assert_eq!(db.record_volatile(session(&[(1, true)])), 1);
+        assert_eq!(db.unsynced(), 0, "nothing to sync without a WAL");
+        db.compact().unwrap();
+        assert_eq!(db.n_sessions(), 2);
     }
 
     #[test]
@@ -248,24 +281,29 @@ mod tests {
     }
 
     #[test]
-    fn spill_drain_backfills_without_duplicating() {
+    fn compaction_makes_volatile_sessions_durable() {
         let mem = MemIo::handle();
         let (db, _) = DurableLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        // Degraded stretch: recorded volatile only.
-        let spilled = session(&[(5, true)]);
-        db.record_volatile(spilled.clone());
-        // Drain: backfill the WAL for the already-in-memory session.
-        db.append_wal_only(&spilled).unwrap();
-        db.record_durable(session(&[(6, false)])).unwrap();
+        db.record_durable(session(&[(4, true)])).unwrap();
+        // Degraded stretch: recorded in memory only.
+        assert_eq!(db.record_volatile(session(&[(5, true)])), 1);
+        assert_eq!(db.unsynced(), 1);
+        // The WAL refuses to let a later session overtake it in replay.
+        assert!(db.record_durable(session(&[(6, false)])).is_err());
+        assert_eq!(db.n_sessions(), 2, "a refused append records nothing");
+        // Compaction is the repair: the snapshot holds the volatile session.
+        db.compact().unwrap();
+        assert_eq!(db.unsynced(), 0);
+        assert_eq!(db.record_durable(session(&[(6, false)])).unwrap(), 2);
         drop(db);
         mem.crash();
 
-        let (db, _) = DurableLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        assert_eq!(
-            db.n_sessions(),
-            2,
-            "backfilled session replays exactly once"
-        );
+        let (db, rec) =
+            DurableLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        assert_eq!(db.n_sessions(), 3, "each session recovers exactly once");
+        assert_eq!(rec.replayed_sessions, 1, "only the post-compact session");
+        assert_eq!(db.snapshot().entry(5, 1), 1.0);
+        assert_eq!(db.unsynced(), 0);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //!   session appends with snapshot compaction, so acknowledged feedback
 //!   survives a crash without whole-store rewrites.
 //! * [`DurableLogStore`] — unites the shared store and the WAL:
-//!   WAL-first recording, spill backfill, compaction.
+//!   WAL-first recording, volatile recording counted as unsynced while
+//!   storage fails, and compaction as the one repair.
 
 mod durable;
 pub mod persist;

@@ -51,9 +51,10 @@ pub enum Request {
         /// Session id.
         session: u64,
     },
-    /// Reconciles the durability backlog: drains sessions that were
-    /// recorded volatile during a storage outage back into the WAL, then
-    /// compacts. A no-op (immediately `Synced`) on a WAL-less service.
+    /// Reconciles the durability backlog by compacting: one snapshot of
+    /// the whole log makes every session recorded volatile during a
+    /// storage outage durable. Appends nothing to the WAL. A no-op
+    /// (immediately `Synced`) on a WAL-less service.
     SyncLog,
     /// Service-level counters.
     Stats,
@@ -115,13 +116,15 @@ pub enum Response {
         /// Whether the flushed judgments are crash-safe: `true` when the
         /// flush reached the fsynced WAL before this acknowledgement (or
         /// there was nothing to flush), `false` when storage was failing
-        /// and the session is held in memory awaiting a
-        /// [`Request::SyncLog`] drain.
+        /// (or earlier sessions were still unsynced) and the session is
+        /// held in memory until a compaction — [`Request::SyncLog`] or the
+        /// close path's own — snapshots it.
         durable: bool,
     },
-    /// The durability backlog was reconciled (see [`Request::SyncLog`]).
+    /// The log was compacted (see [`Request::SyncLog`]).
     Synced {
-        /// Sessions still awaiting WAL backfill (0 after a full drain).
+        /// Sessions still unsynced after the compaction: 0 unless a
+        /// degraded close recorded one after its snapshot.
         spilled: usize,
         /// WAL segments started in the current epoch.
         wal_segments: u64,
@@ -211,12 +214,13 @@ pub enum ServiceError {
         /// Parser message.
         reason: String,
     },
-    /// Admission control shed this request: the durability spill queue is
-    /// past its watermark and accepting new sessions would grow the
-    /// backlog of judgments that cannot currently be made crash-safe.
-    /// Retry after storage recovers (a successful [`Request::SyncLog`]).
+    /// Admission control shed this request: the unsynced sessions (recorded
+    /// volatile, not yet compacted) reached the watermark, and accepting
+    /// new sessions would grow the backlog of judgments that cannot
+    /// currently be made crash-safe. Retry after storage recovers (a
+    /// successful [`Request::SyncLog`]).
     Overloaded {
-        /// Sessions awaiting WAL backfill when the request was shed.
+        /// Unsynced sessions when the request was shed.
         spilled_sessions: usize,
     },
     /// The operation needs healthy storage and storage is failing; state

@@ -14,8 +14,8 @@
 //!   — a flush can never stall a query). Built with
 //!   [`Service::with_durability_metrics`], every flush is fsynced into a
 //!   checksummed WAL before the close is acknowledged, with a typed
-//!   degradation path (retry → spill → shed, see [`DurabilityConfig`]) when
-//!   storage fails;
+//!   degradation path (retry → volatile → shed → compact, see
+//!   [`DurabilityConfig`]) when storage fails;
 //! * a [`manager::SessionManager`]: each session is a resumable
 //!   [`lrf_core::FeedbackLoop`] behind its own lock, with LRU capacity
 //!   eviction and an idle TTL, both deterministic against a logical clock;

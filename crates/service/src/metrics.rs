@@ -63,13 +63,8 @@ pub mod names {
     /// WAL append attempts retried after a storage failure.
     pub const WAL_RETRIES: &str = "wal_retries_total";
     /// Flushes whose WAL append exhausted its retry/deadline budget and
-    /// fell back to the volatile + spill path.
+    /// fell back to the volatile path.
     pub const WAL_APPEND_FAILURES: &str = "wal_append_failures_total";
-    /// Sessions parked in the spill queue awaiting WAL backfill.
-    pub const WAL_SPILLED_SESSIONS: &str = "wal_spilled_sessions_total";
-    /// Sessions the spill queue rejected because it was full (recorded in
-    /// memory only — lost on crash until the next compaction).
-    pub const WAL_SPILL_REJECTED: &str = "wal_spill_rejected_total";
     /// Requests shed by durability admission control.
     pub const SHED_REQUESTS: &str = "shed_requests_total";
     /// WAL snapshot compactions that committed.
@@ -77,9 +72,10 @@ pub mod names {
     /// Durable-flush stage latency: WAL append (with retries/backoff)
     /// plus the in-memory record, per flushed session.
     pub const STAGE_DURABLE_FLUSH: &str = "stage_durable_flush_ns";
-    /// Current spill-queue depth.
-    pub const WAL_SPILL_DEPTH: &str = "wal_spill_depth";
-    /// 1 while the service is degraded (flushes bypassing the WAL).
+    /// Sessions recorded volatile and not yet compacted: in memory, lost
+    /// on a crash (see [`lrf_logdb::DurableLogStore::unsynced`]).
+    pub const WAL_UNSYNCED_SESSIONS: &str = "wal_unsynced_sessions";
+    /// 1 while any session is unsynced (flushes bypassing the WAL).
     pub const STORAGE_DEGRADED: &str = "storage_degraded";
     /// Sessions recovered from disk at startup (snapshot + WAL replay).
     pub const RECOVERY_SESSIONS: &str = "recovery_sessions_total";
@@ -138,12 +134,10 @@ pub struct ServiceMetrics {
     pub(crate) wal_appends: Arc<Counter>,
     pub(crate) wal_retries: Arc<Counter>,
     pub(crate) wal_append_failures: Arc<Counter>,
-    pub(crate) wal_spilled_sessions: Arc<Counter>,
-    pub(crate) wal_spill_rejected: Arc<Counter>,
     pub(crate) shed_requests: Arc<Counter>,
     pub(crate) wal_compactions: Arc<Counter>,
     pub(crate) stage_durable_flush: Arc<Histogram>,
-    pub(crate) wal_spill_depth: Arc<Gauge>,
+    pub(crate) wal_unsynced_sessions: Arc<Gauge>,
     pub(crate) storage_degraded: Arc<Gauge>,
 }
 
@@ -202,12 +196,10 @@ impl ServiceMetrics {
         let wal_appends = registry.counter(names::WAL_APPENDS);
         let wal_retries = registry.counter(names::WAL_RETRIES);
         let wal_append_failures = registry.counter(names::WAL_APPEND_FAILURES);
-        let wal_spilled_sessions = registry.counter(names::WAL_SPILLED_SESSIONS);
-        let wal_spill_rejected = registry.counter(names::WAL_SPILL_REJECTED);
         let shed_requests = registry.counter(names::SHED_REQUESTS);
         let wal_compactions = registry.counter(names::WAL_COMPACTIONS);
         let stage_durable_flush = registry.histogram(names::STAGE_DURABLE_FLUSH);
-        let wal_spill_depth = registry.gauge(names::WAL_SPILL_DEPTH);
+        let wal_unsynced_sessions = registry.gauge(names::WAL_UNSYNCED_SESSIONS);
         let storage_degraded = registry.gauge(names::STORAGE_DEGRADED);
         Self {
             registry,
@@ -229,12 +221,10 @@ impl ServiceMetrics {
             wal_appends,
             wal_retries,
             wal_append_failures,
-            wal_spilled_sessions,
-            wal_spill_rejected,
             shed_requests,
             wal_compactions,
             stage_durable_flush,
-            wal_spill_depth,
+            wal_unsynced_sessions,
             storage_degraded,
         }
     }

@@ -41,7 +41,7 @@
 //! tomorrow's coupled-SVM queries train on.
 
 use crate::api::{Request, Response, ServiceError};
-use crate::durability::{Durability, DurabilityConfig};
+use crate::durability::DurabilityConfig;
 use crate::flush::Flushable;
 use crate::manager::{SessionGone, SessionManager};
 use crate::metrics::{names, ServiceMetrics};
@@ -129,9 +129,9 @@ pub struct Service {
     sessions: Mutex<SessionManager<Flushable<SessionState>>>,
     metrics: ServiceMetrics,
     config: ServiceConfig,
-    /// Present on WAL-backed services; `None` means flushes are
-    /// in-memory only (the pre-durability behaviour).
-    durability: Option<Durability>,
+    /// The retry and shedding policy of a WAL-backed service; `None`
+    /// means flushes are in-memory only (the pre-durability behaviour).
+    durability: Option<DurabilityConfig>,
 }
 
 impl Service {
@@ -186,8 +186,8 @@ impl Service {
     /// lives behind a checksummed WAL at `dir` on `io`, recovered (or
     /// seeded from `seed` when the directory is empty) before serving
     /// starts. Every flush is fsynced into the WAL before the close is
-    /// acknowledged; `policy` governs retries, spilling, and load shedding
-    /// when storage fails. Recovery counters (sessions recovered, torn
+    /// acknowledged; `policy` governs retries and load shedding when
+    /// storage fails. Recovery counters (sessions recovered, torn
     /// tails truncated, stale files swept) land in the `metrics` registry
     /// before the first request.
     ///
@@ -223,14 +223,7 @@ impl Service {
         };
         let (log, recovery) = DurableLogStore::open_with_seed(io, dir, seed, opts)?;
         metrics.count_recovery(&recovery);
-        let svc = Self::build(
-            Arc::new(db),
-            1,
-            log,
-            config,
-            metrics,
-            Some(Durability::new(policy)),
-        );
+        let svc = Self::build(Arc::new(db), 1, log, config, metrics, Some(policy));
         Ok((svc, recovery))
     }
 
@@ -242,7 +235,7 @@ impl Service {
         log: DurableLogStore,
         config: ServiceConfig,
         metrics: ServiceMetrics,
-        durability: Option<Durability>,
+        durability: Option<DurabilityConfig>,
     ) -> Self {
         assert_eq!(
             log.n_images(),
@@ -314,18 +307,16 @@ impl Service {
 
     /// Shuts the service down, returning the accumulated log for
     /// persistence. Resident sessions are flushed first (in id order, so
-    /// the resulting log is deterministic). On a durable service the
-    /// spill queue is drained and a final compaction is attempted, so the
-    /// on-disk state matches the returned store whenever storage allows.
+    /// the resulting log is deterministic). On a durable service a final
+    /// compaction is attempted, so the on-disk state matches the returned
+    /// store whenever storage allows.
     pub fn into_log(self) -> LogStore {
         let drained = self.sessions.lock_recover().drain();
         for (_, payload) in drained {
             let _ = self.flush(&payload);
         }
-        if self.durability.is_some() {
-            // Best-effort: a still-failing disk must not block shutdown.
-            let _ = self.sync_log();
-        }
+        // Best-effort: a still-failing disk must not block shutdown.
+        let _ = self.compact();
         self.log.into_store()
     }
 
@@ -384,14 +375,15 @@ impl Service {
     }
 
     fn open(&self, query: usize, scheme: SchemeKind) -> Response {
-        // Admission control: while the durability backlog is past its
+        // Admission control: while the unsynced backlog is past its
         // watermark, refuse new sessions — every judgment they produce
-        // would join the queue of feedback we cannot make crash-safe.
-        if let Some(dur) = &self.durability {
-            if dur.should_shed() {
+        // would join the feedback we cannot make crash-safe.
+        if let Some(policy) = &self.durability {
+            let unsynced = self.log.unsynced();
+            if policy.sheds(unsynced) {
                 self.metrics.shed_requests.inc();
                 return Response::err(ServiceError::Overloaded {
-                    spilled_sessions: dur.spill_depth(),
+                    spilled_sessions: unsynced,
                 });
             }
         }
@@ -551,38 +543,23 @@ impl Service {
         }
     }
 
-    /// Drains the spill queue back into the WAL (in record order), then
-    /// compacts. Stops at the first storage error — the remaining spill
-    /// is intact and a later `SyncLog` resumes where this one failed.
+    /// Compacts: one snapshot makes every unsynced session durable. A
+    /// storage error changes nothing, and a later `SyncLog` tries again.
     fn sync_log(&self) -> Response {
-        let Some(dur) = &self.durability else {
+        if self.durability.is_none() {
             return Response::Synced {
                 spilled: 0,
                 wal_segments: 0,
                 compacted: false,
             };
-        };
-        while let Some(session) = dur.pop_spill() {
-            if let Err(e) = self.log.append_wal_only(&session) {
-                dur.unpop_spill(session);
-                self.metrics.wal_spill_depth.set(dur.spill_depth() as u64);
-                return Response::err(ServiceError::Degraded {
-                    reason: e.to_string(),
-                });
-            }
-            self.metrics.wal_appends.inc();
         }
-        self.metrics.wal_spill_depth.set(0);
-        if let Err(e) = self.log.compact() {
+        if let Err(e) = self.compact() {
             return Response::err(ServiceError::Degraded {
                 reason: e.to_string(),
             });
         }
-        self.metrics.wal_compactions.inc();
-        dur.set_degraded(false);
-        self.metrics.storage_degraded.set(0);
         Response::Synced {
-            spilled: 0,
+            spilled: self.log.unsynced(),
             wal_segments: self.log.wal_segments(),
             compacted: true,
         }
@@ -633,22 +610,21 @@ impl Service {
     }
 
     /// Records one completed session through the durability policy:
-    /// WAL-first with retry + bounded backoff + clock deadline, degrading
-    /// to volatile + spill when the budget is exhausted. Returns the log
-    /// session id and whether it is crash-safe.
+    /// WAL-first with retry + bounded backoff + clock deadline, recording
+    /// volatile when the budget is exhausted. Returns the log session id
+    /// and whether it is crash-safe.
     fn record_session(&self, session: LogSession) -> (usize, bool) {
-        let Some(dur) = &self.durability else {
+        let Some(cfg) = &self.durability else {
             // WAL-less service: the in-memory record is all there is.
             return (self.log.record_volatile(session), false);
         };
         let _span = self.metrics.time(&self.metrics.stage_durable_flush);
-        // While degraded, skip the retry budget entirely: paying a full
-        // backoff ladder per flush during a known outage only adds
-        // latency, and a disk that quietly recovered must not interleave
-        // fresh WAL appends ahead of the spilled backlog (replay order
-        // must match session-id order). `sync_log` is the one path back.
-        if !dur.is_degraded() {
-            let cfg = &dur.config;
+        // While any session is unsynced, skip the retry budget entirely:
+        // the WAL refuses appends behind an unsynced session (replay order
+        // must match session-id order), and paying a backoff ladder per
+        // flush during a known outage only adds latency. Compaction is the
+        // one path back.
+        if self.log.unsynced() == 0 {
             let start = self.metrics.clock().now_ns();
             /// Ceiling of the doubling backoff: 100 ms.
             const MAX_BACKOFF_NS: u64 = 100_000_000;
@@ -659,7 +635,7 @@ impl Service {
                 match self.log.record_durable(session.clone()) {
                     Ok(id) => {
                         self.metrics.wal_appends.inc();
-                        self.maybe_compact(dur);
+                        self.maybe_compact(cfg);
                         return (id, true);
                     }
                     Err(_) => {
@@ -678,36 +654,41 @@ impl Service {
                 }
             }
             self.metrics.wal_append_failures.inc();
-            dur.set_degraded(true);
-            self.metrics.storage_degraded.set(1);
         }
         // Degraded path: the judgment still lands in memory (future
-        // queries train on it) and is parked for WAL backfill; the
-        // caller learns the truth via `durable: false`.
-        let id = self.log.record_volatile(session.clone());
-        if dur.push_spill(session) {
-            self.metrics.wal_spilled_sessions.inc();
-        } else {
-            self.metrics.wal_spill_rejected.inc();
-        }
-        self.metrics.wal_spill_depth.set(dur.spill_depth() as u64);
+        // queries train on it) and waits for a compaction; the caller
+        // learns the truth via `durable: false`.
+        let id = self.log.record_volatile(session);
+        self.publish_unsynced();
         (id, false)
     }
 
     /// Opportunistic compaction on the durable fast path: once enough
-    /// segments accumulated (and nothing is spilled — compacting while
-    /// sessions await backfill would still be correct, but `sync_log`
-    /// owns that reconciliation), fold the WAL into a fresh snapshot.
-    fn maybe_compact(&self, dur: &Durability) {
-        if dur.config.compact_segments == 0
-            || dur.spill_depth() > 0
-            || self.log.wal_segments() < dur.config.compact_segments
-        {
-            return;
+    /// segments accumulated, fold the WAL into a fresh snapshot.
+    fn maybe_compact(&self, cfg: &DurabilityConfig) {
+        if cfg.compact_segments > 0 && self.log.wal_segments() >= cfg.compact_segments {
+            let _ = self.compact();
         }
-        if self.log.compact().is_ok() {
-            self.metrics.wal_compactions.inc();
+    }
+
+    /// The one repair after an outage and the WAL's fold: snapshot the
+    /// whole log (see [`DurableLogStore::compact`]). A no-op on a WAL-less
+    /// service.
+    fn compact(&self) -> Result<(), WalError> {
+        if self.durability.is_none() {
+            return Ok(());
         }
+        self.log.compact()?;
+        self.metrics.wal_compactions.inc();
+        self.publish_unsynced();
+        Ok(())
+    }
+
+    /// Mirrors the log's unsynced count into the durability gauges.
+    fn publish_unsynced(&self) {
+        let unsynced = self.log.unsynced() as u64;
+        self.metrics.wal_unsynced_sessions.set(unsynced);
+        self.metrics.storage_degraded.set(u64::from(unsynced > 0));
     }
 
     fn flush_evicted(&self, evicted: Vec<Arc<Mutex<Flushable<SessionState>>>>) {
@@ -1270,7 +1251,6 @@ mod tests {
             max_attempts: 2,
             backoff_ns: 0,
             deadline_ns: 0,
-            spill_capacity: 4,
             shed_watermark: 1,
             ..DurabilityConfig::default()
         }
@@ -1417,13 +1397,12 @@ mod tests {
         let snap = svc.metrics_snapshot();
         assert_eq!(snap.counter(names::WAL_APPEND_FAILURES), Some(1));
         assert_eq!(snap.counter(names::WAL_RETRIES), Some(1), "max_attempts=2");
-        assert_eq!(snap.counter(names::WAL_SPILLED_SESSIONS), Some(1));
-        assert_eq!(snap.gauge(names::WAL_SPILL_DEPTH), Some(1));
+        assert_eq!(snap.gauge(names::WAL_UNSYNCED_SESSIONS), Some(1));
         assert_eq!(snap.gauge(names::STORAGE_DEGRADED), Some(1));
         // The judgment still trains future queries (recorded volatile).
         assert_eq!(svc.log_sessions(), 21);
 
-        // Admission control: spill depth 1 ≥ watermark 1 sheds new Opens.
+        // Admission control: 1 unsynced ≥ watermark 1 sheds new Opens.
         let resp = svc.handle(Request::Open {
             query: 0,
             scheme: SchemeKind::Euclidean,
@@ -1439,9 +1418,9 @@ mod tests {
             Some(1)
         );
 
-        // While the outage holds, SyncLog reports Degraded and keeps the
-        // spill intact. Each failed attempt consumes op indices, so the
-        // window eventually ends and a later SyncLog drains everything.
+        // While the outage holds, SyncLog reports Degraded and the session
+        // stays unsynced. Each failed attempt consumes op indices, so the
+        // window eventually ends and a later SyncLog's compaction lands.
         let mut synced = None;
         for attempt in 0..40 {
             match svc.handle(Request::SyncLog) {
@@ -1462,8 +1441,10 @@ mod tests {
         assert_eq!(spilled, 0);
         assert!(compacted);
         let snap = svc.metrics_snapshot();
-        assert_eq!(snap.gauge(names::WAL_SPILL_DEPTH), Some(0));
+        assert_eq!(snap.gauge(names::WAL_UNSYNCED_SESSIONS), Some(0));
         assert_eq!(snap.gauge(names::STORAGE_DEGRADED), Some(0));
+        // The repair is the compaction alone: nothing was appended.
+        assert_eq!(snap.counter(names::WAL_APPENDS), Some(0));
         assert!(snap.counter(names::WAL_COMPACTIONS).unwrap() >= 1);
 
         // Admission reopens once reconciled.
@@ -1475,11 +1456,12 @@ mod tests {
             Response::Opened { .. }
         ));
 
-        // And the backfilled session is now genuinely crash-safe.
+        // And the compacted session is now genuinely crash-safe.
         drop(svc);
         mem.crash();
         let (svc, rec) = durable_service(mem.clone());
-        assert_eq!(rec.recovered_sessions, 21, "spilled session was backfilled");
+        assert_eq!(rec.recovered_sessions, 21, "the snapshot holds it once");
+        assert_eq!(rec.replayed_sessions, 0);
         assert_eq!(svc.log_sessions(), 21);
     }
 

@@ -138,8 +138,9 @@ fn run_schedule(seed: u64) -> Outcome {
                 acked.push(payload);
             }
             // An append that failed both attempts is simply unacknowledged;
-            // the writer moves on (the service layer's spill queue handles
-            // user-facing retries — here we only care about the invariant).
+            // the writer moves on (the service layer records such a session
+            // volatile until a compaction — here we only care about the
+            // invariant).
 
             if acked.len().is_multiple_of(COMPACT_EVERY) && !acked.is_empty() {
                 // Compaction failure is fine: the epoch is unchanged and

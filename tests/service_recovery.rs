@@ -1,19 +1,23 @@
 //! Crash-safety integration: the durable service through the `corelog`
 //! facade. A `Close` acknowledged as durable survives a power cut; a
-//! storage outage degrades gracefully (volatile flush + spill + shed)
-//! and `SyncLog` reconciles the backlog back into the WAL; recovery
-//! counters surface through the metrics endpoint.
+//! storage outage degrades gracefully (volatile flush + shed) and
+//! `SyncLog`'s compaction makes the unsynced sessions durable; seeded
+//! schedules of outages, closes and syncs recover exactly the sessions
+//! that reached the disk, once each; recovery counters surface through the
+//! metrics endpoint.
 
 use std::path::Path;
 
 use corelog::cbir::{build_flat_index, collect_log, CorelDataset, CorelSpec, ImageDatabase};
 use corelog::core::{LrfConfig, SchemeKind};
-use corelog::logdb::{LogStore, SimulationConfig};
+use corelog::logdb::{DurableLogStore, LogSession, LogStore, Relevance, SimulationConfig};
 use corelog::obs::ManualClock;
+use corelog::service::metrics::names;
 use corelog::service::{
     DurabilityConfig, Request, Response, Service, ServiceConfig, ServiceError, ServiceMetrics,
 };
-use corelog::storage::{FaultIo, FaultPlan, IoRef, MemIo};
+use corelog::storage::fault::splitmix64;
+use corelog::storage::{FaultIo, FaultKind, FaultPlan, IoRef, MemIo, WalOptions};
 
 const WAL_DIR: &str = "/srv/feedback-wal";
 
@@ -50,7 +54,6 @@ fn policy() -> DurabilityConfig {
         max_attempts: 2,
         backoff_ns: 0,
         deadline_ns: 0,
-        spill_capacity: 8,
         shed_watermark: 1,
         ..DurabilityConfig::default()
     }
@@ -58,6 +61,10 @@ fn policy() -> DurabilityConfig {
 
 /// Builds a durable service over `io` with a deterministic clock.
 fn durable_service(io: IoRef) -> Service {
+    service_with(io, policy())
+}
+
+fn service_with(io: IoRef, policy: DurabilityConfig) -> Service {
     let (db, seed) = corpus();
     let index = Box::new(build_flat_index(&db));
     let (svc, _) = Service::with_durability_metrics(
@@ -67,11 +74,19 @@ fn durable_service(io: IoRef) -> Service {
         Path::new(WAL_DIR),
         seed,
         config(),
-        policy(),
+        policy,
         ServiceMetrics::with_clock(ManualClock::shared()),
     )
     .expect("durable service must open");
     svc
+}
+
+/// Storage ops a durable service spends opening over an empty disk:
+/// everything before the first flush (open/mark never touch disk).
+fn construction_ops() -> u64 {
+    let probe = FaultIo::handle(MemIo::io_ref(), FaultPlan::new());
+    let _svc = durable_service(probe.clone());
+    probe.ops()
 }
 
 /// One minimal session: open, judge a handful, close. Returns the
@@ -136,11 +151,7 @@ fn durable_close_survives_power_cut() {
 fn outage_degrades_then_sync_log_reconciles() {
     // Pin the outage window to the first flush: construction is the only
     // storage traffic before it, so a dry run counts the ops it consumes.
-    let probe = FaultIo::handle(MemIo::io_ref(), FaultPlan::new());
-    let svc = durable_service(probe.clone());
-    let construction_ops = probe.ops();
-    drop(svc);
-
+    let construction_ops = construction_ops();
     let mem = MemIo::handle();
     let fault = FaultIo::handle(
         mem.clone(),
@@ -165,16 +176,16 @@ fn outage_degrades_then_sync_log_reconciles() {
         other => panic!("expected Overloaded while degraded, got {other:?}"),
     }
 
-    // Reconcile: SyncLog drains the spill queue once the outage lifts.
-    // Each failed attempt consumes fault-plan ops, so loop until healed.
+    // Reconcile: SyncLog compacts once the outage lifts. Each failed
+    // attempt consumes fault-plan ops, so loop until healed.
     let mut reconciled = false;
     for _ in 0..40 {
         match svc.handle(Request::SyncLog) {
             Response::Synced {
                 spilled, compacted, ..
             } => {
-                assert_eq!(spilled, 0, "a successful sync drains everything");
-                assert!(compacted, "sync compacts the backfilled WAL");
+                assert_eq!(spilled, 0, "a successful sync leaves nothing unsynced");
+                assert!(compacted, "sync is a compaction");
                 reconciled = true;
                 break;
             }
@@ -190,14 +201,159 @@ fn outage_degrades_then_sync_log_reconciles() {
     let (_, durable) = run_one_session(&svc, 3);
     assert!(durable);
 
-    // The spilled session was backfilled into the WAL: it survives a cut.
+    // The volatile session is in the compaction's snapshot: it survives a
+    // cut.
     drop(svc);
     mem.crash();
     let svc = durable_service(mem.clone());
     assert_eq!(
         log_sessions(&svc),
         14,
-        "12 seeded + 1 spilled-then-synced + 1 durable close"
+        "12 seeded + 1 volatile-then-compacted + 1 durable close"
+    );
+}
+
+/// Composed-outage schedules per run. CI's chaos matrix sets
+/// `CHAOS_SEED_BASE` per leg, so the legs run disjoint seeds.
+const OUTAGE_SCHEDULES: u64 = 6;
+
+#[test]
+fn seeded_outages_recover_exactly_the_compacted_sessions() {
+    let base = std::env::var("CHAOS_SEED_BASE")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0);
+    let construction_ops = construction_ops();
+    for seed in base..base + OUTAGE_SCHEDULES {
+        run_outage_schedule(seed, construction_ops);
+    }
+}
+
+/// One seeded schedule: up to three outage windows over the storage ops
+/// after construction, then sixteen steps, each a judged session (open,
+/// four marks, close) or a `SyncLog`, then a power cut and recovery.
+///
+/// The test keeps its own books. A close acked `durable: true` is on disk;
+/// one acked `durable: false` is unsynced until a compaction commits,
+/// which puts every session recorded before it on disk. Recovery must
+/// return exactly the on-disk sessions, in id order, each once.
+fn run_outage_schedule(seed: u64, construction_ops: u64) {
+    let mut rng = seed;
+    let mut plan = FaultPlan::new();
+    let mut at = construction_ops;
+    for _ in 0..1 + splitmix64(&mut rng) % 3 {
+        at += splitmix64(&mut rng) % 24;
+        let len = 1 + splitmix64(&mut rng) % 12;
+        for op in at..at + len {
+            plan = plan.with_fault(op, FaultKind::Error);
+        }
+        at += len;
+    }
+    let shed_watermark = 2;
+    let policy = DurabilityConfig {
+        shed_watermark,
+        ..policy()
+    };
+    let mem = MemIo::handle();
+    let svc = service_with(FaultIo::handle(mem.clone(), plan), policy);
+    let n_images = svc.db().len();
+    let seeded = log_sessions(&svc);
+
+    let mut on_disk: Vec<LogSession> = Vec::new();
+    let mut unsynced: Vec<LogSession> = Vec::new();
+    let mut compactions = 0;
+    for step in 0..16u64 {
+        if splitmix64(&mut rng).is_multiple_of(4) {
+            match svc.handle(Request::SyncLog) {
+                Response::Synced {
+                    spilled, compacted, ..
+                } => assert!(spilled == 0 && compacted, "seed {seed}"),
+                Response::Error {
+                    error: ServiceError::Degraded { .. },
+                } => {}
+                other => panic!("seed {seed}: unexpected sync response: {other:?}"),
+            }
+        } else {
+            let query = ((seed + 7 * step) % n_images as u64) as usize;
+            match svc.handle(Request::Open {
+                query,
+                scheme: SchemeKind::RfSvm,
+            }) {
+                Response::Opened { session, screen } => {
+                    assert!(
+                        unsynced.len() < shed_watermark,
+                        "seed {seed}: opened with {} unsynced",
+                        unsynced.len()
+                    );
+                    let mut judgments = Vec::new();
+                    for &image in screen.iter().take(4) {
+                        let relevant = svc.db().same_category(image, query);
+                        svc.handle(Request::Mark {
+                            session,
+                            image,
+                            relevant,
+                        });
+                        judgments.push((image, Relevance::from_bool(relevant)));
+                    }
+                    let Response::Closed {
+                        log_session: Some(id),
+                        durable,
+                        ..
+                    } = svc.handle(Request::Close { session })
+                    else {
+                        panic!("seed {seed}: close failed")
+                    };
+                    assert_eq!(id, seeded + on_disk.len() + unsynced.len(), "seed {seed}");
+                    let recorded = LogSession::new(judgments);
+                    if durable {
+                        assert!(unsynced.is_empty(), "seed {seed}: durable while degraded");
+                        on_disk.push(recorded);
+                    } else {
+                        unsynced.push(recorded);
+                    }
+                }
+                Response::Error {
+                    error: ServiceError::Overloaded { spilled_sessions },
+                } => {
+                    assert!(spilled_sessions >= shed_watermark, "seed {seed}");
+                    assert_eq!(spilled_sessions, unsynced.len(), "seed {seed}");
+                }
+                other => panic!("seed {seed}: unexpected open response: {other:?}"),
+            }
+        }
+        // A committed compaction — `SyncLog`'s or the close path's own —
+        // snapshots every session recorded so far.
+        let snap = svc.metrics_snapshot();
+        let now = snap.counter(names::WAL_COMPACTIONS).unwrap();
+        if now > compactions {
+            compactions = now;
+            on_disk.append(&mut unsynced);
+        }
+        assert_eq!(
+            snap.gauge(names::WAL_UNSYNCED_SESSIONS),
+            Some(unsynced.len() as u64),
+            "seed {seed}"
+        );
+    }
+    assert_eq!(
+        log_sessions(&svc),
+        seeded + on_disk.len() + unsynced.len(),
+        "seed {seed}: memory holds every flushed session"
+    );
+
+    drop(svc);
+    mem.crash();
+    let opts = WalOptions {
+        segment_bytes: policy.segment_bytes,
+    };
+    let (store, _) = DurableLogStore::open(mem, Path::new(WAL_DIR), n_images, opts)
+        .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
+    let store = store.into_store();
+    assert_eq!(store.n_sessions(), seeded + on_disk.len(), "seed {seed}");
+    let recovered: Vec<&LogSession> = store.sessions().skip(seeded).collect();
+    assert!(
+        recovered.iter().copied().eq(on_disk.iter()),
+        "seed {seed}: recovered sessions differ from the on-disk books"
     );
 }
 
