@@ -3,12 +3,13 @@
 //!
 //! Every entry point of the retrieval pipeline — the initial screen users
 //! judge, the evaluation protocol's feedback rounds, the log-collection
-//! screens — is a nearest-neighbor query. This module builds an
-//! [`AnnIndex`] over the database's contiguous feature matrix and exposes
-//! the ranking operations the rest of the stack consumes:
+//! screens — is a nearest-neighbor query. This module builds a
+//! [`FlatIndex`] (the one [`lrf_index::AnnIndex`] impl) over the
+//! database's contiguous feature matrix and exposes the ranking operations
+//! the rest of the stack consumes:
 //!
 //! ```text
-//! ImageDatabase ──build──▶ AnnIndex (exact flat scan)
+//! ImageDatabase ──build──▶ FlatIndex (exact flat scan)
 //!                             │ search(query, k)
 //!                             ▼
 //!                   candidate ids (+ distances)
@@ -43,7 +44,7 @@ pub fn build_flat_shards(db: &ImageDatabase, n_shards: usize) -> Vec<FlatShard> 
 }
 
 /// The `k` nearest image ids for a query feature, through an index.
-pub(crate) fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -> Vec<usize> {
+pub(crate) fn top_k_ids(index: &FlatIndex, query_feature: &[f64], k: usize) -> Vec<usize> {
     index
         .search(query_feature, k)
         .into_iter()
@@ -57,7 +58,7 @@ pub(crate) fn top_k_ids(index: &dyn AnnIndex, query_feature: &[f64], k: usize) -
 /// index work per request.
 pub fn rank_with_index_stats(
     db: &ImageDatabase,
-    index: &dyn AnnIndex,
+    index: &FlatIndex,
     query_feature: &[f64],
 ) -> (Vec<usize>, SearchStats) {
     let (neighbors, stats) = index.search_with_stats(query_feature, db.len());

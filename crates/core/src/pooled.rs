@@ -4,7 +4,7 @@
 //! per query. The production path is the two-stage architecture the
 //! related systems (PinView; Barz & Denzler) assume:
 //!
-//! 1. an [`AnnIndex`] retrieves a candidate pool — `pool_size` nearest
+//! 1. a [`FlatIndex`] retrieves a candidate pool — `pool_size` nearest
 //!    neighbors of the query feature (an exact scan: no workload is served
 //!    faster by an approximate index);
 //! 2. the learned scheme is fitted on the round
@@ -18,20 +18,20 @@
 //! pooled path is a strict generalization of the reproduction.
 
 use crate::feedback::{cmp_scores_desc, QueryContext, RelevanceFeedback, ScorerRef, WarmState};
-use lrf_index::{AnnIndex, SearchStats};
+use lrf_index::{AnnIndex, FlatIndex, SearchStats};
 
 /// The two-stage (index → re-rank) retrieval driver.
 #[derive(Clone, Copy)]
 pub struct PooledRetrieval<'a> {
     /// Candidate generator.
-    pub index: &'a dyn AnnIndex,
+    pub index: &'a FlatIndex,
     /// Candidates fetched per query (clamped to the database size).
     pub pool_size: usize,
 }
 
 impl<'a> PooledRetrieval<'a> {
     /// Creates the driver.
-    pub fn new(index: &'a dyn AnnIndex, pool_size: usize) -> Self {
+    pub fn new(index: &'a FlatIndex, pool_size: usize) -> Self {
         assert!(pool_size > 0, "pool size must be positive");
         Self { index, pool_size }
     }

@@ -6,7 +6,8 @@
 //! then re-ranks. This crate is that pass:
 //!
 //! * [`AnnIndex`] — the index contract: `search`, instrumented
-//!   [`AnnIndex::search_with_stats`].
+//!   [`AnnIndex::search_with_stats`]. [`FlatIndex`] is its one impl; a
+//!   sharded serving plane searches through its own inherent method.
 //! * [`FlatIndex`] — exact search: one cache-friendly serial scan over a
 //!   contiguous row-major matrix with a bounded max-heap top-k (no
 //!   sort-everything). The paper's "Euclidean" ranking itself, and the

@@ -17,8 +17,9 @@
 //!   degradation path (retry → volatile → shed → compact, see
 //!   [`DurabilityConfig`]) when storage fails;
 //! * a [`manager::SessionManager`]: each session is a resumable
-//!   [`lrf_core::FeedbackLoop`] behind its own lock, with LRU capacity
-//!   eviction and an idle TTL, both deterministic against a logical clock;
+//!   [`lrf_core::FeedbackLoop`] behind its own lock. LRU capacity eviction
+//!   and an idle TTL, both deterministic against a logical clock, run in
+//!   one loop at `Open`, the only request that grows the table;
 //! * a synchronous [`Request`]/[`Response`] API ([`Service::handle`]),
 //!   which [`NetServer`] serves over HTTP in the one `{v, id, body}` frame
 //!   of [`wire`] without touching the engine.

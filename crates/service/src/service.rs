@@ -10,7 +10,7 @@
 //!                  │                                            │
 //!   Request ──────▶│  Mutex<SessionManager>   (table ops only:  │
 //!                  │        │                  O(1) lookup,     │
-//!                  │        │                  bounded sweeps)  │
+//!                  │        │                  Open evicts)     │
 //!                  │        ▼                                   │
 //!                  │  Arc<Mutex<SessionState>> (per session:    │
 //!                  │        │                   O(pool) ids;    │
@@ -64,9 +64,11 @@ pub struct ServiceConfig {
     /// Maximum resident sessions; the least-recently-used session is
     /// evicted (and flushed) beyond this.
     pub max_sessions: usize,
-    /// Idle TTL in logical-clock ticks (every handled request ticks at
-    /// least once): a session untouched for this long is expired on a
-    /// later request's sweep. `0` disables the TTL.
+    /// Idle TTL in session-table operations (opens, closes and session
+    /// lookups; `Ping`, `Metrics`, `Stats` and `SyncLog` are none): a
+    /// session idle for more than this many is expired by the next `Open`,
+    /// which flushes its judgments; a touch before then revives it. `0`
+    /// disables the TTL.
     pub ttl_requests: u64,
     /// Images per screen/page (the paper's `N_l`, 20 in its protocol).
     pub screen_size: usize,
@@ -326,16 +328,6 @@ impl Service {
         // response (including a Metrics snapshot) is fully built.
         let _request_span = self.metrics.time(&self.metrics.request_latency);
         self.metrics.requests_total.inc();
-        // Expire idle sessions first so a session can never be observed
-        // past its TTL; their judgments are salvaged into the log.
-        let expired = {
-            let mut sessions = self.sessions.lock_recover();
-            let expired = sessions.sweep();
-            self.metrics.active_sessions.set(sessions.len() as u64);
-            expired
-        };
-        self.flush_evicted(expired);
-
         match request {
             Request::Open { query, scheme } => self.open(query, scheme),
             Request::Mark {
@@ -411,7 +403,11 @@ impl Service {
             self.metrics.active_sessions.set(sessions.len() as u64);
             inserted
         };
-        self.flush_evicted(evicted);
+        // The only place sessions are evicted (over capacity or idle past
+        // the TTL): their judgments are salvaged into the log.
+        for payload in evicted {
+            let _ = self.flush(&payload);
+        }
         Response::Opened { session, screen }
     }
 
@@ -689,12 +685,6 @@ impl Service {
         let unsynced = self.log.unsynced() as u64;
         self.metrics.wal_unsynced_sessions.set(unsynced);
         self.metrics.storage_degraded.set(u64::from(unsynced > 0));
-    }
-
-    fn flush_evicted(&self, evicted: Vec<Arc<Mutex<Flushable<SessionState>>>>) {
-        for payload in evicted {
-            let _ = self.flush(&payload);
-        }
     }
 }
 
@@ -983,6 +973,7 @@ mod tests {
     #[test]
     fn ttl_expires_idle_sessions() {
         let (ds, log) = dataset();
+        let logged_before = log.n_sessions();
         let svc = Service::new(
             ds.db,
             log,
@@ -993,10 +984,15 @@ mod tests {
         );
         let Response::Opened { session: idle, .. } = svc.handle(Request::Open {
             query: 0,
-            scheme: SchemeKind::Euclidean,
+            scheme: SchemeKind::RfSvm,
         }) else {
             panic!("open failed")
         };
+        svc.handle(Request::Mark {
+            session: idle,
+            image: 0,
+            relevant: true,
+        });
         let Response::Opened { session: busy, .. } = svc.handle(Request::Open {
             query: 1,
             scheme: SchemeKind::Euclidean,
@@ -1012,6 +1008,15 @@ mod tests {
             });
             assert!(matches!(resp, Response::Page { .. }), "{resp:?}");
         }
+        // Idle past the TTL, but only an `Open` expires it.
+        assert_eq!(svc.log_sessions(), logged_before);
+        let Response::Opened { .. } = svc.handle(Request::Open {
+            query: 2,
+            scheme: SchemeKind::Euclidean,
+        }) else {
+            panic!("open failed")
+        };
+        assert_eq!(svc.log_sessions(), logged_before + 1, "judgment flushed");
         assert_eq!(
             svc.handle(Request::Page {
                 session: idle,
@@ -1020,7 +1025,7 @@ mod tests {
             }),
             Response::err(ServiceError::SessionExpired { session: idle })
         );
-        // The busy one survived the sweep that killed the idle one.
+        // The busy one survived the Open that expired the idle one.
         assert!(matches!(
             svc.handle(Request::Page {
                 session: busy,

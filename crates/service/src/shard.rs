@@ -35,7 +35,7 @@
 use crate::metrics::names;
 use lrf_cbir::{build_flat_shards, ImageDatabase};
 use lrf_core::ScorerRef;
-use lrf_index::{merge_top_k, AnnIndex, FlatShard, Neighbor, SearchStats};
+use lrf_index::{merge_top_k, FlatShard, Neighbor, SearchStats};
 use lrf_logdb::LogStore;
 use lrf_obs::{ClockRef, Counter, Gauge, Histogram, Registry, SpanTimer};
 use lrf_sync::{mpsc, Arc};
@@ -71,8 +71,9 @@ enum ShardJob {
 /// The scatter-gather engine: shard worker threads plus the coordinator
 /// operations that fan work out and merge it back. Every
 /// [`crate::Service`] owns one (one shard unless built sharded) and runs
-/// each search ([`AnnIndex::search_with_stats`]) and each rerank's pool
-/// scoring ([`scatter_scores`](Self::scatter_scores)) through it.
+/// each search ([`search_with_stats`](Self::search_with_stats)) and each
+/// rerank's pool scoring ([`scatter_scores`](Self::scatter_scores))
+/// through it.
 pub struct ShardedEngine {
     n: usize,
     dim: usize,
@@ -172,6 +173,39 @@ impl ShardedEngine {
         assert!(sent.is_ok(), "shard {shard} worker is gone");
     }
 
+    /// The `k` nearest neighbors of `query` with work counters: one
+    /// search job per shard, merged on squared distances — bit-identical
+    /// to [`lrf_index::FlatIndex`]'s scan, in `(d², id)` order.
+    ///
+    /// # Panics
+    /// Panics if `query.len()` is not the database's dimension or a worker
+    /// died.
+    pub fn search_with_stats(&self, query: &[f64], k: usize) -> (Vec<Neighbor>, SearchStats) {
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        let (tx, rx) = mpsc::channel();
+        for s in 0..self.n_shards {
+            self.dispatch(
+                s,
+                ShardJob::Search {
+                    query: query.to_vec(),
+                    k,
+                    reply: tx.clone(),
+                },
+            );
+        }
+        drop(tx);
+        let mut partials: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.n_shards];
+        let mut stats = SearchStats::default();
+        let mut received = 0usize;
+        while let Ok((shard, partial, shard_stats)) = rx.recv() {
+            partials[shard] = partial;
+            stats.distance_evals += shard_stats.distance_evals;
+            received += 1;
+        }
+        assert_eq!(received, self.n_shards, "a shard worker died mid-search");
+        (merge_top_k(&partials, k), stats)
+    }
+
     /// Scatter-gather pool scoring: partitions `pool` by shard range,
     /// ships `(scorer, snapshot, ids)` to each involved worker, and
     /// stitches the per-shard score slices back **in pool order**. By the
@@ -237,42 +271,6 @@ impl Drop for ShardedEngine {
     }
 }
 
-impl AnnIndex for ShardedEngine {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn search_with_stats(&self, query: &[f64], k: usize) -> (Vec<Neighbor>, SearchStats) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let (tx, rx) = mpsc::channel();
-        for s in 0..self.n_shards {
-            self.dispatch(
-                s,
-                ShardJob::Search {
-                    query: query.to_vec(),
-                    k,
-                    reply: tx.clone(),
-                },
-            );
-        }
-        drop(tx);
-        let mut partials: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.n_shards];
-        let mut stats = SearchStats::default();
-        let mut received = 0usize;
-        while let Ok((shard, partial, shard_stats)) = rx.recv() {
-            partials[shard] = partial;
-            stats.distance_evals += shard_stats.distance_evals;
-            received += 1;
-        }
-        assert_eq!(received, self.n_shards, "a shard worker died mid-search");
-        (merge_top_k(&partials, k), stats)
-    }
-}
-
 /// One shard worker: drains its job feed until every sender is dropped
 /// (engine drop), timing each stage when a clock is injected.
 #[allow(clippy::too_many_arguments)]
@@ -322,6 +320,7 @@ mod tests {
     use super::*;
     use lrf_cbir::{build_flat_index, collect_log, CorelDataset, CorelSpec};
     use lrf_core::{LrfConfig, QueryContext, RelevanceFeedback, WarmState};
+    use lrf_index::AnnIndex;
     use lrf_logdb::SimulationConfig;
 
     fn dataset() -> (CorelDataset, LogStore) {
@@ -357,7 +356,7 @@ mod tests {
             let eng = engine(&db, n_shards);
             for q in [0usize, 7, 23, db.len() - 1] {
                 for k in [1usize, 10, db.len()] {
-                    let got = eng.search(db.feature(q), k);
+                    let got = eng.search_with_stats(db.feature(q), k).0;
                     let want = flat.search(db.feature(q), k);
                     assert_eq!(got, want, "shards={n_shards} q={q} k={k}");
                 }
@@ -420,8 +419,8 @@ mod tests {
             &registry,
             Some(lrf_obs::ManualClock::shared()),
         );
-        eng.search(db.feature(0), 4);
-        eng.search(db.feature(1), 4);
+        eng.search_with_stats(db.feature(0), 4);
+        eng.search_with_stats(db.feature(1), 4);
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::SHARD_JOBS), Some(4));
         assert_eq!(snap.gauge(names::SHARD_QUEUE_DEPTH), Some(0));
@@ -436,7 +435,7 @@ mod tests {
         let (ds, _) = dataset();
         let db = Arc::new(ds.db);
         let eng = engine(&db, 4);
-        eng.search(db.feature(2), 3);
+        eng.search_with_stats(db.feature(2), 3);
         drop(eng);
         // The database (and its shared matrix) is still usable afterwards.
         assert!(!db.is_empty());

@@ -13,7 +13,8 @@
 //! `lrf-logdb`'s model tests):
 //!
 //! * **(a) exactly-once flush**: a judged session's judgments reach the
-//!   log exactly once under racing close / capacity-evict / TTL-expiry.
+//!   log exactly once under a close racing `Open`-time eviction (capacity
+//!   or TTL).
 //! * **(b) expired visibility**: a request racing an eviction observes
 //!   `SessionExpired` (here: `Err`), never a mutation of a detached
 //!   session — equivalently, the flushed log session contains exactly the
@@ -46,7 +47,8 @@ impl Harness {
         }
     }
 
-    /// `Service::open`: insert, then flush whatever capacity pushed out.
+    /// `Service::open`: insert, then flush whatever the insert evicted
+    /// (capacity or TTL).
     fn open(&self) -> u64 {
         let (id, evicted) = self.sessions.lock_recover().insert(Flushable::new(0));
         for e in evicted {
@@ -85,14 +87,6 @@ impl Harness {
         }
     }
 
-    /// The TTL path of `Service::handle`: sweep, flush the expired.
-    fn sweep(&self) {
-        let expired = self.sessions.lock_recover().sweep();
-        for e in expired {
-            self.flush(&e);
-        }
-    }
-
     /// `Service::flush` verbatim: tombstone under the payload lock, then
     /// record the acknowledged judgments; empty sessions flush nothing.
     fn flush(&self, payload: &Payload) -> Option<usize> {
@@ -121,10 +115,10 @@ impl Harness {
     }
 }
 
-/// Invariant (a): one judged session, three concurrent ways out — explicit
-/// close, TTL expiry (sweeps), LRU capacity eviction (a new open on a
-/// full table). Whatever interleaving wins, the judgments land in the log
-/// exactly once.
+/// Invariant (a): one judged session, two concurrent ways out — explicit
+/// close, and eviction by the opens racing it (capacity 1, TTL 1: the first
+/// open to run evicts it unless the close removed it first). Whatever
+/// interleaving wins, the judgments land in the log exactly once.
 #[test]
 fn close_evict_and_ttl_expiry_flush_exactly_once() {
     loom::explore(|| {
@@ -135,25 +129,21 @@ fn close_evict_and_ttl_expiry_flush_exactly_once() {
             let h = Arc::clone(&h);
             loom::thread::spawn(move || h.close(s))
         };
-        let sweeper = {
+        let opener = {
             let h = Arc::clone(&h);
-            // Each sweep ticks the logical clock, so by the third sweep
-            // the session is past its TTL if nothing else removed it.
             loom::thread::spawn(move || {
-                h.sweep();
-                h.sweep();
-                h.sweep();
+                h.open();
+                h.open();
             })
         };
-        // Capacity 1: this open evicts the judged session if it is still
-        // resident.
+        // A third racing open: eviction from two threads at once.
         let _s2 = h.open();
         closer.join().unwrap();
-        sweeper.join().unwrap();
+        opener.join().unwrap();
         assert_eq!(h.log_sessions(), 1, "flushed not-exactly-once");
         assert_eq!(h.flushed_judgments(), 1);
     })
-    .expect("racing close/evict/TTL must flush exactly once");
+    .expect("racing close and Open-time eviction must flush exactly once");
 }
 
 /// Invariant (b): a mark racing the close either lands before the flush

@@ -42,7 +42,7 @@ proptest! {
         for n_shards in [1usize, 2, 5] {
             let engine =
                 ShardedEngine::new(Arc::clone(&db), n_shards, &Registry::new(), None);
-            let merged = engine.search(&query, k);
+            let merged = engine.search_with_stats(&query, k).0;
             prop_assert_eq!(
                 &merged, &expected,
                 "merged ranking diverged from flat reference at {} shards", n_shards

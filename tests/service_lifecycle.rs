@@ -178,8 +178,9 @@ fn concurrent_sessions_match_serial_single_session_rankings() {
 }
 
 /// Session residency policies observed through the public API: LRU
-/// capacity eviction and idle TTL both expire sessions with a typed error
-/// on next touch — never a panic — and salvage judgments into the log.
+/// capacity eviction and idle TTL both expire sessions at an `Open`, with
+/// a typed error on next touch — never a panic — and salvage judgments
+/// into the log.
 #[test]
 fn eviction_and_ttl_yield_typed_errors_and_flush_the_log() {
     let (db, log) = corpus();
@@ -228,8 +229,8 @@ fn eviction_and_ttl_yield_typed_errors_and_flush_the_log() {
     );
     let _ = b;
 
-    // Idle TTL: an untouched session expires after `ttl_requests` touches
-    // of the service's logical clock.
+    // Idle TTL: a session idle for more than `ttl_requests` session-table
+    // operations is expired, and its judgment flushed, by the next `Open`.
     let svc = Service::new(
         db,
         log,
@@ -240,13 +241,37 @@ fn eviction_and_ttl_yield_typed_errors_and_flush_the_log() {
     );
     let Response::Opened { session: idle, .. } = svc.handle(Request::Open {
         query: 2,
+        scheme: SchemeKind::RfSvm,
+    }) else {
+        panic!("open failed")
+    };
+    svc.handle(Request::Mark {
+        session: idle,
+        image: 2,
+        relevant: true,
+    });
+    let Response::Opened { session: busy, .. } = svc.handle(Request::Open {
+        query: 3,
         scheme: SchemeKind::Euclidean,
     }) else {
         panic!("open failed")
     };
-    for _ in 0..4 {
-        svc.handle(Request::Stats);
+    for _ in 0..2 {
+        let paged = svc.handle(Request::Page {
+            session: busy,
+            offset: 0,
+            count: 1,
+        });
+        assert!(matches!(paged, Response::Page { .. }), "{paged:?}");
     }
+    assert_eq!(svc.log_sessions(), logged, "only an Open expires");
+    let Response::Opened { .. } = svc.handle(Request::Open {
+        query: 4,
+        scheme: SchemeKind::Euclidean,
+    }) else {
+        panic!("open failed")
+    };
+    assert_eq!(svc.log_sessions(), logged + 1, "expired judgment flushed");
     assert_eq!(
         svc.handle(Request::Page {
             session: idle,
@@ -257,6 +282,51 @@ fn eviction_and_ttl_yield_typed_errors_and_flush_the_log() {
             error: ServiceError::SessionExpired { session: idle }
         }
     );
+    assert!(matches!(
+        svc.handle(Request::Page {
+            session: busy,
+            offset: 0,
+            count: 1
+        }),
+        Response::Page { .. }
+    ));
+}
+
+/// Requests that touch no session — `Ping`, `Metrics`, `Stats`, `SyncLog`
+/// — do not age one: however many arrive, an idle session outlives its
+/// TTL until the next `Open`.
+#[test]
+fn requests_that_touch_no_session_do_not_age_it() {
+    let (db, log) = corpus();
+    let svc = Service::new(
+        db,
+        log,
+        ServiceConfig {
+            ttl_requests: 2,
+            ..config()
+        },
+    );
+    let Response::Opened { session, .. } = svc.handle(Request::Open {
+        query: 2,
+        scheme: SchemeKind::Euclidean,
+    }) else {
+        panic!("open failed")
+    };
+    let untouching = [
+        Request::Ping,
+        Request::Metrics,
+        Request::Stats,
+        Request::SyncLog,
+    ];
+    for request in untouching.into_iter().cycle().take(10) {
+        assert!(!matches!(svc.handle(request), Response::Error { .. }));
+    }
+    let paged = svc.handle(Request::Page {
+        session,
+        offset: 0,
+        count: 1,
+    });
+    assert!(matches!(paged, Response::Page { .. }), "{paged:?}");
 }
 
 /// The `Page` windows the pins below read: every offset from three before
