@@ -29,15 +29,15 @@
 //!   keeps its log database on disk), crash-safe via atomic temp+fsync+
 //!   rename publication. A snapshot holds `R` once, as `n_images` and the
 //!   sessions; loading rebuilds the columns.
-//! * [`SharedLogStore`] — the concurrent wrapper: snapshot reads + `&self` appends
-//!   (copy-on-write), so a serving plane can flush completed sessions
-//!   without stalling queries that are training on the log.
-//! * `wal` — the judgment WAL: checksummed, fsynced, incremental
-//!   session appends with snapshot compaction, so acknowledged feedback
-//!   survives a crash without whole-store rewrites.
-//! * [`DurableLogStore`] — unites the shared store and the WAL:
-//!   WAL-first recording, volatile recording counted as unsynced while
-//!   storage fails, and compaction as the one repair.
+//! * [`SharedLogStore`] — the one store a service owns: snapshot reads +
+//!   `&self` appends (copy-on-write), so a serving plane can flush
+//!   completed sessions without stalling queries that are training on the
+//!   log. Opened over a directory it owns the judgment WAL (checksummed,
+//!   fsynced, incremental session appends with snapshot compaction), so
+//!   acknowledged feedback survives a crash without whole-store rewrites:
+//!   WAL-first recording, in-memory recording counted as unsynced while
+//!   storage fails, and compaction as the one repair — every writer
+//!   behind one lock.
 
 mod durable;
 pub mod persist;
@@ -48,7 +48,10 @@ mod sparse;
 mod store;
 mod wal;
 
-pub use durable::DurableLogStore;
+/// [`SharedLogStore`]'s former name for a WAL-backed store. The same type;
+/// it stays while `benchmark/` still names it, and goes when the benchmark
+/// reaches the repo through a single adapter (ROADMAP item 1).
+pub type DurableLogStore = SharedLogStore;
 pub use session::{LogSession, Relevance};
 pub use shared::{LogStoreCounters, SharedLogStore};
 pub use simulate::{simulate_sessions, SimulationConfig};

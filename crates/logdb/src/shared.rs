@@ -1,4 +1,5 @@
-//! Concurrent access to the log store: snapshot reads, `&self` appends.
+//! The log store a service owns: snapshot reads, `&self` appends and
+//! optional write-ahead durability, behind one writer lock.
 //!
 //! [`LogStore::record`] requires `&mut self`, which is the right contract
 //! for a single-owner store but wrong for a serving plane: a feedback
@@ -10,34 +11,69 @@
 //!   read lock held for nanoseconds, then use the snapshot lock-free for as
 //!   long as they like (a whole coupled-SVM retrain, typically). A reader
 //!   never waits on a flush and a flush never waits on a reader.
-//! * **Appenders** ([`SharedLogStore::record`]) serialize among themselves
-//!   on a separate append mutex. When no snapshot is outstanding the
-//!   append is in-place and O(session); when readers hold snapshots the
-//!   store is cloned **outside** the reader-facing lock — the `RwLock` is
-//!   only ever held for an `Arc` clone or pointer swap, so a flush can
-//!   never stall a `snapshot()` call for the duration of the copy. The
-//!   append cost is paid by the (rare) flush path, never by the (hot)
-//!   query path.
+//! * **Writers** ([`record`](SharedLogStore::record),
+//!   [`record_durable`](SharedLogStore::record_durable) and
+//!   [`compact`](SharedLogStore::compact)) serialize on one writer lock,
+//!   which also owns the WAL when the store has one. When no snapshot is
+//!   outstanding an append is in-place and O(session); when readers hold
+//!   snapshots the store is cloned **outside** the reader-facing lock — the
+//!   `RwLock` is only ever held for an `Arc` clone or pointer swap, so a
+//!   flush can never stall a `snapshot()` call for the duration of the
+//!   copy. The append cost is paid by the (rare) flush path, never by the
+//!   (hot) query path.
 //!
 //! Snapshots are immutable: a session recorded after a snapshot was taken
 //! is invisible to it, exactly the semantics a retrieval round wants (one
 //! consistent log for the whole round).
+//!
+//! A store [`open`](SharedLogStore::open)ed over a WAL directory keeps
+//! three more invariants, each because its writers share that one lock:
+//!
+//! * **WAL order == store order.** [`SharedLogStore::record_durable`]
+//!   appends to the WAL (fsynced) and then to memory, so the ids the store
+//!   assigns match the WAL's replay order exactly.
+//! * **Disk is a prefix of memory.** The sessions on disk (snapshot plus
+//!   WAL) are the store's first sessions; the rest, recorded by
+//!   [`SharedLogStore::record`] while storage failed, are
+//!   [`unsynced`](SharedLogStore::unsynced). While any is, the WAL refuses
+//!   appends, so no later session can overtake one in replay.
+//! * **Compaction is the one repair, and never duplicates.**
+//!   [`SharedLogStore::compact`] snapshots the whole in-memory store: every
+//!   WAL session and every unsynced one, each exactly once. Snapshot +
+//!   empty WAL ≡ the store; nothing is ever appended to the WAL after a
+//!   snapshot that already holds it.
+//!
+//! A store built by [`new`](SharedLogStore::new) or
+//! [`from_store`](SharedLogStore::from_store) has no WAL: every record is
+//! in memory only, none counts as unsynced, and compaction is a no-op.
 
+use lrf_obs::Counter;
+use lrf_storage::wal::Wal;
+use lrf_sync::atomic::{AtomicUsize, Ordering};
+use lrf_sync::{Arc, Mutex, MutexExt, MutexGuard, PoisonError, RwLock, RwLockExt};
+
+use crate::persist;
 use crate::session::LogSession;
 use crate::store::LogStore;
-use lrf_obs::Counter;
-use lrf_sync::{Arc, Mutex, MutexExt, PoisonError, RwLock, RwLockExt};
+use crate::wal::{self, WalError};
 
-/// An interior-locked, copy-on-write [`LogStore`] for concurrent services.
+/// An interior-locked, copy-on-write [`LogStore`] with optional write-ahead
+/// durability, for concurrent services.
 #[derive(Debug)]
 pub struct SharedLogStore {
     /// The live store. Readers and writers hold this lock only for an
     /// `Arc` clone / pointer swap (nanoseconds) — never for a data copy.
     inner: RwLock<Arc<LogStore>>,
-    /// Serializes appenders so a clone-and-swap cannot lose a concurrent
-    /// append (two appenders cloning the same base would drop one
-    /// session).
-    append: Mutex<()>,
+    /// The one writer lock, owning the WAL (`None`: memory only). Every
+    /// append and every compaction holds it, so a clone-and-swap cannot
+    /// lose a concurrent append, and a compaction's snapshot holds each
+    /// session it counts as synced.
+    writer: Mutex<Option<Wal>>,
+    /// Sessions in memory but neither in the WAL nor in its snapshot.
+    /// Relaxed is enough: every write, and the read that gates an append,
+    /// happen under the writer lock, which orders them; reads without the
+    /// lock (admission, gauges) are advisory.
+    unsynced: AtomicUsize,
     /// Event counters behind `Arc` handles so a service can adopt them
     /// into its `lrf_obs::Registry` (see [`SharedLogStore::counters`]).
     snapshots: Arc<Counter>,
@@ -53,7 +89,7 @@ pub struct LogStoreCounters {
     /// `snapshot()` calls served (one per retrieval round, plus the
     /// store's own reads).
     pub snapshots: Arc<Counter>,
-    /// Sessions appended via `record()`.
+    /// Sessions appended to memory, durable or not.
     pub appends: Arc<Counter>,
     /// Appends that had to copy the store because snapshots were
     /// outstanding (the slow, flush-path-only case).
@@ -61,7 +97,7 @@ pub struct LogStoreCounters {
 }
 
 impl SharedLogStore {
-    /// Creates an empty shared store over `n_images` images.
+    /// Creates an empty, WAL-less shared store over `n_images` images.
     ///
     /// # Panics
     /// Panics if `n_images == 0` (see [`LogStore::new`]).
@@ -69,11 +105,17 @@ impl SharedLogStore {
         Self::from_store(LogStore::new(n_images))
     }
 
-    /// Wraps an existing store (e.g. a log loaded from disk).
+    /// Wraps an existing store (e.g. a log loaded from disk), WAL-less.
     pub fn from_store(store: LogStore) -> Self {
+        Self::with_wal(store, None)
+    }
+
+    /// Wraps `store`, whose sessions are all on `wal`'s disk (if any).
+    pub(crate) fn with_wal(store: LogStore, wal: Option<Wal>) -> Self {
         Self {
             inner: RwLock::new(Arc::new(store)),
-            append: Mutex::new(()),
+            writer: Mutex::new(wal),
+            unsynced: AtomicUsize::new(0),
             snapshots: Arc::new(Counter::new()),
             appends: Arc::new(Counter::new()),
             cow_clones: Arc::new(Counter::new()),
@@ -83,7 +125,7 @@ impl SharedLogStore {
     /// Handles to the store's event counters (snapshots, appends,
     /// copy-on-write clones). The handles stay live for the store's
     /// lifetime; adopt them into a registry to expose them.
-    pub(crate) fn counters(&self) -> LogStoreCounters {
+    pub fn counters(&self) -> LogStoreCounters {
         LogStoreCounters {
             snapshots: Arc::clone(&self.snapshots),
             appends: Arc::clone(&self.appends),
@@ -102,12 +144,47 @@ impl SharedLogStore {
         Arc::clone(&self.inner.read_recover())
     }
 
-    /// Appends a session without exclusive access from the caller's side;
-    /// returns the new session id. Outstanding snapshots are unaffected,
-    /// and concurrent `snapshot()` calls are never blocked for longer
-    /// than a pointer swap, even when the append has to copy the store.
+    /// Records a session in memory only; returns the new session id.
+    /// Outstanding snapshots are unaffected, and concurrent `snapshot()`
+    /// calls are never blocked for longer than a pointer swap, even when
+    /// the append has to copy the store.
+    ///
+    /// On a store with a WAL this is the degraded path: the session counts
+    /// as [`unsynced`](Self::unsynced), and is not crash-safe, until a
+    /// [`compact`](Self::compact) snapshots it.
     pub fn record(&self, session: LogSession) -> usize {
-        let _appender = self.append.lock_recover();
+        let writer = self.writer.lock_recover();
+        if writer.is_some() {
+            self.unsynced.fetch_add(1, Ordering::Relaxed);
+        }
+        self.append(&writer, session)
+    }
+
+    /// Durably records a session: WAL append first (fsynced), then memory.
+    /// On a WAL-less store this is [`record`](Self::record).
+    ///
+    /// An `Err` means *neither* the WAL nor the store recorded the
+    /// session — the caller may retry or [`record`](Self::record) it.
+    /// While any session is [`unsynced`](Self::unsynced) the append is
+    /// refused without touching storage: replaying this session ahead of
+    /// the unsynced ones would give it another id. [`compact`](Self::compact)
+    /// lifts the refusal.
+    pub fn record_durable(&self, session: LogSession) -> Result<usize, WalError> {
+        let mut writer = self.writer.lock_recover();
+        if let Some(log) = writer.as_mut() {
+            if self.unsynced() > 0 {
+                return Err(WalError::Io(std::io::Error::other(
+                    "unsynced sessions precede this one; compact first",
+                )));
+            }
+            log.append(&wal::encode(&session)?)?;
+        }
+        Ok(self.append(&writer, session))
+    }
+
+    /// Appends `session` to memory. Taking the writer's guard proves the
+    /// caller holds the lock, so the base this copies cannot go stale.
+    fn append(&self, _writer: &MutexGuard<'_, Option<Wal>>, session: LogSession) -> usize {
         self.appends.inc();
         {
             let mut guard = self.inner.write_recover();
@@ -118,8 +195,7 @@ impl SharedLogStore {
             }
         }
         // Snapshots outstanding: copy the store without holding the
-        // reader-facing lock (the append mutex keeps this base current —
-        // no other appender can swap underneath us).
+        // reader-facing lock.
         self.cow_clones.inc();
         let base = self.snapshot();
         let mut next = (*base).clone();
@@ -129,19 +205,54 @@ impl SharedLogStore {
         id
     }
 
+    /// Sessions [`record`](Self::record)ed since the last successful
+    /// [`compact`](Self::compact): in memory, not on disk. Always 0 on a
+    /// WAL-less store.
+    pub fn unsynced(&self) -> usize {
+        self.unsynced.load(Ordering::Relaxed)
+    }
+
+    /// Publishes the current in-memory store as the WAL's snapshot and
+    /// retires the replay segments, making every unsynced session durable.
+    /// No-op on a WAL-less store. On `Err` the unsynced count is unchanged
+    /// and recovery still finds the previous snapshot plus the WAL.
+    pub fn compact(&self) -> Result<(), WalError> {
+        let mut writer = self.writer.lock_recover();
+        let Some(log) = writer.as_mut() else {
+            return Ok(());
+        };
+        // No record of either kind can interleave, so the snapshot holds
+        // every WAL session and exactly the `covered` unsynced ones.
+        let snapshot = self.snapshot();
+        let covered = self.unsynced();
+        log.compact(&persist::to_json(&snapshot)?)?;
+        self.unsynced.fetch_sub(covered, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Segments started in the current WAL epoch (0 for WAL-less).
+    pub fn wal_segments(&self) -> u64 {
+        self.writer
+            .lock_recover()
+            .as_ref()
+            .map_or(0, Wal::segments_started)
+    }
+
     /// Number of recorded sessions (in the live store, not any snapshot).
     pub fn n_sessions(&self) -> usize {
         self.snapshot().n_sessions()
     }
 
     /// Number of images the store covers.
-    pub(crate) fn n_images(&self) -> usize {
+    pub fn n_images(&self) -> usize {
         self.snapshot().n_images()
     }
 
     /// Extracts the current store, consuming the wrapper (end of serving:
     /// persist the accumulated log). Clones only if snapshots still exist.
-    pub(crate) fn into_store(self) -> LogStore {
+    /// This does *not* compact first — callers that want the final state
+    /// snapshotted should [`compact`](Self::compact) before.
+    pub fn into_store(self) -> LogStore {
         let arc = self
             .inner
             .into_inner()

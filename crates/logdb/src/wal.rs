@@ -1,19 +1,21 @@
-//! The judgment WAL: crash-safe incremental persistence for the log store.
+//! The judgment WAL's format: crash-safe incremental persistence for the
+//! log store.
 //!
 //! [`crate::persist`] snapshots the whole store; fine at shutdown, wrong
 //! for a live service where every flushed session must survive a crash
-//! without rewriting megabytes of JSON. [`JudgmentWal`] layers the log's
-//! semantics onto [`lrf_storage::Wal`]:
+//! without rewriting megabytes of JSON. A [`crate::SharedLogStore`] opened
+//! over a directory owns an [`lrf_storage::Wal`] and writes the log's
+//! semantics onto it:
 //!
-//! * each **record** is one [`LogSession`], JSON-encoded, CRC-framed and
-//!   fsynced by the storage layer before the append returns;
+//! * each **record** is one [`LogSession`], JSON-encoded ([`encode`]),
+//!   CRC-framed and fsynced by the storage layer before the append returns;
 //! * each **snapshot** is the existing [`crate::persist`] envelope (same
 //!   versioned JSON format `save`/`load` use — a compacted WAL directory
 //!   holds a file any existing tooling can read);
-//! * **recovery** rebuilds the [`LogStore`] by loading the snapshot and
-//!   replaying intact sessions. Snapshot sessions and replayed records
-//!   enter through the same check, [`LogStore::try_record`]: image ids
-//!   strictly ascending and inside the database. A corrupt-but-CRC-valid
+//! * **recovery** ([`recover`]) rebuilds the [`LogStore`] by loading the
+//!   snapshot and replaying intact sessions. Snapshot sessions and replayed
+//!   records enter through the same check, [`LogStore::try_record`]: image
+//!   ids strictly ascending and inside the database. A corrupt-but-CRC-valid
 //!   record surfaces as a typed [`WalError::Replay`] (a snapshot's as
 //!   [`WalError::Persist`]), not as a panic or a column that disagrees
 //!   with its session.
@@ -79,8 +81,8 @@ impl From<PersistError> for WalError {
     }
 }
 
-/// How a [`crate::DurableLogStore`] came up, minus the store itself (which
-/// is already inside the wrapper): what opening the judgment WAL found on disk.
+/// How a WAL-backed [`crate::SharedLogStore`] came up, minus the store
+/// itself: what opening the judgment WAL found on disk.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurableRecovery {
     /// Sessions already on disk when we opened (snapshot + replay).
@@ -100,86 +102,63 @@ pub struct DurableRecovery {
     pub stale_files_removed: u64,
 }
 
-/// Append-only durable log of [`LogSession`]s with snapshot compaction.
-#[derive(Debug)]
-pub(crate) struct JudgmentWal {
-    wal: Wal,
+/// Opens (or creates) the WAL at `dir` and runs recovery. Returns the
+/// WAL, the store it protects as of the crash (snapshot plus replayed
+/// sessions), whether a compaction snapshot was present, and what
+/// recovery found. `n_images` must match the image database; a snapshot
+/// recorded for a different image count is refused.
+pub(crate) fn recover(
+    io: IoRef,
+    dir: &Path,
+    n_images: usize,
+    opts: WalOptions,
+) -> Result<(Wal, LogStore, bool, DurableRecovery), WalError> {
+    if n_images == 0 {
+        return Err(WalError::Replay {
+            record: 0,
+            reason: "log store requires at least one image".into(),
+        });
+    }
+    let (wal, recovery) = Wal::open(io, dir, opts)?;
+
+    let had_snapshot = recovery.snapshot.is_some();
+    let mut store = match &recovery.snapshot {
+        Some(bytes) => persist::decode(bytes, n_images)?,
+        None => LogStore::new(n_images),
+    };
+
+    for (idx, payload) in recovery.records.iter().enumerate() {
+        serde_json::from_slice(payload)
+            .map_err(|e| format!("undecodable session payload: {e}"))
+            .and_then(|session| store.try_record(session).map_err(|e| e.to_string()))
+            .map_err(|reason| WalError::Replay {
+                record: idx,
+                reason,
+            })?;
+    }
+
+    let report = DurableRecovery {
+        recovered_sessions: store.n_sessions() as u64,
+        replayed_sessions: recovery.records.len() as u64,
+        seeded: false,
+        truncated_records: recovery.truncated_records,
+        truncated_bytes: recovery.truncated_bytes,
+        reread_recoveries: recovery.reread_recoveries,
+        stale_files_removed: recovery.stale_files_removed,
+    };
+    Ok((wal, store, had_snapshot, report))
 }
 
-impl JudgmentWal {
-    /// Opens (or creates) the WAL at `dir` and runs recovery. Returns the
-    /// WAL, the store it protects as of the crash (snapshot plus replayed
-    /// sessions), whether a compaction snapshot was present, and what
-    /// recovery found. `n_images` must match the image database; a
-    /// snapshot recorded for a different image count is refused.
-    pub(crate) fn open(
-        io: IoRef,
-        dir: &Path,
-        n_images: usize,
-        opts: WalOptions,
-    ) -> Result<(Self, LogStore, bool, DurableRecovery), WalError> {
-        if n_images == 0 {
-            return Err(WalError::Replay {
-                record: 0,
-                reason: "log store requires at least one image".into(),
-            });
-        }
-        let (wal, recovery) = Wal::open(io, dir, opts)?;
-
-        let had_snapshot = recovery.snapshot.is_some();
-        let mut store = match &recovery.snapshot {
-            Some(bytes) => persist::decode(bytes, n_images)?,
-            None => LogStore::new(n_images),
-        };
-
-        for (idx, payload) in recovery.records.iter().enumerate() {
-            serde_json::from_slice(payload)
-                .map_err(|e| format!("undecodable session payload: {e}"))
-                .and_then(|session| store.try_record(session).map_err(|e| e.to_string()))
-                .map_err(|reason| WalError::Replay {
-                    record: idx,
-                    reason,
-                })?;
-        }
-
-        let report = DurableRecovery {
-            recovered_sessions: store.n_sessions() as u64,
-            replayed_sessions: recovery.records.len() as u64,
-            seeded: false,
-            truncated_records: recovery.truncated_records,
-            truncated_bytes: recovery.truncated_bytes,
-            reread_recoveries: recovery.reread_recoveries,
-            stale_files_removed: recovery.stale_files_removed,
-        };
-        Ok((Self { wal }, store, had_snapshot, report))
-    }
-
-    /// Durably append one session. `Ok` means it survives a crash.
-    pub(crate) fn append(&mut self, session: &LogSession) -> Result<(), WalError> {
-        let payload = serde_json::to_vec(session).map_err(PersistError::Format)?;
-        self.wal.append(&payload)?;
-        Ok(())
-    }
-
-    /// Atomically publish `store` as the new snapshot and retire the
-    /// replay segments. The caller is responsible for `store` containing
-    /// every session appended so far (the durable wrapper guarantees it).
-    pub(crate) fn compact(&mut self, store: &LogStore) -> Result<(), WalError> {
-        let bytes = persist::to_json(store)?;
-        self.wal.compact(&bytes)?;
-        Ok(())
-    }
-
-    /// Segments started this epoch.
-    pub(crate) fn segments_started(&self) -> u64 {
-        self.wal.segments_started()
-    }
+/// One session as a WAL record payload.
+pub(crate) fn encode(session: &LogSession) -> Result<Vec<u8>, WalError> {
+    Ok(serde_json::to_vec(session).map_err(PersistError::Format)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Relevance;
+    use crate::SharedLogStore;
     use lrf_storage::{FaultIo, FaultKind, FaultPlan, MemIo};
 
     fn session(pairs: &[(usize, bool)]) -> LogSession {
@@ -195,19 +174,24 @@ mod tests {
         Path::new("/log/wal")
     }
 
+    fn open(io: IoRef, n_images: usize) -> SharedLogStore {
+        SharedLogStore::open(io, dir(), n_images, WalOptions::default())
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn sessions_survive_crash_and_replay_in_order() {
         let mem = MemIo::handle();
-        let (mut wal, store, _, _) =
-            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        assert_eq!(store.n_sessions(), 0);
-        wal.append(&session(&[(0, true), (3, false)])).unwrap();
-        wal.append(&session(&[(7, true)])).unwrap();
-        drop(wal);
+        let db = open(mem.clone(), 8);
+        assert_eq!(db.n_sessions(), 0);
+        db.record_durable(session(&[(0, true), (3, false)]))
+            .unwrap();
+        db.record_durable(session(&[(7, true)])).unwrap();
+        drop(db);
         mem.crash();
 
-        let (_, store, _, rec) =
-            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (_, store, _, rec) = recover(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(rec.replayed_sessions, 2);
         assert_eq!(store.n_sessions(), 2);
         assert_eq!(store.entry(3, 0), -1.0);
@@ -217,14 +201,11 @@ mod tests {
     #[test]
     fn compaction_snapshot_is_the_persist_format() {
         let mem = MemIo::handle();
-        let (mut wal, ..) =
-            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        let mut store = LogStore::new(8);
-        store.record(session(&[(1, true)]));
-        wal.append(&session(&[(1, true)])).unwrap();
-        wal.compact(&store).unwrap();
-        wal.append(&session(&[(2, false)])).unwrap();
-        drop(wal);
+        let db = open(mem.clone(), 8);
+        db.record_durable(session(&[(1, true)])).unwrap();
+        db.compact().unwrap();
+        db.record_durable(session(&[(2, false)])).unwrap();
+        drop(db);
         mem.crash();
 
         // The compacted snapshot is readable by plain persist::load_with —
@@ -234,7 +215,7 @@ mod tests {
         assert_eq!(from_snapshot.n_sessions(), 1);
 
         let (_, store, had_snapshot, rec) =
-            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+            recover(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert!(had_snapshot);
         assert_eq!(rec.replayed_sessions, 1);
         assert_eq!(store.n_sessions(), 2);
@@ -244,16 +225,15 @@ mod tests {
     #[test]
     fn out_of_range_image_id_is_a_typed_replay_error() {
         let mem = MemIo::handle();
-        let (mut wal, ..) =
-            JudgmentWal::open(mem.clone(), dir(), 16, WalOptions::default()).unwrap();
-        wal.append(&session(&[(15, true)])).unwrap();
-        drop(wal);
+        let db = open(mem.clone(), 16);
+        db.record_durable(session(&[(15, true)])).unwrap();
+        drop(db);
         mem.crash();
 
         // Reopen against a smaller image database: the record is intact
         // (CRC passes) but its ids are out of range — typed error, no
         // panic from LogStore::record.
-        let err = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap_err();
+        let err = recover(mem.clone(), dir(), 8, WalOptions::default()).unwrap_err();
         assert!(
             matches!(err, WalError::Replay { record: 0, .. }),
             "got: {err}"
@@ -264,24 +244,20 @@ mod tests {
     #[test]
     fn snapshot_image_count_mismatch_is_refused() {
         let mem = MemIo::handle();
-        let (mut wal, ..) =
-            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        wal.append(&session(&[(1, true)])).unwrap();
-        let mut store = LogStore::new(8);
-        store.record(session(&[(1, true)]));
-        wal.compact(&store).unwrap();
-        drop(wal);
+        let db = open(mem.clone(), 8);
+        db.record_durable(session(&[(1, true)])).unwrap();
+        db.compact().unwrap();
+        drop(db);
         mem.crash();
 
-        let err = JudgmentWal::open(mem.clone(), dir(), 4, WalOptions::default()).unwrap_err();
+        let err = recover(mem.clone(), dir(), 4, WalOptions::default()).unwrap_err();
         assert!(err.to_string().contains("images"));
     }
 
     #[test]
     fn failed_append_is_not_replayed() {
         let mem = MemIo::handle();
-        let (wal, ..) = JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
-        drop(wal);
+        drop(open(mem.clone(), 8));
         // Ops through the faulty io: open = mkdir(0)+list(1); first
         // append = append(2)+sync(3); second = append(4), sync(5) fails,
         // repair truncate(6) succeeds.
@@ -289,14 +265,14 @@ mod tests {
             mem.clone(),
             FaultPlan::new().with_fault(5, FaultKind::SyncFail),
         );
-        let (mut wal, ..) = JudgmentWal::open(faulty, dir(), 8, WalOptions::default()).unwrap();
-        wal.append(&session(&[(0, true)])).unwrap();
-        assert!(wal.append(&session(&[(1, true)])).is_err());
-        drop(wal);
+        let db = open(faulty, 8);
+        db.record_durable(session(&[(0, true)])).unwrap();
+        assert!(db.record_durable(session(&[(1, true)])).is_err());
+        assert_eq!(db.n_sessions(), 1, "a failed append records nothing");
+        drop(db);
         mem.crash();
 
-        let (_, store, _, rec) =
-            JudgmentWal::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let (_, store, _, rec) = recover(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(rec.replayed_sessions, 1);
         assert!(
             store.log_vector(1).is_empty(),
@@ -307,17 +283,16 @@ mod tests {
     #[test]
     fn zero_images_is_a_typed_error() {
         let mem = MemIo::handle();
-        let err = JudgmentWal::open(mem, dir(), 0, WalOptions::default()).unwrap_err();
+        let err = SharedLogStore::open(mem, dir(), 0, WalOptions::default()).unwrap_err();
         assert!(matches!(err, WalError::Replay { .. }));
     }
 
     /// A fresh WAL directory holding `snapshot` as its compaction snapshot
     /// and `records` as its replay segment, each CRC-framed by the storage
     /// layer: intact on disk, whatever their content says.
-    fn raw_disk(snapshot: Option<&str>, records: &[&str]) -> lrf_storage::IoRef {
+    fn raw_disk(snapshot: Option<&str>, records: &[&str]) -> IoRef {
         let mem = MemIo::handle();
-        let (mut wal, _) =
-            lrf_storage::Wal::open(mem.clone(), dir(), WalOptions::default()).unwrap();
+        let (mut wal, _) = Wal::open(mem.clone(), dir(), WalOptions::default()).unwrap();
         if let Some(bytes) = snapshot {
             wal.compact(bytes.as_bytes()).unwrap();
         }
@@ -344,7 +319,7 @@ mod tests {
     fn snapshot_session_outside_the_database_is_a_typed_error() {
         let snapshot = v1_snapshot(r#"[{"judgments":[[9,"Relevant"]]}]"#, NO_COLUMNS);
         let io = raw_disk(Some(&snapshot), &[]);
-        let err = crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+        let err = SharedLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
         assert!(
             matches!(err, WalError::Persist(PersistError::Format(_))),
             "got: {err}"
@@ -363,9 +338,7 @@ mod tests {
         let contradicting = r#"[{"entries":[]},{"entries":[]},{"entries":[]},{"entries":[[0,1.0]]},{"entries":[]},{"entries":[[0,-1.0]]},{"entries":[]},{"entries":[]}]"#;
         for columns in [short, contradicting] {
             let io = raw_disk(Some(&v1_snapshot(sessions, columns)), &[]);
-            let (db, _) =
-                crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap();
-            let store = db.snapshot();
+            let store = open(io, 8).snapshot();
             assert_eq!(store.log_vector(7).iter().collect::<Vec<_>>(), [(0, 1.0)]);
             assert_eq!(store.entry(3, 0), -1.0);
             assert!(store.log_vector(5).is_empty());
@@ -379,7 +352,7 @@ mod tests {
         // refused against the database's before the store is built.
         let snapshot = r#"{"version":2,"store":{"n_images":1152921504606846976,"sessions":[]}}"#;
         let io = raw_disk(Some(snapshot), &[]);
-        let err = crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+        let err = SharedLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
         assert!(err.to_string().contains("database has 8"), "got: {err}");
     }
 
@@ -390,8 +363,7 @@ mod tests {
             r#"{"judgments":[[5,"Relevant"],[2,"Relevant"]]}"#,
         ] {
             let io = raw_disk(None, &[r#"{"judgments":[[1,"Relevant"]]}"#, record]);
-            let err =
-                crate::DurableLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+            let err = SharedLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
             assert!(
                 matches!(err, WalError::Replay { record: 1, .. }),
                 "got: {err}"

@@ -1,19 +1,21 @@
-//! Model-checked invariants of [`DurableLogStore`]'s one repair path.
+//! Model-checked invariants of a WAL-backed [`SharedLogStore`]: its one
+//! writer lock and its one repair path.
 //!
-//! A session recorded volatile while storage fails becomes durable through
-//! the next compaction, and through nothing else. Each test races the real
-//! store over `MemIo` under the vendored loom-style checker (both lock
-//! through `lrf_sync`, so every lock the protocol takes is a schedule
-//! point), then cuts power and recovers. The invariant: **a volatile
-//! session is recovered exactly once when a compaction ran after it, and
-//! not at all otherwise — and `unsynced()` is 0 exactly when the last
-//! compaction covered every volatile session.**
+//! A session recorded in memory while storage fails becomes durable
+//! through the next compaction, and through nothing else. Each test races
+//! the real store over `MemIo` under the vendored loom-style checker (its
+//! writer lock and copy-on-write cell come from `lrf_sync`, so every lock
+//! the protocol takes is a schedule point), then cuts power and recovers.
+//! The invariants: **a volatile session is recovered exactly once when a
+//! compaction ran after it, and not at all otherwise — `unsynced()` is 0
+//! exactly when the last compaction covered every volatile session — and
+//! replay order is always the order the store assigned ids in.**
 
 use std::path::Path;
 // Plain std atomics: outcome tallies across executions, outside the model.
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lrf_logdb::{DurableLogStore, LogSession, LogStore, Relevance};
+use lrf_logdb::{LogSession, LogStore, Relevance, SharedLogStore};
 use lrf_storage::{MemIo, WalOptions};
 use lrf_sync::Arc;
 
@@ -26,8 +28,8 @@ fn dir() -> &'static Path {
 }
 
 /// A store over 4 images on a fresh in-memory disk.
-fn open(mem: &std::sync::Arc<MemIo>) -> DurableLogStore {
-    DurableLogStore::open(mem.clone(), dir(), 4, WalOptions::default())
+fn open(mem: &std::sync::Arc<MemIo>) -> SharedLogStore {
+    SharedLogStore::open(mem.clone(), dir(), 4, WalOptions::default())
         .unwrap()
         .0
 }
@@ -50,7 +52,7 @@ fn a_compaction_racing_a_volatile_record_covers_it_once_or_not_at_all() {
         let db = Arc::new(open(&mem));
         let closer = {
             let db = Arc::clone(&db);
-            loom::thread::spawn(move || db.record_volatile(session(0, true)))
+            loom::thread::spawn(move || db.record(session(0, true)))
         };
         db.compact().unwrap();
         assert_eq!(closer.join().unwrap(), 0);
@@ -86,7 +88,7 @@ fn disk_stays_a_prefix_of_memory_under_racing_records_and_compaction() {
         let db = Arc::new(open(&mem));
         let degraded = {
             let db = Arc::clone(&db);
-            loom::thread::spawn(move || db.record_volatile(session(0, true)))
+            loom::thread::spawn(move || db.record(session(0, true)))
         };
         let sync = {
             let db = Arc::clone(&db);
@@ -111,4 +113,35 @@ fn disk_stays_a_prefix_of_memory_under_racing_records_and_compaction() {
         }
     })
     .expect("disk must stay a prefix of memory");
+}
+
+/// Two healthy closes racing while a reader holds a snapshot, so the
+/// appends take the copy-and-swap path: each id a close is acknowledged
+/// with is that session's place in memory and in replay — the WAL append
+/// and the in-memory append happen under the same writer lock.
+#[test]
+fn wal_order_is_store_order_under_racing_durable_appends() {
+    let report = loom::explore(|| {
+        let mem = MemIo::handle();
+        let db = Arc::new(open(&mem));
+        let held = db.snapshot();
+        let other = {
+            let db = Arc::clone(&db);
+            loom::thread::spawn(move || db.record_durable(session(2, true)).unwrap())
+        };
+        let mine = db.record_durable(session(3, false)).unwrap();
+        let theirs = other.join().unwrap();
+        drop(held);
+
+        let memory: Vec<LogSession> = db.snapshot().sessions().cloned().collect();
+        assert_eq!(memory[mine], session(3, false), "id is not memory order");
+        assert_eq!(memory[theirs], session(2, true), "id is not memory order");
+        let recovered = recover(&mem);
+        assert!(
+            recovered.sessions().eq(memory.iter()),
+            "replay order differs from store order"
+        );
+    })
+    .expect("WAL order must be store order");
+    assert!(report.executions > 1);
 }

@@ -55,7 +55,7 @@ fn snapshots_are_never_torn_by_racing_appends() {
     assert!(report.executions > 1);
 }
 
-/// Two appenders racing each other: the append mutex must serialize the
+/// Two appenders racing each other: the writer lock must serialize the
 /// clone-and-swap so neither session is lost, whether either append went
 /// in-place or through the copy path.
 #[test]
@@ -79,5 +79,5 @@ fn racing_appends_lose_no_session() {
         assert_eq!(snap.log_vector(1).nnz(), 1);
         assert_eq!(snap.log_vector(2).nnz(), 1);
     })
-    .expect("the append mutex must serialize clone-and-swap appends");
+    .expect("the writer lock must serialize clone-and-swap appends");
 }

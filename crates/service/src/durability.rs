@@ -2,7 +2,7 @@
 //! load-shedding admission control and compaction.
 //!
 //! The mechanisms live below this crate — `lrf-storage` owns the
-//! checksummed WAL, `lrf-logdb` owns [`lrf_logdb::DurableLogStore`]'s
+//! checksummed WAL, `lrf-logdb` owns [`lrf_logdb::SharedLogStore`]'s
 //! WAL-first recording and its count of unsynced sessions. What the
 //! *service* decides is what to do when storage misbehaves at flush time,
 //! and that policy is all here:

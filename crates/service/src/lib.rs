@@ -9,7 +9,7 @@
 //!   a [`ShardedEngine`] whose shards are views over the database's
 //!   feature allocation — the collection's features exist once in memory,
 //!   no matter how many shards or sessions are live;
-//! * a [`lrf_logdb::DurableLogStore`]: sessions train on frozen log
+//! * a [`lrf_logdb::SharedLogStore`]: sessions train on frozen log
 //!   snapshots while completed sessions append concurrently (copy-on-write
 //!   — a flush can never stall a query). Built with
 //!   [`Service::with_durability_metrics`], every flush is fsynced into a

@@ -73,7 +73,7 @@ pub mod names {
     /// plus the in-memory record, per flushed session.
     pub const STAGE_DURABLE_FLUSH: &str = "stage_durable_flush_ns";
     /// Sessions recorded volatile and not yet compacted: in memory, lost
-    /// on a crash (see [`lrf_logdb::DurableLogStore::unsynced`]).
+    /// on a crash (see [`lrf_logdb::SharedLogStore::unsynced`]).
     pub const WAL_UNSYNCED_SESSIONS: &str = "wal_unsynced_sessions";
     /// 1 while any session is unsynced (flushes bypassing the WAL).
     pub const STORAGE_DEGRADED: &str = "storage_degraded";

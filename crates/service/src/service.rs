@@ -22,7 +22,7 @@
 //!                  │                        scanned and scored  │
 //!                  │                        by 1..N shard       │
 //!                  │                        workers             │
-//!                  │  DurableLogStore    ── snapshot reads,     │
+//!                  │  SharedLogStore     ── snapshot reads,     │
 //!                  │                        COW appends,        │
 //!                  │                        WAL-first flushes   │
 //!                  └────────────────────────────────────────────┘
@@ -50,7 +50,7 @@ use crate::wire;
 use lrf_cbir::{ranking_window, ImageDatabase};
 use lrf_core::{FeedbackLoop, LrfConfig, SchemeKind};
 use lrf_index::AnnIndex;
-use lrf_logdb::{DurableLogStore, DurableRecovery, LogSession, LogStore, WalError};
+use lrf_logdb::{DurableRecovery, LogSession, LogStore, SharedLogStore, WalError};
 use lrf_obs::RegistrySnapshot;
 use lrf_storage::wal::WalOptions;
 use lrf_storage::IoRef;
@@ -127,7 +127,7 @@ pub struct Service {
     db: Arc<ImageDatabase>,
     /// Every search and every pool scoring runs on these shard workers.
     engine: ShardedEngine,
-    log: DurableLogStore,
+    log: SharedLogStore,
     sessions: Mutex<SessionManager<Flushable<SessionState>>>,
     metrics: ServiceMetrics,
     config: ServiceConfig,
@@ -148,7 +148,7 @@ impl Service {
         Self::build(
             Arc::new(db),
             1,
-            DurableLogStore::volatile(log),
+            SharedLogStore::from_store(log),
             config,
             ServiceMetrics::new(),
             None,
@@ -177,7 +177,7 @@ impl Service {
         Self::build(
             Arc::new(db),
             n_shards,
-            DurableLogStore::volatile(log),
+            SharedLogStore::from_store(log),
             config,
             metrics,
             None,
@@ -223,7 +223,7 @@ impl Service {
         let opts = WalOptions {
             segment_bytes: policy.segment_bytes,
         };
-        let (log, recovery) = DurableLogStore::open_with_seed(io, dir, seed, opts)?;
+        let (log, recovery) = SharedLogStore::open_with_seed(io, dir, seed, opts)?;
         metrics.count_recovery(&recovery);
         let svc = Self::build(Arc::new(db), 1, log, config, metrics, Some(policy));
         Ok((svc, recovery))
@@ -234,7 +234,7 @@ impl Service {
     fn build(
         db: Arc<ImageDatabase>,
         n_shards: usize,
-        log: DurableLogStore,
+        log: SharedLogStore,
         config: ServiceConfig,
         metrics: ServiceMetrics,
         durability: Option<DurabilityConfig>,
@@ -612,7 +612,7 @@ impl Service {
     fn record_session(&self, session: LogSession) -> (usize, bool) {
         let Some(cfg) = &self.durability else {
             // WAL-less service: the in-memory record is all there is.
-            return (self.log.record_volatile(session), false);
+            return (self.log.record(session), false);
         };
         let _span = self.metrics.time(&self.metrics.stage_durable_flush);
         // While any session is unsynced, skip the retry budget entirely:
@@ -654,7 +654,7 @@ impl Service {
         // Degraded path: the judgment still lands in memory (future
         // queries train on it) and waits for a compaction; the caller
         // learns the truth via `durable: false`.
-        let id = self.log.record_volatile(session);
+        let id = self.log.record(session);
         self.publish_unsynced();
         (id, false)
     }
@@ -668,7 +668,7 @@ impl Service {
     }
 
     /// The one repair after an outage and the WAL's fold: snapshot the
-    /// whole log (see [`DurableLogStore::compact`]). A no-op on a WAL-less
+    /// whole log (see [`SharedLogStore::compact`]). A no-op on a WAL-less
     /// service.
     fn compact(&self) -> Result<(), WalError> {
         if self.durability.is_none() {
@@ -1235,7 +1235,7 @@ mod tests {
         let svc = Service::build(
             Arc::new(ds.db),
             1,
-            DurableLogStore::volatile(log),
+            SharedLogStore::from_store(log),
             config(),
             ServiceMetrics::with_clock(lrf_obs::ManualClock::shared()),
             None,

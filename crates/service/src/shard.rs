@@ -41,7 +41,7 @@ use lrf_obs::{ClockRef, Counter, Gauge, Histogram, Registry, SpanTimer};
 use lrf_sync::{mpsc, Arc};
 
 /// A shareable frozen feedback log — what shard workers score against
-/// (the coordinator's per-round [`lrf_logdb::DurableLogStore::snapshot`]).
+/// (the coordinator's per-round [`lrf_logdb::SharedLogStore::snapshot`]).
 pub(crate) type LogRef = Arc<LogStore>;
 
 /// One shard's search reply: `(shard index, top-k partial on squared

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use corelog::cbir::{build_flat_index, collect_log, CorelDataset, CorelSpec, ImageDatabase};
 use corelog::core::{LrfConfig, SchemeKind};
-use corelog::logdb::{DurableLogStore, LogSession, LogStore, Relevance, SimulationConfig};
+use corelog::logdb::{LogSession, LogStore, Relevance, SharedLogStore, SimulationConfig};
 use corelog::obs::ManualClock;
 use corelog::service::metrics::names;
 use corelog::service::{
@@ -346,7 +346,7 @@ fn run_outage_schedule(seed: u64, construction_ops: u64) {
     let opts = WalOptions {
         segment_bytes: policy.segment_bytes,
     };
-    let (store, _) = DurableLogStore::open(mem, Path::new(WAL_DIR), n_images, opts)
+    let (store, _) = SharedLogStore::open(mem, Path::new(WAL_DIR), n_images, opts)
         .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
     let store = store.into_store();
     assert_eq!(store.n_sessions(), seeded + on_disk.len(), "seed {seed}");
