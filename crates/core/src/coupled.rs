@@ -28,18 +28,26 @@
 //! and *report its unlabeled slacks*. The schedule above runs over that
 //! pair and hands back the two typed machines.
 //!
-//! **Warm starts.** Every retrain inside one run solves a QP over the
-//! *same* concatenated sample set — only the bounds (`ρ*` doubling) and a
-//! few pseudo-labels change between rounds. So each view's solve after
-//! its first is seeded with its previous dual solution via
-//! [`lrf_svm::train_warm`], which clips it to the new bounds and repairs
-//! feasibility; the annealing schedule's dozen-plus retrains then each
-//! start a stone's throw from their optimum instead of from zero. The
-//! final models agree with cold training within the solver's KKT
-//! tolerance (the tests keep a cold reference run).
+//! **One row store per view, warm starts.** Every retrain inside one run
+//! solves a QP over the *same* concatenated sample set — only the bounds
+//! (`ρ*` doubling) and a few pseudo-labels change between rounds. So each
+//! view owns one [`lrf_svm::KernelCache`] for the whole anneal: a kernel
+//! row is computed once and serves every later solve, and the correction
+//! loop reads its slacks from the same rows instead of re-evaluating the
+//! kernel against every support vector. The slacks are bit-identical to
+//! the model's decision values, so the anneal is bit-identical to one
+//! that re-evaluates. The store computes nothing until a view's first
+//! two-class solve, so an all-one-class round stays the constant machine
+//! it always was, whatever its samples hold. Each view's solve after its
+//! first is also seeded with its previous dual solution, which the solver
+//! clips to the new bounds and repairs to feasibility; the annealing
+//! schedule's dozen-plus retrains then each start a stone's throw from
+//! their optimum instead of from zero. The final models agree with cold
+//! training within the solver's KKT tolerance (the tests keep a cold
+//! reference run).
 
 use crate::config::CoupledConfig;
-use lrf_svm::{train_warm, Kernel, SmoParams, SvmError, TrainedSvm};
+use lrf_svm::{Kernel, KernelCache, SmoParams, SvmError, TrainedSvm};
 use std::borrow::Borrow;
 
 /// Diagnostics of one coupled training run.
@@ -170,8 +178,8 @@ where
     let mut run = Annealing {
         content: SvmView::new(labeled_a, unlabeled_a, kernel_a, cfg.c_content, &cfg.smo),
         log: SvmView::new(labeled_b, unlabeled_b, kernel_b, cfg.c_log, &cfg.smo),
-        y,
-        y_prime: y_init.to_vec(),
+        labels: [y, y_init].concat(),
+        n_labeled: y.len(),
         cfg,
         warm,
         report: TrainReport {
@@ -190,16 +198,15 @@ where
     })
 }
 
-/// One modality as Fig. 1 sees it: borrowed labeled + unlabeled samples,
-/// a kernel, the view's `C` and its current machine. It can be re-solved
-/// at the current pseudo-labels and `ρ*`, and asked how badly its machine
-/// fits the unlabeled pool.
+/// One modality as Fig. 1 sees it: the row store over its borrowed
+/// labeled and unlabeled samples, the view's `C` and its current machine.
+/// It can be re-solved at the current pseudo-labels and `ρ*`, and asked
+/// how badly its machine fits the unlabeled pool.
 struct SvmView<'a, S: ?Sized + ToOwned, K> {
-    /// Labeled then unlabeled samples — references, reused across
-    /// retrains, never cloned.
-    samples: Vec<&'a S>,
+    /// Labeled then unlabeled samples (references, never cloned), the
+    /// kernel, and every kernel row any retrain has computed.
+    store: KernelCache<'a, S, K>,
     n_labeled: usize,
-    kernel: K,
     c: f64,
     smo: &'a SmoParams,
     machine: Option<TrainedSvm<S, K>>,
@@ -213,14 +220,10 @@ impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Clone> SvmView<'a, S, K> {
         c: f64,
         smo: &'a SmoParams,
     ) -> Self {
+        let samples = labeled.iter().chain(unlabeled).map(Borrow::borrow);
         Self {
-            samples: labeled
-                .iter()
-                .chain(unlabeled)
-                .map(Borrow::borrow)
-                .collect(),
+            store: KernelCache::new(kernel, samples.collect()),
             n_labeled: labeled.len(),
-            kernel,
             c,
             smo,
             machine: None,
@@ -240,38 +243,34 @@ impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Clone> SvmView<'a, S, K> {
     /// solution if there is one.
     fn retrain(&mut self, labels: &[f64], rho_star: f64, warm: bool) -> Result<(), SvmError> {
         let mut bounds = vec![self.c; self.n_labeled];
-        bounds.resize(self.samples.len(), rho_star * self.c);
+        bounds.resize(labels.len(), rho_star * self.c);
         // Borrowed, not cloned: the seed is last read before the retrained
         // machine replaces the one it comes from.
         let seed = self.machine.as_ref().filter(|_| warm);
-        let machine = train_warm(
-            &self.samples,
-            labels,
-            &bounds,
-            self.kernel.clone(),
-            self.smo,
-            seed.map(|m| m.alpha.as_slice()),
-        )?;
-        self.machine = Some(machine);
+        let seed = seed.map(|m| m.alpha.as_slice());
+        self.machine = Some(self.store.train(labels, &bounds, self.smo, seed)?);
         Ok(())
     }
 
-    /// Hinge slacks of the unlabeled pool under the current machine.
-    fn unlabeled_slacks(&self, y_prime: &[f64]) -> Vec<f64> {
+    /// Hinge slacks of the unlabeled pool under the current machine, which
+    /// was trained with `labels`, read from the store's rows.
+    fn unlabeled_slacks(&mut self, labels: &[f64]) -> Vec<f64> {
         // lrf-lint: allow(service-panic): `Annealing::step` retrains both
         // views before its first correction round
         let machine = self.machine.as_ref().expect("trained before correction");
-        machine.slacks(&self.samples[self.n_labeled..], y_prime)
+        self.store.slacks(machine, labels, self.n_labeled)
     }
 }
 
 /// The state one [`train_coupled`] call threads through Fig. 1's steps:
-/// the two views, the shared labels `y` and the pseudo-labels `Y'`.
+/// the two views and the labels `y` followed by the pseudo-labels `Y'`.
 struct Annealing<'a, S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
     content: SvmView<'a, S1, K1>,
     log: SvmView<'a, S2, K2>,
-    y: &'a [f64],
-    y_prime: Vec<f64>,
+    /// `y` then `Y'`: what both views train on.
+    labels: Vec<f64>,
+    /// Length of the `y` prefix of `labels`.
+    n_labeled: usize,
     cfg: &'a CoupledConfig,
     /// Seed each retrain from the view's previous solution.
     warm: bool,
@@ -292,7 +291,7 @@ where
         let cfg = self.cfg;
         // Degenerate-but-legal case: no unlabeled points. The coupled problem
         // collapses to independent labeled SVMs.
-        if self.y_prime.is_empty() {
+        if self.labels.len() == self.n_labeled {
             self.retrain(cfg.rho)?;
             self.report.rho_steps = 1;
             return Ok(());
@@ -310,15 +309,14 @@ where
             self.step(rho_star)?;
         }
 
-        self.report.final_labels = std::mem::take(&mut self.y_prime);
+        self.report.final_labels = self.labels.split_off(self.n_labeled);
         Ok(())
     }
 
     /// Re-solves both views, content first, at the current pseudo-labels.
     fn retrain(&mut self, rho_star: f64) -> Result<(), SvmError> {
-        let labels = [self.y, &self.y_prime].concat();
-        self.content.retrain(&labels, rho_star, self.warm)?;
-        self.log.retrain(&labels, rho_star, self.warm)?;
+        self.content.retrain(&self.labels, rho_star, self.warm)?;
+        self.log.retrain(&self.labels, rho_star, self.warm)?;
         self.report.retrains += 1;
         Ok(())
     }
@@ -333,10 +331,11 @@ where
                 self.report.correction_capped = true;
                 break;
             }
-            let xi = self.content.unlabeled_slacks(&self.y_prime);
-            let eta = self.log.unlabeled_slacks(&self.y_prime);
+            let xi = self.content.unlabeled_slacks(&self.labels);
+            let eta = self.log.unlabeled_slacks(&self.labels);
             let mut flipped_any = false;
-            for (j, label) in self.y_prime.iter_mut().enumerate() {
+            let y_prime = &mut self.labels[self.n_labeled..];
+            for (j, label) in y_prime.iter_mut().enumerate() {
                 if xi[j] > 0.0 && eta[j] > 0.0 && xi[j] + eta[j] > self.cfg.delta {
                     *label = -*label;
                     self.report.flips += 1;
@@ -603,6 +602,75 @@ mod tests {
                 "log decisions diverged: warm {dw} vs cold {dc}"
             );
         }
+    }
+
+    /// A kernel that counts its evaluations, shared by every clone.
+    #[derive(Clone)]
+    struct Counting<K>(K, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl<S: ?Sized, K: Kernel<S>> Kernel<S> for Counting<K> {
+        fn compute(&self, a: &S, b: &S) -> f64 {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.compute(a, b)
+        }
+    }
+
+    #[test]
+    fn each_view_evaluates_each_kernel_value_at_most_once_per_anneal() {
+        // One anneal re-solves the same sample set over and over: with one
+        // row store per view, no kernel value is computed twice — at most
+        // the n(n+1)/2 of a symmetric Gram fill, however many retrains
+        // and correction rounds read the rows.
+        let (la, lb, y, ua, ub) = agreeing_problem();
+        let (ka, kb) = kernels();
+        let (count_a, count_b) = (Default::default(), Default::default());
+        let out = train_coupled(
+            &la,
+            &lb,
+            &y,
+            &ua,
+            &ub,
+            &[-1.0, 1.0],
+            Counting(ka, std::sync::Arc::clone(&count_a)),
+            Counting(kb, std::sync::Arc::clone(&count_b)),
+            &CoupledConfig::default(),
+        )
+        .unwrap();
+        assert!(out.report.retrains >= 10, "{:?}", out.report);
+        let n = la.len() + ua.len();
+        for count in [count_a, count_b] {
+            let evaluations = count.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(evaluations > 0);
+            assert!(evaluations <= n * (n + 1) / 2, "{evaluations} evaluations");
+        }
+    }
+
+    #[test]
+    fn one_class_round_with_a_nan_feature_trains_constant_machines() {
+        // Every label and pseudo-label +1: each solve is the single-class
+        // shortcut, so no kernel is evaluated and the NaN is never read.
+        let (mut la, lb, _, ua, ub) = agreeing_problem();
+        la[1][0] = f64::NAN;
+        let y = [1.0; 4];
+        let (ka, kb) = kernels();
+        let cfg = CoupledConfig::default();
+        let out = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
+        assert_eq!(out.report.final_labels, vec![1.0, 1.0]);
+        assert_eq!(out.report.flips, 0);
+        for (stats, alpha, bias) in [
+            (
+                out.content.stats,
+                &out.content.alpha,
+                out.content.model.bias(),
+            ),
+            (out.log.stats, &out.log.alpha, out.log.model.bias()),
+        ] {
+            assert_eq!(stats.n_support, 0);
+            assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+            assert!(alpha.iter().all(|&a| a == 0.0));
+            assert_eq!(bias, 1.0);
+        }
+        assert_eq!(out.content.model.decision(&la[1]), 1.0);
     }
 
     #[test]

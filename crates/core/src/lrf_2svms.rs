@@ -34,7 +34,7 @@ impl Lrf2Svms {
     /// vectors from the store (no clone per sample), optionally seeded with
     /// the previous round's log-side alphas (labeled-set order). Exposed
     /// for reuse by LRF-CSVM (this is its log-side initial model).
-    pub fn train_log_svm(
+    pub(crate) fn train_log_svm(
         &self,
         ctx: &QueryContext<'_>,
         warm: Option<&[f64]>,

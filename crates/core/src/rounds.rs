@@ -211,11 +211,11 @@ impl FeedbackLoop {
     /// caller. `scatter` receives the trained
     /// [`crate::feedback::PoolScorer`] plus the pool and returns decision
     /// scores aligned with the pool — `scorer.score_ids(db, log, ids)`
-    /// inline, or, as the coordinator half of a scatter-gather serving
-    /// plane, by slicing the pool across shard workers and stitching their
-    /// score vectors back in pool order. The scorer's partition-invariance
-    /// contract makes the stitched vector bit-identical to scoring the
-    /// pool in one call (the sharded service asserts it end to end).
+    /// inline, as the service does, or by slicing the pool across shard
+    /// workers and stitching their score vectors back in pool order. The
+    /// scorer's partition-invariance contract makes the stitched vector
+    /// bit-identical to scoring the pool in one call (the shard engine's
+    /// tests assert it).
     ///
     /// Schemes with no trainable decision function (Euclidean) never call
     /// `scatter`; the pool keeps its order.

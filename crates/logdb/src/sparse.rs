@@ -108,11 +108,6 @@ impl SparseVector {
         self.signed_overlap(other) as f64
     }
 
-    /// Squared Euclidean norm: the nnz, since every entry is `±1`.
-    pub fn norm_sq(&self) -> f64 {
-        self.nnz() as f64
-    }
-
     /// Squared Euclidean distance `‖a − b‖² = nnz_a + nnz_b − 2·a·b`, from
     /// one merge: an index only one side holds adds 1, a shared agreeing
     /// one 0, a shared disagreeing one 4.
@@ -127,6 +122,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    impl SparseVector {
+        /// Squared Euclidean norm: the nnz, since every entry is `±1`.
+        fn norm_sq(&self) -> f64 {
+            self.nnz() as f64
+        }
+    }
 
     impl SparseVector {
         /// Densifies into a `dim`-length vector: the dense reference the

@@ -5,8 +5,8 @@
 //! into the log that future queries train on. This crate is that serving
 //! plane, built on the zero-copy data plane underneath it:
 //!
-//! * one `Arc`-shared [`lrf_cbir::ImageDatabase`] searched and scored by
-//!   a [`ShardedEngine`] whose shards are views over the database's
+//! * one `Arc`-shared [`lrf_cbir::ImageDatabase`] searched by a
+//!   [`ShardedEngine`] whose shards are views over the database's
 //!   feature allocation — the collection's features exist once in memory,
 //!   no matter how many shards or sessions are live;
 //! * a [`lrf_logdb::SharedLogStore`]: sessions train on frozen log
@@ -37,10 +37,10 @@
 //!   │              pool-deep; the session keeps the neighbours, content
 //!   │              only)
 //!   │  Mark*      (judgments accumulate; typed errors, never panics)
-//!   │  Rerank     (no search: retrain scheme once on all judgments, score
-//!   │              the stored pool across the shard workers — one
-//!   │              `rerank_scattered` call, bit-identical to the one-shot
-//!   │              pooled path)
+//!   │  Rerank     (no search, no shard job: retrain scheme once on all
+//!   │              judgments, score the stored pool on the session's
+//!   │              thread — one `rerank_scattered` call, bit-identical
+//!   │              to the one-shot pooled path)
 //!   │  Page*      (read slices of the current ranking: the stored head,
 //!   │              then the ids it lacks ascending; before a rerank a
 //!   │              page past the head deepens the search geometrically)

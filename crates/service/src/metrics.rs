@@ -87,10 +87,11 @@ pub mod names {
     pub const RECOVERY_REREAD_RECOVERIES: &str = "recovery_reread_recoveries_total";
     /// Stale files (older epochs, leftover temp files) swept at startup.
     pub const RECOVERY_STALE_FILES: &str = "recovery_stale_files_removed_total";
-    /// Jobs submitted to shard workers but not yet completed (scatter
-    /// fan-out depth across all shards).
+    /// Jobs submitted to shard workers but not yet completed (fan-out
+    /// depth across all shards).
     pub const SHARD_QUEUE_DEPTH: &str = "shard_queue_depth";
-    /// Jobs dispatched to shard workers (searches + scatter scorings).
+    /// Jobs dispatched to shard workers (the service's searches, plus any
+    /// direct [`crate::ShardedEngine::scatter_scores`] call).
     pub const SHARD_JOBS: &str = "shard_jobs_total";
     /// TCP connections the network listener accepted.
     pub const NET_CONNECTIONS: &str = "net_connections_total";
@@ -101,12 +102,12 @@ pub mod names {
     pub const NET_BAD_REQUESTS: &str = "net_bad_requests_total";
 
     /// Per-shard search-stage latency histogram name (`shard{i}_search_ns`).
-    pub fn shard_search_ns(shard: usize) -> String {
+    pub(crate) fn shard_search_ns(shard: usize) -> String {
         format!("shard{shard}_search_ns")
     }
 
     /// Per-shard scoring-stage latency histogram name (`shard{i}_score_ns`).
-    pub fn shard_score_ns(shard: usize) -> String {
+    pub(crate) fn shard_score_ns(shard: usize) -> String {
         format!("shard{shard}_score_ns")
     }
 }

@@ -19,9 +19,9 @@
 //!                  │        ▼                   across sessions)│
 //!                  │  Arc<ImageDatabase> ── Arc-shared flat     │
 //!                  │  ShardedEngine      ── matrix (one copy),  │
-//!                  │                        scanned and scored  │
-//!                  │                        by 1..N shard       │
-//!                  │                        workers             │
+//!                  │                        scanned by 1..N     │
+//!                  │                        shard workers       │
+//!                  │                                            │
 //!                  │  SharedLogStore     ── snapshot reads,     │
 //!                  │                        COW appends,        │
 //!                  │                        WAL-first flushes   │
@@ -31,10 +31,11 @@
 //! The global lock covers only the session table; all learning runs under
 //! per-session locks against an immutable database and a frozen log
 //! snapshot, so N sessions retrain genuinely in parallel. Every service
-//! searches and scores through its engine's shard workers — one shard for
+//! searches through its engine's shard workers — one shard for
 //! [`Service::new`] and durable services. The database is searched once
 //! per session, at `Open`, as deep as the candidate pool; every rerank
-//! re-ranks those neighbours, and no session holds an N-long ranking.
+//! re-ranks those neighbours, scoring them on the session's own thread,
+//! and no session holds an N-long ranking.
 //! Closing (or evicting) a session appends it to the shared log through
 //! the copy-on-write store — queries in flight keep their snapshot and are
 //! never stalled — which is how today's sessions become the log vectors
@@ -125,7 +126,7 @@ struct SessionState {
 /// the full distance order, bit for bit.
 pub struct Service {
     db: Arc<ImageDatabase>,
-    /// Every search and every pool scoring runs on these shard workers.
+    /// Every search runs on these shard workers.
     engine: ShardedEngine,
     log: SharedLogStore,
     sessions: Mutex<SessionManager<Flushable<SessionState>>>,
@@ -158,10 +159,10 @@ impl Service {
     /// Builds a sharded service: the database is split into `n_shards`
     /// contiguous-id flat shards (views over the one shared feature
     /// matrix — no rows are copied), each pinned to a worker thread. The
-    /// initial screen scatter-gathers the search across the shards and
-    /// every rerank scatters its pool scoring the same way; both are
+    /// initial screen scatter-gathers the search across the shards,
     /// bit-identical to the one-shard service by construction (merge on
-    /// squared distances, partition-invariant scorers). Per-shard stage
+    /// squared distances); reranks score on the session's thread and
+    /// send the shards nothing. Per-shard stage
     /// histograms and the queue-depth gauge register in the same
     /// `metrics` registry the request path records to.
     ///
@@ -447,13 +448,14 @@ impl Service {
         let neighbors = &state.neighbors[..self.config.pool_size.min(state.neighbors.len())];
         let reranked = {
             let _retrain = self.metrics.time(&self.metrics.stage_retrain);
-            // Train once here; score the pool across the shard workers,
-            // bit-identical to one call by the scorer's partition-invariance
-            // contract (asserted end-to-end in tests/net_service.rs).
+            // Train once and score the pool here, on the session's thread:
+            // the shard workers serve searches only, so an `Open`'s scan
+            // never queues behind another session's pool scoring. A pool
+            // is a few hundred ids, a fraction of the fit's cost.
             state
                 .fb
                 .rerank_scattered(&self.db, &snapshot, neighbors, |scorer, ids| {
-                    self.engine.scatter_scores(scorer, &snapshot, ids)
+                    scorer.score_ids(&self.db, &snapshot, ids)
                 })
         };
         state.neighbors.truncate(self.config.pool_size);

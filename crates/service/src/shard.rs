@@ -1,36 +1,41 @@
 //! The sharded scatter-gather engine: N shard workers over one database.
 //!
-//! At serving scale the two data-plane passes of every feedback round —
-//! the ANN screen and the pool scoring — are embarrassingly parallel over
-//! disjoint id ranges. This module slices the database into contiguous-id
-//! [`FlatShard`]s (all views over the *one* `Arc`-shared feature matrix —
-//! sharding copies no rows) and pins each to a dedicated worker thread fed
-//! over a channel:
+//! At serving scale the ANN screen of every `Open` is embarrassingly
+//! parallel over disjoint id ranges. This module slices the database into
+//! contiguous-id [`FlatShard`]s (all views over the *one* `Arc`-shared
+//! feature matrix — sharding copies no rows) and pins each to a dedicated
+//! worker thread fed over a channel:
 //!
 //! ```text
 //!                        ┌────────────────────────────────┐
 //!   search(q, k) ───────▶│ coordinator (request thread)   │
-//!   scatter_scores(...)  │   │ one job per shard          │
+//!                        │   │ one job per shard          │
 //!                        │   ▼                            │
 //!                        │ mpsc ──▶ shard worker 0..N     │
 //!                        │            FlatShard::search_d2│
-//!                        │            scorer.score_ids    │
 //!                        │   ◀── reply channel ──┘        │
 //!                        │   ▼                            │
-//!                        │ k-way merge (d², then √) /     │
-//!                        │ stitch scores in pool order    │
+//!                        │ k-way merge (d², then √)       │
 //!                        └────────────────────────────────┘
 //! ```
+//!
+//! A rerank sends the workers nothing: the service scores its few-hundred
+//! id pool on the session's own thread, so searches never queue behind
+//! pool scoring. [`ShardedEngine::scatter_scores`] and its score job stay
+//! only because the benchmark's adapter (`benchmark/src/sut.rs`) still
+//! times them; they score a pool across the workers and stitch it back in
+//! pool order.
 //!
 //! **Bit-identity is the contract, not an aspiration.** Search merges
 //! shard partials on *squared* distances with `(total_cmp(d²), id)`
 //! ordering ([`lrf_index::merge_top_k`]), the same key the single-shard
 //! [`lrf_index::FlatIndex`] uses internally, so the merged ranking is
 //! bit-identical to the unsharded one — including duplicate-distance
-//! tie-breaks that a post-`sqrt` merge would corrupt. Scoring relies on
-//! the [`lrf_core::PoolScorer`] partition-invariance contract: stitching
-//! per-shard score slices back in pool order equals scoring the pool in
-//! one call. Both identities are asserted by tests and the E2E suite.
+//! tie-breaks that a post-`sqrt` merge would corrupt. Scattered scoring
+//! relies on the [`lrf_core::PoolScorer`] partition-invariance contract:
+//! stitching per-shard score slices back in pool order equals scoring the
+//! pool in one call. Both identities are asserted by tests and the E2E
+//! suite.
 
 use crate::metrics::names;
 use lrf_cbir::{build_flat_shards, ImageDatabase};
@@ -71,9 +76,10 @@ enum ShardJob {
 /// The scatter-gather engine: shard worker threads plus the coordinator
 /// operations that fan work out and merge it back. Every
 /// [`crate::Service`] owns one (one shard unless built sharded) and runs
-/// each search ([`search_with_stats`](Self::search_with_stats)) and each
-/// rerank's pool scoring ([`scatter_scores`](Self::scatter_scores))
-/// through it.
+/// each search ([`search_with_stats`](Self::search_with_stats)) through
+/// it. No service path calls [`scatter_scores`](Self::scatter_scores):
+/// reranks score on the session's thread, and it remains for the
+/// benchmark's adapter.
 pub struct ShardedEngine {
     n: usize,
     dim: usize,

@@ -1,17 +1,25 @@
-//! Lazy kernel-row store.
+//! The kernel-row store and the entry points that take one.
 //!
 //! The SMO solver only ever touches the Gram matrix one **row** at a time
-//! (the two working-set rows per iteration, plus occasional rows of
-//! nonzero-α points for gradient reconstruction). Precomputing the full
+//! (the two working-set rows per iteration, plus the rows of nonzero-α
+//! points when a warm start rebuilds the gradient). Precomputing the full
 //! `n × n` matrix therefore wastes kernel evaluations whenever the solver
 //! converges after touching a subset of rows — which is exactly what
 //! happens on warm-started feedback rounds, where a handful of iterations
 //! suffice. [`KernelCache`] computes rows on first touch, keeps them until
-//! the solve ends, and counts hits/misses so the savings are observable
-//! through `SolveStats`. Nothing is ever dropped: a feedback round is tens
-//! of samples (a few hundred at the very most — `tests/golden_solver.rs` pins
-//! an n = 240 solve), so every row of the largest solve fits in a few
-//! hundred KiB.
+//! the store is dropped, and counts hits/misses so the savings are
+//! observable through `SolveStats` (per solve). Nothing is ever evicted: a
+//! feedback round is tens of samples (a few hundred at the very most —
+//! `tests/golden_solver.rs` pins an n = 240 solve), so every row of the
+//! largest store fits in a few hundred KiB.
+//!
+//! A store outlives the solve when its owner keeps it. The coupled SVM's
+//! annealing schedule re-solves one sample set about a hundred times with
+//! new bounds and pseudo-labels: it owns one store per view for the whole
+//! anneal, trains in it ([`KernelCache::train`]) and reads each machine's
+//! hinge slacks from its rows ([`KernelCache::slacks`]), so no kernel value
+//! is evaluated twice. [`crate::train`] and [`crate::train_warm`] are the
+//! one-solve use of the same store.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully
@@ -27,8 +35,10 @@
 
 use crate::error::SvmError;
 use crate::kernel::Kernel;
-use std::borrow::Borrow;
-use std::marker::PhantomData;
+use crate::model::TrainedSvm;
+use crate::smo::{
+    finish_model, single_class_sign, solve_dual, validate, DualSolution, SmoParams, SV_THRESHOLD,
+};
 
 /// Row-level access to the (implicit) Gram matrix, as consumed by the SMO
 /// solver. Implemented by the lazy [`KernelCache`] and, in tests, by the
@@ -42,72 +52,139 @@ pub(crate) trait KernelRows {
     /// Rows `i` and `j` (`i != j`) simultaneously — the per-iteration
     /// access pattern of the gradient update.
     fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]);
-    /// `(hits, misses)` accumulated so far (zeros for precomputed paths).
-    fn cache_stats(&self) -> (u64, u64);
 }
 
-/// Lazy kernel-row store: a row is computed on first touch and kept until
-/// the store is dropped at the end of the solve. The diagonal is computed
-/// eagerly at construction (it doubles as the non-finite-sample check).
-pub(crate) struct KernelCache<'a, S: ?Sized, B, K> {
-    kernel: &'a K,
-    samples: &'a [B],
+/// Lazy kernel-row store over one sample set: a row is computed on first
+/// touch and kept until the store is dropped. The diagonal is computed by
+/// the first solve that needs it (it doubles as the non-finite-sample
+/// check), so a store whose every problem is single-class evaluates no
+/// kernel at all.
+pub struct KernelCache<'a, S: ?Sized, K> {
+    pub(crate) kernel: K,
+    samples: Vec<&'a S>,
+    /// `K(i, i)`; empty until the first two-class solve.
     diag: Vec<f64>,
     rows: Vec<Option<Box<[f64]>>>,
     hits: u64,
     misses: u64,
-    _sample: PhantomData<&'a S>,
 }
 
-impl<'a, S, B, K> KernelCache<'a, S, B, K>
+impl<'a, S, K> KernelCache<'a, S, K>
 where
-    S: ?Sized,
-    B: Borrow<S>,
+    S: ?Sized + ToOwned,
     K: Kernel<S>,
 {
-    /// Builds an empty store over `samples`.
+    /// An empty store over `samples`; evaluates no kernel.
+    pub fn new(kernel: K, samples: Vec<&'a S>) -> Self {
+        let rows = samples.iter().map(|_| None).collect();
+        Self {
+            kernel,
+            samples,
+            diag: Vec::new(),
+            rows,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// [`crate::train_warm`] over this store's samples, reusing every row
+    /// an earlier solve in it computed. The result is bit-identical to
+    /// `train_warm` on the same samples; only the kernel evaluations
+    /// differ. `SolveStats`' hit and miss counts are this solve's own.
     ///
-    /// Computes the kernel diagonal eagerly; a non-finite `K(i, i)` is
+    /// # Errors
+    /// As [`crate::train_warm`].
+    pub fn train(
+        &mut self,
+        labels: &[f64],
+        upper_bounds: &[f64],
+        params: &SmoParams,
+        warm: Option<&[f64]>,
+    ) -> Result<TrainedSvm<S, K>, SvmError>
+    where
+        K: Clone,
+    {
+        let sol = self.solve(labels, upper_bounds, params, warm)?;
+        let kernel = self.kernel.clone();
+        Ok(finish_model(&self.samples, labels, kernel, sol))
+    }
+
+    /// Hinge slacks `ξ_t = max(0, 1 − y_t·f(x_t))` of the samples `from..`
+    /// under `machine`, which [`Self::train`] trained in this store with
+    /// `labels` (the `y_t` are the same labels). `f` is read from the
+    /// support vectors' rows and is bit-identical to
+    /// [`crate::SvmModel::decision`]: the bias first, then `α_i·y_i` times
+    /// `K(x_i, x_t)`, support vectors in index order. A machine with no
+    /// support vectors touches no row.
+    ///
+    /// # Panics
+    /// Panics if `machine` or `labels` does not span this store's samples.
+    pub fn slacks(&mut self, machine: &TrainedSvm<S, K>, labels: &[f64], from: usize) -> Vec<f64> {
+        let n = self.samples.len();
+        assert_eq!(machine.alpha.len(), n, "not this store's machine");
+        assert_eq!(labels.len(), n, "not this store's labels");
+        let mut f = vec![machine.model.bias(); n - from];
+        for (i, &a) in machine.alpha.iter().enumerate() {
+            if a > SV_THRESHOLD {
+                let coef = a * labels[i];
+                for (ft, &k) in f.iter_mut().zip(&self.row(i)[from..]) {
+                    *ft += coef * k;
+                }
+            }
+        }
+        f.iter()
+            .zip(&labels[from..])
+            .map(|(&ft, &y)| (1.0 - y * ft).max(0.0))
+            .collect()
+    }
+
+    /// Validates the problem, takes the single-class shortcut, and
+    /// otherwise solves the dual in this store. The store's first
+    /// two-class solve computes the diagonal: a non-finite `K(i, i)` is
     /// reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
     /// kernel in this workspace a sample containing NaN/∞ poisons its own
     /// diagonal entry, so this is equivalent to the full-matrix scan of
-    /// the precomputed path.
-    pub(crate) fn new(kernel: &'a K, samples: &'a [B]) -> Result<Self, SvmError> {
-        let n = samples.len();
-        let mut diag = Vec::with_capacity(n);
-        for (i, s) in samples.iter().enumerate() {
-            let v = kernel.compute(s.borrow(), s.borrow());
-            if !v.is_finite() {
+    /// the precomputed path. The solution's hit and miss counts are this
+    /// solve's own.
+    pub(crate) fn solve(
+        &mut self,
+        labels: &[f64],
+        upper_bounds: &[f64],
+        params: &SmoParams,
+        warm: Option<&[f64]>,
+    ) -> Result<DualSolution, SvmError> {
+        validate(self.samples.len(), labels, upper_bounds)?;
+        if let Some(sign) = single_class_sign(labels) {
+            return Ok(DualSolution::constant(labels.len(), sign));
+        }
+        if self.diag.is_empty() {
+            let kernel = &self.kernel;
+            self.diag = self.samples.iter().map(|&s| kernel.compute(s, s)).collect();
+            if let Some(i) = self.diag.iter().position(|v| !v.is_finite()) {
+                self.diag.clear();
                 return Err(SvmError::NonFiniteKernel { row: i, col: i });
             }
-            diag.push(v);
         }
-        Ok(Self {
-            kernel,
-            samples,
-            diag,
-            rows: (0..n).map(|_| None).collect(),
-            hits: 0,
-            misses: 0,
-            _sample: PhantomData,
-        })
+        let (hits, misses) = (self.hits, self.misses);
+        let mut sol = solve_dual(self, labels, upper_bounds, params, warm);
+        (sol.cache_hits, sol.cache_misses) = (self.hits - hits, self.misses - misses);
+        Ok(sol)
     }
 
     /// Computes row `i`, mirroring entries from already-resident rows
     /// (`K(i,t) = K(t,i)`, bitwise for the symmetric kernels used here) so
-    /// repeated cold solves approach the `n(n+1)/2` evaluations of the
-    /// eager symmetric fill.
+    /// a store's solves together make at most the `n(n+1)/2` evaluations
+    /// of the eager symmetric fill.
     fn compute_row(&self, i: usize) -> Box<[f64]> {
-        let n = self.samples.len();
-        let si = self.samples[i].borrow();
-        let mut data = Vec::with_capacity(n);
-        for t in 0..n {
+        let si = self.samples[i];
+        let mut data = Vec::with_capacity(self.samples.len());
+        for (t, &st) in self.samples.iter().enumerate() {
             let v = if t == i {
                 self.diag[i]
             } else if let Some(rt) = self.rows[t].as_deref() {
                 rt[i]
             } else {
-                self.kernel.compute(si, self.samples[t].borrow())
+                self.kernel.compute(si, st)
             };
             data.push(v);
         }
@@ -125,10 +202,9 @@ where
     }
 }
 
-impl<S, B, K> KernelRows for KernelCache<'_, S, B, K>
+impl<S, K> KernelRows for KernelCache<'_, S, K>
 where
-    S: ?Sized,
-    B: Borrow<S>,
+    S: ?Sized + ToOwned,
     K: Kernel<S>,
 {
     fn diag(&self, i: usize) -> f64 {
@@ -154,10 +230,6 @@ where
             (row_hi, row_lo)
         }
     }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +237,10 @@ mod tests {
     use super::*;
     use crate::kernel::oracle::{gram_matrix, GramMatrix};
     use crate::kernel::{LinearKernel, RbfKernel};
+    use crate::smo::train_warm;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The eager matrix as a row provider: what lets the solver's tests
     /// run the identical loop over a fully precomputed Gram as the oracle.
@@ -183,21 +258,37 @@ mod tests {
             let s = self.as_slice();
             (&s[i * n..(i + 1) * n], &s[j * n..(j + 1) * n])
         }
-
-        fn cache_stats(&self) -> (u64, u64) {
-            (0, 0)
-        }
     }
 
     fn samples_from(flat: &[f64], dims: usize) -> Vec<Vec<f64>> {
         flat.chunks(dims).map(<[f64]>::to_vec).collect()
     }
 
+    /// A store over `samples` with its diagonal computed, as a solve
+    /// leaves it.
+    fn store<K: Kernel<[f64]>>(kernel: K, samples: &[Vec<f64>]) -> KernelCache<'_, [f64], K> {
+        let mut cache = KernelCache::new(kernel, samples.iter().map(Vec::as_slice).collect());
+        cache.diag = samples.iter().map(|s| cache.kernel.compute(s, s)).collect();
+        cache
+    }
+
+    impl<S: ?Sized, K> KernelCache<'_, S, K> {
+        /// `(hits, misses)` over the store's life.
+        fn cache_stats(&self) -> (u64, u64) {
+            (self.hits, self.misses)
+        }
+    }
+
     #[test]
     fn diagonal_validation_reports_nan_sample() {
-        let samples = vec![vec![1.0], vec![f64::NAN]];
-        let err = KernelCache::new(&LinearKernel, &samples).err().unwrap();
-        assert_eq!(err, SvmError::NonFiniteKernel { row: 1, col: 1 });
+        let samples = [vec![1.0], vec![f64::NAN]];
+        let mut cache = KernelCache::new(LinearKernel, samples.iter().map(Vec::as_slice).collect());
+        let bounds = [1.0, 1.0];
+        let params = SmoParams::default();
+        // One class: the shortcut answers before any kernel is evaluated.
+        assert!(cache.solve(&[1.0, 1.0], &bounds, &params, None).is_ok());
+        let err = cache.solve(&[1.0, -1.0], &bounds, &params, None).err();
+        assert_eq!(err, Some(SvmError::NonFiniteKernel { row: 1, col: 1 }));
     }
 
     #[test]
@@ -206,7 +297,7 @@ mod tests {
         let samples = samples_from(&flat, 3);
         let kernel = RbfKernel::new(0.6);
         let gram = gram_matrix(&kernel, &samples);
-        let mut cache = KernelCache::new(&kernel, &samples).unwrap();
+        let mut cache = store(kernel, &samples);
         for i in 0..samples.len() {
             assert_eq!(cache.row(i), GramMatrix::row(&gram, i), "row {i}");
         }
@@ -227,7 +318,7 @@ mod tests {
         let samples = samples_from(&flat, 2);
         let kernel = RbfKernel::new(1.1);
         let gram = gram_matrix(&kernel, &samples);
-        let mut cache = KernelCache::new(&kernel, &samples).unwrap();
+        let mut cache = store(kernel, &samples);
         for i in 0..samples.len() {
             for j in 0..samples.len() {
                 if i == j {
@@ -237,6 +328,86 @@ mod tests {
                 assert_eq!(ri, GramMatrix::row(&gram, i), "pair({i},{j}) row i");
                 assert_eq!(rj, GramMatrix::row(&gram, j), "pair({i},{j}) row j");
             }
+        }
+    }
+
+    /// Gaussian RBF over sparse `(index, value)` samples, ascending by
+    /// index: the shape of the log view's kernel, with a merge whose sum
+    /// runs in index order, so it is symmetric bit for bit.
+    #[derive(Clone, Copy, Debug)]
+    struct SparseRbf(f64);
+
+    impl Kernel<[(u32, f64)]> for SparseRbf {
+        fn compute(&self, a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
+            let (mut i, mut j, mut d2) = (0, 0, 0.0);
+            while i < a.len() || j < b.len() {
+                let d = match (a.get(i), b.get(j)) {
+                    (Some(&(ia, va)), Some(&(ib, vb))) if ia == ib => {
+                        i += 1;
+                        j += 1;
+                        va - vb
+                    }
+                    (Some(&(ia, va)), Some(&(ib, _))) if ia < ib => {
+                        i += 1;
+                        va
+                    }
+                    (Some(&(_, va)), None) => {
+                        i += 1;
+                        va
+                    }
+                    (_, Some(&(_, vb))) => {
+                        j += 1;
+                        vb
+                    }
+                    (None, None) => unreachable!(),
+                };
+                d2 += d * d;
+            }
+            (-self.0 * d2).exp()
+        }
+    }
+
+    /// Runs `solves` warm or cold solves over `samples` in one store —
+    /// each with freshly drawn labels (sometimes one class) and bounds —
+    /// and holds every machine to `train_warm` on the same seed and to
+    /// `TrainedSvm::slacks`, bit for bit. A machine with no support
+    /// vectors must read its slacks without touching a row.
+    fn check_store_slacks<S, K>(samples: &[&S], kernel: K, seed: u64, solves: usize)
+    where
+        S: ?Sized + ToOwned,
+        K: Kernel<S> + Clone,
+    {
+        let n = samples.len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cache = KernelCache::new(kernel.clone(), samples.to_vec());
+        let params = SmoParams::default();
+        let mut prev: Option<Vec<f64>> = None;
+        for _ in 0..solves {
+            let mut labels: Vec<f64> = (0..n)
+                .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+                .collect();
+            if rng.gen_bool(0.2) {
+                let first = labels[0];
+                labels.fill(first);
+            }
+            let bounds: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..10.0)).collect();
+            let warm = prev.as_deref().filter(|_| rng.gen_bool(0.7));
+            let m = cache.train(&labels, &bounds, &params, warm).unwrap();
+            let one = train_warm(samples, &labels, &bounds, kernel.clone(), &params, warm).unwrap();
+            assert_eq!(m.alpha, one.alpha);
+            assert_eq!(m.model.bias().to_bits(), one.model.bias().to_bits());
+            assert_eq!(m.stats.iterations, one.stats.iterations);
+
+            let from = rng.gen_range(0..n);
+            let before = cache.cache_stats();
+            let got = cache.slacks(&m, &labels, from);
+            let want = m.slacks(&samples[from..], &labels[from..]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "from {from}");
+            if m.stats.n_support == 0 {
+                assert_eq!(cache.cache_stats(), before, "a constant machine read a row");
+            }
+            prev = Some(m.alpha);
         }
     }
 
@@ -253,7 +424,7 @@ mod tests {
             let samples = samples_from(&flat, 3);
             let n = samples.len();
             let kernel = RbfKernel::new(gamma);
-            let mut cache = KernelCache::new(&kernel, &samples).unwrap();
+            let mut cache = store(kernel, &samples);
             for (step, &raw) in accesses.iter().enumerate() {
                 let i = raw % n;
                 // Alternate row/pair accesses to exercise both entry points.
@@ -272,6 +443,38 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// Slacks read from a shared store equal the model's own decision
+        /// arithmetic in every bit, on dense and sparse problems, across
+        /// warm and cold solve sequences in one store.
+        #[test]
+        fn store_slacks_equal_model_slacks_bit_for_bit(
+            seed in 0u64..10_000,
+            n in 2usize..16,
+            gamma in 0.05f64..2.0,
+            solves in 1usize..8,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dense: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                .collect();
+            let refs: Vec<&[f64]> = dense.iter().map(Vec::as_slice).collect();
+            check_store_slacks(&refs, RbfKernel::new(gamma), seed, solves);
+
+            let sparse: Vec<Vec<(u32, f64)>> = (0..n)
+                .map(|_| {
+                    let mut sample = Vec::new();
+                    for k in 0..12u32 {
+                        if rng.gen_bool(0.3) {
+                            sample.push((k, if rng.gen_bool(0.5) { 1.0 } else { -1.0 }));
+                        }
+                    }
+                    sample
+                })
+                .collect();
+            let refs: Vec<&[(u32, f64)]> = sparse.iter().map(Vec::as_slice).collect();
+            check_store_slacks(&refs, SparseRbf(gamma / 4.0), seed, solves);
         }
     }
 }

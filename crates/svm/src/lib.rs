@@ -18,14 +18,19 @@
 //!   one knob a caller has turned (`max_iter`); the stopping tolerance
 //!   [`EPS`], the curvature floor `TAU` and the support-vector threshold
 //!   are constants, as in LIBSVM.
-//! * `cache` — the lazy kernel-row store the training path
+//! * `working_set` — one SMO iteration: the second-order working-set
+//!   selection and the closed-form update of the selected pair.
+//! * `cache` — [`KernelCache`], the lazy kernel-row store every solve
 //!   computes Gram rows through: a row is computed on first touch and kept
-//!   until the solve ends, with hit/miss counts surfaced in
-//!   [`SolveStats`]. The eager full-matrix solve is the tests' bit-exact
-//!   oracle.
-//! * `model` — the trained decision function, slack extraction (needed by
-//!   the coupled SVM's label-correction loop), and degenerate single-class
-//!   handling (a feedback round can return only positives).
+//!   until the store is dropped, with per-solve hit/miss counts surfaced
+//!   in [`SolveStats`]. [`train`] and [`train_warm`] use a store for one
+//!   solve; a caller that re-solves one sample set (the coupled SVM's
+//!   annealing) owns a store, trains in it ([`KernelCache::train`]) and
+//!   reads each machine's hinge slacks from its rows
+//!   ([`KernelCache::slacks`]). The eager full-matrix solve is the tests'
+//!   bit-exact oracle.
+//! * `model` — the trained decision function, and degenerate
+//!   single-class handling (a feedback round can return only positives).
 //!
 //! ## The optimization problem
 //!
@@ -61,7 +66,9 @@ mod error;
 mod kernel;
 mod model;
 mod smo;
+mod working_set;
 
+pub use cache::KernelCache;
 pub use error::SvmError;
 pub use kernel::{Kernel, RbfKernel};
 pub use model::{SvmModel, TrainedSvm};

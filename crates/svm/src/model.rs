@@ -1,5 +1,6 @@
-//! Trained SVM models: decision function, batch scoring, margins, slack
-//! extraction. Scoring is single-threaded here: callers that have cores to
+//! Trained SVM models: decision function and batch scoring (a trained
+//! machine's hinge slacks are read from its row store, the `cache`
+//! module). Scoring is single-threaded here: callers that have cores to
 //! spend (the sharded engine, the evaluator's per-query threads) own the
 //! threads and hand each one a slice of the work.
 //!
@@ -41,17 +42,6 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
         }
     }
 
-    /// Builds a constant-decision model for single-class training sets.
-    pub(crate) fn constant(kernel: K, sign: f64) -> Self {
-        debug_assert!(sign == 1.0 || sign == -1.0);
-        Self {
-            kernel,
-            support_vectors: Vec::new(),
-            coefficients: Vec::new(),
-            bias: sign,
-        }
-    }
-
     /// The decision value `f(x)`; the predicted class is its sign, the
     /// magnitude is the (unnormalized) distance from the separating
     /// hyperplane — the quantity the paper calls `SVM_Dist`.
@@ -61,12 +51,6 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
             f += coef * self.kernel.compute(sv.borrow(), x);
         }
         f
-    }
-
-    /// Hinge slack `ξ = max(0, 1 − y·f(x))` — the quantity the coupled
-    /// SVM's label-correction loop thresholds against `Δ`.
-    pub(crate) fn hinge_slack(&self, x: &S, y: f64) -> f64 {
-        (1.0 - y * self.decision(x)).max(0.0)
     }
 
     /// Bias term `b`.
@@ -153,20 +137,6 @@ pub struct TrainedSvm<S: ?Sized + ToOwned, K> {
     pub stats: SolveStats,
 }
 
-impl<S: ?Sized + ToOwned, K: Kernel<S>> TrainedSvm<S, K> {
-    /// Hinge slacks of a labeled set under this model:
-    /// `ξ_i = max(0, 1 − y_i f(x_i))`. The coupled SVM calls this on its
-    /// unlabeled pool after each inner round.
-    pub fn slacks<B: Borrow<S>>(&self, samples: &[B], labels: &[f64]) -> Vec<f64> {
-        assert_eq!(samples.len(), labels.len());
-        samples
-            .iter()
-            .zip(labels)
-            .map(|(x, &y)| self.model.hinge_slack(x.borrow(), y))
-            .collect()
-    }
-}
-
 impl<S: ?Sized + ToOwned, K: Clone> Clone for TrainedSvm<S, K>
 where
     S::Owned: Clone,
@@ -198,6 +168,36 @@ mod tests {
     use super::*;
     use crate::kernel::{LinearKernel, RbfKernel};
     use crate::smo::{train, SmoParams};
+
+    /// The per-sample arithmetic the row store is held to; production
+    /// code reads slacks through `KernelCache::slacks`.
+    impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
+        /// A constant-decision model, as a single-class training set
+        /// yields.
+        pub(crate) fn constant(kernel: K, sign: f64) -> Self {
+            debug_assert!(sign == 1.0 || sign == -1.0);
+            Self::new(kernel, Vec::new(), Vec::new(), sign)
+        }
+
+        /// Hinge slack `ξ = max(0, 1 − y·f(x))` from [`Self::decision`].
+        pub(crate) fn hinge_slack(&self, x: &S, y: f64) -> f64 {
+            (1.0 - y * self.decision(x)).max(0.0)
+        }
+    }
+
+    impl<S: ?Sized + ToOwned, K: Kernel<S>> TrainedSvm<S, K> {
+        /// Hinge slacks of a labeled set under this model:
+        /// `ξ_i = max(0, 1 − y_i f(x_i))` — what
+        /// [`crate::KernelCache::slacks`] must equal bit for bit.
+        pub(crate) fn slacks<B: Borrow<S>>(&self, samples: &[B], labels: &[f64]) -> Vec<f64> {
+            assert_eq!(samples.len(), labels.len());
+            samples
+                .iter()
+                .zip(labels)
+                .map(|(x, &y)| self.model.hinge_slack(x.borrow(), y))
+                .collect()
+        }
+    }
 
     fn simple_model() -> SvmModel<[f64], LinearKernel> {
         // f(x) = 1·K([1], x) − 1·K([−1], x) + 0 = 2x for linear kernel.

@@ -2,21 +2,25 @@
 //! upper bounds.
 //!
 //! This is the working-set algorithm of LIBSVM (Fan, Chen & Lin's
-//! second-order selection, "WSS 2") with the parts of the LIBSVM
-//! training path a feedback round's tens of samples can use: kernel rows
-//! computed lazily and kept for the solve (the `cache` module) and
-//! **warm starts** ([`train_warm`]) that resume from a previous round's
-//! dual solution.
+//! second-order selection, "WSS 2", in the `working_set` module) with the
+//! parts of the LIBSVM training path a feedback round's tens of samples can
+//! use: kernel rows computed lazily and kept in a row store (the `cache`
+//! module) and **warm starts** ([`train_warm`]) that resume from a previous
+//! round's dual solution.
 //! The one extension over stock LIBSVM is the **individual upper bound
 //! `C_i` per sample**, which is exactly the modification the paper made to
 //! LIBSVM: labeled points keep `C`, the unlabeled transductive points get
 //! `ρ*·C` (Eq. 2/3 of the paper).
 //!
-//! Two entry points share one solver loop:
+//! Three entry points share one solver loop:
 //!
-//! * [`train`] — lazy kernel rows, cold start. The default path.
+//! * [`train`] — cold start in a row store of its own. The default path.
 //! * [`train_warm`] — same, seeded with a previous solution whose alphas
 //!   are clipped to the new bounds and repaired onto `Σ y_i α_i = 0`.
+//! * [`crate::KernelCache::train`] — the same solve in a store the caller
+//!   owns and reuses across solves over one sample set; its
+//!   [`crate::KernelCache::slacks`] reads a trained machine's hinge slacks
+//!   from the stored rows.
 //!
 //! The test module runs the same loop over an eager symmetric Gram matrix
 //! (`train_precomputed`) as the bit-exact oracle: the lazy path reproduces
@@ -37,21 +41,19 @@ use crate::cache::{KernelCache, KernelRows};
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::model::{SvmModel, TrainedSvm};
+use crate::working_set::{select_working_set, update_pair};
 use std::borrow::Borrow;
 
 /// Stopping tolerance on the KKT violation gap (LIBSVM's default).
 pub const EPS: f64 = 1e-3;
-/// Lower bound substituted for non-positive second-order curvature
-/// (LIBSVM's `TAU`).
-const TAU: f64 = 1e-12;
 /// Alphas at or below this are dropped from the support set when building
 /// the model.
-const SV_THRESHOLD: f64 = 1e-9;
+pub(crate) const SV_THRESHOLD: f64 = 1e-9;
 
 /// The solver parameter a caller has had reason to set. The stopping
 /// tolerance ([`EPS`]), the curvature floor (`TAU`) and the
 /// support-vector threshold have only ever had one value and are
-/// constants of this module.
+/// constants of this crate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SmoParams {
     /// Hard cap on SMO iterations (working-set updates). The cap exists so
@@ -77,11 +79,12 @@ pub struct SolveStats {
     pub objective: f64,
     /// Number of support vectors (`α_i > 10⁻⁹`).
     pub n_support: usize,
-    /// Kernel-row accesses served by an already-computed row (0 on the
-    /// precomputed path).
+    /// This solve's kernel-row accesses served by an already-computed row
+    /// — one an earlier solve in the same store may have computed (0 on
+    /// the precomputed path).
     pub cache_hits: u64,
-    /// Kernel-row accesses that computed the row — the number of distinct
-    /// rows the solve touched (0 on the precomputed path).
+    /// This solve's kernel-row accesses that computed the row (0 on the
+    /// precomputed path).
     pub cache_misses: u64,
 }
 
@@ -149,66 +152,25 @@ where
     B: Borrow<S>,
     K: Kernel<S>,
 {
-    validate(samples.len(), labels, upper_bounds)?;
-    if let Some(sign) = single_class_sign(labels) {
-        return Ok(constant_model(samples.len(), sign, kernel));
-    }
-
-    let mut cache = KernelCache::new(&kernel, samples)?;
-    let sol = solve_dual(&mut cache, labels, upper_bounds, params, warm);
-    let (cache_hits, cache_misses) = cache.cache_stats();
-    drop(cache);
-    Ok(finish_model(
-        samples,
-        labels,
-        kernel,
-        sol,
-        cache_hits,
-        cache_misses,
-    ))
+    let mut store = KernelCache::new(kernel, samples.iter().map(Borrow::borrow).collect());
+    let sol = store.solve(labels, upper_bounds, params, warm)?;
+    Ok(finish_model(samples, labels, store.kernel, sol))
 }
 
 /// Detects the single-class degenerate case shared by every entry point,
 /// returning the constant decision sign when only one label is present.
-fn single_class_sign(labels: &[f64]) -> Option<f64> {
-    let has_pos = labels.iter().any(|&y| y > 0.0);
-    let has_neg = labels.iter().any(|&y| y < 0.0);
-    if has_pos && has_neg {
-        None
-    } else {
-        Some(if has_pos { 1.0 } else { -1.0 })
-    }
-}
-
-/// The degenerate single-class result: a constant decision model with an
-/// all-zero dual solution.
-fn constant_model<S, K>(n: usize, sign: f64, kernel: K) -> TrainedSvm<S, K>
-where
-    S: ?Sized + ToOwned,
-    K: Kernel<S>,
-{
-    TrainedSvm {
-        model: SvmModel::constant(kernel, sign),
-        alpha: vec![0.0; n],
-        stats: SolveStats {
-            iterations: 0,
-            converged: true,
-            objective: 0.0,
-            n_support: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-        },
-    }
+/// `labels` has passed [`validate`]: it is non-empty and all `±1`.
+pub(crate) fn single_class_sign(labels: &[f64]) -> Option<f64> {
+    let first = labels[0];
+    labels.iter().all(|&y| y == first).then_some(first)
 }
 
 /// Builds the sparse model and stats bundle from a dual solution.
-fn finish_model<S, B, K>(
+pub(crate) fn finish_model<S, B, K>(
     samples: &[B],
     labels: &[f64],
     kernel: K,
     sol: DualSolution,
-    cache_hits: u64,
-    cache_misses: u64,
 ) -> TrainedSvm<S, K>
 where
     S: ?Sized + ToOwned,
@@ -235,13 +197,13 @@ where
             converged: sol.converged,
             objective: sol.objective,
             n_support,
-            cache_hits,
-            cache_misses,
+            cache_hits: sol.cache_hits,
+            cache_misses: sol.cache_misses,
         },
     }
 }
 
-fn validate(n_samples: usize, labels: &[f64], bounds: &[f64]) -> Result<(), SvmError> {
+pub(crate) fn validate(n_samples: usize, labels: &[f64], bounds: &[f64]) -> Result<(), SvmError> {
     if n_samples == 0 {
         return Err(SvmError::EmptyTrainingSet);
     }
@@ -265,13 +227,31 @@ fn validate(n_samples: usize, labels: &[f64], bounds: &[f64]) -> Result<(), SvmE
     Ok(())
 }
 
-/// Everything [`solve_dual`] hands back to the model builders.
-struct DualSolution {
+/// Everything [`solve_dual`] hands back to the model builder.
+#[derive(Default)]
+pub(crate) struct DualSolution {
     alpha: Vec<f64>,
     rho: f64,
     objective: f64,
     iterations: usize,
     converged: bool,
+    /// Row accesses of this solve alone, filled in by the row store (0 on
+    /// the precomputed path).
+    pub(crate) cache_hits: u64,
+    pub(crate) cache_misses: u64,
+}
+
+impl DualSolution {
+    /// The degenerate single-class solution: `α = 0` and a decision that
+    /// is the constant `sign` (`bias = −rho`).
+    pub(crate) fn constant(n: usize, sign: f64) -> Self {
+        Self {
+            alpha: vec![0.0; n],
+            rho: -sign,
+            converged: true,
+            ..Self::default()
+        }
+    }
 }
 
 /// Clips a warm-start seed into the new box `[0, C_i]` and repairs the
@@ -324,7 +304,7 @@ fn recompute_gradient<Q: KernelRows>(q: &mut Q, y: &[f64], alpha: &[f64], g: &mu
 /// Core SMO loop over any [`KernelRows`] provider (lazy cache or
 /// precomputed matrix). The decision function of the returned solution is
 /// `f(x) = Σ α_i y_i K(x_i, x) − rho`.
-fn solve_dual<Q: KernelRows>(
+pub(crate) fn solve_dual<Q: KernelRows>(
     q: &mut Q,
     y: &[f64],
     c: &[f64],
@@ -347,92 +327,12 @@ fn solve_dual<Q: KernelRows>(
     let mut iterations = 0usize;
     let mut converged = false;
     while iterations < params.max_iter {
-        let Some((i, j)) = select_working_set(q, &qd, y, c, &alpha, &g) else {
+        let Some(pair) = select_working_set(q, &qd, y, c, &alpha, &g) else {
             converged = true;
             break;
         };
         iterations += 1;
-
-        let old_ai = alpha[i];
-        let old_aj = alpha[j];
-        let ci = c[i];
-        let cj = c[j];
-
-        let (ki, kj) = q.pair(i, j);
-
-        // In both branches the curvature along the update direction is
-        // ‖φ(x_i) − φ(x_j)‖² = K_ii + K_jj − 2K_ij (LIBSVM writes it as
-        // QD[i] + QD[j] ± 2Q_ij because Q already carries y_i y_j).
-        if y[i] != y[j] {
-            let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
-            if quad <= 0.0 {
-                quad = TAU;
-            }
-            let delta = (-g[i] - g[j]) / quad;
-            let diff = alpha[i] - alpha[j];
-            alpha[i] += delta;
-            alpha[j] += delta;
-
-            if diff > 0.0 {
-                if alpha[j] < 0.0 {
-                    alpha[j] = 0.0;
-                    alpha[i] = diff;
-                }
-            } else if alpha[i] < 0.0 {
-                alpha[i] = 0.0;
-                alpha[j] = -diff;
-            }
-            if diff > ci - cj {
-                if alpha[i] > ci {
-                    alpha[i] = ci;
-                    alpha[j] = ci - diff;
-                }
-            } else if alpha[j] > cj {
-                alpha[j] = cj;
-                alpha[i] = cj + diff;
-            }
-        } else {
-            let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
-            if quad <= 0.0 {
-                quad = TAU;
-            }
-            let delta = (g[i] - g[j]) / quad;
-            let sum = alpha[i] + alpha[j];
-            alpha[i] -= delta;
-            alpha[j] += delta;
-
-            if sum > ci {
-                if alpha[i] > ci {
-                    alpha[i] = ci;
-                    alpha[j] = sum - ci;
-                }
-            } else if alpha[j] < 0.0 {
-                alpha[j] = 0.0;
-                alpha[i] = sum;
-            }
-            if sum > cj {
-                if alpha[j] > cj {
-                    alpha[j] = cj;
-                    alpha[i] = sum - cj;
-                }
-            } else if alpha[i] < 0.0 {
-                alpha[i] = 0.0;
-                alpha[j] = sum;
-            }
-        }
-
-        // Incremental gradient update: G_t += Q_ti Δα_i + Q_tj Δα_j. The
-        // flat row layout makes this the linear scan of two contiguous
-        // rows.
-        let dai = alpha[i] - old_ai;
-        let daj = alpha[j] - old_aj;
-        if dai != 0.0 || daj != 0.0 {
-            let yi = y[i];
-            let yj = y[j];
-            for t in 0..n {
-                g[t] += y[t] * (yi * ki[t] * dai + yj * kj[t] * daj);
-            }
-        }
+        update_pair(q, &qd, y, c, &mut alpha, &mut g, pair);
     }
 
     let rho = calculate_rho(y, c, &alpha, &g);
@@ -449,81 +349,8 @@ fn solve_dual<Q: KernelRows>(
         objective,
         iterations,
         converged,
+        ..DualSolution::default()
     }
-}
-
-/// LIBSVM's second-order working-set selection. Returns `None` when the
-/// KKT gap is within tolerance — the problem is solved.
-fn select_working_set<Q: KernelRows>(
-    q: &mut Q,
-    qd: &[f64],
-    y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
-    g: &[f64],
-) -> Option<(usize, usize)> {
-    let n = y.len();
-    // i = argmax_{t ∈ I_up} −y_t G_t
-    let mut gmax = f64::NEG_INFINITY;
-    let mut i: isize = -1;
-    for t in 0..n {
-        let in_i_up = if y[t] > 0.0 {
-            alpha[t] < c[t]
-        } else {
-            alpha[t] > 0.0
-        };
-        if in_i_up {
-            let v = -y[t] * g[t];
-            if v >= gmax {
-                gmax = v;
-                i = t as isize;
-            }
-        }
-    }
-    if i < 0 {
-        return None;
-    }
-    let i = i as usize;
-
-    // j = argmin over violating t ∈ I_low of the second-order gain.
-    let kii = qd[i];
-    let ki = q.row(i);
-    let mut gmax2 = f64::NEG_INFINITY; // max_{I_low} y_t G_t  (= −M(α))
-    let mut j: isize = -1;
-    let mut obj_min = f64::INFINITY;
-    for t in 0..n {
-        let in_i_low = if y[t] > 0.0 {
-            alpha[t] > 0.0
-        } else {
-            alpha[t] < c[t]
-        };
-        if !in_i_low {
-            continue;
-        }
-        let ygt = y[t] * g[t];
-        if ygt >= gmax2 {
-            gmax2 = ygt;
-        }
-        let grad_diff = gmax + ygt;
-        if grad_diff > 0.0 {
-            // Second-order curvature along the (i, t) direction is
-            // ‖φ(x_i) − φ(x_t)‖² regardless of the label combination.
-            let mut quad = kii + qd[t] - 2.0 * ki[t];
-            if quad <= 0.0 {
-                quad = TAU;
-            }
-            let obj = -(grad_diff * grad_diff) / quad;
-            if obj <= obj_min {
-                obj_min = obj;
-                j = t as isize;
-            }
-        }
-    }
-
-    if gmax + gmax2 < EPS || j < 0 {
-        return None;
-    }
-    Some((i, j as usize))
 }
 
 /// Bias recovery (LIBSVM `calculate_rho`): average `y_t G_t` over free
@@ -595,7 +422,8 @@ mod tests {
     {
         validate(samples.len(), labels, upper_bounds)?;
         if let Some(sign) = single_class_sign(labels) {
-            return Ok(constant_model(samples.len(), sign, kernel));
+            let sol = DualSolution::constant(samples.len(), sign);
+            return Ok(finish_model(samples, labels, kernel, sol));
         }
 
         let n = samples.len();
@@ -610,7 +438,7 @@ mod tests {
         }
 
         let sol = solve_dual(&mut k, labels, upper_bounds, params, None);
-        Ok(finish_model(samples, labels, kernel, sol, 0, 0))
+        Ok(finish_model(samples, labels, kernel, sol))
     }
 
     /// Independent KKT verification for the solution of a C-SVC dual.

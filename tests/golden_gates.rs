@@ -184,16 +184,19 @@ fn timed_service_reads_the_clock_a_fixed_number_of_times_per_request() {
         [
             ("open", 8),
             ("mark", 4),
-            // 8, not 12: a rerank no longer searches (scoring span + shard job).
-            ("rerank", 8),
+            // 6, not 8: a rerank scores its pool on the session thread, so
+            // the shard score job's span went (12 → 8 when it stopped
+            // searching).
+            ("rerank", 6),
             ("page", 4),
             ("close", 6),
             ("ping", 2),
             ("metrics", 2),
         ]
     );
-    // 62, not 66: the rerank's search went.
-    assert_eq!(clock.reads(), 62);
+    // 60, not 62: the rerank's shard score job went (66 → 62 with its
+    // search).
+    assert_eq!(clock.reads(), 60);
 
     // Every pair of reads is one span and left one sample: the books
     // balance against the histograms. (This snapshot is taken after the
