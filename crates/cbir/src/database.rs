@@ -86,12 +86,6 @@ impl ImageDatabase {
         &self.flat[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Iterates the normalized feature rows in image-id order.
-    #[cfg(test)]
-    fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.flat.chunks_exact(self.dim)
-    }
-
     /// Feature dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.dim
@@ -154,6 +148,13 @@ fn extract_parallel(images: &[RgbImage]) -> Vec<Vec<f64>> {
 mod tests {
     use super::*;
     use lrf_imaging::SyntheticGenerator;
+
+    impl ImageDatabase {
+        /// Iterates the normalized feature rows in image-id order.
+        fn rows(&self) -> impl Iterator<Item = &[f64]> {
+            self.flat.chunks_exact(self.dim)
+        }
+    }
 
     fn tiny_db() -> ImageDatabase {
         let gen = SyntheticGenerator::new(3, 32, 32, 21);

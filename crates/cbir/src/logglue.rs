@@ -97,7 +97,7 @@ mod tests {
                 if log.log_vector(b).is_empty() {
                     continue;
                 }
-                let d = log.log_vector(a).dot(log.log_vector(b));
+                let d = log.log_vector(a).dot(log.log_vector(b)) as f64;
                 if db.same_category(a, b) {
                     same += d;
                     same_n += 1;

@@ -78,10 +78,14 @@ pub struct QueryContext<'a> {
 /// **Partition invariance contract:** `score_ids` must be a pure per-id
 /// function — for any partition of `ids` into disjoint subsets, scoring
 /// the subsets and stitching the results back in order is bit-identical
-/// to scoring `ids` in one call. Every SVM scorer satisfies this because
-/// a decision value depends only on the model and the one row being
-/// scored ([`lrf_svm::SvmModel::decision_batch`] is asserted
-/// bit-identical to the serial per-row loop).
+/// to scoring `ids` in one call. Every SVM scorer satisfies this even
+/// though it scores a whole block of ids at once: each kernel value in
+/// a [`lrf_svm::Kernel::block`] is the one `compute` gives for its pair
+/// (the log kernel's block of exact integer dots included), and
+/// [`lrf_svm::SvmModel::decision_batch`] sums one id's values in
+/// support-vector order, so a score depends only on the model and that
+/// id's row (asserted bit-identical to the per-row `decision`, and to
+/// split calls for the summed scorer).
 pub trait PoolScorer: Send + Sync {
     /// Decision scores aligned with `ids`.
     fn score_ids(&self, db: &ImageDatabase, log: &LogStore, ids: &[usize]) -> Vec<f64>;

@@ -7,6 +7,10 @@
 //! store free of any learning-stack dependency.) The paper does not say
 //! how its RBF treated the sparse columns; plain RBF on the raw ±1 columns
 //! is the calibrated choice (`lrf-bench`'s crate docs hold the grid).
+//!
+//! A model scores its pool a block at a time ([`lrf_svm::Kernel::block`]);
+//! this kernel's block takes every dot of the block from one session-major
+//! [`SparseVector::overlap_block`] instead of a merge per pair.
 
 use lrf_logdb::SparseVector;
 use lrf_svm::Kernel;
@@ -36,12 +40,30 @@ impl LogRbfKernel {
         );
         Self { gamma }
     }
+
+    /// `exp(−γ‖r_a − r_b‖²)` from the three exact integers it depends on,
+    /// `‖r_a − r_b‖² = nnz_a + nnz_b − 2·r_a·r_b`, converted to `f64` once.
+    fn value(&self, nnz: usize, dot: i64) -> f64 {
+        (-self.gamma * (nnz as i64 - 2 * dot) as f64).exp()
+    }
 }
 
 impl Kernel<SparseVector> for LogRbfKernel {
     #[inline]
     fn compute(&self, a: &SparseVector, b: &SparseVector) -> f64 {
-        (-self.gamma * a.squared_distance(b)).exp()
+        self.value(a.nnz() + b.nnz(), a.dot(b))
+    }
+
+    /// Every dot of the block from one [`SparseVector::overlap_block`]
+    /// instead of a merge per pair; each value is then the one `compute`
+    /// returns, bit for bit.
+    fn block(&self, rows: &[&SparseVector], cols: &[&SparseVector]) -> Vec<f64> {
+        let dots = SparseVector::overlap_block(rows, cols);
+        rows.iter()
+            .flat_map(|a| cols.iter().map(move |b| a.nnz() + b.nnz()))
+            .zip(dots)
+            .map(|(nnz, dot)| self.value(nnz, dot))
+            .collect()
     }
 }
 
@@ -82,6 +104,32 @@ mod tests {
         let empty1 = SparseVector::new();
         let empty2 = SparseVector::new();
         assert_eq!(k.compute(&empty1, &empty2), 1.0);
+    }
+
+    #[test]
+    fn block_is_compute_bit_for_bit() {
+        // Agreeing, disagreeing, disjoint and empty histories, a repeated
+        // column, and γ values whose products are not exact.
+        let vs = [
+            sv(&[(0, 1.0), (3, -1.0), (7, 1.0)]),
+            sv(&[(0, 1.0), (3, 1.0)]),
+            sv(&[(3, -1.0), (5, -1.0), (7, -1.0), (9, 1.0)]),
+            sv(&[(11, 1.0)]),
+            SparseVector::new(),
+        ];
+        let rows: Vec<&SparseVector> = vs.iter().collect();
+        let cols: Vec<&SparseVector> = [4, 0, 2, 2, 1, 3].iter().map(|&i| &vs[i]).collect();
+        for gamma in [0.5, 0.13, 1.0 / 36.0, 2.7] {
+            let k = LogRbfKernel::new(gamma);
+            let block = k.block(&rows, &cols);
+            assert_eq!(block.len(), rows.len() * cols.len());
+            for (i, a) in rows.iter().enumerate() {
+                for (j, b) in cols.iter().enumerate() {
+                    let want = k.compute(a, b);
+                    assert_eq!(block[i * cols.len() + j].to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

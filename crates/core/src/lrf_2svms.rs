@@ -159,6 +159,52 @@ mod tests {
         assert_eq!(Lrf2Svms::default().name(), "LRF-2SVMs");
     }
 
+    /// The `PoolScorer` partition-invariance contract: one call over the
+    /// ids is bit-identical to any split of them scored part by part and
+    /// stitched back in order — here 300 ids (repeats included, so the one
+    /// call spans two kernel blocks) against cuts from single ids up.
+    #[test]
+    fn one_call_equals_any_split() {
+        let (ds, log) = setup(0.1, 30);
+        let proto = QueryProtocol {
+            n_queries: 1,
+            n_labeled: 8,
+            seed: 5,
+        };
+        let example = proto.feedback_example(&ds.db, 7);
+        let ctx = QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        };
+        let ids: Vec<usize> = (0..300).map(|k| k * 7 % ds.db.len()).collect();
+        let scorer = Lrf2Svms::default()
+            .fit_warm(&ctx, &ids, &mut WarmState::default())
+            .expect("LRF-2SVMs trains");
+        let whole = scorer.score_ids(&ds.db, &log, &ids);
+        for step in [1, 2, 3, 17, 64, 257, 299] {
+            let mut stitched = Vec::new();
+            let mut rest = &ids[..];
+            for k in 0.. {
+                if rest.is_empty() {
+                    break;
+                }
+                // Uneven parts: the step, then alternating shorter cuts.
+                let cut = (step >> (k % 3)).clamp(1, rest.len());
+                stitched.extend(scorer.score_ids(&ds.db, &log, &rest[..cut]));
+                rest = &rest[cut..];
+            }
+            let same = whole
+                .iter()
+                .zip(&stitched)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                same && stitched.len() == ids.len(),
+                "split by {step} diverged"
+            );
+        }
+    }
+
     #[test]
     fn log_information_helps_on_average() {
         // With a dense enough clean log, LRF-2SVMs must beat RF-SVM on

@@ -181,22 +181,6 @@ impl LrfCsvm {
         }
     }
 
-    /// Step 1's selection over the full database (exercised directly by
-    /// the selection-invariant tests): `dist[id]` is the combined SVM
-    /// distance of image `id`.
-    #[cfg(test)]
-    fn select_unlabeled(&self, ctx: &QueryContext<'_>, dist: &[f64]) -> (Vec<usize>, Vec<f64>) {
-        let labeled: std::collections::HashSet<usize> =
-            ctx.example.labeled.iter().map(|&(id, _)| id).collect();
-        let scored: Vec<(usize, f64)> = dist
-            .iter()
-            .enumerate()
-            .filter(|(id, _)| !labeled.contains(id))
-            .map(|(id, &d)| (id, d))
-            .collect();
-        self.select_unlabeled_in(ctx, scored)
-    }
-
     /// Step 1's selection over explicit `(id, combined distance)`
     /// candidates: returns `(ids, initial pseudo-labels)`.
     fn select_unlabeled_in(
@@ -283,6 +267,23 @@ mod tests {
     use super::*;
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::{LogStore, SimulationConfig};
+
+    impl LrfCsvm {
+        /// Step 1's selection over the full database (exercised directly by
+        /// the selection-invariant tests): `dist[id]` is the combined SVM
+        /// distance of image `id`.
+        fn select_unlabeled(&self, ctx: &QueryContext<'_>, dist: &[f64]) -> (Vec<usize>, Vec<f64>) {
+            let labeled: std::collections::HashSet<usize> =
+                ctx.example.labeled.iter().map(|&(id, _)| id).collect();
+            let scored: Vec<(usize, f64)> = dist
+                .iter()
+                .enumerate()
+                .filter(|(id, _)| !labeled.contains(id))
+                .map(|(id, &d)| (id, d))
+                .collect();
+            self.select_unlabeled_in(ctx, scored)
+        }
+    }
 
     fn setup(noise: f64, sessions: usize) -> (CorelDataset, LogStore) {
         let ds = CorelDataset::build(CorelSpec::tiny(4, 12, 19));

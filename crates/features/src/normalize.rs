@@ -89,14 +89,6 @@ impl Normalizer {
         }
     }
 
-    /// Returns a normalized copy of `v`.
-    #[cfg(test)]
-    fn apply(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = v.to_vec();
-        self.apply_in_place(&mut out);
-        out
-    }
-
     /// Normalizes every row of a matrix in place.
     pub fn apply_all(&self, rows: &mut [Vec<f64>]) {
         for row in rows {
@@ -109,6 +101,15 @@ impl Normalizer {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Normalizer {
+        /// Returns a normalized copy of `v`.
+        fn apply(&self, v: &[f64]) -> Vec<f64> {
+            let mut out = v.to_vec();
+            self.apply_in_place(&mut out);
+            out
+        }
+    }
 
     #[test]
     fn fitted_stats_center_the_data() {

@@ -11,8 +11,15 @@
 //! Over ±1 entries the vector algebra is counting. `‖r‖²` is the nnz,
 //! `r_a·r_b` is agreements minus disagreements over the sessions both
 //! judged (one merge of the two id lists), and `‖r_a − r_b‖²` is
-//! `nnz_a + nnz_b − 2·r_a·r_b` from that same merge. Each is an exact
-//! integer converted to `f64` once.
+//! `nnz_a + nnz_b − 2·r_a·r_b`. Each is an exact integer; the log kernel
+//! converts it to `f64` once.
+//!
+//! Scoring needs the dots of many pairs at once: every support vector
+//! against every pooled image. [`SparseVector::overlap_block`] computes
+//! that block session-major — the rows' entries sorted by session once,
+//! then each column's sessions looked up in them — so its cost follows
+//! the judgments, not the pairs, and its integers are the per-pair
+//! merges' integers.
 
 use std::cmp::Ordering;
 
@@ -86,9 +93,10 @@ impl SparseVector {
         self.entries.iter().map(|&e| (e & !NEG, sign(e)))
     }
 
-    /// Agreements minus disagreements over the indices both vectors hold:
-    /// one linear merge of the two sorted lists.
-    fn signed_overlap(&self, other: &SparseVector) -> i64 {
+    /// Sparse dot product: agreements minus disagreements over the indices
+    /// both vectors hold, an exact integer from one linear merge of the two
+    /// sorted lists.
+    pub fn dot(&self, other: &SparseVector) -> i64 {
         let (mut i, mut j, mut acc) = (0, 0, 0i64);
         while let (Some(&a), Some(&b)) = (self.entries.get(i), other.entries.get(j)) {
             match (a & !NEG).cmp(&(b & !NEG)) {
@@ -103,17 +111,52 @@ impl SparseVector {
         acc
     }
 
-    /// Sparse dot product: agreements minus disagreements.
-    pub fn dot(&self, other: &SparseVector) -> f64 {
-        self.signed_overlap(other) as f64
-    }
-
-    /// Squared Euclidean distance `‖a − b‖² = nnz_a + nnz_b − 2·a·b`, from
-    /// one merge: an index only one side holds adds 1, a shared agreeing
-    /// one 0, a shared disagreeing one 4.
-    pub fn squared_distance(&self, other: &SparseVector) -> f64 {
-        let nnz = (self.nnz() + other.nnz()) as i64;
-        (nnz - 2 * self.signed_overlap(other)) as f64
+    /// The dots `rows[i]·cols[j]`, row-major (`rows.len()` ×
+    /// `cols.len()`): the integers [`Self::dot`] merges out pair by pair.
+    ///
+    /// Session-major: the rows' entries are sorted by session once, then
+    /// each column entry adds `±1` to every row that judged its session.
+    /// The cost is the sort, one galloping search per column entry
+    /// (logarithmic in the entries it skips) and one add per shared
+    /// judgment — not a merge per pair, and not a walk of whole sessions,
+    /// so long sessions cost no more than short ones.
+    pub fn overlap_block(rows: &[&SparseVector], cols: &[&SparseVector]) -> Vec<i64> {
+        assert!(rows.len() <= 1 << 31, "too many rows for a packed key");
+        // (session << 32 | row << 1 | negative): a sort orders by session.
+        let mut by_session: Vec<u64> = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(r, row)| {
+                row.entries
+                    .iter()
+                    .map(move |&e| u64::from(e & !NEG) << 32 | (r as u64) << 1 | u64::from(e >> 31))
+            })
+            .collect();
+        by_session.sort_unstable();
+        let n = cols.len();
+        let mut out = vec![0i64; rows.len() * n];
+        for (j, col) in cols.iter().enumerate() {
+            // A column's sessions ascend, so each search gallops on from
+            // where the last one ended.
+            let mut rest = &by_session[..];
+            for &e in &col.entries {
+                let session = u64::from(e & !NEG);
+                let mut step = 1;
+                while step < rest.len() && rest[step - 1] >> 32 < session {
+                    step *= 2;
+                }
+                let lo = step / 2;
+                let hi = step.min(rest.len());
+                rest = &rest[lo + rest[lo..hi].partition_point(|&k| k >> 32 < session)..];
+                let shared = rest.iter().take_while(|&&k| k >> 32 == session).count();
+                for &k in &rest[..shared] {
+                    let r = (k as u32 >> 1) as usize;
+                    out[r * n + j] += 1 - 2 * i64::from((k as u32 ^ e >> 31) & 1);
+                }
+                rest = &rest[shared..];
+            }
+        }
+        out
     }
 }
 
@@ -124,6 +167,14 @@ mod tests {
     use std::collections::BTreeSet;
 
     impl SparseVector {
+        /// Squared Euclidean distance `‖a − b‖² = nnz_a + nnz_b − 2·a·b`:
+        /// an index only one side holds adds 1, a shared agreeing one 0, a
+        /// shared disagreeing one 4. The log kernel's expression, held to
+        /// the dense reference here.
+        pub(crate) fn squared_distance(&self, other: &SparseVector) -> f64 {
+            ((self.nnz() + other.nnz()) as i64 - 2 * self.dot(other)) as f64
+        }
+
         /// Squared Euclidean norm: the nnz, since every entry is `±1`.
         fn norm_sq(&self) -> f64 {
             self.nnz() as f64
@@ -152,7 +203,7 @@ mod tests {
         assert_eq!(z.nnz(), 0);
         assert!(z.is_empty());
         assert_eq!(z.get(5), 0.0);
-        assert_eq!(z.dot(&z), 0.0);
+        assert_eq!(z.dot(&z), 0);
         assert_eq!(z.norm_sq(), 0.0);
     }
 
@@ -189,9 +240,9 @@ mod tests {
         let a = SparseVector::from_entries(vec![(0, 1.0), (2, -1.0), (5, 1.0)]);
         let b = SparseVector::from_entries(vec![(2, -1.0), (3, 1.0), (5, -1.0)]);
         // overlap at 2 (1) and 5 (−1) → 0
-        assert_eq!(a.dot(&b), 0.0);
+        assert_eq!(a.dot(&b), 0);
         let c = SparseVector::from_entries(vec![(2, 1.0)]);
-        assert_eq!(a.dot(&c), -1.0);
+        assert_eq!(a.dot(&c), -1);
     }
 
     #[test]
@@ -260,8 +311,37 @@ mod tests {
                 for (y, dy) in [(&a, &da), (&b, &db), (&z, &dz)] {
                     let dot = dense_sum(dx.iter().zip(dy).map(|(p, q)| p * q));
                     let d2 = dense_sum(dx.iter().zip(dy).map(|(p, q)| (p - q) * (p - q)));
-                    prop_assert_eq!(bits(x.dot(y)), bits(dot));
+                    prop_assert_eq!(bits(x.dot(y) as f64), bits(dot));
                     prop_assert_eq!(bits(x.squared_distance(y)), bits(d2));
+                }
+            }
+        }
+
+        /// `overlap_block` is the per-pair `dot` at every entry, bit for
+        /// bit: over the empty vector, columns drawn with repeats, and a
+        /// set against itself (rows == cols). At most 9 rows × 8 columns
+        /// and 56 entries, so Miri stays quick.
+        #[test]
+        fn overlap_block_is_per_pair_dot(
+            idx in proptest::collection::vec(proptest::collection::btree_set(0u32..24, 0..8), 0..8),
+            signs in proptest::collection::vec(proptest::bool::ANY, 1..16),
+            picks in proptest::collection::vec(0usize..9, 0..9),
+        ) {
+            let vs: Vec<SparseVector> = idx
+                .iter()
+                .enumerate()
+                .map(|(k, set)| signed(set, &signs[k % signs.len()..], 24).0)
+                .chain([SparseVector::new()])
+                .collect();
+            let rows: Vec<&SparseVector> = vs.iter().collect();
+            let cols: Vec<&SparseVector> = picks.iter().map(|&p| &vs[p % vs.len()]).collect();
+            for (r, c) in [(&rows, &cols), (&rows, &rows), (&cols, &rows)] {
+                let block = SparseVector::overlap_block(r, c);
+                prop_assert_eq!(block.len(), r.len() * c.len());
+                for (i, a) in r.iter().enumerate() {
+                    for (j, b) in c.iter().enumerate() {
+                        prop_assert_eq!(block[i * c.len() + j], a.dot(b));
+                    }
                 }
             }
         }

@@ -201,7 +201,7 @@ mod tests {
         let r1 = store.log_vector(1);
         let r2 = store.log_vector(2);
         assert_eq!(r0.squared_distance(r1), 0.0);
-        assert!(r0.dot(r2) < 0.0);
+        assert!(r0.dot(r2) < 0);
     }
 
     #[test]

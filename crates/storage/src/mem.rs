@@ -122,49 +122,6 @@ impl MemIo {
         }
     }
 
-    /// Flip one bit in the *durable* image of `path` (silent media
-    /// corruption, as opposed to a torn write). Test hook for checksum
-    /// coverage; errors if the file or offset does not exist.
-    #[cfg(test)]
-    pub(crate) fn corrupt_durable(&self, path: &Path, offset: usize, mask: u8) -> io::Result<()> {
-        let mut fs = self.fs.lock_recover();
-        let state = fs
-            .files
-            .get_mut(path)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
-        let durable = state
-            .durable
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "file never synced"))?;
-        if offset >= durable.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "corrupt offset past end of durable image",
-            ));
-        }
-        durable[offset] ^= mask;
-        // The page cache would still hold the clean copy in reality, but
-        // tests corrupt-then-crash, so mirroring keeps behaviour obvious.
-        state.volatile = durable.clone();
-        Ok(())
-    }
-
-    /// Length of the durable image, if the file has ever been synced.
-    #[cfg(test)]
-    pub(crate) fn durable_len(&self, path: &Path) -> Option<u64> {
-        let fs = self.fs.lock_recover();
-        fs.files
-            .get(path)
-            .and_then(|s| s.durable.as_ref())
-            .map(|d| d.len() as u64)
-    }
-
-    /// Number of files currently visible (volatile view).
-    #[cfg(test)]
-    pub(crate) fn file_count(&self) -> usize {
-        self.fs.lock_recover().files.len()
-    }
-
     fn not_found() -> io::Error {
         io::Error::new(io::ErrorKind::NotFound, "no such file")
     }
@@ -271,6 +228,53 @@ impl StorageIo for MemIo {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemIo {
+        /// Flip one bit in the *durable* image of `path` (silent media
+        /// corruption, as opposed to a torn write). Test hook for checksum
+        /// coverage; errors if the file or offset does not exist.
+        pub(crate) fn corrupt_durable(
+            &self,
+            path: &Path,
+            offset: usize,
+            mask: u8,
+        ) -> io::Result<()> {
+            let mut fs = self.fs.lock_recover();
+            let state = fs
+                .files
+                .get_mut(path)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
+            let durable = state
+                .durable
+                .as_mut()
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "file never synced"))?;
+            if offset >= durable.len() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "corrupt offset past end of durable image",
+                ));
+            }
+            durable[offset] ^= mask;
+            // The page cache would still hold the clean copy in reality, but
+            // tests corrupt-then-crash, so mirroring keeps behaviour obvious.
+            state.volatile = durable.clone();
+            Ok(())
+        }
+
+        /// Length of the durable image, if the file has ever been synced.
+        pub(crate) fn durable_len(&self, path: &Path) -> Option<u64> {
+            let fs = self.fs.lock_recover();
+            fs.files
+                .get(path)
+                .and_then(|s| s.durable.as_ref())
+                .map(|d| d.len() as u64)
+        }
+
+        /// Number of files currently visible (volatile view).
+        pub(crate) fn file_count(&self) -> usize {
+            self.fs.lock_recover().files.len()
+        }
+    }
 
     #[test]
     fn unsynced_writes_vanish_on_crash() {

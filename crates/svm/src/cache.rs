@@ -29,9 +29,10 @@
 //! **Symmetry assumption.** When a row is computed, entries whose mirror
 //! row is already resident are copied from it (`K(i,t) = K(t,i)`) instead
 //! of re-evaluated, so a kernel used here must be symmetric *at the IEEE
-//! level*. Every kernel in this workspace is: `dot` and `squared_distance`
-//! are commutative bitwise, hence so are the linear, RBF, polynomial and
-//! sparse log kernels built on them.
+//! level*. Every kernel in this workspace is: the dense `dot` and
+//! `squared_distance` are commutative bitwise and the sparse dot is an
+//! exact integer, hence so are the linear, RBF and sparse log kernels
+//! built on them.
 
 use crate::error::SvmError;
 use crate::kernel::Kernel;

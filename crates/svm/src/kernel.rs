@@ -3,16 +3,28 @@
 //! [`Kernel`] is generic over the sample type `S`: the retrieval stack runs
 //! the same SMO solver over dense 36-D visual features (borrowed `[f64]`
 //! rows of the database's flat matrix) and over sparse feedback-log vectors
-//! (a type owned by `lrf-core`, which implements this trait for it). The
-//! dense kernels are implemented for the *unsized* slice type so callers
-//! never have to materialize per-sample `Vec`s — a `&Vec<f64>` coerces, a
-//! row view of a contiguous matrix is already the right shape. All provided
-//! kernels satisfy Mercer's condition on their usual domains.
+//! (`lrf-logdb`'s `SparseVector`; `lrf-core` implements this trait for
+//! it, so neither crate depends on the other). The dense kernels are
+//! implemented for the *unsized* slice type so callers never have to
+//! materialize per-sample `Vec`s — a `&Vec<f64>` coerces, a row view of a
+//! contiguous matrix is already the right shape. All provided kernels
+//! satisfy Mercer's condition on their usual domains.
 
 /// A positive-semidefinite similarity function over samples of type `S`.
 pub trait Kernel<S: ?Sized> {
     /// Evaluates `K(a, b)`.
     fn compute(&self, a: &S, b: &S) -> f64;
+
+    /// The block `K(rows[i], cols[j])`, row-major (`rows.len()` ×
+    /// `cols.len()`): what a model scores a batch from. The default
+    /// evaluates [`Self::compute`] pair by pair; a kernel overrides it
+    /// when the block has a cheaper joint form, and must then return
+    /// exactly the values `compute` would.
+    fn block(&self, rows: &[&S], cols: &[&S]) -> Vec<f64> {
+        rows.iter()
+            .flat_map(|&a| cols.iter().map(move |&b| self.compute(a, b)))
+            .collect()
+    }
 }
 
 /// Squared Euclidean distance of two dense vectors.

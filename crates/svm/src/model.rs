@@ -1,6 +1,11 @@
 //! Trained SVM models: decision function and batch scoring (a trained
 //! machine's hinge slacks are read from its row store, the `cache`
-//! module). Scoring is single-threaded here: callers that have cores to
+//! module). Batch scoring reads its kernel values a block at a time
+//! ([`Kernel::block`]: support vectors × a chunk of inputs), so a kernel
+//! with a joint form for the block — the sparse log kernel's one pass of
+//! exact integer dots — pays it once per block, not once per pair; the
+//! sums stay bit-identical to the per-sample [`SvmModel::decision`].
+//! Scoring is single-threaded here: callers that have cores to
 //! spend (the sharded engine, the evaluator's per-query threads) own the
 //! threads and hand each one a slice of the work.
 //!
@@ -12,6 +17,11 @@
 use crate::kernel::Kernel;
 use crate::smo::SolveStats;
 use std::borrow::Borrow;
+
+/// Inputs per kernel block in [`SvmModel::decision_batch`]: a serving pool
+/// (a few hundred ids) is one block, and a whole-database scan holds
+/// |SV| × `BATCH_CHUNK` kernel values at a time.
+const BATCH_CHUNK: usize = 256;
 
 /// A trained SVM decision function `f(x) = Σ_i coef_i · K(sv_i, x) + b` —
 /// or, for degenerate single-class input, the constant class sign (`±1`,
@@ -58,24 +68,35 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
         self.bias
     }
 
-    /// Support vectors retained by the model (0 for constant models).
-    #[cfg(test)]
-    pub(crate) fn support_vectors(&self) -> &[S::Owned] {
-        &self.support_vectors
-    }
-
-    /// Decision values for many samples: [`Self::decision`] mapped over
-    /// `xs` in order, so the result is **bit-identical** to the per-sample
-    /// loop.
+    /// Decision values for many samples, bit-identical to
+    /// [`Self::decision`] per sample. Each chunk of 256 inputs is scored
+    /// from one [`Kernel::block`] against the support vectors (|SV| × 256
+    /// values at most): every output starts at the bias and adds
+    /// `coef_i · K(sv_i, x)` in support-vector order — the additions
+    /// `decision` makes, in the same order.
     pub fn decision_batch<B: Borrow<S>>(&self, xs: &[B]) -> Vec<f64> {
-        xs.iter().map(|x| self.decision(x.borrow())).collect()
+        let svs: Vec<&S> = self.support_vectors.iter().map(Borrow::borrow).collect();
+        let mut out = Vec::with_capacity(xs.len());
+        for chunk in xs.chunks(BATCH_CHUNK) {
+            let cols: Vec<&S> = chunk.iter().map(Borrow::borrow).collect();
+            let block = self.kernel.block(&svs, &cols);
+            let start = out.len();
+            out.resize(start + cols.len(), self.bias);
+            for (&coef, k_row) in self.coefficients.iter().zip(block.chunks_exact(cols.len())) {
+                for (f, &k) in out[start..].iter_mut().zip(k_row) {
+                    *f += coef * k;
+                }
+            }
+        }
+        out
     }
 }
 
 impl<K: Kernel<[f64]>> SvmModel<[f64], K> {
     /// Decision values for every row of a contiguous row-major matrix —
     /// the zero-copy whole-database scoring path (`data` is typically the
-    /// database's shared flat feature matrix). Bit-identical to calling
+    /// database's shared flat feature matrix): [`Self::decision_batch`]
+    /// over the matrix's row views, so bit-identical to calling
     /// [`Self::decision`] per row.
     ///
     /// # Panics
@@ -93,7 +114,8 @@ impl<K: Kernel<[f64]>> SvmModel<[f64], K> {
                 "row dimension mismatches the model's support vectors"
             );
         }
-        data.chunks_exact(dim).map(|r| self.decision(r)).collect()
+        let rows: Vec<&[f64]> = data.chunks_exact(dim).collect();
+        self.decision_batch(&rows)
     }
 }
 
@@ -172,6 +194,11 @@ mod tests {
     /// The per-sample arithmetic the row store is held to; production
     /// code reads slacks through `KernelCache::slacks`.
     impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
+        /// Support vectors retained by the model (0 for constant models).
+        pub(crate) fn support_vectors(&self) -> &[S::Owned] {
+            &self.support_vectors
+        }
+
         /// A constant-decision model, as a single-class training set
         /// yields.
         pub(crate) fn constant(kernel: K, sign: f64) -> Self {
@@ -296,6 +323,51 @@ mod tests {
         // The degenerate constant model must batch too.
         let constant: SvmModel<[f64], RbfKernel> = SvmModel::constant(RbfKernel::new(1.0), 1.0);
         check(&constant, &rows);
+    }
+
+    /// A linear kernel with its own `block`: filled column by column and
+    /// counting its calls, so a test sees the batch read from it.
+    #[derive(Clone)]
+    struct ColumnBlock(std::cell::Cell<usize>);
+
+    impl Kernel<[f64]> for ColumnBlock {
+        fn compute(&self, a: &[f64], b: &[f64]) -> f64 {
+            crate::kernel::dot(a, b)
+        }
+
+        fn block(&self, rows: &[&[f64]], cols: &[&[f64]]) -> Vec<f64> {
+            self.0.set(self.0.get() + 1);
+            let mut out = vec![0.0; rows.len() * cols.len()];
+            for (j, b) in cols.iter().enumerate() {
+                for (i, a) in rows.iter().enumerate() {
+                    out[i * cols.len() + j] = self.compute(a, b);
+                }
+            }
+            out
+        }
+    }
+
+    /// Over a kernel that overrides `block`, decision_batch is still
+    /// decision per sample, bit for bit — across a chunk boundary, one
+    /// block per chunk, and for the constant model.
+    #[test]
+    fn decision_batch_reads_overridden_blocks_bit_identically() {
+        let dim = 2;
+        let n = BATCH_CHUNK + 3;
+        let data = waves(n, dim, 0.4);
+        let rows: Vec<&[f64]> = data.chunks_exact(dim).collect();
+        let kernel = ColumnBlock(std::cell::Cell::new(0));
+        let constant = SvmModel::constant(ColumnBlock(std::cell::Cell::new(0)), -1.0);
+        for model in [batch_model(kernel, 3, dim), constant] {
+            let serial: Vec<f64> = rows.iter().map(|r| model.decision(r)).collect();
+            let batch = model.decision_batch(&rows);
+            let same = batch
+                .iter()
+                .zip(&serial)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same && batch.len() == n, "batch diverged from decision");
+            assert_eq!(model.kernel.0.get(), 2, "one block per chunk");
+        }
     }
 
     /// decision_batch_rows over the flat matrix equals decision_batch over

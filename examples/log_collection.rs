@@ -29,7 +29,7 @@ fn describe(label: &str, log: &LogStore, categories: &[usize]) {
             if log.log_vector(b).is_empty() {
                 continue;
             }
-            let d = log.log_vector(a).dot(log.log_vector(b));
+            let d = log.log_vector(a).dot(log.log_vector(b)) as f64;
             if categories[a] == categories[b] {
                 same = (same.0 + d, same.1 + 1);
             } else {
