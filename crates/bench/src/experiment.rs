@@ -250,7 +250,7 @@ pub fn run_rounds_experiment(
                 // uncertainty-based presentation); rank-derived surrogate
                 // otherwise (Euclidean).
                 let (ranked, scores) = match scheme.scores(&ctx) {
-                    Some(scores) => (lrf_core::feedback::rank_by_scores(&scores), scores),
+                    Some(scores) => (lrf_core::rank_by_scores(&scores), scores),
                     None => {
                         let ranked = scheme.rank(&ctx);
                         let mut surrogate = vec![0.0f64; db.len()];

@@ -40,7 +40,7 @@
 //! plain RBF stays, with one width.
 
 pub mod experiment;
-pub mod report;
+mod report;
 
 pub use experiment::{run_experiment, ExperimentResult, ExperimentSpec, SchemeChoice};
 pub use report::{figure_series, markdown_table, paper_table};

@@ -22,33 +22,36 @@
 //! early, and doubles per outer round up to `ρ` — "similar to the approach
 //! in transductive SVM" (Joachims).
 //!
-//! **Two views.** [`train_coupled`] builds one view per modality (content,
-//! log): a view owns its borrowed labeled + unlabeled samples, kernel,
-//! per-view `C` and current machine, and can *retrain at (labels, ρ\*)*
-//! and *report its unlabeled slacks*. The schedule above runs over that
-//! pair and hands back the two typed machines.
-//!
-//! **One row store per view, warm starts.** Every retrain inside one run
-//! solves a QP over the *same* concatenated sample set — only the bounds
-//! (`ρ*` doubling) and a few pseudo-labels change between rounds. So each
-//! view owns one [`lrf_svm::KernelCache`] for the whole anneal: a kernel
-//! row is computed once and serves every later solve, and the correction
+//! **Two views, one row store each.** [`train_coupled`] takes one
+//! [`lrf_svm::KernelCache`] per modality (content, log), holding the
+//! labeled samples and then the unlabeled pool. A caller that has already
+//! solved the labeled-only SVMs in those stores (LRF-CSVM's step 1) and
+//! then [`extend`](lrf_svm::KernelCache::extend)ed them hands the rows it
+//! computed over to the anneal, so no kernel value of a fit is evaluated
+//! twice. Every retrain inside the run solves a QP over the *same* sample
+//! set — only the bounds (`ρ*` doubling) and a few pseudo-labels change —
+//! so a row computed once serves every later solve, and the correction
 //! loop reads its slacks from the same rows instead of re-evaluating the
 //! kernel against every support vector. The slacks are bit-identical to
 //! the model's decision values, so the anneal is bit-identical to one
-//! that re-evaluates. The store computes nothing until a view's first
-//! two-class solve, so an all-one-class round stays the constant machine
-//! it always was, whatever its samples hold. Each view's solve after its
-//! first is also seeded with its previous dual solution, which the solver
-//! clips to the new bounds and repairs to feasibility; the annealing
-//! schedule's dozen-plus retrains then each start a stone's throw from
-//! their optimum instead of from zero. The final models agree with cold
-//! training within the solver's KKT tolerance (the tests keep a cold
-//! reference run).
+//! that re-evaluates.
+//!
+//! **Duals, one machine per view.** A retrain keeps only its
+//! [`lrf_svm::Dual`]: the next solve's seed and the slacks need nothing
+//! else. The anneal's hundred-odd solves therefore clone no sample; each
+//! view's final dual becomes its machine once, at the end
+//! ([`lrf_svm::KernelCache::machine`]). Each view's solve after its first
+//! is seeded with its previous dual, which the solver clips to the new
+//! bounds and repairs to feasibility; the annealing schedule's retrains
+//! then each start a stone's throw from their optimum instead of from
+//! zero. The final models agree with cold training within the solver's
+//! KKT tolerance (the tests keep a cold reference run). Every solve's
+//! [`lrf_svm::SolveStats`] is folded into the outcome's
+//! [`CoupledOutcome::solves`].
 
 use crate::config::CoupledConfig;
-use lrf_svm::{Kernel, KernelCache, SmoParams, SvmError, TrainedSvm};
-use std::borrow::Borrow;
+use crate::feedback::RoundDiagnostics;
+use lrf_svm::{Dual, Kernel, KernelCache, SvmError, TrainedSvm};
 
 /// Diagnostics of one coupled training run.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,116 +75,72 @@ pub struct CoupledOutcome<S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
     pub content: TrainedSvm<S1, K1>,
     /// The log-modality machine (`u`, `b_u`).
     pub log: TrainedSvm<S2, K2>,
+    /// Every solve of the run, both views, folded together.
+    pub solves: RoundDiagnostics,
     /// Training diagnostics.
     pub report: TrainReport,
 }
 
 /// Trains the coupled SVM over two modalities.
 ///
-/// * `labeled_a` / `labeled_b` — the `N_l` labeled samples in each modality
-///   (same images, aligned by index) with shared labels `y`.
-/// * `unlabeled_a` / `unlabeled_b` — the `N'` unlabeled samples, with
-///   initial pseudo-labels `y_init` (±1).
-/// * `kernel_a` / `kernel_b` — the per-modality kernels.
+/// * `content` / `log` — one row store per modality over the same images
+///   in the same order: the `N_l` labeled samples, then the `N'`
+///   unlabeled ones. Rows a caller's earlier solves left in a store are
+///   reused.
+/// * `y` — the shared labels of the labeled samples; `y_init` — the
+///   initial pseudo-labels (±1) of the unlabeled ones.
 ///
-/// Samples are taken by borrow (`B1: Borrow<S1>`, `B2: Borrow<S2>`):
-/// callers pass `&[f64]` row views of the database's flat matrix and
-/// `&SparseVector` references straight out of the log store; no training
-/// round copies a feature. Only the final models' support vectors are
-/// materialized (via `ToOwned`).
+/// The stores borrow their samples (`&[f64]` row views of the database's
+/// flat matrix, `&SparseVector` references straight out of the log
+/// store); only the final models' support vectors are materialized (via
+/// `ToOwned`).
 ///
 /// # Errors
-/// Propagates solver errors (invalid labels/bounds, non-finite kernels).
-///
-/// # Panics
-/// Panics if the modality arrays are misaligned.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's explicit operands
-pub fn train_coupled<S1, B1, K1, S2, B2, K2>(
-    labeled_a: &[B1],
-    labeled_b: &[B2],
+/// Propagates solver errors: invalid labels or bounds, non-finite
+/// kernels, and [`SvmError::LengthMismatch`] when a store does not hold
+/// `y.len() + y_init.len()` samples.
+pub fn train_coupled<S1, K1, S2, K2>(
+    content: KernelCache<'_, S1, K1>,
+    log: KernelCache<'_, S2, K2>,
     y: &[f64],
-    unlabeled_a: &[B1],
-    unlabeled_b: &[B2],
     y_init: &[f64],
-    kernel_a: K1,
-    kernel_b: K2,
     cfg: &CoupledConfig,
 ) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
 where
     S1: ?Sized + ToOwned,
-    B1: Borrow<S1>,
     K1: Kernel<S1> + Clone,
     S2: ?Sized + ToOwned,
-    B2: Borrow<S2>,
     K2: Kernel<S2> + Clone,
 {
-    anneal_views(
-        labeled_a,
-        labeled_b,
-        y,
-        unlabeled_a,
-        unlabeled_b,
-        y_init,
-        kernel_a,
-        kernel_b,
-        cfg,
-        true,
-    )
+    anneal_views(content, log, y, y_init, cfg, true)
 }
 
 /// [`train_coupled`], with every retrain after a view's first seeded from
 /// its previous solution when `warm` (cold solves are the tests'
 /// reference).
-#[allow(clippy::too_many_arguments)]
-fn anneal_views<S1, B1, K1, S2, B2, K2>(
-    labeled_a: &[B1],
-    labeled_b: &[B2],
+fn anneal_views<S1, K1, S2, K2>(
+    content: KernelCache<'_, S1, K1>,
+    log: KernelCache<'_, S2, K2>,
     y: &[f64],
-    unlabeled_a: &[B1],
-    unlabeled_b: &[B2],
     y_init: &[f64],
-    kernel_a: K1,
-    kernel_b: K2,
     cfg: &CoupledConfig,
     warm: bool,
 ) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
 where
     S1: ?Sized + ToOwned,
-    B1: Borrow<S1>,
     K1: Kernel<S1> + Clone,
     S2: ?Sized + ToOwned,
-    B2: Borrow<S2>,
     K2: Kernel<S2> + Clone,
 {
-    assert_eq!(
-        labeled_a.len(),
-        labeled_b.len(),
-        "labeled modalities misaligned"
-    );
-    assert_eq!(
-        labeled_a.len(),
-        y.len(),
-        "labels misaligned with labeled samples"
-    );
-    assert_eq!(
-        unlabeled_a.len(),
-        unlabeled_b.len(),
-        "unlabeled modalities misaligned"
-    );
-    assert_eq!(
-        unlabeled_a.len(),
-        y_init.len(),
-        "initial pseudo-labels misaligned"
-    );
-
     cfg.validate();
     let mut run = Annealing {
-        content: SvmView::new(labeled_a, unlabeled_a, kernel_a, cfg.c_content, &cfg.smo),
-        log: SvmView::new(labeled_b, unlabeled_b, kernel_b, cfg.c_log, &cfg.smo),
+        content: SvmView::new(content, cfg.c_content),
+        log: SvmView::new(log, cfg.c_log),
         labels: [y, y_init].concat(),
         n_labeled: y.len(),
         cfg,
         warm,
+        solves: RoundDiagnostics::all_converged(),
         report: TrainReport {
             rho_steps: 0,
             retrains: 0,
@@ -191,80 +150,86 @@ where
         },
     };
     run.anneal()?;
+    let content = run.content.into_machine(&run.labels);
+    let log = run.log.into_machine(&run.labels);
+    run.report.final_labels = run.labels.split_off(run.n_labeled);
     Ok(CoupledOutcome {
-        content: run.content.into_machine(),
-        log: run.log.into_machine(),
+        content,
+        log,
+        solves: run.solves,
         report: run.report,
     })
 }
 
 /// One modality as Fig. 1 sees it: the row store over its borrowed
-/// labeled and unlabeled samples, the view's `C` and its current machine.
+/// labeled and unlabeled samples, the view's `C` and its current dual.
 /// It can be re-solved at the current pseudo-labels and `ρ*`, and asked
-/// how badly its machine fits the unlabeled pool.
-struct SvmView<'a, S: ?Sized + ToOwned, K> {
+/// how badly its dual fits the unlabeled pool.
+struct SvmView<'a, S: ?Sized, K> {
     /// Labeled then unlabeled samples (references, never cloned), the
-    /// kernel, and every kernel row any retrain has computed.
+    /// kernel, and every kernel row any solve has computed.
     store: KernelCache<'a, S, K>,
-    n_labeled: usize,
     c: f64,
-    smo: &'a SmoParams,
-    machine: Option<TrainedSvm<S, K>>,
+    dual: Option<Dual>,
 }
 
 impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Clone> SvmView<'a, S, K> {
-    fn new<B: Borrow<S>>(
-        labeled: &'a [B],
-        unlabeled: &'a [B],
-        kernel: K,
-        c: f64,
-        smo: &'a SmoParams,
-    ) -> Self {
-        let samples = labeled.iter().chain(unlabeled).map(Borrow::borrow);
+    fn new(store: KernelCache<'a, S, K>, c: f64) -> Self {
         Self {
-            store: KernelCache::new(kernel, samples.collect()),
-            n_labeled: labeled.len(),
+            store,
             c,
-            smo,
-            machine: None,
+            dual: None,
         }
     }
 
-    /// The machine [`Annealing::anneal`] left behind.
-    fn into_machine(self) -> TrainedSvm<S, K> {
+    /// The machine of the dual [`Annealing::anneal`] left behind, which
+    /// was solved with `labels`.
+    fn into_machine(self, labels: &[f64]) -> TrainedSvm<S, K> {
         // lrf-lint: allow(service-panic): both exits of `anneal` follow a
         // `retrain` of both views, and `train_coupled` returns on its error
-        self.machine.expect("anneal trains both views")
+        let dual = self.dual.expect("anneal trains both views");
+        self.store.machine(dual, labels)
     }
 
-    /// Re-solves this view's QP over its labeled + unlabeled samples with
-    /// `labels` (shared labels, then pseudo-labels) and bounds `C` /
-    /// `ρ*·C`; when `warm`, seeded with the current machine's dual
-    /// solution if there is one.
-    fn retrain(&mut self, labels: &[f64], rho_star: f64, warm: bool) -> Result<(), SvmError> {
-        let mut bounds = vec![self.c; self.n_labeled];
+    /// Re-solves this view's QP with `labels` (shared labels, then
+    /// pseudo-labels) and bounds `C` on the first `n_labeled` samples,
+    /// `ρ*·C` on the rest; when `warm`, seeded with the current dual if
+    /// there is one. Folds the solve into `solves`.
+    fn retrain(
+        &mut self,
+        labels: &[f64],
+        n_labeled: usize,
+        rho_star: f64,
+        cfg: &CoupledConfig,
+        warm: bool,
+        solves: &mut RoundDiagnostics,
+    ) -> Result<(), SvmError> {
+        let mut bounds = vec![self.c; n_labeled];
         bounds.resize(labels.len(), rho_star * self.c);
-        // Borrowed, not cloned: the seed is last read before the retrained
-        // machine replaces the one it comes from.
-        let seed = self.machine.as_ref().filter(|_| warm);
-        let seed = seed.map(|m| m.alpha.as_slice());
-        self.machine = Some(self.store.train(labels, &bounds, self.smo, seed)?);
+        // Borrowed, not cloned: the seed is last read before the new dual
+        // replaces the one it comes from.
+        let seed = self.dual.as_ref().filter(|_| warm);
+        let seed = seed.map(|d| d.alpha.as_slice());
+        let dual = self.store.solve(labels, &bounds, &cfg.smo, seed)?;
+        solves.absorb(&dual.stats);
+        self.dual = Some(dual);
         Ok(())
     }
 
-    /// Hinge slacks of the unlabeled pool under the current machine, which
-    /// was trained with `labels`, read from the store's rows.
-    fn unlabeled_slacks(&mut self, labels: &[f64]) -> Vec<f64> {
+    /// Hinge slacks of the samples `from..` (the unlabeled pool) under the
+    /// current dual, which was solved with `labels`, read from the
+    /// store's rows.
+    fn slacks(&mut self, labels: &[f64], from: usize) -> Vec<f64> {
         // lrf-lint: allow(service-panic): `Annealing::step` retrains both
         // views before its first correction round
-        let machine = self.machine.as_ref().expect("trained before correction");
-        self.store.slacks(machine, labels, self.n_labeled)
+        let dual = self.dual.as_ref().expect("trained before correction");
+        self.store.slacks(dual, labels, from)
     }
 }
 
 /// The state one [`train_coupled`] call threads through Fig. 1's steps:
 /// the two views and the labels `y` followed by the pseudo-labels `Y'`.
-struct Annealing<'a, S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
+struct Annealing<'a, S1: ?Sized, K1, S2: ?Sized, K2> {
     content: SvmView<'a, S1, K1>,
     log: SvmView<'a, S2, K2>,
     /// `y` then `Y'`: what both views train on.
@@ -274,6 +239,8 @@ struct Annealing<'a, S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
     cfg: &'a CoupledConfig,
     /// Seed each retrain from the view's previous solution.
     warm: bool,
+    /// Every solve so far, both views.
+    solves: RoundDiagnostics,
     report: TrainReport,
 }
 
@@ -285,8 +252,8 @@ where
     K2: Kernel<S2> + Clone,
 {
     /// Fig. 1's alternating optimization: train at `ρ* = min(ρ_init, ρ)`,
-    /// correct, and double `ρ*` up to `ρ`. Leaves the final machine in
-    /// both views and the final pseudo-labels in the report.
+    /// correct, and double `ρ*` up to `ρ`. Leaves the final dual in both
+    /// views and the final pseudo-labels in `labels`.
     fn anneal(&mut self) -> Result<(), SvmError> {
         let cfg = self.cfg;
         // Degenerate-but-legal case: no unlabeled points. The coupled problem
@@ -308,15 +275,16 @@ where
             rho_star = (2.0 * rho_star).min(cfg.rho);
             self.step(rho_star)?;
         }
-
-        self.report.final_labels = self.labels.split_off(self.n_labeled);
         Ok(())
     }
 
     /// Re-solves both views, content first, at the current pseudo-labels.
     fn retrain(&mut self, rho_star: f64) -> Result<(), SvmError> {
-        self.content.retrain(&self.labels, rho_star, self.warm)?;
-        self.log.retrain(&self.labels, rho_star, self.warm)?;
+        let (labels, n_l, cfg, warm) = (&self.labels, self.n_labeled, self.cfg, self.warm);
+        let solves = &mut self.solves;
+        self.content
+            .retrain(labels, n_l, rho_star, cfg, warm, solves)?;
+        self.log.retrain(labels, n_l, rho_star, cfg, warm, solves)?;
         self.report.retrains += 1;
         Ok(())
     }
@@ -331,8 +299,8 @@ where
                 self.report.correction_capped = true;
                 break;
             }
-            let xi = self.content.unlabeled_slacks(&self.labels);
-            let eta = self.log.unlabeled_slacks(&self.labels);
+            let xi = self.content.slacks(&self.labels, self.n_labeled);
+            let eta = self.log.slacks(&self.labels, self.n_labeled);
             let mut flipped_any = false;
             let y_prime = &mut self.labels[self.n_labeled..];
             for (j, label) in y_prime.iter_mut().enumerate() {
@@ -358,6 +326,44 @@ mod tests {
     use crate::kernels::LogRbfKernel;
     use lrf_logdb::SparseVector;
     use lrf_svm::{RbfKernel, SmoParams};
+    use std::borrow::Borrow;
+
+    /// A row store over `labeled` then `unlabeled`.
+    fn store<'a, S, B, K>(kernel: K, labeled: &'a [B], unlabeled: &'a [B]) -> KernelCache<'a, S, K>
+    where
+        S: ?Sized + ToOwned,
+        B: Borrow<S>,
+        K: Kernel<S>,
+    {
+        let samples = labeled.iter().chain(unlabeled).map(Borrow::borrow);
+        KernelCache::new(kernel, samples.collect())
+    }
+
+    /// [`train_coupled`] over a fresh store per view.
+    #[allow(clippy::too_many_arguments)]
+    fn coupled<S1, B1, K1, S2, B2, K2>(
+        labeled_a: &[B1],
+        labeled_b: &[B2],
+        y: &[f64],
+        unlabeled_a: &[B1],
+        unlabeled_b: &[B2],
+        y_init: &[f64],
+        kernel_a: K1,
+        kernel_b: K2,
+        cfg: &CoupledConfig,
+    ) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
+    where
+        S1: ?Sized + ToOwned,
+        B1: Borrow<S1>,
+        K1: Kernel<S1> + Clone,
+        S2: ?Sized + ToOwned,
+        B2: Borrow<S2>,
+        K2: Kernel<S2> + Clone,
+    {
+        let content = store(kernel_a, labeled_a, unlabeled_a);
+        let log = store(kernel_b, labeled_b, unlabeled_b);
+        train_coupled(content, log, y, y_init, cfg)
+    }
 
     /// Two modalities that agree: content clusers at ±1, log vectors with
     /// matching session signatures.
@@ -398,7 +404,7 @@ mod tests {
     fn trains_and_classifies_consistently() {
         let (la, lb, y, ua, ub) = agreeing_problem();
         let (ka, kb) = kernels();
-        let out = train_coupled(
+        let out = coupled(
             &la,
             &lb,
             &y,
@@ -443,7 +449,7 @@ mod tests {
             delta: 1.0,
             ..Default::default()
         };
-        let out = train_coupled(&la, &lb, &y, &ua, &ub, &[-1.0, 1.0], ka, kb, &cfg).unwrap();
+        let out = coupled(&la, &lb, &y, &ua, &ub, &[-1.0, 1.0], ka, kb, &cfg).unwrap();
         assert_eq!(
             out.report.final_labels,
             vec![1.0, -1.0],
@@ -457,7 +463,7 @@ mod tests {
     fn no_unlabeled_pool_degrades_to_independent_svms() {
         let (la, lb, y, _, _) = agreeing_problem();
         let (ka, kb) = kernels();
-        let out = train_coupled(
+        let out = coupled(
             &la,
             &lb,
             &y,
@@ -483,7 +489,7 @@ mod tests {
         let (la, lb, y, ua, ub) = agreeing_problem();
         let (ka, kb) = kernels();
         let cfg = CoupledConfig::default();
-        let out = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cfg).unwrap();
+        let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cfg).unwrap();
         let expected = ((cfg.rho / cfg.rho_init).log2().ceil() as usize) + 1;
         assert_eq!(
             out.report.rho_steps, expected,
@@ -516,7 +522,7 @@ mod tests {
             rho: 1.0,
             ..Default::default()
         };
-        let out = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
+        let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
         // Must terminate (the assertion is that we got here) and flag the cap
         // if it oscillated; either way, the report is internally consistent.
         assert!(out.report.retrains >= out.report.rho_steps);
@@ -526,20 +532,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "misaligned")]
-    fn misaligned_modalities_panic() {
+    fn misaligned_views_are_a_length_mismatch() {
         let (la, lb, y, ua, _) = agreeing_problem();
         let (ka, kb) = kernels();
-        let _ = train_coupled(
-            &la,
-            &lb,
-            &y,
-            &ua,
-            &[],
-            &[1.0, -1.0],
-            ka,
-            kb,
-            &CoupledConfig::default(),
+        let cfg = CoupledConfig::default();
+        let err = coupled(&la, &lb, &y, &ua, &[], &[1.0, -1.0], ka, kb, &cfg).err();
+        assert!(
+            matches!(err, Some(SvmError::LengthMismatch { samples: 4, .. })),
+            "{err:?}"
         );
     }
 
@@ -559,9 +559,8 @@ mod tests {
             rho_init: 1e-4,
             ..Default::default()
         };
-        let out_weak = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &weak).unwrap();
-        let out_strong =
-            train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &strong).unwrap();
+        let out_weak = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &weak).unwrap();
+        let out_strong = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &strong).unwrap();
         let probe = vec![0.5, 0.6];
         let d_weak = out_weak.content.model.decision(&probe);
         let d_strong = out_strong.content.model.decision(&probe);
@@ -582,8 +581,9 @@ mod tests {
         let (ka, kb) = kernels();
         let cfg = CoupledConfig::default();
         let y_init = [1.0, -1.0];
-        let warm = train_coupled(&la, &lb, &y, &ua, &ub, &y_init, ka, kb, &cfg).unwrap();
-        let cold = anneal_views(&la, &lb, &y, &ua, &ub, &y_init, ka, kb, &cfg, false).unwrap();
+        let warm = coupled(&la, &lb, &y, &ua, &ub, &y_init, ka, kb, &cfg).unwrap();
+        let (content, log) = (store(ka, &la, &ua), store(kb, &lb, &ub));
+        let cold = anneal_views(content, log, &y, &y_init, &cfg, false).unwrap();
         assert_eq!(warm.report.final_labels, cold.report.final_labels);
         assert_eq!(warm.report.retrains, cold.report.retrains);
         for x in la.iter().chain(&ua) {
@@ -624,7 +624,7 @@ mod tests {
         let (la, lb, y, ua, ub) = agreeing_problem();
         let (ka, kb) = kernels();
         let (count_a, count_b) = (Default::default(), Default::default());
-        let out = train_coupled(
+        let out = coupled(
             &la,
             &lb,
             &y,
@@ -646,6 +646,49 @@ mod tests {
     }
 
     #[test]
+    fn each_view_evaluates_each_kernel_value_at_most_once_per_fit() {
+        // LRF-CSVM's shape: a labeled-only solve per view, the stores
+        // extended by the pool, the anneal in the same stores. Together
+        // they make at most the n(n+1)/2 evaluations of one symmetric Gram
+        // fill; a fresh store for the anneal would exceed it.
+        let (la, lb, y, ua, ub) = agreeing_problem();
+        let (ka, kb) = kernels();
+        let cfg = CoupledConfig::default();
+        let (count_a, count_b) = (Default::default(), Default::default());
+        let ka = Counting(ka, std::sync::Arc::clone(&count_a));
+        let kb = Counting(kb, std::sync::Arc::clone(&count_b));
+        let mut content = store(ka.clone(), &la, &[]);
+        let mut log = store(kb.clone(), &lb, &[]);
+        let labeled = |c: f64| vec![c; y.len()];
+        content
+            .solve(&y, &labeled(cfg.c_content), &cfg.smo, None)
+            .unwrap();
+        log.solve(&y, &labeled(cfg.c_log), &cfg.smo, None).unwrap();
+        content.extend(ua.iter().map(Vec::as_slice));
+        log.extend(&ub);
+        let out = train_coupled(content, log, &y, &[-1.0, 1.0], &cfg).unwrap();
+        assert!(out.report.retrains >= 10, "{:?}", out.report);
+        let n = la.len() + ua.len();
+        let shared = [&count_a, &count_b].map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+        for evaluations in shared {
+            assert!(evaluations > 0);
+            assert!(evaluations <= n * (n + 1) / 2, "{evaluations} evaluations");
+        }
+
+        // The same fit with the anneal in fresh stores.
+        count_a.store(0, std::sync::atomic::Ordering::Relaxed);
+        count_b.store(0, std::sync::atomic::Ordering::Relaxed);
+        let (mut content, mut log) = (store(ka.clone(), &la, &[]), store(kb.clone(), &lb, &[]));
+        content
+            .solve(&y, &labeled(cfg.c_content), &cfg.smo, None)
+            .unwrap();
+        log.solve(&y, &labeled(cfg.c_log), &cfg.smo, None).unwrap();
+        coupled(&la, &lb, &y, &ua, &ub, &[-1.0, 1.0], ka, kb, &cfg).unwrap();
+        let fresh = [&count_a, &count_b].map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+        assert!(fresh.iter().any(|&e| e > n * (n + 1) / 2), "{fresh:?}");
+    }
+
+    #[test]
     fn one_class_round_with_a_nan_feature_trains_constant_machines() {
         // Every label and pseudo-label +1: each solve is the single-class
         // shortcut, so no kernel is evaluated and the NaN is never read.
@@ -654,7 +697,7 @@ mod tests {
         let y = [1.0; 4];
         let (ka, kb) = kernels();
         let cfg = CoupledConfig::default();
-        let out = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
+        let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
         assert_eq!(out.report.final_labels, vec![1.0, 1.0]);
         assert_eq!(out.report.flips, 0);
         for (stats, alpha, bias) in [
@@ -674,6 +717,71 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_solve_mid_anneal_is_folded_into_the_outcome() {
+        // At a cap of 5 iterations both final solves converge, but an
+        // earlier one inside the anneal does not.
+        let (la, _, y, ua, _) = agreeing_problem();
+        let cfg = CoupledConfig {
+            smo: SmoParams { max_iter: 5 },
+            ..Default::default()
+        };
+        let (ka, kb) = (RbfKernel::new(0.5), RbfKernel::new(0.2));
+        let out = coupled(&la, &la, &y, &ua, &ua, &[-1.0, 1.0], ka, kb, &cfg).unwrap();
+        assert!(out.content.stats.converged && out.log.stats.converged);
+        assert!(!out.solves.converged);
+        let finals = out.content.stats.iterations + out.log.stats.iterations;
+        assert!(out.solves.iterations > finals, "{:?}", out.solves);
+    }
+
+    /// A dense sample that counts its clones, shared by every clone.
+    struct Tracked(Vec<f64>, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Self(self.0.clone(), std::sync::Arc::clone(&self.1))
+        }
+    }
+
+    /// The dense RBF over [`Tracked`] samples.
+    #[derive(Clone)]
+    struct TrackedRbf(RbfKernel);
+
+    impl Kernel<Tracked> for TrackedRbf {
+        fn compute(&self, a: &Tracked, b: &Tracked) -> f64 {
+            self.0.compute(&a.0, &b.0)
+        }
+    }
+
+    #[test]
+    fn each_view_clones_its_support_vectors_once() {
+        // However many retrains the anneal runs, a view copies a sample
+        // only when its final dual becomes its machine.
+        let (la, _, y, ua, _) = agreeing_problem();
+        let counters: [std::sync::Arc<std::sync::atomic::AtomicUsize>; 2] = Default::default();
+        let track = |xs: &[Vec<f64>], c: &std::sync::Arc<_>| -> Vec<Tracked> {
+            xs.iter()
+                .map(|x| Tracked(x.clone(), std::sync::Arc::clone(c)))
+                .collect()
+        };
+        let (la_a, ua_a) = (track(&la, &counters[0]), track(&ua, &counters[0]));
+        let (la_b, ua_b) = (track(&la, &counters[1]), track(&ua, &counters[1]));
+        let (ka, kb) = (
+            TrackedRbf(RbfKernel::new(0.5)),
+            TrackedRbf(RbfKernel::new(0.2)),
+        );
+        let cfg = CoupledConfig::default();
+        let out = coupled(&la_a, &la_b, &y, &ua_a, &ua_b, &[-1.0, 1.0], ka, kb, &cfg).unwrap();
+        assert!(out.report.retrains >= 10, "{:?}", out.report);
+        let n_support = [out.content.stats.n_support, out.log.stats.n_support];
+        for (counter, n_support) in counters.iter().zip(n_support) {
+            assert!(n_support > 0);
+            let clones = counter.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(clones, n_support);
+        }
+    }
+
+    #[test]
     fn smo_params_are_threaded_through() {
         // An absurdly low iteration cap must be respected (convergence flag
         // off) — proving the inner solver reads the provided SmoParams.
@@ -683,7 +791,7 @@ mod tests {
             smo: SmoParams { max_iter: 1 },
             ..Default::default()
         };
-        let out = train_coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cfg).unwrap();
+        let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cfg).unwrap();
         assert!(!out.content.stats.converged);
     }
 }

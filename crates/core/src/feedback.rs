@@ -50,12 +50,12 @@ impl RoundDiagnostics {
 #[derive(Clone, Debug, Default)]
 pub struct WarmState {
     /// Previous content-side alphas, in labeled-set (mark) order.
-    pub content: Option<Vec<f64>>,
+    pub(crate) content: Option<Vec<f64>>,
     /// Previous log-side alphas, in labeled-set order.
-    pub log: Option<Vec<f64>>,
+    pub(crate) log: Option<Vec<f64>>,
     /// Diagnostics from the most recent retrain, `None` until a scheme
     /// that actually trains has run.
-    pub last: Option<RoundDiagnostics>,
+    pub(crate) last: Option<RoundDiagnostics>,
 }
 
 /// Everything a scheme sees when ranking: the database, the accumulated
@@ -68,6 +68,13 @@ pub struct QueryContext<'a> {
     pub log: &'a LogStore,
     /// The current round: query id and the `N_l` labeled images.
     pub example: &'a FeedbackExample,
+}
+
+impl QueryContext<'_> {
+    /// The round's labels `y`, in labeled-set (mark) order.
+    pub(crate) fn labels(&self) -> Vec<f64> {
+        self.example.labeled.iter().map(|&(_, y)| y).collect()
+    }
 }
 
 /// A trained, immutable decision function over image ids — the unit of

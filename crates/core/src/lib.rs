@@ -4,10 +4,10 @@
 //! The schemes differ only in *how a round's decision function is trained*;
 //! ranking is always "score the candidates, sort":
 //!
-//! * [`feedback::RelevanceFeedback`] — a scheme is one
-//!   [`fit_warm`](feedback::RelevanceFeedback::fit_warm): given a query's
-//!   feedback round ([`QueryContext`]) it trains a [`feedback::PoolScorer`], whose
-//!   [`score_ids`](feedback::PoolScorer::score_ids) is the only place
+//! * [`RelevanceFeedback`] — a scheme is one
+//!   [`fit_warm`](RelevanceFeedback::fit_warm): given a query's
+//!   feedback round ([`QueryContext`]) it trains a [`PoolScorer`], whose
+//!   [`score_ids`](PoolScorer::score_ids) is the only place
 //!   decision values are computed. `rank` / `scores` are provided on top.
 //! * `pooled::rank_candidates` — the only place a (scheme, round, pool,
 //!   warm state, where-to-score) tuple becomes a ranking of the pool; the
@@ -39,8 +39,8 @@
 //!   one-shot schemes into resumable multi-round sessions (accumulated
 //!   judgments, typed errors, log-session flush) for `lrf-service`. Each
 //!   round after the first warm-starts its solver from the previous
-//!   round's dual solution ([`feedback::WarmState`]) and surfaces solver
-//!   health via [`feedback::RoundDiagnostics`].
+//!   round's dual solution ([`WarmState`]) and surfaces solver
+//!   health via [`RoundDiagnostics`].
 //!
 //! ## Quickstart
 //!
@@ -69,7 +69,7 @@ mod active;
 mod config;
 mod coupled;
 mod euclidean;
-pub mod feedback;
+mod feedback;
 mod kernels;
 mod log_collection;
 mod lrf_2svms;
@@ -81,7 +81,10 @@ mod rounds;
 pub use active::RoundSelection;
 pub use config::{CoupledConfig, LrfConfig, UnlabeledSelection};
 pub use coupled::{train_coupled, CoupledOutcome, TrainReport};
-pub use feedback::{QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState};
+pub use feedback::{
+    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
+    WarmState,
+};
 pub use kernels::LogRbfKernel;
 pub use log_collection::collect_feedback_log;
 pub use lrf_2svms::Lrf2Svms;

@@ -14,7 +14,7 @@ use crate::feedback::{
 use crate::kernels::LogRbfKernel;
 use crate::rf_svm::RfSvm;
 use lrf_logdb::SparseVector;
-use lrf_svm::{train_warm, SvmModel, TrainedSvm};
+use lrf_svm::{Dual, KernelCache, SvmModel};
 
 /// Linear combination of two independently trained SVMs.
 #[derive(Clone, Debug, Default)]
@@ -30,36 +30,31 @@ impl Lrf2Svms {
         Self { config }
     }
 
-    /// Trains the log-side SVM on the labeled round, borrowing the log
-    /// vectors from the store (no clone per sample), optionally seeded with
-    /// the previous round's log-side alphas (labeled-set order). Exposed
-    /// for reuse by LRF-CSVM (this is its log-side initial model).
-    pub(crate) fn train_log_svm(
+    /// The log view of one feedback round: a row store over the labeled
+    /// images' log vectors, borrowed from the store (no clone per sample),
+    /// and the dual of the log-side SVM solved in it, seeded with the
+    /// previous round's log-side alphas (labeled-set order). Exposed for
+    /// reuse by LRF-CSVM (this is its log-side initial model).
+    pub(crate) fn log_fit<'a>(
         &self,
-        ctx: &QueryContext<'_>,
+        ctx: &QueryContext<'a>,
         warm: Option<&[f64]>,
-    ) -> TrainedSvm<SparseVector, LogRbfKernel> {
-        let samples: Vec<&SparseVector> = ctx
+    ) -> (KernelCache<'a, SparseVector, LogRbfKernel>, Dual) {
+        let samples = ctx
             .example
             .labeled
             .iter()
-            .map(|&(id, _)| ctx.log.log_vector(id))
-            .collect();
-        let labels: Vec<f64> = ctx.example.labeled.iter().map(|&(_, y)| y).collect();
-        let bounds = vec![self.config.coupled.c_log; samples.len()];
-        train_warm(
-            &samples,
-            &labels,
-            &bounds,
-            self.config.log_kernel,
-            &self.config.coupled.smo,
-            warm,
-        )
-        // lrf-lint: allow(service-panic): a request's fit comes through
-        // `rank_candidates`, which skips an empty round; the labels are
-        // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
-        // made the bound and the kernel width positive; log entries are ±1
-        .expect("log SVM training cannot fail on validated feedback rounds")
+            .map(|&(id, _)| ctx.log.log_vector(id));
+        let mut store = KernelCache::new(self.config.log_kernel, samples.collect());
+        let bounds = vec![self.config.coupled.c_log; ctx.example.labeled.len()];
+        let dual = store
+            .solve(&ctx.labels(), &bounds, &self.config.coupled.smo, warm)
+            // lrf-lint: allow(service-panic): a request's fit comes through
+            // `rank_candidates`, which skips an empty round; the labels are
+            // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
+            // made the bound and the kernel width positive; log entries are ±1
+            .expect("log SVM training cannot fail on validated feedback rounds");
+        (store, dual)
     }
 }
 
@@ -74,11 +69,15 @@ impl RelevanceFeedback for Lrf2Svms {
         _pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let content = RfSvm::new(self.config).train_content_svm(ctx, warm.content.as_deref());
-        let logside = self.train_log_svm(ctx, warm.log.as_deref());
+        let (content, content_dual) =
+            RfSvm::new(self.config).content_fit(ctx, warm.content.as_deref());
+        let (logside, log_dual) = self.log_fit(ctx, warm.log.as_deref());
         let mut diag = RoundDiagnostics::all_converged();
-        diag.absorb(&content.stats);
-        diag.absorb(&logside.stats);
+        diag.absorb(&content_dual.stats);
+        diag.absorb(&log_dual.stats);
+        let labels = ctx.labels();
+        let content = content.machine(content_dual, &labels);
+        let logside = logside.machine(log_dual, &labels);
         warm.content = Some(content.alpha);
         warm.log = Some(logside.alpha);
         warm.last = Some(diag);

@@ -21,15 +21,12 @@
 //! [`UnlabeledSelection::ClosestToBoundary`] to reproduce that finding.
 
 use crate::config::{LrfConfig, UnlabeledSelection};
-use crate::coupled::{train_coupled, CoupledOutcome, TrainReport};
+use crate::coupled::{train_coupled, TrainReport};
 use crate::feedback::{
-    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
-    WarmState,
+    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, ScorerRef, WarmState,
 };
 use crate::lrf_2svms::{Lrf2Svms, SummedScorer};
 use crate::rf_svm::RfSvm;
-use lrf_logdb::SparseVector;
-use lrf_svm::RbfKernel;
 
 /// Output of [`LrfCsvm::fit_on`] — the coupled round's trained decision
 /// function plus the diagnostics `run` folds into its outcome.
@@ -95,20 +92,18 @@ impl LrfCsvm {
     fn fit_on(&self, ctx: &QueryContext<'_>, universe: &[usize], warm: &mut WarmState) -> CsvmFit {
         let cfg = &self.config;
         let db = ctx.db;
+        let y = ctx.labels();
 
-        // ---- Step 1: initial per-modality SVMs on the labeled round,
-        // seeded from the previous round: the labeled prefix of the last
-        // coupled solution is bounded by the same `C` as a labeled-only
-        // solve, so it prefix-maps directly.
-        let content0 = RfSvm::new(*cfg).train_content_svm(ctx, warm.content.as_deref());
-        let log0 = Lrf2Svms::new(*cfg).train_log_svm(ctx, warm.log.as_deref());
-        let mut diag = RoundDiagnostics::all_converged();
-        diag.absorb(&content0.stats);
-        diag.absorb(&log0.stats);
-
+        // ---- Step 1: initial per-modality SVMs on the labeled round, one
+        // row store per view, seeded from the previous round: the labeled
+        // prefix of the last coupled solution is bounded by the same `C`
+        // as a labeled-only solve, so it prefix-maps directly.
+        let (mut content, content0) = RfSvm::new(*cfg).content_fit(ctx, warm.content.as_deref());
+        let (mut log, log0) = Lrf2Svms::new(*cfg).log_fit(ctx, warm.log.as_deref());
+        let step1 = [content0.stats, log0.stats];
         let dist = SummedScorer {
-            content: content0.model,
-            log: log0.model,
+            content: content.machine(content0, &y).model,
+            log: log.machine(log0, &y).model,
         }
         .score_ids(db, ctx.log, universe);
         let labeled: std::collections::HashSet<usize> =
@@ -122,51 +117,24 @@ impl LrfCsvm {
 
         let (unlabeled_ids, y_init) = self.select_unlabeled_in(ctx, scored);
 
-        // ---- Step 2: coupled training — on borrowed slices. The round's
-        // samples are row views of the database's flat matrix and
-        // references into the log store; nothing is cloned to train.
-        let labeled_x: Vec<&[f64]> = ctx
-            .example
-            .labeled
-            .iter()
-            .map(|&(id, _)| db.feature(id))
-            .collect();
-        let labeled_r: Vec<&SparseVector> = ctx
-            .example
-            .labeled
-            .iter()
-            .map(|&(id, _)| ctx.log.log_vector(id))
-            .collect();
-        let y: Vec<f64> = ctx.example.labeled.iter().map(|&(_, l)| l).collect();
-        let unl_x: Vec<&[f64]> = unlabeled_ids.iter().map(|&id| db.feature(id)).collect();
-        let unl_r: Vec<&SparseVector> = unlabeled_ids
-            .iter()
-            .map(|&id| ctx.log.log_vector(id))
-            .collect();
-
-        let gamma_content = cfg
-            .gamma_content
-            .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
-        let outcome: CoupledOutcome<_, _, _, _> = train_coupled(
-            &labeled_x,
-            &labeled_r,
-            &y,
-            &unl_x,
-            &unl_r,
-            &y_init,
-            RbfKernel::new(gamma_content),
-            cfg.log_kernel,
-            &cfg.coupled,
-        )
-        // lrf-lint: allow(service-panic): the round is non-empty (the two
-        // step-1 fits above ran on it), its labels and the pseudo-labels
-        // are ±1, the views are built aligned, and `LrfConfig::validate`
-        // made every bound positive
-        .expect("coupled training cannot fail on validated feedback rounds");
+        // ---- Step 2: coupled training in the same two stores, extended
+        // with the pool: every row step 1 computed is reused, and the new
+        // samples are borrowed too (row views of the database's flat
+        // matrix, references into the log store).
+        content.extend(unlabeled_ids.iter().map(|&id| db.feature(id)));
+        log.extend(unlabeled_ids.iter().map(|&id| ctx.log.log_vector(id)));
+        let outcome = train_coupled(content, log, &y, &y_init, &cfg.coupled)
+            // lrf-lint: allow(service-panic): the round is non-empty (the two
+            // step-1 fits above ran on it), its labels and the pseudo-labels
+            // are ±1, both stores hold the labeled images then the pool, and
+            // `LrfConfig::validate` made every bound positive
+            .expect("coupled training cannot fail on validated feedback rounds");
 
         let n_l = y.len();
-        diag.absorb(&outcome.content.stats);
-        diag.absorb(&outcome.log.stats);
+        let mut diag = outcome.solves;
+        for stats in &step1 {
+            diag.absorb(stats);
+        }
         warm.content = Some(outcome.content.alpha[..n_l].to_vec());
         warm.log = Some(outcome.log.alpha[..n_l].to_vec());
         warm.last = Some(diag);
@@ -407,12 +375,13 @@ mod tests {
         };
 
         // Reproduce step 1 manually to check the split.
-        let content0 = RfSvm::new(cfg).train_content_svm(&ctx, None);
-        let log0 = Lrf2Svms::new(cfg).train_log_svm(&ctx, None);
+        let (content, content0) = RfSvm::new(cfg).content_fit(&ctx, None);
+        let (logside, log0) = Lrf2Svms::new(cfg).log_fit(&ctx, None);
         let all: Vec<usize> = (0..ds.db.len()).collect();
+        let y = ctx.labels();
         let dist = SummedScorer {
-            content: content0.model,
-            log: log0.model,
+            content: content.machine(content0, &y).model,
+            log: logside.machine(log0, &y).model,
         }
         .score_ids(&ds.db, &log, &all);
         let (ids, init) = scheme.select_unlabeled(&ctx, &dist);
@@ -536,6 +505,38 @@ mod tests {
             example: &example,
         });
         assert_eq!(out.unlabeled_ids.len(), ds.db.len() - 6);
+    }
+
+    #[test]
+    fn a_capped_anneal_solve_marks_the_round_nonconverged() {
+        // At a cap of 20 SMO iterations both step-1 solves converge, but
+        // a solve inside the anneal does not: the round must say so.
+        let (ds, log) = setup(0.1, 20);
+        let proto = QueryProtocol {
+            n_queries: 1,
+            n_labeled: 8,
+            seed: 0,
+        };
+        let example = proto.feedback_example(&ds.db, 7);
+        let ctx = QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        };
+        let universe: Vec<usize> = (0..ds.db.len()).collect();
+        for (max_iter, converged) in [(20, false), (100_000, true)] {
+            let mut cfg = small_config();
+            cfg.coupled.smo.max_iter = max_iter;
+            let (_, content0) = RfSvm::new(cfg).content_fit(&ctx, None);
+            let (_, log0) = Lrf2Svms::new(cfg).log_fit(&ctx, None);
+            assert!(content0.stats.converged && log0.stats.converged);
+            let mut warm = WarmState::default();
+            let fit = LrfCsvm::new(cfg).fit_on(&ctx, &universe, &mut warm);
+            let diag = warm.last.expect("the fit records its diagnostics");
+            assert_eq!(diag.converged, converged, "max_iter {max_iter}");
+            // Every solve is counted: two step-1 solves and two per retrain.
+            assert!(diag.iterations > 2 * fit.report.retrains, "{diag:?}");
+        }
     }
 
     #[test]

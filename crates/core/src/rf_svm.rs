@@ -9,7 +9,7 @@ use crate::config::LrfConfig;
 use crate::feedback::{
     PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
-use lrf_svm::{train_warm, RbfKernel, SvmModel, TrainedSvm};
+use lrf_svm::{Dual, KernelCache, RbfKernel, SvmModel};
 
 /// Content-only SVM relevance feedback.
 #[derive(Clone, Debug, Default)]
@@ -26,42 +26,38 @@ impl RfSvm {
         Self { config }
     }
 
-    /// Trains the content SVM for one feedback round on borrowed row views
-    /// of the database's flat matrix — no feature is cloned — optionally
-    /// seeded with the previous round's content-side alphas (labeled-set
-    /// order; the set grows by appending, so the seed prefix-maps onto the
-    /// new round's samples). Exposed for reuse by the log-based schemes
-    /// (this is exactly their content-side initial model).
-    pub(crate) fn train_content_svm(
+    /// The content view of one feedback round: a row store over borrowed
+    /// row views of the labeled images' features (mark order) — no
+    /// feature is cloned — and the dual of the content SVM solved in it,
+    /// seeded with the previous round's content-side alphas (the set grows
+    /// by appending, so the seed prefix-maps onto the new round's
+    /// samples). Exposed for reuse by the log-based schemes (this is
+    /// exactly their content-side initial model); LRF-CSVM goes on to
+    /// extend the store and anneal in it.
+    pub(crate) fn content_fit<'a>(
         &self,
-        ctx: &QueryContext<'_>,
+        ctx: &QueryContext<'a>,
         warm: Option<&[f64]>,
-    ) -> TrainedSvm<[f64], RbfKernel> {
-        let samples: Vec<&[f64]> = ctx
+    ) -> (KernelCache<'a, [f64], RbfKernel>, Dual) {
+        let samples = ctx
             .example
             .labeled
             .iter()
-            .map(|&(id, _)| ctx.db.feature(id))
-            .collect();
-        let labels: Vec<f64> = ctx.example.labeled.iter().map(|&(_, y)| y).collect();
-        let bounds = vec![self.config.coupled.c_content; samples.len()];
+            .map(|&(id, _)| ctx.db.feature(id));
         let gamma = self
             .config
             .gamma_content
             .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
-        train_warm(
-            &samples,
-            &labels,
-            &bounds,
-            RbfKernel::new(gamma),
-            &self.config.coupled.smo,
-            warm,
-        )
-        // lrf-lint: allow(service-panic): a request's fit comes through
-        // `rank_candidates`, which skips an empty round; the labels are
-        // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
-        // made the bound positive; database features are finite
-        .expect("content SVM training cannot fail on validated feedback rounds")
+        let mut store = KernelCache::new(RbfKernel::new(gamma), samples.collect());
+        let bounds = vec![self.config.coupled.c_content; ctx.example.labeled.len()];
+        let dual = store
+            .solve(&ctx.labels(), &bounds, &self.config.coupled.smo, warm)
+            // lrf-lint: allow(service-panic): a request's fit comes through
+            // `rank_candidates`, which skips an empty round; the labels are
+            // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
+            // made the bound positive; database features are finite
+            .expect("content SVM training cannot fail on validated feedback rounds");
+        (store, dual)
     }
 }
 
@@ -76,9 +72,10 @@ impl RelevanceFeedback for RfSvm {
         _pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let svm = self.train_content_svm(ctx, warm.content.as_deref());
+        let (store, dual) = self.content_fit(ctx, warm.content.as_deref());
         let mut diag = RoundDiagnostics::all_converged();
-        diag.absorb(&svm.stats);
+        diag.absorb(&dual.stats);
+        let svm = store.machine(dual, &ctx.labels());
         warm.content = Some(svm.alpha);
         warm.last = Some(diag);
         Some(std::sync::Arc::new(ContentScorer { model: svm.model }))
@@ -196,14 +193,13 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 5);
-        let svm = RfSvm::default().train_content_svm(
-            &QueryContext {
-                db: &ds.db,
-                log: &log,
-                example: &example,
-            },
-            None,
-        );
+        let ctx = QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        };
+        let (store, dual) = RfSvm::default().content_fit(&ctx, None);
+        let svm = store.machine(dual, &ctx.labels());
         let serial: Vec<f64> = (0..ds.db.len())
             .map(|id| svm.model.decision(ds.db.feature(id)))
             .collect();

@@ -27,7 +27,7 @@ pub mod canny;
 pub mod color;
 mod convolve;
 mod draw;
-pub mod image;
+mod image;
 mod synthetic;
 pub mod wavelet;
 

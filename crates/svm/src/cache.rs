@@ -13,13 +13,18 @@
 //! `tests/golden_solver.rs` pins an n = 240 solve), so every row of the
 //! largest store fits in a few hundred KiB.
 //!
-//! A store outlives the solve when its owner keeps it. The coupled SVM's
-//! annealing schedule re-solves one sample set about a hundred times with
-//! new bounds and pseudo-labels: it owns one store per view for the whole
-//! anneal, trains in it ([`KernelCache::train`]) and reads each machine's
-//! hinge slacks from its rows ([`KernelCache::slacks`]), so no kernel value
-//! is evaluated twice. [`crate::train`] and [`crate::train_warm`] are the
-//! one-solve use of the same store.
+//! A store outlives the solve when its owner keeps it, and it can grow.
+//! LRF-CSVM solves each view's labeled-only SVM in a store, appends the
+//! unlabeled pool ([`KernelCache::extend`]: resident rows gain the new
+//! columns) and then runs the coupled SVM's annealing schedule — about a
+//! hundred re-solves with new bounds and pseudo-labels — in the same
+//! store. A solve ([`KernelCache::solve`]) returns only its
+//! [`crate::Dual`]; the anneal reads each dual's hinge slacks from the
+//! rows ([`KernelCache::slacks`]) and seeds the next solve with it, and
+//! only a view's final dual becomes a model ([`KernelCache::machine`]),
+//! which is where the support vectors are cloned, once. No kernel value
+//! of the whole fit is evaluated twice. [`crate::train`] and
+//! [`crate::train_warm`] are the one-solve use of the same store.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully
@@ -38,7 +43,7 @@ use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::model::TrainedSvm;
 use crate::smo::{
-    finish_model, single_class_sign, solve_dual, validate, DualSolution, SmoParams, SV_THRESHOLD,
+    finish_model, single_class_sign, solve_dual, validate, Dual, SmoParams, SV_THRESHOLD,
 };
 
 /// Row-level access to the (implicit) Gram matrix, as consumed by the SMO
@@ -55,17 +60,18 @@ pub(crate) trait KernelRows {
     fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]);
 }
 
-/// Lazy kernel-row store over one sample set: a row is computed on first
-/// touch and kept until the store is dropped. The diagonal is computed by
-/// the first solve that needs it (it doubles as the non-finite-sample
-/// check), so a store whose every problem is single-class evaluates no
-/// kernel at all.
+/// Lazy kernel-row store over one growing sample set: a row is computed on
+/// first touch and kept until the store is dropped. The diagonal is
+/// computed by the first solve that needs it (it doubles as the
+/// non-finite-sample check), so a store whose every problem is
+/// single-class evaluates no kernel at all.
 pub struct KernelCache<'a, S: ?Sized, K> {
     pub(crate) kernel: K,
     samples: Vec<&'a S>,
-    /// `K(i, i)`; empty until the first two-class solve.
+    /// `K(i, i)` of a prefix of the samples: empty until the first
+    /// two-class solve, which computes the rest and checks it.
     diag: Vec<f64>,
-    rows: Vec<Option<Box<[f64]>>>,
+    rows: Vec<Option<Vec<f64>>>,
     hits: u64,
     misses: u64,
 }
@@ -88,44 +94,80 @@ where
         }
     }
 
-    /// [`crate::train_warm`] over this store's samples, reusing every row
-    /// an earlier solve in it computed. The result is bit-identical to
+    /// Appends `samples` to the store. Every resident row gains its new
+    /// columns, each evaluated as `K(row sample, new sample)` — the
+    /// orientation a row computed after the append would use, so later
+    /// rows that mirror them stay bit-exact. The new samples' diagonal is
+    /// left to the next two-class solve, which checks it like the rest.
+    pub fn extend<I: IntoIterator<Item = &'a S>>(&mut self, samples: I) {
+        let from = self.samples.len();
+        self.samples.extend(samples);
+        let (kernel, all) = (&self.kernel, &self.samples);
+        for (row, &si) in self.rows.iter_mut().zip(all) {
+            if let Some(row) = row {
+                row.extend(all[from..].iter().map(|&st| kernel.compute(si, st)));
+            }
+        }
+        self.rows.resize(self.samples.len(), None);
+    }
+
+    /// Validates the problem, takes the single-class shortcut, and
+    /// otherwise solves the dual in this store, reusing every row an
+    /// earlier solve in it computed and seeded from `warm` as
+    /// [`crate::train_warm`] describes. The result is bit-identical to
     /// `train_warm` on the same samples; only the kernel evaluations
-    /// differ. `SolveStats`' hit and miss counts are this solve's own.
+    /// differ. The solution's hit and miss counts are this solve's own.
     ///
     /// # Errors
-    /// As [`crate::train_warm`].
-    pub fn train(
+    /// As [`crate::train_warm`]. A two-class solve first computes the
+    /// diagonal entries no earlier solve did: a non-finite `K(i, i)` is
+    /// reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
+    /// kernel in this workspace a sample containing NaN/∞ poisons its own
+    /// diagonal entry, so this is equivalent to the full-matrix scan of
+    /// the precomputed path.
+    pub fn solve(
         &mut self,
         labels: &[f64],
         upper_bounds: &[f64],
         params: &SmoParams,
         warm: Option<&[f64]>,
-    ) -> Result<TrainedSvm<S, K>, SvmError>
-    where
-        K: Clone,
-    {
-        let sol = self.solve(labels, upper_bounds, params, warm)?;
-        let kernel = self.kernel.clone();
-        Ok(finish_model(&self.samples, labels, kernel, sol))
+    ) -> Result<Dual, SvmError> {
+        validate(self.samples.len(), labels, upper_bounds)?;
+        if let Some(sign) = single_class_sign(labels) {
+            return Ok(Dual::constant(labels.len(), sign));
+        }
+        let from = self.diag.len();
+        let kernel = &self.kernel;
+        let new = self.samples[from..].iter().map(|&s| kernel.compute(s, s));
+        self.diag.extend(new);
+        if let Some(i) = self.diag[from..].iter().position(|v| !v.is_finite()) {
+            self.diag.truncate(from);
+            let i = from + i;
+            return Err(SvmError::NonFiniteKernel { row: i, col: i });
+        }
+        let (hits, misses) = (self.hits, self.misses);
+        let mut dual = solve_dual(self, labels, upper_bounds, params, warm);
+        dual.stats.cache_hits = self.hits - hits;
+        dual.stats.cache_misses = self.misses - misses;
+        Ok(dual)
     }
 
     /// Hinge slacks `ξ_t = max(0, 1 − y_t·f(x_t))` of the samples `from..`
-    /// under `machine`, which [`Self::train`] trained in this store with
-    /// `labels` (the `y_t` are the same labels). `f` is read from the
-    /// support vectors' rows and is bit-identical to
-    /// [`crate::SvmModel::decision`]: the bias first, then `α_i·y_i` times
-    /// `K(x_i, x_t)`, support vectors in index order. A machine with no
-    /// support vectors touches no row.
+    /// under `dual`, which [`Self::solve`] returned for this store's
+    /// current samples and `labels` (the `y_t` are the same labels). `f`
+    /// is read from the support vectors' rows and is bit-identical to the
+    /// model's [`crate::SvmModel::decision`]: the bias first, then
+    /// `α_i·y_i` times `K(x_i, x_t)`, support vectors in index order. A
+    /// dual with no support vectors touches no row.
     ///
     /// # Panics
-    /// Panics if `machine` or `labels` does not span this store's samples.
-    pub fn slacks(&mut self, machine: &TrainedSvm<S, K>, labels: &[f64], from: usize) -> Vec<f64> {
+    /// Panics if `dual` or `labels` does not span this store's samples.
+    pub fn slacks(&mut self, dual: &Dual, labels: &[f64], from: usize) -> Vec<f64> {
         let n = self.samples.len();
-        assert_eq!(machine.alpha.len(), n, "not this store's machine");
+        assert_eq!(dual.alpha.len(), n, "not this store's dual");
         assert_eq!(labels.len(), n, "not this store's labels");
-        let mut f = vec![machine.model.bias(); n - from];
-        for (i, &a) in machine.alpha.iter().enumerate() {
+        let mut f = vec![dual.bias; n - from];
+        for (i, &a) in dual.alpha.iter().enumerate() {
             if a > SV_THRESHOLD {
                 let coef = a * labels[i];
                 for (ft, &k) in f.iter_mut().zip(&self.row(i)[from..]) {
@@ -139,44 +181,30 @@ where
             .collect()
     }
 
-    /// Validates the problem, takes the single-class shortcut, and
-    /// otherwise solves the dual in this store. The store's first
-    /// two-class solve computes the diagonal: a non-finite `K(i, i)` is
-    /// reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
-    /// kernel in this workspace a sample containing NaN/∞ poisons its own
-    /// diagonal entry, so this is equivalent to the full-matrix scan of
-    /// the precomputed path. The solution's hit and miss counts are this
-    /// solve's own.
-    pub(crate) fn solve(
-        &mut self,
-        labels: &[f64],
-        upper_bounds: &[f64],
-        params: &SmoParams,
-        warm: Option<&[f64]>,
-    ) -> Result<DualSolution, SvmError> {
-        validate(self.samples.len(), labels, upper_bounds)?;
-        if let Some(sign) = single_class_sign(labels) {
-            return Ok(DualSolution::constant(labels.len(), sign));
-        }
-        if self.diag.is_empty() {
-            let kernel = &self.kernel;
-            self.diag = self.samples.iter().map(|&s| kernel.compute(s, s)).collect();
-            if let Some(i) = self.diag.iter().position(|v| !v.is_finite()) {
-                self.diag.clear();
-                return Err(SvmError::NonFiniteKernel { row: i, col: i });
-            }
-        }
-        let (hits, misses) = (self.hits, self.misses);
-        let mut sol = solve_dual(self, labels, upper_bounds, params, warm);
-        (sol.cache_hits, sol.cache_misses) = (self.hits - hits, self.misses - misses);
-        Ok(sol)
+    /// The machine of `dual`, which [`Self::solve`] returned for this
+    /// store's current samples and `labels`: its support vectors are
+    /// cloned here, once, and this is the only copy any solve path makes
+    /// of a training sample.
+    ///
+    /// # Panics
+    /// Panics if `dual` or `labels` does not span this store's samples.
+    pub fn machine(&self, dual: Dual, labels: &[f64]) -> TrainedSvm<S, K>
+    where
+        K: Clone,
+    {
+        assert_eq!(
+            dual.alpha.len(),
+            self.samples.len(),
+            "not this store's dual"
+        );
+        finish_model(&self.samples, labels, self.kernel.clone(), dual)
     }
 
     /// Computes row `i`, mirroring entries from already-resident rows
     /// (`K(i,t) = K(t,i)`, bitwise for the symmetric kernels used here) so
     /// a store's solves together make at most the `n(n+1)/2` evaluations
     /// of the eager symmetric fill.
-    fn compute_row(&self, i: usize) -> Box<[f64]> {
+    fn compute_row(&self, i: usize) -> Vec<f64> {
         let si = self.samples[i];
         let mut data = Vec::with_capacity(self.samples.len());
         for (t, &st) in self.samples.iter().enumerate() {
@@ -189,7 +217,7 @@ where
             };
             data.push(v);
         }
-        data.into_boxed_slice()
+        data
     }
 
     /// Makes row `i` resident, counting the access as a hit or a miss.
@@ -293,6 +321,21 @@ mod tests {
     }
 
     #[test]
+    fn extend_keeps_the_non_finite_check() {
+        let samples = [vec![1.0], vec![2.0], vec![f64::NAN], vec![3.0]];
+        let mut cache = KernelCache::new(LinearKernel, vec![&samples[0][..], &samples[1][..]]);
+        let params = SmoParams::default();
+        cache.solve(&[1.0, -1.0], &[1.0; 2], &params, None).unwrap();
+        cache.extend(samples[2..].iter().map(Vec::as_slice));
+        let labels = [1.0, -1.0, 1.0, -1.0];
+        let err = cache.solve(&labels, &[1.0; 4], &params, None).err();
+        assert_eq!(err, Some(SvmError::NonFiniteKernel { row: 2, col: 2 }));
+        // The check stays armed: the next solve reports the sample again.
+        let err = cache.solve(&labels, &[1.0; 4], &params, None).err();
+        assert_eq!(err, Some(SvmError::NonFiniteKernel { row: 2, col: 2 }));
+    }
+
+    #[test]
     fn rows_match_gram_and_counters_track_accesses() {
         let flat: Vec<f64> = (0..24).map(|i| (i as f64 * 0.37).cos()).collect();
         let samples = samples_from(&flat, 3);
@@ -370,9 +413,9 @@ mod tests {
 
     /// Runs `solves` warm or cold solves over `samples` in one store —
     /// each with freshly drawn labels (sometimes one class) and bounds —
-    /// and holds every machine to `train_warm` on the same seed and to
-    /// `TrainedSvm::slacks`, bit for bit. A machine with no support
-    /// vectors must read its slacks without touching a row.
+    /// and holds every dual to `train_warm` on the same seed and its
+    /// slacks to `TrainedSvm::slacks`, bit for bit. A dual with no
+    /// support vectors must read its slacks without touching a row.
     fn check_store_slacks<S, K>(samples: &[&S], kernel: K, seed: u64, solves: usize)
     where
         S: ?Sized + ToOwned,
@@ -393,22 +436,23 @@ mod tests {
             }
             let bounds: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..10.0)).collect();
             let warm = prev.as_deref().filter(|_| rng.gen_bool(0.7));
-            let m = cache.train(&labels, &bounds, &params, warm).unwrap();
+            let dual = cache.solve(&labels, &bounds, &params, warm).unwrap();
             let one = train_warm(samples, &labels, &bounds, kernel.clone(), &params, warm).unwrap();
-            assert_eq!(m.alpha, one.alpha);
-            assert_eq!(m.model.bias().to_bits(), one.model.bias().to_bits());
-            assert_eq!(m.stats.iterations, one.stats.iterations);
+            assert_eq!(dual.alpha, one.alpha);
+            assert_eq!(dual.bias.to_bits(), one.model.bias().to_bits());
+            assert_eq!(dual.stats.iterations, one.stats.iterations);
+            assert_eq!(dual.stats.n_support, one.stats.n_support);
 
             let from = rng.gen_range(0..n);
             let before = cache.cache_stats();
-            let got = cache.slacks(&m, &labels, from);
-            let want = m.slacks(&samples[from..], &labels[from..]);
+            let got = cache.slacks(&dual, &labels, from);
+            let want = one.slacks(&samples[from..], &labels[from..]);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "from {from}");
-            if m.stats.n_support == 0 {
+            if dual.stats.n_support == 0 {
                 assert_eq!(cache.cache_stats(), before, "a constant machine read a row");
             }
-            prev = Some(m.alpha);
+            prev = Some(dual.alpha);
         }
     }
 
@@ -443,6 +487,43 @@ mod tests {
                         prop_assert_eq!(ri[t], kernel.compute(&samples[i], &samples[t]));
                     }
                 }
+            }
+        }
+
+        /// A store solved over a prefix and then extended serves rows
+        /// bit-identical to a store built over the whole set and to direct
+        /// evaluation, and solves to the same dual in every bit.
+        #[test]
+        fn extended_rows_equal_a_whole_store_and_direct_evaluation(
+            flat in proptest::collection::vec(-3.0f64..3.0, 36),
+            split in 2usize..12,
+            touched in proptest::collection::vec(0usize..12, 0..8),
+            gamma in 0.05f64..2.0,
+        ) {
+            let samples = samples_from(&flat, 3);
+            let n = samples.len();
+            let refs: Vec<&[f64]> = samples.iter().map(Vec::as_slice).collect();
+            let kernel = RbfKernel::new(gamma);
+            let labels: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+            let bounds = vec![1.0; n];
+            let params = SmoParams::default();
+
+            let mut grown = KernelCache::new(kernel, refs[..split].to_vec());
+            grown.solve(&labels[..split], &bounds[..split], &params, None).unwrap();
+            for &i in &touched {
+                grown.row(i % split);
+            }
+            grown.extend(refs[split..].iter().copied());
+            let mut whole = KernelCache::new(kernel, refs.clone());
+            let a = grown.solve(&labels, &bounds, &params, None).unwrap();
+            let b = whole.solve(&labels, &bounds, &params, None).unwrap();
+            prop_assert_eq!(&a.alpha, &b.alpha);
+            prop_assert_eq!(a.bias.to_bits(), b.bias.to_bits());
+            for i in 0..n {
+                let direct: Vec<f64> = refs.iter().map(|&t| kernel.compute(refs[i], t)).collect();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(grown.row(i)), bits(&direct), "row {}", i);
+                prop_assert_eq!(bits(whole.row(i)), bits(&direct), "row {}", i);
             }
         }
 

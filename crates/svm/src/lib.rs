@@ -23,12 +23,15 @@
 //! * `cache` — [`KernelCache`], the lazy kernel-row store every solve
 //!   computes Gram rows through: a row is computed on first touch and kept
 //!   until the store is dropped, with per-solve hit/miss counts surfaced
-//!   in [`SolveStats`]. [`train`] and [`train_warm`] use a store for one
-//!   solve; a caller that re-solves one sample set (the coupled SVM's
-//!   annealing) owns a store, trains in it ([`KernelCache::train`]) and
-//!   reads each machine's hinge slacks from its rows
-//!   ([`KernelCache::slacks`]). The eager full-matrix solve is the tests'
-//!   bit-exact oracle.
+//!   in [`SolveStats`]. A solve in a store ([`KernelCache::solve`])
+//!   returns a [`Dual`] — `α`, the bias and the stats — and builds no
+//!   model; [`KernelCache::machine`] turns a dual into a [`TrainedSvm`],
+//!   cloning its support vectors once. [`train`] and [`train_warm`] are a
+//!   store used for one solve and one machine; a caller that re-solves
+//!   (the coupled SVM's annealing) owns a store, grows it
+//!   ([`KernelCache::extend`]), reads each dual's hinge slacks from its
+//!   rows ([`KernelCache::slacks`]) and builds one machine at the end.
+//!   The eager full-matrix solve is the tests' bit-exact oracle.
 //! * `model` — the trained decision function, and degenerate
 //!   single-class handling (a feedback round can return only positives).
 //!
@@ -72,4 +75,4 @@ pub use cache::KernelCache;
 pub use error::SvmError;
 pub use kernel::{Kernel, RbfKernel};
 pub use model::{SvmModel, TrainedSvm};
-pub use smo::{train, train_warm, SmoParams, SolveStats, EPS};
+pub use smo::{train, train_warm, Dual, SmoParams, SolveStats, EPS};

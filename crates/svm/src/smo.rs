@@ -12,15 +12,22 @@
 //! LIBSVM: labeled points keep `C`, the unlabeled transductive points get
 //! `ρ*·C` (Eq. 2/3 of the paper).
 //!
-//! Three entry points share one solver loop:
+//! Every solve runs in a row store and returns a [`Dual`] — `α`, the
+//! bias and [`SolveStats`] — without building a model. Three entry points
+//! share that one solver loop:
 //!
 //! * [`train`] — cold start in a row store of its own. The default path.
 //! * [`train_warm`] — same, seeded with a previous solution whose alphas
 //!   are clipped to the new bounds and repaired onto `Σ y_i α_i = 0`.
-//! * [`crate::KernelCache::train`] — the same solve in a store the caller
-//!   owns and reuses across solves over one sample set; its
-//!   [`crate::KernelCache::slacks`] reads a trained machine's hinge slacks
-//!   from the stored rows.
+//! * [`crate::KernelCache::solve`] — the same solve in a store the caller
+//!   owns, re-solves and extends; [`crate::KernelCache::slacks`] reads a
+//!   dual's hinge slacks from the stored rows.
+//!
+//! A dual becomes a [`TrainedSvm`] in one place, the function behind
+//! [`crate::KernelCache::machine`] and the end of [`train_warm`]'s one
+//! solve: the support vectors are cloned there and nowhere else, so a
+//! caller that re-solves a hundred times and keeps only the last machine
+//! clones them once.
 //!
 //! The test module runs the same loop over an eager symmetric Gram matrix
 //! (`train_precomputed`) as the bit-exact oracle: the lazy path reproduces
@@ -69,7 +76,7 @@ impl Default for SmoParams {
 }
 
 /// Diagnostics from one solver run.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveStats {
     /// Number of working-set updates performed.
     pub iterations: usize,
@@ -153,8 +160,8 @@ where
     K: Kernel<S>,
 {
     let mut store = KernelCache::new(kernel, samples.iter().map(Borrow::borrow).collect());
-    let sol = store.solve(labels, upper_bounds, params, warm)?;
-    Ok(finish_model(samples, labels, store.kernel, sol))
+    let dual = store.solve(labels, upper_bounds, params, warm)?;
+    Ok(finish_model(samples, labels, store.kernel, dual))
 }
 
 /// Detects the single-class degenerate case shared by every entry point,
@@ -165,41 +172,31 @@ pub(crate) fn single_class_sign(labels: &[f64]) -> Option<f64> {
     labels.iter().all(|&y| y == first).then_some(first)
 }
 
-/// Builds the sparse model and stats bundle from a dual solution.
+/// Builds the sparse model from a dual solution: the one place a training
+/// sample is copied (each support vector, once).
 pub(crate) fn finish_model<S, B, K>(
     samples: &[B],
     labels: &[f64],
     kernel: K,
-    sol: DualSolution,
+    dual: Dual,
 ) -> TrainedSvm<S, K>
 where
     S: ?Sized + ToOwned,
     B: Borrow<S>,
     K: Kernel<S>,
 {
-    // Keep only true support vectors (the sole copies made of any
-    // training data).
-    let mut support_vectors = Vec::new();
-    let mut coefficients = Vec::new();
-    for (i, &a) in sol.alpha.iter().enumerate() {
+    let mut support_vectors = Vec::with_capacity(dual.stats.n_support);
+    let mut coefficients = Vec::with_capacity(dual.stats.n_support);
+    for (i, &a) in dual.alpha.iter().enumerate() {
         if a > SV_THRESHOLD {
             support_vectors.push(samples[i].borrow().to_owned());
             coefficients.push(a * labels[i]);
         }
     }
-    let n_support = support_vectors.len();
-    let model = SvmModel::new(kernel, support_vectors, coefficients, -sol.rho);
     TrainedSvm {
-        model,
-        alpha: sol.alpha,
-        stats: SolveStats {
-            iterations: sol.iterations,
-            converged: sol.converged,
-            objective: sol.objective,
-            n_support,
-            cache_hits: sol.cache_hits,
-            cache_misses: sol.cache_misses,
-        },
+        model: SvmModel::new(kernel, support_vectors, coefficients, dual.bias),
+        alpha: dual.alpha,
+        stats: dual.stats,
     }
 }
 
@@ -227,29 +224,31 @@ pub(crate) fn validate(n_samples: usize, labels: &[f64], bounds: &[f64]) -> Resu
     Ok(())
 }
 
-/// Everything [`solve_dual`] hands back to the model builder.
-#[derive(Default)]
-pub(crate) struct DualSolution {
-    alpha: Vec<f64>,
-    rho: f64,
-    objective: f64,
-    iterations: usize,
-    converged: bool,
-    /// Row accesses of this solve alone, filled in by the row store (0 on
-    /// the precomputed path).
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
+/// One solve's dual solution: what a re-solving caller keeps between
+/// solves (the warm seed, the hinge slacks) and what
+/// [`crate::KernelCache::machine`] turns into a model. Holds no sample.
+#[derive(Clone, Debug)]
+pub struct Dual {
+    /// The complete dual vector `α` over the store's samples, non-support
+    /// zeros included.
+    pub alpha: Vec<f64>,
+    /// Solver diagnostics.
+    pub stats: SolveStats,
+    /// `b = −ρ` in LIBSVM terms.
+    pub(crate) bias: f64,
 }
 
-impl DualSolution {
+impl Dual {
     /// The degenerate single-class solution: `α = 0` and a decision that
-    /// is the constant `sign` (`bias = −rho`).
+    /// is the constant `sign`.
     pub(crate) fn constant(n: usize, sign: f64) -> Self {
         Self {
             alpha: vec![0.0; n],
-            rho: -sign,
-            converged: true,
-            ..Self::default()
+            stats: SolveStats {
+                converged: true,
+                ..SolveStats::default()
+            },
+            bias: sign,
         }
     }
 }
@@ -303,14 +302,15 @@ fn recompute_gradient<Q: KernelRows>(q: &mut Q, y: &[f64], alpha: &[f64], g: &mu
 
 /// Core SMO loop over any [`KernelRows`] provider (lazy cache or
 /// precomputed matrix). The decision function of the returned solution is
-/// `f(x) = Σ α_i y_i K(x_i, x) − rho`.
+/// `f(x) = Σ α_i y_i K(x_i, x) + bias`; its row-access counts are left at
+/// zero for the row store to fill in.
 pub(crate) fn solve_dual<Q: KernelRows>(
     q: &mut Q,
     y: &[f64],
     c: &[f64],
     params: &SmoParams,
     warm: Option<&[f64]>,
-) -> DualSolution {
+) -> Dual {
     let n = y.len();
     let qd: Vec<f64> = (0..n).map(|i| q.diag(i)).collect();
 
@@ -343,13 +343,17 @@ pub(crate) fn solve_dual<Q: KernelRows>(
         objective += 0.5 * alpha[t] * (g[t] - 1.0);
     }
 
-    DualSolution {
+    let n_support = alpha.iter().filter(|&&a| a > SV_THRESHOLD).count();
+    Dual {
         alpha,
-        rho,
-        objective,
-        iterations,
-        converged,
-        ..DualSolution::default()
+        stats: SolveStats {
+            iterations,
+            converged,
+            objective,
+            n_support,
+            ..SolveStats::default()
+        },
+        bias: -rho,
     }
 }
 
@@ -422,8 +426,8 @@ mod tests {
     {
         validate(samples.len(), labels, upper_bounds)?;
         if let Some(sign) = single_class_sign(labels) {
-            let sol = DualSolution::constant(samples.len(), sign);
-            return Ok(finish_model(samples, labels, kernel, sol));
+            let dual = Dual::constant(samples.len(), sign);
+            return Ok(finish_model(samples, labels, kernel, dual));
         }
 
         let n = samples.len();
@@ -437,8 +441,8 @@ mod tests {
             }
         }
 
-        let sol = solve_dual(&mut k, labels, upper_bounds, params, None);
-        Ok(finish_model(samples, labels, kernel, sol))
+        let dual = solve_dual(&mut k, labels, upper_bounds, params, None);
+        Ok(finish_model(samples, labels, kernel, dual))
     }
 
     /// Independent KKT verification for the solution of a C-SVC dual.

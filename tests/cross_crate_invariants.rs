@@ -8,7 +8,7 @@ use corelog::core::{
     QueryContext, RelevanceFeedback,
 };
 use lrf_logdb::SimulationConfig;
-use lrf_svm::RbfKernel;
+use lrf_svm::{KernelCache, RbfKernel};
 use proptest::prelude::*;
 
 /// One shared fixture (building datasets inside proptest cases would be
@@ -71,10 +71,10 @@ proptest! {
             (0..pool.len()).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
 
         let cfg = CoupledConfig { rho, rho_init: (rho / 16.0).max(1e-4), delta, ..Default::default() };
-        let out = train_coupled(
-            &labeled_x, &labeled_r, &y, &unl_x, &unl_r, &y_init,
-            RbfKernel::new(1.0), LogRbfKernel::new(0.1), &cfg,
-        ).expect("coupled training failed");
+        let content = KernelCache::new(RbfKernel::new(1.0), [labeled_x, unl_x].concat());
+        let logside = KernelCache::new(LogRbfKernel::new(0.1), [labeled_r, unl_r].concat());
+        let out = train_coupled(content, logside, &y, &y_init, &cfg)
+            .expect("coupled training failed");
 
         // Dual feasibility, content side: Σ α_i y_i = 0 within tolerance.
         let all_labels: Vec<f64> =

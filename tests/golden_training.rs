@@ -15,7 +15,7 @@ use corelog::core::{
     TrainReport,
 };
 use lrf_logdb::{LogStore, Relevance, SimulationConfig};
-use lrf_svm::RbfKernel;
+use lrf_svm::{KernelCache, RbfKernel};
 
 const QUERY: usize = 37;
 
@@ -119,15 +119,13 @@ fn two_dense_views_train_identically_through_either_entry() {
         c_log: 4.0,
         ..contested_schedule()
     };
-    let pair = train_coupled::<[f64], _, _, [f64], _, _>(
-        &labeled_a,
-        &labeled_b,
+    let content = labeled_a.iter().chain(&unlabeled_a).map(Vec::as_slice);
+    let log = labeled_b.iter().chain(&unlabeled_b).map(Vec::as_slice);
+    let pair = train_coupled(
+        KernelCache::new(RbfKernel::new(0.5), content.collect()),
+        KernelCache::new(RbfKernel::new(0.1), log.collect()),
         &Y,
-        &unlabeled_a,
-        &unlabeled_b,
         &Y_INIT,
-        RbfKernel::new(0.5),
-        RbfKernel::new(0.1),
         &cfg,
     )
     .expect("training succeeds");
