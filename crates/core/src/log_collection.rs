@@ -127,6 +127,41 @@ mod tests {
         );
     }
 
+    /// FNV-1a over every session in order: its length, then each
+    /// judgment's image id and relevance.
+    fn sessions_digest(log: &LogStore) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for s in log.sessions() {
+            eat(s.len() as u64);
+            for (id, r) in s.iter() {
+                eat(id as u64);
+                eat(u64::from(r == Relevance::Relevant));
+            }
+        }
+        h
+    }
+
+    /// The collector's own output, pinned: every downstream golden
+    /// ranking consumes a collected log, so a bit moved in the refinement
+    /// shows here first, next to its cause. Captured before the
+    /// refinement was routed through the RF-SVM content fit; never edit
+    /// the literal to make a refactor pass.
+    #[test]
+    fn collected_sessions_are_pinned() {
+        let ds = CorelDataset::build(CorelSpec::tiny(3, 10, 7));
+        let log = collect_feedback_log(&ds.db, &cfg(9, 6, 3, 0.1, 5), &LrfConfig::default());
+        assert_eq!(log.n_sessions(), 9);
+        let judged: usize = log.sessions().map(|s| s.len()).sum();
+        let relevant: usize = log.sessions().map(|s| s.n_relevant()).sum();
+        assert_eq!((judged, relevant), (54, 37));
+        assert_eq!(sessions_digest(&log), 1929234697505375671);
+    }
+
     #[test]
     fn refined_rounds_reshow_confirmed_positives() {
         // The refined screen is the model's top-k, which re-contains the
