@@ -46,7 +46,7 @@ impl RoundDiagnostics {
 /// ever grows by appending (`FeedbackLoop::mark`), so entry `i` of a
 /// stored alpha vector still describes sample `i` of the next round's
 /// training set and any newly labeled tail starts cold — exactly the
-/// prefix mapping [`lrf_svm::train_warm`] implements.
+/// prefix mapping a seeded [`lrf_svm::KernelCache::solve`] implements.
 #[derive(Clone, Debug, Default)]
 pub struct WarmState {
     /// Previous content-side alphas, in labeled-set (mark) order.

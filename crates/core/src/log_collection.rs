@@ -10,11 +10,13 @@
 //!
 //! * round 0: the Euclidean top-`N_l` of the database (what the system
 //!   shows before any feedback);
-//! * round `r > 0`: an SVM is trained on the judgments accumulated in this
-//!   interaction (most recent judgment wins for re-shown images) and the
-//!   top-`N_l` of its refined ranking — *including* already-confirmed
-//!   positives, which naturally rank highest — forms the next screen,
-//!   exactly as the era's feedback UIs presented results;
+//! * round `r > 0`: the [`crate::RfSvm`] content SVM — the same fit, γ
+//!   default and bound the scheme trains with — is trained on the
+//!   judgments accumulated in this interaction (most recent judgment wins
+//!   for re-shown images), and the top-`N_l` of its ranking of the whole
+//!   database — *including* already-confirmed positives, which naturally
+//!   rank highest — forms the next screen, exactly as the era's feedback
+//!   UIs presented results;
 //! * each round is one [`lrf_logdb::LogSession`].
 //!
 //! Two properties of this protocol matter downstream. First, refined
@@ -27,9 +29,11 @@
 //! are what let the log-based schemes bridge the semantic gap.
 
 use crate::config::LrfConfig;
+use crate::feedback::rank_by_scores;
+use crate::rf_svm::content_fit;
 use lrf_cbir::{top_k_euclidean, ImageDatabase};
 use lrf_logdb::{simulate_sessions, LogStore, Relevance, SimulationConfig};
-use lrf_svm::{train, RbfKernel};
+use std::collections::BTreeMap;
 
 /// Collects a feedback log whose refined rounds come from RF-SVM, as in
 /// the paper's collection procedure.
@@ -42,14 +46,11 @@ pub fn collect_feedback_log(
     config: &SimulationConfig,
     lrf: &LrfConfig,
 ) -> LogStore {
-    let gamma = lrf
-        .gamma_content
-        .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
     let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
         if judged.is_empty() {
             top_k_euclidean(db, query, k)
         } else {
-            let mut ranking = refine_with_svm(db, judged, gamma, lrf);
+            let mut ranking = refine_with_svm(db, judged, lrf);
             ranking.truncate(k);
             ranking
         }
@@ -61,36 +62,27 @@ pub fn collect_feedback_log(
     store
 }
 
-/// One RF-SVM refinement round over accumulated judgments. An image
-/// re-judged in a later round keeps only its most recent judgment for
-/// training (the user's current opinion). Single-class judgment sets fall
-/// back to the solver's constant model.
+/// One RF-SVM refinement round over accumulated judgments: the content
+/// fit on them, ranking every image. An image re-judged in a later round
+/// keeps only its most recent judgment for training (the user's current
+/// opinion). Single-class judgment sets fall back to the solver's
+/// constant model.
 fn refine_with_svm(
     db: &ImageDatabase,
     judged: &[(usize, Relevance)],
-    gamma: f64,
     lrf: &LrfConfig,
 ) -> Vec<usize> {
     // Deduplicate, last judgment wins; keep deterministic id order.
-    let mut latest: std::collections::BTreeMap<usize, Relevance> =
-        std::collections::BTreeMap::new();
+    let mut latest = BTreeMap::new();
     for &(id, r) in judged {
-        latest.insert(id, r);
+        latest.insert(id, r.sign());
     }
-    // Borrowed row views — a session's judged set is never deep-copied.
-    let samples: Vec<&[f64]> = latest.keys().map(|&id| db.feature(id)).collect();
-    let labels: Vec<f64> = latest.values().map(|r| r.sign()).collect();
-    let bounds = vec![lrf.coupled.c_content; samples.len()];
-    let svm = train(
-        &samples,
-        &labels,
-        &bounds,
-        RbfKernel::new(gamma),
-        &lrf.coupled.smo,
-    )
-    .expect("collection-time SVM cannot fail on validated judgments");
-    let scores = svm.model.decision_batch_rows(db.features_flat(), db.dim());
-    crate::feedback::rank_by_scores(&scores)
+    let labeled: Vec<(usize, f64)> = latest.into_iter().collect();
+    let (store, dual) = content_fit(lrf, db, &labeled, None);
+    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
+    let model = store.machine(dual, &labels).model;
+    let rows: Vec<&[f64]> = (0..db.len()).map(|id| db.feature(id)).collect();
+    rank_by_scores(&model.decision_batch(&rows))
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ use crate::feedback::{
     PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
 use crate::kernels::LogRbfKernel;
-use crate::rf_svm::RfSvm;
-use lrf_logdb::SparseVector;
+use crate::rf_svm::content_fit;
+use lrf_logdb::{LogStore, SparseVector};
 use lrf_svm::{Dual, KernelCache, SvmModel};
 
 /// Linear combination of two independently trained SVMs.
@@ -29,33 +29,31 @@ impl Lrf2Svms {
         config.validate();
         Self { config }
     }
+}
 
-    /// The log view of one feedback round: a row store over the labeled
-    /// images' log vectors, borrowed from the store (no clone per sample),
-    /// and the dual of the log-side SVM solved in it, seeded with the
-    /// previous round's log-side alphas (labeled-set order). Exposed for
-    /// reuse by LRF-CSVM (this is its log-side initial model).
-    pub(crate) fn log_fit<'a>(
-        &self,
-        ctx: &QueryContext<'a>,
-        warm: Option<&[f64]>,
-    ) -> (KernelCache<'a, SparseVector, LogRbfKernel>, Dual) {
-        let samples = ctx
-            .example
-            .labeled
-            .iter()
-            .map(|&(id, _)| ctx.log.log_vector(id));
-        let mut store = KernelCache::new(self.config.log_kernel, samples.collect());
-        let bounds = vec![self.config.coupled.c_log; ctx.example.labeled.len()];
-        let dual = store
-            .solve(&ctx.labels(), &bounds, &self.config.coupled.smo, warm)
-            // lrf-lint: allow(service-panic): a request's fit comes through
-            // `rank_candidates`, which skips an empty round; the labels are
-            // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
-            // made the bound and the kernel width positive; log entries are ±1
-            .expect("log SVM training cannot fail on validated feedback rounds");
-        (store, dual)
-    }
+/// The log view of one feedback round: a row store over the `labeled`
+/// images' log vectors, borrowed from `log` (no clone per sample), and the
+/// dual of the log-side SVM solved in it, seeded with the previous round's
+/// log-side alphas (labeled-set order). Shared with LRF-CSVM (this is its
+/// log-side initial model).
+pub(crate) fn log_fit<'a>(
+    cfg: &LrfConfig,
+    log: &'a LogStore,
+    labeled: &[(usize, f64)],
+    warm: Option<&[f64]>,
+) -> (KernelCache<'a, SparseVector, LogRbfKernel>, Dual) {
+    let samples = labeled.iter().map(|&(id, _)| log.log_vector(id)).collect();
+    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
+    let mut store = KernelCache::new(cfg.log_kernel, samples);
+    let bounds = vec![cfg.coupled.c_log; labeled.len()];
+    let dual = store
+        .solve(&labels, &bounds, &cfg.coupled.smo, warm)
+        // lrf-lint: allow(service-panic): a request's fit comes through
+        // `rank_candidates`, which skips an empty round, for a scheme whose
+        // `new` ran `LrfConfig::validate` (a positive bound and kernel
+        // width); the labels are ±1, one per sample; log entries are ±1
+        .expect("log SVM training cannot fail on validated feedback rounds");
+    (store, dual)
 }
 
 impl RelevanceFeedback for Lrf2Svms {
@@ -69,9 +67,10 @@ impl RelevanceFeedback for Lrf2Svms {
         _pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let (content, content_dual) =
-            RfSvm::new(self.config).content_fit(ctx, warm.content.as_deref());
-        let (logside, log_dual) = self.log_fit(ctx, warm.log.as_deref());
+        let cfg = &self.config;
+        let labeled = &ctx.example.labeled;
+        let (content, content_dual) = content_fit(cfg, ctx.db, labeled, warm.content.as_deref());
+        let (logside, log_dual) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
         let mut diag = RoundDiagnostics::all_converged();
         diag.absorb(&content_dual.stats);
         diag.absorb(&log_dual.stats);
@@ -120,6 +119,7 @@ impl PoolScorer for SummedScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RfSvm;
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::SimulationConfig;
 

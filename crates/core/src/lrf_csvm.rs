@@ -25,8 +25,8 @@ use crate::coupled::{train_coupled, TrainReport};
 use crate::feedback::{
     rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, ScorerRef, WarmState,
 };
-use crate::lrf_2svms::{Lrf2Svms, SummedScorer};
-use crate::rf_svm::RfSvm;
+use crate::lrf_2svms::{log_fit, SummedScorer};
+use crate::rf_svm::content_fit;
 
 /// Output of [`LrfCsvm::fit_on`] — the coupled round's trained decision
 /// function plus the diagnostics `run` folds into its outcome.
@@ -98,8 +98,9 @@ impl LrfCsvm {
         // row store per view, seeded from the previous round: the labeled
         // prefix of the last coupled solution is bounded by the same `C`
         // as a labeled-only solve, so it prefix-maps directly.
-        let (mut content, content0) = RfSvm::new(*cfg).content_fit(ctx, warm.content.as_deref());
-        let (mut log, log0) = Lrf2Svms::new(*cfg).log_fit(ctx, warm.log.as_deref());
+        let labeled = &ctx.example.labeled;
+        let (mut content, content0) = content_fit(cfg, db, labeled, warm.content.as_deref());
+        let (mut log, log0) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
         let step1 = [content0.stats, log0.stats];
         let dist = SummedScorer {
             content: content.machine(content0, &y).model,
@@ -375,8 +376,8 @@ mod tests {
         };
 
         // Reproduce step 1 manually to check the split.
-        let (content, content0) = RfSvm::new(cfg).content_fit(&ctx, None);
-        let (logside, log0) = Lrf2Svms::new(cfg).log_fit(&ctx, None);
+        let (content, content0) = content_fit(&cfg, &ds.db, &example.labeled, None);
+        let (logside, log0) = log_fit(&cfg, &log, &example.labeled, None);
         let all: Vec<usize> = (0..ds.db.len()).collect();
         let y = ctx.labels();
         let dist = SummedScorer {
@@ -527,8 +528,8 @@ mod tests {
         for (max_iter, converged) in [(20, false), (100_000, true)] {
             let mut cfg = small_config();
             cfg.coupled.smo.max_iter = max_iter;
-            let (_, content0) = RfSvm::new(cfg).content_fit(&ctx, None);
-            let (_, log0) = Lrf2Svms::new(cfg).log_fit(&ctx, None);
+            let (_, content0) = content_fit(&cfg, &ds.db, &example.labeled, None);
+            let (_, log0) = log_fit(&cfg, &log, &example.labeled, None);
             assert!(content0.stats.converged && log0.stats.converged);
             let mut warm = WarmState::default();
             let fit = LrfCsvm::new(cfg).fit_on(&ctx, &universe, &mut warm);

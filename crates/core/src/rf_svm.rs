@@ -9,6 +9,7 @@ use crate::config::LrfConfig;
 use crate::feedback::{
     PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
+use lrf_cbir::ImageDatabase;
 use lrf_svm::{Dual, KernelCache, RbfKernel, SvmModel};
 
 /// Content-only SVM relevance feedback.
@@ -25,40 +26,38 @@ impl RfSvm {
         config.validate();
         Self { config }
     }
+}
 
-    /// The content view of one feedback round: a row store over borrowed
-    /// row views of the labeled images' features (mark order) — no
-    /// feature is cloned — and the dual of the content SVM solved in it,
-    /// seeded with the previous round's content-side alphas (the set grows
-    /// by appending, so the seed prefix-maps onto the new round's
-    /// samples). Exposed for reuse by the log-based schemes (this is
-    /// exactly their content-side initial model); LRF-CSVM goes on to
-    /// extend the store and anneal in it.
-    pub(crate) fn content_fit<'a>(
-        &self,
-        ctx: &QueryContext<'a>,
-        warm: Option<&[f64]>,
-    ) -> (KernelCache<'a, [f64], RbfKernel>, Dual) {
-        let samples = ctx
-            .example
-            .labeled
-            .iter()
-            .map(|&(id, _)| ctx.db.feature(id));
-        let gamma = self
-            .config
-            .gamma_content
-            .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
-        let mut store = KernelCache::new(RbfKernel::new(gamma), samples.collect());
-        let bounds = vec![self.config.coupled.c_content; ctx.example.labeled.len()];
-        let dual = store
-            .solve(&ctx.labels(), &bounds, &self.config.coupled.smo, warm)
-            // lrf-lint: allow(service-panic): a request's fit comes through
-            // `rank_candidates`, which skips an empty round; the labels are
-            // `FeedbackLoop::mark`'s ±1, one per sample; `LrfConfig::validate`
-            // made the bound positive; database features are finite
-            .expect("content SVM training cannot fail on validated feedback rounds");
-        (store, dual)
-    }
+/// The content view of one feedback round: a row store over borrowed row
+/// views of the `labeled` images' features (in the given order) — no
+/// feature is cloned — and the dual of the content SVM solved in it,
+/// seeded with the previous round's content-side alphas (the set grows by
+/// appending, so the seed prefix-maps onto the new round's samples).
+/// Shared by every scheme with a content side (this is exactly the
+/// log-based schemes' content-side initial model; LRF-CSVM goes on to
+/// extend the store and anneal in it) and by the log collector's
+/// refinement rounds.
+pub(crate) fn content_fit<'a>(
+    cfg: &LrfConfig,
+    db: &'a ImageDatabase,
+    labeled: &[(usize, f64)],
+    warm: Option<&[f64]>,
+) -> (KernelCache<'a, [f64], RbfKernel>, Dual) {
+    let samples = labeled.iter().map(|&(id, _)| db.feature(id)).collect();
+    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
+    let gamma = cfg
+        .gamma_content
+        .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
+    let mut store = KernelCache::new(RbfKernel::new(gamma), samples);
+    let bounds = vec![cfg.coupled.c_content; labeled.len()];
+    let dual = store
+        .solve(&labels, &bounds, &cfg.coupled.smo, warm)
+        // lrf-lint: allow(service-panic): a request's fit comes through
+        // `rank_candidates`, which skips an empty round, for a scheme whose
+        // `new` ran `LrfConfig::validate` (a positive bound); the labels are
+        // ±1, one per sample; database features are finite
+        .expect("content SVM training cannot fail on validated feedback rounds");
+    (store, dual)
 }
 
 impl RelevanceFeedback for RfSvm {
@@ -72,7 +71,12 @@ impl RelevanceFeedback for RfSvm {
         _pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let (store, dual) = self.content_fit(ctx, warm.content.as_deref());
+        let (store, dual) = content_fit(
+            &self.config,
+            ctx.db,
+            &ctx.example.labeled,
+            warm.content.as_deref(),
+        );
         let mut diag = RoundDiagnostics::all_converged();
         diag.absorb(&dual.stats);
         let svm = store.machine(dual, &ctx.labels());
@@ -90,12 +94,7 @@ pub(crate) struct ContentScorer {
 }
 
 impl PoolScorer for ContentScorer {
-    fn score_ids(
-        &self,
-        db: &lrf_cbir::ImageDatabase,
-        _log: &lrf_logdb::LogStore,
-        ids: &[usize],
-    ) -> Vec<f64> {
+    fn score_ids(&self, db: &ImageDatabase, _log: &lrf_logdb::LogStore, ids: &[usize]) -> Vec<f64> {
         let rows: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
         self.model.decision_batch(&rows)
     }
@@ -198,7 +197,7 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let (store, dual) = RfSvm::default().content_fit(&ctx, None);
+        let (store, dual) = content_fit(&LrfConfig::default(), ctx.db, &example.labeled, None);
         let svm = store.machine(dual, &ctx.labels());
         let serial: Vec<f64> = (0..ds.db.len())
             .map(|id| svm.model.decision(ds.db.feature(id)))

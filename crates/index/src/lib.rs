@@ -129,14 +129,12 @@ impl TopK {
         if self.k == 0 {
             return;
         }
+        let entry = HeapEntry { d2, id };
         if self.heap.len() < self.k {
-            self.heap.push(HeapEntry { d2, id });
-            return;
-        }
-        let worst = self.heap.peek().expect("heap holds k entries");
-        if (HeapEntry { d2, id }) < *worst {
+            self.heap.push(entry);
+        } else if self.heap.peek().is_some_and(|worst| entry < *worst) {
             self.heap.pop();
-            self.heap.push(HeapEntry { d2, id });
+            self.heap.push(entry);
         }
     }
 

@@ -13,11 +13,10 @@
 //!   `Arc`s and never touches the registry lock. Snapshots are
 //!   integer-only serde values — comparable with `==` in tests,
 //!   servable as JSON.
-//! * **Tracing** ([`SpanTimer`], [`span!`]): scope guards
-//!   that time a stage into a histogram via an injectable [`Clock`] —
-//!   [`MonotonicClock`] in production (the single sanctioned wall-clock
-//!   read, enforced by `tools/lint`'s `wall-clock` rule),
-//!   [`ManualClock`] in tests.
+//! * **Tracing** ([`SpanTimer`]): scope guards that time a stage into a
+//!   histogram via an injectable [`Clock`] — [`MonotonicClock`] in
+//!   production (the single sanctioned wall-clock read, enforced by
+//!   `tools/lint`'s `wall-clock` rule), [`ManualClock`] in tests.
 //! * **Export** ([`prometheus::render`]): the standard text exposition
 //!   format, cumulative `_bucket`/`_sum`/`_count` series included, ready
 //!   for a `/metrics` endpoint.
@@ -25,7 +24,7 @@
 //! ## Example
 //!
 //! ```
-//! use lrf_obs::{ManualClock, Registry, span};
+//! use lrf_obs::{ManualClock, Registry, SpanTimer};
 //!
 //! let registry = Registry::new();
 //! let latency = registry.histogram("request_latency_ns");
@@ -33,7 +32,7 @@
 //! let clock = ManualClock::new();
 //!
 //! for _ in 0..3 {
-//!     let _span = span!(&clock, &latency);
+//!     let _span = SpanTimer::start(&clock, &latency);
 //!     clock.advance(1_000);
 //!     requests.inc();
 //! }

@@ -1,5 +1,5 @@
 //! The tracing facade: scope guards that record stage durations into
-//! histograms, and the [`span!`](crate::span) macro sugar over them.
+//! histograms.
 //!
 //! No background collector, no thread-locals, no allocation: a
 //! [`SpanTimer`] reads the injected [`Clock`] twice and does one lock-free
@@ -42,15 +42,6 @@ impl Drop for SpanTimer<'_> {
     }
 }
 
-/// Starts a [`SpanTimer`] over a clock and histogram:
-/// `let _span = span!(clock, histogram);`.
-#[macro_export]
-macro_rules! span {
-    ($clock:expr, $histogram:expr) => {
-        $crate::SpanTimer::start($clock, $histogram)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,16 +59,5 @@ mod tests {
         }
         let s = h.snapshot();
         assert_eq!((s.count, s.sum), (1, 150));
-    }
-
-    #[test]
-    fn macros_expand_to_the_guards() {
-        let clock = ManualClock::new();
-        let h = Histogram::new();
-        {
-            let _span = span!(&clock, &h);
-            clock.advance(9);
-        }
-        assert_eq!(h.snapshot().sum, 9);
     }
 }

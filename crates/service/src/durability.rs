@@ -4,8 +4,12 @@
 //! The mechanisms live below this crate — `lrf-storage` owns the
 //! checksummed WAL, `lrf-logdb` owns [`lrf_logdb::SharedLogStore`]'s
 //! WAL-first recording and its count of unsynced sessions. What the
-//! *service* decides is what to do when storage misbehaves at flush time,
-//! and that policy is all here:
+//! *service* decides is what to do when storage misbehaves at flush time.
+//! This module holds that policy's knobs ([`DurabilityConfig`]) and its
+//! shedding test; the code that acts on them is in `service.rs`:
+//! `Service::record_session` runs the retry ladder and the volatile
+//! fallback (1–2 below), `Service::open` the admission check (3) and
+//! `Service::maybe_compact` the segment-count compaction trigger (4).
 //!
 //! 1. **Retry with bounded backoff.** A failed WAL append is retried up
 //!    to [`DurabilityConfig::max_attempts`] times, sleeping a doubling

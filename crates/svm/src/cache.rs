@@ -23,8 +23,8 @@
 //! rows ([`KernelCache::slacks`]) and seeds the next solve with it, and
 //! only a view's final dual becomes a model ([`KernelCache::machine`]),
 //! which is where the support vectors are cloned, once. No kernel value
-//! of the whole fit is evaluated twice. [`crate::train`] and
-//! [`crate::train_warm`] are the one-solve use of the same store.
+//! of the whole fit is evaluated twice. [`crate::train`] is the one-solve
+//! use of the same store.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully
@@ -41,10 +41,8 @@
 
 use crate::error::SvmError;
 use crate::kernel::Kernel;
-use crate::model::TrainedSvm;
-use crate::smo::{
-    finish_model, single_class_sign, solve_dual, validate, Dual, SmoParams, SV_THRESHOLD,
-};
+use crate::model::{SvmModel, TrainedSvm};
+use crate::smo::{single_class_sign, solve_dual, validate, Dual, SmoParams, SV_THRESHOLD};
 
 /// Row-level access to the (implicit) Gram matrix, as consumed by the SMO
 /// solver. Implemented by the lazy [`KernelCache`] and, in tests, by the
@@ -113,15 +111,31 @@ where
 
     /// Validates the problem, takes the single-class shortcut, and
     /// otherwise solves the dual in this store, reusing every row an
-    /// earlier solve in it computed and seeded from `warm` as
-    /// [`crate::train_warm`] describes. The result is bit-identical to
-    /// `train_warm` on the same samples; only the kernel evaluations
-    /// differ. The solution's hit and miss counts are this solve's own.
+    /// earlier solve in it computed. The result is bit-identical to the
+    /// same solve in a fresh store; only the kernel evaluations differ.
+    /// The solution's hit and miss counts are this solve's own.
+    ///
+    /// `warm` is a prior `alpha` vector (e.g. the previous feedback
+    /// round's [`Dual::alpha`]). It may be shorter than the store —
+    /// feedback rounds append newly labeled points, so entry `i` of the
+    /// seed is taken to correspond to sample `i` and any tail of new
+    /// samples starts at `α = 0`. Before iterating, the seed is made
+    /// feasible for the *new* problem: each `α_i` is clipped into
+    /// `[0, C_i]` (bounds change when `ρ*` anneals) and the equality
+    /// constraint `Σ y_i α_i = 0` is repaired by deterministically
+    /// draining the surplus side in index order. A warm start therefore
+    /// never affects *what* the solver converges to (the stopping
+    /// criterion is unchanged), only how many iterations it takes
+    /// (`tests/golden_solver.rs` pins one round's pair: 18 warm against 67
+    /// cold); `warm = None` or an all-zero seed is the cold solve bit for
+    /// bit.
     ///
     /// # Errors
-    /// As [`crate::train_warm`]. A two-class solve first computes the
-    /// diagonal entries no earlier solve did: a non-finite `K(i, i)` is
-    /// reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
+    /// An empty store, labels or bounds of another length, a label other
+    /// than `±1` or a bound that is not positive and finite is rejected
+    /// before any kernel is evaluated. A two-class solve first computes
+    /// the diagonal entries no earlier solve did: a non-finite `K(i, i)`
+    /// is reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
     /// kernel in this workspace a sample containing NaN/∞ poisons its own
     /// diagonal entry, so this is equivalent to the full-matrix scan of
     /// the precomputed path.
@@ -182,9 +196,10 @@ where
     }
 
     /// The machine of `dual`, which [`Self::solve`] returned for this
-    /// store's current samples and `labels`: its support vectors are
-    /// cloned here, once, and this is the only copy any solve path makes
-    /// of a training sample.
+    /// store's current samples and `labels`: the only place a
+    /// [`TrainedSvm`] is built. Its support vectors (the samples whose
+    /// `α_i` exceeds `10⁻⁹`) are cloned here, once, and this is the only
+    /// copy any solve path makes of a training sample.
     ///
     /// # Panics
     /// Panics if `dual` or `labels` does not span this store's samples.
@@ -192,12 +207,27 @@ where
     where
         K: Clone,
     {
-        assert_eq!(
-            dual.alpha.len(),
-            self.samples.len(),
-            "not this store's dual"
-        );
-        finish_model(&self.samples, labels, self.kernel.clone(), dual)
+        let n = self.samples.len();
+        assert_eq!(dual.alpha.len(), n, "not this store's dual");
+        assert_eq!(labels.len(), n, "not this store's labels");
+        let mut support_vectors = Vec::with_capacity(dual.stats.n_support);
+        let mut coefficients = Vec::with_capacity(dual.stats.n_support);
+        for ((&a, &y), &sample) in dual.alpha.iter().zip(labels).zip(&self.samples) {
+            if a > SV_THRESHOLD {
+                support_vectors.push(sample.to_owned());
+                coefficients.push(a * y);
+            }
+        }
+        TrainedSvm {
+            model: SvmModel::new(
+                self.kernel.clone(),
+                support_vectors,
+                coefficients,
+                dual.bias,
+            ),
+            alpha: dual.alpha,
+            stats: dual.stats,
+        }
     }
 
     /// Computes row `i`, mirroring entries from already-resident rows
@@ -229,6 +259,13 @@ where
             self.rows[i] = Some(self.compute_row(i));
         }
     }
+
+    /// Row `i`, which [`Self::ensure`] has made resident.
+    fn resident(&self, i: usize) -> &[f64] {
+        // lrf-lint: allow(service-panic): both callers ensure row `i` just
+        // before, and a computed row is never dropped while the store lives
+        self.rows[i].as_deref().expect("row resident after ensure")
+    }
 }
 
 impl<S, K> KernelRows for KernelCache<'_, S, K>
@@ -242,22 +279,14 @@ where
 
     fn row(&mut self, i: usize) -> &[f64] {
         self.ensure(i);
-        self.rows[i].as_deref().expect("row resident after ensure")
+        self.resident(i)
     }
 
     fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
         assert_ne!(i, j, "working-set pair must be distinct");
         self.ensure(i);
         self.ensure(j);
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let (head, tail) = self.rows.split_at(hi);
-        let row_lo = head[lo].as_deref().expect("row resident after ensure");
-        let row_hi = tail[0].as_deref().expect("row resident after ensure");
-        if i < j {
-            (row_lo, row_hi)
-        } else {
-            (row_hi, row_lo)
-        }
+        (self.resident(i), self.resident(j))
     }
 }
 
@@ -266,7 +295,6 @@ mod tests {
     use super::*;
     use crate::kernel::oracle::{gram_matrix, GramMatrix};
     use crate::kernel::{LinearKernel, RbfKernel};
-    use crate::smo::train_warm;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -413,8 +441,8 @@ mod tests {
 
     /// Runs `solves` warm or cold solves over `samples` in one store —
     /// each with freshly drawn labels (sometimes one class) and bounds —
-    /// and holds every dual to `train_warm` on the same seed and its
-    /// slacks to `TrainedSvm::slacks`, bit for bit. A dual with no
+    /// and holds every dual to the same seeded solve in a fresh store and
+    /// its slacks to that machine's `TrainedSvm::slacks`, bit for bit. A dual with no
     /// support vectors must read its slacks without touching a row.
     fn check_store_slacks<S, K>(samples: &[&S], kernel: K, seed: u64, solves: usize)
     where
@@ -437,7 +465,9 @@ mod tests {
             let bounds: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..10.0)).collect();
             let warm = prev.as_deref().filter(|_| rng.gen_bool(0.7));
             let dual = cache.solve(&labels, &bounds, &params, warm).unwrap();
-            let one = train_warm(samples, &labels, &bounds, kernel.clone(), &params, warm).unwrap();
+            let mut fresh = KernelCache::new(kernel.clone(), samples.to_vec());
+            let fresh_dual = fresh.solve(&labels, &bounds, &params, warm).unwrap();
+            let one = fresh.machine(fresh_dual, &labels);
             assert_eq!(dual.alpha, one.alpha);
             assert_eq!(dual.bias.to_bits(), one.model.bias().to_bits());
             assert_eq!(dual.stats.iterations, one.stats.iterations);

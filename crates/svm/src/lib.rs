@@ -13,11 +13,11 @@
 //!   zero copies.
 //! * `smo` — the C-SVC dual solved by Sequential Minimal Optimization
 //!   with LIBSVM's second-order working-set selection, supporting an
-//!   individual upper bound `C_i` per sample, plus warm starts
-//!   ([`train_warm`]) for fast per-round retraining. [`SmoParams`] is the
-//!   one knob a caller has turned (`max_iter`); the stopping tolerance
-//!   [`EPS`], the curvature floor `TAU` and the support-vector threshold
-//!   are constants, as in LIBSVM.
+//!   individual upper bound `C_i` per sample, plus warm starts (a solve
+//!   seeded with the previous round's `α`) for fast per-round retraining.
+//!   [`SmoParams`] is the one knob a caller has turned (`max_iter`); the
+//!   stopping tolerance [`EPS`], the curvature floor `TAU` and the
+//!   support-vector threshold are constants, as in LIBSVM.
 //! * `working_set` — one SMO iteration: the second-order working-set
 //!   selection and the closed-form update of the selected pair.
 //! * `cache` — [`KernelCache`], the lazy kernel-row store every solve
@@ -26,11 +26,12 @@
 //!   in [`SolveStats`]. A solve in a store ([`KernelCache::solve`])
 //!   returns a [`Dual`] — `α`, the bias and the stats — and builds no
 //!   model; [`KernelCache::machine`] turns a dual into a [`TrainedSvm`],
-//!   cloning its support vectors once. [`train`] and [`train_warm`] are a
-//!   store used for one solve and one machine; a caller that re-solves
-//!   (the coupled SVM's annealing) owns a store, grows it
-//!   ([`KernelCache::extend`]), reads each dual's hinge slacks from its
-//!   rows ([`KernelCache::slacks`]) and builds one machine at the end.
+//!   cloning its support vectors once, and is the only place a machine is
+//!   built. [`train`] is a store used for one cold solve and one machine;
+//!   a caller that seeds or re-solves (a feedback round, the coupled
+//!   SVM's annealing) owns a store, grows it ([`KernelCache::extend`]),
+//!   reads each dual's hinge slacks from its rows
+//!   ([`KernelCache::slacks`]) and builds one machine at the end.
 //!   The eager full-matrix solve is the tests' bit-exact oracle.
 //! * `model` — the trained decision function, and degenerate
 //!   single-class handling (a feedback round can return only positives).
@@ -75,4 +76,4 @@ pub use cache::KernelCache;
 pub use error::SvmError;
 pub use kernel::{Kernel, RbfKernel};
 pub use model::{SvmModel, TrainedSvm};
-pub use smo::{train, train_warm, Dual, SmoParams, SolveStats, EPS};
+pub use smo::{train, Dual, SmoParams, SolveStats, EPS};

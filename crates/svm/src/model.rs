@@ -92,33 +92,6 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
     }
 }
 
-impl<K: Kernel<[f64]>> SvmModel<[f64], K> {
-    /// Decision values for every row of a contiguous row-major matrix —
-    /// the zero-copy whole-database scoring path (`data` is typically the
-    /// database's shared flat feature matrix): [`Self::decision_batch`]
-    /// over the matrix's row views, so bit-identical to calling
-    /// [`Self::decision`] per row.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0`, `data.len()` is not a multiple of `dim`, or
-    /// `dim` differs from the model's support-vector dimensionality (a
-    /// mismatch would otherwise score silently misaligned row windows in
-    /// release builds, where the kernel helpers only debug-assert).
-    pub fn decision_batch_rows(&self, data: &[f64], dim: usize) -> Vec<f64> {
-        assert!(dim > 0, "dimension must be positive");
-        assert_eq!(data.len() % dim, 0, "data length must be a multiple of dim");
-        if let Some(sv) = self.support_vectors.first() {
-            assert_eq!(
-                sv.len(),
-                dim,
-                "row dimension mismatches the model's support vectors"
-            );
-        }
-        let rows: Vec<&[f64]> = data.chunks_exact(dim).collect();
-        self.decision_batch(&rows)
-    }
-}
-
 impl<S: ?Sized + ToOwned, K: Clone> Clone for SvmModel<S, K>
 where
     S::Owned: Clone,
@@ -147,8 +120,8 @@ where
     }
 }
 
-/// Bundle returned by [`crate::train`]: the model plus the full dual
-/// solution and solver statistics.
+/// Bundle [`crate::KernelCache::machine`] builds from a solve: the model
+/// plus the full dual solution and solver statistics.
 pub struct TrainedSvm<S: ?Sized + ToOwned, K> {
     /// The decision model.
     pub model: SvmModel<S, K>,
@@ -370,10 +343,11 @@ mod tests {
         }
     }
 
-    /// decision_batch_rows over the flat matrix equals decision_batch over
-    /// row views equals the serial loop.
+    /// decision_batch over the row views of one flat matrix — the
+    /// whole-database scoring shape — equals the serial loop, for a
+    /// constant model and for one to many support vectors.
     #[test]
-    fn decision_batch_rows_matches_row_views() {
+    fn decision_batch_over_row_views_matches_decision() {
         let dim = 6;
         let n = 1101;
         let data = waves(n, dim, 0.9);
@@ -384,20 +358,9 @@ mod tests {
             } else {
                 batch_model(RbfKernel::new(0.25), n_sv, dim)
             };
-            let serial: Vec<f64> = data.chunks_exact(dim).map(|r| model.decision(r)).collect();
-            assert_eq!(model.decision_batch_rows(&data, dim), serial, "n_sv={n_sv}");
+            let serial: Vec<f64> = rows.iter().map(|r| model.decision(r)).collect();
             assert_eq!(model.decision_batch(&rows), serial, "n_sv={n_sv}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "support vectors")]
-    fn decision_batch_rows_rejects_mismatched_dim() {
-        // 4-D support vectors scored over "3-D" rows: the lengths divide
-        // evenly so only the model-dimension check can catch it.
-        let model = batch_model(RbfKernel::new(0.5), 2, 4);
-        let data = waves(4, 3, 0.0); // 12 values: divisible by 3
-        let _ = model.decision_batch_rows(&data, 3);
     }
 
     #[test]
@@ -407,9 +370,7 @@ mod tests {
         let rows: Vec<&[f64]> = data.chunks_exact(3).collect();
         let serial: Vec<f64> = rows.iter().map(|r| model.decision(r)).collect();
         assert_eq!(model.decision_batch(&rows), serial);
-        assert_eq!(model.decision_batch_rows(&data, 3), serial);
         // Empty input is fine.
-        assert!(model.decision_batch_rows(&[], 3).is_empty());
         let empty: Vec<&[f64]> = Vec::new();
         assert!(model.decision_batch(&empty).is_empty());
     }

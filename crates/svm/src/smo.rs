@@ -5,29 +5,23 @@
 //! second-order selection, "WSS 2", in the `working_set` module) with the
 //! parts of the LIBSVM training path a feedback round's tens of samples can
 //! use: kernel rows computed lazily and kept in a row store (the `cache`
-//! module) and **warm starts** ([`train_warm`]) that resume from a previous
-//! round's dual solution.
+//! module) and **warm starts** that resume from a previous round's dual
+//! solution.
 //! The one extension over stock LIBSVM is the **individual upper bound
 //! `C_i` per sample**, which is exactly the modification the paper made to
 //! LIBSVM: labeled points keep `C`, the unlabeled transductive points get
 //! `ρ*·C` (Eq. 2/3 of the paper).
 //!
-//! Every solve runs in a row store and returns a [`Dual`] — `α`, the
-//! bias and [`SolveStats`] — without building a model. Three entry points
-//! share that one solver loop:
-//!
-//! * [`train`] — cold start in a row store of its own. The default path.
-//! * [`train_warm`] — same, seeded with a previous solution whose alphas
-//!   are clipped to the new bounds and repaired onto `Σ y_i α_i = 0`.
-//! * [`crate::KernelCache::solve`] — the same solve in a store the caller
-//!   owns, re-solves and extends; [`crate::KernelCache::slacks`] reads a
-//!   dual's hinge slacks from the stored rows.
-//!
-//! A dual becomes a [`TrainedSvm`] in one place, the function behind
-//! [`crate::KernelCache::machine`] and the end of [`train_warm`]'s one
-//! solve: the support vectors are cloned there and nowhere else, so a
-//! caller that re-solves a hundred times and keeps only the last machine
-//! clones them once.
+//! Every solve runs in a row store: [`crate::KernelCache::solve`] returns
+//! a [`Dual`] — `α`, the bias and [`SolveStats`] — without building a
+//! model, optionally seeded with a previous solution whose alphas are
+//! clipped to the new bounds and repaired onto `Σ y_i α_i = 0`;
+//! [`crate::KernelCache::slacks`] reads a dual's hinge slacks from the
+//! stored rows, and [`crate::KernelCache::machine`] is the one place a
+//! dual becomes a [`TrainedSvm`]: the support vectors are cloned there and
+//! nowhere else, so a caller that re-solves a hundred times and keeps only
+//! the last machine clones them once. [`train`] is a cold store used for
+//! one solve and one machine.
 //!
 //! The test module runs the same loop over an eager symmetric Gram matrix
 //! (`train_precomputed`) as the bit-exact oracle: the lazy path reproduces
@@ -47,7 +41,7 @@
 use crate::cache::{KernelCache, KernelRows};
 use crate::error::SvmError;
 use crate::kernel::Kernel;
-use crate::model::{SvmModel, TrainedSvm};
+use crate::model::TrainedSvm;
 use crate::working_set::{select_working_set, update_pair};
 use std::borrow::Borrow;
 
@@ -106,11 +100,10 @@ pub struct SolveStats {
 /// * `upper_bounds` — `C_i > 0` per sample.
 ///
 /// Returns a [`TrainedSvm`] bundling the decision model, the full dual
-/// solution, and solver statistics.
-///
-/// Kernel rows are computed on first touch and kept until the solve ends
-/// (the `cache` module); see [`train_warm`] to seed the solver with a
-/// previous round's solution.
+/// solution, and solver statistics: one cold [`crate::KernelCache::solve`]
+/// in a store of its own, turned into its machine by
+/// [`crate::KernelCache::machine`]. A seeded solve, or several solves
+/// over one sample set, go through a store the caller keeps.
 ///
 /// **Degenerate input:** when every label has the same sign the dual forces
 /// `α = 0` and the margin is meaningless; the returned model is a constant
@@ -126,42 +119,11 @@ pub fn train<S, B, K>(
 where
     S: ?Sized + ToOwned,
     B: Borrow<S>,
-    K: Kernel<S>,
-{
-    train_warm(samples, labels, upper_bounds, kernel, params, None)
-}
-
-/// [`train`], optionally seeded with a previous dual solution.
-///
-/// `warm` is a prior `alpha` vector (e.g. [`TrainedSvm::alpha`] from the
-/// previous feedback round). It may be shorter than `samples` — feedback
-/// rounds append newly labeled points, so entry `i` of the warm vector is
-/// taken to correspond to sample `i` and any tail of new samples starts at
-/// `α = 0`. Before iterating, the seed is made feasible for the *new*
-/// problem: each `α_i` is clipped into `[0, C_i]` (bounds change when
-/// `ρ*` anneals) and the equality constraint `Σ y_i α_i = 0` is repaired
-/// by deterministically draining the surplus side in index order. A warm
-/// start therefore never affects *what* the solver converges to (the
-/// stopping criterion is unchanged), only how many iterations it takes
-/// (`tests/golden_solver.rs` pins one round's pair: 18 warm against 67
-/// cold); `warm = None` or an all-zero seed reproduces the cold path bit
-/// for bit.
-pub fn train_warm<S, B, K>(
-    samples: &[B],
-    labels: &[f64],
-    upper_bounds: &[f64],
-    kernel: K,
-    params: &SmoParams,
-    warm: Option<&[f64]>,
-) -> Result<TrainedSvm<S, K>, SvmError>
-where
-    S: ?Sized + ToOwned,
-    B: Borrow<S>,
-    K: Kernel<S>,
+    K: Kernel<S> + Clone,
 {
     let mut store = KernelCache::new(kernel, samples.iter().map(Borrow::borrow).collect());
-    let dual = store.solve(labels, upper_bounds, params, warm)?;
-    Ok(finish_model(samples, labels, store.kernel, dual))
+    let dual = store.solve(labels, upper_bounds, params, None)?;
+    Ok(store.machine(dual, labels))
 }
 
 /// Detects the single-class degenerate case shared by every entry point,
@@ -170,34 +132,6 @@ where
 pub(crate) fn single_class_sign(labels: &[f64]) -> Option<f64> {
     let first = labels[0];
     labels.iter().all(|&y| y == first).then_some(first)
-}
-
-/// Builds the sparse model from a dual solution: the one place a training
-/// sample is copied (each support vector, once).
-pub(crate) fn finish_model<S, B, K>(
-    samples: &[B],
-    labels: &[f64],
-    kernel: K,
-    dual: Dual,
-) -> TrainedSvm<S, K>
-where
-    S: ?Sized + ToOwned,
-    B: Borrow<S>,
-    K: Kernel<S>,
-{
-    let mut support_vectors = Vec::with_capacity(dual.stats.n_support);
-    let mut coefficients = Vec::with_capacity(dual.stats.n_support);
-    for (i, &a) in dual.alpha.iter().enumerate() {
-        if a > SV_THRESHOLD {
-            support_vectors.push(samples[i].borrow().to_owned());
-            coefficients.push(a * labels[i]);
-        }
-    }
-    TrainedSvm {
-        model: SvmModel::new(kernel, support_vectors, coefficients, dual.bias),
-        alpha: dual.alpha,
-        stats: dual.stats,
-    }
 }
 
 pub(crate) fn validate(n_samples: usize, labels: &[f64], bounds: &[f64]) -> Result<(), SvmError> {
@@ -411,7 +345,9 @@ mod tests {
     /// poison on any NaN/∞ sample).
     ///
     /// Warm starts are deliberately not offered here: the reference is the
-    /// deterministic from-zero solve.
+    /// deterministic from-zero solve. Its model is built by the same
+    /// `KernelCache::machine` as every other solve's, from a store that
+    /// never computes a row.
     fn train_precomputed<S, B, K>(
         samples: &[B],
         labels: &[f64],
@@ -422,16 +358,17 @@ mod tests {
     where
         S: ?Sized + ToOwned,
         B: Borrow<S>,
-        K: Kernel<S>,
+        K: Kernel<S> + Clone,
     {
         validate(samples.len(), labels, upper_bounds)?;
+        let store = KernelCache::new(kernel, samples.iter().map(Borrow::borrow).collect());
         if let Some(sign) = single_class_sign(labels) {
             let dual = Dual::constant(samples.len(), sign);
-            return Ok(finish_model(samples, labels, kernel, dual));
+            return Ok(store.machine(dual, labels));
         }
 
         let n = samples.len();
-        let mut k = gram_matrix::<S, B, K>(&kernel, samples);
+        let mut k = gram_matrix::<S, B, K>(&store.kernel, samples);
         for (idx, &v) in k.as_slice().iter().enumerate() {
             if !v.is_finite() {
                 return Err(SvmError::NonFiniteKernel {
@@ -442,7 +379,23 @@ mod tests {
         }
 
         let dual = solve_dual(&mut k, labels, upper_bounds, params, None);
-        Ok(finish_model(samples, labels, kernel, dual))
+        Ok(store.machine(dual, labels))
+    }
+
+    /// [`train`] seeded with `warm`: one store, one seeded solve, its
+    /// machine.
+    fn train_seeded<K: Kernel<[f64]> + Clone>(
+        samples: &[Vec<f64>],
+        labels: &[f64],
+        upper_bounds: &[f64],
+        kernel: K,
+        warm: &[f64],
+    ) -> TrainedSvm<[f64], K> {
+        let mut store = KernelCache::new(kernel, samples.iter().map(Vec::as_slice).collect());
+        let dual = store
+            .solve(labels, upper_bounds, &default_params(), Some(warm))
+            .unwrap();
+        store.machine(dual, labels)
     }
 
     /// Independent KKT verification for the solution of a C-SVC dual.
@@ -582,15 +535,7 @@ mod tests {
         let kernel = RbfKernel::new(0.8);
         let params = default_params();
         let cold = train(&samples, &labels, &bounds, kernel, &params).unwrap();
-        let warm = train_warm(
-            &samples,
-            &labels,
-            &bounds,
-            kernel,
-            &params,
-            Some(&cold.alpha),
-        )
-        .unwrap();
+        let warm = train_seeded(&samples, &labels, &bounds, kernel, &cold.alpha);
         assert!(warm.stats.converged);
         // The recomputed warm gradient rounds the KKT gap slightly
         // differently than the incremental one, so allow a touch-up
@@ -640,7 +585,7 @@ mod tests {
         perturbed[0] = f64::NAN;
 
         for seed in [prev.alpha.as_slice(), perturbed.as_slice()] {
-            let warm = train_warm(&samples, &labels, &bounds, kernel, &params, Some(seed)).unwrap();
+            let warm = train_seeded(&samples, &labels, &bounds, kernel, seed);
             assert!(warm.stats.converged);
             let viol = kkt_violation(&samples, &labels, &bounds, &kernel, &warm);
             assert!(viol < 1e-2, "warm KKT violation {viol}");
@@ -659,7 +604,7 @@ mod tests {
         let params = default_params();
         let cold = train(&samples, &labels, &bounds, kernel, &params).unwrap();
         let zeros = vec![0.0; samples.len()];
-        let warm = train_warm(&samples, &labels, &bounds, kernel, &params, Some(&zeros)).unwrap();
+        let warm = train_seeded(&samples, &labels, &bounds, kernel, &zeros);
         assert_eq!(cold.alpha, warm.alpha);
         assert_eq!(cold.stats.iterations, warm.stats.iterations);
         assert_eq!(cold.model.bias(), warm.model.bias());
@@ -1012,9 +957,7 @@ mod tests {
             let kernel = RbfKernel::new(0.7);
             let warm_seed: Vec<f64> =
                 (0..samples.len()).map(|i| scale * (i as f64 * 0.71).sin()).collect();
-            let svm = train_warm(
-                &samples, &labels, &bounds, kernel, &default_params(), Some(&warm_seed),
-            ).unwrap();
+            let svm = train_seeded(&samples, &labels, &bounds, kernel, &warm_seed);
             prop_assert!(svm.stats.converged);
             let viol = kkt_violation(&samples, &labels, &bounds, &kernel, &svm);
             prop_assert!(viol < 1e-2, "KKT violation {viol}");

@@ -1,17 +1,18 @@
 //! Golden solver bits: the literal output of `lrf_svm::train` on the
 //! largest problem the repo ever trains (the `svm_train` bench's n = 240
-//! shape) and of `decision_batch_rows` over a matrix larger than any pool
-//! the service scores, pinned before the kernel-row store lost its LRU and
-//! the batch scorers their thread plane. `golden_training.rs` pins the
-//! coupled trainers built on the solver; this file pins the solver itself:
-//! a refactor that recomputes a row in another order, evicts one, or
-//! splits a batch differently moves a bit here.
+//! shape) and of `decision_batch` over the row views of a matrix larger
+//! than any pool the service scores, pinned before the kernel-row store
+//! lost its LRU and the batch scorers their thread plane.
+//! `golden_training.rs` pins the coupled trainers built on the solver;
+//! this file pins the solver itself: a refactor that recomputes a row in
+//! another order, evicts one, or splits a batch differently moves a bit
+//! here.
 //!
 //! The values were captured from the code as it stood before that change
 //! and must never be edited to make a refactor pass. A failing assertion
 //! prints the observed value in the literal's own syntax.
 
-use lrf_svm::{train, train_warm, RbfKernel, SmoParams, SolveStats, TrainedSvm};
+use lrf_svm::{train, KernelCache, RbfKernel, SmoParams, SolveStats, TrainedSvm};
 
 const DIM: usize = 36;
 
@@ -54,15 +55,12 @@ fn solve(
     warm: Option<&[f64]>,
 ) -> TrainedSvm<[f64], RbfKernel> {
     let bounds = vec![10.0; samples.len()];
-    train_warm(
-        samples,
-        labels,
-        &bounds,
-        RbfKernel::new(1.0 / DIM as f64),
-        &SmoParams::default(),
-        warm,
-    )
-    .expect("the fixture is a valid two-class problem")
+    let rows = samples.iter().map(Vec::as_slice).collect();
+    let mut store = KernelCache::new(RbfKernel::new(1.0 / DIM as f64), rows);
+    let dual = store
+        .solve(labels, &bounds, &SmoParams::default(), warm)
+        .expect("the fixture is a valid two-class problem");
+    store.machine(dual, labels)
 }
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
@@ -162,7 +160,8 @@ fn batch_scores_above_the_old_thread_threshold_are_pinned() {
     let mut rng = SplitMix(1345);
     let data: Vec<f64> = (0..1345 * DIM).map(|_| 1.5 * rng.unit()).collect();
 
-    let scores = svm.model.decision_batch_rows(&data, DIM);
+    let rows: Vec<&[f64]> = data.chunks_exact(DIM).collect();
+    let scores = svm.model.decision_batch(&rows);
     assert_eq!(scores.len(), 1345);
     let spots: Vec<u64> = [0, 1, 191, 672, 1023, 1024, 1200, 1344]
         .iter()

@@ -528,7 +528,9 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
         ),
         // The request path does not end at the crate boundary: a rerank
         // runs the round, the pooled re-rank, a scheme's fit and its
-        // kernels in `lrf-core`, and a panic there kills the same worker.
+        // kernels in `lrf-core`, every solve in `lrf-svm`'s row store and
+        // every shard scan through `lrf-index`'s top-k, and a panic there
+        // kills the same worker.
         (
             vec![
                 "crates/core/src/rounds.rs",
@@ -540,6 +542,8 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
                 "crates/core/src/coupled.rs",
                 "crates/core/src/kernels.rs",
                 "crates/core/src/euclidean.rs",
+                "crates/svm/src",
+                "crates/index/src",
             ],
             vec!["service-panic"],
         ),
@@ -893,6 +897,8 @@ fn origin() -> std::time::Instant {
             "crates/core/src/rf_svm.rs",
             "crates/core/src/pooled.rs",
             "crates/core/src/coupled.rs",
+            "crates/svm/src/cache.rs",
+            "crates/index/src/lib.rs",
         ] {
             let rules = rules_for(Path::new(file));
             // Still under the crate-wide rules, and now panic-checked too.
