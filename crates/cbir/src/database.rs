@@ -91,12 +91,6 @@ impl ImageDatabase {
         self.dim
     }
 
-    /// The contiguous row-major `N × dim` feature matrix — the input the
-    /// index scan consumes.
-    pub fn features_flat(&self) -> &[f64] {
-        &self.flat
-    }
-
     /// A shared handle to the feature matrix. Indexes and shards hold this
     /// instead of copying the data, keeping peak feature storage at one
     /// copy regardless of how many indexes serve the collection.
@@ -184,7 +178,7 @@ mod tests {
     fn flat_matrix_mirrors_row_features() {
         let db = tiny_db();
         assert_eq!(db.dim(), lrf_features::TOTAL_DIMS);
-        assert_eq!(db.features_flat().len(), db.len() * db.dim());
+        assert_eq!(db.features_shared().len(), db.len() * db.dim());
         for (i, row) in db.rows().enumerate() {
             assert_eq!(db.feature(i), row);
         }
@@ -196,7 +190,7 @@ mod tests {
         let a = db.features_shared();
         let b = db.features_shared();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.as_slice(), db.features_flat());
+        assert!(a.chunks_exact(db.dim()).eq(db.rows()));
         // Cloning the database clones the handle, not the matrix.
         let copy = db.clone();
         assert!(Arc::ptr_eq(&a, &copy.features_shared()));

@@ -145,6 +145,35 @@ mod tests {
     }
 
     #[test]
+    fn compaction_under_a_held_snapshot_writes_base_then_tail() {
+        let mem = MemIo::handle();
+        let (db, _) = SharedLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        let sessions: Vec<LogSession> = (0..5)
+            .map(|i| session(&[(i, i % 2 == 0), (i + 3, true)]))
+            .collect();
+        db.record_durable(sessions[0].clone()).unwrap();
+        db.record_durable(sessions[1].clone()).unwrap();
+        let held = db.snapshot();
+        for s in &sessions[2..] {
+            db.record_durable(s.clone()).unwrap(); // each into the live tail
+        }
+        db.compact().unwrap();
+        assert_eq!(held.n_sessions(), 2, "the held snapshot did not advance");
+        drop((db, held));
+        mem.crash();
+
+        let (db, rec) = SharedLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
+        assert_eq!(
+            rec.replayed_sessions, 0,
+            "every session came from the snapshot"
+        );
+        assert!(
+            db.snapshot().sessions().eq(&sessions),
+            "same sessions, id order"
+        );
+    }
+
+    #[test]
     fn seed_store_is_published_when_disk_is_empty() {
         let mem = MemIo::handle();
         let mut seed = LogStore::new(8);

@@ -16,7 +16,8 @@
 //!   session ids. Dimension `M` = number of sessions grows as feedback is
 //!   collected, exactly as a deployed CBIR system would accumulate it.
 //!   Every session, live or read back from disk, enters through one check:
-//!   image ids strictly ascending and inside the database.
+//!   image ids strictly ascending and inside the database. Clones share
+//!   one base of sessions and columns; each owns only a short tail.
 //! * [`sparse::SparseVector`] — a column as the paper defines it: the
 //!   ascending ids of the sessions that judged the image, each carrying its
 //!   ±1 sign, with the dot/norm/distance the log-side SVM kernel needs
@@ -30,9 +31,9 @@
 //!   rename publication. A snapshot holds `R` once, as `n_images` and the
 //!   sessions; loading rebuilds the columns.
 //! * [`SharedLogStore`] — the one store a service owns: snapshot reads +
-//!   `&self` appends (copy-on-write), so a serving plane can flush
-//!   completed sessions without stalling queries that are training on the
-//!   log. Opened over a directory it owns the judgment WAL (checksummed,
+//!   `&self` appends (a new version copies a tail, never the log), so a
+//!   serving plane can flush completed sessions without stalling queries
+//!   that are training on the log. Opened over a directory it owns the judgment WAL (checksummed,
 //!   fsynced, incremental session appends with snapshot compaction), so
 //!   acknowledged feedback survives a crash without whole-store rewrites:
 //!   WAL-first recording, in-memory recording counted as unsynced while

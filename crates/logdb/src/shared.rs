@@ -4,8 +4,8 @@
 //! [`LogStore::record`] requires `&mut self`, which is the right contract
 //! for a single-owner store but wrong for a serving plane: a feedback
 //! service flushing a completed session must not stall the queries that are
-//! concurrently training on the log. [`SharedLogStore`] wraps the store in
-//! a copy-on-write cell:
+//! concurrently training on the log. [`SharedLogStore`] publishes the store
+//! as versions behind an [`Arc`]:
 //!
 //! * **Readers** ([`SharedLogStore::snapshot`]) clone an [`Arc`] under a
 //!   read lock held for nanoseconds, then use the snapshot lock-free for as
@@ -15,12 +15,13 @@
 //!   [`record_durable`](SharedLogStore::record_durable) and
 //!   [`compact`](SharedLogStore::compact)) serialize on one writer lock,
 //!   which also owns the WAL when the store has one. When no snapshot is
-//!   outstanding an append is in-place and O(session); when readers hold
-//!   snapshots the store is cloned **outside** the reader-facing lock — the
-//!   `RwLock` is only ever held for an `Arc` clone or pointer swap, so a
-//!   flush can never stall a `snapshot()` call for the duration of the
-//!   copy. The append cost is paid by the (rare) flush path, never by the
-//!   (hot) query path.
+//!   outstanding an append is in-place and O(session). When readers hold
+//!   snapshots the append publishes a new version: every version shares
+//!   one base of sessions and columns, and the new one copies only the
+//!   previous version's short tail, plus each column the session judges.
+//!   The copy of the tail takes the reader-facing lock; the record, which
+//!   folds a full tail into a fresh base copy once every `TAIL_CAP`
+//!   sessions (see [`LogStore`]), runs outside it.
 //!
 //! Snapshots are immutable: a session recorded after a snapshot was taken
 //! is invisible to it, exactly the semantics a retrieval round wants (one
@@ -57,12 +58,13 @@ use crate::session::LogSession;
 use crate::store::LogStore;
 use crate::wal::{self, WalError};
 
-/// An interior-locked, copy-on-write [`LogStore`] with optional write-ahead
+/// An interior-locked, versioned [`LogStore`] with optional write-ahead
 /// durability, for concurrent services.
 #[derive(Debug)]
 pub struct SharedLogStore {
-    /// The live store. Readers and writers hold this lock only for an
-    /// `Arc` clone / pointer swap (nanoseconds) — never for a data copy.
+    /// The live version. Readers hold this lock for an `Arc` clone,
+    /// writers for an in-place record, a copy of the tail or a pointer
+    /// swap — never for a copy of the log.
     inner: RwLock<Arc<LogStore>>,
     /// The one writer lock, owning the WAL (`None`: memory only). Every
     /// append and every compaction holds it, so a clone-and-swap cannot
@@ -91,8 +93,8 @@ pub struct LogStoreCounters {
     pub snapshots: Arc<Counter>,
     /// Sessions appended to memory, durable or not.
     pub appends: Arc<Counter>,
-    /// Appends that had to copy the store because snapshots were
-    /// outstanding (the slow, flush-path-only case).
+    /// Appends that published a new version because snapshots were
+    /// outstanding: each copies the live version's tail, not the log.
     pub cow_clones: Arc<Counter>,
 }
 
@@ -122,9 +124,9 @@ impl SharedLogStore {
         }
     }
 
-    /// Handles to the store's event counters (snapshots, appends,
-    /// copy-on-write clones). The handles stay live for the store's
-    /// lifetime; adopt them into a registry to expose them.
+    /// Handles to the store's event counters (snapshots, appends, new
+    /// versions published under a snapshot). The handles stay live for
+    /// the store's lifetime; adopt them into a registry to expose them.
     pub fn counters(&self) -> LogStoreCounters {
         LogStoreCounters {
             snapshots: Arc::clone(&self.snapshots),
@@ -136,9 +138,9 @@ impl SharedLogStore {
     /// A frozen, lock-free view of the store as of now. Cheap (one `Arc`
     /// clone); hold it for the duration of a retrieval round.
     ///
-    /// Lock poisoning is recovered from, not propagated: the copy-on-write
-    /// protocol only ever publishes fully-built stores (the swap is a
-    /// pointer assignment), so even a poisoned cell holds a valid store.
+    /// Lock poisoning is recovered from, not propagated: the writers only
+    /// ever publish fully-built versions (the swap is a pointer
+    /// assignment), so even a poisoned cell holds a valid store.
     pub fn snapshot(&self) -> Arc<LogStore> {
         self.snapshots.inc();
         Arc::clone(&self.inner.read_recover())
@@ -146,8 +148,8 @@ impl SharedLogStore {
 
     /// Records a session in memory only; returns the new session id.
     /// Outstanding snapshots are unaffected, and concurrent `snapshot()`
-    /// calls are never blocked for longer than a pointer swap, even when
-    /// the append has to copy the store.
+    /// calls are never blocked for longer than an in-place record or a
+    /// copy of the tail, even when the append folds a full tail.
     ///
     /// On a store with a WAL this is the degraded path: the session counts
     /// as [`unsynced`](Self::unsynced), and is not crash-safe, until a
@@ -183,23 +185,23 @@ impl SharedLogStore {
     }
 
     /// Appends `session` to memory. Taking the writer's guard proves the
-    /// caller holds the lock, so the base this copies cannot go stale.
+    /// caller holds the lock, so the version this copies cannot go stale.
     fn append(&self, _writer: &MutexGuard<'_, Option<Wal>>, session: LogSession) -> usize {
         self.appends.inc();
-        {
+        let mut next = {
             let mut guard = self.inner.write_recover();
             // No snapshot outstanding (`guard` holds the only Arc): mutate
             // in place, O(session), lock held only that long.
-            if let Some(store) = Arc::get_mut(&mut guard) {
+            if let Some(store) = Arc::get_mut(&mut guard).filter(|s| !s.folds_next()) {
                 return store.record(session);
             }
-        }
-        // Snapshots outstanding: copy the store without holding the
-        // reader-facing lock.
+            // Snapshots outstanding: a new version, sharing the base.
+            LogStore::clone(&guard)
+        };
         self.cow_clones.inc();
-        let base = self.snapshot();
-        let mut next = (*base).clone();
-        drop(base);
+        // Record outside the reader-facing lock. A record that copies the
+        // base always comes here (`folds_next`), even when the version was
+        // ours, so that copy never stalls a `snapshot()`.
         let id = next.record(session);
         *self.inner.write_recover() = Arc::new(next);
         id
@@ -249,9 +251,9 @@ impl SharedLogStore {
     }
 
     /// Extracts the current store, consuming the wrapper (end of serving:
-    /// persist the accumulated log). Clones only if snapshots still exist.
-    /// This does *not* compact first — callers that want the final state
-    /// snapshotted should [`compact`](Self::compact) before.
+    /// persist the accumulated log). Copies the tail only if snapshots
+    /// still exist. This does *not* compact first — callers that want the
+    /// final state snapshotted should [`compact`](Self::compact) before.
     pub fn into_store(self) -> LogStore {
         let arc = self
             .inner
@@ -265,6 +267,7 @@ impl SharedLogStore {
 mod tests {
     use super::*;
     use crate::session::Relevance;
+    use crate::store::TAIL_CAP;
 
     fn session(pairs: &[(usize, bool)]) -> LogSession {
         LogSession::new(
@@ -308,6 +311,45 @@ mod tests {
         shared.record(session(&[(0, true)]));
         let after = Arc::as_ptr(&shared.snapshot());
         assert_eq!(before, after, "in-place append must not clone the store");
+    }
+
+    #[test]
+    fn an_append_under_a_held_snapshot_copies_only_the_judged_columns() {
+        let shared = SharedLogStore::new(6);
+        shared.record(session(&[(0, true), (2, false), (4, true)]));
+        shared.record(session(&[(2, true), (5, true)]));
+        let held = shared.snapshot();
+        shared.record(session(&[(2, false), (3, true)]));
+        let live = shared.snapshot();
+        for i in 0..6 {
+            let same = std::ptr::eq(held.log_vector(i), live.log_vector(i));
+            assert_eq!(same, i != 2 && i != 3, "column {i}");
+        }
+        assert_eq!((held.n_sessions(), live.n_sessions()), (2, 3));
+        assert_eq!(live.entry(2, 2), -1.0);
+    }
+
+    #[test]
+    fn a_record_that_copies_the_base_publishes_a_new_version() {
+        // The base copy runs outside the reader-facing lock, so a record
+        // that makes one never goes in place, even into a version no
+        // snapshot holds.
+        let shared = SharedLogStore::new(4);
+        let c = shared.counters();
+        let held = shared.snapshot();
+        for i in 0..TAIL_CAP {
+            shared.record(session(&[(i % 4, true)])); // the first copies `held`'s version
+        }
+        assert_eq!(
+            c.cow_clones.get(),
+            1,
+            "the rest went in place, into the tail"
+        );
+        let full = Arc::as_ptr(&shared.snapshot());
+        shared.record(session(&[(3, false)]));
+        assert_eq!(c.cow_clones.get(), 2, "the tail was full: a new version");
+        assert_ne!(full, Arc::as_ptr(&shared.snapshot()));
+        assert_eq!((held.n_sessions(), shared.n_sessions()), (0, TAIL_CAP + 1));
     }
 
     #[test]

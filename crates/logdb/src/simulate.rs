@@ -133,9 +133,6 @@ pub fn simulate_sessions(
             judged.extend(judgments.iter().copied());
             sessions.push(LogSession::new(judgments));
         }
-        if sessions.len() >= config.n_sessions {
-            break;
-        }
     }
     sessions
 }

@@ -15,6 +15,8 @@
 //! [`LogSession::new`]'s sort and duplicate check) is held to the same
 //! rule as one built in memory.
 
+use lrf_sync::Arc;
+
 use crate::session::{LogSession, Relevance};
 use crate::sparse::SparseVector;
 
@@ -37,14 +39,48 @@ impl std::fmt::Display for InvalidSession {
     }
 }
 
+/// Sessions a version may hold in its tail before a record folds them
+/// into a base copy of its own. The cap trades the two copies this layout
+/// makes. A fold copies the whole log, O(M + N) allocations, once per
+/// `TAIL_CAP` records under a held snapshot; every new version copies its
+/// tail, up to `TAIL_CAP` sessions plus one column per image they judged.
+/// At 64 one fold is spread over 64 records, while a full tail of
+/// 20-judgment sessions (the paper's screen) is at most 1,280 short
+/// columns, well under the N columns one fold copies.
+pub(crate) const TAIL_CAP: usize = 64;
+
 /// Append-only store of feedback sessions over a fixed image database.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The sessions and columns sit in one [`Arc`]-shared base, so a clone
+/// (a snapshot) shares them. A session recorded while another version
+/// holds the base goes to this version's tail, with a whole copy of each
+/// column it judges; cloning a store therefore costs its tail, not the
+/// log. When this version is the base's only holder, a record moves the
+/// tail into it and appends in place.
+#[derive(Clone, Debug)]
 pub struct LogStore {
-    n_images: usize,
+    base: Arc<Matrix>,
+    /// Sessions recorded past `base`, in id order.
+    tail: Vec<LogSession>,
+    /// Each column a tail session judged, whole, sorted by image id; it
+    /// replaces the base's column.
+    tail_columns: Vec<(usize, SparseVector)>,
+}
+
+/// The rows and the derived columns of `R`.
+#[derive(Clone, Debug)]
+struct Matrix {
     sessions: Vec<LogSession>,
-    /// Column view: `columns[i]` is image `i`'s log vector `r_i`, indexed by
-    /// session id. Derived from `sessions`; a snapshot does not write it.
+    /// `columns[i]` is image `i`'s log vector `r_i`, indexed by session
+    /// id. Derived from `sessions`; a snapshot does not write it.
     columns: Vec<SparseVector>,
+}
+
+impl PartialEq for LogStore {
+    /// The columns are derived from the sessions, so these decide.
+    fn eq(&self, other: &Self) -> bool {
+        self.n_images() == other.n_images() && self.sessions().eq(other.sessions())
+    }
 }
 
 impl LogStore {
@@ -54,22 +90,26 @@ impl LogStore {
     /// Panics if `n_images == 0`.
     pub fn new(n_images: usize) -> Self {
         assert!(n_images > 0, "log store needs a nonempty image database");
+        let columns = vec![SparseVector::new(); n_images];
         Self {
-            n_images,
-            sessions: Vec::new(),
-            columns: vec![SparseVector::new(); n_images],
+            base: Arc::new(Matrix {
+                sessions: Vec::new(),
+                columns,
+            }),
+            tail: Vec::new(),
+            tail_columns: Vec::new(),
         }
     }
 
     /// Number of images the store covers (the matrix's column count `N`).
     pub fn n_images(&self) -> usize {
-        self.n_images
+        self.base.columns.len()
     }
 
     /// Number of recorded sessions (the matrix's row count and the log
     /// vectors' dimension `M`).
     pub fn n_sessions(&self) -> usize {
-        self.sessions.len()
+        self.base.sessions.len() + self.tail.len()
     }
 
     /// Appends a session, updating every judged image's column. Returns the
@@ -89,7 +129,7 @@ impl LogStore {
     pub(crate) fn try_record(&mut self, session: LogSession) -> Result<usize, InvalidSession> {
         let mut next = 0; // the least id the next judgment may name
         for (id, _) in session.iter() {
-            if id >= self.n_images {
+            if id >= self.n_images() {
                 return Err(InvalidSession::OutOfRange(id));
             }
             if id < next {
@@ -97,13 +137,47 @@ impl LogStore {
             }
             next = id + 1;
         }
-        let sid = self.sessions.len();
+        let sid = self.n_sessions();
         assert!(sid < 1 << 31, "session id overflow");
-        for (image_id, judgment) in session.iter() {
-            self.columns[image_id].push(sid as u32, judgment == Relevance::Irrelevant);
+        if let Some(base) = self.owned_base() {
+            for (image_id, judgment) in session.iter() {
+                base.columns[image_id].push(sid as u32, judgment == Relevance::Irrelevant);
+            }
+            base.sessions.push(session);
+            return Ok(sid);
         }
-        self.sessions.push(session);
+        for (image_id, judgment) in session.iter() {
+            let found = self.tail_columns.binary_search_by_key(&image_id, |c| c.0);
+            let k = found.unwrap_or_else(|k| {
+                let column = self.base.columns[image_id].clone();
+                self.tail_columns.insert(k, (image_id, column));
+                k
+            });
+            let (_, column) = &mut self.tail_columns[k];
+            column.push(sid as u32, judgment == Relevance::Irrelevant);
+        }
+        self.tail.push(session);
         Ok(sid)
+    }
+
+    /// Whether the next record copies the base: the tail is full and
+    /// another version shares the base.
+    pub(crate) fn folds_next(&self) -> bool {
+        self.tail.len() >= TAIL_CAP && Arc::strong_count(&self.base) > 1
+    }
+
+    /// The base, with the tail moved into it, when this version is its
+    /// only holder. A full tail first gets a base copy of its own.
+    fn owned_base(&mut self) -> Option<&mut Matrix> {
+        if self.folds_next() {
+            self.base = Arc::new(Matrix::clone(&self.base));
+        }
+        let base = Arc::get_mut(&mut self.base)?;
+        for (image_id, column) in self.tail_columns.drain(..) {
+            base.columns[image_id] = column;
+        }
+        base.sessions.append(&mut self.tail);
+        Some(base)
     }
 
     /// The sparse log vector `r_i` of image `i`.
@@ -111,43 +185,51 @@ impl LogStore {
     /// # Panics
     /// Panics if `image_id >= n_images`.
     pub fn log_vector(&self, image_id: usize) -> &SparseVector {
-        &self.columns[image_id]
+        match self.tail_columns.binary_search_by_key(&image_id, |c| c.0) {
+            Ok(k) => &self.tail_columns[k].1,
+            Err(_) => &self.base.columns[image_id],
+        }
     }
 
     /// A recorded session by id.
     pub fn session(&self, session_id: usize) -> &LogSession {
-        &self.sessions[session_id]
+        let base = &self.base.sessions;
+        base.get(session_id)
+            .unwrap_or_else(|| &self.tail[session_id - base.len()])
     }
 
     /// Iterates all recorded sessions in id order.
     pub fn sessions(&self) -> impl Iterator<Item = &LogSession> {
-        self.sessions.iter()
+        self.base.sessions.iter().chain(&self.tail)
     }
 
     /// The raw matrix element `r_{image, session}` (`+1`, `−1`, or `0`).
     pub fn entry(&self, image_id: usize, session_id: usize) -> f64 {
         assert!(
-            session_id < self.sessions.len(),
+            session_id < self.n_sessions(),
             "unknown session {session_id}"
         );
-        self.columns[image_id].get(session_id as u32)
+        self.log_vector(image_id).get(session_id as u32)
     }
 
     /// Number of images that have at least one judgment — coverage is the
     /// key statistic determining how much the log can help retrieval.
     pub fn n_judged_images(&self) -> usize {
-        self.columns.iter().filter(|c| !c.is_empty()).count()
+        (0..self.n_images())
+            .filter(|&i| !self.log_vector(i).is_empty())
+            .count()
     }
 
     /// Total judgments across all sessions (the matrix's nonzero count).
     pub fn nnz(&self) -> usize {
-        self.columns.iter().map(|c| c.nnz()).sum()
+        self.sessions().map(LogSession::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn session(pairs: &[(usize, bool)]) -> LogSession {
         LogSession::new(
@@ -236,5 +318,88 @@ mod tests {
             );
         }
         assert_eq!(store, LogStore::new(8), "a refused session leaves no trace");
+    }
+
+    #[test]
+    fn a_full_tail_folds_into_a_base_of_its_own() {
+        let mut live = LogStore::new(4);
+        live.record(session(&[(0, true)]));
+        let held = live.clone();
+        for _ in 0..TAIL_CAP {
+            live.record(session(&[(1, true)]));
+        }
+        assert_eq!(live.tail.len(), TAIL_CAP, "the shared base takes no record");
+        live.record(session(&[(2, false)]));
+        assert!(
+            !Arc::ptr_eq(&live.base, &held.base),
+            "the fold copied the base"
+        );
+        assert_eq!(
+            (live.tail.len(), live.base.sessions.len()),
+            (0, TAIL_CAP + 2)
+        );
+        assert_eq!(live.log_vector(1).nnz(), TAIL_CAP);
+        assert_eq!(held.n_sessions(), 1);
+        assert!(held.log_vector(1).is_empty());
+    }
+
+    /// `store` holds exactly `reference`'s sessions and columns.
+    fn assert_same(store: &LogStore, reference: &LogStore) {
+        assert_eq!(store, reference);
+        assert!(store.sessions().eq(reference.sessions()));
+        for e in 0..reference.n_sessions() {
+            assert_eq!(store.session(e), reference.session(e), "session {e}");
+        }
+        for i in 0..reference.n_images() {
+            assert_eq!(store.log_vector(i), reference.log_vector(i), "column {i}");
+        }
+        assert_eq!(store.nnz(), reference.nnz());
+        assert_eq!(store.n_judged_images(), reference.n_judged_images());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Records, snapshots taken and snapshots dropped in any order,
+        /// up to ~200 records so tails cross `TAIL_CAP`: each snapshot,
+        /// when dropped or at the end, is the store built by recording
+        /// its first `e` sessions into a fresh store, and the live store
+        /// is the whole sequence, however bases and tails were shared.
+        #[test]
+        fn snapshots_equal_a_store_built_from_their_prefix(
+            ops in proptest::collection::vec(proptest::collection::vec(0u8..4, 9), 20..400),
+        ) {
+            let mut live = LogStore::new(8);
+            let mut held: Vec<LogStore> = Vec::new();
+            let mut recorded: Vec<LogSession> = Vec::new();
+            let built = |sessions: &[LogSession]| {
+                let mut store = LogStore::new(8);
+                for s in sessions {
+                    store.record(s.clone());
+                }
+                store
+            };
+            for op in ops {
+                // op[0]: 0 takes a snapshot, 1 drops one, else records;
+                // op[1..]: per image, 2 relevant, 3 irrelevant, else unjudged.
+                match op[0] {
+                    0 => held.push(live.clone()),
+                    1 if !held.is_empty() => {
+                        let snap = held.swap_remove(op[1] as usize % held.len());
+                        assert_same(&snap, &built(&recorded[..snap.n_sessions()]));
+                    }
+                    _ => {
+                        let judged = op[1..].iter().enumerate().filter(|(_, &m)| m > 1);
+                        let s = session(&judged.map(|(i, &m)| (i, m == 2)).collect::<Vec<_>>());
+                        recorded.push(s.clone());
+                        prop_assert_eq!(live.record(s), recorded.len() - 1);
+                    }
+                }
+            }
+            for snap in &held {
+                assert_same(snap, &built(&recorded[..snap.n_sessions()]));
+            }
+            assert_same(&live, &built(&recorded));
+        }
     }
 }

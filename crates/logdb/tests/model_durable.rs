@@ -4,7 +4,7 @@
 //! A session recorded in memory while storage fails becomes durable
 //! through the next compaction, and through nothing else. Each test races
 //! the real store over `MemIo` under the vendored loom-style checker (its
-//! writer lock and copy-on-write cell come from `lrf_sync`, so every lock
+//! writer lock and versioned cell come from `lrf_sync`, so every lock
 //! the protocol takes is a schedule point), then cuts power and recovers.
 //! The invariants: **a volatile session is recovered exactly once when a
 //! compaction ran after it, and not at all otherwise — `unsynced()` is 0

@@ -1,9 +1,10 @@
-//! Model-checked invariants of [`SharedLogStore`]'s copy-on-write cell.
+//! Model-checked invariants of [`SharedLogStore`]'s versioned cell: each
+//! version shares one base of sessions and columns and owns a short tail.
 //!
 //! Each test runs its closure under the vendored loom-style checker, which
 //! explores every interleaving of the instrumented lock/`Arc` operations
 //! within a bounded-preemption schedule space (see `crates/vendor/loom`).
-//! The third workspace concurrency invariant lives here: **copy-on-write
+//! The third workspace concurrency invariant lives here: **snapshot
 //! readers never observe torn log state** — a snapshot is one consistent
 //! store, frozen at acquisition, no matter how appends race it.
 
@@ -51,7 +52,7 @@ fn snapshots_are_never_torn_by_racing_appends() {
         assert_eq!(snap.n_sessions(), n, "snapshot advanced while held");
         assert_eq!(shared.snapshot().n_sessions(), 2);
     })
-    .expect("copy-on-write snapshots must never tear");
+    .expect("log snapshots must never tear");
     assert!(report.executions > 1);
 }
 
@@ -63,7 +64,8 @@ fn racing_appends_lose_no_session() {
     loom::explore(|| {
         let shared = Arc::new(SharedLogStore::new(4));
         // Holding a snapshot forces at least one append onto the
-        // clone-outside-the-lock path, the protocol's delicate half.
+        // new-version path, which records outside the reader-facing lock:
+        // the protocol's delicate half.
         let held = shared.snapshot();
         let appender = {
             let shared = Arc::clone(&shared);
@@ -80,4 +82,42 @@ fn racing_appends_lose_no_session() {
         assert_eq!(snap.log_vector(2).nnz(), 1);
     })
     .expect("the writer lock must serialize clone-and-swap appends");
+}
+
+/// A session recorded under a held snapshot lands in the live version's
+/// tail; then the snapshot drops while another append races it. That
+/// append either folds the tail into the base in place (the snapshot was
+/// gone, so the base was unique) or extends the tail (it was still held).
+/// Either way no snapshot tears or advances and no session is lost.
+#[test]
+fn a_racing_append_folds_the_tail_only_once_the_snapshot_is_gone() {
+    let report = loom::explore(|| {
+        let shared = Arc::new(SharedLogStore::new(4));
+        shared.record(session(&[(0, true), (1, false)]));
+        let held = shared.snapshot();
+        shared.record(session(&[(1, true)])); // into the tail: `held` shares the base
+        let appender = {
+            let shared = Arc::clone(&shared);
+            loom::thread::spawn(move || shared.record(session(&[(1, false), (2, true)])))
+        };
+        assert_eq!((held.n_sessions(), held.log_vector(1).nnz()), (1, 1));
+        drop(held);
+        let mid = shared.snapshot();
+        let n = mid.n_sessions();
+        assert!(n == 2 || n == 3, "torn session count: {n}");
+        assert_eq!(
+            mid.log_vector(1).nnz(),
+            n,
+            "column 1 disagrees with {n} sessions"
+        );
+        assert_eq!(appender.join().unwrap(), 2);
+        assert_eq!(mid.n_sessions(), n, "snapshot advanced while held");
+        let last = shared.snapshot();
+        assert_eq!(last.n_sessions(), 3, "an append was lost");
+        let column: Vec<f64> = (0..3).map(|sid| last.entry(1, sid)).collect();
+        assert_eq!(column, [-1.0, 1.0, -1.0]);
+        assert_eq!(last.entry(2, 2), 1.0);
+    })
+    .expect("a tail folds only into a base no snapshot shares");
+    assert!(report.executions > 1);
 }

@@ -266,15 +266,12 @@ impl ServiceError {
     /// (storage outage or load shedding).
     pub(crate) fn http_status(&self) -> u16 {
         match self {
-            ServiceError::UnknownSession { .. } => 404,
-            ServiceError::SessionExpired { .. } => 410,
-            ServiceError::UnknownQuery { .. } => 404,
-            ServiceError::UnknownImage { .. } => 404,
-            ServiceError::DuplicateJudgment { .. } => 409,
-            ServiceError::BadRequest { .. } => 400,
-            ServiceError::Overloaded { .. } => 503,
-            ServiceError::Degraded { .. } => 503,
-            ServiceError::UnsupportedVersion { .. } => 400,
+            Self::UnknownSession { .. } | Self::UnknownQuery { .. } => 404,
+            Self::UnknownImage { .. } => 404,
+            Self::SessionExpired { .. } => 410,
+            Self::DuplicateJudgment { .. } => 409,
+            Self::BadRequest { .. } | Self::UnsupportedVersion { .. } => 400,
+            Self::Overloaded { .. } | Self::Degraded { .. } => 503,
         }
     }
 }

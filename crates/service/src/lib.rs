@@ -10,8 +10,9 @@
 //!   feature allocation — the collection's features exist once in memory,
 //!   no matter how many shards or sessions are live;
 //! * a [`lrf_logdb::SharedLogStore`]: sessions train on frozen log
-//!   snapshots while completed sessions append concurrently (copy-on-write
-//!   — a flush can never stall a query). Built with
+//!   snapshots while completed sessions append concurrently (a close under
+//!   a snapshot copies the store's short tail, never the log, and never
+//!   stalls a query). Built with
 //!   [`Service::with_durability_metrics`], every flush is fsynced into a
 //!   checksummed WAL before the close is acknowledged, with a typed
 //!   degradation path (retry → volatile → shed → compact, see

@@ -56,7 +56,8 @@ pub mod names {
     pub const LOG_SNAPSHOTS: &str = "log_snapshots_total";
     /// Log-store session appends (adopted from the shared store).
     pub const LOG_APPENDS: &str = "log_appends_total";
-    /// Appends that copied the store because snapshots were outstanding.
+    /// Appends that published a new version (a copy of the tail, not the
+    /// log) because snapshots were outstanding.
     pub const LOG_COW_CLONES: &str = "log_cow_clones_total";
     /// Sessions durably appended to the judgment WAL (fsynced before ack).
     pub const WAL_APPENDS: &str = "wal_appends_total";
@@ -181,52 +182,31 @@ impl ServiceMetrics {
 
     fn build(clock: ClockRef, timed: bool) -> Self {
         let registry = Registry::new();
-        let requests_total = registry.counter(names::REQUESTS_TOTAL);
-        let request_latency = registry.histogram(names::REQUEST_LATENCY);
-        let stage_session_lookup = registry.histogram(names::STAGE_SESSION_LOOKUP);
-        let stage_retrain = registry.histogram(names::STAGE_RETRAIN);
-        let stage_scoring = registry.histogram(names::STAGE_SCORING);
-        let stage_flush = registry.histogram(names::STAGE_FLUSH);
-        let active_sessions = registry.gauge(names::ACTIVE_SESSIONS);
-        let flushed_sessions = registry.counter(names::FLUSHED_SESSIONS);
-        let nonconverged_retrains = registry.counter(names::NONCONVERGED_RETRAINS);
-        let smo_iterations = registry.counter(names::SMO_ITERATIONS);
-        let kernel_cache_hits = registry.counter(names::KERNEL_CACHE_HITS);
-        let kernel_cache_misses = registry.counter(names::KERNEL_CACHE_MISSES);
-        let ann_distance_evals = registry.counter(names::ANN_DISTANCE_EVALS);
-        let wal_appends = registry.counter(names::WAL_APPENDS);
-        let wal_retries = registry.counter(names::WAL_RETRIES);
-        let wal_append_failures = registry.counter(names::WAL_APPEND_FAILURES);
-        let shed_requests = registry.counter(names::SHED_REQUESTS);
-        let wal_compactions = registry.counter(names::WAL_COMPACTIONS);
-        let stage_durable_flush = registry.histogram(names::STAGE_DURABLE_FLUSH);
-        let wal_unsynced_sessions = registry.gauge(names::WAL_UNSYNCED_SESSIONS);
-        let storage_degraded = registry.gauge(names::STORAGE_DEGRADED);
         Self {
-            registry,
             clock,
             timed,
-            requests_total,
-            request_latency,
-            stage_session_lookup,
-            stage_retrain,
-            stage_scoring,
-            stage_flush,
-            active_sessions,
-            flushed_sessions,
-            nonconverged_retrains,
-            smo_iterations,
-            kernel_cache_hits,
-            kernel_cache_misses,
-            ann_distance_evals,
-            wal_appends,
-            wal_retries,
-            wal_append_failures,
-            shed_requests,
-            wal_compactions,
-            stage_durable_flush,
-            wal_unsynced_sessions,
-            storage_degraded,
+            requests_total: registry.counter(names::REQUESTS_TOTAL),
+            request_latency: registry.histogram(names::REQUEST_LATENCY),
+            stage_session_lookup: registry.histogram(names::STAGE_SESSION_LOOKUP),
+            stage_retrain: registry.histogram(names::STAGE_RETRAIN),
+            stage_scoring: registry.histogram(names::STAGE_SCORING),
+            stage_flush: registry.histogram(names::STAGE_FLUSH),
+            active_sessions: registry.gauge(names::ACTIVE_SESSIONS),
+            flushed_sessions: registry.counter(names::FLUSHED_SESSIONS),
+            nonconverged_retrains: registry.counter(names::NONCONVERGED_RETRAINS),
+            smo_iterations: registry.counter(names::SMO_ITERATIONS),
+            kernel_cache_hits: registry.counter(names::KERNEL_CACHE_HITS),
+            kernel_cache_misses: registry.counter(names::KERNEL_CACHE_MISSES),
+            ann_distance_evals: registry.counter(names::ANN_DISTANCE_EVALS),
+            wal_appends: registry.counter(names::WAL_APPENDS),
+            wal_retries: registry.counter(names::WAL_RETRIES),
+            wal_append_failures: registry.counter(names::WAL_APPEND_FAILURES),
+            shed_requests: registry.counter(names::SHED_REQUESTS),
+            wal_compactions: registry.counter(names::WAL_COMPACTIONS),
+            stage_durable_flush: registry.histogram(names::STAGE_DURABLE_FLUSH),
+            wal_unsynced_sessions: registry.gauge(names::WAL_UNSYNCED_SESSIONS),
+            storage_degraded: registry.gauge(names::STORAGE_DEGRADED),
+            registry,
         }
     }
 
@@ -274,21 +254,15 @@ impl ServiceMetrics {
     /// registered on demand, so WAL-less services don't carry recovery
     /// instruments they can never move.
     pub(crate) fn count_recovery(&self, r: &lrf_logdb::DurableRecovery) {
-        self.registry
-            .counter(names::RECOVERY_SESSIONS)
-            .add(r.recovered_sessions);
-        self.registry
-            .counter(names::RECOVERY_TRUNCATED_RECORDS)
-            .add(r.truncated_records);
-        self.registry
-            .counter(names::RECOVERY_TRUNCATED_BYTES)
-            .add(r.truncated_bytes);
-        self.registry
-            .counter(names::RECOVERY_REREAD_RECOVERIES)
-            .add(r.reread_recoveries);
-        self.registry
-            .counter(names::RECOVERY_STALE_FILES)
-            .add(r.stale_files_removed);
+        for (name, n) in [
+            (names::RECOVERY_SESSIONS, r.recovered_sessions),
+            (names::RECOVERY_TRUNCATED_RECORDS, r.truncated_records),
+            (names::RECOVERY_TRUNCATED_BYTES, r.truncated_bytes),
+            (names::RECOVERY_REREAD_RECOVERIES, r.reread_recoveries),
+            (names::RECOVERY_STALE_FILES, r.stale_files_removed),
+        ] {
+            self.registry.counter(name).add(n);
+        }
     }
 
     /// Accounts one retrain round's [`lrf_core::RoundDiagnostics`].

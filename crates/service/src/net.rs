@@ -343,11 +343,9 @@ fn read_request(
         match reader.read(&mut raw[filled..]) {
             Ok(0) => return Err(ReadEnd::Closed),
             Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(ReadEnd::Closed);
-                }
-            }
+            // A timeout waits on while the server runs; once it stops, a
+            // timeout ends the connection like any other error.
+            Err(e) if is_timeout(&e) && !stop.load(Ordering::SeqCst) => {}
             Err(_) => return Err(ReadEnd::Closed),
         }
     }
@@ -378,11 +376,8 @@ fn read_head_line(
             Ok(_) if line.len() >= MAX_LINE_BYTES => return Err(ReadEnd::HeadTooLarge),
             // End of stream, possibly mid-line.
             Ok(_) => return Ok(()),
-            Err(e) if is_timeout(&e) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(ReadEnd::Closed);
-                }
-            }
+            // Waits on while the server runs, as the body read does.
+            Err(e) if is_timeout(&e) && !stop.load(Ordering::SeqCst) => {}
             // `read_line` found bytes that are not UTF-8.
             Err(e) if e.kind() == ErrorKind::InvalidData => return Err(ReadEnd::Malformed),
             Err(_) => return Err(ReadEnd::Closed),

@@ -23,7 +23,7 @@
 //!                  │                        shard workers       │
 //!                  │                                            │
 //!                  │  SharedLogStore     ── snapshot reads,     │
-//!                  │                        COW appends,        │
+//!                  │                        base+tail appends,  │
 //!                  │                        WAL-first flushes   │
 //!                  └────────────────────────────────────────────┘
 //! ```
@@ -36,10 +36,11 @@
 //! per session, at `Open`, as deep as the candidate pool; every rerank
 //! re-ranks those neighbours, scoring them on the session's own thread,
 //! and no session holds an N-long ranking.
-//! Closing (or evicting) a session appends it to the shared log through
-//! the copy-on-write store — queries in flight keep their snapshot and are
-//! never stalled — which is how today's sessions become the log vectors
-//! tomorrow's coupled-SVM queries train on.
+//! Closing (or evicting) a session appends it to the shared log: in place,
+//! or, while queries in flight hold a snapshot, to a new version that
+//! shares the log's base and copies only its tail, so those queries keep
+//! their snapshot and are never stalled. That is how today's sessions
+//! become the log vectors tomorrow's coupled-SVM queries train on.
 
 use crate::api::{Request, Response, ServiceError};
 use crate::durability::DurabilityConfig;
@@ -263,15 +264,13 @@ impl Service {
         // The store counts its own events; adopting the handles makes them
         // part of this service's snapshots.
         let log_counters = log.counters();
-        metrics
-            .registry()
-            .adopt_counter(names::LOG_SNAPSHOTS, log_counters.snapshots);
-        metrics
-            .registry()
-            .adopt_counter(names::LOG_APPENDS, log_counters.appends);
-        metrics
-            .registry()
-            .adopt_counter(names::LOG_COW_CLONES, log_counters.cow_clones);
+        for (name, counter) in [
+            (names::LOG_SNAPSHOTS, log_counters.snapshots),
+            (names::LOG_APPENDS, log_counters.appends),
+            (names::LOG_COW_CLONES, log_counters.cow_clones),
+        ] {
+            metrics.registry().adopt_counter(name, counter);
+        }
         Self {
             db,
             engine,
@@ -466,18 +465,15 @@ impl Service {
         // a silently exact one (schemes that never train report converged).
         // `count_round` also lifts the round's SMO iteration and
         // kernel-cache totals into the registry.
-        let converged = match state.fb.last_diagnostics() {
-            Some(d) => {
-                self.metrics.count_round(&d);
-                d.converged
-            }
-            None => true,
-        };
+        let diagnostics = state.fb.last_diagnostics();
+        if let Some(d) = &diagnostics {
+            self.metrics.count_round(d);
+        }
         Response::Reranked {
             session,
             round: state.fb.rounds(),
             page,
-            converged,
+            converged: diagnostics.is_none_or(|d| d.converged),
         }
     }
 

@@ -19,7 +19,7 @@
 //! The [`MutexExt`] / [`RwLockExt`] extension traits centralize lock
 //! poisoning policy: a poisoned lock means some thread panicked mid-
 //! update, and for this workspace's state (idempotent flush tombstones,
-//! copy-on-write snapshots) the right response is to keep serving with
+//! versioned log snapshots) the right response is to keep serving with
 //! the data as-is rather than to cascade panics across request threads.
 
 /// Instrumented primitives (default backend).
