@@ -245,6 +245,63 @@ fn untimed_service_counts_requests_and_records_no_latency() {
     }
 }
 
+/// The work counters `work_counters_move_by_a_fixed_amount_per_request`
+/// pins, in the order of its table's columns.
+const WORK_COUNTERS: [&str; 9] = [
+    "shard_jobs_total",
+    "ann_distance_evals_total",
+    "smo_iterations_total",
+    "kernel_cache_hits_total",
+    "kernel_cache_misses_total",
+    "log_snapshots_total",
+    "log_appends_total",
+    "log_cow_clones_total",
+    "flushed_sessions_total",
+];
+
+/// The work budget: what each request kind makes the service *do*, as the
+/// change in its work counters — shard jobs, distance evaluations, SMO
+/// iterations, kernel-row cache traffic, log snapshots and writes, flushes.
+/// Unlike a wall-clock A/B these are exact on every machine. A change meant
+/// to cut work moves the literal it names; a refactor leaves every row as
+/// it stands.
+#[test]
+fn work_counters_move_by_a_fixed_amount_per_request() {
+    let svc = service(ServiceMetrics::disabled());
+    let read = |svc: &Service| {
+        let snapshot = svc.metrics_snapshot();
+        WORK_COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0))
+    };
+    let mut seen = read(&svc);
+    let mut per_kind: Vec<(&'static str, [u64; 9])> = Vec::new();
+    drive_session(&svc, |kind| {
+        let now = read(&svc);
+        per_kind.push((kind, std::array::from_fn(|i| now[i] - seen[i])));
+        seen = now;
+    });
+    // Eight marks, eight identical (empty) bills.
+    per_kind.dedup();
+
+    // Columns: shard jobs, distance evals, SMO iterations, cache hits,
+    // cache misses, log snapshots, log appends, COW clones, flushes.
+    assert_eq!(
+        per_kind,
+        [
+            // One search job on the one shard, scanning all 48 images.
+            ("open", [1, 48, 0, 0, 0, 0, 0, 0, 0]),
+            ("mark", [0; 9]),
+            // The coupled fit and its scoring run on the session thread
+            // against one log snapshot: no shard job, no index scan.
+            ("rerank", [0, 0, 430, 4860, 31, 1, 0, 0, 0]),
+            ("page", [0; 9]),
+            // One append into the log; no snapshot is held, so no copy.
+            ("close", [0, 0, 0, 0, 0, 0, 1, 0, 1]),
+            ("ping", [0; 9]),
+            ("metrics", [0; 9]),
+        ]
+    );
+}
+
 const WAL_DIR: &str = "/srv/feedback-wal";
 
 /// Opens a session, marks `marks` images of its first screen, closes it,
