@@ -77,31 +77,25 @@ impl QueryContext<'_> {
     }
 }
 
-/// A trained, immutable decision function over image ids — the unit of
-/// work a scatter-gather scoring plane distributes. Produced by
-/// [`RelevanceFeedback::fit_warm`]; owns its support vectors, so it is
-/// `'static` and can be shipped to shard workers behind an `Arc`.
+/// A trained, immutable decision function over image ids, produced by
+/// [`RelevanceFeedback::fit_warm`] and scored on the thread that fitted
+/// it. It owns its support vectors, so it outlives the round's borrows.
 ///
-/// **Partition invariance contract:** `score_ids` must be a pure per-id
-/// function — for any partition of `ids` into disjoint subsets, scoring
-/// the subsets and stitching the results back in order is bit-identical
-/// to scoring `ids` in one call. Every SVM scorer satisfies this even
-/// though it scores a whole block of ids at once: each kernel value in
-/// a [`lrf_svm::Kernel::block`] is the one `compute` gives for its pair
-/// (the log kernel's block of exact integer dots included), and
+/// A score depends only on the model and that id's row, though every SVM
+/// scorer scores a whole block of ids at once: each kernel value in a
+/// [`lrf_svm::Kernel::block`] is the one `compute` gives for its pair (the
+/// log kernel's block of exact integer dots included), and
 /// [`lrf_svm::SvmModel::decision_batch`] sums one id's values in
-/// support-vector order, so a score depends only on the model and that
-/// id's row (asserted bit-identical to the per-row `decision`, and to
-/// split calls for the summed scorer).
+/// support-vector order, 256 inputs per chunk. Tests assert that against
+/// the per-row `decision`, and against split calls for the summed scorer.
 pub trait PoolScorer: Send + Sync {
     /// Decision scores aligned with `ids`.
     fn score_ids(&self, db: &ImageDatabase, log: &LogStore, ids: &[usize]) -> Vec<f64>;
 }
 
-/// A shareable handle to a trained scorer — the currency of the
-/// scatter-gather scoring plane. A plain atomically-refcounted pointer
-/// (never a loom type: scorers cross real thread boundaries in
-/// production builds).
+/// A handle to a trained scorer. It is a std `Arc`, not a `Box`, only
+/// because the benchmark's adapter (`benchmark/src/sut.rs`) clones one;
+/// it becomes a plain value with that adapter (ROADMAP item 1).
 pub type ScorerRef = std::sync::Arc<dyn PoolScorer>;
 
 /// A relevance-feedback scheme: how one feedback round's decision
@@ -115,7 +109,7 @@ pub trait RelevanceFeedback {
     fn name(&self) -> &'static str;
 
     /// Trains the scheme's decision function for one round and returns it
-    /// as a shippable [`PoolScorer`], seeding the solver from `warm` and
+    /// as a [`PoolScorer`], seeding the solver from `warm` and
     /// depositing the new solution (and [`RoundDiagnostics`]) back; a
     /// fresh [`WarmState`] is the cold start. The `pool` is the candidate
     /// universe of the round — schemes whose training itself depends on
@@ -124,9 +118,7 @@ pub trait RelevanceFeedback {
     /// whole algorithm.
     ///
     /// `None` means the scheme has no trainable decision function
-    /// (Euclidean): the pool keeps its order. The train/score split is
-    /// what lets a serving coordinator train **once** and scatter the
-    /// scoring across shard workers.
+    /// (Euclidean): the pool keeps its order.
     fn fit_warm(
         &self,
         ctx: &QueryContext<'_>,

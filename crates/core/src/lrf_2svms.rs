@@ -158,8 +158,8 @@ mod tests {
         assert_eq!(Lrf2Svms::default().name(), "LRF-2SVMs");
     }
 
-    /// The `PoolScorer` partition-invariance contract: one call over the
-    /// ids is bit-identical to any split of them scored part by part and
+    /// A score depends only on the model and that id's row: one call over
+    /// the ids is bit-identical to any split of them scored part by part and
     /// stitched back in order — here 300 ids (repeats included, so the one
     /// call spans two kernel blocks) against cuts from single ids up.
     #[test]

@@ -85,10 +85,8 @@ impl LrfCsvm {
     /// over a candidate `universe` (the whole database, or an index's
     /// pool: selection only ever touches its members), producing the
     /// round's trained decision function plus diagnostics. The retrieval
-    /// step is deliberately *not* here: the returned scorer is
-    /// partition-invariant, so callers may score the universe locally or
-    /// scatter disjoint slices across shard workers and get bit-identical
-    /// results.
+    /// step is deliberately *not* here: the caller scores whichever ids
+    /// it ranks with the returned scorer.
     fn fit_on(&self, ctx: &QueryContext<'_>, universe: &[usize], warm: &mut WarmState) -> CsvmFit {
         let cfg = &self.config;
         let db = ctx.db;

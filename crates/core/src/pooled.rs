@@ -102,10 +102,8 @@ pub(crate) fn candidate_pool(mut pool: Vec<usize>, labeled: &[(usize, f64)]) -> 
 /// labeled image, for every scheme: there is nothing to fit yet, and the
 /// solver is never handed an empty training set.
 ///
-/// `score` decides *where* the decision values are computed — inline via
-/// [`crate::feedback::PoolScorer::score_ids`], or scattered across shard
-/// workers and stitched back in pool order; the scorer's
-/// partition-invariance contract makes the two bit-identical. Every
+/// `score` computes the decision values; every caller passes
+/// [`crate::feedback::PoolScorer::score_ids`] on its own thread. Every
 /// ranking entry ([`RelevanceFeedback::rank`], [`PooledRetrieval::rank`],
 /// [`crate::rounds::FeedbackLoop::rerank_scattered`]) is this function, so
 /// they cannot drift apart.

@@ -88,7 +88,7 @@ impl RelevanceFeedback for RfSvm {
 
 /// [`PoolScorer`] for the content-only scheme: one trained content model,
 /// scored per id over borrowed database rows. The model owns its support
-/// vectors, so the scorer is `'static` and shard-shippable.
+/// vectors, so the scorer outlives the round that fitted it.
 pub(crate) struct ContentScorer {
     pub(crate) model: SvmModel<[f64], RbfKernel>,
 }

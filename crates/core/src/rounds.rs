@@ -207,15 +207,12 @@ impl FeedbackLoop {
     /// warm-started later rounds within the solver tolerance).
     ///
     /// The scheme trains exactly once, here (via
-    /// [`RelevanceFeedback::fit_warm`]); the *scoring* step belongs to the
-    /// caller. `scatter` receives the trained
+    /// [`RelevanceFeedback::fit_warm`]). `scatter` receives the trained
     /// [`crate::feedback::PoolScorer`] plus the pool and returns decision
-    /// scores aligned with the pool — `scorer.score_ids(db, log, ids)`
-    /// inline, as the service does, or by slicing the pool across shard
-    /// workers and stitching their score vectors back in pool order. The
-    /// scorer's partition-invariance contract makes the stitched vector
-    /// bit-identical to scoring the pool in one call (the shard engine's
-    /// tests assert it).
+    /// scores aligned with the pool; every caller passes
+    /// `scorer.score_ids(db, log, ids)`, scored on its own thread. The
+    /// closure stays only because the benchmark's adapter times the
+    /// scoring through it; it goes with that adapter (ROADMAP item 1).
     ///
     /// Schemes with no trainable decision function (Euclidean) never call
     /// `scatter`; the pool keeps its order.

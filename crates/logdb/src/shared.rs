@@ -88,8 +88,8 @@ pub struct SharedLogStore {
 /// registry reports.
 #[derive(Clone, Debug)]
 pub struct LogStoreCounters {
-    /// `snapshot()` calls served (one per retrieval round, plus the
-    /// store's own reads).
+    /// `snapshot()` calls served: one per retrieval round. The store's
+    /// own reads (`n_sessions`, `n_images`) take none.
     pub snapshots: Arc<Counter>,
     /// Sessions appended to memory, durable or not.
     pub appends: Arc<Counter>,
@@ -241,13 +241,16 @@ impl SharedLogStore {
     }
 
     /// Number of recorded sessions (in the live store, not any snapshot).
+    /// Reads under the lock: it takes no snapshot, so it neither counts as
+    /// one nor makes a concurrent append copy the tail.
     pub fn n_sessions(&self) -> usize {
-        self.snapshot().n_sessions()
+        self.inner.read_recover().n_sessions()
     }
 
-    /// Number of images the store covers.
+    /// Number of images the store covers (read like
+    /// [`n_sessions`](Self::n_sessions)).
     pub fn n_images(&self) -> usize {
-        self.snapshot().n_images()
+        self.inner.read_recover().n_images()
     }
 
     /// Extracts the current store, consuming the wrapper (end of serving:
@@ -382,7 +385,9 @@ mod tests {
         shared.record(session(&[(1, true)])); // snapshot held: must copy
         assert_eq!((c.appends.get(), c.cow_clones.get()), (2, 1));
         drop(held);
-        assert!(c.snapshots.get() >= 1);
+        // Reading the live store's size takes no snapshot.
+        assert_eq!((shared.n_sessions(), shared.n_images()), (2, 4));
+        assert_eq!(c.snapshots.get(), 1);
         // The handles outlive the wrapper.
         drop(shared);
         assert_eq!(c.appends.get(), 2);

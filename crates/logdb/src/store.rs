@@ -121,6 +121,11 @@ impl LogStore {
     /// reports as a typed error), or if the store already holds 2³¹
     /// sessions.
     pub fn record(&mut self, session: LogSession) -> usize {
+        // lrf-lint: allow(service-panic): a service records only
+        // `FeedbackLoop::to_log_session`s, whose ids `mark` checked against
+        // the database (which `Service::build` asserts this store covers)
+        // and for duplicates, and `LogSession::new` sorted. Other callers
+        // keep the documented `# Panics`.
         self.try_record(session).unwrap_or_else(|e| panic!("{e}"))
     }
 

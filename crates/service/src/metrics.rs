@@ -52,7 +52,8 @@ pub mod names {
     pub const KERNEL_CACHE_MISSES: &str = "kernel_cache_misses_total";
     /// Index distance evaluations across all index queries.
     pub const ANN_DISTANCE_EVALS: &str = "ann_distance_evals_total";
-    /// Log-store snapshots taken (adopted from the shared store).
+    /// Log-store snapshots taken, one per retrieval round (adopted from
+    /// the shared store; its size reads take none).
     pub const LOG_SNAPSHOTS: &str = "log_snapshots_total";
     /// Log-store session appends (adopted from the shared store).
     pub const LOG_APPENDS: &str = "log_appends_total";
@@ -91,8 +92,8 @@ pub mod names {
     /// Jobs submitted to shard workers but not yet completed (fan-out
     /// depth across all shards).
     pub const SHARD_QUEUE_DEPTH: &str = "shard_queue_depth";
-    /// Jobs dispatched to shard workers (the service's searches, plus any
-    /// direct [`crate::ShardedEngine::scatter_scores`] call).
+    /// Search jobs dispatched to shard workers: one per shard for every
+    /// index search (an `Open`, or a `Page` past the pool).
     pub const SHARD_JOBS: &str = "shard_jobs_total";
     /// TCP connections the network listener accepted.
     pub const NET_CONNECTIONS: &str = "net_connections_total";
@@ -105,11 +106,6 @@ pub mod names {
     /// Per-shard search-stage latency histogram name (`shard{i}_search_ns`).
     pub(crate) fn shard_search_ns(shard: usize) -> String {
         format!("shard{shard}_search_ns")
-    }
-
-    /// Per-shard scoring-stage latency histogram name (`shard{i}_score_ns`).
-    pub(crate) fn shard_score_ns(shard: usize) -> String {
-        format!("shard{shard}_score_ns")
     }
 }
 

@@ -236,7 +236,6 @@ fn untimed_service_counts_requests_and_records_no_latency() {
         "stage_scoring_ns",
         "stage_flush_ns",
         "shard0_search_ns",
-        "shard0_score_ns",
     ] {
         assert!(names.contains(&expected), "{expected} missing: {names:?}");
     }

@@ -5,11 +5,13 @@
 //!
 //! * **service-panic** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in `lrf-service` library
-//!   code or in the `lrf-core` files a request runs through (rounds,
-//!   pooled re-rank, the schemes, the coupled trainer, the log kernels):
-//!   everything reachable from the request path must produce typed
-//!   `ServiceError`s, not poison locks and dead pool workers. (Constructor
-//!   `assert!`s are startup validation and stay allowed.)
+//!   code or in the code a request runs through beyond it: the `lrf-core`
+//!   files (rounds, pooled re-rank, the schemes, the coupled trainer, the
+//!   log kernels), `lrf-svm`'s solver, `lrf-index`'s scans and
+//!   `lrf-logdb`'s log store. Everything reachable from the request path
+//!   must produce typed `ServiceError`s, not poison locks and dead pool
+//!   workers. (Constructor `assert!`s are startup validation and stay
+//!   allowed.)
 //! * **std-sync** — no direct `std::sync` in facade-covered crates
 //!   (`lrf-service`, `lrf-logdb`): synchronization goes through
 //!   `lrf-sync`, so the model checker sees every lock the service takes.
@@ -528,9 +530,10 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
         ),
         // The request path does not end at the crate boundary: a rerank
         // runs the round, the pooled re-rank, a scheme's fit and its
-        // kernels in `lrf-core`, every solve in `lrf-svm`'s row store and
-        // every shard scan through `lrf-index`'s top-k, and a panic there
-        // kills the same worker.
+        // kernels in `lrf-core`, every solve in `lrf-svm`'s row store,
+        // every shard scan through `lrf-index`'s top-k, and every log
+        // vector it reads and every session a close records through
+        // `lrf-logdb`; a panic there kills the same worker.
         (
             vec![
                 "crates/core/src/rounds.rs",
@@ -544,6 +547,7 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
                 "crates/core/src/euclidean.rs",
                 "crates/svm/src",
                 "crates/index/src",
+                "crates/logdb/src",
             ],
             vec!["service-panic"],
         ),
@@ -899,6 +903,7 @@ fn origin() -> std::time::Instant {
             "crates/core/src/coupled.rs",
             "crates/svm/src/cache.rs",
             "crates/index/src/lib.rs",
+            "crates/logdb/src/shared.rs",
         ] {
             let rules = rules_for(Path::new(file));
             // Still under the crate-wide rules, and now panic-checked too.
