@@ -301,6 +301,74 @@ mod tests {
         assert!(matches!(err, PersistError::Io(_)));
     }
 
+    /// The snapshot envelope as one whole-store tree would serialize it.
+    #[derive(serde::Serialize)]
+    struct TreeEnvelope<S> {
+        version: u32,
+        store: TreeStore<S>,
+    }
+
+    #[derive(serde::Serialize)]
+    struct TreeStore<S> {
+        n_images: usize,
+        sessions: S,
+    }
+
+    /// `to_json(store)` is byte for byte the tree's serialization, and
+    /// decodes back to `store`.
+    fn assert_writes_the_tree(store: &LogStore) {
+        let tree = serde_json::to_vec(&TreeEnvelope {
+            version: FORMAT_VERSION,
+            store: TreeStore {
+                n_images: store.n_images(),
+                sessions: store.sessions().collect::<Vec<_>>(),
+            },
+        })
+        .unwrap();
+        let bytes = to_json(store).unwrap();
+        assert_eq!(
+            String::from_utf8(bytes.clone()).unwrap(),
+            String::from_utf8(tree).unwrap()
+        );
+        assert_eq!(&decode(&bytes, store.n_images()).unwrap(), store);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Records, snapshots taken and snapshots dropped in any order,
+        /// so that tails cross `TAIL_CAP` and stores that share a base
+        /// with a held snapshot get written: every store written, the
+        /// empty one first, is the tree's bytes.
+        #[test]
+        fn snapshot_bytes_equal_the_whole_store_tree(
+            ops in proptest::collection::vec(proptest::collection::vec(0u8..4, 9), 0..300),
+        ) {
+            let mut live = LogStore::new(8);
+            assert_writes_the_tree(&live);
+            let mut held: Vec<LogStore> = Vec::new();
+            for op in ops {
+                // op[0]: 0 takes a snapshot, 1 writes and drops one, else
+                // records; op[1..]: per image, 2 relevant, 3 irrelevant,
+                // else unjudged.
+                match op[0] {
+                    0 => held.push(live.clone()),
+                    1 if !held.is_empty() => {
+                        assert_writes_the_tree(&held.swap_remove(op[1] as usize % held.len()));
+                    }
+                    _ => {
+                        let judged = op[1..].iter().enumerate().filter(|(_, &m)| m > 1);
+                        live.record(LogSession::new(
+                            judged.map(|(i, &m)| (i, Relevance::from_bool(m == 2))).collect(),
+                        ));
+                    }
+                }
+            }
+            held.iter().for_each(assert_writes_the_tree);
+            assert_writes_the_tree(&live);
+        }
+    }
+
     #[test]
     fn crash_mid_save_preserves_previous_snapshot() {
         use lrf_storage::{FaultIo, FaultPlan};
