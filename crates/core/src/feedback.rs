@@ -95,7 +95,8 @@ pub trait PoolScorer: Send + Sync {
 
 /// A handle to a trained scorer. It is a std `Arc`, not a `Box`, only
 /// because the benchmark's adapter (`benchmark/src/sut.rs`) clones one;
-/// it becomes a plain value with that adapter (ROADMAP item 1).
+/// it becomes a plain value when that adapter goes (ROADMAP items 5
+/// and 6).
 pub type ScorerRef = std::sync::Arc<dyn PoolScorer>;
 
 /// A relevance-feedback scheme: how one feedback round's decision

@@ -212,7 +212,7 @@ impl FeedbackLoop {
     /// scores aligned with the pool; every caller passes
     /// `scorer.score_ids(db, log, ids)`, scored on its own thread. The
     /// closure stays only because the benchmark's adapter times the
-    /// scoring through it; it goes with that adapter (ROADMAP item 1).
+    /// scoring through it; it goes with that adapter (ROADMAP items 5 and 6).
     ///
     /// Schemes with no trainable decision function (Euclidean) never call
     /// `scatter`; the pool keeps its order.

@@ -26,10 +26,6 @@
 //!   collection** (150 sessions gathered from real users): simulated users
 //!   judge the top-20 of a content-based ranking by ground-truth category
 //!   with an injectable mislabel (noise) probability.
-//! * [`persist`] — JSON round-tripping of the store (a real deployment
-//!   keeps its log database on disk), crash-safe via atomic temp+fsync+
-//!   rename publication. A snapshot holds `R` once, as `n_images` and the
-//!   sessions; loading rebuilds the columns.
 //! * [`SharedLogStore`] — the one store a service owns: snapshot reads +
 //!   `&self` appends (a new version copies a tail, never the log), so a
 //!   serving plane can flush completed sessions without stalling queries
@@ -38,10 +34,13 @@
 //!   acknowledged feedback survives a crash without whole-store rewrites:
 //!   WAL-first recording, in-memory recording counted as unsynced while
 //!   storage fails, and compaction as the one repair — every writer
-//!   behind one lock.
+//!   behind one lock. That directory is the log's one on-disk form. Its
+//!   snapshot holds `R` once, as versioned JSON of `n_images` and the
+//!   sessions, written one session at a time; recovery rebuilds the
+//!   columns, and every on-disk failure is a [`WalError`].
 
 mod durable;
-pub mod persist;
+mod persist;
 mod session;
 mod shared;
 mod simulate;
@@ -50,8 +49,8 @@ mod store;
 mod wal;
 
 /// [`SharedLogStore`]'s former name for a WAL-backed store. The same type;
-/// it stays while `benchmark/` still names it, and goes when the benchmark
-/// reaches the repo through a single adapter (ROADMAP item 1).
+/// it stays while `benchmark/` still names it, and goes with the other
+/// names only the benchmark spells (ROADMAP items 5 and 6).
 pub type DurableLogStore = SharedLogStore;
 pub use session::{LogSession, Relevance};
 pub use shared::{LogStoreCounters, SharedLogStore};

@@ -1,23 +1,21 @@
 //! The judgment WAL's format: crash-safe incremental persistence for the
 //! log store.
 //!
-//! [`crate::persist`] snapshots the whole store; fine at shutdown, wrong
-//! for a live service where every flushed session must survive a crash
-//! without rewriting megabytes of JSON. A [`crate::SharedLogStore`] opened
-//! over a directory owns an [`lrf_storage::Wal`] and writes the log's
-//! semantics onto it:
+//! A [`crate::SharedLogStore`] opened over a directory owns an
+//! [`lrf_storage::Wal`] and writes the log's semantics onto it. That
+//! directory is the log's one on-disk form:
 //!
 //! * each **record** is one [`LogSession`], JSON-encoded ([`encode`]),
 //!   CRC-framed and fsynced by the storage layer before the append returns;
-//! * each **snapshot** is the existing [`crate::persist`] envelope (same
-//!   versioned JSON format `save`/`load` use — a compacted WAL directory
-//!   holds a file any existing tooling can read);
-//! * **recovery** ([`recover`]) rebuilds the [`LogStore`] by loading the
+//! * each **snapshot**, written by compaction, is the store in
+//!   [`crate::persist`]'s versioned JSON envelope, each session in it
+//!   encoded as its record is;
+//! * **recovery** ([`recover`]) rebuilds the [`LogStore`] by decoding the
 //!   snapshot and replaying intact sessions. Snapshot sessions and replayed
 //!   records enter through the same check, [`LogStore::try_record`]: image
 //!   ids strictly ascending and inside the database. A corrupt-but-CRC-valid
 //!   record surfaces as a typed [`WalError::Replay`] (a snapshot's as
-//!   [`WalError::Persist`]), not as a panic or a column that disagrees
+//!   [`WalError::Format`]), not as a panic or a column that disagrees
 //!   with its session.
 
 use std::io;
@@ -26,7 +24,7 @@ use std::path::Path;
 use lrf_storage::wal::{Wal, WalOptions};
 use lrf_storage::IoRef;
 
-use crate::persist::{self, PersistError};
+use crate::persist;
 use crate::session::LogSession;
 use crate::store::LogStore;
 
@@ -35,8 +33,14 @@ use crate::store::LogStore;
 pub enum WalError {
     /// Underlying storage failure (the append/compact did not happen).
     Io(io::Error),
-    /// The compaction snapshot could not be encoded or decoded.
-    Persist(PersistError),
+    /// The bytes do not describe a log store over this database: a
+    /// snapshot that does not parse, has an unsupported version or does
+    /// not fit the image count, a session that does not encode, or a
+    /// store opened over no images.
+    Format {
+        /// What was wrong.
+        reason: String,
+    },
     /// A recovered record is intact per its checksum but semantically
     /// invalid for this store.
     Replay {
@@ -51,7 +55,7 @@ impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Io(e) => write!(f, "judgment wal I/O error: {e}"),
-            WalError::Persist(e) => write!(f, "judgment wal snapshot error: {e}"),
+            WalError::Format { reason } => write!(f, "judgment wal format error: {reason}"),
             WalError::Replay { record, reason } => {
                 write!(f, "judgment wal replay error at record {record}: {reason}")
             }
@@ -63,8 +67,7 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io(e) => Some(e),
-            WalError::Persist(e) => Some(e),
-            WalError::Replay { .. } => None,
+            WalError::Format { .. } | WalError::Replay { .. } => None,
         }
     }
 }
@@ -72,12 +75,6 @@ impl std::error::Error for WalError {
 impl From<io::Error> for WalError {
     fn from(e: io::Error) -> Self {
         WalError::Io(e)
-    }
-}
-
-impl From<PersistError> for WalError {
-    fn from(e: PersistError) -> Self {
-        WalError::Persist(e)
     }
 }
 
@@ -114,8 +111,7 @@ pub(crate) fn recover(
     opts: WalOptions,
 ) -> Result<(Wal, LogStore, bool, DurableRecovery), WalError> {
     if n_images == 0 {
-        return Err(WalError::Replay {
-            record: 0,
+        return Err(WalError::Format {
             reason: "log store requires at least one image".into(),
         });
     }
@@ -149,9 +145,11 @@ pub(crate) fn recover(
     Ok((wal, store, had_snapshot, report))
 }
 
-/// One session as a WAL record payload.
+/// One session as a WAL record payload, and as a snapshot writes it.
 pub(crate) fn encode(session: &LogSession) -> Result<Vec<u8>, WalError> {
-    Ok(serde_json::to_vec(session).map_err(PersistError::Format)?)
+    serde_json::to_vec(session).map_err(|e| WalError::Format {
+        reason: format!("session does not encode: {e}"),
+    })
 }
 
 #[cfg(test)]
@@ -159,7 +157,7 @@ mod tests {
     use super::*;
     use crate::session::Relevance;
     use crate::SharedLogStore;
-    use lrf_storage::{FaultIo, FaultKind, FaultPlan, MemIo};
+    use lrf_storage::{FaultIo, FaultKind, FaultPlan, MemIo, StorageIo};
 
     fn session(pairs: &[(usize, bool)]) -> LogSession {
         LogSession::new(
@@ -208,10 +206,10 @@ mod tests {
         drop(db);
         mem.crash();
 
-        // The compacted snapshot is readable by plain persist::load_with —
-        // the on-disk contract the module docs promise.
+        // The compacted snapshot decodes by itself through
+        // persist::decode: the on-disk contract the module docs promise.
         let snap_path = dir().join("snapshot-000001.json");
-        let from_snapshot = crate::persist::load_with(mem.as_ref(), &snap_path, 8).unwrap();
+        let from_snapshot = persist::decode(&mem.read(&snap_path).unwrap(), 8).unwrap();
         assert_eq!(from_snapshot.n_sessions(), 1);
 
         let (_, store, had_snapshot, rec) =
@@ -281,10 +279,46 @@ mod tests {
     }
 
     #[test]
+    fn crash_mid_compaction_recovers_the_pre_compaction_store() {
+        // A snapshot, a session past it in the WAL, then a compaction over
+        // storage that crashes at each of the compaction's ops in turn:
+        // write the temp snapshot, sync it, rename it (the commit point),
+        // then the cleanup's list and removes.
+        let setup = |plan: FaultPlan| {
+            let mem = MemIo::handle();
+            let faulty = FaultIo::handle(mem.clone(), plan);
+            let db = open(faulty.clone(), 8);
+            db.record_durable(session(&[(0, true), (3, false)]))
+                .unwrap();
+            db.compact().unwrap();
+            db.record_durable(session(&[(3, true), (7, true)])).unwrap();
+            (mem, faulty, db)
+        };
+        let (_, faulty, db) = setup(FaultPlan::new());
+        let start = faulty.ops();
+        db.compact().unwrap();
+        let compact_ops = faulty.ops() - start;
+        assert!(compact_ops > 3, "cleanup follows the commit point");
+
+        for op in 0..compact_ops {
+            let (mem, _, db) = setup(FaultPlan::new().with_crash_at(start + op));
+            let before = db.snapshot();
+            assert_eq!(db.compact().is_ok(), op >= 3, "crash at op {op}");
+            drop(db);
+            mem.crash();
+            assert_eq!(
+                open(mem, 8).snapshot(),
+                before,
+                "crash at compaction op {op} must recover the store it compacted"
+            );
+        }
+    }
+
+    #[test]
     fn zero_images_is_a_typed_error() {
         let mem = MemIo::handle();
         let err = SharedLogStore::open(mem, dir(), 0, WalOptions::default()).unwrap_err();
-        assert!(matches!(err, WalError::Replay { .. }));
+        assert!(matches!(err, WalError::Format { .. }), "got: {err}");
     }
 
     /// A fresh WAL directory holding `snapshot` as its compaction snapshot
@@ -320,10 +354,7 @@ mod tests {
         let snapshot = v1_snapshot(r#"[{"judgments":[[9,"Relevant"]]}]"#, NO_COLUMNS);
         let io = raw_disk(Some(&snapshot), &[]);
         let err = SharedLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
-        assert!(
-            matches!(err, WalError::Persist(PersistError::Format(_))),
-            "got: {err}"
-        );
+        assert!(matches!(err, WalError::Format { .. }), "got: {err}");
         assert!(err
             .to_string()
             .contains("session 0: image id 9 out of range"));

@@ -198,8 +198,8 @@ impl Service {
     /// `index` is checked against `db` — it must cover every image at the
     /// database's dimension — and then dropped: the service searches
     /// through its engine like every other. The parameter stays only
-    /// because `benchmark/` passes one; it goes when the benchmark reaches
-    /// the service through a single adapter (ROADMAP item 1).
+    /// because `benchmark/` passes one; it goes when the benchmark stops
+    /// replaying the service through its adapter (ROADMAP items 5 and 6).
     ///
     /// # Panics
     /// As [`Service::new`], and if `index` does not cover `db` or its

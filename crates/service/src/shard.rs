@@ -157,7 +157,7 @@ impl ShardedEngine {
 
     /// `scorer.score_ids(db, log, pool)` on the caller's thread. Kept only
     /// for the benchmark's adapter (`benchmark/src/sut.rs`), which still
-    /// names it; it goes with that adapter (ROADMAP item 1).
+    /// names it; it goes with that adapter (ROADMAP items 5 and 6).
     pub fn scatter_scores(&self, scorer: &ScorerRef, log: &LogStore, pool: &[usize]) -> Vec<f64> {
         scorer.score_ids(&self.db, log, pool)
     }

@@ -1,5 +1,5 @@
 //! Feedback-log collection walkthrough: the relevance matrix of §2, its
-//! sparsity structure, and persistence.
+//! sparsity structure, and persistence through the log's WAL directory.
 //!
 //! ```sh
 //! cargo run --release --example log_collection
@@ -7,8 +7,8 @@
 
 use corelog::cbir::{collect_log, CorelDataset, CorelSpec};
 use corelog::core::{collect_feedback_log, LrfConfig};
-use corelog::logdb::persist;
-use lrf_logdb::{LogStore, SimulationConfig};
+use corelog::storage::{StdIo, WalOptions};
+use lrf_logdb::{LogStore, SharedLogStore, SimulationConfig};
 
 fn describe(label: &str, log: &LogStore, categories: &[usize]) {
     println!("\n== {label} ==");
@@ -77,16 +77,21 @@ fn main() {
         ds.db.categories(),
     );
 
-    // Persistence: the log database outlives the process.
+    // Persistence: the log database outlives the process. Its WAL
+    // directory is the one on-disk form: seeding an empty one writes the
+    // log as its snapshot, and opening it again recovers the log. A seed
+    // never overwrites what a directory already holds, so start empty.
     let dir = std::path::Path::new("target/log_collection");
-    std::fs::create_dir_all(dir).expect("create output dir");
-    let path = dir.join("feedback_log.json");
-    persist::save(&refined, &path).expect("save log store");
-    let reloaded = persist::load(&path, ds.db.len()).expect("load log store");
-    assert_eq!(reloaded, refined);
+    let _ = std::fs::remove_dir_all(dir);
+    SharedLogStore::open_with_seed(StdIo::handle(), dir, refined.clone(), WalOptions::default())
+        .expect("seed the log's WAL directory");
+    let (reopened, recovery) =
+        SharedLogStore::open(StdIo::handle(), dir, ds.db.len(), WalOptions::default())
+            .expect("reopen the log's WAL directory");
+    assert_eq!(*reopened.snapshot(), refined);
     println!(
-        "\nlog store round-tripped through {} ({} bytes)",
-        path.display(),
-        std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0)
+        "\nlog store round-tripped through {} ({} sessions recovered)",
+        dir.display(),
+        recovery.recovered_sessions
     );
 }

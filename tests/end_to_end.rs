@@ -6,7 +6,8 @@ use corelog::core::{
     collect_feedback_log, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm,
     SchemeKind,
 };
-use lrf_logdb::SimulationConfig;
+use corelog::storage::{StdIo, WalOptions};
+use lrf_logdb::{SharedLogStore, SimulationConfig};
 
 fn build() -> (CorelDataset, lrf_logdb::LogStore, LrfConfig) {
     let ds = CorelDataset::build(CorelSpec {
@@ -127,14 +128,20 @@ fn full_stack_is_deterministic_across_rebuilds() {
 
 #[test]
 fn log_store_persistence_round_trips_through_disk() {
+    // The log's WAL directory is its on-disk form: an empty one seeded
+    // with the log holds it as a snapshot, and reopening recovers it.
     let (ds, log, _lrf) = build();
     let dir = std::env::temp_dir().join("corelog_e2e_persist");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("log.json");
-    corelog::logdb::persist::save(&log, &path).unwrap();
-    let back = corelog::logdb::persist::load(&path, ds.db.len()).unwrap();
-    assert_eq!(log, back);
-    std::fs::remove_file(&path).ok();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_, seeded) =
+        SharedLogStore::open_with_seed(StdIo::handle(), &dir, log.clone(), WalOptions::default())
+            .unwrap();
+    assert!(seeded.seeded);
+    let (back, recovery) =
+        SharedLogStore::open(StdIo::handle(), &dir, ds.db.len(), WalOptions::default()).unwrap();
+    assert_eq!(recovery.recovered_sessions, log.n_sessions() as u64);
+    assert_eq!(*back.snapshot(), log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
