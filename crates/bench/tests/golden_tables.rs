@@ -72,17 +72,17 @@ const TABLE: [(&str, [f64; 9], f64); 4] = [
     (
         "LRF-CSVM",
         [
-            0.525,
-            0.4333333333333334,
+            0.53,
+            0.44000000000000006,
             0.375,
-            0.346,
-            0.31833333333333336,
+            0.354,
+            0.32166666666666666,
             0.3057142857142857,
-            0.275,
-            0.2633333333333333,
-            0.24299999999999997,
+            0.27875,
+            0.2644444444444444,
+            0.24699999999999997,
         ],
-        0.34274603174603174,
+        0.3462861552028219,
     ),
 ];
 

@@ -37,9 +37,9 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
             ),
             (
                 "LRF-CSVM",
-                0.6577500000000001,
-                0.2192499999999999,
-                0.3636824074074074,
+                0.6867500000000001,
+                0.22929999999999992,
+                0.38014012345679016,
             ),
         ],
         [
@@ -51,7 +51,7 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
             ),
             ("RF-SVM", 0.5554999999999999, 0.166, 0.2870158289241622),
             ("LRF-2SVMs", 0.5664999999999999, 0.1661, 0.2899714065255732),
-            ("LRF-CSVM", 0.56175, 0.1667, 0.2888937610229277),
+            ("LRF-CSVM", 0.5699999999999998, 0.16765, 0.2920673059964726),
         ],
     ),
     (
@@ -60,7 +60,7 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
             ("Euclidean", 0.4927499999999999, 0.19225, 0.2877925264550265),
             ("RF-SVM", 0.6140000000000001, 0.22055, 0.3441269400352734),
             ("LRF-2SVMs", 0.6367499999999999, 0.2125, 0.3466915123456789),
-            ("LRF-CSVM", 0.6317499999999999, 0.21075, 0.34503472222222226),
+            ("LRF-CSVM", 0.6655, 0.22324999999999992, 0.36437385361552027),
         ],
         [
             (
@@ -76,7 +76,7 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
                 0.16589999999999996,
                 0.28433287037037047,
             ),
-            ("LRF-CSVM", 0.543, 0.16449999999999995, 0.28322826278659613),
+            ("LRF-CSVM", 0.55875, 0.17464999999999997, 0.2965008597883598),
         ],
     ),
     (
@@ -92,9 +92,9 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
             ("LRF-2SVMs", 0.7115, 0.24065000000000006, 0.3991912037037037),
             (
                 "LRF-CSVM",
-                0.7022499999999999,
-                0.23695000000000005,
-                0.3925064594356262,
+                0.7452500000000001,
+                0.24875000000000003,
+                0.4163454585537919,
             ),
         ],
         [
@@ -111,12 +111,7 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
                 0.16765,
                 0.27666818783068786,
             ),
-            (
-                "LRF-CSVM",
-                0.5060000000000001,
-                0.16810000000000003,
-                0.2755888007054674,
-            ),
+            ("LRF-CSVM", 0.51475, 0.1693, 0.2781338844797177),
         ],
     ),
     (
@@ -135,12 +130,7 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
                 0.21805000000000002,
                 0.36138392857142854,
             ),
-            (
-                "LRF-CSVM",
-                0.65125,
-                0.21560000000000007,
-                0.35664343033509704,
-            ),
+            ("LRF-CSVM", 0.667, 0.22180000000000008, 0.3660381613756614),
         ],
         [
             (
@@ -151,7 +141,7 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
             ),
             ("RF-SVM", 0.4905, 0.14885000000000004, 0.25743128306878305),
             ("LRF-2SVMs", 0.5015, 0.15259999999999999, 0.2649023589065256),
-            ("LRF-CSVM", 0.5025, 0.15100000000000002, 0.26353860229276893),
+            ("LRF-CSVM", 0.5057499999999999, 0.15395, 0.2666745590828924),
         ],
     ),
 ];
@@ -185,6 +175,19 @@ fn check(seed: u64) {
         matches(&got1, table1) && matches(&got2, table2),
         "seed {seed} moved; observed:\n({seed}, {got1:?}, {got2:?}),"
     );
+    // The paper's claim: the log helps (LRF-2SVMs over RF-SVM), and the
+    // coupled machine's unlabeled pool helps beyond that. The rows run
+    // Euclidean, RF-SVM, LRF-2SVMs, LRF-CSVM, so each column must rise.
+    for (table, got) in [("Table 1", &got1), ("Table 2", &got2)] {
+        let p20: Vec<f64> = got.iter().map(|r| r.1).collect();
+        let map: Vec<f64> = got.iter().map(|r| r.3).collect();
+        for (metric, column) in [("P@20", p20), ("MAP", map)] {
+            assert!(
+                column.windows(2).all(|w| w[0] <= w[1]),
+                "{table} {metric} at seed {seed} is out of the paper's order: {column:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -19,23 +19,22 @@ pub struct CoupledConfig {
     /// Final unlabeled regularization weight `ρ` (unlabeled points receive
     /// `ρ*·C` during annealing, capped at `ρ·C`). The paper increases ρ*
     /// "until it achieves a setting threshold" without reporting it. The
-    /// default 0.05 is calibrated: pseudo-label precision on this corpus is
-    /// ≈ 0.5 (the `tune_csvm` example in `lrf-bench` prints it), so larger
-    /// ρ lets wrong pseudo-positives poison the boundary — the ρ ablation
-    /// bench shows the collapse.
+    /// default 0.05 was calibrated when the label correction was Fig. 1's
+    /// literal rule, under which larger ρ let wrong pseudo-positives poison
+    /// the boundary. Under the pair switch the result is flat in ρ: the ρ
+    /// ablation (`reproduce ablate-rho`) reads P@20 0.589–0.602 from
+    /// ρ = 0.001 to 2, against 0.601 at the default.
     pub rho: f64,
     /// Starting value of the annealed `ρ*` (Fig. 1: `ρ* = 10⁻⁴`).
     pub rho_init: f64,
-    /// Label-correction gate `Δ`: flip `y'_i` when `ξ'_i > 0 ∧ η'_i > 0 ∧
-    /// ξ'_i + η'_i > Δ`. At `Δ = 2` only points misclassified beyond the
-    /// margin by *both* modalities flip; the calibrated default 0.5 flips
-    /// more aggressively, demoting doubtful pseudo-positives (marginally
-    /// better on this corpus; swept by the Δ ablation).
+    /// Label-correction gate `Δ`: `y'_i` is a switch candidate when
+    /// `ξ'_i > 0 ∧ η'_i > 0 ∧ ξ'_i + η'_i > Δ` (Fig. 1's rule), and is
+    /// flipped only in a pair switch that lowers Eq. 1's objective. That
+    /// descent test binds before the gate does: with slacks below 2, a flip
+    /// lowers the objective only when `C_w·ξ'_i + C_u·η'_i > C_w + C_u`, so
+    /// Δ ∈ {0.5, 1, 2, 3} gives identical results on this corpus
+    /// (`reproduce ablate-delta`). Default 0.5.
     pub delta: f64,
-    /// Cap on label-correction rounds per ρ* step. Fig. 1's inner loop has
-    /// no termination proof (flips can oscillate); the cap guarantees
-    /// bounded retrieval latency and is surfaced in [`crate::TrainReport`].
-    pub max_correction_rounds: usize,
     /// Inner QP solver parameters.
     pub smo: SmoParams,
 }
@@ -48,7 +47,6 @@ impl Default for CoupledConfig {
             rho: 0.05,
             rho_init: 1e-4,
             delta: 0.5,
-            max_correction_rounds: 10,
             smo: SmoParams::default(),
         }
     }

@@ -14,9 +14,16 @@
 //! two independent soft-margin SVM QPs whose only nonstandard feature is
 //! the per-sample bound (`C` labeled / `ρ*C` unlabeled) — solved by
 //! `lrf-svm`. With the models fixed, the optimal `Y'` minimizes
-//! `Σ_j C_w·hinge(y'_j, f_w) + C_u·hinge(y'_j, f_u)`, an integer program
-//! the paper approximates by flipping exactly the labels both machines
-//! reject: `ξ'_j > 0 ∧ η'_j > 0 ∧ ξ'_j + η'_j > Δ`.
+//! `Σ_j C_w·hinge(y'_j, f_w) + C_u·hinge(y'_j, f_u)`, an integer program.
+//! Fig. 1 approximates it by flipping every label both machines reject,
+//! `ξ'_j > 0 ∧ η'_j > 0 ∧ ξ'_j + η'_j > Δ`; taken literally that also
+//! flips labels whose flip *raises* the sum, and the next round flips them
+//! back. Here that gate only nominates candidates. They are switched in
+//! pairs, one positive and one negative, and only while the pair lowers
+//! the sum — the switch of Joachims' transductive SVM, which the paper
+//! cites for its `ρ*` schedule. Every switch lowers Eq. 1's objective, no
+//! retrain raises it, and the pool's class count never changes, so the
+//! correction loop ends without a cap.
 //!
 //! **Annealing.** `ρ*` starts at `10⁻⁴` so unlabeled points cannot dominate
 //! early, and doubles per outer round up to `ρ` — "similar to the approach
@@ -38,8 +45,8 @@
 //!
 //! **Duals, one machine per view.** A retrain keeps only its
 //! [`lrf_svm::Dual`]: the next solve's seed and the slacks need nothing
-//! else. The anneal's hundred-odd solves therefore clone no sample; each
-//! view's final dual becomes its machine once, at the end
+//! else. The anneal's solves therefore clone no sample; each view's final
+//! dual becomes its machine once, at the end
 //! ([`lrf_svm::KernelCache::machine`]). Each view's solve after its first
 //! is seeded with its previous dual, which the solver clips to the new
 //! bounds and repairs to feasibility; the annealing schedule's retrains
@@ -54,7 +61,7 @@ use crate::feedback::RoundDiagnostics;
 use lrf_svm::{Dual, Kernel, KernelCache, SvmError, TrainedSvm};
 
 /// Diagnostics of one coupled training run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrainReport {
     /// Number of ρ* annealing steps executed (including the final pass at
     /// `ρ* = ρ`).
@@ -63,8 +70,6 @@ pub struct TrainReport {
     pub retrains: usize,
     /// Total pseudo-label flips performed by the correction loop.
     pub flips: usize,
-    /// Whether any correction loop hit its round cap (possible oscillation).
-    pub correction_capped: bool,
     /// Final pseudo-labels of the unlabeled pool.
     pub final_labels: Vec<f64>,
 }
@@ -141,13 +146,7 @@ where
         cfg,
         warm,
         solves: RoundDiagnostics::all_converged(),
-        report: TrainReport {
-            rho_steps: 0,
-            retrains: 0,
-            flips: 0,
-            correction_capped: false,
-            final_labels: Vec::new(),
-        },
+        report: TrainReport::default(),
     };
     run.anneal()?;
     let content = run.content.into_machine(&run.labels);
@@ -289,34 +288,62 @@ where
         Ok(())
     }
 
-    /// One `ρ*` step: train, then Fig. 1's inner correction loop — while
-    /// any unlabeled point has positive slack on *both* views exceeding
-    /// `Δ` in sum, flip those pseudo-labels and retrain.
+    /// One `ρ*` step: train, then [`correct`](Self::correct) until no
+    /// switch pair qualifies. Each round lowers Eq. 1's objective (the
+    /// switch at fixed models, then the retrain), so the loop ends by
+    /// itself. The guard of `N'/2 + 1` rounds is there only because warm
+    /// solves are exact within the KKT tolerance; a step that uses every
+    /// round marks the run not converged.
     fn step(&mut self, rho_star: f64) -> Result<(), SvmError> {
         self.retrain(rho_star)?;
-        for round in 0.. {
-            if round >= self.cfg.max_correction_rounds {
-                self.report.correction_capped = true;
-                break;
-            }
-            let xi = self.content.slacks(&self.labels, self.n_labeled);
-            let eta = self.log.slacks(&self.labels, self.n_labeled);
-            let mut flipped_any = false;
-            let y_prime = &mut self.labels[self.n_labeled..];
-            for (j, label) in y_prime.iter_mut().enumerate() {
-                if xi[j] > 0.0 && eta[j] > 0.0 && xi[j] + eta[j] > self.cfg.delta {
-                    *label = -*label;
-                    self.report.flips += 1;
-                    flipped_any = true;
-                }
-            }
-            if !flipped_any {
-                break;
-            }
-            self.retrain(rho_star)?;
+        let guard = (self.labels.len() - self.n_labeled) / 2 + 1;
+        let mut rounds = 0;
+        while rounds < guard && self.correct(rho_star)? {
+            rounds += 1;
         }
+        self.solves.converged &= rounds < guard;
         self.report.rho_steps += 1;
         Ok(())
+    }
+
+    /// One correction round: Fig. 1's gate, `ξ'_j > 0 ∧ η'_j > 0 ∧
+    /// ξ'_j + η'_j > Δ` on the current duals' pool slacks, then Joachims'
+    /// transductive-SVM switch over what passes it, then a retrain if any
+    /// pair switched. Returns whether one did.
+    ///
+    /// Flipping `y'_j` at fixed models turns its slacks into
+    /// `max(0, 2 − ξ'_j)` and `max(0, 2 − η'_j)`, so it changes Eq. 1's
+    /// objective by `ρ*` times the gain
+    /// `C_w(max(0, 2 − ξ'_j) − ξ'_j) + C_u(max(0, 2 − η'_j) − η'_j)`. The
+    /// gated positives and negatives are each sorted by gain (ties by pool
+    /// index); the best positive switches with the best negative, the
+    /// second with the second, while the pair's gains sum below zero. Every
+    /// switch thus lowers the objective and keeps the pool's class count.
+    fn correct(&mut self, rho_star: f64) -> Result<bool, SvmError> {
+        let xi = self.content.slacks(&self.labels, self.n_labeled);
+        let eta = self.log.slacks(&self.labels, self.n_labeled);
+        // One view's term of the gain: `C` times the slack's change.
+        let view = |s: f64, c: f64| c * ((2.0 - s).max(0.0) - s);
+        let gain = |j: usize| view(xi[j], self.cfg.c_content) + view(eta[j], self.cfg.c_log);
+        let gate = |j: &usize| xi[*j] > 0.0 && eta[*j] > 0.0 && xi[*j] + eta[*j] > self.cfg.delta;
+        let mut gated: Vec<usize> = (0..xi.len()).filter(gate).collect();
+        // A stable sort: equal gains stay in pool-index order.
+        gated.sort_by(|&i, &j| gain(i).total_cmp(&gain(j)));
+        let y_prime = &mut self.labels[self.n_labeled..];
+        let (pos, neg): (Vec<usize>, Vec<usize>) = gated.iter().partition(|&&j| y_prime[j] > 0.0);
+        let pairs = pos.into_iter().zip(neg);
+        let pairs: Vec<_> = pairs
+            .take_while(|&(i, j)| gain(i) + gain(j) < 0.0)
+            .collect();
+        for &(i, j) in &pairs {
+            y_prime[i] *= -1.0;
+            y_prime[j] *= -1.0;
+        }
+        self.report.flips += 2 * pairs.len();
+        if !pairs.is_empty() {
+            self.retrain(rho_star)?;
+        }
+        Ok(!pairs.is_empty())
     }
 }
 
@@ -499,10 +526,11 @@ mod tests {
     }
 
     #[test]
-    fn correction_cap_terminates_oscillation() {
-        // A pool of contradictory points (content says +, log says −) with
-        // a tiny Δ invites oscillation; the cap must terminate training and
-        // be reported.
+    fn contradictory_pool_terminates_inside_the_guard() {
+        // A pool of contradictory points (content says +, log says −) at
+        // Δ = 0 made Fig. 1's literal rule oscillate until a round cap
+        // stopped it. The pair switch only ever lowers the objective, so
+        // every ρ* step ends on its own, well inside the guard.
         let la = vec![vec![1.0, 1.0], vec![-1.0, -1.0]];
         let lb = vec![
             SparseVector::from_entries(vec![(0, 1.0)]),
@@ -518,16 +546,18 @@ mod tests {
         let (ka, kb) = kernels();
         let cfg = CoupledConfig {
             delta: 0.0,
-            max_correction_rounds: 2,
             rho: 1.0,
             ..Default::default()
         };
-        let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
-        // Must terminate (the assertion is that we got here) and flag the cap
-        // if it oscillated; either way, the report is internally consistent.
-        assert!(out.report.retrains >= out.report.rho_steps);
-        if out.report.correction_capped {
-            assert!(out.report.flips > 0);
+        for y_init in [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]] {
+            let out = coupled(&la, &lb, &y, &ua, &ub, &y_init, ka, kb, &cfg).unwrap();
+            assert!(out.solves.converged, "{:?}", out.report);
+            // The guard is 2 rounds per step for a pool of two.
+            let steps = out.report.rho_steps;
+            assert!(out.report.retrains <= 3 * steps, "{:?}", out.report);
+            // A switch flips one positive and one negative.
+            let positives = |l: &[f64]| l.iter().filter(|&&v| v > 0.0).count();
+            assert_eq!(positives(&out.report.final_labels), positives(&y_init));
         }
     }
 
@@ -793,5 +823,188 @@ mod tests {
         };
         let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &cfg).unwrap();
         assert!(!out.content.stats.converged);
+    }
+
+    /// [`anneal_views`]'s run before its first solve, warm.
+    fn annealing<'a, S1, K1, S2, K2>(
+        content: KernelCache<'a, S1, K1>,
+        log: KernelCache<'a, S2, K2>,
+        y: &[f64],
+        y_init: &[f64],
+        cfg: &'a CoupledConfig,
+    ) -> Annealing<'a, S1, K1, S2, K2>
+    where
+        S1: ?Sized + ToOwned,
+        K1: Kernel<S1> + Clone,
+        S2: ?Sized + ToOwned,
+        K2: Kernel<S2> + Clone,
+    {
+        Annealing {
+            content: SvmView::new(content, cfg.c_content),
+            log: SvmView::new(log, cfg.c_log),
+            labels: [y, y_init].concat(),
+            n_labeled: y.len(),
+            cfg,
+            warm: true,
+            solves: RoundDiagnostics::all_converged(),
+            report: TrainReport::default(),
+        }
+    }
+
+    /// Eq. 1's objective for one view at its current dual: `½‖w‖²` (the
+    /// dual objective `½αᵀQα − Σα`, plus `Σα`) and every sample's bound
+    /// (`C` labeled, `ρ*·C` pool) times its hinge slack.
+    fn view_objective<S: ?Sized + ToOwned, K: Kernel<S> + Clone>(
+        view: &mut SvmView<'_, S, K>,
+        labels: &[f64],
+        n_labeled: usize,
+        rho_star: f64,
+    ) -> f64 {
+        let dual = view.dual.as_ref().expect("trained");
+        let half_w2 = dual.stats.objective + dual.alpha.iter().sum::<f64>();
+        let slacks = view.store.slacks(dual, labels, 0);
+        let bound = |i: usize| if i < n_labeled { 1.0 } else { rho_star };
+        let hinge: f64 = slacks.iter().enumerate().map(|(i, s)| bound(i) * s).sum();
+        half_w2 + view.c * hinge
+    }
+
+    /// Drives Fig. 1's schedule one correction round at a time and checks
+    /// every round: the pool's positive count is kept, Eq. 1's objective
+    /// does not rise beyond the solver's KKT tolerance (the switch lowers
+    /// it at fixed models; the warm retrain is optimal within `EPS`), and
+    /// no step needs more rounds than its guard. Returns the final labels.
+    fn check_switch_rounds<S1, K1, S2, K2>(mut run: Annealing<'_, S1, K1, S2, K2>) -> Vec<f64>
+    where
+        S1: ?Sized + ToOwned,
+        K1: Kernel<S1> + Clone,
+        S2: ?Sized + ToOwned,
+        K2: Kernel<S2> + Clone,
+    {
+        let (cfg, n_l) = (run.cfg, run.n_labeled);
+        let positives = |labels: &[f64]| labels[n_l..].iter().filter(|&&v| v > 0.0).count();
+        let mut rho_star = cfg.rho_init;
+        loop {
+            run.retrain(rho_star).unwrap();
+            // A KKT gap of EPS per unit of bound, summed over both views.
+            let n_pool = (run.labels.len() - n_l) as f64;
+            let bounds = (cfg.c_content + cfg.c_log) * (n_l as f64 + rho_star * n_pool);
+            let slack = lrf_svm::EPS * bounds;
+            let objective = |run: &mut Annealing<'_, S1, K1, S2, K2>| {
+                let labels = run.labels.clone();
+                view_objective(&mut run.content, &labels, n_l, rho_star)
+                    + view_objective(&mut run.log, &labels, n_l, rho_star)
+            };
+            let (mut rounds, guard) = (0, (run.labels.len() - n_l) / 2 + 1);
+            loop {
+                let (count, before) = (positives(&run.labels), objective(&mut run));
+                if !run.correct(rho_star).unwrap() {
+                    break;
+                }
+                rounds += 1;
+                assert_eq!(positives(&run.labels), count, "round {rounds}");
+                let after = objective(&mut run);
+                assert!(
+                    after <= before + slack,
+                    "{before} -> {after} (slack {slack})"
+                );
+                // `step` marks a run that needs every guard round.
+                assert!(rounds < guard, "{rounds} rounds at ρ* {rho_star}");
+            }
+            if rho_star >= cfg.rho {
+                break;
+            }
+            rho_star = (2.0 * rho_star).min(cfg.rho);
+        }
+        assert!(run.solves.converged);
+        run.labels.split_off(n_l)
+    }
+
+    /// A random two-view problem: `n_l` labeled points of alternating
+    /// class and an `n_pool` pool with random pseudo-labels, dense in the
+    /// content view, then dense or sparse (`±1` session judgments) in the
+    /// log view, each class shifted to its own side.
+    #[allow(clippy::type_complexity)]
+    fn random_problem(
+        seed: u64,
+        n_l: usize,
+        n_pool: usize,
+    ) -> (
+        Vec<Vec<f64>>,
+        Vec<Vec<f64>>,
+        Vec<SparseVector>,
+        Vec<f64>,
+        Vec<f64>,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let y: Vec<f64> = (0..n_l).map(|i| [1.0, -1.0][i % 2]).collect();
+        let y_init: Vec<f64> = (0..n_pool)
+            .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+            .collect();
+        // Pool points take a hidden class, labeled points their label.
+        let class: Vec<f64> = y
+            .iter()
+            .copied()
+            .chain((0..n_pool).map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 }))
+            .collect();
+        let mut point = |c: f64, dim: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|_| 0.6 * c + rng.gen_range(-1.0..1.0))
+                .collect()
+        };
+        let content: Vec<Vec<f64>> = class.iter().map(|&c| point(c, 2)).collect();
+        let dense: Vec<Vec<f64>> = class.iter().map(|&c| point(c, 3)).collect();
+        let mut sparse = Vec::new();
+        for &c in &class {
+            let mut entries = Vec::new();
+            for session in 0..6u32 {
+                if rng.gen_bool(0.5) {
+                    entries.push((session, if rng.gen_bool(0.8) { c } else { -c }));
+                }
+            }
+            sparse.push(SparseVector::from_entries(entries));
+        }
+        (content, dense, sparse, y, y_init)
+    }
+
+    fn rows(xs: &[Vec<f64>]) -> Vec<&[f64]> {
+        xs.iter().map(Vec::as_slice).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_switch_round_keeps_the_class_count_and_lowers_the_objective(
+            seed in 0u64..u64::MAX,
+            n_l in 2usize..9,
+            n_pool in 2usize..13,
+            c_content in 0.1f64..10.0,
+            c_log in 0.1f64..10.0,
+            delta in 0.0f64..2.0,
+            rho in 0.01f64..2.0,
+        ) {
+            let cfg = CoupledConfig {
+                c_content,
+                c_log,
+                delta,
+                rho,
+                ..Default::default()
+            };
+            let (content, dense, sparse, y, y_init) = random_problem(seed, n_l, n_pool);
+            let content_store = || KernelCache::new(RbfKernel::new(0.5), rows(&content));
+            // Dense × dense.
+            let log = KernelCache::new(RbfKernel::new(0.2), rows(&dense));
+            let run = annealing(content_store(), log, &y, &y_init, &cfg);
+            let labels = check_switch_rounds(run);
+            // The product's own loop takes the same rounds.
+            let log = KernelCache::new(RbfKernel::new(0.2), rows(&dense));
+            let out = train_coupled(content_store(), log, &y, &y_init, &cfg).unwrap();
+            proptest::prop_assert_eq!(&out.report.final_labels, &labels);
+            proptest::prop_assert!(out.solves.converged);
+            // Dense × sparse log view.
+            let log = KernelCache::new(LogRbfKernel::new(0.5), sparse.iter().collect());
+            check_switch_rounds(annealing(content_store(), log, &y, &y_init, &cfg));
+        }
     }
 }

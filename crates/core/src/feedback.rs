@@ -12,7 +12,8 @@ use lrf_svm::SolveStats;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundDiagnostics {
     /// Whether *every* solve of the round reached its KKT tolerance (vs.
-    /// hitting `max_iter`).
+    /// hitting `max_iter`) and every coupled correction loop ended inside
+    /// its round guard.
     pub converged: bool,
     /// Total SMO iterations across the round's solves.
     pub iterations: usize,

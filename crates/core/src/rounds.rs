@@ -248,9 +248,9 @@ impl FeedbackLoop {
     /// [`rerank_scattered`](Self::rerank_scattered):
     /// `None` before the first round or for schemes that never train
     /// (Euclidean). A round whose diagnostics say `!converged` hit the
-    /// solver's `max_iter` cap somewhere — the ranking is still usable but
-    /// approximate, and a service should surface it rather than stay
-    /// silent.
+    /// solver's `max_iter` cap or a coupled correction loop's round guard
+    /// somewhere — the ranking is still usable but approximate, and a
+    /// service should surface it rather than stay silent.
     pub fn last_diagnostics(&self) -> Option<RoundDiagnostics> {
         self.warm.last
     }

@@ -291,7 +291,7 @@ fn work_counters_move_by_a_fixed_amount_per_request() {
             ("mark", [0; 9]),
             // The coupled fit and its scoring run on the session thread
             // against one log snapshot: no shard job, no index scan.
-            ("rerank", [0, 0, 430, 4860, 31, 1, 0, 0, 0]),
+            ("rerank", [0, 0, 160, 750, 31, 1, 0, 0, 0]),
             ("page", [0; 9]),
             // One append into the log; no snapshot is held, so no copy.
             ("close", [0, 0, 0, 0, 0, 0, 1, 0, 1]),

@@ -11,8 +11,8 @@
 
 use corelog::cbir::{collect_log, rank_by_euclidean, CorelDataset, CorelSpec, QueryProtocol};
 use corelog::core::{
-    collect_feedback_log, train_coupled, CoupledConfig, LrfConfig, LrfCsvm, QueryContext,
-    TrainReport,
+    collect_feedback_log, train_coupled, CoupledConfig, FeedbackLoop, LrfConfig, LrfCsvm,
+    QueryContext, SchemeKind, TrainReport,
 };
 use lrf_logdb::{LogStore, Relevance, SimulationConfig};
 use lrf_svm::{KernelCache, RbfKernel};
@@ -74,20 +74,24 @@ fn contested_schedule() -> CoupledConfig {
     CoupledConfig {
         rho: 0.5,
         delta: 0.2,
-        max_correction_rounds: 10,
         ..CoupledConfig::default()
     }
 }
 
-#[test]
-fn lrf_csvm_training_trace_is_pinned() {
-    let (ds, log, lrf) = build();
+/// The LRF-CSVM trace's feedback round.
+fn trace_example(ds: &CorelDataset) -> corelog::cbir::FeedbackExample {
     let proto = QueryProtocol {
         n_queries: 10,
         n_labeled: 10,
         seed: 11,
     };
-    let example = proto.feedback_example(&ds.db, QUERY);
+    proto.feedback_example(&ds.db, QUERY)
+}
+
+#[test]
+fn lrf_csvm_training_trace_is_pinned() {
+    let (ds, log, lrf) = build();
+    let example = trace_example(&ds);
     let out = LrfCsvm::new(lrf).run(&QueryContext {
         db: &ds.db,
         log: &log,
@@ -101,17 +105,17 @@ fn lrf_csvm_training_trace_is_pinned() {
         out.report,
         TrainReport {
             rho_steps: 10,
-            retrains: 110,
-            flips: 1100,
-            correction_capped: true,
+            retrains: 10,
+            flips: 0,
             final_labels: vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0],
         }
     );
 }
 
-/// Two dense views of a contested pool through `train_coupled`.
-#[test]
-fn two_dense_views_train_identically_through_either_entry() {
+/// The dense-pair trace, two dense views of a contested pool through
+/// `train_coupled`: its report, and whether every solve converged and no
+/// correction loop hit its guard.
+fn dense_pair() -> (TrainReport, bool) {
     let (labeled_a, unlabeled_a) = view(1.0);
     let (labeled_b, unlabeled_b) = view(3.0);
     let cfg = CoupledConfig {
@@ -129,16 +133,51 @@ fn two_dense_views_train_identically_through_either_entry() {
         &cfg,
     )
     .expect("training succeeds");
+    (pair.report, pair.solves.converged)
+}
+
+/// Two dense views of a contested pool through `train_coupled`.
+#[test]
+fn two_dense_views_train_identically_through_either_entry() {
     assert_eq!(
-        pair.report,
+        dense_pair().0,
         TrainReport {
             rho_steps: 14,
-            retrains: 136,
-            flips: 517,
-            correction_capped: true,
-            final_labels: vec![1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0],
+            retrains: 15,
+            flips: 4,
+            final_labels: vec![1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0],
         }
     );
+}
+
+/// Both traces end with every solve converged and every ρ* step's
+/// correction loop finished inside its guard (a guard hit would mark the
+/// run not converged).
+#[test]
+fn golden_traces_finish_converged() {
+    let (ds, log, lrf) = build();
+    let example = trace_example(&ds);
+    // The LRF-CSVM trace's round through a session whose pool is the whole
+    // database: the same fit, and the diagnostics `run` drops.
+    let mut fb = FeedbackLoop::new(SchemeKind::LrfCsvm, lrf, QUERY, ds.db.len());
+    for &(id, label) in &example.labeled {
+        fb.mark(id, label > 0.0).expect("in-range mark");
+    }
+    let pool: Vec<usize> = (0..ds.db.len()).collect();
+    let ranking = fb.rerank_scattered(&ds.db, &log, &pool, |scorer, ids| {
+        scorer.score_ids(&ds.db, &log, ids)
+    });
+    let run = LrfCsvm::new(lrf).run(&QueryContext {
+        db: &ds.db,
+        log: &log,
+        example: &example,
+    });
+    assert_eq!(ranking, run.ranking);
+    let diag = fb.last_diagnostics().expect("LRF-CSVM trains");
+    assert!(diag.converged, "{diag:?}");
+
+    let (report, converged) = dense_pair();
+    assert!(converged, "{report:?}");
 }
 
 #[test]
