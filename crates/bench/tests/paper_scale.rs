@@ -12,6 +12,11 @@
 //! cargo test --release -p lrf-bench --test paper_scale -- --ignored
 //! ```
 //!
+//! Seed 42's two experiments are also pinned as the curves `reproduce
+//! fig3` and `reproduce fig4` draw: every scheme's precision at all nine
+//! cutoffs. Their evaluation universe is the whole database, so these are
+//! the largest rankings any test pins.
+//!
 //! A literal moves only with a change meant to move retrieval quality,
 //! and that change's CHANGES.md line says why. The tolerance is for the
 //! evaluator's shard merge, which sums per-thread partial curves and so
@@ -146,6 +151,146 @@ const PINNED: [(u64, [Row; 4], [Row; 4]); 4] = [
     ),
 ];
 
+/// `(scheme, precision at each of `lrf_cbir::CUTOFFS`)`: one curve of
+/// Fig. 3 or Fig. 4.
+type Curve = (&'static str, [f64; 9]);
+
+/// Seed 42's Fig. 3 (Table 1's experiment) and Fig. 4 (Table 2's) curves.
+const FIGURES_42: ([Curve; 4], [Curve; 4]) = (
+    [
+        (
+            "Euclidean",
+            [
+                0.442,
+                0.3543333333333334,
+                0.3005,
+                0.2649999999999999,
+                0.23975000000000007,
+                0.22092857142857145,
+                0.20562499999999997,
+                0.19355555555555554,
+                0.18319999999999997,
+            ],
+        ),
+        (
+            "RF-SVM",
+            [
+                0.6085,
+                0.47450000000000003,
+                0.39387499999999986,
+                0.33959999999999996,
+                0.30016666666666675,
+                0.27049999999999996,
+                0.24743750000000003,
+                0.22794444444444445,
+                0.21165,
+            ],
+        ),
+        (
+            "LRF-2SVMs",
+            [
+                0.6625000000000003,
+                0.5133333333333333,
+                0.423,
+                0.36200000000000004,
+                0.3174166666666667,
+                0.2849285714285715,
+                0.2591875,
+                0.23794444444444443,
+                0.21939999999999998,
+            ],
+        ),
+        (
+            "LRF-CSVM",
+            [
+                0.6867500000000001,
+                0.5383333333333333,
+                0.4448749999999999,
+                0.37810000000000005,
+                0.3305000000000001,
+                0.29600000000000004,
+                0.269625,
+                0.2477777777777777,
+                0.22929999999999992,
+            ],
+        ),
+    ],
+    [
+        (
+            "Euclidean",
+            [
+                0.40249999999999986,
+                0.3151666666666668,
+                0.26137499999999997,
+                0.2275,
+                0.20149999999999998,
+                0.1822142857142856,
+                0.16787499999999997,
+                0.1548333333333332,
+                0.14489999999999997,
+            ],
+        ),
+        (
+            "RF-SVM",
+            [
+                0.5554999999999999,
+                0.41533333333333333,
+                0.33175,
+                0.2802,
+                0.24275000000000005,
+                0.2164285714285714,
+                0.19612499999999997,
+                0.17905555555555544,
+                0.166,
+            ],
+        ),
+        (
+            "LRF-2SVMs",
+            [
+                0.5664999999999999,
+                0.42200000000000004,
+                0.33474999999999994,
+                0.2821,
+                0.2445833333333334,
+                0.21778571428571428,
+                0.1963125,
+                0.17961111111111097,
+                0.1661,
+            ],
+        ),
+        (
+            "LRF-CSVM",
+            [
+                0.5699999999999998,
+                0.42516666666666664,
+                0.33599999999999997,
+                0.28380000000000005,
+                0.24708333333333335,
+                0.21885714285714278,
+                0.19793749999999996,
+                0.182111111111111,
+                0.16765,
+            ],
+        ),
+    ],
+);
+
+/// The curves `result` draws, in the pin's syntax.
+fn curves(result: &ExperimentResult) -> Vec<(String, Vec<f64>)> {
+    let curve = |(name, c): &(String, lrf_cbir::PrecisionCurve)| (name.clone(), c.values.clone());
+    result.curves.iter().map(curve).collect()
+}
+
+/// Whether `got` matches `want` curve for curve, at every cutoff.
+fn curves_match(got: &[(String, Vec<f64>)], want: &[Curve; 4]) -> bool {
+    got.len() == want.len()
+        && got.iter().zip(want).all(|(g, w)| {
+            g.0 == w.0
+                && g.1.len() == w.1.len()
+                && g.1.iter().zip(&w.1).all(|(a, b)| (a - b).abs() < 1e-12)
+        })
+}
+
 /// The rows `result` reports, in the pin's syntax.
 fn rows(result: &ExperimentResult) -> Vec<(String, f64, f64, f64)> {
     let row = |(name, curve): &(String, lrf_cbir::PrecisionCurve)| {
@@ -164,13 +309,18 @@ fn matches(got: &[(String, f64, f64, f64)], want: &[Row; 4]) -> bool {
             .all(|(g, w)| g.0 == w.0 && close(g.1, w.1) && close(g.2, w.2) && close(g.3, w.3))
 }
 
-fn check(seed: u64) {
+/// Runs both experiments at `seed`, checks their pinned rows and the
+/// paper's order, and returns them.
+fn check(seed: u64) -> (ExperimentResult, ExperimentResult) {
     let (_, table1, table2) = PINNED
         .iter()
         .find(|(s, _, _)| *s == seed)
         .unwrap_or_else(|| panic!("seed {seed} is not pinned"));
-    let got1 = rows(&run_experiment(&ExperimentSpec::table1(seed)));
-    let got2 = rows(&run_experiment(&ExperimentSpec::table2(seed)));
+    let (result1, result2) = (
+        run_experiment(&ExperimentSpec::table1(seed)),
+        run_experiment(&ExperimentSpec::table2(seed)),
+    );
+    let (got1, got2) = (rows(&result1), rows(&result2));
     assert!(
         matches(&got1, table1) && matches(&got2, table2),
         "seed {seed} moved; observed:\n({seed}, {got1:?}, {got2:?}),"
@@ -188,12 +338,18 @@ fn check(seed: u64) {
             );
         }
     }
+    (result1, result2)
 }
 
 #[test]
 #[ignore = "paper-scale corpora; run in release with --ignored"]
 fn seed_42() {
-    check(42);
+    let (fig3, fig4) = check(42);
+    let (got3, got4) = (curves(&fig3), curves(&fig4));
+    assert!(
+        curves_match(&got3, &FIGURES_42.0) && curves_match(&got4, &FIGURES_42.1),
+        "seed 42's figures moved; observed:\n{got3:?}\n{got4:?}"
+    );
 }
 
 #[test]
