@@ -6,7 +6,7 @@
 //! ablate-noise | ablate-sessions` measure the sensitivity).
 
 use crate::kernels::LogRbfKernel;
-use lrf_svm::SmoParams;
+use lrf_svm::{RbfKernel, SmoParams};
 
 /// Parameters of the coupled-SVM optimization (Eq. 1 + the annealing
 /// schedule of Fig. 1) that [`crate::train_coupled`] runs.
@@ -146,6 +146,12 @@ impl LrfConfig {
         if let Some(g) = self.gamma_content {
             assert!(g > 0.0, "gamma_content must be positive");
         }
+    }
+
+    /// The content view's kernel: the RBF of width `gamma_content`.
+    pub(crate) fn content_kernel(&self) -> RbfKernel {
+        let gamma = self.gamma_content;
+        RbfKernel::new(gamma.unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64))
     }
 }
 

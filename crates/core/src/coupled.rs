@@ -34,8 +34,8 @@
 //! labeled samples and then the unlabeled pool. A caller that has already
 //! solved the labeled-only SVMs in those stores (LRF-CSVM's step 1) and
 //! then [`extend`](lrf_svm::KernelCache::extend)ed them hands the rows it
-//! computed over to the anneal, so no kernel value of a fit is evaluated
-//! twice. Every retrain inside the run solves a QP over the *same* sample
+//! computed over to the anneal, so no Gram value of the fit's solves is
+//! evaluated twice. Every retrain inside the run solves a QP over the *same* sample
 //! set — only the bounds (`ρ*` doubling) and a few pseudo-labels change —
 //! so a row computed once serves every later solve, and the correction
 //! loop reads its slacks from the same rows instead of re-evaluating the
@@ -43,11 +43,12 @@
 //! the model's decision values, so the anneal is bit-identical to one
 //! that re-evaluates.
 //!
-//! **Duals, one machine per view.** A retrain keeps only its
-//! [`lrf_svm::Dual`]: the next solve's seed and the slacks need nothing
-//! else. The anneal's solves therefore clone no sample; each view's final
-//! dual becomes its machine once, at the end
-//! ([`lrf_svm::KernelCache::machine`]). Each view's solve after its first
+//! **Duals, no machine.** A retrain keeps only its [`lrf_svm::Dual`]: the
+//! next solve's seed and the slacks need nothing else, and the run returns
+//! each view's final dual. No sample is cloned: LRF-CSVM scores a dual's
+//! [`lrf_svm::Dual::expansion`] from its row blocks, and a caller that
+//! wants a model builds it ([`lrf_svm::KernelCache::machine`]). Each
+//! view's solve after its first
 //! is seeded with its previous dual, which the solver clips to the new
 //! bounds and repairs to feasibility; the annealing schedule's retrains
 //! then each start a stone's throw from their optimum instead of from
@@ -58,7 +59,7 @@
 
 use crate::config::CoupledConfig;
 use crate::feedback::RoundDiagnostics;
-use lrf_svm::{Dual, Kernel, KernelCache, SvmError, TrainedSvm};
+use lrf_svm::{Dual, Kernel, KernelCache, SvmError};
 
 /// Diagnostics of one coupled training run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -74,12 +75,14 @@ pub struct TrainReport {
     pub final_labels: Vec<f64>,
 }
 
-/// Result of [`train_coupled`]: the two final models plus diagnostics.
-pub struct CoupledOutcome<S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
-    /// The content-modality machine (`w`, `b_w`).
-    pub content: TrainedSvm<S1, K1>,
-    /// The log-modality machine (`u`, `b_u`).
-    pub log: TrainedSvm<S2, K2>,
+/// Result of [`train_coupled`]: the two final dual solutions plus
+/// diagnostics.
+pub struct CoupledOutcome {
+    /// The content machine's (`w`, `b_w`) dual over the labeled samples
+    /// then the pool, solved with `y` then the final pseudo-labels.
+    pub content: Dual,
+    /// The log machine's (`u`, `b_u`) dual, over the same samples.
+    pub log: Dual,
     /// Every solve of the run, both views, folded together.
     pub solves: RoundDiagnostics,
     /// Training diagnostics.
@@ -97,8 +100,9 @@ pub struct CoupledOutcome<S1: ?Sized + ToOwned, K1, S2: ?Sized + ToOwned, K2> {
 ///
 /// The stores borrow their samples (`&[f64]` row views of the database's
 /// flat matrix, `&SparseVector` references straight out of the log
-/// store); only the final models' support vectors are materialized (via
-/// `ToOwned`).
+/// store), and the run clones none: it returns each view's final dual,
+/// which [`Dual::expansion`] turns into the decision function over those
+/// samples and [`KernelCache::machine`] into a model.
 ///
 /// # Errors
 /// Propagates solver errors: invalid labels or bounds, non-finite
@@ -110,12 +114,12 @@ pub fn train_coupled<S1, K1, S2, K2>(
     y: &[f64],
     y_init: &[f64],
     cfg: &CoupledConfig,
-) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
+) -> Result<CoupledOutcome, SvmError>
 where
     S1: ?Sized + ToOwned,
-    K1: Kernel<S1> + Clone,
+    K1: Kernel<S1>,
     S2: ?Sized + ToOwned,
-    K2: Kernel<S2> + Clone,
+    K2: Kernel<S2>,
 {
     anneal_views(content, log, y, y_init, cfg, true)
 }
@@ -130,12 +134,12 @@ fn anneal_views<S1, K1, S2, K2>(
     y_init: &[f64],
     cfg: &CoupledConfig,
     warm: bool,
-) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
+) -> Result<CoupledOutcome, SvmError>
 where
     S1: ?Sized + ToOwned,
-    K1: Kernel<S1> + Clone,
+    K1: Kernel<S1>,
     S2: ?Sized + ToOwned,
-    K2: Kernel<S2> + Clone,
+    K2: Kernel<S2>,
 {
     cfg.validate();
     let mut run = Annealing {
@@ -149,12 +153,10 @@ where
         report: TrainReport::default(),
     };
     run.anneal()?;
-    let content = run.content.into_machine(&run.labels);
-    let log = run.log.into_machine(&run.labels);
     run.report.final_labels = run.labels.split_off(run.n_labeled);
     Ok(CoupledOutcome {
-        content,
-        log,
+        content: run.content.into_dual(),
+        log: run.log.into_dual(),
         solves: run.solves,
         report: run.report,
     })
@@ -172,22 +174,17 @@ struct SvmView<'a, S: ?Sized, K> {
     dual: Option<Dual>,
 }
 
-impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Clone> SvmView<'a, S, K> {
+impl<'a, S: ?Sized + ToOwned, K: Kernel<S>> SvmView<'a, S, K> {
     fn new(store: KernelCache<'a, S, K>, c: f64) -> Self {
-        Self {
-            store,
-            c,
-            dual: None,
-        }
+        let dual = None;
+        Self { store, c, dual }
     }
 
-    /// The machine of the dual [`Annealing::anneal`] left behind, which
-    /// was solved with `labels`.
-    fn into_machine(self, labels: &[f64]) -> TrainedSvm<S, K> {
+    /// The dual [`Annealing::anneal`] left behind.
+    fn into_dual(self) -> Dual {
         // lrf-lint: allow(service-panic): both exits of `anneal` follow a
         // `retrain` of both views, and `train_coupled` returns on its error
-        let dual = self.dual.expect("anneal trains both views");
-        self.store.machine(dual, labels)
+        self.dual.expect("anneal trains both views")
     }
 
     /// Re-solves this view's QP with `labels` (shared labels, then
@@ -246,9 +243,9 @@ struct Annealing<'a, S1: ?Sized, K1, S2: ?Sized, K2> {
 impl<S1, K1, S2, K2> Annealing<'_, S1, K1, S2, K2>
 where
     S1: ?Sized + ToOwned,
-    K1: Kernel<S1> + Clone,
+    K1: Kernel<S1>,
     S2: ?Sized + ToOwned,
-    K2: Kernel<S2> + Clone,
+    K2: Kernel<S2>,
 {
     /// Fig. 1's alternating optimization: train at `ρ* = min(ρ_init, ρ)`,
     /// correct, and double `ρ*` up to `ρ`. Leaves the final dual in both
@@ -378,18 +375,39 @@ mod tests {
         kernel_a: K1,
         kernel_b: K2,
         cfg: &CoupledConfig,
-    ) -> Result<CoupledOutcome<S1, K1, S2, K2>, SvmError>
+    ) -> Result<CoupledOutcome, SvmError>
     where
         S1: ?Sized + ToOwned,
         B1: Borrow<S1>,
-        K1: Kernel<S1> + Clone,
+        K1: Kernel<S1>,
         S2: ?Sized + ToOwned,
         B2: Borrow<S2>,
-        K2: Kernel<S2> + Clone,
+        K2: Kernel<S2>,
     {
         let content = store(kernel_a, labeled_a, unlabeled_a);
         let log = store(kernel_b, labeled_b, unlabeled_b);
         train_coupled(content, log, y, y_init, cfg)
+    }
+
+    /// The decision function of a view's final `dual` in `out`, over
+    /// `labeled` then `unlabeled`, solved with `y` then the final
+    /// pseudo-labels: its model's `decision_batch`, one sample at a time.
+    fn machine<S, B, K>(
+        kernel: K,
+        (labeled, unlabeled): (&[B], &[B]),
+        y: &[f64],
+        out: &CoupledOutcome,
+        dual: &Dual,
+    ) -> impl Fn(&S) -> f64
+    where
+        S: ?Sized + ToOwned,
+        B: Borrow<S>,
+        K: Kernel<S> + Clone,
+    {
+        let labels: Vec<f64> = y.iter().chain(&out.report.final_labels).copied().collect();
+        let store = store(kernel, labeled, unlabeled);
+        let model = store.machine(dual.clone(), &labels).model;
+        move |x: &S| model.decision_batch(&[x])[0]
     }
 
     /// Two modalities that agree: content clusers at ±1, log vectors with
@@ -443,19 +461,17 @@ mod tests {
             &CoupledConfig::default(),
         )
         .unwrap();
+        let content = machine(ka, (&la, &ua), &y, &out, &out.content);
+        let log = machine(kb, (&lb, &ub), &y, &out, &out.log);
         // Both machines classify the labeled data correctly.
         for (i, x) in la.iter().enumerate() {
-            assert!(
-                out.content.model.decision(x) * y[i] > 0.0,
-                "content sample {i}"
-            );
+            assert!(content(x) * y[i] > 0.0, "content sample {i}");
         }
         for (i, r) in lb.iter().enumerate() {
-            assert!(out.log.model.decision(r) * y[i] > 0.0, "log sample {i}");
+            assert!(log(r) * y[i] > 0.0, "log sample {i}");
         }
         // CSVM_Dist (the summed decisions) agrees with the shared structure.
-        let csvm_dist =
-            |j: usize| out.content.model.decision(&ua[j]) + out.log.model.decision(&ub[j]);
+        let csvm_dist = |j: usize| content(&ua[j]) + log(&ub[j]);
         assert!(csvm_dist(0) > csvm_dist(1));
         assert!(out.report.retrains >= 1);
         assert!(
@@ -504,8 +520,9 @@ mod tests {
         .unwrap();
         assert_eq!(out.report.rho_steps, 1);
         assert_eq!(out.report.flips, 0);
+        let content = machine(ka, (&la, &[]), &y, &out, &out.content);
         for (i, x) in la.iter().enumerate() {
-            assert!(out.content.model.decision(x) * y[i] > 0.0);
+            assert!(content(x) * y[i] > 0.0);
         }
     }
 
@@ -592,8 +609,8 @@ mod tests {
         let out_weak = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &weak).unwrap();
         let out_strong = coupled(&la, &lb, &y, &ua, &ub, &[1.0, -1.0], ka, kb, &strong).unwrap();
         let probe = vec![0.5, 0.6];
-        let d_weak = out_weak.content.model.decision(&probe);
-        let d_strong = out_strong.content.model.decision(&probe);
+        let d_weak = machine(ka, (&la, &ua), &y, &out_weak, &out_weak.content)(&probe);
+        let d_strong = machine(ka, (&la, &ua), &y, &out_strong, &out_strong.content)(&probe);
         assert!(
             (d_weak - d_strong).abs() > 1e-6,
             "rho must matter: {d_weak} vs {d_strong}"
@@ -616,17 +633,21 @@ mod tests {
         let cold = anneal_views(content, log, &y, &y_init, &cfg, false).unwrap();
         assert_eq!(warm.report.final_labels, cold.report.final_labels);
         assert_eq!(warm.report.retrains, cold.report.retrains);
+        let content = |out: &CoupledOutcome| machine(ka, (&la, &ua), &y, out, &out.content);
+        let log = |out: &CoupledOutcome| machine(kb, (&lb, &ub), &y, out, &out.log);
+        let (warm_content, cold_content) = (content(&warm), content(&cold));
+        let (warm_log, cold_log) = (log(&warm), log(&cold));
         for x in la.iter().chain(&ua) {
-            let dw = warm.content.model.decision(x);
-            let dc = cold.content.model.decision(x);
+            let dw = warm_content(x);
+            let dc = cold_content(x);
             assert!(
                 (dw - dc).abs() < 1e-2,
                 "content decisions diverged: warm {dw} vs cold {dc}"
             );
         }
         for r in lb.iter().chain(&ub) {
-            let dw = warm.log.model.decision(r);
-            let dc = cold.log.model.decision(r);
+            let dw = warm_log(r);
+            let dc = cold_log(r);
             assert!(
                 (dw - dc).abs() < 1e-2,
                 "log decisions diverged: warm {dw} vs cold {dc}"
@@ -730,20 +751,16 @@ mod tests {
         let out = coupled(&la, &lb, &y, &ua, &ub, &[1.0, 1.0], ka, kb, &cfg).unwrap();
         assert_eq!(out.report.final_labels, vec![1.0, 1.0]);
         assert_eq!(out.report.flips, 0);
-        for (stats, alpha, bias) in [
-            (
-                out.content.stats,
-                &out.content.alpha,
-                out.content.model.bias(),
-            ),
-            (out.log.stats, &out.log.alpha, out.log.model.bias()),
-        ] {
+        let labels = [1.0; 6];
+        for dual in [&out.content, &out.log] {
+            let stats = dual.stats;
             assert_eq!(stats.n_support, 0);
             assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
-            assert!(alpha.iter().all(|&a| a == 0.0));
-            assert_eq!(bias, 1.0);
+            assert!(dual.alpha.iter().all(|&a| a == 0.0));
+            assert_eq!(dual.expansion(&labels), (1.0, Vec::new()));
         }
-        assert_eq!(out.content.model.decision(&la[1]), 1.0);
+        let content = machine(ka, (&la, &ua), &y, &out, &out.content);
+        assert_eq!(content(&la[1]), 1.0);
     }
 
     #[test]
@@ -784,9 +801,10 @@ mod tests {
     }
 
     #[test]
-    fn each_view_clones_its_support_vectors_once() {
-        // However many retrains the anneal runs, a view copies a sample
-        // only when its final dual becomes its machine.
+    fn the_anneal_clones_no_sample() {
+        // However many retrains the anneal runs, it returns duals, and no
+        // view copies a sample: a model, if a caller wants one, is built
+        // from a final dual outside the run.
         let (la, _, y, ua, _) = agreeing_problem();
         let counters: [std::sync::Arc<std::sync::atomic::AtomicUsize>; 2] = Default::default();
         let track = |xs: &[Vec<f64>], c: &std::sync::Arc<_>| -> Vec<Tracked> {
@@ -806,8 +824,7 @@ mod tests {
         let n_support = [out.content.stats.n_support, out.log.stats.n_support];
         for (counter, n_support) in counters.iter().zip(n_support) {
             assert!(n_support > 0);
-            let clones = counter.load(std::sync::atomic::Ordering::Relaxed);
-            assert_eq!(clones, n_support);
+            assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 0);
         }
     }
 

@@ -1,8 +1,10 @@
 //! The common interface every compared scheme implements.
 
+use crate::block::Blocks;
 use lrf_cbir::{FeedbackExample, ImageDatabase};
 use lrf_logdb::LogStore;
 use lrf_svm::SolveStats;
+use std::collections::HashMap;
 
 /// Solver diagnostics for the most recent retrain of a scheme, aggregated
 /// over however many SVMs the scheme trains (content + log side for the
@@ -21,6 +23,13 @@ pub struct RoundDiagnostics {
     pub cache_hits: u64,
     /// Kernel-row cache misses across the round's solves.
     pub cache_misses: u64,
+    /// Rows the round's scores computed into the session's blocks
+    /// ([`WarmState`]), both views.
+    pub rows_computed: u64,
+    /// Rows the round's scores found already in the session's blocks, both
+    /// views: a row an earlier round computed, or one step 1 computed and
+    /// the final score read again.
+    pub rows_carried: u64,
 }
 
 impl RoundDiagnostics {
@@ -42,18 +51,30 @@ impl RoundDiagnostics {
     }
 }
 
-/// Warm-start state a session carries between feedback rounds: the
-/// previous round's dual solutions, per modality. The labeled set only
-/// ever grows by appending (`FeedbackLoop::mark`), so entry `i` of a
-/// stored alpha vector still describes sample `i` of the next round's
-/// training set and any newly labeled tail starts cold — exactly the
-/// prefix mapping a seeded [`lrf_svm::KernelCache::solve`] implements.
+/// A session's fit state, carried between feedback rounds.
+///
+/// * **Dual seeds.** The previous round's dual solutions, per view. The
+///   labeled set only ever grows by appending (`FeedbackLoop::mark`), so
+///   entry `i` of a stored alpha vector still describes sample `i` of the
+///   next round's training set and any newly labeled tail starts cold —
+///   exactly the prefix mapping a seeded [`lrf_svm::KernelCache::solve`]
+///   implements.
+/// * **Row blocks.** Per view, the kernel row over the round's universe
+///   of every image a score has needed as a support vector (the `block`
+///   module). Every score of every SVM scheme is read from them: step 1's
+///   and the final score of one LRF-CSVM round share rows, and later
+///   rounds reuse what is still valid. Content rows are kept for the
+///   session; log rows until the log records another session. A session
+///   holds a few hundred rows of a few hundred values at most, and they go
+///   when the session does.
 #[derive(Clone, Debug, Default)]
 pub struct WarmState {
     /// Previous content-side alphas, in labeled-set (mark) order.
     pub(crate) content: Option<Vec<f64>>,
     /// Previous log-side alphas, in labeled-set order.
     pub(crate) log: Option<Vec<f64>>,
+    /// Both views' rows over the session's universe.
+    pub(crate) blocks: Blocks,
     /// Diagnostics from the most recent retrain, `None` until a scheme
     /// that actually trains has run.
     pub(crate) last: Option<RoundDiagnostics>,
@@ -78,20 +99,32 @@ impl QueryContext<'_> {
     }
 }
 
-/// A trained, immutable decision function over image ids, produced by
-/// [`RelevanceFeedback::fit_warm`] and scored on the thread that fitted
-/// it. It owns its support vectors, so it outlives the round's borrows.
-///
-/// A score depends only on the model and that id's row, though every SVM
-/// scorer scores a whole block of ids at once: each kernel value in a
-/// [`lrf_svm::Kernel::block`] is the one `compute` gives for its pair (the
-/// log kernel's block of exact integer dots included), and
-/// [`lrf_svm::SvmModel::decision_batch`] sums one id's values in
-/// support-vector order, 256 inputs per chunk. Tests assert that against
-/// the per-row `decision`, and against split calls for the summed scorer.
+/// A round's trained decision function, produced by
+/// [`RelevanceFeedback::fit_warm`]. Every SVM scheme's fit scores its
+/// whole pool from the session's row blocks ([`WarmState`]) and returns
+/// those decision values: each one is bit for bit what the fitted
+/// machines' [`lrf_svm::SvmModel::decision_batch`] gives for that id.
+/// Asking about the fitted pool is a lookup, in any order or split.
 pub trait PoolScorer: Send + Sync {
-    /// Decision scores aligned with `ids`.
+    /// Decision scores aligned with `ids`. An id outside the pool the
+    /// scorer was fitted on scores NaN, which every ranking puts last.
     fn score_ids(&self, db: &ImageDatabase, log: &LogStore, ids: &[usize]) -> Vec<f64>;
+}
+
+/// The [`PoolScorer`] of every SVM scheme: the fitted pool's decision
+/// values by id.
+pub(crate) struct PoolScores(HashMap<usize, f64>);
+
+/// The scorer of `scores`, aligned with `pool`.
+pub(crate) fn pool_scores(pool: &[usize], scores: Vec<f64>) -> ScorerRef {
+    std::sync::Arc::new(PoolScores(pool.iter().copied().zip(scores).collect()))
+}
+
+impl PoolScorer for PoolScores {
+    fn score_ids(&self, _db: &ImageDatabase, _log: &LogStore, ids: &[usize]) -> Vec<f64> {
+        let score = |id| self.0.get(id).copied().unwrap_or(f64::NAN);
+        ids.iter().map(score).collect()
+    }
 }
 
 /// A handle to a trained scorer. It is a std `Arc`, not a `Box`, only

@@ -66,6 +66,7 @@
 //! ```
 
 mod active;
+mod block;
 mod config;
 mod coupled;
 mod euclidean;

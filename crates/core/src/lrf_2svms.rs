@@ -9,18 +9,18 @@
 
 use crate::config::LrfConfig;
 use crate::feedback::{
-    PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
+    pool_scores, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
 use crate::kernels::LogRbfKernel;
 use crate::rf_svm::content_fit;
 use lrf_logdb::{LogStore, SparseVector};
-use lrf_svm::{Dual, KernelCache, SvmModel};
+use lrf_svm::{Dual, KernelCache};
 
 /// Linear combination of two independently trained SVMs.
 #[derive(Clone, Debug, Default)]
 pub struct Lrf2Svms {
     /// Shared configuration.
-    pub config: LrfConfig,
+    config: LrfConfig,
 }
 
 impl Lrf2Svms {
@@ -64,55 +64,24 @@ impl RelevanceFeedback for Lrf2Svms {
     fn fit_warm(
         &self,
         ctx: &QueryContext<'_>,
-        _pool: &[usize],
+        pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let cfg = &self.config;
-        let labeled = &ctx.example.labeled;
-        let (content, content_dual) = content_fit(cfg, ctx.db, labeled, warm.content.as_deref());
-        let (logside, log_dual) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
+        let (cfg, labeled) = (&self.config, &ctx.example.labeled);
+        let (_, content) = content_fit(cfg, ctx.db, labeled, warm.content.as_deref());
+        let (_, log) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
+        warm.blocks.align(cfg, ctx, pool);
+        let scores = warm
+            .blocks
+            .scores(cfg, ctx, labeled, (&content, Some(&log)));
         let mut diag = RoundDiagnostics::all_converged();
-        diag.absorb(&content_dual.stats);
-        diag.absorb(&log_dual.stats);
-        let labels = ctx.labels();
-        let content = content.machine(content_dual, &labels);
-        let logside = logside.machine(log_dual, &labels);
+        diag.absorb(&content.stats);
+        diag.absorb(&log.stats);
+        (diag.rows_computed, diag.rows_carried) = warm.blocks.round;
         warm.content = Some(content.alpha);
-        warm.log = Some(logside.alpha);
+        warm.log = Some(log.alpha);
         warm.last = Some(diag);
-        Some(std::sync::Arc::new(SummedScorer {
-            content: content.model,
-            log: logside.model,
-        }))
-    }
-}
-
-/// [`PoolScorer`] for the two-modality schemes: one content model plus one
-/// log model, summed per id — the `f_w(x_i) + f_u(r_i)` of the paper.
-/// Shared by LRF-2SVMs (independent machines) and LRF-CSVM (the coupled
-/// outcome's machines, and step 1's initial pair); only how the models
-/// were *trained* differs, so scoring is one code path.
-pub(crate) struct SummedScorer {
-    pub(crate) content: SvmModel<[f64], lrf_svm::RbfKernel>,
-    pub(crate) log: SvmModel<SparseVector, LogRbfKernel>,
-}
-
-impl PoolScorer for SummedScorer {
-    fn score_ids(
-        &self,
-        db: &lrf_cbir::ImageDatabase,
-        log: &lrf_logdb::LogStore,
-        ids: &[usize],
-    ) -> Vec<f64> {
-        let rows: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
-        let log_rows: Vec<&SparseVector> = ids.iter().map(|&id| log.log_vector(id)).collect();
-        let content_scores = self.content.decision_batch(&rows);
-        let log_scores = self.log.decision_batch(&log_rows);
-        content_scores
-            .iter()
-            .zip(&log_scores)
-            .map(|(c, l)| c + l)
-            .collect()
+        Some(pool_scores(pool, scores))
     }
 }
 
@@ -158,10 +127,10 @@ mod tests {
         assert_eq!(Lrf2Svms::default().name(), "LRF-2SVMs");
     }
 
-    /// A score depends only on the model and that id's row: one call over
-    /// the ids is bit-identical to any split of them scored part by part and
-    /// stitched back in order — here 300 ids (repeats included, so the one
-    /// call spans two kernel blocks) against cuts from single ids up.
+    /// A score depends only on its id: one call over the fitted ids is
+    /// bit-identical to any split of them scored part by part and stitched
+    /// back in order — here 300 ids (repeats included) against cuts from
+    /// single ids up.
     #[test]
     fn one_call_equals_any_split() {
         let (ds, log) = setup(0.1, 30);

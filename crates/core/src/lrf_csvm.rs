@@ -21,26 +21,26 @@
 //! [`UnlabeledSelection::ClosestToBoundary`] to reproduce that finding.
 
 use crate::config::{LrfConfig, UnlabeledSelection};
-use crate::coupled::{train_coupled, TrainReport};
+use crate::coupled::{train_coupled, CoupledOutcome, TrainReport};
 use crate::feedback::{
-    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, ScorerRef, WarmState,
+    pool_scores, rank_by_scores, QueryContext, RelevanceFeedback, ScorerRef, WarmState,
 };
-use crate::lrf_2svms::{log_fit, SummedScorer};
+use crate::lrf_2svms::log_fit;
 use crate::rf_svm::content_fit;
 
-/// Output of [`LrfCsvm::fit_on`] — the coupled round's trained decision
-/// function plus the diagnostics `run` folds into its outcome.
-struct CsvmFit {
-    scorer: SummedScorer,
-    unlabeled_ids: Vec<usize>,
-    report: TrainReport,
+/// Output of [`LrfCsvm::fit_on`] — the coupled round's scores over its
+/// universe plus the diagnostics `run` folds into its outcome.
+pub(crate) struct CsvmFit {
+    pub(crate) scores: Vec<f64>,
+    pub(crate) unlabeled_ids: Vec<usize>,
+    pub(crate) outcome: CoupledOutcome,
 }
 
 /// The paper's algorithm.
 #[derive(Clone, Debug, Default)]
 pub struct LrfCsvm {
     /// Full configuration (see [`LrfConfig`] for per-field rationale).
-    pub config: LrfConfig,
+    config: LrfConfig,
 }
 
 /// Everything one LRF-CSVM query produces beyond the ranking — exposed for
@@ -49,8 +49,6 @@ pub struct LrfCsvm {
 pub struct LrfCsvmOutcome {
     /// The final ranking (most relevant first).
     pub ranking: Vec<usize>,
-    /// The per-image `CSVM_Dist` scores the ranking was derived from.
-    pub scores: Vec<f64>,
     /// Image ids chosen as the unlabeled pool `S'`.
     pub unlabeled_ids: Vec<usize>,
     /// Coupled-training diagnostics.
@@ -67,30 +65,30 @@ impl LrfCsvm {
     /// Runs the full algorithm over the whole database, returning the
     /// ranking and its diagnostics: the same fit → score → sort as
     /// [`RelevanceFeedback::rank`], keeping what the trait's scorer-only
-    /// return drops (scores, unlabeled pool, training report).
+    /// return drops (unlabeled pool, training report).
     pub fn run(&self, ctx: &QueryContext<'_>) -> LrfCsvmOutcome {
         let universe: Vec<usize> = (0..ctx.db.len()).collect();
         let fit = self.fit_on(ctx, &universe, &mut WarmState::default());
-        // ---- Step 3: rank by CSVM_Dist over the retrieval universe. ----
-        let scores = fit.scorer.score_ids(ctx.db, ctx.log, &universe);
         LrfCsvmOutcome {
-            ranking: rank_by_scores(&scores),
-            scores,
+            ranking: rank_by_scores(&fit.scores),
             unlabeled_ids: fit.unlabeled_ids,
-            report: fit.report,
+            report: fit.outcome.report,
         }
     }
 
-    /// Steps 1–2 of Fig. 1 — unlabeled selection and coupled training —
-    /// over a candidate `universe` (the whole database, or an index's
-    /// pool: selection only ever touches its members), producing the
-    /// round's trained decision function plus diagnostics. The retrieval
-    /// step is deliberately *not* here: the caller scores whichever ids
-    /// it ranks with the returned scorer.
-    fn fit_on(&self, ctx: &QueryContext<'_>, universe: &[usize], warm: &mut WarmState) -> CsvmFit {
-        let cfg = &self.config;
-        let db = ctx.db;
-        let y = ctx.labels();
+    /// Fig. 1 over a candidate `universe` (the whole database, or an
+    /// index's pool: selection only ever touches its members): unlabeled
+    /// selection, coupled training, and the `CSVM_Dist` of every universe
+    /// member. Step 1's distances and the final scores are read from the
+    /// session's row blocks in `warm`: the final score computes only the
+    /// rows step 1 (or an earlier round) did not, at most the pool's.
+    pub(crate) fn fit_on(
+        &self,
+        ctx: &QueryContext<'_>,
+        universe: &[usize],
+        warm: &mut WarmState,
+    ) -> CsvmFit {
+        let (cfg, db, y) = (&self.config, ctx.db, ctx.labels());
 
         // ---- Step 1: initial per-modality SVMs on the labeled round, one
         // row store per view, seeded from the previous round: the labeled
@@ -99,20 +97,12 @@ impl LrfCsvm {
         let labeled = &ctx.example.labeled;
         let (mut content, content0) = content_fit(cfg, db, labeled, warm.content.as_deref());
         let (mut log, log0) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
-        let step1 = [content0.stats, log0.stats];
-        let dist = SummedScorer {
-            content: content.machine(content0, &y).model,
-            log: log.machine(log0, &y).model,
-        }
-        .score_ids(db, ctx.log, universe);
-        let labeled: std::collections::HashSet<usize> =
-            ctx.example.labeled.iter().map(|&(id, _)| id).collect();
-        let scored: Vec<(usize, f64)> = universe
-            .iter()
-            .zip(dist)
-            .filter(|(id, _)| !labeled.contains(id))
-            .map(|(&id, d)| (id, d))
-            .collect();
+        warm.blocks.align(cfg, ctx, universe);
+        let views = (&content0, Some(&log0));
+        let dist = warm.blocks.scores(cfg, ctx, labeled, views);
+        let judged: std::collections::HashSet<usize> = labeled.iter().map(|&(id, _)| id).collect();
+        let scored = universe.iter().copied().zip(dist);
+        let scored: Vec<(usize, f64)> = scored.filter(|(id, _)| !judged.contains(id)).collect();
 
         let (unlabeled_ids, y_init) = self.select_unlabeled_in(ctx, scored);
 
@@ -129,22 +119,24 @@ impl LrfCsvm {
             // `LrfConfig::validate` made every bound positive
             .expect("coupled training cannot fail on validated feedback rounds");
 
-        let n_l = y.len();
-        let mut diag = outcome.solves;
-        for stats in &step1 {
-            diag.absorb(stats);
-        }
-        warm.content = Some(outcome.content.alpha[..n_l].to_vec());
-        warm.log = Some(outcome.log.alpha[..n_l].to_vec());
-        warm.last = Some(diag);
+        // ---- Step 3: CSVM_Dist over the universe, from the same blocks.
+        let finals = outcome.report.final_labels.iter().copied();
+        let pseudo = unlabeled_ids.iter().copied().zip(finals);
+        let samples: Vec<(usize, f64)> = labeled.iter().copied().chain(pseudo).collect();
+        let views = (&outcome.content, Some(&outcome.log));
+        let scores = warm.blocks.scores(cfg, ctx, &samples, views);
 
+        let mut diag = outcome.solves;
+        diag.absorb(&content0.stats);
+        diag.absorb(&log0.stats);
+        (diag.rows_computed, diag.rows_carried) = warm.blocks.round;
+        warm.content = Some(outcome.content.alpha[..y.len()].to_vec());
+        warm.log = Some(outcome.log.alpha[..y.len()].to_vec());
+        warm.last = Some(diag);
         CsvmFit {
-            scorer: SummedScorer {
-                content: outcome.content.model,
-                log: outcome.log.model,
-            },
+            scores,
             unlabeled_ids,
-            report: outcome.report,
+            outcome,
         }
     }
 
@@ -164,12 +156,11 @@ impl LrfCsvm {
             return (Vec::new(), Vec::new());
         }
 
+        let n_top = n / 2;
         let chosen: Vec<(usize, f64)> = match self.config.selection {
             UnlabeledSelection::MaxMinCombinedDistance => {
-                let n_top = n / 2;
-                let n_bottom = n - n_top;
                 let mut chosen: Vec<(usize, f64)> = scored[..n_top].to_vec();
-                chosen.extend_from_slice(&scored[scored.len() - n_bottom..]);
+                chosen.extend_from_slice(&scored[scored.len() - (n - n_top)..]);
                 chosen
             }
             UnlabeledSelection::ClosestToBoundary => {
@@ -197,20 +188,15 @@ impl LrfCsvm {
             }
         };
 
-        let y_init: Vec<f64> = match self.config.selection {
-            // The max/min split labels by selection side (§6.5).
-            UnlabeledSelection::MaxMinCombinedDistance => {
-                let n_top = n / 2;
-                (0..n).map(|i| if i < n_top { 1.0 } else { -1.0 }).collect()
-            }
-            // The other selections have no sides: sign of the distance.
-            _ => chosen
-                .iter()
-                .map(|&(_, d)| if d >= 0.0 { 1.0 } else { -1.0 })
-                .collect(),
+        // The max/min split labels by selection side (§6.5); the other
+        // selections have no sides: the sign of the distance.
+        let positive = |i: usize, d: f64| match self.config.selection {
+            UnlabeledSelection::MaxMinCombinedDistance => i < n_top,
+            _ => d >= 0.0,
         };
-
-        (chosen.into_iter().map(|(id, _)| id).collect(), y_init)
+        let y_init = chosen.iter().enumerate();
+        let y_init = y_init.map(|(i, &(_, d))| if positive(i, d) { 1.0 } else { -1.0 });
+        (chosen.iter().map(|&(id, _)| id).collect(), y_init.collect())
     }
 }
 
@@ -225,7 +211,8 @@ impl RelevanceFeedback for LrfCsvm {
         pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        Some(std::sync::Arc::new(self.fit_on(ctx, pool, warm).scorer))
+        let fit = self.fit_on(ctx, pool, warm);
+        Some(pool_scores(pool, fit.scores))
     }
 }
 
@@ -376,13 +363,12 @@ mod tests {
         // Reproduce step 1 manually to check the split.
         let (content, content0) = content_fit(&cfg, &ds.db, &example.labeled, None);
         let (logside, log0) = log_fit(&cfg, &log, &example.labeled, None);
-        let all: Vec<usize> = (0..ds.db.len()).collect();
         let y = ctx.labels();
-        let dist = SummedScorer {
-            content: content.machine(content0, &y).model,
-            log: logside.machine(log0, &y).model,
-        }
-        .score_ids(&ds.db, &log, &all);
+        let rows: Vec<&[f64]> = (0..ds.db.len()).map(|id| ds.db.feature(id)).collect();
+        let log_rows: Vec<_> = (0..ds.db.len()).map(|id| log.log_vector(id)).collect();
+        let f_w = content.machine(content0, &y).model.decision_batch(&rows);
+        let f_u = logside.machine(log0, &y).model.decision_batch(&log_rows);
+        let dist: Vec<f64> = f_w.iter().zip(&f_u).map(|(c, l)| c + l).collect();
         let (ids, init) = scheme.select_unlabeled(&ctx, &dist);
         let n_top = ids.len() / 2;
         for (i, y0) in init.iter().enumerate() {
@@ -534,7 +520,10 @@ mod tests {
             let diag = warm.last.expect("the fit records its diagnostics");
             assert_eq!(diag.converged, converged, "max_iter {max_iter}");
             // Every solve is counted: two step-1 solves and two per retrain.
-            assert!(diag.iterations > 2 * fit.report.retrains, "{diag:?}");
+            assert!(
+                diag.iterations > 2 * fit.outcome.report.retrains,
+                "{diag:?}"
+            );
         }
     }
 

@@ -7,17 +7,17 @@
 
 use crate::config::LrfConfig;
 use crate::feedback::{
-    PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
+    pool_scores, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
 };
 use lrf_cbir::ImageDatabase;
-use lrf_svm::{Dual, KernelCache, RbfKernel, SvmModel};
+use lrf_svm::{Dual, KernelCache, RbfKernel};
 
 /// Content-only SVM relevance feedback.
 #[derive(Clone, Debug, Default)]
 pub struct RfSvm {
     /// Shared configuration (only `coupled.c_content`, `coupled.smo`, and
     /// `gamma_content` are read by this scheme).
-    pub config: LrfConfig,
+    config: LrfConfig,
 }
 
 impl RfSvm {
@@ -45,10 +45,7 @@ pub(crate) fn content_fit<'a>(
 ) -> (KernelCache<'a, [f64], RbfKernel>, Dual) {
     let samples = labeled.iter().map(|&(id, _)| db.feature(id)).collect();
     let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
-    let gamma = cfg
-        .gamma_content
-        .unwrap_or(1.0 / lrf_features::TOTAL_DIMS as f64);
-    let mut store = KernelCache::new(RbfKernel::new(gamma), samples);
+    let mut store = KernelCache::new(cfg.content_kernel(), samples);
     let bounds = vec![cfg.coupled.c_content; labeled.len()];
     let dual = store
         .solve(&labels, &bounds, &cfg.coupled.smo, warm)
@@ -68,35 +65,19 @@ impl RelevanceFeedback for RfSvm {
     fn fit_warm(
         &self,
         ctx: &QueryContext<'_>,
-        _pool: &[usize],
+        pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let (store, dual) = content_fit(
-            &self.config,
-            ctx.db,
-            &ctx.example.labeled,
-            warm.content.as_deref(),
-        );
+        let (cfg, labeled) = (&self.config, &ctx.example.labeled);
+        let (_, dual) = content_fit(cfg, ctx.db, labeled, warm.content.as_deref());
+        warm.blocks.align(cfg, ctx, pool);
+        let scores = warm.blocks.scores(cfg, ctx, labeled, (&dual, None));
         let mut diag = RoundDiagnostics::all_converged();
         diag.absorb(&dual.stats);
-        let svm = store.machine(dual, &ctx.labels());
-        warm.content = Some(svm.alpha);
+        (diag.rows_computed, diag.rows_carried) = warm.blocks.round;
+        warm.content = Some(dual.alpha);
         warm.last = Some(diag);
-        Some(std::sync::Arc::new(ContentScorer { model: svm.model }))
-    }
-}
-
-/// [`PoolScorer`] for the content-only scheme: one trained content model,
-/// scored per id over borrowed database rows. The model owns its support
-/// vectors, so the scorer outlives the round that fitted it.
-pub(crate) struct ContentScorer {
-    pub(crate) model: SvmModel<[f64], RbfKernel>,
-}
-
-impl PoolScorer for ContentScorer {
-    fn score_ids(&self, db: &ImageDatabase, _log: &lrf_logdb::LogStore, ids: &[usize]) -> Vec<f64> {
-        let rows: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
-        self.model.decision_batch(&rows)
+        Some(pool_scores(pool, scores))
     }
 }
 
@@ -183,8 +164,9 @@ mod tests {
 
     #[test]
     fn batched_scores_match_per_image_decisions() {
-        // The ranking contract of the refactor: the batch scorer feeding
-        // every SVM scheme is bit-identical to scoring one image at a time.
+        // The ranking contract: the scores a fit reads from its row block
+        // are the fitted machine's decision per image, bit for bit, in
+        // any subset; an id outside the fitted pool scores NaN.
         let (ds, log) = setup();
         let proto = QueryProtocol {
             n_queries: 1,
@@ -199,17 +181,26 @@ mod tests {
         };
         let (store, dual) = content_fit(&LrfConfig::default(), ctx.db, &example.labeled, None);
         let svm = store.machine(dual, &ctx.labels());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let serial: Vec<f64> = (0..ds.db.len())
-            .map(|id| svm.model.decision(ds.db.feature(id)))
+            .map(|id| svm.model.decision_batch(&[ds.db.feature(id)])[0])
             .collect();
-        let scorer = ContentScorer { model: svm.model };
         let all: Vec<usize> = (0..ds.db.len()).collect();
-        let batched = scorer.score_ids(&ds.db, &log, &all);
-        assert_eq!(batched, serial);
+        let scorer = RfSvm::default()
+            .fit_warm(&ctx, &all, &mut WarmState::default())
+            .expect("RF-SVM trains");
+        assert_eq!(bits(&scorer.score_ids(&ds.db, &log, &all)), bits(&serial));
         let ids: Vec<usize> = (0..ds.db.len()).step_by(3).collect();
         let subset = scorer.score_ids(&ds.db, &log, &ids);
         let expect: Vec<f64> = ids.iter().map(|&id| serial[id]).collect();
-        assert_eq!(subset, expect);
+        assert_eq!(bits(&subset), bits(&expect));
+        let pool = &ids[..4];
+        let scorer = RfSvm::default()
+            .fit_warm(&ctx, pool, &mut WarmState::default())
+            .expect("RF-SVM trains");
+        let outside = scorer.score_ids(&ds.db, &log, &[pool[0], 1]);
+        assert_eq!(outside[0].to_bits(), serial[pool[0]].to_bits());
+        assert!(outside[1].is_nan());
     }
 
     #[test]

@@ -116,7 +116,6 @@ impl std::error::Error for RoundError {}
 /// One user's resumable feedback session: accumulated judgments + the
 /// scheme that re-ranks on each round.
 pub struct FeedbackLoop {
-    kind: SchemeKind,
     scheme: Box<dyn RelevanceFeedback + Send + Sync>,
     query: usize,
     n_images: usize,
@@ -142,7 +141,6 @@ impl FeedbackLoop {
             "query {query} outside database of {n_images}"
         );
         Self {
-            kind,
             scheme: kind.build(config),
             query,
             n_images,
@@ -264,19 +262,6 @@ impl FeedbackLoop {
                 .map(|&(id, y)| (id, Relevance::from_bool(y > 0.0)))
                 .collect(),
         )
-    }
-}
-
-impl std::fmt::Debug for FeedbackLoop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FeedbackLoop")
-            .field("kind", &self.kind)
-            .field("query", &self.query)
-            .field("n_judged", &self.labeled.len())
-            .field("rounds", &self.rounds)
-            .field("warm", &self.warm.content.is_some())
-            .field("last_diagnostics", &self.warm.last)
-            .finish()
     }
 }
 

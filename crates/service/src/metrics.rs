@@ -50,6 +50,10 @@ pub mod names {
     pub const KERNEL_CACHE_HITS: &str = "kernel_cache_hits_total";
     /// Kernel-row cache misses across all retrains.
     pub const KERNEL_CACHE_MISSES: &str = "kernel_cache_misses_total";
+    /// Rows the retrains' scores computed into their sessions' row blocks.
+    pub(crate) const BLOCK_ROWS_COMPUTED: &str = "block_rows_computed_total";
+    /// Rows the retrains' scores found already in their sessions' blocks.
+    pub(crate) const BLOCK_ROWS_CARRIED: &str = "block_rows_carried_total";
     /// Index distance evaluations across all index queries.
     pub const ANN_DISTANCE_EVALS: &str = "ann_distance_evals_total";
     /// Log-store snapshots taken, one per retrieval round (adopted from
@@ -128,6 +132,8 @@ pub struct ServiceMetrics {
     pub(crate) smo_iterations: Arc<Counter>,
     pub(crate) kernel_cache_hits: Arc<Counter>,
     pub(crate) kernel_cache_misses: Arc<Counter>,
+    pub(crate) block_rows_computed: Arc<Counter>,
+    pub(crate) block_rows_carried: Arc<Counter>,
     pub(crate) ann_distance_evals: Arc<Counter>,
     pub(crate) wal_appends: Arc<Counter>,
     pub(crate) wal_retries: Arc<Counter>,
@@ -193,6 +199,8 @@ impl ServiceMetrics {
             smo_iterations: registry.counter(names::SMO_ITERATIONS),
             kernel_cache_hits: registry.counter(names::KERNEL_CACHE_HITS),
             kernel_cache_misses: registry.counter(names::KERNEL_CACHE_MISSES),
+            block_rows_computed: registry.counter(names::BLOCK_ROWS_COMPUTED),
+            block_rows_carried: registry.counter(names::BLOCK_ROWS_CARRIED),
             ann_distance_evals: registry.counter(names::ANN_DISTANCE_EVALS),
             wal_appends: registry.counter(names::WAL_APPENDS),
             wal_retries: registry.counter(names::WAL_RETRIES),
@@ -266,6 +274,8 @@ impl ServiceMetrics {
         self.smo_iterations.add(d.iterations as u64);
         self.kernel_cache_hits.add(d.cache_hits);
         self.kernel_cache_misses.add(d.cache_misses);
+        self.block_rows_computed.add(d.rows_computed);
+        self.block_rows_carried.add(d.rows_carried);
         if !d.converged {
             self.nonconverged_retrains.inc();
         }
@@ -331,12 +341,16 @@ mod tests {
             iterations: 42,
             cache_hits: 5,
             cache_misses: 3,
+            rows_computed: 9,
+            rows_carried: 4,
         });
         let s = m.snapshot();
         assert_eq!(s.counter(names::ANN_DISTANCE_EVALS), Some(17));
         assert_eq!(s.counter(names::SMO_ITERATIONS), Some(42));
         assert_eq!(s.counter(names::KERNEL_CACHE_HITS), Some(5));
         assert_eq!(s.counter(names::KERNEL_CACHE_MISSES), Some(3));
+        assert_eq!(s.counter(names::BLOCK_ROWS_COMPUTED), Some(9));
+        assert_eq!(s.counter(names::BLOCK_ROWS_CARRIED), Some(4));
         assert_eq!(s.counter(names::NONCONVERGED_RETRAINS), Some(1));
     }
 }

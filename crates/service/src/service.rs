@@ -449,8 +449,10 @@ impl Service {
             let _retrain = self.metrics.time(&self.metrics.stage_retrain);
             // Train once and score the pool here, on the session's thread:
             // the shard workers serve searches only, so an `Open`'s scan
-            // never queues behind another session's pool scoring. A pool
-            // is a few hundred ids, a fraction of the fit's cost.
+            // never queues behind another session's pool scoring. The fit
+            // scores the pool itself, from the session's row blocks (step
+            // 1 and the final score share their rows); the closure only
+            // reads those scores back.
             state
                 .fb
                 .rerank_scattered(&self.db, &snapshot, neighbors, |scorer, ids| {
@@ -463,8 +465,8 @@ impl Service {
         state.reranked = Some(reranked);
         // Surface solver health: a max_iter-capped round must not pass as
         // a silently exact one (schemes that never train report converged).
-        // `count_round` also lifts the round's SMO iteration and
-        // kernel-cache totals into the registry.
+        // `count_round` also lifts the round's SMO iteration,
+        // kernel-cache and row-block totals into the registry.
         let diagnostics = state.fb.last_diagnostics();
         if let Some(d) = &diagnostics {
             self.metrics.count_round(d);

@@ -42,7 +42,7 @@
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::model::{SvmModel, TrainedSvm};
-use crate::smo::{single_class_sign, solve_dual, validate, Dual, SmoParams, SV_THRESHOLD};
+use crate::smo::{single_class_sign, solve_dual, validate, Dual, SmoParams};
 
 /// Row-level access to the (implicit) Gram matrix, as consumed by the SMO
 /// solver. Implemented by the lazy [`KernelCache`] and, in tests, by the
@@ -170,7 +170,7 @@ where
     /// under `dual`, which [`Self::solve`] returned for this store's
     /// current samples and `labels` (the `y_t` are the same labels). `f`
     /// is read from the support vectors' rows and is bit-identical to the
-    /// model's [`crate::SvmModel::decision`]: the bias first, then
+    /// model's [`crate::SvmModel::decision_batch`]: the bias first, then
     /// `α_i·y_i` times `K(x_i, x_t)`, support vectors in index order. A
     /// dual with no support vectors touches no row.
     ///
@@ -180,13 +180,11 @@ where
         let n = self.samples.len();
         assert_eq!(dual.alpha.len(), n, "not this store's dual");
         assert_eq!(labels.len(), n, "not this store's labels");
-        let mut f = vec![dual.bias; n - from];
-        for (i, &a) in dual.alpha.iter().enumerate() {
-            if a > SV_THRESHOLD {
-                let coef = a * labels[i];
-                for (ft, &k) in f.iter_mut().zip(&self.row(i)[from..]) {
-                    *ft += coef * k;
-                }
+        let (bias, support) = dual.expansion(labels);
+        let mut f = vec![bias; n - from];
+        for (i, coef) in support {
+            for (ft, &k) in f.iter_mut().zip(&self.row(i)[from..]) {
+                *ft += coef * k;
             }
         }
         f.iter()
@@ -210,20 +208,15 @@ where
         let n = self.samples.len();
         assert_eq!(dual.alpha.len(), n, "not this store's dual");
         assert_eq!(labels.len(), n, "not this store's labels");
-        let mut support_vectors = Vec::with_capacity(dual.stats.n_support);
-        let mut coefficients = Vec::with_capacity(dual.stats.n_support);
-        for ((&a, &y), &sample) in dual.alpha.iter().zip(labels).zip(&self.samples) {
-            if a > SV_THRESHOLD {
-                support_vectors.push(sample.to_owned());
-                coefficients.push(a * y);
-            }
-        }
+        let (bias, support) = dual.expansion(labels);
+        let support_vectors = support.iter().map(|&(i, _)| self.samples[i].to_owned());
+        let coefficients = support.iter().map(|&(_, coef)| coef).collect();
         TrainedSvm {
             model: SvmModel::new(
                 self.kernel.clone(),
-                support_vectors,
+                support_vectors.collect(),
                 coefficients,
-                dual.bias,
+                bias,
             ),
             alpha: dual.alpha,
             stats: dual.stats,

@@ -61,8 +61,8 @@
 //! let labels = [-1.0, -1.0, 1.0, 1.0];
 //! let c = [10.0; 4];
 //! let svm = train(&samples, &labels, &c, RbfKernel::new(0.5), &SmoParams::default()).unwrap();
-//! assert!(svm.model.decision(&samples[3]) > 0.0);
-//! assert!(svm.model.decision(&samples[0]) < 0.0);
+//! let scores = svm.model.decision_batch(&samples);
+//! assert!(scores[3] > 0.0 && scores[0] < 0.0);
 //! ```
 
 mod cache;

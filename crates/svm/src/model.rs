@@ -1,13 +1,12 @@
-//! Trained SVM models: decision function and batch scoring (a trained
-//! machine's hinge slacks are read from its row store, the `cache`
-//! module). Batch scoring reads its kernel values a block at a time
-//! ([`Kernel::block`]: support vectors × a chunk of inputs), so a kernel
-//! with a joint form for the block — the sparse log kernel's one pass of
-//! exact integer dots — pays it once per block, not once per pair; the
-//! sums stay bit-identical to the per-sample [`SvmModel::decision`].
-//! Scoring is single-threaded here: callers that have cores to
-//! spend (the sharded engine, the evaluator's per-query threads) own the
-//! threads and hand each one a slice of the work.
+//! Trained SVM models: the decision function (a trained machine's hinge
+//! slacks are read from its row store, the `cache` module). A model
+//! scores one sample at a time, summing its support vectors' terms in
+//! order; scoring is single-threaded here: callers that have cores to
+//! spend (the evaluator's per-query threads) own the threads and hand
+//! each one a slice of the work. A caller that scores the same candidates
+//! round after round keeps the kernel rows instead of a model (lrf-core's
+//! row blocks read a dual's [`crate::Dual::expansion`] against them, bit
+//! for bit what the model would return).
 //!
 //! Models are generic over a possibly-unsized sample type `S` (e.g.
 //! `[f64]`): the decision function *reads* borrowed samples, while the
@@ -17,11 +16,6 @@
 use crate::kernel::Kernel;
 use crate::smo::SolveStats;
 use std::borrow::Borrow;
-
-/// Inputs per kernel block in [`SvmModel::decision_batch`]: a serving pool
-/// (a few hundred ids) is one block, and a whole-database scan holds
-/// |SV| × `BATCH_CHUNK` kernel values at a time.
-const BATCH_CHUNK: usize = 256;
 
 /// A trained SVM decision function `f(x) = Σ_i coef_i · K(sv_i, x) + b` —
 /// or, for degenerate single-class input, the constant class sign (`±1`,
@@ -55,7 +49,7 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
     /// The decision value `f(x)`; the predicted class is its sign, the
     /// magnitude is the (unnormalized) distance from the separating
     /// hyperplane — the quantity the paper calls `SVM_Dist`.
-    pub fn decision(&self, x: &S) -> f64 {
+    pub(crate) fn decision(&self, x: &S) -> f64 {
         let mut f = self.bias;
         for (sv, &coef) in self.support_vectors.iter().zip(&self.coefficients) {
             f += coef * self.kernel.compute(sv.borrow(), x);
@@ -68,55 +62,10 @@ impl<S: ?Sized + ToOwned, K: Kernel<S>> SvmModel<S, K> {
         self.bias
     }
 
-    /// Decision values for many samples, bit-identical to
-    /// [`Self::decision`] per sample. Each chunk of 256 inputs is scored
-    /// from one [`Kernel::block`] against the support vectors (|SV| × 256
-    /// values at most): every output starts at the bias and adds
-    /// `coef_i · K(sv_i, x)` in support-vector order — the additions
-    /// `decision` makes, in the same order.
+    /// Decision values for many samples: `f(x)` per sample, the bias
+    /// first, then `coef_i · K(sv_i, x)` in support-vector order.
     pub fn decision_batch<B: Borrow<S>>(&self, xs: &[B]) -> Vec<f64> {
-        let svs: Vec<&S> = self.support_vectors.iter().map(Borrow::borrow).collect();
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(BATCH_CHUNK) {
-            let cols: Vec<&S> = chunk.iter().map(Borrow::borrow).collect();
-            let block = self.kernel.block(&svs, &cols);
-            let start = out.len();
-            out.resize(start + cols.len(), self.bias);
-            for (&coef, k_row) in self.coefficients.iter().zip(block.chunks_exact(cols.len())) {
-                for (f, &k) in out[start..].iter_mut().zip(k_row) {
-                    *f += coef * k;
-                }
-            }
-        }
-        out
-    }
-}
-
-impl<S: ?Sized + ToOwned, K: Clone> Clone for SvmModel<S, K>
-where
-    S::Owned: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            kernel: self.kernel.clone(),
-            support_vectors: self.support_vectors.clone(),
-            coefficients: self.coefficients.clone(),
-            bias: self.bias,
-        }
-    }
-}
-
-impl<S: ?Sized + ToOwned, K: std::fmt::Debug> std::fmt::Debug for SvmModel<S, K>
-where
-    S::Owned: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SvmModel")
-            .field("kernel", &self.kernel)
-            .field("support_vectors", &self.support_vectors)
-            .field("coefficients", &self.coefficients)
-            .field("bias", &self.bias)
-            .finish()
+        xs.iter().map(|x| self.decision(x.borrow())).collect()
     }
 }
 
@@ -130,32 +79,6 @@ pub struct TrainedSvm<S: ?Sized + ToOwned, K> {
     pub alpha: Vec<f64>,
     /// Solver diagnostics.
     pub stats: SolveStats,
-}
-
-impl<S: ?Sized + ToOwned, K: Clone> Clone for TrainedSvm<S, K>
-where
-    S::Owned: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            model: self.model.clone(),
-            alpha: self.alpha.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
-impl<S: ?Sized + ToOwned, K: std::fmt::Debug> std::fmt::Debug for TrainedSvm<S, K>
-where
-    S::Owned: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainedSvm")
-            .field("model", &self.model)
-            .field("alpha", &self.alpha)
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -296,51 +219,6 @@ mod tests {
         // The degenerate constant model must batch too.
         let constant: SvmModel<[f64], RbfKernel> = SvmModel::constant(RbfKernel::new(1.0), 1.0);
         check(&constant, &rows);
-    }
-
-    /// A linear kernel with its own `block`: filled column by column and
-    /// counting its calls, so a test sees the batch read from it.
-    #[derive(Clone)]
-    struct ColumnBlock(std::cell::Cell<usize>);
-
-    impl Kernel<[f64]> for ColumnBlock {
-        fn compute(&self, a: &[f64], b: &[f64]) -> f64 {
-            crate::kernel::dot(a, b)
-        }
-
-        fn block(&self, rows: &[&[f64]], cols: &[&[f64]]) -> Vec<f64> {
-            self.0.set(self.0.get() + 1);
-            let mut out = vec![0.0; rows.len() * cols.len()];
-            for (j, b) in cols.iter().enumerate() {
-                for (i, a) in rows.iter().enumerate() {
-                    out[i * cols.len() + j] = self.compute(a, b);
-                }
-            }
-            out
-        }
-    }
-
-    /// Over a kernel that overrides `block`, decision_batch is still
-    /// decision per sample, bit for bit — across a chunk boundary, one
-    /// block per chunk, and for the constant model.
-    #[test]
-    fn decision_batch_reads_overridden_blocks_bit_identically() {
-        let dim = 2;
-        let n = BATCH_CHUNK + 3;
-        let data = waves(n, dim, 0.4);
-        let rows: Vec<&[f64]> = data.chunks_exact(dim).collect();
-        let kernel = ColumnBlock(std::cell::Cell::new(0));
-        let constant = SvmModel::constant(ColumnBlock(std::cell::Cell::new(0)), -1.0);
-        for model in [batch_model(kernel, 3, dim), constant] {
-            let serial: Vec<f64> = rows.iter().map(|r| model.decision(r)).collect();
-            let batch = model.decision_batch(&rows);
-            let same = batch
-                .iter()
-                .zip(&serial)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same && batch.len() == n, "batch diverged from decision");
-            assert_eq!(model.kernel.0.get(), 2, "one block per chunk");
-        }
     }
 
     /// decision_batch over the row views of one flat matrix — the

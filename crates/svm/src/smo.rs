@@ -49,7 +49,7 @@ use std::borrow::Borrow;
 pub const EPS: f64 = 1e-3;
 /// Alphas at or below this are dropped from the support set when building
 /// the model.
-pub(crate) const SV_THRESHOLD: f64 = 1e-9;
+const SV_THRESHOLD: f64 = 1e-9;
 
 /// The solver parameter a caller has had reason to set. The stopping
 /// tolerance ([`EPS`]), the curvature floor (`TAU`) and the
@@ -173,6 +173,19 @@ pub struct Dual {
 }
 
 impl Dual {
+    /// The decision function this dual defines over its store's samples,
+    /// which were solved with `labels`: the bias `b` and one `(i, α_i·y_i)`
+    /// per support vector (`α_i > 10⁻⁹`), in sample order, so that
+    /// `f(x) = b + Σ coef·K(x_i, x)` summed in that order. These are the
+    /// terms and the order of [`crate::KernelCache::machine`]'s model, so a
+    /// caller that holds the rows `K(x_i, ·)` scores bit-identically to
+    /// the model's [`crate::SvmModel::decision_batch`] without building it.
+    pub fn expansion(&self, labels: &[f64]) -> (f64, Vec<(usize, f64)>) {
+        let terms = self.alpha.iter().zip(labels).enumerate();
+        let support = terms.filter(|(_, (&a, _))| a > SV_THRESHOLD);
+        (self.bias, support.map(|(i, (&a, &y))| (i, a * y)).collect())
+    }
+
     /// The degenerate single-class solution: `α = 0` and a decision that
     /// is the constant `sign`.
     pub(crate) fn constant(n: usize, sign: f64) -> Self {
@@ -722,21 +735,21 @@ mod tests {
     fn validation_errors() {
         let s: Vec<Vec<f64>> = vec![];
         assert_eq!(
-            train(&s, &[], &[], LinearKernel, &default_params()).unwrap_err(),
-            SvmError::EmptyTrainingSet
+            train(&s, &[], &[], LinearKernel, &default_params()).err(),
+            Some(SvmError::EmptyTrainingSet)
         );
         let s = vec![vec![0.0]];
         assert!(matches!(
-            train(&s, &[1.0, 1.0], &[1.0], LinearKernel, &default_params()).unwrap_err(),
-            SvmError::LengthMismatch { .. }
+            train(&s, &[1.0, 1.0], &[1.0], LinearKernel, &default_params()).err(),
+            Some(SvmError::LengthMismatch { .. })
         ));
         assert!(matches!(
-            train(&s, &[0.5], &[1.0], LinearKernel, &default_params()).unwrap_err(),
-            SvmError::InvalidLabel { index: 0 }
+            train(&s, &[0.5], &[1.0], LinearKernel, &default_params()).err(),
+            Some(SvmError::InvalidLabel { index: 0 })
         ));
         assert!(matches!(
-            train(&s, &[1.0], &[0.0], LinearKernel, &default_params()).unwrap_err(),
-            SvmError::InvalidBound { index: 0 }
+            train(&s, &[1.0], &[0.0], LinearKernel, &default_params()).err(),
+            Some(SvmError::InvalidBound { index: 0 })
         ));
     }
 
@@ -760,8 +773,8 @@ mod tests {
             ),
         ] {
             assert!(matches!(
-                result.unwrap_err(),
-                SvmError::NonFiniteKernel { .. }
+                result.err(),
+                Some(SvmError::NonFiniteKernel { .. })
             ));
         }
     }

@@ -301,6 +301,91 @@ fn work_counters_move_by_a_fixed_amount_per_request() {
     );
 }
 
+/// Two LRF-CSVM rounds of one session: the first screen judged, a
+/// rerank, then three more pool images judged and one from past the pool
+/// (it joins the round's universe), and a second rerank. When
+/// `close_between`, another session judges four images and closes between
+/// the rounds, so the log records a session and the second round's log
+/// rows are stale. Returns each rerank's `(block rows computed, block
+/// rows carried)`.
+fn two_rounds(close_between: bool) -> [(u64, u64); 2] {
+    let svc = service(ServiceMetrics::disabled());
+    let rows = |svc: &Service| {
+        let snapshot = svc.metrics_snapshot();
+        let read = |name| snapshot.counter(name).unwrap_or(0);
+        (
+            read("block_rows_computed_total"),
+            read("block_rows_carried_total"),
+        )
+    };
+    let Response::Opened { session, screen } = svc.handle(Request::Open {
+        query: QUERY,
+        scheme: SchemeKind::LrfCsvm,
+    }) else {
+        panic!("open failed")
+    };
+    let mark = |image: usize| {
+        let relevant = svc.db().same_category(image, QUERY);
+        let marked = svc.handle(Request::Mark {
+            session,
+            image,
+            relevant,
+        });
+        assert!(matches!(marked, Response::Marked { .. }), "{marked:?}");
+    };
+    screen.iter().for_each(|&image| mark(image));
+    let mut per_round = [(0, 0); 2];
+    let mut seen = rows(&svc);
+    for (round, counts) in per_round.iter_mut().enumerate() {
+        let reranked = svc.handle(Request::Rerank { session });
+        assert!(
+            matches!(reranked, Response::Reranked { .. }),
+            "{reranked:?}"
+        );
+        let now = rows(&svc);
+        *counts = (now.0 - seen.0, now.1 - seen.1);
+        seen = now;
+        if round == 0 {
+            if close_between {
+                assert_eq!(close_after(&svc, QUERY + 1, 4).0, Some(20));
+            }
+            let pool = config().pool_size;
+            let Response::Page { ids, .. } = svc.handle(Request::Page {
+                session,
+                offset: 0,
+                count: pool + 1,
+            }) else {
+                panic!("page failed")
+            };
+            let fresh = ids[..pool].iter().filter(|id| !screen.contains(id));
+            fresh
+                .take(3)
+                .chain([&ids[pool]])
+                .for_each(|&image| mark(image));
+        }
+    }
+    per_round
+}
+
+/// The row blocks' bill: what each LRF-CSVM rerank computes into its
+/// session's row blocks and what it finds there, both views together.
+/// Step 1 computes the labeled images' rows and the final score only the
+/// pool's; a second round carries every row still valid. A close between
+/// the rounds records a session, so the second round recomputes every log
+/// row and carries the content rows alone. The solver's own counters
+/// (iterations, row-store hits and misses) are pinned per request by
+/// `work_counters_move_by_a_fixed_amount_per_request`.
+#[test]
+fn row_blocks_carry_rows_between_rounds_until_the_log_moves() {
+    // Round 1 computes 31 rows and reads 15 of them a second time (step 1's
+    // labeled rows, again for the final score). Round 2 computes only the
+    // 12 rows of images that were not support vectors before.
+    assert_eq!(two_rounds(false), [(31, 15), (12, 50)]);
+    // A close between the rounds: 14 more rows computed, 12 fewer carried
+    // (every log row round 2 reads is recomputed).
+    assert_eq!(two_rounds(true), [(31, 15), (26, 38)]);
+}
+
 const WAL_DIR: &str = "/srv/feedback-wal";
 
 /// Opens a session, marks `marks` images of its first screen, closes it,

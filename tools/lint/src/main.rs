@@ -511,9 +511,22 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Files of `crates/core/src` off the request path, exempt from its
+/// `service-panic` scope: the evaluation-only presentation policies
+/// (`active.rs`), the configuration a service validates once at build
+/// (`config.rs`), the offline log simulator (`log_collection.rs`) and the
+/// crate root. Every other file of the crate is in scope, so a new one is
+/// held to the rule from its first line.
+const CORE_EXEMPT: [&str; 4] = [
+    "crates/core/src/active.rs",
+    "crates/core/src/config.rs",
+    "crates/core/src/log_collection.rs",
+    "crates/core/src/lib.rs",
+];
+
 /// (scope directories or files, rules) pairs, relative to the workspace
 /// root. A file is held to the union of the rules of every scope that
-/// covers it.
+/// covers it, except that [`CORE_EXEMPT`] is outside `service-panic`.
 fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
     vec![
         // The request path must be panic-free; synchronization and time
@@ -536,15 +549,7 @@ fn scopes() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
         // `lrf-logdb`; a panic there kills the same worker.
         (
             vec![
-                "crates/core/src/rounds.rs",
-                "crates/core/src/pooled.rs",
-                "crates/core/src/feedback.rs",
-                "crates/core/src/rf_svm.rs",
-                "crates/core/src/lrf_2svms.rs",
-                "crates/core/src/lrf_csvm.rs",
-                "crates/core/src/coupled.rs",
-                "crates/core/src/kernels.rs",
-                "crates/core/src/euclidean.rs",
+                "crates/core/src",
                 "crates/svm/src",
                 "crates/index/src",
                 "crates/logdb/src",
@@ -616,6 +621,9 @@ fn rules_for(rel: &Path) -> Vec<&'static str> {
                 }
             }
         }
+    }
+    if CORE_EXEMPT.iter().any(|exempt| rel == Path::new(exempt)) {
+        rules.retain(|&rule| rule != "service-panic");
     }
     rules
 }
@@ -916,8 +924,19 @@ fn origin() -> std::time::Instant {
                 ("service-panic", 2)
             );
         }
-        // The evaluation-only modules of the crate are not request path.
-        assert!(!rules_for(Path::new("crates/core/src/active.rs")).contains(&"service-panic"));
+        // The crate's exemptions are named; every other file of it is in
+        // scope, one added after this test included.
+        for file in CORE_EXEMPT {
+            let rules = rules_for(Path::new(file));
+            assert!(!rules.contains(&"service-panic"), "{file}: {rules:?}");
+            assert!(rules.contains(&"wall-clock"), "{file}: {rules:?}");
+        }
+        for file in ["crates/core/src/block.rs", "crates/core/src/new_module.rs"] {
+            assert!(
+                rules_for(Path::new(file)).contains(&"service-panic"),
+                "{file}"
+            );
+        }
     }
 
     #[test]
