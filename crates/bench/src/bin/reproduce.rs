@@ -12,6 +12,7 @@
 //!   all                table1 + table2 + fig3 + fig4 (shared builds)
 //!   ablate-selection   §6.5: unlabeled-selection strategies
 //!   ablate-rho         sweep the unlabeled regularization cap ρ
+//!   ablate-rho-init    sweep the annealing start ρ_init (MAP, P@20, time)
 //!   ablate-delta       sweep the label-correction gate Δ
 //!   ablate-unlabeled   sweep the pool size N'
 //!   ablate-noise       sweep feedback-log noise
@@ -245,7 +246,7 @@ fn run_param_sweep<T: Copy + std::fmt::Display>(
     let dataset = CorelDataset::build(base.dataset.clone());
     let base_log = lrf_core::collect_feedback_log(&dataset.db, &base.log, &base.lrf);
     println!(
-        "ablation: sweep {param_name} (LRF-CSVM MAP / P@20, {} queries)",
+        "ablation: sweep {param_name} (LRF-CSVM MAP / P@20 / evaluation seconds, {} queries)",
         base.protocol.n_queries
     );
     for &v in values {
@@ -262,9 +263,10 @@ fn run_param_sweep<T: Copy + std::fmt::Display>(
         };
         let curve = &result.curves[0].1;
         println!(
-            "  {param_name} = {v:<10} MAP {:.3}  P@20 {:.3}",
+            "  {param_name} = {v:<10} MAP {:.3}  P@20 {:.3}  eval {:.2} s",
             curve.map(),
-            curve.at(20)
+            curve.at(20),
+            result.eval_seconds
         );
     }
 }
@@ -354,7 +356,7 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\nrun with a command: table1|table2|fig3|fig4|all|ablate-selection|ablate-rho|ablate-delta|ablate-unlabeled|ablate-noise|ablate-sessions|rounds|calibrate");
+            eprintln!("error: {e}\n\nrun with a command: table1|table2|fig3|fig4|all|ablate-selection|ablate-rho|ablate-rho-init|ablate-delta|ablate-unlabeled|ablate-noise|ablate-sessions|rounds|calibrate");
             return ExitCode::FAILURE;
         }
     };
@@ -371,6 +373,15 @@ fn main() -> ExitCode {
             "rho",
             &[0.001, 0.01, 0.1, 0.5, 1.0, 2.0],
             |spec, v| spec.lrf.coupled.rho = v,
+            false,
+        ),
+        // One retrain per ρ* step under the pair switch: is starting the
+        // doubling at 10⁻⁴ (10 steps to ρ = 0.05) worth its solves?
+        "ablate-rho-init" => run_param_sweep(
+            &opts,
+            "rho_init",
+            &[1e-4, 1e-3, 1e-2, 0.05],
+            |spec, v| spec.lrf.coupled.rho_init = v,
             false,
         ),
         "ablate-delta" => run_param_sweep(

@@ -28,11 +28,12 @@
 use crate::config::LrfConfig;
 use crate::feedback::QueryContext;
 use lrf_svm::{Dual, Kernel};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// One view's rows, keyed by image id.
+/// One view's rows, keyed by image id (ordered, so a block over the
+/// resident rows is built the same way every run).
 #[derive(Clone, Debug, Default)]
-struct Rows(HashMap<usize, Vec<f64>>);
+struct Rows(BTreeMap<usize, Vec<f64>>);
 
 /// Both views' rows over a session's universe, carried between rounds.
 #[derive(Clone, Debug, Default)]

@@ -6,9 +6,14 @@
 //!
 //! * [`RelevanceFeedback`] — a scheme is one
 //!   [`fit_warm`](RelevanceFeedback::fit_warm): given a query's
-//!   feedback round ([`QueryContext`]) it trains a [`PoolScorer`], whose
-//!   [`score_ids`](PoolScorer::score_ids) is the only place
-//!   decision values are computed. `rank` / `scores` are provided on top.
+//!   feedback round ([`QueryContext`]) and its candidate pool it trains
+//!   and scores the pool, returning a [`PoolScorer`] whose
+//!   [`score_ids`](PoolScorer::score_ids) hands those decision values
+//!   back. `rank` / `scores` are provided on top.
+//! * `block` — the only place decision values are computed: each view's
+//!   kernel rows over the round's universe, kept in the session's
+//!   [`WarmState`] between rounds and read bit-identically to the fitted
+//!   models.
 //! * `pooled::rank_candidates` — the only place a (scheme, round, pool,
 //!   warm state, where-to-score) tuple becomes a ranking of the pool; the
 //!   full ranking, the index-fed pool re-rank and the serving loop all
@@ -39,8 +44,9 @@
 //!   one-shot schemes into resumable multi-round sessions (accumulated
 //!   judgments, typed errors, log-session flush) for `lrf-service`. Each
 //!   round after the first warm-starts its solver from the previous
-//!   round's dual solution ([`WarmState`]) and surfaces solver
-//!   health via [`RoundDiagnostics`].
+//!   round's dual solution and reuses the kernel rows still valid
+//!   ([`WarmState`]), and surfaces solver health and row traffic via
+//!   [`RoundDiagnostics`].
 //!
 //! ## Quickstart
 //!

@@ -8,10 +8,11 @@
 //!    neighbors of the query feature (an exact scan: no workload is served
 //!    faster by an approximate index);
 //! 2. the learned scheme is fitted on the round
-//!    ([`RelevanceFeedback::fit_warm`]) and its scorer scores *only the
-//!    pool* ([`crate::feedback::PoolScorer::score_ids`]); images outside
-//!    the pool trail in id order (every evaluation cutoff that matters is
-//!    well inside the pool).
+//!    ([`RelevanceFeedback::fit_warm`]), which scores *only the pool*
+//!    (from the session's row blocks; the returned
+//!    [`crate::feedback::PoolScorer`] hands those values back); images
+//!    outside the pool trail in id order (every evaluation cutoff that
+//!    matters is well inside the pool).
 //!
 //! With the exact flat index and `pool_size ≥ N` this degrades — by
 //! construction, not by accident — to the paper's full ranking, so the
@@ -102,8 +103,9 @@ pub(crate) fn candidate_pool(mut pool: Vec<usize>, labeled: &[(usize, f64)]) -> 
 /// labeled image, for every scheme: there is nothing to fit yet, and the
 /// solver is never handed an empty training set.
 ///
-/// `score` computes the decision values; every caller passes
-/// [`crate::feedback::PoolScorer::score_ids`] on its own thread. Every
+/// `score` returns the decision values; every caller passes
+/// [`crate::feedback::PoolScorer::score_ids`], which reads back the
+/// values the fit computed. Every
 /// ranking entry ([`RelevanceFeedback::rank`], [`PooledRetrieval::rank`],
 /// [`crate::rounds::FeedbackLoop::rerank_scattered`]) is this function, so
 /// they cannot drift apart.

@@ -123,8 +123,9 @@ pub struct FeedbackLoop {
     /// so replaying the same marks reproduces the same model bit-for-bit.
     labeled: Vec<(usize, f64)>,
     rounds: usize,
-    /// Previous round's dual solutions: because marks only append, the
-    /// stored alphas prefix-map onto the next retrain's sample set.
+    /// The session's fit state: the previous round's dual solutions
+    /// (marks only append, so the stored alphas prefix-map onto the next
+    /// retrain's sample set) and both views' row blocks.
     warm: WarmState,
 }
 
@@ -205,12 +206,14 @@ impl FeedbackLoop {
     /// warm-started later rounds within the solver tolerance).
     ///
     /// The scheme trains exactly once, here (via
-    /// [`RelevanceFeedback::fit_warm`]). `scatter` receives the trained
+    /// [`RelevanceFeedback::fit_warm`]), which scores the pool from the
+    /// session's row blocks. `scatter` receives the trained
     /// [`crate::feedback::PoolScorer`] plus the pool and returns decision
     /// scores aligned with the pool; every caller passes
-    /// `scorer.score_ids(db, log, ids)`, scored on its own thread. The
-    /// closure stays only because the benchmark's adapter times the
-    /// scoring through it; it goes with that adapter (ROADMAP items 5 and 6).
+    /// `scorer.score_ids(db, log, ids)`, which reads the fit's values
+    /// back. The closure stays only because the benchmark's adapter times
+    /// the scoring through it; it goes with that adapter (ROADMAP items 5
+    /// and 6).
     ///
     /// Schemes with no trainable decision function (Euclidean) never call
     /// `scatter`; the pool keeps its order.

@@ -20,11 +20,15 @@
 //! hundred re-solves with new bounds and pseudo-labels — in the same
 //! store. A solve ([`KernelCache::solve`]) returns only its
 //! [`crate::Dual`]; the anneal reads each dual's hinge slacks from the
-//! rows ([`KernelCache::slacks`]) and seeds the next solve with it, and
-//! only a view's final dual becomes a model ([`KernelCache::machine`]),
-//! which is where the support vectors are cloned, once. No kernel value
-//! of the whole fit is evaluated twice. [`crate::train`] is the one-solve
-//! use of the same store.
+//! rows ([`KernelCache::slacks`]) and seeds the next solve with it. No
+//! Gram value of the fit's solves is evaluated twice. The store holds the
+//! training samples only: scoring the round's candidates reads a dual's
+//! [`crate::Dual::expansion`] against rows over the candidates, which
+//! lrf-core keeps per session, so a `K(x_i, x_t)` between two training
+//! samples can be evaluated once here and once there. A caller that wants
+//! a model builds one from a dual ([`KernelCache::machine`], where the
+//! support vectors are cloned). [`crate::train`] is the one-solve use of
+//! the same store.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully

@@ -31,7 +31,8 @@
 //!   a caller that seeds or re-solves (a feedback round, the coupled
 //!   SVM's annealing) owns a store, grows it ([`KernelCache::extend`]),
 //!   reads each dual's hinge slacks from its rows
-//!   ([`KernelCache::slacks`]) and builds one machine at the end.
+//!   ([`KernelCache::slacks`]), and scores with the final dual's
+//!   [`Dual::expansion`] or builds a machine from it.
 //!   The eager full-matrix solve is the tests' bit-exact oracle.
 //! * `model` — the trained decision function, and degenerate
 //!   single-class handling (a feedback round can return only positives).
