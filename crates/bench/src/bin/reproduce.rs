@@ -263,7 +263,7 @@ fn run_param_sweep<T: Copy + std::fmt::Display>(
         };
         let curve = &result.curves[0].1;
         println!(
-            "  {param_name} = {v:<10} MAP {:.3}  P@20 {:.3}  eval {:.2} s",
+            "  {param_name} = {v:<10} MAP {:.3}  P@20 {:.3}  eval {:.4} s",
             curve.map(),
             curve.at(20),
             result.eval_seconds
