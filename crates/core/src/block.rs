@@ -16,8 +16,8 @@
 //!
 //! * content rows never go stale (the database does not change);
 //! * log rows are computed at one snapshot of the log, tagged with its
-//!   [`lrf_logdb::LogStore::n_sessions`], and dropped when that count moves (the log
-//!   only grows by recording sessions);
+//!   [`lrf_logdb::LogStore::n_sessions`], and dropped when that count
+//!   moves (the log only grows by recording sessions);
 //! * when a mark adds an id to the universe, resident rows gain its column
 //!   (as [`lrf_svm::KernelCache::extend`] does); any other change of the
 //!   universe drops every row.
