@@ -1,160 +1,286 @@
-//! A session's kernel rows over its universe: one block per view.
+//! A session's kernel rows over its universe: one block per view, and
+//! the one place a served fit evaluates a kernel value.
 //!
-//! Fig. 1 scores the round's universe — the pool plus every judged id it
-//! lacks — twice per view: step 1's labeled-only machines pick the
-//! unlabeled pool, and the coupled machines rank. Both are kernel
-//! expansions over support vectors, and the coupled machines' support
-//! vectors are the labeled images plus the `N'` pool. So each view keeps,
-//! for every image id `x` a score has needed as a support vector, the row
-//! `K(x, u)` over every `u` of the universe, in universe order. A score
-//! reads it as the bias plus `coef · row` per support vector, in support
-//! order: the additions [`lrf_svm::SvmModel::decision_batch`] makes, over
-//! the values [`lrf_svm::Kernel::block`] gives, so every score is that
-//! model's bit for bit, and no model is built to get it.
+//! Fig. 1 trains on the round's labeled images and `N'` pool and scores
+//! the round's universe — the pool plus every judged id it lacks — twice
+//! per view: step 1's labeled-only machines pick the unlabeled pool, and
+//! the coupled machines rank. Every training image is a universe member,
+//! so each view keeps, for every image id `x` a fit has needed, the row
+//! `K(x, u)` over every `u` of the universe, in universe order:
+//!
+//! * **Training.** Before step 1 the blocks hand each view's SMO row store
+//!   ([`lrf_svm::KernelCache::serve`]) the labeled images' rows restricted
+//!   to the training columns, and LRF-CSVM's stores get the `N'` pool's
+//!   the same way when they grow for the anneal. A served store evaluates
+//!   no kernel, so no Gram value is evaluated once for the solver and
+//!   again for the score.
+//! * **Scoring.** A score reads the bias plus `coef · row` per support
+//!   vector, in support order: the additions
+//!   [`lrf_svm::SvmModel::decision_batch`] makes, over the values
+//!   [`lrf_svm::Kernel::block`] gives, so every score is that model's bit
+//!   for bit, and no model is built to get it. The support vectors are
+//!   training images, so the final score finds every row resident.
+//!
+//! Every value is one [`Kernel::block`] gives, which has the bits of
+//! [`Kernel::compute`]; every kernel here is symmetric at the IEEE level,
+//! so a row served as `K(x_i, ·)` is the row the store would compute.
 //!
 //! The rows outlive the round in the session's [`crate::WarmState`]:
 //!
 //! * content rows never go stale (the database does not change);
 //! * log rows are computed at one snapshot of the log, tagged with its
-//!   [`lrf_logdb::LogStore::n_sessions`], and dropped when that count
-//!   moves (the log only grows by recording sessions);
+//!   [`lrf_logdb::LogStore::n_sessions`]. When that count grows, the
+//!   sessions recorded since judged a few images: only their log vectors
+//!   changed, and `‖r_a − r_b‖²` depends on nothing but `nnz_a`, `nnz_b`
+//!   and `r_a·r_b`. Their rows are dropped and their columns recomputed in
+//!   the other rows, in one block call. A count that moves backward (a
+//!   different log) drops every log row;
 //! * when a mark adds an id to the universe, resident rows gain its column
 //!   (as [`lrf_svm::KernelCache::extend`] does); any other change of the
 //!   universe drops every row.
 //!
-//! Rows missing from a view are computed in one [`lrf_svm::Kernel::block`]
-//! call, so the log kernel makes one session-major overlap pass over them.
+//! Rows missing from a view are computed in one [`Kernel::block`] call,
+//! so the log kernel makes one session-major overlap pass over them. Each
+//! view counts the kernel values it evaluates (row fills and column
+//! patches) for [`RoundDiagnostics::kernel_evals`].
 
 use crate::config::LrfConfig;
-use crate::feedback::QueryContext;
-use lrf_svm::{Dual, Kernel};
-use std::collections::BTreeMap;
+use crate::feedback::{pool_scores, QueryContext, RoundDiagnostics, ScorerRef, WarmState};
+use crate::pooled::candidate_pool;
+use lrf_svm::{Dual, Kernel, KernelCache};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A view's kernel over image ids: the block `K(rows[i], cols[j])`,
+/// row-major, from one [`Kernel::block`] call over their samples.
+type Block<'a> = Box<dyn Fn(&[usize], &[usize]) -> Vec<f64> + 'a>;
+
+/// A round's duals per view, `[content, log]` (the log one absent for
+/// RF-SVM).
+pub(crate) type Duals<'d> = [Option<&'d Dual>; 2];
+
+/// What one round's fit reads: the configuration, the round's context,
+/// and both views' kernels over image ids, `[content, log]`.
+pub(crate) struct Round<'a> {
+    pub(crate) cfg: &'a LrfConfig,
+    pub(crate) ctx: QueryContext<'a>,
+    views: [Block<'a>; 2],
+}
+
+impl<'a> Round<'a> {
+    pub(crate) fn new(cfg: &'a LrfConfig, ctx: &QueryContext<'a>) -> Self {
+        let (ctx, content, log) = (*ctx, cfg.content_kernel(), cfg.log_kernel);
+        // The paper's `x_i` and `r_i` of a list of images.
+        let x = move |ids: &[usize]| -> Vec<_> { ids.iter().map(|&i| ctx.db.feature(i)).collect() };
+        let r =
+            move |ids: &[usize]| -> Vec<_> { ids.iter().map(|&i| ctx.log.log_vector(i)).collect() };
+        let views: [Block; 2] = [
+            Box::new(move |rows, cols| content.block(&x(rows), &x(cols))),
+            Box::new(move |rows, cols| log.block(&r(rows), &r(cols))),
+        ];
+        Self { cfg, ctx, views }
+    }
+}
 
 /// One view's rows, keyed by image id (ordered, so a block over the
-/// resident rows is built the same way every run).
+/// resident rows is built the same way every run), and its round's work.
 #[derive(Clone, Debug, Default)]
-struct Rows(BTreeMap<usize, Vec<f64>>);
+struct Rows {
+    rows: BTreeMap<usize, Vec<f64>>,
+    /// Since the round began: rows computed, rows found resident, and
+    /// kernel values evaluated (rows and column patches).
+    tally: [u64; 3],
+}
 
 /// Both views' rows over a session's universe, carried between rounds.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Blocks {
     universe: Vec<usize>,
-    content: Rows,
-    log: Rows,
+    /// `[content, log]`.
+    views: [Rows; 2],
     /// [`lrf_logdb::LogStore::n_sessions`] of the snapshot the log rows
     /// were computed at.
     log_epoch: usize,
-    /// `(rows computed, rows a score found resident)` since the round
-    /// began, both views.
-    pub(crate) round: (u64, u64),
 }
 
 impl Blocks {
-    /// Begins a round over `universe` at `ctx.log`'s snapshot: drops the
-    /// log rows if the log has grown, gives every resident row the
-    /// columns of ids appended to the universe (or drops every row when
-    /// the universe changed otherwise), and zeroes the round's counts.
-    pub(crate) fn align(&mut self, cfg: &LrfConfig, ctx: &QueryContext<'_>, universe: &[usize]) {
-        if ctx.log.n_sessions() != self.log_epoch {
-            self.log.0.clear();
-            self.log_epoch = ctx.log.n_sessions();
+    /// Begins an SVM scheme's round over `pool` at the log snapshot of
+    /// `r`, and returns its universe: the pool plus the judged ids it
+    /// lacks, so every training image is a universe member (the pool
+    /// stays the prefix; a scorer keeps the pool's scores). Brings the log
+    /// rows up to the snapshot (see the module docs), gives every resident
+    /// row the columns of ids appended to the universe (or drops every row
+    /// when the universe changed otherwise), and zeroes the round's counts.
+    pub(crate) fn align(&mut self, r: &Round<'_>, pool: &[usize]) -> Vec<usize> {
+        let universe = candidate_pool(pool.to_vec(), &r.ctx.example.labeled);
+        let (log, old) = (r.ctx.log, self.universe.len());
+        let judged = (self.log_epoch..log.n_sessions()).flat_map(|s| log.session(s).iter());
+        let judged: BTreeSet<usize> = judged.map(|(id, _)| id).collect();
+        let stale = (0..old).filter(|&p| judged.contains(&self.universe[p]));
+        let stale: Vec<usize> = stale.collect();
+        if !universe.starts_with(&self.universe) {
+            self.views = Default::default();
+        } else if log.n_sessions() < self.log_epoch {
+            self.views[1] = Rows::default();
         }
-        match universe.strip_prefix(&self.universe[..]) {
-            Some(tail) => {
-                let (feature, vector) = (|id| ctx.db.feature(id), |id| ctx.log.log_vector(id));
-                let ids = |rows: &Rows| -> Vec<usize> { rows.0.keys().copied().collect() };
-                let (content, log) = (ids(&self.content), ids(&self.log));
-                self.content
-                    .fill(&cfg.content_kernel(), feature, &content, tail);
-                self.log.fill(&cfg.log_kernel, vector, &log, tail);
-            }
-            None => {
-                self.content.0.clear();
-                self.log.0.clear();
-            }
+        self.views.iter_mut().for_each(|rows| rows.tally = [0; 3]);
+        self.views[1].rows.retain(|id, _| !judged.contains(id));
+        let tail: Vec<usize> = (old..universe.len()).collect();
+        (self.universe, self.log_epoch) = (universe, log.n_sessions());
+        for (v, at) in [(1, &stale), (0, &tail), (1, &tail)] {
+            let ids: Vec<usize> = self.views[v].rows.keys().copied().collect();
+            self.fill(r, v, &ids, at);
         }
-        self.universe = universe.to_vec();
-        self.round = (0, 0);
+        self.universe.clone()
+    }
+
+    /// Sets `K(x, u)` at each universe position `p` of `at` (`u` the id
+    /// there) in view `v`'s row of each `x` of `ids` (a new row starts
+    /// empty), from one block call.
+    fn fill(&mut self, r: &Round<'_>, v: usize, ids: &[usize], at: &[usize]) {
+        if ids.is_empty() || at.is_empty() {
+            return;
+        }
+        let cols: Vec<usize> = at.iter().map(|&p| self.universe[p]).collect();
+        let (block, len) = ((r.views[v])(ids, &cols), self.universe.len());
+        self.views[v].tally[2] += block.len() as u64;
+        for (&id, values) in ids.iter().zip(block.chunks_exact(at.len())) {
+            let row = self.views[v].rows.entry(id).or_default();
+            row.resize(len, 0.0);
+            at.iter().zip(values).for_each(|(&p, &k)| row[p] = k);
+        }
+    }
+
+    /// Computes the rows of `ids` view `v` lacks over the universe, in one
+    /// block call, and counts them and the rows found.
+    fn ensure(&mut self, r: &Round<'_>, v: usize, ids: impl Iterator<Item = usize>) {
+        let rows = &mut self.views[v];
+        let (found, missing): (Vec<_>, Vec<_>) = ids.partition(|id| rows.rows.contains_key(id));
+        rows.tally[0] += missing.len() as u64;
+        rows.tally[1] += found.len() as u64;
+        let all: Vec<usize> = (0..self.universe.len()).collect();
+        self.fill(r, v, &missing, &all);
+    }
+
+    /// The rows view `v`'s row store over the images `ids` (universe
+    /// members, in store order) is served: each one's row, computed first
+    /// if missing, at the universe positions of `ids`.
+    pub(crate) fn served(&mut self, r: &Round<'_>, v: usize, ids: &[usize]) -> Vec<Vec<f64>> {
+        self.ensure(r, v, ids.iter().copied());
+        let at = |id: &usize| self.universe.iter().position(|u| u == id);
+        let at: Option<Vec<usize>> = ids.iter().map(at).collect();
+        // lrf-lint: allow(service-panic): every training image is a
+        // universe member: `Blocks::align` takes the pool plus the judged
+        // ids it lacks, and LRF-CSVM draws its `N'` pool from it
+        let at = at.expect("every training image in the universe");
+        let row = |id| at.iter().map(|&p| self.views[v].rows[id][p]).collect();
+        ids.iter().map(row).collect()
     }
 
     /// The decision values over the universe of the content machine of
-    /// `content`, plus the log machine of `log` when there is one (the
-    /// paper's `f_w + f_u`); both duals were solved over the images of
-    /// `samples`, with their labels, in that order.
-    pub(crate) fn scores(
-        &mut self,
-        cfg: &LrfConfig,
-        ctx: &QueryContext<'_>,
-        samples: &[(usize, f64)],
-        (content, log): (&Dual, Option<&Dual>),
-    ) -> Vec<f64> {
-        let (feature, vector) = (|id| ctx.db.feature(id), |id| ctx.log.log_vector(id));
-        let (u, r) = (&self.universe, &mut self.round);
-        let f_w = self
-            .content
-            .read(r, &cfg.content_kernel(), feature, u, content, samples);
-        let Some(log) = log else { return f_w };
-        let f_u = self.log.read(r, &cfg.log_kernel, vector, u, log, samples);
-        f_w.iter().zip(&f_u).map(|(c, l)| c + l).collect()
+    /// `duals[0]`, plus the log machine of `duals[1]` when there is one
+    /// (the paper's `f_w + f_u`); both were solved over the images of
+    /// `samples`, with their labels, in that order. Per view: the bias
+    /// plus `coef · row` per support vector, in support order, the rows
+    /// missing computed first.
+    pub(crate) fn scores(&mut self, r: &Round, samples: &[(usize, f64)], duals: Duals) -> Vec<f64> {
+        let labels: Vec<f64> = samples.iter().map(|s| s.1).collect();
+        let mut read = |v: usize, dual: &Dual| -> Vec<f64> {
+            let (bias, support) = dual.expansion(&labels);
+            self.ensure(r, v, support.iter().map(|&(i, _)| samples[i].0));
+            let mut out = vec![bias; self.universe.len()];
+            for (i, coef) in support {
+                let row = &self.views[v].rows[&samples[i].0];
+                out.iter_mut().zip(row).for_each(|(f, &k)| *f += coef * k);
+            }
+            out
+        };
+        let f = (0..2).filter_map(|v| Some(read(v, duals[v]?)));
+        let sum = |f_w: Vec<f64>, f_u: Vec<f64>| f_w.iter().zip(&f_u).map(|(c, l)| c + l).collect();
+        f.reduce(sum).unwrap_or_default()
+    }
+
+    /// `(rows computed, rows found resident)` since the round began, both
+    /// views, and the kernel values each view evaluated, `[content, log]`.
+    fn tally(&self) -> ((u64, u64), [u64; 2]) {
+        let [c, l] = [self.views[0].tally, self.views[1].tally];
+        ((c[0] + l[0], c[1] + l[1]), [c[2], l[2]])
     }
 }
 
-impl Rows {
-    /// Appends `K(x, c)` for every `c` of `cols` to the row of each `x` of
-    /// `ids` (a new row starts empty), from one block call.
-    fn fill<'s, S, K>(
+impl WarmState {
+    /// Step 1's SVM of view `v` (`[content, log]`) with its `kernel` and
+    /// bound `c`, over the labeled images' `sample`s (borrowed; no sample
+    /// is cloned): solved in a store the blocks serve, seeded with the
+    /// last round's alphas (the labeled set grows by appending, so the
+    /// seed prefix-maps onto this round's samples).
+    pub(crate) fn fit<'a, S: ?Sized + ToOwned, K: Kernel<S>>(
         &mut self,
-        kernel: &K,
-        sample: impl Fn(usize) -> &'s S,
-        ids: &[usize],
-        cols: &[usize],
-    ) where
-        S: ?Sized + 's,
-        K: Kernel<S>,
-    {
-        if ids.is_empty() || cols.is_empty() {
-            return;
-        }
-        let samples = |ids: &[usize]| -> Vec<&S> { ids.iter().map(|&id| sample(id)).collect() };
-        let block = kernel.block(&samples(ids), &samples(cols));
-        for (&id, values) in ids.iter().zip(block.chunks_exact(cols.len())) {
-            self.0.entry(id).or_default().extend_from_slice(values);
-        }
+        r: &Round<'a>,
+        (v, kernel, c): (usize, K, f64),
+        sample: impl Fn(usize) -> &'a S,
+    ) -> (KernelCache<'a, S, K>, Dual) {
+        let ids: Vec<usize> = r.ctx.example.labeled.iter().map(|&(id, _)| id).collect();
+        let (rows, bounds) = (self.blocks.served(r, v, &ids), vec![c; ids.len()]);
+        let mut store = KernelCache::new(kernel, ids.into_iter().map(sample).collect());
+        store.serve([], rows);
+        let seed = self.seeds[v].as_deref();
+        let dual = store
+            .solve(&r.ctx.labels(), &bounds, &r.cfg.coupled.smo, seed)
+            // lrf-lint: allow(service-panic): a request's fit comes through
+            // `rank_candidates`, which skips an empty round, for a scheme
+            // whose `new` ran `LrfConfig::validate` (positive bounds and
+            // kernel widths); the labels are ±1, one per sample; database
+            // features are finite and log entries ±1
+            .expect("SVM training cannot fail on validated feedback rounds");
+        (store, dual)
     }
 
-    /// `b + Σ coef · K(x, u)` for every `u` of `universe`, support vectors
-    /// in order, for the machine of `dual` (solved over `samples`). The
-    /// rows missing are computed first; `round` counts the rows computed
-    /// and the rows found.
-    fn read<'s, S, K>(
-        &mut self,
-        round: &mut (u64, u64),
-        kernel: &K,
-        sample: impl Fn(usize) -> &'s S,
-        universe: &[usize],
-        dual: &Dual,
-        samples: &[(usize, f64)],
-    ) -> Vec<f64>
-    where
-        S: ?Sized + 's,
-        K: Kernel<S>,
-    {
-        let labels: Vec<f64> = samples.iter().map(|&(_, y)| y).collect();
-        let (bias, support) = dual.expansion(&labels);
-        let ids = support.iter().map(|&(i, _)| samples[i].0);
-        let missing: Vec<usize> = ids.filter(|id| !self.0.contains_key(id)).collect();
-        round.0 += missing.len() as u64;
-        round.1 += (support.len() - missing.len()) as u64;
-        self.fill(kernel, sample, &missing, universe);
-        let mut out = vec![bias; universe.len()];
-        for (i, coef) in support {
-            let row = self.0.get(&samples[i].0).map_or(&[][..], Vec::as_slice);
-            for (f, &k) in out.iter_mut().zip(row) {
-                *f += coef * k;
-            }
-        }
-        out
+    /// Ends the round: `diag` (its solves) with the blocks' counts becomes
+    /// the round's diagnostics, and the final duals' alphas over the
+    /// `n_labeled` labeled images the next round's seeds.
+    pub(crate) fn finish(&mut self, mut diag: RoundDiagnostics, duals: Duals, n: usize) {
+        (diag.block_rows, diag.kernel_evals) = self.blocks.tally();
+        self.seeds = duals.map(|d| d.map(|d| d.alpha[..n].to_vec()));
+        self.last = Some(diag);
     }
+
+    /// The round of a scheme that ranks by step 1's machines: RF-SVM's
+    /// content SVM, plus LRF-2SVMs' log SVM when `log` (the sum
+    /// `f_w + f_u`), scored over the pool.
+    pub(crate) fn summed_round(&mut self, r: &Round<'_>, pool: &[usize], log: bool) -> ScorerRef {
+        let (cfg, ctx, labeled) = (r.cfg, r.ctx, &r.ctx.example.labeled);
+        self.blocks.align(r, pool);
+        let content = (0, cfg.content_kernel(), cfg.coupled.c_content);
+        let (_, content) = self.fit(r, content, |id| ctx.db.feature(id));
+        let view = (1, cfg.log_kernel, cfg.coupled.c_log);
+        let log = log.then(|| self.fit(r, view, |id| ctx.log.log_vector(id)).1);
+        let duals = [Some(&content), log.as_ref()];
+        let scores = self.blocks.scores(r, labeled, duals);
+        let mut diag = RoundDiagnostics::all_converged();
+        duals.iter().flatten().for_each(|d| diag.absorb(&d.stats));
+        self.finish(diag, duals, labeled.len());
+        pool_scores(pool, scores)
+    }
+}
+
+/// Step 1's content SVM with no row blocks: a store over the `labeled`
+/// images' features that computes its own rows, and the dual solved in
+/// it. The tests hold the served fits to it.
+#[cfg(test)]
+pub(crate) fn content_fit<'a>(
+    cfg: &LrfConfig,
+    db: &'a lrf_cbir::ImageDatabase,
+    labeled: &[(usize, f64)],
+    warm: Option<&[f64]>,
+) -> (KernelCache<'a, [f64], lrf_svm::RbfKernel>, Dual) {
+    let samples = labeled.iter().map(|&(id, _)| db.feature(id)).collect();
+    let mut store = KernelCache::new(cfg.content_kernel(), samples);
+    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
+    let bounds = vec![cfg.coupled.c_content; labels.len()];
+    let dual = store
+        .solve(&labels, &bounds, &cfg.coupled.smo, warm)
+        .unwrap();
+    (store, dual)
 }
 
 #[cfg(test)]
@@ -252,7 +378,9 @@ mod tests {
         /// — score exactly what the final machines' `decision_batch`
         /// scores, every round. A round computes only the rows its blocks
         /// lack: content rows are never recomputed, and after an epoch
-        /// move every log row is.
+        /// move only the log rows of the images the new session judged
+        /// are. Each view's kernel values are exactly those rows over the
+        /// universe plus the columns patched into the rows it kept.
         #[test]
         fn block_scores_are_the_final_models_scores_every_round(
             seed in 0u64..10_000,
@@ -275,8 +403,11 @@ mod tests {
                     labeled.push((id, if labeled.len() % 2 == 0 { 1.0 } else { -1.0 }));
                 }
                 let moved = round > 0 && rng.gen_bool(0.5);
+                let mut touched = BTreeSet::new();
                 if moved {
-                    log.record(screen(&mut rng, n));
+                    let session = screen(&mut rng, n);
+                    touched.extend(session.iter().map(|(id, _)| id));
+                    log.record(session);
                 }
                 let example = FeedbackExample { query: pool[0], labeled: labeled.clone() };
                 let ctx = QueryContext { db: &db, log: &log, example: &example };
@@ -291,17 +422,27 @@ mod tests {
                 let want = model_scores(&cfg, &ctx, &samples, &fit.outcome, &universe);
                 prop_assert_eq!(bits(&fit.scores), bits(&want), "round {}", round);
 
-                // Rows are only ever added, so a round's computed rows are
-                // its new ones: no content row is recomputed, and after an
-                // epoch move every log row is.
-                let (content, logside) = (&warm.blocks.content, &warm.blocks.log);
-                let kept = before.content.0.keys().all(|id| content.0.contains_key(id));
-                prop_assert!(kept, "round {} dropped a content row", round);
-                let fresh_log = if moved { 0 } else { before.log.0.len() };
-                let fresh = content.0.len() - before.content.0.len() + logside.0.len() - fresh_log;
-                prop_assert_eq!(warm.blocks.round.0 as usize, fresh, "round {}", round);
+                // Per view: the rows kept from the last round, the rows
+                // computed now (new ones, and the log rows the new session
+                // invalidated), and the universe positions patched.
+                let (u, tail) = (universe.len(), universe.len() - before.universe.len());
+                let stale = before.universe.iter().filter(|id| touched.contains(id)).count();
+                for (was, now, stale) in [
+                    (&before.views[0], &warm.blocks.views[0], 0),
+                    (&before.views[1], &warm.blocks.views[1], stale),
+                ] {
+                    let drop = |id: &&usize| stale > 0 && touched.contains(*id);
+                    let kept: Vec<&usize> = was.rows.keys().filter(|id| !drop(id)).collect();
+                    let all_kept = kept.iter().all(|id| now.rows.contains_key(*id));
+                    prop_assert!(all_kept, "round {} dropped a valid row", round);
+                    let fresh = now.rows.keys().filter(|id| !was.rows.contains_key(*id) || drop(id));
+                    let fresh = fresh.count() as u64;
+                    prop_assert_eq!(now.tally[0], fresh, "round {}", round);
+                    let evals = fresh * u as u64 + (kept.len() * (stale + tail)) as u64;
+                    prop_assert_eq!(now.tally[2], evals, "round {}", round);
+                }
                 let diag = warm.last.expect("the fit records its diagnostics");
-                prop_assert_eq!((diag.rows_computed, diag.rows_carried), warm.blocks.round);
+                prop_assert_eq!((diag.block_rows, diag.kernel_evals), warm.blocks.tally());
             }
         }
     }
@@ -323,27 +464,27 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let dual = crate::rf_svm::content_fit(&cfg, &db, &labeled, None).1;
+        let dual = content_fit(&cfg, &db, &labeled, None).1;
         let universe: Vec<usize> = (0..20).collect();
-        let mut blocks = Blocks::default();
-        blocks.align(&cfg, &ctx, &universe);
-        let first = blocks.scores(&cfg, &ctx, &labeled, (&dual, None));
-        let rows = blocks.content.0.len() as u64;
+        let (mut blocks, r) = (Blocks::default(), Round::new(&cfg, &ctx));
+        blocks.align(&r, &universe);
+        let first = blocks.scores(&r, &labeled, [Some(&dual), None]);
+        let rows = blocks.views[0].rows.len() as u64;
         assert!(rows > 0);
-        assert_eq!(blocks.round, (rows, 0));
+        assert_eq!(blocks.tally().0, (rows, 0));
         let reversed: Vec<usize> = universe.iter().rev().copied().collect();
-        blocks.align(&cfg, &ctx, &reversed);
-        assert!(blocks.content.0.is_empty() && blocks.log.0.is_empty());
-        let again = blocks.scores(&cfg, &ctx, &labeled, (&dual, None));
-        assert_eq!(blocks.round, (rows, 0));
+        blocks.align(&r, &reversed);
+        assert!(blocks.views[0].rows.is_empty() && blocks.views[1].rows.is_empty());
+        let again = blocks.scores(&r, &labeled, [Some(&dual), None]);
+        assert_eq!(blocks.tally().0, (rows, 0));
         let back: Vec<f64> = again.iter().rev().copied().collect();
         assert_eq!(bits(&back), bits(&first));
         // The same universe again: every row is carried.
-        blocks.align(&cfg, &ctx, &reversed);
+        blocks.align(&r, &reversed);
         assert_eq!(
-            bits(&blocks.scores(&cfg, &ctx, &labeled, (&dual, None))),
+            bits(&blocks.scores(&r, &labeled, [Some(&dual), None])),
             bits(&again)
         );
-        assert_eq!(blocks.round, (0, rows));
+        assert_eq!(blocks.tally().0, (0, rows));
     }
 }

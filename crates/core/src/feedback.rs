@@ -23,13 +23,16 @@ pub struct RoundDiagnostics {
     pub cache_hits: u64,
     /// Kernel-row cache misses across the round's solves.
     pub cache_misses: u64,
-    /// Rows the round's scores computed into the session's blocks
-    /// ([`WarmState`]), both views.
-    pub rows_computed: u64,
-    /// Rows the round's scores found already in the session's blocks, both
-    /// views: a row an earlier round computed, or one step 1 computed and
-    /// the final score read again.
-    pub rows_carried: u64,
+    /// `(computed, carried)`, both views: the rows the round computed
+    /// into the session's blocks ([`WarmState`]), and the times a row
+    /// store or a score found its row there already — a row an earlier
+    /// round computed, or one the round computed and read again.
+    pub block_rows: (u64, u64),
+    /// Kernel values the round evaluated, `[content, log]`: the blocks'
+    /// row fills and column patches. The row stores are served from the
+    /// blocks and evaluate none, so this is every value the round's fit
+    /// and scores cost.
+    pub kernel_evals: [u64; 2],
 }
 
 impl RoundDiagnostics {
@@ -69,10 +72,9 @@ impl RoundDiagnostics {
 ///   when the session does.
 #[derive(Clone, Debug, Default)]
 pub struct WarmState {
-    /// Previous content-side alphas, in labeled-set (mark) order.
-    pub(crate) content: Option<Vec<f64>>,
-    /// Previous log-side alphas, in labeled-set order.
-    pub(crate) log: Option<Vec<f64>>,
+    /// Previous alphas per view, `[content, log]`, in labeled-set (mark)
+    /// order.
+    pub(crate) seeds: [Option<Vec<f64>>; 2],
     /// Both views' rows over the session's universe.
     pub(crate) blocks: Blocks,
     /// Diagnostics from the most recent retrain, `None` until a scheme

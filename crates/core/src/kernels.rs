@@ -101,8 +101,8 @@ mod tests {
         // Images never judged carry no log information: the kernel sees
         // them as one point, so the log SVM scores them all equally.
         let k = LogRbfKernel::new(0.5);
-        let empty1 = SparseVector::new();
-        let empty2 = SparseVector::new();
+        let empty1 = SparseVector::default();
+        let empty2 = SparseVector::default();
         assert_eq!(k.compute(&empty1, &empty2), 1.0);
     }
 
@@ -115,7 +115,7 @@ mod tests {
             sv(&[(0, 1.0), (3, 1.0)]),
             sv(&[(3, -1.0), (5, -1.0), (7, -1.0), (9, 1.0)]),
             sv(&[(11, 1.0)]),
-            SparseVector::new(),
+            SparseVector::default(),
         ];
         let rows: Vec<&SparseVector> = vs.iter().collect();
         let cols: Vec<&SparseVector> = [4, 0, 2, 2, 1, 3].iter().map(|&i| &vs[i]).collect();

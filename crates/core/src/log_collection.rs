@@ -29,9 +29,9 @@
 //! are what let the log-based schemes bridge the semantic gap.
 
 use crate::config::LrfConfig;
-use crate::feedback::rank_by_scores;
-use crate::rf_svm::content_fit;
-use lrf_cbir::{top_k_euclidean, ImageDatabase};
+use crate::feedback::{QueryContext, RelevanceFeedback};
+use crate::rf_svm::RfSvm;
+use lrf_cbir::{top_k_euclidean, FeedbackExample, ImageDatabase};
 use lrf_logdb::{simulate_sessions, LogStore, Relevance, SimulationConfig};
 use std::collections::BTreeMap;
 
@@ -46,11 +46,12 @@ pub fn collect_feedback_log(
     config: &SimulationConfig,
     lrf: &LrfConfig,
 ) -> LogStore {
+    let empty = LogStore::new(db.len());
     let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
         if judged.is_empty() {
             top_k_euclidean(db, query, k)
         } else {
-            let mut ranking = refine_with_svm(db, judged, lrf);
+            let mut ranking = refine_with_svm(db, &empty, (query, judged), lrf);
             ranking.truncate(k);
             ranking
         }
@@ -62,14 +63,16 @@ pub fn collect_feedback_log(
     store
 }
 
-/// One RF-SVM refinement round over accumulated judgments: the content
-/// fit on them, ranking every image. An image re-judged in a later round
-/// keeps only its most recent judgment for training (the user's current
-/// opinion). Single-class judgment sets fall back to the solver's
-/// constant model.
+/// One RF-SVM refinement round over accumulated `judged` images of
+/// `query`, with an empty `log` (the log is what is being collected): the
+/// content fit on them, ranking every image. An image re-judged in a
+/// later round keeps only its most recent judgment for training (the
+/// user's current opinion). Single-class judgment sets fall back to the
+/// solver's constant model.
 fn refine_with_svm(
     db: &ImageDatabase,
-    judged: &[(usize, Relevance)],
+    log: &LogStore,
+    (query, judged): (usize, &[(usize, Relevance)]),
     lrf: &LrfConfig,
 ) -> Vec<usize> {
     // Deduplicate, last judgment wins; keep deterministic id order.
@@ -77,12 +80,9 @@ fn refine_with_svm(
     for &(id, r) in judged {
         latest.insert(id, r.sign());
     }
-    let labeled: Vec<(usize, f64)> = latest.into_iter().collect();
-    let (store, dual) = content_fit(lrf, db, &labeled, None);
-    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
-    let model = store.machine(dual, &labels).model;
-    let rows: Vec<&[f64]> = (0..db.len()).map(|id| db.feature(id)).collect();
-    rank_by_scores(&model.decision_batch(&rows))
+    let labeled = latest.into_iter().collect();
+    let example = &FeedbackExample { query, labeled };
+    RfSvm::new(*lrf).rank(&QueryContext { db, log, example })
 }
 
 #[cfg(test)]

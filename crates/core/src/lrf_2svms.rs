@@ -7,14 +7,9 @@
 //! vectors, one on the labeled log vectors, and rank by
 //! `f_w(x_i) + f_u(r_i)`.
 
+use crate::block::Round;
 use crate::config::LrfConfig;
-use crate::feedback::{
-    pool_scores, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
-};
-use crate::kernels::LogRbfKernel;
-use crate::rf_svm::content_fit;
-use lrf_logdb::{LogStore, SparseVector};
-use lrf_svm::{Dual, KernelCache};
+use crate::feedback::{QueryContext, RelevanceFeedback, ScorerRef, WarmState};
 
 /// Linear combination of two independently trained SVMs.
 #[derive(Clone, Debug, Default)]
@@ -31,31 +26,6 @@ impl Lrf2Svms {
     }
 }
 
-/// The log view of one feedback round: a row store over the `labeled`
-/// images' log vectors, borrowed from `log` (no clone per sample), and the
-/// dual of the log-side SVM solved in it, seeded with the previous round's
-/// log-side alphas (labeled-set order). Shared with LRF-CSVM (this is its
-/// log-side initial model).
-pub(crate) fn log_fit<'a>(
-    cfg: &LrfConfig,
-    log: &'a LogStore,
-    labeled: &[(usize, f64)],
-    warm: Option<&[f64]>,
-) -> (KernelCache<'a, SparseVector, LogRbfKernel>, Dual) {
-    let samples = labeled.iter().map(|&(id, _)| log.log_vector(id)).collect();
-    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
-    let mut store = KernelCache::new(cfg.log_kernel, samples);
-    let bounds = vec![cfg.coupled.c_log; labeled.len()];
-    let dual = store
-        .solve(&labels, &bounds, &cfg.coupled.smo, warm)
-        // lrf-lint: allow(service-panic): a request's fit comes through
-        // `rank_candidates`, which skips an empty round, for a scheme whose
-        // `new` ran `LrfConfig::validate` (a positive bound and kernel
-        // width); the labels are ±1, one per sample; log entries are ±1
-        .expect("log SVM training cannot fail on validated feedback rounds");
-    (store, dual)
-}
-
 impl RelevanceFeedback for Lrf2Svms {
     fn name(&self) -> &'static str {
         "LRF-2SVMs"
@@ -67,21 +37,7 @@ impl RelevanceFeedback for Lrf2Svms {
         pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let (cfg, labeled) = (&self.config, &ctx.example.labeled);
-        let (_, content) = content_fit(cfg, ctx.db, labeled, warm.content.as_deref());
-        let (_, log) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
-        warm.blocks.align(cfg, ctx, pool);
-        let scores = warm
-            .blocks
-            .scores(cfg, ctx, labeled, (&content, Some(&log)));
-        let mut diag = RoundDiagnostics::all_converged();
-        diag.absorb(&content.stats);
-        diag.absorb(&log.stats);
-        (diag.rows_computed, diag.rows_carried) = warm.blocks.round;
-        warm.content = Some(content.alpha);
-        warm.log = Some(log.alpha);
-        warm.last = Some(diag);
-        Some(pool_scores(pool, scores))
+        Some(warm.summed_round(&Round::new(&self.config, ctx), pool, true))
     }
 }
 

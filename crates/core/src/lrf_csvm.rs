@@ -20,16 +20,16 @@
 //! achieve promising improvements" and is kept here as
 //! [`UnlabeledSelection::ClosestToBoundary`] to reproduce that finding.
 
+use crate::block::Round;
 use crate::config::{LrfConfig, UnlabeledSelection};
 use crate::coupled::{train_coupled, CoupledOutcome, TrainReport};
 use crate::feedback::{
     pool_scores, rank_by_scores, QueryContext, RelevanceFeedback, ScorerRef, WarmState,
 };
-use crate::lrf_2svms::log_fit;
-use crate::rf_svm::content_fit;
 
 /// Output of [`LrfCsvm::fit_on`] — the coupled round's scores over its
-/// universe plus the diagnostics `run` folds into its outcome.
+/// universe (the pool, then the judged ids it lacks) plus the diagnostics
+/// `run` folds into its outcome.
 pub(crate) struct CsvmFit {
     pub(crate) scores: Vec<f64>,
     pub(crate) unlabeled_ids: Vec<usize>,
@@ -76,16 +76,17 @@ impl LrfCsvm {
         }
     }
 
-    /// Fig. 1 over a candidate `universe` (the whole database, or an
-    /// index's pool: selection only ever touches its members): unlabeled
-    /// selection, coupled training, and the `CSVM_Dist` of every universe
-    /// member. Step 1's distances and the final scores are read from the
-    /// session's row blocks in `warm`: the final score computes only the
-    /// rows step 1 (or an earlier round) did not, at most the pool's.
+    /// Fig. 1 over a candidate `pool` (the whole database, or an index's
+    /// pool) and the judged ids it lacks: unlabeled selection, coupled
+    /// training, and the `CSVM_Dist` of every member of that universe, in
+    /// universe order (the pool first). Every kernel value of the fit is
+    /// read from the session's row blocks in `warm`: step 1's stores are
+    /// served the labeled rows, the anneal's the pool's, and the final
+    /// score finds every row resident.
     pub(crate) fn fit_on(
         &self,
         ctx: &QueryContext<'_>,
-        universe: &[usize],
+        pool: &[usize],
         warm: &mut WarmState,
     ) -> CsvmFit {
         let (cfg, db, y) = (&self.config, ctx.db, ctx.labels());
@@ -94,24 +95,28 @@ impl LrfCsvm {
         // row store per view, seeded from the previous round: the labeled
         // prefix of the last coupled solution is bounded by the same `C`
         // as a labeled-only solve, so it prefix-maps directly.
-        let labeled = &ctx.example.labeled;
-        let (mut content, content0) = content_fit(cfg, db, labeled, warm.content.as_deref());
-        let (mut log, log0) = log_fit(cfg, ctx.log, labeled, warm.log.as_deref());
-        warm.blocks.align(cfg, ctx, universe);
-        let views = (&content0, Some(&log0));
-        let dist = warm.blocks.scores(cfg, ctx, labeled, views);
+        let (labeled, r) = (&ctx.example.labeled, Round::new(cfg, ctx));
+        let universe = warm.blocks.align(&r, pool);
+        let (feature, vector) = (|id| db.feature(id), |id| ctx.log.log_vector(id));
+        let content = (0, cfg.content_kernel(), cfg.coupled.c_content);
+        let (mut content, content0) = warm.fit(&r, content, feature);
+        let (mut log, log0) = warm.fit(&r, (1, cfg.log_kernel, cfg.coupled.c_log), vector);
+        let step1 = [Some(&content0), Some(&log0)];
+        let dist = warm.blocks.scores(&r, labeled, step1);
         let judged: std::collections::HashSet<usize> = labeled.iter().map(|&(id, _)| id).collect();
         let scored = universe.iter().copied().zip(dist);
         let scored: Vec<(usize, f64)> = scored.filter(|(id, _)| !judged.contains(id)).collect();
 
         let (unlabeled_ids, y_init) = self.select_unlabeled_in(ctx, scored);
 
-        // ---- Step 2: coupled training in the same two stores, extended
-        // with the pool: every row step 1 computed is reused, and the new
-        // samples are borrowed too (row views of the database's flat
+        // ---- Step 2: coupled training in the same two stores, grown by
+        // the pool and served every row over labeled images and pool: the
+        // new samples are borrowed too (row views of the database's flat
         // matrix, references into the log store).
-        content.extend(unlabeled_ids.iter().map(|&id| db.feature(id)));
-        log.extend(unlabeled_ids.iter().map(|&id| ctx.log.log_vector(id)));
+        let (ids, pool) = (labeled.iter().map(|l| l.0), unlabeled_ids.iter().copied());
+        let ids: Vec<usize> = ids.chain(pool.clone()).collect();
+        content.serve(pool.clone().map(feature), warm.blocks.served(&r, 0, &ids));
+        log.serve(pool.map(vector), warm.blocks.served(&r, 1, &ids));
         let outcome = train_coupled(content, log, &y, &y_init, &cfg.coupled)
             // lrf-lint: allow(service-panic): the round is non-empty (the two
             // step-1 fits above ran on it), its labels and the pseudo-labels
@@ -123,16 +128,13 @@ impl LrfCsvm {
         let finals = outcome.report.final_labels.iter().copied();
         let pseudo = unlabeled_ids.iter().copied().zip(finals);
         let samples: Vec<(usize, f64)> = labeled.iter().copied().chain(pseudo).collect();
-        let views = (&outcome.content, Some(&outcome.log));
-        let scores = warm.blocks.scores(cfg, ctx, &samples, views);
+        let duals = [Some(&outcome.content), Some(&outcome.log)];
+        let scores = warm.blocks.scores(&r, &samples, duals);
 
         let mut diag = outcome.solves;
         diag.absorb(&content0.stats);
         diag.absorb(&log0.stats);
-        (diag.rows_computed, diag.rows_carried) = warm.blocks.round;
-        warm.content = Some(outcome.content.alpha[..y.len()].to_vec());
-        warm.log = Some(outcome.log.alpha[..y.len()].to_vec());
-        warm.last = Some(diag);
+        warm.finish(diag, duals, y.len());
         CsvmFit {
             scores,
             unlabeled_ids,
@@ -219,8 +221,29 @@ impl RelevanceFeedback for LrfCsvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::content_fit;
+    use crate::kernels::LogRbfKernel;
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
-    use lrf_logdb::{LogStore, SimulationConfig};
+    use lrf_logdb::{LogStore, SimulationConfig, SparseVector};
+    use lrf_svm::{Dual, KernelCache};
+
+    /// Step 1's log SVM with no row blocks: a store over the labeled
+    /// images' log vectors that computes its own rows.
+    fn log_fit<'a>(
+        cfg: &LrfConfig,
+        log: &'a LogStore,
+        labeled: &[(usize, f64)],
+        warm: Option<&[f64]>,
+    ) -> (KernelCache<'a, SparseVector, LogRbfKernel>, Dual) {
+        let samples = labeled.iter().map(|&(id, _)| log.log_vector(id)).collect();
+        let mut store = KernelCache::new(cfg.log_kernel, samples);
+        let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
+        let bounds = vec![cfg.coupled.c_log; labels.len()];
+        let dual = store
+            .solve(&labels, &bounds, &cfg.coupled.smo, warm)
+            .unwrap();
+        (store, dual)
+    }
 
     impl LrfCsvm {
         /// Step 1's selection over the full database (exercised directly by

@@ -5,12 +5,9 @@
 //! SVM on the judged images' feature vectors and rank the database by the
 //! decision value.
 
+use crate::block::Round;
 use crate::config::LrfConfig;
-use crate::feedback::{
-    pool_scores, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState,
-};
-use lrf_cbir::ImageDatabase;
-use lrf_svm::{Dual, KernelCache, RbfKernel};
+use crate::feedback::{QueryContext, RelevanceFeedback, ScorerRef, WarmState};
 
 /// Content-only SVM relevance feedback.
 #[derive(Clone, Debug, Default)]
@@ -28,35 +25,6 @@ impl RfSvm {
     }
 }
 
-/// The content view of one feedback round: a row store over borrowed row
-/// views of the `labeled` images' features (in the given order) — no
-/// feature is cloned — and the dual of the content SVM solved in it,
-/// seeded with the previous round's content-side alphas (the set grows by
-/// appending, so the seed prefix-maps onto the new round's samples).
-/// Shared by every scheme with a content side (this is exactly the
-/// log-based schemes' content-side initial model; LRF-CSVM goes on to
-/// extend the store and anneal in it) and by the log collector's
-/// refinement rounds.
-pub(crate) fn content_fit<'a>(
-    cfg: &LrfConfig,
-    db: &'a ImageDatabase,
-    labeled: &[(usize, f64)],
-    warm: Option<&[f64]>,
-) -> (KernelCache<'a, [f64], RbfKernel>, Dual) {
-    let samples = labeled.iter().map(|&(id, _)| db.feature(id)).collect();
-    let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
-    let mut store = KernelCache::new(cfg.content_kernel(), samples);
-    let bounds = vec![cfg.coupled.c_content; labeled.len()];
-    let dual = store
-        .solve(&labels, &bounds, &cfg.coupled.smo, warm)
-        // lrf-lint: allow(service-panic): a request's fit comes through
-        // `rank_candidates`, which skips an empty round, for a scheme whose
-        // `new` ran `LrfConfig::validate` (a positive bound); the labels are
-        // ±1, one per sample; database features are finite
-        .expect("content SVM training cannot fail on validated feedback rounds");
-    (store, dual)
-}
-
 impl RelevanceFeedback for RfSvm {
     fn name(&self) -> &'static str {
         "RF-SVM"
@@ -68,18 +36,12 @@ impl RelevanceFeedback for RfSvm {
         pool: &[usize],
         warm: &mut WarmState,
     ) -> Option<ScorerRef> {
-        let (cfg, labeled) = (&self.config, &ctx.example.labeled);
-        let (_, dual) = content_fit(cfg, ctx.db, labeled, warm.content.as_deref());
-        warm.blocks.align(cfg, ctx, pool);
-        let scores = warm.blocks.scores(cfg, ctx, labeled, (&dual, None));
-        let mut diag = RoundDiagnostics::all_converged();
-        diag.absorb(&dual.stats);
-        (diag.rows_computed, diag.rows_carried) = warm.blocks.round;
-        warm.content = Some(dual.alpha);
-        warm.last = Some(diag);
-        Some(pool_scores(pool, scores))
+        Some(warm.summed_round(&Round::new(&self.config, ctx), pool, false))
     }
 }
+
+#[cfg(test)]
+use crate::block::content_fit;
 
 #[cfg(test)]
 mod tests {

@@ -14,12 +14,13 @@
 //! `nnz_a + nnz_b − 2·r_a·r_b`. Each is an exact integer; the log kernel
 //! converts it to `f64` once.
 //!
-//! Scoring needs the dots of many pairs at once: every support vector
-//! against every pooled image. [`SparseVector::overlap_block`] computes
-//! that block session-major — the rows' entries sorted by session once,
-//! then each column's sessions looked up in them — so its cost follows
-//! the judgments, not the pairs, and its integers are the per-pair
-//! merges' integers.
+//! Training and scoring need the dots of many pairs at once: every
+//! labeled, pooled or support-vector image against every image of the
+//! round's universe. [`SparseVector::overlap_block`] computes that block
+//! session-major — the rows' judgments bucketed by session in one
+//! counting sort, then each column judgment's bucket found by its session
+//! id — so its cost follows the judgments, not the pairs, and its
+//! integers are the per-pair merges' integers.
 
 use std::cmp::Ordering;
 
@@ -32,6 +33,7 @@ fn sign(entry: u32) -> f64 {
 }
 
 /// A sparse ±1 vector: ascending indices with their signs, zeros omitted.
+/// The default is the empty (all-zero) vector.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseVector {
     /// Indices in ascending order, each `| NEG` when its value is `−1`.
@@ -39,11 +41,6 @@ pub struct SparseVector {
 }
 
 impl SparseVector {
-    /// The empty (all-zero) vector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds from `(index, value)` pairs.
     ///
     /// # Panics
@@ -51,7 +48,7 @@ impl SparseVector {
     /// other than `±1` (`R` holds nothing else; a zero is an absent entry).
     pub fn from_entries(mut entries: Vec<(u32, f64)>) -> Self {
         entries.sort_unstable_by_key(|&(i, _)| i);
-        let mut v = Self::new();
+        let mut v = Self::default();
         for (i, x) in entries {
             assert!(x == 1.0 || x == -1.0, "entries must be ±1, got {x}");
             v.push(i, x < 0.0);
@@ -114,46 +111,52 @@ impl SparseVector {
     /// The dots `rows[i]·cols[j]`, row-major (`rows.len()` ×
     /// `cols.len()`): the integers [`Self::dot`] merges out pair by pair.
     ///
-    /// Session-major: the rows' entries are sorted by session once, then
-    /// each column entry adds `±1` to every row that judged its session.
-    /// The cost is the sort, one galloping search per column entry
-    /// (logarithmic in the entries it skips) and one add per shared
-    /// judgment — not a merge per pair, and not a walk of whole sessions,
-    /// so long sessions cost no more than short ones.
+    /// Session-major: a counting sort over the rows' session span
+    /// `[lo, hi]` buckets the rows' judgments by session, then each column
+    /// entry finds its session's bucket in O(1) and adds `±1` to every row
+    /// in it. The cost is one pass over the rows' judgments, one over the
+    /// span, one lookup per column judgment and one add per shared
+    /// judgment — not a merge per pair, and not a walk of whole sessions.
+    /// The scratch is one `u32` per row judgment plus one per session of
+    /// the span, which is at most the log's session count `M` (about
+    /// 200 KiB at `M` = 50k).
     pub fn overlap_block(rows: &[&SparseVector], cols: &[&SparseVector]) -> Vec<i64> {
-        assert!(rows.len() <= 1 << 31, "too many rows for a packed key");
-        // (session << 32 | row << 1 | negative): a sort orders by session.
-        let mut by_session: Vec<u64> = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(r, row)| {
-                row.entries
-                    .iter()
-                    .map(move |&e| u64::from(e & !NEG) << 32 | (r as u64) << 1 | u64::from(e >> 31))
-            })
-            .collect();
-        by_session.sort_unstable();
+        assert!(rows.len() <= 1 << 31, "too many rows for a packed slot");
         let n = cols.len();
         let mut out = vec![0i64; rows.len() * n];
+        let judgments = || {
+            rows.iter()
+                .flat_map(|row| row.entries.iter().map(|&e| e & !NEG))
+        };
+        let lo = judgments().min().unwrap_or(0);
+        let span = judgments().max().map_or(0, |hi| (hi - lo) as usize + 1);
+        // Session `lo + s`'s judgments end up in `slots[at[s]..at[s + 1]]`,
+        // each `row << 1 | negative`: counted two places up, summed, then
+        // placed through `at[s + 1]`, which leaves it at the bucket's end.
+        let mut at = vec![0u32; span + 2];
+        for s in judgments() {
+            at[(s - lo) as usize + 2] += 1;
+        }
+        for k in 2..at.len() {
+            at[k] += at[k - 1];
+        }
+        let mut slots = vec![0u32; at[span + 1] as usize];
+        for (r, row) in rows.iter().enumerate() {
+            for &e in &row.entries {
+                let next = &mut at[((e & !NEG) - lo) as usize + 1];
+                slots[*next as usize] = (r as u32) << 1 | e >> 31;
+                *next += 1;
+            }
+        }
         for (j, col) in cols.iter().enumerate() {
-            // A column's sessions ascend, so each search gallops on from
-            // where the last one ended.
-            let mut rest = &by_session[..];
             for &e in &col.entries {
-                let session = u64::from(e & !NEG);
-                let mut step = 1;
-                while step < rest.len() && rest[step - 1] >> 32 < session {
-                    step *= 2;
+                let s = ((e & !NEG).wrapping_sub(lo)) as usize;
+                let Some(bucket) = at.get(s..s + 2) else {
+                    continue;
+                };
+                for &slot in &slots[bucket[0] as usize..bucket[1] as usize] {
+                    out[(slot >> 1) as usize * n + j] += 1 - 2 * i64::from((slot ^ e >> 31) & 1);
                 }
-                let lo = step / 2;
-                let hi = step.min(rest.len());
-                rest = &rest[lo + rest[lo..hi].partition_point(|&k| k >> 32 < session)..];
-                let shared = rest.iter().take_while(|&&k| k >> 32 == session).count();
-                for &k in &rest[..shared] {
-                    let r = (k as u32 >> 1) as usize;
-                    out[r * n + j] += 1 - 2 * i64::from((k as u32 ^ e >> 31) & 1);
-                }
-                rest = &rest[shared..];
             }
         }
         out
@@ -199,7 +202,7 @@ mod tests {
 
     #[test]
     fn empty_vector_behaves_like_zero() {
-        let z = SparseVector::new();
+        let z = SparseVector::default();
         assert_eq!(z.nnz(), 0);
         assert!(z.is_empty());
         assert_eq!(z.get(5), 0.0);
@@ -331,7 +334,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(k, set)| signed(set, &signs[k % signs.len()..], 24).0)
-                .chain([SparseVector::new()])
+                .chain([SparseVector::default()])
                 .collect();
             let rows: Vec<&SparseVector> = vs.iter().collect();
             let cols: Vec<&SparseVector> = picks.iter().map(|&p| &vs[p % vs.len()]).collect();
@@ -345,7 +348,56 @@ mod tests {
                 }
             }
         }
+    }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `overlap_block` is the per-pair `dot` on session ids up to 2²⁰,
+        /// where the counting sort's span is widest: rows and columns
+        /// drawn over one range, columns lifted past the rows' span, and
+        /// rows lifted past the columns' (so no column session falls in
+        /// the span); each with every row, a single row, no rows and no
+        /// columns. A span of 2²⁰ sessions is a 4 MiB scratch, which is
+        /// too slow under Miri; the small-id property above covers it there.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn overlap_block_is_per_pair_dot_on_wide_spans(
+            row_idx in proptest::collection::vec(proptest::collection::btree_set(0u32..1 << 20, 0..12), 0..5),
+            col_idx in proptest::collection::vec(proptest::collection::btree_set(0u32..1 << 20, 0..12), 0..5),
+            signs in proptest::collection::vec(proptest::bool::ANY, 1..16),
+            layout in 0usize..3,
+        ) {
+            let lift = |sets: &[BTreeSet<u32>], by: u32| -> Vec<SparseVector> {
+                let vector = |(k, set): (usize, &BTreeSet<u32>)| {
+                    let sign = signs[k % signs.len()..].iter().cycle();
+                    let entries = set.iter().zip(sign);
+                    let entries = entries.map(|(&i, &s)| (i + by, if s { 1.0 } else { -1.0 }));
+                    SparseVector::from_entries(entries.collect())
+                };
+                sets.iter().enumerate().map(vector).collect()
+            };
+            let (row_by, col_by) = [(0, 0), (0, 1 << 20), (1 << 20, 0)][layout];
+            let (rows, cols) = (lift(&row_idx, row_by), lift(&col_idx, col_by));
+            let rows: Vec<&SparseVector> = rows.iter().collect();
+            let cols: Vec<&SparseVector> = cols.iter().collect();
+            let one = &rows[..rows.len().min(1)];
+            for (r, c) in [(&rows[..], &cols[..]), (one, &cols[..]), (&[][..], &cols[..]), (&rows[..], &[][..])] {
+                let block = SparseVector::overlap_block(r, c);
+                prop_assert_eq!(block.len(), r.len() * c.len());
+                for (i, a) in r.iter().enumerate() {
+                    for (j, b) in c.iter().enumerate() {
+                        prop_assert_eq!(block[i * c.len() + j], a.dot(b));
+                        if layout > 0 {
+                            prop_assert_eq!(block[i * c.len() + j], 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
         /// Distance is symmetric, nonnegative, and zero iff equal patterns.
         #[test]
         fn distance_metric_axioms(

@@ -90,7 +90,7 @@ impl LogStore {
     /// Panics if `n_images == 0`.
     pub fn new(n_images: usize) -> Self {
         assert!(n_images > 0, "log store needs a nonempty image database");
-        let columns = vec![SparseVector::new(); n_images];
+        let columns = vec![SparseVector::default(); n_images];
         Self {
             base: Arc::new(Matrix {
                 sessions: Vec::new(),

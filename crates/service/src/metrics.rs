@@ -50,10 +50,16 @@ pub mod names {
     pub const KERNEL_CACHE_HITS: &str = "kernel_cache_hits_total";
     /// Kernel-row cache misses across all retrains.
     pub const KERNEL_CACHE_MISSES: &str = "kernel_cache_misses_total";
-    /// Rows the retrains' scores computed into their sessions' row blocks.
+    /// Rows the retrains computed into their sessions' row blocks.
     pub(crate) const BLOCK_ROWS_COMPUTED: &str = "block_rows_computed_total";
-    /// Rows the retrains' scores found already in their sessions' blocks.
+    /// Rows the retrains' row stores and scores found already in their
+    /// sessions' blocks.
     pub(crate) const BLOCK_ROWS_CARRIED: &str = "block_rows_carried_total";
+    /// Content-view kernel values the retrains evaluated (row fills and
+    /// column patches of the sessions' blocks, which serve the row stores).
+    pub(crate) const CONTENT_EVALS: &str = "content_kernel_evals_total";
+    /// Log-view kernel values the retrains evaluated, as above.
+    pub(crate) const LOG_EVALS: &str = "log_kernel_evals_total";
     /// Index distance evaluations across all index queries.
     pub const ANN_DISTANCE_EVALS: &str = "ann_distance_evals_total";
     /// Log-store snapshots taken, one per retrieval round (adopted from
@@ -134,6 +140,8 @@ pub struct ServiceMetrics {
     pub(crate) kernel_cache_misses: Arc<Counter>,
     pub(crate) block_rows_computed: Arc<Counter>,
     pub(crate) block_rows_carried: Arc<Counter>,
+    /// `[content, log]` kernel evaluations.
+    pub(crate) kernel_evals: [Arc<Counter>; 2],
     pub(crate) ann_distance_evals: Arc<Counter>,
     pub(crate) wal_appends: Arc<Counter>,
     pub(crate) wal_retries: Arc<Counter>,
@@ -201,6 +209,7 @@ impl ServiceMetrics {
             kernel_cache_misses: registry.counter(names::KERNEL_CACHE_MISSES),
             block_rows_computed: registry.counter(names::BLOCK_ROWS_COMPUTED),
             block_rows_carried: registry.counter(names::BLOCK_ROWS_CARRIED),
+            kernel_evals: [names::CONTENT_EVALS, names::LOG_EVALS].map(|n| registry.counter(n)),
             ann_distance_evals: registry.counter(names::ANN_DISTANCE_EVALS),
             wal_appends: registry.counter(names::WAL_APPENDS),
             wal_retries: registry.counter(names::WAL_RETRIES),
@@ -274,8 +283,12 @@ impl ServiceMetrics {
         self.smo_iterations.add(d.iterations as u64);
         self.kernel_cache_hits.add(d.cache_hits);
         self.kernel_cache_misses.add(d.cache_misses);
-        self.block_rows_computed.add(d.rows_computed);
-        self.block_rows_carried.add(d.rows_carried);
+        self.block_rows_computed.add(d.block_rows.0);
+        self.block_rows_carried.add(d.block_rows.1);
+        self.kernel_evals
+            .iter()
+            .zip(d.kernel_evals)
+            .for_each(|(c, n)| c.add(n));
         if !d.converged {
             self.nonconverged_retrains.inc();
         }
@@ -341,8 +354,8 @@ mod tests {
             iterations: 42,
             cache_hits: 5,
             cache_misses: 3,
-            rows_computed: 9,
-            rows_carried: 4,
+            block_rows: (9, 4),
+            kernel_evals: [120, 80],
         });
         let s = m.snapshot();
         assert_eq!(s.counter(names::ANN_DISTANCE_EVALS), Some(17));
@@ -351,6 +364,8 @@ mod tests {
         assert_eq!(s.counter(names::KERNEL_CACHE_MISSES), Some(3));
         assert_eq!(s.counter(names::BLOCK_ROWS_COMPUTED), Some(9));
         assert_eq!(s.counter(names::BLOCK_ROWS_CARRIED), Some(4));
+        assert_eq!(s.counter(names::CONTENT_EVALS), Some(120));
+        assert_eq!(s.counter(names::LOG_EVALS), Some(80));
         assert_eq!(s.counter(names::NONCONVERGED_RETRAINS), Some(1));
     }
 }

@@ -1207,7 +1207,11 @@ mod tests {
         assert_eq!(snapshot.histogram("stage_flush_ns").unwrap().count, 1);
         // The solver, index and log totals flowed through.
         assert!(snapshot.counter("smo_iterations_total").unwrap() > 0);
-        assert!(snapshot.counter("kernel_cache_misses_total").unwrap() > 0);
+        // The rerank's kernel values are all evaluated in the session's
+        // row blocks, which serve the solver's row stores: no store misses.
+        assert!(snapshot.counter("content_kernel_evals_total").unwrap() > 0);
+        assert!(snapshot.counter("log_kernel_evals_total").unwrap() > 0);
+        assert_eq!(snapshot.counter("kernel_cache_misses_total"), Some(0));
         assert!(snapshot.counter("ann_distance_evals_total").unwrap() > 0);
         assert_eq!(snapshot.counter("flushed_sessions_total"), Some(1));
         assert_eq!(snapshot.counter("log_appends_total"), Some(1));

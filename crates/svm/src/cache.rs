@@ -24,11 +24,15 @@
 //! Gram value of the fit's solves is evaluated twice. The store holds the
 //! training samples only: scoring the round's candidates reads a dual's
 //! [`crate::Dual::expansion`] against rows over the candidates, which
-//! lrf-core keeps per session, so a `K(x_i, x_t)` between two training
-//! samples can be evaluated once here and once there. A caller that wants
-//! a model builds one from a dual ([`KernelCache::machine`], where the
-//! support vectors are cloned). [`crate::train`] is the one-solve use of
-//! the same store.
+//! lrf-core keeps per session. Every training sample is one of those
+//! candidates, so lrf-core hands the store its rows
+//! ([`KernelCache::serve`]: the candidate rows restricted to the training
+//! samples) and a `K(x_i, x_t)` between two training samples is evaluated
+//! once, there. A served store evaluates no kernel at all; one that is
+//! handed no rows computes its own, as above. A caller that wants a model
+//! builds one from a dual ([`KernelCache::machine`], where the support
+//! vectors are cloned). [`crate::train`] is the one-solve use of the same
+//! store.
 //!
 //! The solver itself is written against the crate-private `KernelRows`
 //! abstraction so its tests can run the same loop over a fully
@@ -113,6 +117,28 @@ where
         self.rows.resize(self.samples.len(), None);
     }
 
+    /// Appends `samples` (none, to serve the current ones), then makes
+    /// every row resident from `rows`, which holds row `i` — `K(x_i, x_t)`
+    /// over every sample `t`, in store order — for each sample `i`. The
+    /// values are computed elsewhere (lrf-core's session row blocks) and
+    /// must be the bits [`Kernel::compute`] returns. A served store
+    /// evaluates no kernel: its diagonal is the rows' (a solve checks it
+    /// like a computed one), and every row access is a hit.
+    ///
+    /// # Panics
+    /// Panics unless `rows` holds one row per sample, each one value per
+    /// sample.
+    pub fn serve<I: IntoIterator<Item = &'a S>>(&mut self, samples: I, rows: Vec<Vec<f64>>) {
+        self.samples.extend(samples);
+        let n = self.samples.len();
+        assert!(
+            rows.len() == n && rows.iter().all(|r| r.len() == n),
+            "not this store's rows"
+        );
+        self.diag = rows.iter().enumerate().map(|(i, row)| row[i]).collect();
+        self.rows = rows.into_iter().map(Some).collect();
+    }
+
     /// Validates the problem, takes the single-class shortcut, and
     /// otherwise solves the dual in this store, reusing every row an
     /// earlier solve in it computed. The result is bit-identical to the
@@ -138,7 +164,8 @@ where
     /// An empty store, labels or bounds of another length, a label other
     /// than `±1` or a bound that is not positive and finite is rejected
     /// before any kernel is evaluated. A two-class solve first computes
-    /// the diagonal entries no earlier solve did: a non-finite `K(i, i)`
+    /// the diagonal entries no earlier solve or [`Self::serve`] provided,
+    /// then checks the whole diagonal: a non-finite `K(i, i)`
     /// is reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
     /// kernel in this workspace a sample containing NaN/∞ poisons its own
     /// diagonal entry, so this is equivalent to the full-matrix scan of
@@ -154,13 +181,12 @@ where
         if let Some(sign) = single_class_sign(labels) {
             return Ok(Dual::constant(labels.len(), sign));
         }
-        let from = self.diag.len();
         let kernel = &self.kernel;
-        let new = self.samples[from..].iter().map(|&s| kernel.compute(s, s));
+        let new = self.samples[self.diag.len()..]
+            .iter()
+            .map(|&s| kernel.compute(s, s));
         self.diag.extend(new);
-        if let Some(i) = self.diag[from..].iter().position(|v| !v.is_finite()) {
-            self.diag.truncate(from);
-            let i = from + i;
+        if let Some(i) = self.diag.iter().position(|v| !v.is_finite()) {
             return Err(SvmError::NonFiniteKernel { row: i, col: i });
         }
         let (hits, misses) = (self.hits, self.misses);
@@ -481,6 +507,73 @@ mod tests {
             }
             prev = Some(dual.alpha);
         }
+    }
+
+    /// A kernel that counts its evaluations.
+    #[derive(Clone)]
+    struct Counting(RbfKernel, std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Kernel<[f64]> for Counting {
+        fn compute(&self, a: &[f64], b: &[f64]) -> f64 {
+            self.1.set(self.1.get() + 1);
+            self.0.compute(a, b)
+        }
+    }
+
+    /// A store served its rows, before the first solve and again when it
+    /// grows, solves to the same dual in every bit as one that computes
+    /// them, evaluates no kernel, and finds every row it reads; a
+    /// non-finite served diagonal is reported like a computed one.
+    #[test]
+    fn served_rows_solve_like_computed_ones_and_evaluate_nothing() {
+        let flat: Vec<f64> = (0..30).map(|i| (i as f64 * 0.71).sin()).collect();
+        let samples = samples_from(&flat, 3);
+        let refs: Vec<&[f64]> = samples.iter().map(Vec::as_slice).collect();
+        let kernel = RbfKernel::new(0.8);
+        let rows = |n: usize| -> Vec<Vec<f64>> {
+            let row = |i: usize| {
+                refs[..n]
+                    .iter()
+                    .map(|&t| kernel.compute(refs[i], t))
+                    .collect()
+            };
+            (0..n).map(row).collect()
+        };
+        let labels: Vec<f64> = (0..10)
+            .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let (bounds, params) = (vec![1.0; 10], SmoParams::default());
+        let evaluations = std::rc::Rc::default();
+        let mut served = KernelCache::new(
+            Counting(kernel, std::rc::Rc::clone(&evaluations)),
+            refs[..6].to_vec(),
+        );
+        served.serve([], rows(6));
+        let mut computed = KernelCache::new(kernel, refs[..6].to_vec());
+        for (n, from) in [(6, 6), (10, 6)] {
+            if n > from {
+                served.serve(refs[from..n].iter().copied(), rows(n));
+                computed.extend(refs[from..n].iter().copied());
+            }
+            let a = served
+                .solve(&labels[..n], &bounds[..n], &params, None)
+                .unwrap();
+            let b = computed
+                .solve(&labels[..n], &bounds[..n], &params, None)
+                .unwrap();
+            assert_eq!(a.alpha, b.alpha);
+            assert_eq!(a.bias.to_bits(), b.bias.to_bits());
+            assert_eq!(a.stats.iterations, b.stats.iterations);
+            assert_eq!(a.stats.cache_misses, 0);
+        }
+        assert_eq!(evaluations.get(), 0);
+
+        let mut poisoned = rows(4);
+        poisoned[2][2] = f64::NAN;
+        let mut cache = KernelCache::new(kernel, refs[..4].to_vec());
+        cache.serve([], poisoned);
+        let err = cache.solve(&labels[..4], &bounds[..4], &params, None).err();
+        assert_eq!(err, Some(SvmError::NonFiniteKernel { row: 2, col: 2 }));
     }
 
     proptest! {

@@ -291,7 +291,9 @@ fn work_counters_move_by_a_fixed_amount_per_request() {
             ("mark", [0; 9]),
             // The coupled fit and its scoring run on the session thread
             // against one log snapshot: no shard job, no index scan.
-            ("rerank", [0, 0, 160, 750, 31, 1, 0, 0, 0]),
+            // Every row the solver reads is served from the session's row
+            // blocks (`two_rounds` pins the blocks' own bill): no misses.
+            ("rerank", [0, 0, 160, 781, 0, 1, 0, 0, 0]),
             ("page", [0; 9]),
             // One append into the log; no snapshot is held, so no copy.
             ("close", [0, 0, 0, 0, 0, 0, 1, 0, 1]),
@@ -306,17 +308,20 @@ fn work_counters_move_by_a_fixed_amount_per_request() {
 /// (it joins the round's universe), and a second rerank. When
 /// `close_between`, another session judges four images and closes between
 /// the rounds, so the log records a session and the second round's log
-/// rows are stale. Returns each rerank's `(block rows computed, block
-/// rows carried)`.
-fn two_rounds(close_between: bool) -> [(u64, u64); 2] {
+/// rows of the images it judged are stale. Returns each rerank's block
+/// rows computed, block rows carried, and content and log kernel values
+/// evaluated.
+fn two_rounds(close_between: bool) -> [[u64; 4]; 2] {
     let svc = service(ServiceMetrics::disabled());
     let rows = |svc: &Service| {
         let snapshot = svc.metrics_snapshot();
-        let read = |name| snapshot.counter(name).unwrap_or(0);
-        (
-            read("block_rows_computed_total"),
-            read("block_rows_carried_total"),
-        )
+        [
+            "block_rows_computed_total",
+            "block_rows_carried_total",
+            "content_kernel_evals_total",
+            "log_kernel_evals_total",
+        ]
+        .map(|name| snapshot.counter(name).unwrap_or(0))
     };
     let Response::Opened { session, screen } = svc.handle(Request::Open {
         query: QUERY,
@@ -334,7 +339,7 @@ fn two_rounds(close_between: bool) -> [(u64, u64); 2] {
         assert!(matches!(marked, Response::Marked { .. }), "{marked:?}");
     };
     screen.iter().for_each(|&image| mark(image));
-    let mut per_round = [(0, 0); 2];
+    let mut per_round = [[0; 4]; 2];
     let mut seen = rows(&svc);
     for (round, counts) in per_round.iter_mut().enumerate() {
         let reranked = svc.handle(Request::Rerank { session });
@@ -343,7 +348,7 @@ fn two_rounds(close_between: bool) -> [(u64, u64); 2] {
             "{reranked:?}"
         );
         let now = rows(&svc);
-        *counts = (now.0 - seen.0, now.1 - seen.1);
+        *counts = std::array::from_fn(|i| now[i] - seen[i]);
         seen = now;
         if round == 0 {
             if close_between {
@@ -368,22 +373,30 @@ fn two_rounds(close_between: bool) -> [(u64, u64); 2] {
 }
 
 /// The row blocks' bill: what each LRF-CSVM rerank computes into its
-/// session's row blocks and what it finds there, both views together.
-/// Step 1 computes the labeled images' rows and the final score only the
-/// pool's; a second round carries every row still valid. A close between
-/// the rounds records a session, so the second round recomputes every log
-/// row and carries the content rows alone. The solver's own counters
-/// (iterations, row-store hits and misses) are pinned per request by
+/// session's row blocks, what it finds there (both views together), and
+/// the kernel values each view evaluates. The blocks serve the solver's
+/// row stores, so these are all the kernel values a rerank costs: step 1
+/// computes the labeled images' rows, the anneal the `N'` pool's, and the
+/// final score finds every row resident. A second round carries every row
+/// still valid. A close between the rounds records a session, so the
+/// second round drops the log rows of the images it judged and patches
+/// their columns into the rest. The solver's own counters (iterations,
+/// row-store hits and misses) are pinned per request by
 /// `work_counters_move_by_a_fixed_amount_per_request`.
 #[test]
 fn row_blocks_carry_rows_between_rounds_until_the_log_moves() {
-    // Round 1 computes 31 rows and reads 15 of them a second time (step 1's
-    // labeled rows, again for the final score). Round 2 computes only the
-    // 12 rows of images that were not support vectors before.
-    assert_eq!(two_rounds(false), [(31, 15), (12, 50)]);
-    // A close between the rounds: 14 more rows computed, 12 fewer carried
-    // (every log row round 2 reads is recomputed).
-    assert_eq!(two_rounds(true), [(31, 15), (26, 38)]);
+    // Round 1 computes 32 rows, 8 labeled and 8 pooled per view, each over
+    // the 30-image universe (480 values per view). It finds 62: the 16
+    // labeled rows again when the stores grow, and every support vector's
+    // row for the two scores. Round 2 computes the rows of the 6 new
+    // training images per view over the 31-image universe (186 values)
+    // and gives the 16 rows it carries the column of the mark from past
+    // the pool (16 values).
+    assert_eq!(two_rounds(false), [[32, 62, 480, 480], [12, 114, 202, 202]]);
+    // A close between the rounds: one more log row computed (a carried
+    // row the new session judged; 31 values), and its 3 judged universe
+    // members' columns patched into the 15 log rows kept (45 values).
+    assert_eq!(two_rounds(true), [[32, 62, 480, 480], [13, 115, 202, 277]]);
 }
 
 const WAL_DIR: &str = "/srv/feedback-wal";

@@ -110,11 +110,15 @@ fn metrics_endpoint_covers_every_stage_of_the_feedback_loop() {
         assert_eq!(h.quantile(1.0), h.max, "{stage} q=1.0 must be exact");
     }
     // Two full retrains per session × two sessions drove the solver and
-    // the kernel cache; scoring walked the index; closes flushed the log.
+    // both views' row blocks (which serve the solver's row stores, so the
+    // stores miss no row); scoring walked the index; closes flushed the
+    // log.
+    assert_eq!(snapshot.counter("kernel_cache_misses_total"), Some(0));
     for counter in [
         "requests_total",
         "smo_iterations_total",
-        "kernel_cache_misses_total",
+        "content_kernel_evals_total",
+        "log_kernel_evals_total",
         "ann_distance_evals_total",
         "flushed_sessions_total",
         "log_appends_total",
