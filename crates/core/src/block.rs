@@ -113,7 +113,10 @@ impl Blocks {
     pub(crate) fn align(&mut self, r: &Round<'_>, pool: &[usize]) -> Vec<usize> {
         let universe = candidate_pool(pool.to_vec(), &r.ctx.example.labeled);
         let (log, old) = (r.ctx.log, self.universe.len());
-        let judged = (self.log_epoch..log.n_sessions()).flat_map(|s| log.session(s).iter());
+        // Only what the log rows need: a fresh session has none to keep.
+        let recorded = self.log_epoch..log.n_sessions();
+        let recorded = recorded.filter(|_| !self.views[1].rows.is_empty());
+        let judged = recorded.flat_map(|s| log.session(s).iter());
         let judged: BTreeSet<usize> = judged.map(|(id, _)| id).collect();
         let stale = (0..old).filter(|&p| judged.contains(&self.universe[p]));
         let stale: Vec<usize> = stale.collect();

@@ -33,9 +33,10 @@
 //! [`lrf_svm::KernelCache`] per modality (content, log), holding the
 //! labeled samples and then the unlabeled pool. A caller that has already
 //! solved the labeled-only SVMs in those stores (LRF-CSVM's step 1) and
-//! then [`extend`](lrf_svm::KernelCache::extend)ed them hands the rows it
-//! computed over to the anneal, so no Gram value of the fit's solves is
-//! evaluated twice. Every retrain inside the run solves a QP over the *same* sample
+//! then grown them ([`extend`](lrf_svm::KernelCache::extend), or
+//! [`serve`](lrf_svm::KernelCache::serve) with rows computed elsewhere, as
+//! LRF-CSVM does from its row blocks) hands its rows over to the anneal,
+//! so no Gram value of the fit's solves is evaluated twice. Every retrain inside the run solves a QP over the *same* sample
 //! set — only the bounds (`ρ*` doubling) and a few pseudo-labels change —
 //! so a row computed once serves every later solve, and the correction
 //! loop reads its slacks from the same rows instead of re-evaluating the

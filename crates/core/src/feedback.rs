@@ -63,13 +63,13 @@ impl RoundDiagnostics {
 ///   exactly the prefix mapping a seeded [`lrf_svm::KernelCache::solve`]
 ///   implements.
 /// * **Row blocks.** Per view, the kernel row over the round's universe
-///   of every image a score has needed as a support vector (the `block`
-///   module). Every score of every SVM scheme is read from them: step 1's
-///   and the final score of one LRF-CSVM round share rows, and later
-///   rounds reuse what is still valid. Content rows are kept for the
-///   session; log rows until the log records another session. A session
-///   holds a few hundred rows of a few hundred values at most, and they go
-///   when the session does.
+///   of every image the fit has trained on (the `block` module). They are
+///   the only place a scheme's fit evaluates a kernel value: they serve
+///   the SMO row stores their rows and every score of every SVM scheme is
+///   read from them, and later rounds reuse what is still valid. Content
+///   rows are kept for the session; a log row until a session recorded in
+///   the log judges its image. A session holds a few hundred rows of a
+///   few hundred values at most, and they go when the session does.
 #[derive(Clone, Debug, Default)]
 pub struct WarmState {
     /// Previous alphas per view, `[content, log]`, in labeled-set (mark)

@@ -8,9 +8,13 @@
 //! how its RBF treated the sparse columns; plain RBF on the raw ±1 columns
 //! is the calibrated choice (`lrf-bench`'s crate docs hold the grid).
 //!
-//! A model scores its pool a block at a time ([`lrf_svm::Kernel::block`]);
-//! this kernel's block takes every dot of the block from one session-major
-//! [`SparseVector::overlap_block`] instead of a merge per pair.
+//! The session's row blocks compute every log-side kernel value of a fit
+//! a block at a time ([`lrf_svm::Kernel::block`]): the labeled images' and
+//! the `N'` pool's rows over the round's universe, which also serve the
+//! SMO row stores. This kernel's block takes every dot of the block from
+//! one session-major [`SparseVector::overlap_block`] (a counting sort of
+//! the rows' judgments, then one lookup per column judgment) instead of a
+//! merge per pair.
 
 use lrf_logdb::SparseVector;
 use lrf_svm::Kernel;
@@ -56,7 +60,9 @@ impl Kernel<SparseVector> for LogRbfKernel {
 
     /// Every dot of the block from one [`SparseVector::overlap_block`]
     /// instead of a merge per pair; each value is then the one `compute`
-    /// returns, bit for bit.
+    /// returns, bit for bit (the dot is an exact integer, and the value a
+    /// function of it and the two nnz alone), so a block row can stand in
+    /// for a row the solver would compute.
     fn block(&self, rows: &[&SparseVector], cols: &[&SparseVector]) -> Vec<f64> {
         let dots = SparseVector::overlap_block(rows, cols);
         rows.iter()
