@@ -12,8 +12,8 @@
 # on seed <first-seed> + k, the side that runs first alternating by pair.
 # Prints, for every end-to-end metric BENCHMARK.json lists, the medians of
 # both sides, the parent's interquartile range, and in how many pairs the
-# change was better (in the metric's direction); then the failed
-# operations per side.
+# change was better (in the metric's direction); then, per side, the
+# failed operations and the runs that failed a correctness check.
 #
 # Set AB_SECONDS to change the run length (default 20, as the gate runs).
 # Needs git, cargo (offline), python3.
@@ -98,5 +98,6 @@ for m in metrics:
 for side, rows in (("parent", parent), ("change", change)):
     failed = sum(r["failed"] for r in rows)
     attempted = sum(r["attempted"] for r in rows)
-    print(f"{side}: {failed} of {attempted} operations failed")
+    incorrect = sum(not r["correct"] for r in rows)
+    print(f"{side}: {failed} of {attempted} operations failed; {incorrect} runs failed a check")
 EOF
