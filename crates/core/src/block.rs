@@ -8,12 +8,12 @@
 //! so each view keeps, for every image id `x` a fit has needed, the row
 //! `K(x, u)` over every `u` of the universe, in universe order:
 //!
-//! * **Training.** Before step 1 the blocks hand each view's SMO row store
-//!   ([`lrf_svm::KernelCache::serve`]) the labeled images' rows restricted
-//!   to the training columns, and LRF-CSVM's stores get the `N'` pool's
-//!   the same way when they grow for the anneal. A served store evaluates
-//!   no kernel, so no Gram value is evaluated once for the solver and
-//!   again for the score.
+//! * **Training.** Each view's SMO row store is built with its rows
+//!   ([`lrf_svm::KernelCache::served`]): step 1's with the labeled
+//!   images' rows restricted to the training columns, LRF-CSVM's anneal
+//!   store with the labeled images' and the `N'` pool's. A served store
+//!   evaluates no kernel, so no Gram value is evaluated once for the
+//!   solver and again for the score.
 //! * **Scoring.** A score reads the bias plus `coef · row` per support
 //!   vector, in support order: the additions
 //!   [`lrf_svm::SvmModel::decision_batch`] makes, over the values
@@ -46,38 +46,90 @@
 
 use crate::config::LrfConfig;
 use crate::feedback::{pool_scores, QueryContext, RoundDiagnostics, ScorerRef, WarmState};
+use crate::kernels::LogRbfKernel;
 use crate::pooled::candidate_pool;
-use lrf_svm::{Dual, Kernel, KernelCache};
+use lrf_logdb::SparseVector;
+use lrf_svm::{Dual, Kernel, KernelCache, RbfKernel};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A view's kernel over image ids: the block `K(rows[i], cols[j])`,
-/// row-major, from one [`Kernel::block`] call over their samples.
-type Block<'a> = Box<dyn Fn(&[usize], &[usize]) -> Vec<f64> + 'a>;
 
 /// A round's duals per view, `[content, log]` (the log one absent for
 /// RF-SVM).
 pub(crate) type Duals<'d> = [Option<&'d Dual>; 2];
 
+/// One view of a round, `(v, kernel, C, sample)`: its place in
+/// `[content, log]`, its kernel, its bound `C`, and the sample of an image
+/// id (the paper's `x_i` or `r_i`). The view's blocks and its row stores
+/// both read them here, so a store is served the rows of its own kernel.
+pub(crate) struct View<'a, S: ?Sized, K>(usize, K, f64, fn(&QueryContext<'a>, usize) -> &'a S);
+
+impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Copy> View<'a, S, K> {
+    fn samples(&self, ctx: &QueryContext<'a>, ids: &[usize]) -> Vec<&'a S> {
+        ids.iter().map(|&id| (self.3)(ctx, id)).collect()
+    }
+
+    /// The block `K(rows[i], cols[j])` over image ids, row-major, from
+    /// one [`Kernel::block`] call.
+    fn block(&self, ctx: &QueryContext<'a>, rows: &[usize], cols: &[usize]) -> Vec<f64> {
+        Kernel::block(&self.1, &self.samples(ctx, rows), &self.samples(ctx, cols))
+    }
+
+    /// Step 1's SVM over the round's labeled images (borrowed; no sample
+    /// is cloned): solved in a store the blocks serve, seeded with the
+    /// last round's alphas (the labeled set grows by appending, so the
+    /// seed prefix-maps onto this round's samples).
+    pub(crate) fn fit(&self, r: &Round<'a>, warm: &mut WarmState) -> Dual {
+        let ids: Vec<usize> = r.ctx.example.labeled.iter().map(|&(id, _)| id).collect();
+        let (bounds, seed) = (vec![self.2; ids.len()], warm.seeds[self.0].as_deref());
+        (self.store(r, &mut warm.blocks, &ids))
+            .solve(&r.ctx.labels(), &bounds, &r.cfg.coupled.smo, seed)
+            // lrf-lint: allow(service-panic): a request's fit comes through
+            // `rank_candidates`, which skips an empty round, for a scheme
+            // whose `new` ran `LrfConfig::validate` (positive bounds and
+            // kernel widths); the labels are ±1, one per sample; database
+            // features are finite and log entries ±1
+            .expect("SVM training cannot fail on validated feedback rounds")
+    }
+
+    /// A row store over the images `ids` (universe members), served
+    /// every row from `blocks`: each image's row at the universe
+    /// positions of `ids`, the rows missing computed first.
+    pub(crate) fn store(
+        &self,
+        r: &Round<'a>,
+        blocks: &mut Blocks,
+        ids: &[usize],
+    ) -> KernelCache<'a, S, K> {
+        blocks.ensure(r, self.0, ids.iter().copied());
+        let at = |id| blocks.universe.iter().position(|u| u == id);
+        let at: Option<Vec<usize>> = ids.iter().map(at).collect();
+        // lrf-lint: allow(service-panic): every training image is a
+        // universe member: `Blocks::align` takes the pool plus the judged
+        // ids it lacks, and LRF-CSVM draws its `N'` pool from it
+        let at = at.expect("every training image in the universe");
+        let rows = ids.iter().map(|id| &blocks.views[self.0].rows[id]);
+        let rows = rows.map(|row| at.iter().map(|&p| row[p]).collect());
+        KernelCache::new(self.1, self.samples(&r.ctx, ids)).served(rows.collect())
+    }
+}
+
 /// What one round's fit reads: the configuration, the round's context,
-/// and both views' kernels over image ids, `[content, log]`.
+/// and its two views.
 pub(crate) struct Round<'a> {
     pub(crate) cfg: &'a LrfConfig,
     pub(crate) ctx: QueryContext<'a>,
-    views: [Block<'a>; 2],
+    pub(crate) content: View<'a, [f64], RbfKernel>,
+    pub(crate) log: View<'a, SparseVector, LogRbfKernel>,
 }
 
 impl<'a> Round<'a> {
     pub(crate) fn new(cfg: &'a LrfConfig, ctx: &QueryContext<'a>) -> Self {
-        let (ctx, content, log) = (*ctx, cfg.content_kernel(), cfg.log_kernel);
-        // The paper's `x_i` and `r_i` of a list of images.
-        let x = move |ids: &[usize]| -> Vec<_> { ids.iter().map(|&i| ctx.db.feature(i)).collect() };
-        let r =
-            move |ids: &[usize]| -> Vec<_> { ids.iter().map(|&i| ctx.log.log_vector(i)).collect() };
-        let views: [Block; 2] = [
-            Box::new(move |rows, cols| content.block(&x(rows), &x(cols))),
-            Box::new(move |rows, cols| log.block(&r(rows), &r(cols))),
-        ];
-        Self { cfg, ctx, views }
+        let (ctx, c, kernel) = (*ctx, &cfg.coupled, cfg.content_kernel());
+        Self {
+            cfg,
+            ctx,
+            content: View(0, kernel, c.c_content, |x, id| x.db.feature(id)),
+            log: View(1, cfg.log_kernel, c.c_log, |x, id| x.log.log_vector(id)),
+        }
     }
 }
 
@@ -144,7 +196,11 @@ impl Blocks {
             return;
         }
         let cols: Vec<usize> = at.iter().map(|&p| self.universe[p]).collect();
-        let (block, len) = ((r.views[v])(ids, &cols), self.universe.len());
+        let block = match v {
+            0 => r.content.block(&r.ctx, ids, &cols),
+            _ => r.log.block(&r.ctx, ids, &cols),
+        };
+        let len = self.universe.len();
         self.views[v].tally[2] += block.len() as u64;
         for (&id, values) in ids.iter().zip(block.chunks_exact(at.len())) {
             let row = self.views[v].rows.entry(id).or_default();
@@ -162,21 +218,6 @@ impl Blocks {
         rows.tally[1] += found.len() as u64;
         let all: Vec<usize> = (0..self.universe.len()).collect();
         self.fill(r, v, &missing, &all);
-    }
-
-    /// The rows view `v`'s row store over the images `ids` (universe
-    /// members, in store order) is served: each one's row, computed first
-    /// if missing, at the universe positions of `ids`.
-    pub(crate) fn served(&mut self, r: &Round<'_>, v: usize, ids: &[usize]) -> Vec<Vec<f64>> {
-        self.ensure(r, v, ids.iter().copied());
-        let at = |id: &usize| self.universe.iter().position(|u| u == id);
-        let at: Option<Vec<usize>> = ids.iter().map(at).collect();
-        // lrf-lint: allow(service-panic): every training image is a
-        // universe member: `Blocks::align` takes the pool plus the judged
-        // ids it lacks, and LRF-CSVM draws its `N'` pool from it
-        let at = at.expect("every training image in the universe");
-        let row = |id| at.iter().map(|&p| self.views[v].rows[id][p]).collect();
-        ids.iter().map(row).collect()
     }
 
     /// The decision values over the universe of the content machine of
@@ -211,77 +252,49 @@ impl Blocks {
 }
 
 impl WarmState {
-    /// Step 1's SVM of view `v` (`[content, log]`) with its `kernel` and
-    /// bound `c`, over the labeled images' `sample`s (borrowed; no sample
-    /// is cloned): solved in a store the blocks serve, seeded with the
-    /// last round's alphas (the labeled set grows by appending, so the
-    /// seed prefix-maps onto this round's samples).
-    pub(crate) fn fit<'a, S: ?Sized + ToOwned, K: Kernel<S>>(
-        &mut self,
-        r: &Round<'a>,
-        (v, kernel, c): (usize, K, f64),
-        sample: impl Fn(usize) -> &'a S,
-    ) -> (KernelCache<'a, S, K>, Dual) {
-        let ids: Vec<usize> = r.ctx.example.labeled.iter().map(|&(id, _)| id).collect();
-        let (rows, bounds) = (self.blocks.served(r, v, &ids), vec![c; ids.len()]);
-        let mut store = KernelCache::new(kernel, ids.into_iter().map(sample).collect());
-        store.serve([], rows);
-        let seed = self.seeds[v].as_deref();
-        let dual = store
-            .solve(&r.ctx.labels(), &bounds, &r.cfg.coupled.smo, seed)
-            // lrf-lint: allow(service-panic): a request's fit comes through
-            // `rank_candidates`, which skips an empty round, for a scheme
-            // whose `new` ran `LrfConfig::validate` (positive bounds and
-            // kernel widths); the labels are ±1, one per sample; database
-            // features are finite and log entries ±1
-            .expect("SVM training cannot fail on validated feedback rounds");
-        (store, dual)
-    }
-
-    /// Ends the round: `diag` (its solves) with the blocks' counts becomes
-    /// the round's diagnostics, and the final duals' alphas over the
-    /// `n_labeled` labeled images the next round's seeds.
-    pub(crate) fn finish(&mut self, mut diag: RoundDiagnostics, duals: Duals, n: usize) {
-        (diag.block_rows, diag.kernel_evals) = self.blocks.tally();
-        self.seeds = duals.map(|d| d.map(|d| d.alpha[..n].to_vec()));
-        self.last = Some(diag);
+    /// Ends the round: `d` (its solves) with step 1's solves and the
+    /// blocks' counts becomes the round's diagnostics, and the final
+    /// duals' alphas over the `n` labeled images the next round's seeds.
+    pub(crate) fn finish(&mut self, mut d: RoundDiagnostics, [step1, duals]: [Duals; 2], n: usize) {
+        step1
+            .iter()
+            .flatten()
+            .for_each(|dual| d.absorb(&dual.stats));
+        (d.block_rows, d.kernel_evals) = self.blocks.tally();
+        self.seeds = duals.map(|dual| dual.map(|dual| dual.alpha[..n].to_vec()));
+        self.last = Some(d);
     }
 
     /// The round of a scheme that ranks by step 1's machines: RF-SVM's
     /// content SVM, plus LRF-2SVMs' log SVM when `log` (the sum
     /// `f_w + f_u`), scored over the pool.
     pub(crate) fn summed_round(&mut self, r: &Round<'_>, pool: &[usize], log: bool) -> ScorerRef {
-        let (cfg, ctx, labeled) = (r.cfg, r.ctx, &r.ctx.example.labeled);
+        let labeled = &r.ctx.example.labeled;
         self.blocks.align(r, pool);
-        let content = (0, cfg.content_kernel(), cfg.coupled.c_content);
-        let (_, content) = self.fit(r, content, |id| ctx.db.feature(id));
-        let view = (1, cfg.log_kernel, cfg.coupled.c_log);
-        let log = log.then(|| self.fit(r, view, |id| ctx.log.log_vector(id)).1);
+        let content = r.content.fit(r, self);
+        let log = log.then(|| r.log.fit(r, self));
         let duals = [Some(&content), log.as_ref()];
         let scores = self.blocks.scores(r, labeled, duals);
-        let mut diag = RoundDiagnostics::all_converged();
-        duals.iter().flatten().for_each(|d| diag.absorb(&d.stats));
-        self.finish(diag, duals, labeled.len());
+        self.finish(RoundDiagnostics::all_converged(), [duals; 2], labeled.len());
         pool_scores(pool, scores)
     }
 }
 
 /// Step 1's content SVM with no row blocks: a store over the `labeled`
 /// images' features that computes its own rows, and the dual solved in
-/// it. The tests hold the served fits to it.
+/// it, cold. The tests hold the served fits to it.
 #[cfg(test)]
 pub(crate) fn content_fit<'a>(
     cfg: &LrfConfig,
     db: &'a lrf_cbir::ImageDatabase,
     labeled: &[(usize, f64)],
-    warm: Option<&[f64]>,
-) -> (KernelCache<'a, [f64], lrf_svm::RbfKernel>, Dual) {
+) -> (KernelCache<'a, [f64], RbfKernel>, Dual) {
     let samples = labeled.iter().map(|&(id, _)| db.feature(id)).collect();
     let mut store = KernelCache::new(cfg.content_kernel(), samples);
     let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
     let bounds = vec![cfg.coupled.c_content; labels.len()];
     let dual = store
-        .solve(&labels, &bounds, &cfg.coupled.smo, warm)
+        .solve(&labels, &bounds, &cfg.coupled.smo, None)
         .unwrap();
     (store, dual)
 }
@@ -467,7 +480,7 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let dual = content_fit(&cfg, &db, &labeled, None).1;
+        let dual = content_fit(&cfg, &db, &labeled).1;
         let universe: Vec<usize> = (0..20).collect();
         let (mut blocks, r) = (Blocks::default(), Round::new(&cfg, &ctx));
         blocks.align(&r, &universe);

@@ -31,12 +31,12 @@
 //!
 //! **Two views, one row store each.** [`train_coupled`] takes one
 //! [`lrf_svm::KernelCache`] per modality (content, log), holding the
-//! labeled samples and then the unlabeled pool. A caller that has already
-//! solved the labeled-only SVMs in those stores (LRF-CSVM's step 1) and
-//! then grown them ([`extend`](lrf_svm::KernelCache::extend), or
-//! [`serve`](lrf_svm::KernelCache::serve) with rows computed elsewhere, as
-//! LRF-CSVM does from its row blocks) hands its rows over to the anneal,
-//! so no Gram value of the fit's solves is evaluated twice. Every retrain inside the run solves a QP over the *same* sample
+//! labeled samples and then the unlabeled pool. A caller's stores may
+//! already hold rows — grown after a labeled-only solve
+//! ([`extend`](lrf_svm::KernelCache::extend)), or built with rows
+//! computed elsewhere ([`served`](lrf_svm::KernelCache::served), as
+//! LRF-CSVM does from its row blocks) — and the anneal reuses them, so no
+//! Gram value of the fit's solves is evaluated twice. Every retrain inside the run solves a QP over the *same* sample
 //! set — only the bounds (`ρ*` doubling) and a few pseudo-labels change —
 //! so a row computed once serves every later solve, and the correction
 //! loop reads its slacks from the same rows instead of re-evaluating the

@@ -29,10 +29,10 @@
 //! are what let the log-based schemes bridge the semantic gap.
 
 use crate::config::LrfConfig;
-use crate::feedback::{QueryContext, RelevanceFeedback};
-use crate::rf_svm::RfSvm;
-use lrf_cbir::{top_k_euclidean, FeedbackExample, ImageDatabase};
+use crate::feedback::rank_by_scores;
+use lrf_cbir::{top_k_euclidean, ImageDatabase};
 use lrf_logdb::{simulate_sessions, LogStore, Relevance, SimulationConfig};
+use lrf_svm::train;
 use std::collections::BTreeMap;
 
 /// Collects a feedback log whose refined rounds come from RF-SVM, as in
@@ -46,12 +46,11 @@ pub fn collect_feedback_log(
     config: &SimulationConfig,
     lrf: &LrfConfig,
 ) -> LogStore {
-    let empty = LogStore::new(db.len());
     let sessions = simulate_sessions(config, db.categories(), |query, judged, k| {
         if judged.is_empty() {
             top_k_euclidean(db, query, k)
         } else {
-            let mut ranking = refine_with_svm(db, &empty, (query, judged), lrf);
+            let mut ranking = refine_with_svm(db, judged, lrf);
             ranking.truncate(k);
             ranking
         }
@@ -63,16 +62,16 @@ pub fn collect_feedback_log(
     store
 }
 
-/// One RF-SVM refinement round over accumulated `judged` images of
-/// `query`, with an empty `log` (the log is what is being collected): the
-/// content fit on them, ranking every image. An image re-judged in a
-/// later round keeps only its most recent judgment for training (the
-/// user's current opinion). Single-class judgment sets fall back to the
-/// solver's constant model.
+/// One RF-SVM refinement round over accumulated judgments: the content
+/// SVM trained on them in a store of its own (no session row blocks: a
+/// row over every image for each judged one would cost more than the
+/// support vectors' decision values), ranking every image. An image
+/// re-judged in a later round keeps only its most recent judgment for
+/// training (the user's current opinion). Single-class judgment sets fall
+/// back to the solver's constant model.
 fn refine_with_svm(
     db: &ImageDatabase,
-    log: &LogStore,
-    (query, judged): (usize, &[(usize, Relevance)]),
+    judged: &[(usize, Relevance)],
     lrf: &LrfConfig,
 ) -> Vec<usize> {
     // Deduplicate, last judgment wins; keep deterministic id order.
@@ -80,9 +79,13 @@ fn refine_with_svm(
     for &(id, r) in judged {
         latest.insert(id, r.sign());
     }
-    let labeled = latest.into_iter().collect();
-    let example = &FeedbackExample { query, labeled };
-    RfSvm::new(*lrf).rank(&QueryContext { db, log, example })
+    let (ids, labels): (Vec<usize>, Vec<f64>) = latest.into_iter().unzip();
+    let samples: Vec<&[f64]> = ids.iter().map(|&id| db.feature(id)).collect();
+    let (bounds, kernel) = (vec![lrf.coupled.c_content; ids.len()], lrf.content_kernel());
+    let svm = train(&samples, &labels, &bounds, kernel, &lrf.coupled.smo)
+        .expect("content SVM training cannot fail on judged rounds");
+    let rows: Vec<&[f64]> = (0..db.len()).map(|id| db.feature(id)).collect();
+    rank_by_scores(&svm.model.decision_batch(&rows))
 }
 
 #[cfg(test)]

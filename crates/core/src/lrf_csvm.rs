@@ -81,15 +81,15 @@ impl LrfCsvm {
     /// training, and the `CSVM_Dist` of every member of that universe, in
     /// universe order (the pool first). Every kernel value of the fit is
     /// read from the session's row blocks in `warm`: step 1's stores are
-    /// served the labeled rows, the anneal's the pool's, and the final
-    /// score finds every row resident.
+    /// served the labeled images' rows, the anneal's those and the pool's,
+    /// and the final score finds every row resident.
     pub(crate) fn fit_on(
         &self,
         ctx: &QueryContext<'_>,
         pool: &[usize],
         warm: &mut WarmState,
     ) -> CsvmFit {
-        let (cfg, db, y) = (&self.config, ctx.db, ctx.labels());
+        let (cfg, y) = (&self.config, ctx.labels());
 
         // ---- Step 1: initial per-modality SVMs on the labeled round, one
         // row store per view, seeded from the previous round: the labeled
@@ -97,10 +97,7 @@ impl LrfCsvm {
         // as a labeled-only solve, so it prefix-maps directly.
         let (labeled, r) = (&ctx.example.labeled, Round::new(cfg, ctx));
         let universe = warm.blocks.align(&r, pool);
-        let (feature, vector) = (|id| db.feature(id), |id| ctx.log.log_vector(id));
-        let content = (0, cfg.content_kernel(), cfg.coupled.c_content);
-        let (mut content, content0) = warm.fit(&r, content, feature);
-        let (mut log, log0) = warm.fit(&r, (1, cfg.log_kernel, cfg.coupled.c_log), vector);
+        let (content0, log0) = (r.content.fit(&r, warm), r.log.fit(&r, warm));
         let step1 = [Some(&content0), Some(&log0)];
         let dist = warm.blocks.scores(&r, labeled, step1);
         let judged: std::collections::HashSet<usize> = labeled.iter().map(|&(id, _)| id).collect();
@@ -109,14 +106,14 @@ impl LrfCsvm {
 
         let (unlabeled_ids, y_init) = self.select_unlabeled_in(ctx, scored);
 
-        // ---- Step 2: coupled training in the same two stores, grown by
-        // the pool and served every row over labeled images and pool: the
-        // new samples are borrowed too (row views of the database's flat
-        // matrix, references into the log store).
-        let (ids, pool) = (labeled.iter().map(|l| l.0), unlabeled_ids.iter().copied());
-        let ids: Vec<usize> = ids.chain(pool.clone()).collect();
-        content.serve(pool.clone().map(feature), warm.blocks.served(&r, 0, &ids));
-        log.serve(pool.map(vector), warm.blocks.served(&r, 1, &ids));
+        // ---- Step 2: coupled training in a row store per view over the
+        // labeled images and the pool, served every row: the samples are
+        // borrowed (row views of the database's flat matrix, references
+        // into the log store).
+        let pool = unlabeled_ids.iter().copied();
+        let ids: Vec<usize> = labeled.iter().map(|l| l.0).chain(pool).collect();
+        let content = r.content.store(&r, &mut warm.blocks, &ids);
+        let log = r.log.store(&r, &mut warm.blocks, &ids);
         let outcome = train_coupled(content, log, &y, &y_init, &cfg.coupled)
             // lrf-lint: allow(service-panic): the round is non-empty (the two
             // step-1 fits above ran on it), its labels and the pseudo-labels
@@ -131,10 +128,7 @@ impl LrfCsvm {
         let duals = [Some(&outcome.content), Some(&outcome.log)];
         let scores = warm.blocks.scores(&r, &samples, duals);
 
-        let mut diag = outcome.solves;
-        diag.absorb(&content0.stats);
-        diag.absorb(&log0.stats);
-        warm.finish(diag, duals, y.len());
+        warm.finish(outcome.solves, [step1, duals], y.len());
         CsvmFit {
             scores,
             unlabeled_ids,
@@ -233,14 +227,13 @@ mod tests {
         cfg: &LrfConfig,
         log: &'a LogStore,
         labeled: &[(usize, f64)],
-        warm: Option<&[f64]>,
     ) -> (KernelCache<'a, SparseVector, LogRbfKernel>, Dual) {
         let samples = labeled.iter().map(|&(id, _)| log.log_vector(id)).collect();
         let mut store = KernelCache::new(cfg.log_kernel, samples);
         let labels: Vec<f64> = labeled.iter().map(|&(_, y)| y).collect();
         let bounds = vec![cfg.coupled.c_log; labels.len()];
         let dual = store
-            .solve(&labels, &bounds, &cfg.coupled.smo, warm)
+            .solve(&labels, &bounds, &cfg.coupled.smo, None)
             .unwrap();
         (store, dual)
     }
@@ -384,8 +377,8 @@ mod tests {
         };
 
         // Reproduce step 1 manually to check the split.
-        let (content, content0) = content_fit(&cfg, &ds.db, &example.labeled, None);
-        let (logside, log0) = log_fit(&cfg, &log, &example.labeled, None);
+        let (content, content0) = content_fit(&cfg, &ds.db, &example.labeled);
+        let (logside, log0) = log_fit(&cfg, &log, &example.labeled);
         let y = ctx.labels();
         let rows: Vec<&[f64]> = (0..ds.db.len()).map(|id| ds.db.feature(id)).collect();
         let log_rows: Vec<_> = (0..ds.db.len()).map(|id| log.log_vector(id)).collect();
@@ -535,8 +528,8 @@ mod tests {
         for (max_iter, converged) in [(20, false), (100_000, true)] {
             let mut cfg = small_config();
             cfg.coupled.smo.max_iter = max_iter;
-            let (_, content0) = content_fit(&cfg, &ds.db, &example.labeled, None);
-            let (_, log0) = log_fit(&cfg, &log, &example.labeled, None);
+            let (_, content0) = content_fit(&cfg, &ds.db, &example.labeled);
+            let (_, log0) = log_fit(&cfg, &log, &example.labeled);
             assert!(content0.stats.converged && log0.stats.converged);
             let mut warm = WarmState::default();
             let fit = LrfCsvm::new(cfg).fit_on(&ctx, &universe, &mut warm);

@@ -141,7 +141,7 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let (store, dual) = content_fit(&LrfConfig::default(), ctx.db, &example.labeled, None);
+        let (store, dual) = content_fit(&LrfConfig::default(), ctx.db, &example.labeled);
         let svm = store.machine(dual, &ctx.labels());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let serial: Vec<f64> = (0..ds.db.len())

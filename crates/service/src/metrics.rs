@@ -285,10 +285,8 @@ impl ServiceMetrics {
         self.kernel_cache_misses.add(d.cache_misses);
         self.block_rows_computed.add(d.block_rows.0);
         self.block_rows_carried.add(d.block_rows.1);
-        self.kernel_evals
-            .iter()
-            .zip(d.kernel_evals)
-            .for_each(|(c, n)| c.add(n));
+        self.kernel_evals[0].add(d.kernel_evals[0]);
+        self.kernel_evals[1].add(d.kernel_evals[1]);
         if !d.converged {
             self.nonconverged_retrains.inc();
         }

@@ -13,20 +13,18 @@
 //! `tests/golden_solver.rs` pins an n = 240 solve), so every row of the
 //! largest store fits in a few hundred KiB.
 //!
-//! A store outlives the solve when its owner keeps it, and it can grow.
-//! LRF-CSVM solves each view's labeled-only SVM in a store, appends the
-//! unlabeled pool ([`KernelCache::extend`]: resident rows gain the new
-//! columns) and then runs the coupled SVM's annealing schedule — about a
-//! hundred re-solves with new bounds and pseudo-labels — in the same
-//! store. A solve ([`KernelCache::solve`]) returns only its
+//! A store outlives the solve when its owner keeps it, and it can grow
+//! ([`KernelCache::extend`]: resident rows gain the new columns). The
+//! coupled SVM's annealing schedule — about a hundred re-solves with new
+//! bounds and pseudo-labels — runs in one store per view. A solve ([`KernelCache::solve`]) returns only its
 //! [`crate::Dual`]; the anneal reads each dual's hinge slacks from the
 //! rows ([`KernelCache::slacks`]) and seeds the next solve with it. No
 //! Gram value of the fit's solves is evaluated twice. The store holds the
 //! training samples only: scoring the round's candidates reads a dual's
 //! [`crate::Dual::expansion`] against rows over the candidates, which
 //! lrf-core keeps per session. Every training sample is one of those
-//! candidates, so lrf-core hands the store its rows
-//! ([`KernelCache::serve`]: the candidate rows restricted to the training
+//! candidates, so lrf-core builds each store with its rows
+//! ([`KernelCache::served`]: the candidate rows restricted to the training
 //! samples) and a `K(x_i, x_t)` between two training samples is evaluated
 //! once, there. A served store evaluates no kernel at all; one that is
 //! handed no rows computes its own, as above. A caller that wants a model
@@ -117,26 +115,23 @@ where
         self.rows.resize(self.samples.len(), None);
     }
 
-    /// Appends `samples` (none, to serve the current ones), then makes
-    /// every row resident from `rows`, which holds row `i` — `K(x_i, x_t)`
-    /// over every sample `t`, in store order — for each sample `i`. The
-    /// values are computed elsewhere (lrf-core's session row blocks) and
-    /// must be the bits [`Kernel::compute`] returns. A served store
-    /// evaluates no kernel: its diagonal is the rows' (a solve checks it
-    /// like a computed one), and every row access is a hit.
+    /// This store with every row resident from `rows`, which holds row
+    /// `i` — `K(x_i, x_t)` over every sample `t`, in store order — for
+    /// each sample `i`. The values are computed elsewhere (lrf-core's
+    /// session row blocks) and must be the bits [`Kernel::compute`]
+    /// returns. A served store evaluates no kernel: its diagonal is the
+    /// rows' (a solve checks it like a computed one), and every row
+    /// access is a hit.
     ///
     /// # Panics
     /// Panics unless `rows` holds one row per sample, each one value per
     /// sample.
-    pub fn serve<I: IntoIterator<Item = &'a S>>(&mut self, samples: I, rows: Vec<Vec<f64>>) {
-        self.samples.extend(samples);
+    pub fn served(mut self, rows: Vec<Vec<f64>>) -> Self {
         let n = self.samples.len();
-        assert!(
-            rows.len() == n && rows.iter().all(|r| r.len() == n),
-            "not this store's rows"
-        );
+        assert!(rows.len() == n && rows.iter().all(|r| r.len() == n));
         self.diag = rows.iter().enumerate().map(|(i, row)| row[i]).collect();
         self.rows = rows.into_iter().map(Some).collect();
+        self
     }
 
     /// Validates the problem, takes the single-class shortcut, and
@@ -164,7 +159,7 @@ where
     /// An empty store, labels or bounds of another length, a label other
     /// than `±1` or a bound that is not positive and finite is rejected
     /// before any kernel is evaluated. A two-class solve first computes
-    /// the diagonal entries no earlier solve or [`Self::serve`] provided,
+    /// the diagonal entries no earlier solve or [`Self::served`] provided,
     /// then checks the whole diagonal: a non-finite `K(i, i)`
     /// is reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
     /// kernel in this workspace a sample containing NaN/∞ poisons its own
@@ -182,9 +177,8 @@ where
             return Ok(Dual::constant(labels.len(), sign));
         }
         let kernel = &self.kernel;
-        let new = self.samples[self.diag.len()..]
-            .iter()
-            .map(|&s| kernel.compute(s, s));
+        let from = self.diag.len();
+        let new = self.samples[from..].iter().map(|&s| kernel.compute(s, s));
         self.diag.extend(new);
         if let Some(i) = self.diag.iter().position(|v| !v.is_finite()) {
             return Err(SvmError::NonFiniteKernel { row: i, col: i });
@@ -520,10 +514,10 @@ mod tests {
         }
     }
 
-    /// A store served its rows, before the first solve and again when it
-    /// grows, solves to the same dual in every bit as one that computes
-    /// them, evaluates no kernel, and finds every row it reads; a
-    /// non-finite served diagonal is reported like a computed one.
+    /// A store served its rows solves to the same dual in every bit as
+    /// one that computes them (fresh, and grown from a solved prefix),
+    /// evaluates no kernel, and finds every row it reads; a non-finite
+    /// served diagonal is reported like a computed one.
     #[test]
     fn served_rows_solve_like_computed_ones_and_evaluate_nothing() {
         let flat: Vec<f64> = (0..30).map(|i| (i as f64 * 0.71).sin()).collect();
@@ -544,17 +538,11 @@ mod tests {
             .collect();
         let (bounds, params) = (vec![1.0; 10], SmoParams::default());
         let evaluations = std::rc::Rc::default();
-        let mut served = KernelCache::new(
-            Counting(kernel, std::rc::Rc::clone(&evaluations)),
-            refs[..6].to_vec(),
-        );
-        served.serve([], rows(6));
         let mut computed = KernelCache::new(kernel, refs[..6].to_vec());
         for (n, from) in [(6, 6), (10, 6)] {
-            if n > from {
-                served.serve(refs[from..n].iter().copied(), rows(n));
-                computed.extend(refs[from..n].iter().copied());
-            }
+            computed.extend(refs[from..n].iter().copied());
+            let counting = Counting(kernel, std::rc::Rc::clone(&evaluations));
+            let mut served = KernelCache::new(counting, refs[..n].to_vec()).served(rows(n));
             let a = served
                 .solve(&labels[..n], &bounds[..n], &params, None)
                 .unwrap();
@@ -570,8 +558,7 @@ mod tests {
 
         let mut poisoned = rows(4);
         poisoned[2][2] = f64::NAN;
-        let mut cache = KernelCache::new(kernel, refs[..4].to_vec());
-        cache.serve([], poisoned);
+        let mut cache = KernelCache::new(kernel, refs[..4].to_vec()).served(poisoned);
         let err = cache.solve(&labels[..4], &bounds[..4], &params, None).err();
         assert_eq!(err, Some(SvmError::NonFiniteKernel { row: 2, col: 2 }));
     }

@@ -8,14 +8,16 @@
 # of the commit unpacked in one temporary directory (removed on exit), so
 # nothing is built or written under the checkout, and no worktree is
 # registered in .git. Uncommitted changes are not measured: commit first.
-# Then runs <pairs> pairs of 20 s `--trace 0` runs of <workload>, pair k
-# on seed <first-seed> + k, the side that runs first alternating by pair.
+# Then runs <pairs> pairs of `--trace 0` runs of <workload> at the
+# benchmark's own run length, pair k on seed <first-seed> + k, the side
+# that runs first alternating by pair. A run that fails an operation or a
+# correctness check (exit status 2) still prints its result line and is
+# counted; any other failure stops the script.
 # Prints, for every end-to-end metric BENCHMARK.json lists, the medians of
 # both sides, the parent's interquartile range, and in how many pairs the
 # change was better (in the metric's direction); then, per side, the
 # failed operations and the runs that failed a correctness check.
 #
-# Set AB_SECONDS to change the run length (default 20, as the gate runs).
 # Needs git, cargo (offline), python3.
 
 set -euo pipefail
@@ -28,7 +30,6 @@ parent_rev="$1"
 workload="$2"
 pairs="$3"
 first_seed="$4"
-seconds="${AB_SECONDS:-20}"
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/lrf-ab.XXXXXX")"
@@ -49,9 +50,14 @@ build change HEAD
 # $tmp/<side>.jsonl (the last line of the binary's standard output).
 run() {
     echo "ab: $1 seed $2" >&2
+    local status=0
     "$tmp/$1/target/release/lrf-benchmark" --home "$tmp/$1/home" \
-        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 |
-        tail -n 1 >>"$tmp/$1.jsonl"
+        --workload "$workload" --seed "$2" --trace 0 >"$tmp/out" || status=$?
+    if ((status != 0 && status != 2)); then
+        echo "ab: $1 seed $2 exited with status $status" >&2
+        exit 1
+    fi
+    tail -n 1 "$tmp/out" >>"$tmp/$1.jsonl"
 }
 for ((k = 0; k < pairs; k++)); do
     seed=$((first_seed + k))
