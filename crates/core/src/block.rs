@@ -463,6 +463,51 @@ mod tests {
         }
     }
 
+    /// Each view's step-1 fit, solved in a store the blocks serve, is the
+    /// solve of a store over the same images that computes its own rows,
+    /// in every bit: the blocks serve each store its own kernel's rows.
+    #[test]
+    fn served_fits_solve_like_stores_that_compute_their_rows() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (db, log) = problem(&mut rng, 30, 20);
+        let cfg = config();
+        let labeled: Vec<(usize, f64)> = (0..8).map(|i| (3 * i, [1.0, -1.0][i % 2])).collect();
+        let example = FeedbackExample {
+            query: 0,
+            labeled: labeled.clone(),
+        };
+        let ctx = QueryContext {
+            db: &db,
+            log: &log,
+            example: &example,
+        };
+        let (r, mut warm) = (Round::new(&cfg, &ctx), WarmState::default());
+        let pool: Vec<usize> = (0..30).rev().collect();
+        warm.blocks.align(&r, &pool);
+        let got = [r.content.fit(&r, &mut warm), r.log.fit(&r, &mut warm)];
+
+        let (y, smo, c) = (ctx.labels(), &cfg.coupled.smo, cfg.coupled);
+        let ids = labeled.iter().map(|l| l.0);
+        let features = ids.clone().map(|id| db.feature(id)).collect();
+        let mut content = KernelCache::new(cfg.content_kernel(), features);
+        let vectors = ids.map(|id| log.log_vector(id)).collect();
+        let mut logs = KernelCache::new(cfg.log_kernel, vectors);
+        let want = [
+            content.solve(&y, &vec![c.c_content; y.len()], smo, None),
+            logs.solve(&y, &vec![c.c_log; y.len()], smo, None),
+        ];
+        for (got, want) in got.iter().zip(want) {
+            let want = want.unwrap();
+            assert_eq!(bits(&got.alpha), bits(&want.alpha));
+            let (bias, support) = got.expansion(&y);
+            let (want_bias, want_support) = want.expansion(&y);
+            assert_eq!(bias.to_bits(), want_bias.to_bits());
+            assert_eq!(support.len(), want_support.len());
+            assert_eq!(got.stats.iterations, want.stats.iterations);
+            assert_eq!(got.stats.cache_misses, 0);
+        }
+    }
+
     /// A universe that is not the last one plus appended ids drops every
     /// row: the rebuilt block scores what the first one did.
     #[test]
