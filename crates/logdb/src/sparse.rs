@@ -111,50 +111,64 @@ impl SparseVector {
     /// The dots `rows[i]·cols[j]`, row-major (`rows.len()` ×
     /// `cols.len()`): the integers [`Self::dot`] merges out pair by pair.
     ///
-    /// Session-major: a counting sort over the rows' session span
-    /// `[lo, hi]` buckets the rows' judgments by session, then each column
-    /// entry finds its session's bucket in O(1) and adds `±1` to every row
-    /// in it. The cost is one pass over the rows' judgments, one over the
-    /// span, one lookup per column judgment and one add per shared
-    /// judgment — not a merge per pair, and not a walk of whole sessions.
-    /// The scratch is one `u32` per row judgment plus one per session of
-    /// the span, which is at most the log's session count `M` (about
-    /// 200 KiB at `M` = 50k).
+    /// Session-major: the sessions the rows judged get bucket ids in
+    /// first-seen order through an index over the rows' session span
+    /// `[lo, hi]`, a counting sort files the rows' judgments into those
+    /// buckets, then each column entry finds its session's bucket with
+    /// one index load and adds `±1` to every row in it. The cost is two
+    /// passes over the rows' judgments, a prefix sum over their distinct
+    /// sessions, one load per column judgment and one add per shared
+    /// judgment — no merge per pair, and no loop over the span, which
+    /// grows with every session the log records. The scratch is the index
+    /// (one zeroed `u32` per session of the span, at most the log's
+    /// session count `M`, read only where a judgment points) plus one
+    /// `u32` per row judgment.
     pub fn overlap_block(rows: &[&SparseVector], cols: &[&SparseVector]) -> Vec<i64> {
         assert!(rows.len() <= 1 << 31, "too many rows for a packed slot");
         let n = cols.len();
         let mut out = vec![0i64; rows.len() * n];
-        let judgments = || {
-            rows.iter()
-                .flat_map(|row| row.entries.iter().map(|&e| e & !NEG))
-        };
-        let lo = judgments().min().unwrap_or(0);
-        let span = judgments().max().map_or(0, |hi| (hi - lo) as usize + 1);
-        // Session `lo + s`'s judgments end up in `slots[at[s]..at[s + 1]]`,
-        // each `row << 1 | negative`: counted two places up, summed, then
-        // placed through `at[s + 1]`, which leaves it at the bucket's end.
-        let mut at = vec![0u32; span + 2];
-        for s in judgments() {
-            at[(s - lo) as usize + 2] += 1;
+        let ends = rows
+            .iter()
+            .filter_map(|row| Some((row.entries.first()?, row.entries.last()?)));
+        let (lo, hi) = ends.fold((NEG, 0), |(lo, hi), (a, b)| {
+            (lo.min(a & !NEG), hi.max(b & !NEG))
+        });
+        // `id_of[s − lo]` is session `s`'s bucket, 0 when no row judged it.
+        // Bucket `b`'s judgments end up in `slots[at[b]..at[b + 1]]`, each
+        // `row << 1 | negative`: counted two places up, summed, then placed
+        // through `at[b + 1]`, which leaves it at the bucket's end; bucket 0
+        // stays empty.
+        let mut id_of = vec![0u32; (hi + 1).saturating_sub(lo) as usize];
+        let mut at = vec![0u32; rows.iter().map(|row| row.nnz()).sum::<usize>() + 3];
+        let mut buckets = 0;
+        for row in rows {
+            for &e in &row.entries {
+                let id = &mut id_of[((e & !NEG) - lo) as usize];
+                if *id == 0 {
+                    buckets += 1;
+                    *id = buckets;
+                }
+                at[*id as usize + 2] += 1;
+            }
         }
+        at.truncate(buckets as usize + 3);
         for k in 2..at.len() {
             at[k] += at[k - 1];
         }
-        let mut slots = vec![0u32; at[span + 1] as usize];
+        let mut slots = vec![0u32; at[at.len() - 1] as usize];
         for (r, row) in rows.iter().enumerate() {
             for &e in &row.entries {
-                let next = &mut at[((e & !NEG) - lo) as usize + 1];
+                let next = &mut at[id_of[((e & !NEG) - lo) as usize] as usize + 1];
                 slots[*next as usize] = (r as u32) << 1 | e >> 31;
                 *next += 1;
             }
         }
         for (j, col) in cols.iter().enumerate() {
             for &e in &col.entries {
-                let s = ((e & !NEG).wrapping_sub(lo)) as usize;
-                let Some(bucket) = at.get(s..s + 2) else {
+                let Some(&id) = id_of.get((e & !NEG).wrapping_sub(lo) as usize) else {
                     continue;
                 };
-                for &slot in &slots[bucket[0] as usize..bucket[1] as usize] {
+                for &slot in &slots[at[id as usize] as usize..at[id as usize + 1] as usize] {
                     out[(slot >> 1) as usize * n + j] += 1 - 2 * i64::from((slot ^ e >> 31) & 1);
                 }
             }
@@ -392,6 +406,73 @@ mod tests {
                             prop_assert_eq!(block[i * c.len() + j], 0);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `overlap_block` is the per-pair `dot` where its bucketing has edges:
+    /// columns judging sessions below the rows' lowest (the wrapping
+    /// lookup) and above their highest, rows with no judgments (an empty
+    /// index), every row in one session (one bucket of many slots), rows
+    /// in adjacent sessions, and rows 2²⁰ sessions apart.
+    #[test]
+    fn overlap_block_is_per_pair_dot_at_bucketing_edges() {
+        let v = |entries: &[(u32, f64)]| SparseVector::from_entries(entries.to_vec());
+        let far = 1 << 20;
+        let cases = [
+            (
+                vec![v(&[(10, 1.0), (12, -1.0)]), v(&[(11, 1.0)])],
+                vec![
+                    v(&[(0, 1.0), (3, -1.0), (10, -1.0)]),
+                    v(&[(12, 1.0), (13, 1.0), (900, -1.0)]),
+                    v(&[(9, 1.0)]),
+                ],
+            ),
+            (
+                vec![v(&[]), v(&[])],
+                vec![v(&[(0, 1.0), (7, -1.0)]), v(&[])],
+            ),
+            (
+                vec![
+                    v(&[(7, 1.0)]),
+                    v(&[(7, -1.0)]),
+                    v(&[(7, 1.0)]),
+                    v(&[(7, -1.0)]),
+                ],
+                vec![v(&[(6, 1.0), (7, -1.0)]), v(&[(7, 1.0), (8, 1.0)])],
+            ),
+            (
+                vec![
+                    v(&[(100, 1.0), (101, -1.0)]),
+                    v(&[(101, 1.0), (102, 1.0)]),
+                    v(&[(103, -1.0)]),
+                ],
+                vec![v(&[
+                    (99, 1.0),
+                    (100, 1.0),
+                    (101, 1.0),
+                    (102, -1.0),
+                    (103, -1.0),
+                    (104, 1.0),
+                ])],
+            ),
+            (
+                vec![v(&[(3, 1.0), (3 + far, -1.0)]), v(&[(3 + far, 1.0)])],
+                vec![
+                    v(&[(3, -1.0)]),
+                    v(&[(4, 1.0), (3 + far, -1.0)]),
+                    v(&[(2, 1.0), (4 + far, 1.0)]),
+                ],
+            ),
+        ];
+        for (rows, cols) in &cases {
+            let (rows, cols): (Vec<_>, Vec<_>) = (rows.iter().collect(), cols.iter().collect());
+            let block = SparseVector::overlap_block(&rows, &cols);
+            assert_eq!(block.len(), rows.len() * cols.len());
+            for (i, a) in rows.iter().enumerate() {
+                for (j, b) in cols.iter().enumerate() {
+                    assert_eq!(block[i * cols.len() + j], a.dot(b), "row {i}, column {j}");
                 }
             }
         }

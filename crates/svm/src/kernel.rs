@@ -67,7 +67,48 @@ impl Kernel<[f64]> for RbfKernel {
     fn compute(&self, a: &[f64], b: &[f64]) -> f64 {
         (-self.gamma * squared_distance(a, b)).exp()
     }
+
+    /// Columns a tile of [`TILE`] at a time, transposed dimension-major,
+    /// so one row's distances to the whole tile accumulate side by side:
+    /// a loop over columns the compiler vectorizes, where `compute` is one
+    /// dependent sum per pair. Each pair's sum still starts at `−0.0` (an
+    /// empty `f64` sum) and adds `(a_k − b_k)²` in `squared_distance`'s
+    /// `k` order with plain `-`, `*` and `+` — no reordering, no fused
+    /// multiply-add — so every value has `compute`'s bits.
+    fn block(&self, rows: &[&[f64]], cols: &[&[f64]]) -> Vec<f64> {
+        let (n, dim) = (cols.len(), cols.first().map_or(0, |c| c.len()));
+        let mut out = vec![0.0; rows.len() * n];
+        let mut tile = vec![0.0; dim * TILE];
+        for (t, chunk) in cols.chunks(TILE).enumerate() {
+            let w = chunk.len();
+            for (j, col) in chunk.iter().enumerate() {
+                debug_assert_eq!(col.len(), dim);
+                col.iter()
+                    .enumerate()
+                    .for_each(|(k, &y)| tile[k * w + j] = y);
+            }
+            for (i, row) in rows.iter().enumerate() {
+                debug_assert_eq!(row.len(), dim);
+                let mut sums = [-0.0; TILE];
+                for (&x, ys) in row.iter().zip(tile.chunks_exact(w)) {
+                    for (s, &y) in sums.iter_mut().zip(ys) {
+                        let d = x - y;
+                        *s += d * d;
+                    }
+                }
+                let at = i * n + t * TILE;
+                for (o, &s) in out[at..at + w].iter_mut().zip(&sums) {
+                    *o = (-self.gamma * s).exp();
+                }
+            }
+        }
+        out
+    }
 }
+
+/// Columns per [`RbfKernel::block`] tile: 36 dimensions × 64 columns of
+/// `f64` is 18 KiB, which stays in L1 while every row reads it.
+const TILE: usize = 64;
 
 /// The linear kernel `K(a, b) = aᵀb`: the second dense kernel the
 /// solver's, the row store's and the model's tests run beside
@@ -315,6 +356,43 @@ mod tests {
             for (i, nested_row) in lin_nested.iter().enumerate() {
                 for (j, &want) in nested_row.iter().enumerate() {
                     prop_assert_eq!(lin_flat.at(i, j), want, "lin ({}, {})", i, j);
+                }
+            }
+        }
+
+        /// `RbfKernel::block` is `compute` at every entry, bit for bit:
+        /// dims 0–40 and 36, no, one and several rows, no, one and up to
+        /// 71 columns (past a tile, with repeats), values from 1e-160 to
+        /// 1e160 of both signs (so sums go subnormal or overflow to ∞),
+        /// and γ whose products are inexact.
+        #[test]
+        fn rbf_block_is_compute_bit_for_bit(
+            dim in 0usize..41,
+            mantissas in proptest::collection::vec(-1.0f64..1.0, 6 * 40),
+            exponents in proptest::collection::vec(-4i32..=4, 6 * 40),
+            scale in 0usize..5,
+            picks in proptest::collection::vec(0usize..6, 0..72),
+            gamma in 0.01f64..5.0,
+        ) {
+            let scale = [-156, -150, 0, 150, 156][scale];
+            let flat: Vec<f64> = (mantissas.iter().zip(&exponents))
+                .map(|(m, e)| m * 10f64.powi(scale + e))
+                .collect();
+            for dim in [dim, 36] {
+                let samples: Vec<&[f64]> = flat.chunks(40).map(|c| &c[..dim]).collect();
+                let cols: Vec<&[f64]> = picks.iter().map(|&p| samples[p]).collect();
+                let k = RbfKernel::new(gamma);
+                for rows in [&samples[..0], &samples[..1], &samples[..]] {
+                    for cols in [&cols[..0], &cols[..cols.len().min(1)], &cols[..]] {
+                        let block = k.block(rows, cols);
+                        prop_assert_eq!(block.len(), rows.len() * cols.len());
+                        for (i, a) in rows.iter().enumerate() {
+                            for (j, b) in cols.iter().enumerate() {
+                                let want = k.compute(a, b).to_bits();
+                                prop_assert_eq!(block[i * cols.len() + j].to_bits(), want);
+                            }
+                        }
+                    }
                 }
             }
         }
