@@ -12,9 +12,11 @@
 //! a block at a time ([`lrf_svm::Kernel::block`]): the labeled images' and
 //! the `N'` pool's rows over the round's universe, which also serve the
 //! SMO row stores. This kernel's block takes every dot of the block from
-//! one session-major [`SparseVector::overlap_block`] (a counting sort of
-//! the rows' judgments, then one lookup per column judgment) instead of a
-//! merge per pair.
+//! one session-major [`SparseVector::overlap_block`] instead of a merge
+//! per pair: the rows' judgments counting-sorted into one bucket per
+//! session they judged, then one index load per column judgment. Its cost
+//! follows the judgments of the block's images, not the log's session
+//! count, so it does not grow as the log records sessions.
 
 use lrf_logdb::SparseVector;
 use lrf_svm::Kernel;

@@ -17,10 +17,12 @@
 //! Training and scoring need the dots of many pairs at once: every
 //! labeled, pooled or support-vector image against every image of the
 //! round's universe. [`SparseVector::overlap_block`] computes that block
-//! session-major — the rows' judgments bucketed by session in one
-//! counting sort, then each column judgment's bucket found by its session
-//! id — so its cost follows the judgments, not the pairs, and its
-//! integers are the per-pair merges' integers.
+//! session-major — the rows' judgments counting-sorted into one bucket per
+//! session they judged, then each column judgment's bucket found by one
+//! index load — so its cost follows the judgments, not the pairs nor the
+//! log's session count, and its integers are the per-pair merges'
+//! integers. Its scratch is a zeroed index over the rows' session span
+//! that no loop sweeps, plus one `u32` per row judgment.
 
 use std::cmp::Ordering;
 
@@ -115,7 +117,7 @@ impl SparseVector {
     /// first-seen order through an index over the rows' session span
     /// `[lo, hi]`, a counting sort files the rows' judgments into those
     /// buckets, then each column entry finds its session's bucket with
-    /// one index load and adds `±1` to every row in it. The cost is two
+    /// one index load and adds `±1` to every row in it. The cost is a few
     /// passes over the rows' judgments, a prefix sum over their distinct
     /// sessions, one load per column judgment and one add per shared
     /// judgment — no merge per pair, and no loop over the span, which
@@ -127,31 +129,23 @@ impl SparseVector {
         assert!(rows.len() <= 1 << 31, "too many rows for a packed slot");
         let n = cols.len();
         let mut out = vec![0i64; rows.len() * n];
-        let ends = rows
-            .iter()
-            .filter_map(|row| Some((row.entries.first()?, row.entries.last()?)));
-        let (lo, hi) = ends.fold((NEG, 0), |(lo, hi), (a, b)| {
-            (lo.min(a & !NEG), hi.max(b & !NEG))
-        });
+        let judgments = || rows.iter().flat_map(|row| &row.entries).map(|&e| e & !NEG);
+        let lo = judgments().min().unwrap_or(0);
+        let span = judgments().max().map_or(0, |hi| (hi - lo) as usize + 1);
         // `id_of[s − lo]` is session `s`'s bucket, 0 when no row judged it.
         // Bucket `b`'s judgments end up in `slots[at[b]..at[b + 1]]`, each
         // `row << 1 | negative`: counted two places up, summed, then placed
         // through `at[b + 1]`, which leaves it at the bucket's end; bucket 0
         // stays empty.
-        let mut id_of = vec![0u32; (hi + 1).saturating_sub(lo) as usize];
-        let mut at = vec![0u32; rows.iter().map(|row| row.nnz()).sum::<usize>() + 3];
-        let mut buckets = 0;
-        for row in rows {
-            for &e in &row.entries {
-                let id = &mut id_of[((e & !NEG) - lo) as usize];
-                if *id == 0 {
-                    buckets += 1;
-                    *id = buckets;
-                }
-                at[*id as usize + 2] += 1;
+        let (mut id_of, mut at) = (vec![0u32; span], vec![0u32; 3]);
+        for s in judgments() {
+            let id = &mut id_of[(s - lo) as usize];
+            if *id == 0 {
+                *id = at.len() as u32 - 2;
+                at.push(0);
             }
+            at[*id as usize + 2] += 1;
         }
-        at.truncate(buckets as usize + 3);
         for k in 2..at.len() {
             at[k] += at[k - 1];
         }

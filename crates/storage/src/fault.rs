@@ -190,6 +190,38 @@ impl FaultIo {
         }
         Ok(self.plan.fault_for(op))
     }
+
+    /// An operation that only fails or succeeds: any scheduled fault
+    /// fails it with `"injected fault: {what} error"` without running it.
+    fn plain<T>(&self, what: &str, op: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
+        match self.next_op()? {
+            None => op(),
+            Some(_) => Err(Self::eio(&format!("{what} error"))),
+        }
+    }
+
+    /// A write or an append (`what`) of `data` through `put`: a torn fault
+    /// puts a prefix of it and fails, a no-space fault fails with
+    /// [`io::ErrorKind::StorageFull`], any other fails without writing.
+    fn put(
+        &self,
+        what: &str,
+        data: &[u8],
+        put: impl Fn(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match self.next_op()? {
+            None => put(data),
+            Some(FaultKind::Torn { frac }) => {
+                put(&data[..data.len() * frac as usize / 256])?;
+                Err(Self::eio(&format!("torn {what}")))
+            }
+            Some(FaultKind::NoSpace) => Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                "injected fault: no space left on device",
+            )),
+            Some(_) => Err(Self::eio(&format!("{what} error"))),
+        }
+    }
 }
 
 impl StorageIo for FaultIo {
@@ -215,77 +247,35 @@ impl StorageIo for FaultIo {
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.write(path, data),
-            Some(FaultKind::Torn { frac }) => {
-                let keep = data.len() * frac as usize / 256;
-                self.inner.write(path, &data[..keep])?;
-                Err(Self::eio("torn write"))
-            }
-            Some(FaultKind::NoSpace) => Err(io::Error::new(
-                io::ErrorKind::StorageFull,
-                "injected fault: no space left on device",
-            )),
-            Some(_) => Err(Self::eio("write error")),
-        }
+        self.put("write", data, |data| self.inner.write(path, data))
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.append(path, data),
-            Some(FaultKind::Torn { frac }) => {
-                let keep = data.len() * frac as usize / 256;
-                self.inner.append(path, &data[..keep])?;
-                Err(Self::eio("torn append"))
-            }
-            Some(FaultKind::NoSpace) => Err(io::Error::new(
-                io::ErrorKind::StorageFull,
-                "injected fault: no space left on device",
-            )),
-            Some(_) => Err(Self::eio("append error")),
-        }
+        self.put("append", data, |data| self.inner.append(path, data))
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.truncate(path, len),
-            Some(_) => Err(Self::eio("truncate error")),
-        }
+        self.plain("truncate", || self.inner.truncate(path, len))
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.sync(path),
-            Some(_) => Err(Self::eio("fsync error")),
-        }
+        self.plain("fsync", || self.inner.sync(path))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.rename(from, to),
-            Some(_) => Err(Self::eio("rename error")),
-        }
+        self.plain("rename", || self.inner.rename(from, to))
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.remove(path),
-            Some(_) => Err(Self::eio("remove error")),
-        }
+        self.plain("remove", || self.inner.remove(path))
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        match self.next_op()? {
-            None => self.inner.list(dir),
-            Some(_) => Err(Self::eio("list error")),
-        }
+        self.plain("list", || self.inner.list(dir))
     }
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        match self.next_op()? {
-            None => self.inner.create_dir_all(dir),
-            Some(_) => Err(Self::eio("mkdir error")),
-        }
+        self.plain("mkdir", || self.inner.create_dir_all(dir))
     }
 }
 

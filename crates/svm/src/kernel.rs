@@ -42,6 +42,15 @@ pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 
 /// The Gaussian RBF kernel `K(a, b) = exp(−γ‖a−b‖²)` — the kernel the
 /// paper uses for all compared schemes.
+///
+/// Its [`Kernel::block`] has `compute`'s bits, value for value: it
+/// transposes the columns into dimension-major tiles so one row's sums
+/// over a whole tile advance together (a loop the compiler vectorizes,
+/// where `compute` is one dependent chain per pair), but each pair's sum
+/// is still its own accumulator, starting at `−0.0` as an empty `f64`
+/// sum does and adding `(a_k − b_k)²` in `k` order with plain `-`, `*`
+/// and `+`. No term is reordered and nothing is contracted into a fused
+/// multiply-add, so the same IEEE operations meet the same operands.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RbfKernel {
     /// Width parameter γ.
@@ -68,27 +77,21 @@ impl Kernel<[f64]> for RbfKernel {
         (-self.gamma * squared_distance(a, b)).exp()
     }
 
-    /// Columns a tile of [`TILE`] at a time, transposed dimension-major,
-    /// so one row's distances to the whole tile accumulate side by side:
-    /// a loop over columns the compiler vectorizes, where `compute` is one
-    /// dependent sum per pair. Each pair's sum still starts at `−0.0` (an
-    /// empty `f64` sum) and adds `(a_k − b_k)²` in `squared_distance`'s
-    /// `k` order with plain `-`, `*` and `+` — no reordering, no fused
-    /// multiply-add — so every value has `compute`'s bits.
+    /// `TILE` columns at a time, transposed dimension-major; every value
+    /// is `compute`'s (see the type's docs).
     fn block(&self, rows: &[&[f64]], cols: &[&[f64]]) -> Vec<f64> {
         let (n, dim) = (cols.len(), cols.first().map_or(0, |c| c.len()));
+        debug_assert!(n == 0 || rows.iter().chain(cols).all(|s| s.len() == dim));
         let mut out = vec![0.0; rows.len() * n];
         let mut tile = vec![0.0; dim * TILE];
         for (t, chunk) in cols.chunks(TILE).enumerate() {
             let w = chunk.len();
-            for (j, col) in chunk.iter().enumerate() {
-                debug_assert_eq!(col.len(), dim);
-                col.iter()
-                    .enumerate()
-                    .for_each(|(k, &y)| tile[k * w + j] = y);
+            for (k, ys) in tile.chunks_exact_mut(w).take(dim).enumerate() {
+                for (y, col) in ys.iter_mut().zip(chunk) {
+                    *y = col[k];
+                }
             }
             for (i, row) in rows.iter().enumerate() {
-                debug_assert_eq!(row.len(), dim);
                 let mut sums = [-0.0; TILE];
                 for (&x, ys) in row.iter().zip(tile.chunks_exact(w)) {
                     for (s, &y) in sums.iter_mut().zip(ys) {

@@ -261,15 +261,11 @@ pub(crate) fn solve_dual<Q: KernelRows>(
     let n = y.len();
     let qd: Vec<f64> = (0..n).map(|i| q.diag(i)).collect();
 
-    let mut alpha;
+    // No seed is the empty seed: every α at zero, which leaves the
+    // gradient at −1 without reading a row.
+    let mut alpha = clip_and_repair(warm.unwrap_or(&[]), y, c);
     let mut g = vec![-1.0f64; n];
-    match warm {
-        Some(w) => {
-            alpha = clip_and_repair(w, y, c);
-            recompute_gradient(q, y, &alpha, &mut g);
-        }
-        None => alpha = vec![0.0f64; n],
-    }
+    recompute_gradient(q, y, &alpha, &mut g);
 
     let mut iterations = 0usize;
     let mut converged = false;

@@ -23,7 +23,7 @@ pub(crate) fn select_working_set<Q: KernelRows>(
     let n = y.len();
     // i = argmax_{t ∈ I_up} −y_t G_t
     let mut gmax = f64::NEG_INFINITY;
-    let mut i: isize = -1;
+    let mut i = None;
     for t in 0..n {
         let in_i_up = if y[t] > 0.0 {
             alpha[t] < c[t]
@@ -34,20 +34,17 @@ pub(crate) fn select_working_set<Q: KernelRows>(
             let v = -y[t] * g[t];
             if v >= gmax {
                 gmax = v;
-                i = t as isize;
+                i = Some(t);
             }
         }
     }
-    if i < 0 {
-        return None;
-    }
-    let i = i as usize;
+    let i = i?;
 
     // j = argmin over violating t ∈ I_low of the second-order gain.
     let kii = qd[i];
     let ki = q.row(i);
     let mut gmax2 = f64::NEG_INFINITY; // max_{I_low} y_t G_t  (= −M(α))
-    let mut j: isize = -1;
+    let mut j = None;
     let mut obj_min = f64::INFINITY;
     for t in 0..n {
         let in_i_low = if y[t] > 0.0 {
@@ -73,15 +70,15 @@ pub(crate) fn select_working_set<Q: KernelRows>(
             let obj = -(grad_diff * grad_diff) / quad;
             if obj <= obj_min {
                 obj_min = obj;
-                j = t as isize;
+                j = Some(t);
             }
         }
     }
 
-    if gmax + gmax2 < EPS || j < 0 {
+    if gmax + gmax2 < EPS {
         return None;
     }
-    Some((i, j as usize))
+    Some((i, j?))
 }
 
 /// Solves the two-variable subproblem of the working set `(i, j)` in
@@ -107,11 +104,11 @@ pub(crate) fn update_pair<Q: KernelRows>(
     // In both branches the curvature along the update direction is
     // ‖φ(x_i) − φ(x_j)‖² = K_ii + K_jj − 2K_ij (LIBSVM writes it as
     // QD[i] + QD[j] ± 2Q_ij because Q already carries y_i y_j).
+    let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
+    if quad <= 0.0 {
+        quad = TAU;
+    }
     if y[i] != y[j] {
-        let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
-        if quad <= 0.0 {
-            quad = TAU;
-        }
         let delta = (-g[i] - g[j]) / quad;
         let diff = alpha[i] - alpha[j];
         alpha[i] += delta;
@@ -136,10 +133,6 @@ pub(crate) fn update_pair<Q: KernelRows>(
             alpha[i] = cj + diff;
         }
     } else {
-        let mut quad = qd[i] + qd[j] - 2.0 * ki[j];
-        if quad <= 0.0 {
-            quad = TAU;
-        }
         let delta = (g[i] - g[j]) / quad;
         let sum = alpha[i] + alpha[j];
         alpha[i] -= delta;
