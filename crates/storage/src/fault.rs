@@ -200,19 +200,19 @@ impl FaultIo {
         }
     }
 
-    /// A write or an append (`what`) of `data` through `put`: a torn fault
-    /// puts a prefix of it and fails, a no-space fault fails with
+    /// A write or an append (`what`) of `data` through `write`: a torn
+    /// fault writes a prefix of it and fails, a no-space fault fails with
     /// [`io::ErrorKind::StorageFull`], any other fails without writing.
     fn put(
         &self,
         what: &str,
         data: &[u8],
-        put: impl Fn(&[u8]) -> io::Result<()>,
+        write: impl FnOnce(&[u8]) -> io::Result<()>,
     ) -> io::Result<()> {
         match self.next_op()? {
-            None => put(data),
+            None => write(data),
             Some(FaultKind::Torn { frac }) => {
-                put(&data[..data.len() * frac as usize / 256])?;
+                write(&data[..data.len() * frac as usize / 256])?;
                 Err(Self::eio(&format!("torn {what}")))
             }
             Some(FaultKind::NoSpace) => Err(io::Error::new(
