@@ -132,7 +132,8 @@ impl SparseVector {
         let judgments = || rows.iter().flat_map(|row| &row.entries).map(|&e| e & !NEG);
         let lo = judgments().min().unwrap_or(0);
         let span = judgments().max().map_or(0, |hi| (hi - lo) as usize + 1);
-        // `id_of[s − lo]` is session `s`'s bucket, 0 when no row judged it.
+        // `id_of[s − lo]` is session `s`'s bucket, numbered from 1 in first-seen
+        // order, or 0 when no row judged it.
         // Bucket `b`'s judgments end up in `slots[at[b]..at[b + 1]]`, each
         // `row << 1 | negative`: counted two places up, summed, then placed
         // through `at[b + 1]`, which leaves it at the bucket's end; bucket 0
