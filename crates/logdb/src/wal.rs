@@ -388,6 +388,28 @@ mod tests {
     }
 
     #[test]
+    fn image_ids_past_31_bits_are_typed_errors_not_panics() {
+        // 2³¹ is the first id a packed judgment cannot hold; 2³² + 1
+        // truncates to 1 if narrowed to 32 bits unchecked.
+        for id in ["2147483648", "4294967297"] {
+            let session = format!(r#"{{"judgments":[[{id},"Relevant"]]}}"#);
+            let io = raw_disk(None, &[&session]);
+            let err = SharedLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, WalError::Replay { record: 0, .. }),
+                "got: {err}"
+            );
+            assert!(err.to_string().contains(id), "got: {err}");
+
+            let snapshot = v1_snapshot(&format!("[{session}]"), NO_COLUMNS);
+            let io = raw_disk(Some(&snapshot), &[]);
+            let err = SharedLogStore::open(io, dir(), 8, WalOptions::default()).unwrap_err();
+            assert!(matches!(err, WalError::Format { .. }), "got: {err}");
+            assert!(err.to_string().contains(id), "got: {err}");
+        }
+    }
+
+    #[test]
     fn repeated_or_descending_image_id_is_a_typed_replay_error() {
         for record in [
             r#"{"judgments":[[3,"Relevant"],[3,"Irrelevant"]]}"#,
