@@ -35,8 +35,8 @@
 //!   and `r_a·r_b`. Their rows are dropped and their columns recomputed in
 //!   the other rows, in one block call. A count that moves backward (a
 //!   different log) drops every log row;
-//! * when a mark adds an id to the universe, resident rows gain its column
-//!   (as [`lrf_svm::KernelCache::extend`] does); any other change of the
+//! * when a mark adds an id to the universe, resident rows gain its
+//!   column, each value `K(row image, new image)`; any other change of the
 //!   universe drops every row.
 //!
 //! Rows missing from a view are computed in one [`Kernel::block`] call,

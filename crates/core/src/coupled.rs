@@ -32,11 +32,10 @@
 //! **Two views, one row store each.** [`train_coupled`] takes one
 //! [`lrf_svm::KernelCache`] per modality (content, log), holding the
 //! labeled samples and then the unlabeled pool. A caller's stores may
-//! already hold rows — grown after a labeled-only solve
-//! ([`extend`](lrf_svm::KernelCache::extend)), or built with rows
-//! computed elsewhere ([`served`](lrf_svm::KernelCache::served), as
-//! LRF-CSVM does from its row blocks) — and the anneal reuses them, so no
-//! Gram value of the fit's solves is evaluated twice. Every retrain inside the run solves a QP over the *same* sample
+//! already hold rows — built with rows computed elsewhere
+//! ([`served`](lrf_svm::KernelCache::served), as LRF-CSVM does from its
+//! row blocks) — and the anneal reuses them, so no Gram value of the
+//! fit's solves is evaluated twice. Every retrain inside the run solves a QP over the *same* sample
 //! set — only the bounds (`ρ*` doubling) and a few pseudo-labels change —
 //! so a row computed once serves every later solve, and the correction
 //! loop reads its slacks from the same rows instead of re-evaluating the
@@ -697,27 +696,49 @@ mod tests {
         }
     }
 
+    /// Every row of `kernel` over `samples`, each value evaluated once
+    /// (`i ≤ t`) and mirrored, as lrf-core's row blocks fill them.
+    fn filled<S: ?Sized, K: Kernel<S>>(kernel: &K, samples: &[&S]) -> Vec<Vec<f64>> {
+        let n = samples.len();
+        let mut rows = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for t in i..n {
+                let v = kernel.compute(samples[i], samples[t]);
+                (rows[i][t], rows[t][i]) = (v, v);
+            }
+        }
+        rows
+    }
+
     #[test]
     fn each_view_evaluates_each_kernel_value_at_most_once_per_fit() {
-        // LRF-CSVM's shape: a labeled-only solve per view, the stores
-        // extended by the pool, the anneal in the same stores. Together
-        // they make at most the n(n+1)/2 evaluations of one symmetric Gram
-        // fill; a fresh store for the anneal would exceed it.
+        // LRF-CSVM's shape: each view's rows over the labeled images and
+        // the pool filled once; a labeled-only solve per view in a store
+        // served the labeled rows, the anneal in stores served them all.
+        // Together they make at most the n(n+1)/2 evaluations of one
+        // symmetric Gram fill; a fresh store for the anneal would exceed it.
         let (la, lb, y, ua, ub) = agreeing_problem();
         let (ka, kb) = kernels();
         let cfg = CoupledConfig::default();
         let (count_a, count_b) = (Default::default(), Default::default());
         let ka = Counting(ka, std::sync::Arc::clone(&count_a));
         let kb = Counting(kb, std::sync::Arc::clone(&count_b));
-        let mut content = store(ka.clone(), &la, &[]);
-        let mut log = store(kb.clone(), &lb, &[]);
-        let labeled = |c: f64| vec![c; y.len()];
-        content
+        let content_samples: Vec<&[f64]> = la.iter().chain(&ua).map(Vec::as_slice).collect();
+        let log_samples: Vec<&SparseVector> = lb.iter().chain(&ub).collect();
+        let (rows_a, rows_b) = (filled(&ka, &content_samples), filled(&kb, &log_samples));
+        let l = y.len();
+        let labeled_rows = |rows: &[Vec<f64>]| rows[..l].iter().map(|r| r[..l].to_vec()).collect();
+        let labeled = |c: f64| vec![c; l];
+        KernelCache::new(ka.clone(), content_samples[..l].to_vec())
+            .served(labeled_rows(&rows_a))
             .solve(&y, &labeled(cfg.c_content), &cfg.smo, None)
             .unwrap();
-        log.solve(&y, &labeled(cfg.c_log), &cfg.smo, None).unwrap();
-        content.extend(ua.iter().map(Vec::as_slice));
-        log.extend(&ub);
+        KernelCache::new(kb.clone(), log_samples[..l].to_vec())
+            .served(labeled_rows(&rows_b))
+            .solve(&y, &labeled(cfg.c_log), &cfg.smo, None)
+            .unwrap();
+        let content = KernelCache::new(ka.clone(), content_samples).served(rows_a);
+        let log = KernelCache::new(kb.clone(), log_samples).served(rows_b);
         let out = train_coupled(content, log, &y, &[-1.0, 1.0], &cfg).unwrap();
         assert!(out.report.retrains >= 10, "{:?}", out.report);
         let n = la.len() + ua.len();

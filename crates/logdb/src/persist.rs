@@ -17,27 +17,12 @@
 //! `store` object has the same two fields, so it loads through the same
 //! code, and its columns are ignored.
 
-use crate::session::LogSession;
 use crate::store::LogStore;
 use crate::wal::{self, WalError};
-use serde::Deserialize;
+use serde_json::Walker;
 
 /// Current on-disk format version; every version from 1 up to it loads.
 pub(crate) const FORMAT_VERSION: u32 = 2;
-
-/// The on-disk frame, as read.
-#[derive(Deserialize)]
-struct Envelope {
-    version: u32,
-    store: Snapshot,
-}
-
-/// The relevance matrix as stored: its column count and its rows.
-#[derive(Deserialize)]
-struct Snapshot {
-    n_images: usize,
-    sessions: Vec<LogSession>,
-}
 
 /// Serializes the store to a snapshot: the envelope around each session's
 /// WAL record encoding, comma-separated.
@@ -65,18 +50,14 @@ pub(crate) fn to_json(store: &LogStore) -> Result<Vec<u8>, WalError> {
 /// any allocation.
 pub(crate) fn decode(bytes: &[u8], n_images: usize) -> Result<LogStore, WalError> {
     let invalid = |reason: String| WalError::Format { reason };
-    let env: Envelope = serde_json::from_slice(bytes)
-        .map_err(|e| invalid(format!("snapshot does not parse: {e}")))?;
-    if !(1..=FORMAT_VERSION).contains(&env.version) {
+    let unparsed = |e: serde_json::Error| invalid(format!("snapshot does not parse: {e}"));
+    let mut doc = Walker::from_slice(bytes).map_err(unparsed)?;
+    let (version, found) = header(&mut doc).map_err(unparsed)?;
+    if !(1..=FORMAT_VERSION).contains(&version) {
         return Err(invalid(format!(
-            "snapshot version {} unsupported (this build reads 1 to {FORMAT_VERSION})",
-            env.version
+            "snapshot version {version} unsupported (this build reads 1 to {FORMAT_VERSION})"
         )));
     }
-    let Snapshot {
-        n_images: found,
-        sessions,
-    } = env.store;
     if found == 0 {
         return Err(invalid("snapshot covers no images".into()));
     }
@@ -86,12 +67,25 @@ pub(crate) fn decode(bytes: &[u8], n_images: usize) -> Result<LogStore, WalError
         )));
     }
     let mut store = LogStore::new(n_images);
-    for (sid, session) in sessions.into_iter().enumerate() {
-        store
-            .try_record(session)
-            .map_err(|e| invalid(format!("snapshot session {sid}: {e}")))?;
+    while doc.next_element().map_err(unparsed)? {
+        let (sid, session) = (store.n_sessions(), doc.value().map_err(unparsed)?);
+        let refused = |e| invalid(format!("snapshot session {sid}: {e}"));
+        store.try_record(session).map_err(refused)?;
     }
+    // What follows the sessions (version 1's columns) is skipped unbuilt.
+    doc.finish().map_err(unparsed)?;
     Ok(store)
+}
+
+/// Reads the envelope up to its sessions, returning its version and
+/// image count with `doc` inside the sessions array. The members come in
+/// the order every version has written them.
+fn header(doc: &mut Walker) -> Result<(u32, usize), serde_json::Error> {
+    let version = doc.enter_object()?.expect_key("version")?.value()?;
+    doc.expect_key("store")?.enter_object()?;
+    let n_images = doc.expect_key("n_images")?.value()?;
+    doc.expect_key("sessions")?.enter_array()?;
+    Ok((version, n_images))
 }
 
 #[cfg(test)]
@@ -137,6 +131,80 @@ mod tests {
         r#"{"entries":[[0,-1.0],[1,1.0]]},{"entries":[]},{"entries":[]},"#,
         r#"{"entries":[]},{"entries":[[1,1.0]]}]}}"#,
     );
+
+    /// The exact bytes [`to_json`] writes for [`sample_store`]; each
+    /// session is its WAL record.
+    const V2_SAMPLE: &str = concat!(
+        r#"{"version":2,"store":{"n_images":8,"sessions":["#,
+        r#"{"judgments":[[0,"Relevant"],[3,"Irrelevant"]]},"#,
+        r#"{"judgments":[[3,"Relevant"],[7,"Relevant"]]}]}}"#,
+    );
+
+    #[test]
+    fn snapshot_and_record_bytes_are_pinned() {
+        let store = sample_store();
+        assert_eq!(to_json(&store).unwrap(), V2_SAMPLE.as_bytes());
+        assert_eq!(
+            wal::encode(store.session(0)).unwrap(),
+            br#"{"judgments":[[0,"Relevant"],[3,"Irrelevant"]]}"#
+        );
+    }
+
+    #[test]
+    fn members_after_the_sessions_are_skipped() {
+        let extra = concat!(
+            r#" { "version" : 2 , "store" : { "n_images" : 8 , "sessions" : [ "#,
+            r#"{"judgments":[[0,"Relevant"],[3,"Irrelevant"]]} ,"#,
+            r#"{"judgments":[[3,"Relevant"],[7,"Relevant"]],"note":[{}]} ] ,"#,
+            r#""columns" : [{"entries":[[0,1.0]]}], "more": {"sessions": 5} } ,"#,
+            r#""comment": "x" } "#,
+        );
+        assert_eq!(from_json(extra.as_bytes()).unwrap(), sample_store());
+    }
+
+    #[test]
+    fn missing_members_and_undecodable_sessions_are_format_errors() {
+        for (bytes, says) in [
+            (
+                r#"{"store":{"n_images":8,"sessions":[]},"version":2}"#,
+                "expected member `version`",
+            ),
+            (r#"{"version":2}"#, "expected member `store`"),
+            (
+                r#"{"version":2,"store":{"sessions":[],"n_images":8}}"#,
+                "expected member `n_images`",
+            ),
+            (
+                r#"{"version":2,"store":{"n_images":8}}"#,
+                "expected member `sessions`",
+            ),
+            (
+                r#"{"version":2,"store":{"n_images":8,"sessions":[{"judgments":[[1,"Maybe"]]}]}}"#,
+                "field `judgments`",
+            ),
+            (
+                r#"{"version":2,"store":{"n_images":8,"sessions":{}}}"#,
+                "expected `[`",
+            ),
+            (
+                r#"{"version":2,"store":{"n_images":8,"sessions":[]}} x"#,
+                "trailing",
+            ),
+        ] {
+            let err = from_json(bytes.as_bytes()).unwrap_err();
+            assert!(matches!(err, WalError::Format { .. }), "{err}");
+            assert!(err.to_string().contains("does not parse"), "{err}");
+            assert!(err.to_string().contains(says), "{err}");
+        }
+        // A session the store refuses is named by its id.
+        let bytes = V2_SAMPLE.replace("[7,", "[9,");
+        let err = from_json(bytes.as_bytes()).unwrap_err();
+        assert!(matches!(err, WalError::Format { .. }), "{err}");
+        assert!(
+            err.to_string().contains("snapshot session 1: image id 9"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn snapshot_holds_n_images_and_sessions_only() {

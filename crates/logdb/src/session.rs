@@ -5,7 +5,9 @@
 //! returned to be judged by users, which are marked as relevant or
 //! irrelevant."
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+
+use crate::sparse::NEG;
 
 /// A single relevance judgment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,11 +39,38 @@ impl Relevance {
 
 /// One feedback round: a set of judged images. Unjudged images are
 /// implicitly `0` ("unknown") in the relevance matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// A judgment is 4 bytes, packed as a [`crate::SparseVector`] entry is:
+/// the image id, with the top bit set when the image was marked
+/// irrelevant. The store holds each judgment twice, here and in the
+/// image's column, so `R` costs 8 bytes per judgment plus the two lists'
+/// spare capacity. On disk a session is `{"judgments":[[id,"Relevant"],…]}`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogSession {
-    /// `(image_id, judgment)` pairs; image ids are indices into the image
-    /// database that the store was created for.
-    judgments: Vec<(usize, Relevance)>,
+    /// Packed judgments of image ids (indices into the image database that
+    /// the store was created for); ascending when built by
+    /// [`LogSession::new`], in the order read when decoded.
+    pub(crate) judgments: Vec<u32>,
+}
+
+/// Packs each judgment, in order; an image id of `2³¹` or more is an
+/// error naming it.
+fn pack(judgments: Vec<(usize, Relevance)>) -> Result<Vec<u32>, String> {
+    let mut packed = Vec::with_capacity(judgments.len());
+    for (id, judgment) in judgments {
+        let fits = u32::try_from(id).ok().filter(|&id| id < NEG);
+        let id = fits.ok_or_else(|| format!("image id {id} does not fit in 31 bits"))?;
+        packed.push(id | (NEG * u32::from(judgment == Relevance::Irrelevant)));
+    }
+    Ok(packed)
+}
+
+/// A packed judgment as `(image_id, judgment)`.
+fn unpack(packed: u32) -> (usize, Relevance) {
+    (
+        (packed & !NEG) as usize,
+        Relevance::from_bool(packed & NEG == 0),
+    )
 }
 
 impl LogSession {
@@ -49,15 +78,18 @@ impl LogSession {
     ///
     /// # Panics
     /// Panics if the same image is judged twice in one session (a session
-    /// is one screen of results; duplicates indicate a caller bug).
-    pub fn new(mut judgments: Vec<(usize, Relevance)>) -> Self {
-        judgments.sort_unstable_by_key(|&(id, _)| id);
+    /// is one screen of results; duplicates indicate a caller bug), or if
+    /// an image id is `2³¹` or more (a judgment keeps its id in 31 bits).
+    pub fn new(judgments: Vec<(usize, Relevance)>) -> Self {
+        // lrf-lint: allow(service-panic): a service's sessions judge
+        // images `mark` checked against the database, and no database
+        // that fits in memory reaches image id 2³¹. Other callers keep
+        // the documented `# Panics`.
+        let mut judgments = pack(judgments).unwrap_or_else(|e| panic!("{e}"));
+        judgments.sort_unstable_by_key(|&packed| packed & !NEG);
         for w in judgments.windows(2) {
-            assert!(
-                w[0].0 != w[1].0,
-                "image {} judged twice in one session",
-                w[0].0
-            );
+            let id = w[0] & !NEG;
+            assert!(id != w[1] & !NEG, "image {id} judged twice in one session");
         }
         Self { judgments }
     }
@@ -75,23 +107,37 @@ impl LogSession {
 
     /// Iterates `(image_id, judgment)` in image-id order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Relevance)> + '_ {
-        self.judgments.iter().copied()
+        self.judgments.iter().map(|&packed| unpack(packed))
     }
 
     /// The judgment for `image_id`, if this session judged it.
     pub fn judgment(&self, image_id: usize) -> Option<Relevance> {
         self.judgments
-            .binary_search_by_key(&image_id, |&(id, _)| id)
+            .binary_search_by_key(&image_id, |&packed| unpack(packed).0)
             .ok()
-            .map(|pos| self.judgments[pos].1)
+            .map(|pos| unpack(self.judgments[pos]).1)
     }
 
     /// Count of relevant marks.
     pub fn n_relevant(&self) -> usize {
-        self.judgments
-            .iter()
-            .filter(|&&(_, r)| r == Relevance::Relevant)
-            .count()
+        self.judgments.iter().filter(|&&p| p & NEG == 0).count()
+    }
+}
+
+impl Serialize for LogSession {
+    fn to_value(&self) -> Value {
+        let judgments = self.iter().collect::<Vec<_>>().to_value();
+        Value::Object(vec![("judgments".into(), judgments)])
+    }
+}
+
+impl Deserialize for LogSession {
+    /// Reads what [`Serialize`] writes; an image id of `2³¹` or more is
+    /// an error, never a truncation. The ids' order is the store's check.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let judgments = Vec::from_value(&v["judgments"]).and_then(|j| pack(j).map_err(DeError));
+        let judgments = judgments.map_err(|e| DeError(format!("field `judgments`: {e}")))?;
+        Ok(Self { judgments })
     }
 }
 

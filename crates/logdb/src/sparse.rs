@@ -27,7 +27,7 @@
 use std::cmp::Ordering;
 
 /// Top bit of a packed entry: set when the judgment is `−1`.
-const NEG: u32 = 1 << 31;
+pub(crate) const NEG: u32 = 1 << 31;
 
 /// The value a packed entry stands for: `+1.0`, or `−1.0` when `NEG` is set.
 fn sign(entry: u32) -> f64 {
@@ -39,7 +39,7 @@ fn sign(entry: u32) -> f64 {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseVector {
     /// Indices in ascending order, each `| NEG` when its value is `−1`.
-    entries: Vec<u32>,
+    pub(crate) entries: Vec<u32>,
 }
 
 impl SparseVector {

@@ -348,6 +348,39 @@ mod tests {
         assert!(held.log_vector(1).is_empty());
     }
 
+    /// Heap bytes per judgment of `store`, whose tail is empty: the
+    /// capacities of the session and column lists and of each one's
+    /// entries, over the matrix's nonzero count.
+    fn heap_bytes_per_judgment(store: &LogStore) -> f64 {
+        assert!(store.tail.is_empty());
+        let Matrix { sessions, columns } = &*store.base;
+        let lists = sessions.capacity() * std::mem::size_of::<LogSession>()
+            + columns.capacity() * std::mem::size_of::<SparseVector>();
+        let rows: usize = sessions.iter().map(|s| s.judgments.capacity()).sum();
+        let cols: usize = columns.iter().map(|c| c.entries.capacity()).sum();
+        (lists + 4 * (rows + cols)) as f64 / store.nnz() as f64
+    }
+
+    #[test]
+    fn a_judgment_costs_under_13_heap_bytes_recorded_or_decoded() {
+        // 2,000 sessions of 20 judgments over 1,000 images: each image is
+        // judged ~40 times. A judgment is 4 bytes in its row and 4 in its
+        // column; the rest is the lists' spare capacity and headers.
+        let mut store = LogStore::new(1000);
+        for s in 0..2000 {
+            let judged: Vec<_> = (0..20)
+                .map(|k| ((s * 7 + k * 50) % 1000, (s + k) % 3 > 0))
+                .collect();
+            store.record(session(&judged));
+        }
+        let bytes = crate::persist::to_json(&store).unwrap();
+        let decoded = crate::persist::decode(&bytes, 1000).unwrap();
+        for store in [&store, &decoded] {
+            let per_judgment = heap_bytes_per_judgment(store);
+            assert!(per_judgment < 13.0, "{per_judgment} B per judgment");
+        }
+    }
+
     /// `store` holds exactly `reference`'s sessions and columns.
     fn assert_same(store: &LogStore, reference: &LogStore) {
         assert_eq!(store, reference);

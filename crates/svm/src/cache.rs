@@ -13,11 +13,10 @@
 //! `tests/golden_solver.rs` pins an n = 240 solve), so every row of the
 //! largest store fits in a few hundred KiB.
 //!
-//! A store outlives the solve when its owner keeps it, and it can grow
-//! ([`KernelCache::extend`]: resident rows gain the new columns). The
-//! coupled SVM's annealing schedule — about a hundred re-solves with new
-//! bounds and pseudo-labels — runs in one store per view. A solve ([`KernelCache::solve`]) returns only its
-//! [`crate::Dual`]; the anneal reads each dual's hinge slacks from the
+//! A store outlives the solve when its owner keeps it. The coupled SVM's
+//! annealing schedule — about a hundred re-solves with new bounds and
+//! pseudo-labels — runs in one store per view. A solve
+//! ([`KernelCache::solve`]) returns only its [`crate::Dual`]; the anneal reads each dual's hinge slacks from the
 //! rows ([`KernelCache::slacks`]) and seeds the next solve with it. No
 //! Gram value of the fit's solves is evaluated twice. The store holds the
 //! training samples only: scoring the round's candidates reads a dual's
@@ -64,7 +63,7 @@ pub(crate) trait KernelRows {
     fn pair(&mut self, i: usize, j: usize) -> (&[f64], &[f64]);
 }
 
-/// Lazy kernel-row store over one growing sample set: a row is computed on
+/// Lazy kernel-row store over one sample set: a row is computed on
 /// first touch and kept until the store is dropped. The diagonal is
 /// computed by the first solve that needs it (it doubles as the
 /// non-finite-sample check), so a store whose every problem is
@@ -72,8 +71,8 @@ pub(crate) trait KernelRows {
 pub struct KernelCache<'a, S: ?Sized, K> {
     pub(crate) kernel: K,
     samples: Vec<&'a S>,
-    /// `K(i, i)` of a prefix of the samples: empty until the first
-    /// two-class solve, which computes the rest and checks it.
+    /// `K(i, i)` of every sample: the served rows', or empty until the
+    /// first two-class solve computes it.
     diag: Vec<f64>,
     rows: Vec<Option<Vec<f64>>>,
     hits: u64,
@@ -87,32 +86,14 @@ where
 {
     /// An empty store over `samples`; evaluates no kernel.
     pub fn new(kernel: K, samples: Vec<&'a S>) -> Self {
-        let rows = samples.iter().map(|_| None).collect();
         Self {
             kernel,
+            rows: vec![None; samples.len()],
             samples,
             diag: Vec::new(),
-            rows,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Appends `samples` to the store. Every resident row gains its new
-    /// columns, each evaluated as `K(row sample, new sample)` — the
-    /// orientation a row computed after the append would use, so later
-    /// rows that mirror them stay bit-exact. The new samples' diagonal is
-    /// left to the next two-class solve, which checks it like the rest.
-    pub fn extend<I: IntoIterator<Item = &'a S>>(&mut self, samples: I) {
-        let from = self.samples.len();
-        self.samples.extend(samples);
-        let (kernel, all) = (&self.kernel, &self.samples);
-        for (row, &si) in self.rows.iter_mut().zip(all) {
-            if let Some(row) = row {
-                row.extend(all[from..].iter().map(|&st| kernel.compute(si, st)));
-            }
-        }
-        self.rows.resize(self.samples.len(), None);
     }
 
     /// This store with every row resident from `rows`, which holds row
@@ -159,9 +140,8 @@ where
     /// An empty store, labels or bounds of another length, a label other
     /// than `±1` or a bound that is not positive and finite is rejected
     /// before any kernel is evaluated. A two-class solve first computes
-    /// the diagonal entries no earlier solve or [`Self::served`] provided,
-    /// then checks the whole diagonal: a non-finite `K(i, i)`
-    /// is reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
+    /// the diagonal if no earlier solve or [`Self::served`] provided it,
+    /// then checks it: a non-finite `K(i, i)` is reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
     /// kernel in this workspace a sample containing NaN/∞ poisons its own
     /// diagonal entry, so this is equivalent to the full-matrix scan of
     /// the precomputed path.
@@ -176,10 +156,10 @@ where
         if let Some(sign) = single_class_sign(labels) {
             return Ok(Dual::constant(labels.len(), sign));
         }
-        let kernel = &self.kernel;
-        let from = self.diag.len();
-        let new = self.samples[from..].iter().map(|&s| kernel.compute(s, s));
-        self.diag.extend(new);
+        if self.diag.is_empty() {
+            let kernel = &self.kernel;
+            self.diag = self.samples.iter().map(|&s| kernel.compute(s, s)).collect();
+        }
         if let Some(i) = self.diag.iter().position(|v| !v.is_finite()) {
             return Err(SvmError::NonFiniteKernel { row: i, col: i });
         }
@@ -253,18 +233,12 @@ where
     /// of the eager symmetric fill.
     fn compute_row(&self, i: usize) -> Vec<f64> {
         let si = self.samples[i];
-        let mut data = Vec::with_capacity(self.samples.len());
-        for (t, &st) in self.samples.iter().enumerate() {
-            let v = if t == i {
-                self.diag[i]
-            } else if let Some(rt) = self.rows[t].as_deref() {
-                rt[i]
-            } else {
-                self.kernel.compute(si, st)
-            };
-            data.push(v);
-        }
-        data
+        let value = |(t, &st): (usize, &&S)| match self.rows[t].as_deref() {
+            _ if t == i => self.diag[i],
+            Some(rt) => rt[i],
+            None => self.kernel.compute(si, st),
+        };
+        self.samples.iter().enumerate().map(value).collect()
     }
 
     /// Makes row `i` resident, counting the access as a hit or a miss.
@@ -366,12 +340,23 @@ mod tests {
     }
 
     #[test]
-    fn extend_keeps_the_non_finite_check() {
+    fn served_store_keeps_the_non_finite_check() {
         let samples = [vec![1.0], vec![2.0], vec![f64::NAN], vec![3.0]];
-        let mut cache = KernelCache::new(LinearKernel, vec![&samples[0][..], &samples[1][..]]);
+        let refs: Vec<&[f64]> = samples.iter().map(Vec::as_slice).collect();
+        let rows = |n: usize| -> Vec<Vec<f64>> {
+            let row = |i: usize| {
+                let x: &[f64] = refs[i];
+                refs[..n]
+                    .iter()
+                    .map(|&t| LinearKernel.compute(x, t))
+                    .collect()
+            };
+            (0..n).map(row).collect()
+        };
         let params = SmoParams::default();
+        let mut cache = KernelCache::new(LinearKernel, refs[..2].to_vec()).served(rows(2));
         cache.solve(&[1.0, -1.0], &[1.0; 2], &params, None).unwrap();
-        cache.extend(samples[2..].iter().map(Vec::as_slice));
+        let mut cache = KernelCache::new(LinearKernel, refs.clone()).served(rows(4));
         let labels = [1.0, -1.0, 1.0, -1.0];
         let err = cache.solve(&labels, &[1.0; 4], &params, None).err();
         assert_eq!(err, Some(SvmError::NonFiniteKernel { row: 2, col: 2 }));
@@ -515,8 +500,7 @@ mod tests {
     }
 
     /// A store served its rows solves to the same dual in every bit as
-    /// one that computes them (fresh, and grown from a solved prefix),
-    /// evaluates no kernel, and finds every row it reads; a non-finite
+    /// one that computes them, evaluates no kernel, and finds every row it reads; a non-finite
     /// served diagonal is reported like a computed one.
     #[test]
     fn served_rows_solve_like_computed_ones_and_evaluate_nothing() {
@@ -538,9 +522,8 @@ mod tests {
             .collect();
         let (bounds, params) = (vec![1.0; 10], SmoParams::default());
         let evaluations = std::rc::Rc::default();
-        let mut computed = KernelCache::new(kernel, refs[..6].to_vec());
-        for (n, from) in [(6, 6), (10, 6)] {
-            computed.extend(refs[from..n].iter().copied());
+        for n in [6, 10] {
+            let mut computed = KernelCache::new(kernel, refs[..n].to_vec());
             let counting = Counting(kernel, std::rc::Rc::clone(&evaluations));
             let mut served = KernelCache::new(counting, refs[..n].to_vec()).served(rows(n));
             let a = served
@@ -597,40 +580,41 @@ mod tests {
             }
         }
 
-        /// A store solved over a prefix and then extended serves rows
-        /// bit-identical to a store built over the whole set and to direct
-        /// evaluation, and solves to the same dual in every bit.
+        /// A store served its rows, cut from rows over a larger sample set
+        /// (as lrf-core cuts a fit's rows from its candidates'), serves
+        /// rows bit-identical to direct evaluation and to a store that
+        /// computes its own, and solves to the same dual in every bit.
         #[test]
-        fn extended_rows_equal_a_whole_store_and_direct_evaluation(
+        fn served_rows_equal_a_whole_store_and_direct_evaluation(
             flat in proptest::collection::vec(-3.0f64..3.0, 36),
-            split in 2usize..12,
+            split in 2usize..=12,
             touched in proptest::collection::vec(0usize..12, 0..8),
             gamma in 0.05f64..2.0,
         ) {
             let samples = samples_from(&flat, 3);
-            let n = samples.len();
             let refs: Vec<&[f64]> = samples.iter().map(Vec::as_slice).collect();
             let kernel = RbfKernel::new(gamma);
-            let labels: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-            let bounds = vec![1.0; n];
+            let labels: Vec<f64> = (0..split).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+            let bounds = vec![1.0; split];
             let params = SmoParams::default();
 
-            let mut grown = KernelCache::new(kernel, refs[..split].to_vec());
-            grown.solve(&labels[..split], &bounds[..split], &params, None).unwrap();
-            for &i in &touched {
-                grown.row(i % split);
-            }
-            grown.extend(refs[split..].iter().copied());
-            let mut whole = KernelCache::new(kernel, refs.clone());
-            let a = grown.solve(&labels, &bounds, &params, None).unwrap();
+            let direct = |i: usize| -> Vec<f64> {
+                refs.iter().map(|&t| kernel.compute(refs[i], t)).collect()
+            };
+            let rows = (0..split).map(|i| direct(i)[..split].to_vec()).collect();
+            let mut served = KernelCache::new(kernel, refs[..split].to_vec()).served(rows);
+            let mut whole = KernelCache::new(kernel, refs[..split].to_vec());
+            let a = served.solve(&labels, &bounds, &params, None).unwrap();
             let b = whole.solve(&labels, &bounds, &params, None).unwrap();
             prop_assert_eq!(&a.alpha, &b.alpha);
             prop_assert_eq!(a.bias.to_bits(), b.bias.to_bits());
-            for i in 0..n {
-                let direct: Vec<f64> = refs.iter().map(|&t| kernel.compute(refs[i], t)).collect();
+            // Rows the solve left out are computed in `touched`'s order,
+            // each mirroring whichever rows are resident by then.
+            for i in touched.iter().map(|&i| i % split).chain(0..split) {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(grown.row(i)), bits(&direct), "row {}", i);
-                prop_assert_eq!(bits(whole.row(i)), bits(&direct), "row {}", i);
+                let direct = &direct(i)[..split];
+                prop_assert_eq!(bits(served.row(i)), bits(direct), "row {}", i);
+                prop_assert_eq!(bits(whole.row(i)), bits(direct), "row {}", i);
             }
         }
 

@@ -29,10 +29,11 @@
 //!   cloning its support vectors once, and is the only place a machine is
 //!   built. [`train`] is a store used for one cold solve and one machine;
 //!   a caller that seeds or re-solves (a feedback round, the coupled
-//!   SVM's annealing) owns a store, grows it ([`KernelCache::extend`]),
-//!   reads each dual's hinge slacks from its rows
-//!   ([`KernelCache::slacks`]), and scores with the final dual's
-//!   [`Dual::expansion`] or builds a machine from it.
+//!   SVM's annealing) owns a store, serves it rows it computed elsewhere
+//!   ([`KernelCache::served`]) or lets it compute its own, reads each
+//!   dual's hinge slacks from its rows ([`KernelCache::slacks`]), and
+//!   scores with the final dual's [`Dual::expansion`] or builds a machine
+//!   from it.
 //!   The eager full-matrix solve is the tests' bit-exact oracle.
 //! * `model` — the trained decision function, and degenerate
 //!   single-class handling (a feedback round can return only positives).
