@@ -15,8 +15,11 @@
 # counted; any other failure stops the script.
 # Prints, for every end-to-end metric BENCHMARK.json lists, the medians of
 # both sides, the parent's interquartile range, and in how many pairs the
-# change was better (in the metric's direction); then, per side, the
-# failed operations and the runs that failed a correctness check.
+# change was better (in the metric's direction); then each side's median
+# count of timed closes, the sessions a run recorded into the served log
+# (peak_rss_mb grows with the log, so an RSS difference is read against
+# it); then, per side, the failed operations and the runs that failed a
+# correctness check.
 #
 # Needs git, cargo (offline), python3.
 
@@ -47,7 +50,8 @@ build parent "$parent_rev"
 build change HEAD
 
 # run <side> <seed>: one end-to-end run; appends its result line to
-# $tmp/<side>.jsonl (the last line of the binary's standard output).
+# $tmp/<side>.jsonl (the last line of the binary's standard output) and
+# its count of timed closes to $tmp/<side>.closes.
 run() {
     echo "ab: $1 seed $2" >&2
     local status=0
@@ -58,6 +62,7 @@ run() {
         exit 1
     fi
     tail -n 1 "$tmp/out" >>"$tmp/$1.jsonl"
+    sed -n 's/^# timed close samples: //p' "$tmp/out" >>"$tmp/$1.closes"
 }
 for ((k = 0; k < pairs; k++)); do
     seed=$((first_seed + k))
@@ -70,12 +75,13 @@ for ((k = 0; k < pairs; k++)); do
     fi
 done
 
-python3 - "$repo/BENCHMARK.json" "$tmp/parent.jsonl" "$tmp/change.jsonl" "$workload" <<'EOF'
+python3 - "$repo/BENCHMARK.json" "$tmp" "$workload" <<'EOF'
 import json
 import statistics
 import sys
 
-spec, parent_file, change_file, workload = sys.argv[1:]
+spec, tmp, workload = sys.argv[1:]
+parent_file, change_file = f"{tmp}/parent.jsonl", f"{tmp}/change.jsonl"
 metrics = json.load(open(spec))["end_to_end"]
 parent = [json.loads(line) for line in open(parent_file)]
 change = [json.loads(line) for line in open(change_file)]
@@ -101,6 +107,11 @@ for m in metrics:
         f"{name:<18} {statistics.median(a):>12.4f} {statistics.median(b):>12.4f}"
         f" {hi - lo:>12.4f} {wins:>9}/{len(a)}"
     )
+closes = {s: [int(n) for n in open(f"{tmp}/{s}.closes")] for s in ("parent", "change")}
+print(
+    f"{'timed closes':<18} {statistics.median(closes['parent']):>12.1f}"
+    f" {statistics.median(closes['change']):>12.1f}   (median per run)"
+)
 for side, rows in (("parent", parent), ("change", change)):
     failed = sum(r["failed"] for r in rows)
     attempted = sum(r["attempted"] for r in rows)
