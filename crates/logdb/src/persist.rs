@@ -9,13 +9,17 @@
 //! sessions, `{"version":2,"store":{"n_images":N,"sessions":[…]}}`. Each
 //! session is written by the WAL record's encoder, [`wal::encode`], one at
 //! a time, so writing a snapshot costs its bytes, never a tree of the
-//! whole store. The columns are not written; decoding rebuilds them by
-//! recording each session through [`LogStore`]'s one validating path, so a
-//! snapshot whose sessions name an image outside the database, or repeat
-//! one, is a typed [`WalError::Format`] rather than a store that panics
-//! later. Version 1 also wrote every column beside the sessions. Its
-//! `store` object has the same two fields, so it loads through the same
-//! code, and its columns are ignored.
+//! whole store. Decoding is the same, one session at a time: a
+//! [`Walker`] reads the envelope's members in order, parses one session,
+//! records it and only then reads the next, so a decode holds the bytes,
+//! the store it builds and one session's tree. The columns are not
+//! written; decoding rebuilds them by recording each session through
+//! [`LogStore`]'s one validating path, so a snapshot whose sessions name
+//! an image outside the database, or repeat one, is a typed
+//! [`WalError::Format`] rather than a store that panics later. Version 1
+//! also wrote every column after the sessions. Its `store` object starts
+//! with the same two fields, so it loads through the same code, and its
+//! columns are skipped without being built.
 
 use crate::store::LogStore;
 use crate::wal::{self, WalError};

@@ -50,7 +50,7 @@ pub struct LogSession {
     /// Packed judgments of image ids (indices into the image database that
     /// the store was created for); ascending when built by
     /// [`LogSession::new`], in the order read when decoded.
-    pub(crate) judgments: Vec<u32>,
+    judgments: Vec<u32>,
 }
 
 /// Packs each judgment, in order; an image id of `2³¹` or more is an
@@ -144,6 +144,14 @@ impl Deserialize for LogSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LogSession {
+        /// Bytes the judgment list holds on the heap, spare capacity
+        /// included.
+        pub(crate) fn heap_bytes(&self) -> usize {
+            self.judgments.capacity() * std::mem::size_of::<u32>()
+        }
+    }
 
     #[test]
     fn relevance_signs() {

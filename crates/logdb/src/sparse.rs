@@ -6,7 +6,8 @@
 //! sparse, and `R` has no other values, so a column is stored as what it
 //! is: the ascending list of session ids that judged the image, each with
 //! its sign packed into the id's top bit (4 bytes per judgment; this caps
-//! the session count `M` at 2³¹).
+//! the session count `M` at 2³¹). A session's row packs its image ids the
+//! same way, so each judgment costs the store 8 bytes, 4 per side.
 //!
 //! Over ±1 entries the vector algebra is counting. `‖r‖²` is the nnz,
 //! `r_a·r_b` is agreements minus disagreements over the sessions both
@@ -39,7 +40,7 @@ fn sign(entry: u32) -> f64 {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseVector {
     /// Indices in ascending order, each `| NEG` when its value is `−1`.
-    pub(crate) entries: Vec<u32>,
+    entries: Vec<u32>,
 }
 
 impl SparseVector {
@@ -177,6 +178,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    impl SparseVector {
+        /// Bytes the entry list holds on the heap, spare capacity included.
+        pub(crate) fn heap_bytes(&self) -> usize {
+            self.entries.capacity() * std::mem::size_of::<u32>()
+        }
+    }
 
     impl SparseVector {
         /// Squared Euclidean distance `‖a − b‖² = nnz_a + nnz_b − 2·a·b`:
