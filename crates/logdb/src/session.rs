@@ -126,8 +126,8 @@ impl LogSession {
 
 impl Serialize for LogSession {
     fn to_value(&self) -> Value {
-        let judgments = self.iter().collect::<Vec<_>>().to_value();
-        Value::Object(vec![("judgments".into(), judgments)])
+        let judgments = self.iter().map(|judgment| judgment.to_value()).collect();
+        Value::Object(vec![("judgments".into(), Value::Array(judgments))])
     }
 }
 
@@ -181,6 +181,15 @@ mod tests {
     #[should_panic(expected = "judged twice")]
     fn duplicate_judgment_rejected() {
         let _ = LogSession::new(vec![(1, Relevance::Relevant), (1, Relevance::Irrelevant)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "image id 2147483648 does not fit in 31 bits")]
+    fn image_id_past_31_bits_rejected() {
+        let _ = LogSession::new(vec![
+            (1, Relevance::Relevant),
+            (1 << 31, Relevance::Irrelevant),
+        ]);
     }
 
     #[test]
