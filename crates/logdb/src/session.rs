@@ -47,9 +47,10 @@ impl Relevance {
 /// spare capacity. On disk a session is `{"judgments":[[id,"Relevant"],…]}`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogSession {
-    /// Packed judgments of image ids (indices into the image database that
-    /// the store was created for); ascending when built by
-    /// [`LogSession::new`], in the order read when decoded.
+    /// Image ids (indices into the image database that the store was
+    /// created for), each `| NEG` when the image was marked irrelevant;
+    /// ascending when built by [`LogSession::new`], in the order read
+    /// when decoded.
     judgments: Vec<u32>,
 }
 

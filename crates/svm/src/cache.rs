@@ -16,8 +16,9 @@
 //! A store outlives the solve when its owner keeps it. The coupled SVM's
 //! annealing schedule — about a hundred re-solves with new bounds and
 //! pseudo-labels — runs in one store per view. A solve
-//! ([`KernelCache::solve`]) returns only its [`crate::Dual`]; the anneal reads each dual's hinge slacks from the
-//! rows ([`KernelCache::slacks`]) and seeds the next solve with it. No
+//! ([`KernelCache::solve`]) returns only its [`crate::Dual`]; the anneal
+//! reads each dual's hinge slacks from the rows
+//! ([`KernelCache::slacks`]) and seeds the next solve with it. No
 //! Gram value of the fit's solves is evaluated twice. The store holds the
 //! training samples only: scoring the round's candidates reads a dual's
 //! [`crate::Dual::expansion`] against rows over the candidates, which
@@ -141,8 +142,9 @@ where
     /// than `±1` or a bound that is not positive and finite is rejected
     /// before any kernel is evaluated. A two-class solve first computes
     /// the diagonal if no earlier solve or [`Self::served`] provided it,
-    /// then checks it: a non-finite `K(i, i)` is reported as [`SvmError::NonFiniteKernel`] at `(i, i)`. For every
-    /// kernel in this workspace a sample containing NaN/∞ poisons its own
+    /// then checks it: a non-finite `K(i, i)` is reported as
+    /// [`SvmError::NonFiniteKernel`] at `(i, i)`. For every kernel in
+    /// this workspace a sample containing NaN/∞ poisons its own
     /// diagonal entry, so this is equivalent to the full-matrix scan of
     /// the precomputed path.
     pub fn solve(
