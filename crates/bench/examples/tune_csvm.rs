@@ -1,7 +1,7 @@
 //! Diagnostic: pseudo-label pool precision + final candidate configs.
-use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, SchemeChoice};
+use lrf_bench::experiment::{run_on_prepared, ExperimentSpec};
 use lrf_cbir::{CorelDataset, QueryProtocol};
-use lrf_core::{CoupledConfig, LrfConfig, LrfCsvm, QueryContext};
+use lrf_core::{run_lrf_csvm, CoupledConfig, LrfConfig, QueryContext, SchemeKind};
 
 fn main() {
     let mut spec = ExperimentSpec::table1(42);
@@ -18,18 +18,21 @@ fn main() {
     let protocol = spec.protocol;
     let queries = protocol.sample_queries(&ds.db);
     for n_unl in [10usize, 20, 40] {
-        let scheme = LrfCsvm::new(LrfConfig {
+        let config = LrfConfig {
             n_unlabeled: n_unl,
             ..spec.lrf
-        });
+        };
         let mut prec = 0.0;
         for &q in &queries {
             let example = protocol.feedback_example(&ds.db, q);
-            let out = scheme.run(&QueryContext {
-                db: &ds.db,
-                log: &log,
-                example: &example,
-            });
+            let out = run_lrf_csvm(
+                &config,
+                &QueryContext {
+                    db: &ds.db,
+                    log: &log,
+                    example: &example,
+                },
+            );
             let half = out.unlabeled_ids.len() / 2;
             let hits = out.unlabeled_ids[..half]
                 .iter()
@@ -44,7 +47,7 @@ fn main() {
     }
 
     let base = ExperimentSpec {
-        schemes: SchemeChoice::All,
+        schemes: SchemeKind::all().to_vec(),
         ..spec.clone()
     };
     let r = run_on_prepared(&base, &ds, &log);
@@ -67,7 +70,7 @@ fn main() {
                 },
                 ..spec.lrf
             },
-            schemes: SchemeChoice::CsvmOnly,
+            schemes: vec![SchemeKind::LrfCsvm],
             ..spec.clone()
         };
         let r = run_on_prepared(&s, &ds, &log);

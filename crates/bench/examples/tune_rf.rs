@@ -1,7 +1,7 @@
 //! Scratch tuning harness: grid-search RF-SVM kernel parameters.
-use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, SchemeChoice};
+use lrf_bench::experiment::{run_on_prepared, ExperimentSpec};
 use lrf_cbir::{CorelDataset, QueryProtocol};
-use lrf_core::LrfConfig;
+use lrf_core::{LrfConfig, SchemeKind};
 
 fn main() {
     let mut spec = ExperimentSpec::table1(42);
@@ -9,7 +9,7 @@ fn main() {
         n_queries: 30,
         ..spec.protocol
     };
-    spec.schemes = SchemeChoice::CsvmAndRf;
+    spec.schemes = vec![SchemeKind::RfSvm, SchemeKind::LrfCsvm];
     eprintln!("building dataset ...");
     let ds = CorelDataset::build(spec.dataset.clone());
     let log = lrf_core::collect_feedback_log(&ds.db, &spec.log, &spec.lrf);
@@ -24,7 +24,7 @@ fn main() {
                     },
                     ..spec.lrf
                 },
-                schemes: SchemeChoice::CsvmAndRf,
+                schemes: vec![SchemeKind::RfSvm, SchemeKind::LrfCsvm],
                 ..spec.clone()
             };
             let r = run_on_prepared(&s, &ds, &log);

@@ -29,10 +29,10 @@
 //!   --json PATH        also dump results as JSON
 //! ```
 
-use lrf_bench::experiment::{run_on_prepared, ExperimentSpec, SchemeChoice};
+use lrf_bench::experiment::{run_on_prepared, ExperimentSpec};
 use lrf_bench::{figure_series, markdown_table, paper_table, run_experiment};
 use lrf_cbir::{CorelDataset, CorelSpec, QueryProtocol};
-use lrf_core::{LrfConfig, UnlabeledSelection};
+use lrf_core::{LrfConfig, SchemeKind, UnlabeledSelection};
 use std::process::ExitCode;
 
 #[derive(Clone, Debug)]
@@ -98,7 +98,7 @@ fn spec_for(opts: &Options, fifty: bool) -> ExperimentSpec {
 fn ablation_spec(opts: &Options) -> ExperimentSpec {
     if opts.scale_full {
         let mut s = spec_for(opts, false);
-        s.schemes = SchemeChoice::CsvmAndRf;
+        s.schemes = vec![SchemeKind::RfSvm, SchemeKind::LrfCsvm];
         return s;
     }
     let mut spec = ExperimentSpec::table1(opts.seed);
@@ -113,7 +113,7 @@ fn ablation_spec(opts: &Options) -> ExperimentSpec {
         n_queries: opts.queries.min(50),
         ..spec.protocol
     };
-    spec.schemes = SchemeChoice::CsvmAndRf;
+    spec.schemes = vec![SchemeKind::RfSvm, SchemeKind::LrfCsvm];
     spec
 }
 
@@ -211,7 +211,7 @@ fn run_selection_ablation(opts: &Options) {
                 selection: sel,
                 ..base.lrf
             },
-            schemes: SchemeChoice::CsvmOnly,
+            schemes: vec![SchemeKind::LrfCsvm],
             ..base.clone()
         };
         let result = run_on_prepared(&spec, &dataset, &log);
@@ -221,7 +221,7 @@ fn run_selection_ablation(opts: &Options) {
     }
     // Reference: RF-SVM without any log/transduction.
     let rf_spec = ExperimentSpec {
-        schemes: SchemeChoice::CsvmAndRf,
+        schemes: vec![SchemeKind::RfSvm, SchemeKind::LrfCsvm],
         ..base.clone()
     };
     let result = run_on_prepared(&rf_spec, &dataset, &log);
@@ -251,7 +251,7 @@ fn run_param_sweep<T: Copy + std::fmt::Display>(
     );
     for &v in values {
         let mut spec = ExperimentSpec {
-            schemes: SchemeChoice::CsvmOnly,
+            schemes: vec![SchemeKind::LrfCsvm],
             ..base.clone()
         };
         apply(&mut spec, v);
@@ -276,7 +276,7 @@ fn run_calibration(opts: &Options) {
     // calibration target is the paper's Euclidean row (0.398 / 0.342).
     for fifty in [false, true] {
         let mut spec = spec_for(opts, fifty);
-        spec.schemes = SchemeChoice::All;
+        spec.schemes = SchemeKind::all().to_vec();
         spec.protocol.n_queries = opts.queries;
         eprintln!(
             "building {}-category dataset ...",
@@ -307,7 +307,7 @@ fn run_rounds(opts: &Options) {
         base.protocol.n_queries
     );
     let spec = lrf_bench::experiment::ExperimentSpec {
-        schemes: SchemeChoice::All,
+        schemes: SchemeKind::all().to_vec(),
         ..base.clone()
     };
     let results = lrf_bench::experiment::run_rounds_experiment(
@@ -339,7 +339,7 @@ fn run_rounds(opts: &Options) {
         ("mixed", RoundSelection::Mixed),
     ] {
         let spec = lrf_bench::experiment::ExperimentSpec {
-            schemes: SchemeChoice::CsvmOnly,
+            schemes: vec![SchemeKind::LrfCsvm],
             ..base.clone()
         };
         let results =

@@ -1,21 +1,10 @@
 //! The §6.4 experiment runner.
 
 use lrf_cbir::{CorelDataset, CorelSpec, PrecisionCurve, QueryProtocol};
-use lrf_core::{LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm, SchemeKind};
+use lrf_core::{LrfConfig, QueryContext, Scheme, SchemeKind};
 use lrf_logdb::{LogStore, SimulationConfig};
 use lrf_obs::{Clock, MonotonicClock};
 use serde::Serialize;
-
-/// Which schemes an experiment evaluates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchemeChoice {
-    /// All four curves of the paper's figures.
-    All,
-    /// Only LRF-CSVM (used by parameter ablations).
-    CsvmOnly,
-    /// LRF-CSVM plus the RF-SVM baseline (ablation reference).
-    CsvmAndRf,
-}
 
 /// A complete experiment specification.
 #[derive(Clone, Debug)]
@@ -29,8 +18,9 @@ pub struct ExperimentSpec {
     pub protocol: QueryProtocol,
     /// Algorithm configuration shared by all SVM-based schemes.
     pub lrf: LrfConfig,
-    /// Scheme subset to run.
-    pub schemes: SchemeChoice,
+    /// The schemes to run, in column order: all four for the paper's
+    /// figures, LRF-CSVM alone or after RF-SVM for the ablations.
+    pub schemes: Vec<SchemeKind>,
 }
 
 impl ExperimentSpec {
@@ -47,7 +37,7 @@ impl ExperimentSpec {
                 ..Default::default()
             },
             lrf: LrfConfig::default(),
-            schemes: SchemeChoice::All,
+            schemes: SchemeKind::all().to_vec(),
         }
     }
 
@@ -79,7 +69,7 @@ impl ExperimentSpec {
                 n_unlabeled: 10,
                 ..Default::default()
             },
-            schemes: SchemeChoice::All,
+            schemes: SchemeKind::all().to_vec(),
         }
     }
 }
@@ -133,7 +123,8 @@ pub fn run_on_prepared(
         "database of {} images cannot be evaluated at the paper's top-{max_cutoff} cutoff",
         dataset.db.len()
     );
-    let schemes = build_schemes(spec);
+    let schemes = spec.schemes.iter().map(|&kind| Scheme::new(kind, spec.lrf));
+    let schemes: Vec<Scheme> = schemes.collect();
     let protocol = spec.protocol;
     let queries = protocol.sample_queries(&dataset.db);
 
@@ -189,26 +180,13 @@ pub fn run_on_prepared(
     let curves = schemes
         .iter()
         .zip(merged)
-        .map(|(s, c)| (s.name().to_string(), c.finish()))
+        .map(|(s, c)| (s.kind().name().to_string(), c.finish()))
         .collect();
 
     ExperimentResult {
         curves,
         eval_seconds: clock.now_ns() as f64 / 1e9,
         n_queries: queries.len(),
-    }
-}
-
-fn build_schemes(spec: &ExperimentSpec) -> Vec<Box<dyn RelevanceFeedback + Send + Sync>> {
-    match spec.schemes {
-        SchemeChoice::All => SchemeKind::all().map(|kind| kind.build(spec.lrf)).into(),
-        SchemeChoice::CsvmOnly => vec![Box::new(LrfCsvm::new(spec.lrf))],
-        SchemeChoice::CsvmAndRf => {
-            vec![
-                Box::new(RfSvm::new(spec.lrf)),
-                Box::new(LrfCsvm::new(spec.lrf)),
-            ]
-        }
     }
 }
 
@@ -229,7 +207,8 @@ pub fn run_rounds_experiment(
     screen_size: usize,
     selection: lrf_core::RoundSelection,
 ) -> Vec<(String, Vec<f64>)> {
-    let schemes = build_schemes(spec);
+    let schemes = spec.schemes.iter().map(|&kind| Scheme::new(kind, spec.lrf));
+    let schemes: Vec<Scheme> = schemes.collect();
     let protocol = spec.protocol;
     let queries = protocol.sample_queries(&dataset.db);
     let db = &dataset.db;
@@ -277,7 +256,7 @@ pub fn run_rounds_experiment(
         .zip(per_scheme)
         .map(|(s, totals)| {
             (
-                s.name().to_string(),
+                s.kind().name().to_string(),
                 totals
                     .into_iter()
                     .map(|t| t / queries.len() as f64)
@@ -321,7 +300,7 @@ mod tests {
     #[test]
     fn csvm_only_runs_one_scheme() {
         let spec = ExperimentSpec {
-            schemes: SchemeChoice::CsvmOnly,
+            schemes: vec![SchemeKind::LrfCsvm],
             ..ExperimentSpec::smoke(4, 30, 3)
         };
         let result = run_experiment(&spec);

@@ -42,5 +42,5 @@
 pub mod experiment;
 mod report;
 
-pub use experiment::{run_experiment, ExperimentResult, ExperimentSpec, SchemeChoice};
+pub use experiment::{run_experiment, ExperimentResult, ExperimentSpec};
 pub use report::{figure_series, markdown_table, paper_table};

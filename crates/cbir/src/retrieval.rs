@@ -165,11 +165,10 @@ mod tests {
         // The zero-copy contract of the retrieval path: the database and
         // the index hold the *same* feature matrix, not copies.
         let ds = dataset();
+        let features = ds.db.features_shared();
+        let holders = std::sync::Arc::strong_count(&features);
         let flat = build_flat_index(&ds.db);
-        assert!(std::sync::Arc::ptr_eq(
-            &ds.db.features_shared(),
-            &flat.shared_data()
-        ));
+        assert_eq!(std::sync::Arc::strong_count(&features), holders + 1);
         assert_eq!((flat.len(), flat.dim()), (ds.db.len(), ds.db.dim()));
     }
 }

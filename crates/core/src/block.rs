@@ -83,7 +83,7 @@ impl<'a, S: ?Sized + ToOwned, K: Kernel<S> + Copy> View<'a, S, K> {
         (self.store(r, &mut warm.blocks, &ids))
             .solve(&r.ctx.labels(), &bounds, &r.cfg.coupled.smo, seed)
             // lrf-lint: allow(service-panic): a request's fit comes through
-            // `rank_candidates`, which skips an empty round, for a scheme
+            // `rank_candidates`, which skips an empty round, for a `Scheme`
             // whose `new` ran `LrfConfig::validate` (positive bounds and
             // kernel widths); the labels are ±1, one per sample; database
             // features are finite and log entries ±1
@@ -305,7 +305,7 @@ mod tests {
     use crate::config::CoupledConfig;
     use crate::coupled::CoupledOutcome;
     use crate::feedback::WarmState;
-    use crate::lrf_csvm::LrfCsvm;
+    use crate::lrf_csvm::fit_on;
     use crate::pooled::candidate_pool;
     use lrf_cbir::{FeedbackExample, ImageDatabase};
     use lrf_logdb::{LogSession, LogStore, Relevance};
@@ -406,7 +406,6 @@ mod tests {
             let n = 40;
             let (db, mut log) = problem(&mut rng, n, 30);
             let cfg = config();
-            let scheme = LrfCsvm::new(cfg);
             let mut order: Vec<usize> = (0..n).collect();
             order.shuffle(&mut rng);
             let pool = order[..24].to_vec();
@@ -429,7 +428,7 @@ mod tests {
                 let ctx = QueryContext { db: &db, log: &log, example: &example };
                 let universe = candidate_pool(pool.clone(), &labeled);
                 let before = warm.blocks.clone();
-                let fit = scheme.fit_on(&ctx, &universe, &mut warm);
+                let fit = fit_on(&cfg, &ctx, &universe, &mut warm);
 
                 let pseudo = fit.unlabeled_ids.iter().copied();
                 let finals = fit.outcome.report.final_labels.iter().copied();

@@ -1,41 +1,9 @@
-//! The `Euclidean` reference scheme.
-//!
-//! No learning: rank by ascending Euclidean distance to the query's feature
-//! vector. This is the paper's reference curve and also what produced the
-//! initial screen the user judged.
-
-use crate::feedback::{QueryContext, RelevanceFeedback, ScorerRef, WarmState};
-use lrf_cbir::rank_by_euclidean;
-
-/// Plain content-distance ranking.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct EuclideanScheme;
-
-impl RelevanceFeedback for EuclideanScheme {
-    fn name(&self) -> &'static str {
-        "Euclidean"
-    }
-
-    /// Nothing to train: a candidate pool keeps its (distance) order.
-    fn fit_warm(
-        &self,
-        _ctx: &QueryContext<'_>,
-        _pool: &[usize],
-        _warm: &mut WarmState,
-    ) -> Option<ScorerRef> {
-        None
-    }
-
-    /// The one `rank` override: with nothing fitted, the provided method
-    /// would return id order; the scheme's ranking is the distance order.
-    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        rank_by_euclidean(ctx.db, ctx.db.feature(ctx.example.query))
-    }
-}
+//! Tests of [`crate::Scheme`] as the `Euclidean` reference
+//! ([`crate::SchemeKind::Euclidean`]): the content distance order.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{LrfConfig, QueryContext, Scheme, SchemeKind};
     use lrf_cbir::{collect_log, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::SimulationConfig;
 
@@ -58,7 +26,7 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 5);
-        let ranked = EuclideanScheme.rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::Euclidean, LrfConfig::default()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,
@@ -67,6 +35,11 @@ mod tests {
         let mut sorted = ranked.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>());
-        assert_eq!(EuclideanScheme.name(), "Euclidean");
+        assert_eq!(
+            Scheme::new(SchemeKind::Euclidean, LrfConfig::default())
+                .kind()
+                .name(),
+            "Euclidean"
+        );
     }
 }

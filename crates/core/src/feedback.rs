@@ -1,4 +1,6 @@
-//! The common interface every compared scheme implements.
+//! What a scheme's round reads and returns: the query context, the
+//! session's warm state, the fitted pool scorer and the round's
+//! diagnostics.
 
 use crate::block::Blocks;
 use lrf_cbir::{FeedbackExample, ImageDatabase};
@@ -101,8 +103,8 @@ impl QueryContext<'_> {
     }
 }
 
-/// A round's trained decision function, produced by
-/// [`RelevanceFeedback::fit_warm`]. Every SVM scheme's fit scores its
+/// A round's trained decision function, produced by a scheme's fit
+/// ([`crate::Scheme`]). Every SVM scheme's fit scores its
 /// whole pool from the session's row blocks ([`WarmState`]) and returns
 /// those decision values: each one is bit for bit what the fitted
 /// machines' [`lrf_svm::SvmModel::decision_batch`] gives for that id.
@@ -134,55 +136,6 @@ impl PoolScorer for PoolScores {
 /// it becomes a plain value when that adapter goes (ROADMAP items 5
 /// and 6).
 pub type ScorerRef = std::sync::Arc<dyn PoolScorer>;
-
-/// A relevance-feedback scheme: how one feedback round's decision
-/// function is trained. Ranking is the same for every scheme — score the
-/// candidates with the fitted [`PoolScorer`], sort
-/// (`pooled::rank_candidates`) — so [`fit_warm`](Self::fit_warm)
-/// is all a learning scheme implements.
-pub trait RelevanceFeedback {
-    /// Human-readable scheme name as used in the paper's tables
-    /// (`"Euclidean"`, `"RF-SVM"`, `"LRF-2SVMs"`, `"LRF-CSVM"`).
-    fn name(&self) -> &'static str;
-
-    /// Trains the scheme's decision function for one round and returns it
-    /// as a [`PoolScorer`], seeding the solver from `warm` and
-    /// depositing the new solution (and [`RoundDiagnostics`]) back; a
-    /// fresh [`WarmState`] is the cold start. The `pool` is the candidate
-    /// universe of the round — schemes whose training itself depends on
-    /// the retrieval universe (LRF-CSVM's unlabeled selection) draw from
-    /// it, so fitting against a pool and then scoring that pool is the
-    /// whole algorithm.
-    ///
-    /// `None` means the scheme has no trainable decision function
-    /// (Euclidean): the pool keeps its order.
-    fn fit_warm(
-        &self,
-        ctx: &QueryContext<'_>,
-        pool: &[usize],
-        warm: &mut WarmState,
-    ) -> Option<ScorerRef>;
-
-    /// Ranks every image id in `ctx.db`, most relevant first: a cold fit
-    /// over the whole database, scored in place. The returned permutation
-    /// contains each id exactly once.
-    fn rank(&self, ctx: &QueryContext<'_>) -> Vec<usize> {
-        let all: Vec<usize> = (0..ctx.db.len()).collect();
-        crate::pooled::rank_candidates(self, ctx, &all, &mut WarmState::default(), |scorer, ids| {
-            scorer.score_ids(ctx.db, ctx.log, ids)
-        })
-    }
-
-    /// Per-image decision scores aligned with image ids, when the scheme
-    /// has a real decision function (SVM-based schemes). Presentation
-    /// policies (see `active`) need score *magnitudes* — a ranking alone
-    /// cannot express uncertainty.
-    fn scores(&self, ctx: &QueryContext<'_>) -> Option<Vec<f64>> {
-        let all: Vec<usize> = (0..ctx.db.len()).collect();
-        self.fit_warm(ctx, &all, &mut WarmState::default())
-            .map(|scorer| scorer.score_ids(ctx.db, ctx.log, &all))
-    }
-}
 
 /// Descending-score comparison that is a total order: NaN scores sort
 /// *after* every real score (a broken decision value must not surface an

@@ -1,15 +1,18 @@
 //! # lrf-core — log-based relevance feedback by coupled SVM
 //!
-//! The paper's contribution, plus every compared scheme, behind one trait.
+//! The paper's contribution, plus every compared scheme, as one value.
 //! The schemes differ only in *how a round's decision function is trained*;
 //! ranking is always "score the candidates, sort":
 //!
-//! * [`RelevanceFeedback`] — a scheme is one
-//!   [`fit_warm`](RelevanceFeedback::fit_warm): given a query's
-//!   feedback round ([`QueryContext`]) and its candidate pool it trains
-//!   and scores the pool, returning a [`PoolScorer`] whose
+//! * [`SchemeKind`] — the four schemes the paper compares (`Euclidean`,
+//!   `RF-SVM`, `LRF-2SVMs`, `LRF-CSVM`; each variant's docs quote the
+//!   paper), and the one table of their names.
+//! * [`Scheme`] — a kind and the [`LrfConfig`] its SVMs train with. Its fit
+//!   is one `match` on the kind: given a query's feedback round
+//!   ([`QueryContext`]) and its candidate pool it trains and scores the
+//!   pool, returning a [`PoolScorer`] whose
 //!   [`score_ids`](PoolScorer::score_ids) hands those decision values
-//!   back. `rank` / `scores` are provided on top.
+//!   back. [`Scheme::rank`] ranks the whole database.
 //! * `block` — the only place decision values are computed: each view's
 //!   kernel rows over the round's universe, kept in the session's
 //!   [`WarmState`] between rounds and read bit-identically to the fitted
@@ -18,22 +21,12 @@
 //!   warm state, where-to-score) tuple becomes a ranking of the pool; the
 //!   full ranking, the index-fed pool re-rank and the serving loop all
 //!   call it, and only the first two append the out-of-pool tail.
-//! * `euclidean::EuclideanScheme` — the paper's `Euclidean` reference
-//!   (no learning; the initial content ranking), built by
-//!   [`SchemeKind::Euclidean`].
-//! * [`rf_svm::RfSvm`] — the `RF-SVM` baseline: a regular SVM trained on
-//!   the labeled low-level features only (Tong & Chang style).
-//! * [`lrf_2svms::Lrf2Svms`] — the `LRF-2SVMs` baseline: two independent
-//!   SVMs (content + log) trained on the labeled set, decisions summed —
-//!   the paper's "straightforward approach" that "may lose some coupling
-//!   information".
 //! * [`train_coupled`] — the **coupled SVM** (Eq. 1): two max-margin models
 //!   forced to agree on a shared unlabeled pool whose pseudo-labels are
 //!   optimization variables, trained by alternating optimization with
 //!   ρ-annealing and Δ-gated label correction (§4.2).
-//! * [`lrf_csvm::LrfCsvm`] — the practical `LRF-CSVM` algorithm of Fig. 1:
-//!   unlabeled selection by combined SVM distance, coupled training,
-//!   ranking by `CSVM_Dist`.
+//! * [`run_lrf_csvm`] — Fig. 1 over the whole database, with what its
+//!   ranking drops: the unlabeled pool and the training report.
 //! * [`LogRbfKernel`] — the RBF kernel over sparse feedback-log vectors
 //!   (an implementation of [`lrf_svm::Kernel`] for
 //!   [`lrf_logdb::SparseVector`]).
@@ -52,7 +45,7 @@
 //!
 //! ```
 //! use lrf_cbir::{CorelDataset, CorelSpec, QueryProtocol, collect_log};
-//! use lrf_core::{LrfCsvm, QueryContext, RelevanceFeedback};
+//! use lrf_core::{LrfConfig, QueryContext, Scheme, SchemeKind};
 //! use lrf_logdb::SimulationConfig;
 //!
 //! // A miniature dataset + feedback log.
@@ -66,7 +59,7 @@
 //! let example = protocol.feedback_example(&ds.db, 0);
 //!
 //! // Rank the database with the paper's algorithm.
-//! let scheme = LrfCsvm::default();
+//! let scheme = Scheme::new(SchemeKind::LrfCsvm, LrfConfig::default());
 //! let ranked = scheme.rank(&QueryContext { db: &ds.db, log: &log, example: &example });
 //! assert_eq!(ranked.len(), ds.db.len());
 //! ```
@@ -75,27 +68,29 @@ mod active;
 mod block;
 mod config;
 mod coupled;
+#[cfg(test)]
 mod euclidean;
 mod feedback;
 mod kernels;
 mod log_collection;
+#[cfg(test)]
 mod lrf_2svms;
 mod lrf_csvm;
 mod pooled;
+#[cfg(test)]
 mod rf_svm;
 mod rounds;
+mod scheme;
 
 pub use active::RoundSelection;
 pub use config::{CoupledConfig, LrfConfig, UnlabeledSelection};
 pub use coupled::{train_coupled, CoupledOutcome, TrainReport};
 pub use feedback::{
-    rank_by_scores, PoolScorer, QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef,
-    WarmState,
+    rank_by_scores, PoolScorer, QueryContext, RoundDiagnostics, ScorerRef, WarmState,
 };
 pub use kernels::LogRbfKernel;
 pub use log_collection::collect_feedback_log;
-pub use lrf_2svms::Lrf2Svms;
-pub use lrf_csvm::LrfCsvm;
+pub use lrf_csvm::{run_lrf_csvm, LrfCsvmOutcome};
 pub use pooled::PooledRetrieval;
-pub use rf_svm::RfSvm;
-pub use rounds::{FeedbackLoop, RoundError, SchemeKind};
+pub use rounds::{FeedbackLoop, RoundError};
+pub use scheme::{Scheme, SchemeKind};

@@ -10,10 +10,10 @@
 //!
 //! * round 0: the Euclidean top-`N_l` of the database (what the system
 //!   shows before any feedback);
-//! * round `r > 0`: the [`crate::RfSvm`] content SVM — the same fit, γ
-//!   default and bound the scheme trains with — is trained on the
-//!   judgments accumulated in this interaction (most recent judgment wins
-//!   for re-shown images), and the top-`N_l` of its ranking of the whole
+//! * round `r > 0`: the [`crate::SchemeKind::RfSvm`] content SVM — the
+//!   same fit, γ default and bound the scheme trains with — is trained on
+//!   the judgments accumulated in this interaction (most recent judgment
+//!   wins for re-shown images), and the top-`N_l` of its ranking of the whole
 //!   database — *including* already-confirmed positives, which naturally
 //!   rank highest — forms the next screen, exactly as the era's feedback
 //!   UIs presented results;
@@ -92,6 +92,12 @@ fn refine_with_svm(
 mod tests {
     use super::*;
     use lrf_cbir::{CorelDataset, CorelSpec};
+    use lrf_logdb::LogSession;
+
+    /// A session's relevant marks.
+    fn n_relevant(s: &LogSession) -> usize {
+        s.iter().filter(|&(_, r)| r == Relevance::Relevant).count()
+    }
 
     fn cfg(n_sessions: usize, k: usize, rounds: usize, noise: f64, seed: u64) -> SimulationConfig {
         SimulationConfig {
@@ -152,7 +158,7 @@ mod tests {
         let log = collect_feedback_log(&ds.db, &cfg(9, 6, 3, 0.1, 5), &LrfConfig::default());
         assert_eq!(log.n_sessions(), 9);
         let judged: usize = log.sessions().map(|s| s.len()).sum();
-        let relevant: usize = log.sessions().map(|s| s.n_relevant()).sum();
+        let relevant: usize = log.sessions().map(n_relevant).sum();
         assert_eq!((judged, relevant), (54, 37));
         assert_eq!(sessions_digest(&log), 1929234697505375671);
     }
@@ -188,8 +194,7 @@ mod tests {
         let c = cfg(30, 10, 3, 0.0, 13);
         let refined = collect_feedback_log(&ds.db, &c, &LrfConfig::default());
         let content_only = lrf_cbir::collect_log(&ds.db, &c);
-        let count_relevant =
-            |log: &LogStore| -> usize { log.sessions().map(|s| s.n_relevant()).sum() };
+        let count_relevant = |log: &LogStore| -> usize { log.sessions().map(n_relevant).sum() };
         let r = count_relevant(&refined);
         let c0 = count_relevant(&content_only);
         assert!(

@@ -1,50 +1,10 @@
-//! The `LRF-2SVMs` baseline: independent SVMs per modality, summed.
-//!
-//! "The straightforward approach to integrate the user feedback log with
-//! the low-level image content is to learn two modalities respectively and
-//! then sum up their results. Such an approach is feasible but it may lose
-//! some coupling information." Train one SVM on the labeled feature
-//! vectors, one on the labeled log vectors, and rank by
-//! `f_w(x_i) + f_u(r_i)`.
-
-use crate::block::Round;
-use crate::config::LrfConfig;
-use crate::feedback::{QueryContext, RelevanceFeedback, ScorerRef, WarmState};
-
-/// Linear combination of two independently trained SVMs.
-#[derive(Clone, Debug, Default)]
-pub struct Lrf2Svms {
-    /// Shared configuration.
-    config: LrfConfig,
-}
-
-impl Lrf2Svms {
-    /// Creates the scheme with an explicit configuration.
-    pub fn new(config: LrfConfig) -> Self {
-        config.validate();
-        Self { config }
-    }
-}
-
-impl RelevanceFeedback for Lrf2Svms {
-    fn name(&self) -> &'static str {
-        "LRF-2SVMs"
-    }
-
-    fn fit_warm(
-        &self,
-        ctx: &QueryContext<'_>,
-        pool: &[usize],
-        warm: &mut WarmState,
-    ) -> Option<ScorerRef> {
-        Some(warm.summed_round(&Round::new(&self.config, ctx), pool, true))
-    }
-}
+//! Tests of [`crate::Scheme`] as the `LRF-2SVMs` baseline
+//! ([`crate::SchemeKind::Lrf2Svms`]): independent content and log SVMs,
+//! decisions summed.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::RfSvm;
+    use crate::{LrfConfig, QueryContext, Scheme, SchemeKind, WarmState};
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::SimulationConfig;
 
@@ -72,7 +32,7 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 3);
-        let ranked = Lrf2Svms::default().rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::Lrf2Svms, LrfConfig::default()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,
@@ -80,7 +40,12 @@ mod tests {
         let mut sorted = ranked.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>());
-        assert_eq!(Lrf2Svms::default().name(), "LRF-2SVMs");
+        assert_eq!(
+            Scheme::new(SchemeKind::Lrf2Svms, LrfConfig::default())
+                .kind()
+                .name(),
+            "LRF-2SVMs"
+        );
     }
 
     /// A score depends only on its id: one call over the fitted ids is
@@ -102,8 +67,8 @@ mod tests {
             example: &example,
         };
         let ids: Vec<usize> = (0..300).map(|k| k * 7 % ds.db.len()).collect();
-        let scorer = Lrf2Svms::default()
-            .fit_warm(&ctx, &ids, &mut WarmState::default())
+        let scorer = Scheme::new(SchemeKind::Lrf2Svms, LrfConfig::default())
+            .fit(&ctx, &ids, &mut WarmState::default())
             .expect("LRF-2SVMs trains");
         let whole = scorer.score_ids(&ds.db, &log, &ids);
         for step in [1, 2, 3, 17, 64, 257, 299] {
@@ -139,8 +104,8 @@ mod tests {
             n_labeled: 10,
             seed: 77,
         };
-        let two = Lrf2Svms::default();
-        let rf = RfSvm::default();
+        let two = Scheme::new(SchemeKind::Lrf2Svms, LrfConfig::default());
+        let rf = Scheme::new(SchemeKind::RfSvm, LrfConfig::default());
         let mut p_two = 0.0;
         let mut p_rf = 0.0;
         let queries = proto.sample_queries(&ds.db);
@@ -173,7 +138,7 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 1);
-        let ranked = Lrf2Svms::default().rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::Lrf2Svms, LrfConfig::default()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,

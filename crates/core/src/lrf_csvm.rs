@@ -23,24 +23,15 @@
 use crate::block::Round;
 use crate::config::{LrfConfig, UnlabeledSelection};
 use crate::coupled::{train_coupled, CoupledOutcome, TrainReport};
-use crate::feedback::{
-    pool_scores, rank_by_scores, QueryContext, RelevanceFeedback, ScorerRef, WarmState,
-};
+use crate::feedback::{cmp_scores_desc, rank_by_scores, QueryContext, WarmState};
 
-/// Output of [`LrfCsvm::fit_on`] — the coupled round's scores over its
-/// universe (the pool, then the judged ids it lacks) plus the diagnostics
-/// `run` folds into its outcome.
+/// Output of [`fit_on`] — the coupled round's scores over its universe
+/// (the pool, then the judged ids it lacks) plus the diagnostics
+/// [`run_lrf_csvm`] folds into its outcome.
 pub(crate) struct CsvmFit {
     pub(crate) scores: Vec<f64>,
     pub(crate) unlabeled_ids: Vec<usize>,
     pub(crate) outcome: CoupledOutcome,
-}
-
-/// The paper's algorithm.
-#[derive(Clone, Debug, Default)]
-pub struct LrfCsvm {
-    /// Full configuration (see [`LrfConfig`] for per-field rationale).
-    config: LrfConfig,
 }
 
 /// Everything one LRF-CSVM query produces beyond the ranking — exposed for
@@ -55,161 +46,140 @@ pub struct LrfCsvmOutcome {
     pub report: TrainReport,
 }
 
-impl LrfCsvm {
-    /// Creates the scheme with an explicit configuration.
-    pub fn new(config: LrfConfig) -> Self {
-        config.validate();
-        Self { config }
-    }
-
-    /// Runs the full algorithm over the whole database, returning the
-    /// ranking and its diagnostics: the same fit → score → sort as
-    /// [`RelevanceFeedback::rank`], keeping what the trait's scorer-only
-    /// return drops (unlabeled pool, training report).
-    pub fn run(&self, ctx: &QueryContext<'_>) -> LrfCsvmOutcome {
-        let universe: Vec<usize> = (0..ctx.db.len()).collect();
-        let fit = self.fit_on(ctx, &universe, &mut WarmState::default());
-        LrfCsvmOutcome {
-            ranking: rank_by_scores(&fit.scores),
-            unlabeled_ids: fit.unlabeled_ids,
-            report: fit.outcome.report,
-        }
-    }
-
-    /// Fig. 1 over a candidate `pool` (the whole database, or an index's
-    /// pool) and the judged ids it lacks: unlabeled selection, coupled
-    /// training, and the `CSVM_Dist` of every member of that universe, in
-    /// universe order (the pool first). Every kernel value of the fit is
-    /// read from the session's row blocks in `warm`: step 1's stores are
-    /// served the labeled images' rows, the anneal's those and the pool's,
-    /// and the final score finds every row resident.
-    pub(crate) fn fit_on(
-        &self,
-        ctx: &QueryContext<'_>,
-        pool: &[usize],
-        warm: &mut WarmState,
-    ) -> CsvmFit {
-        let (cfg, y) = (&self.config, ctx.labels());
-
-        // ---- Step 1: initial per-modality SVMs on the labeled round, one
-        // row store per view, seeded from the previous round: the labeled
-        // prefix of the last coupled solution is bounded by the same `C`
-        // as a labeled-only solve, so it prefix-maps directly.
-        let (labeled, r) = (&ctx.example.labeled, Round::new(cfg, ctx));
-        let universe = warm.blocks.align(&r, pool);
-        let (content0, log0) = (r.content.fit(&r, warm), r.log.fit(&r, warm));
-        let step1 = [Some(&content0), Some(&log0)];
-        let dist = warm.blocks.scores(&r, labeled, step1);
-        let judged: std::collections::HashSet<usize> = labeled.iter().map(|&(id, _)| id).collect();
-        let scored = universe.iter().copied().zip(dist);
-        let scored: Vec<(usize, f64)> = scored.filter(|(id, _)| !judged.contains(id)).collect();
-
-        let (unlabeled_ids, y_init) = self.select_unlabeled_in(ctx, scored);
-
-        // ---- Step 2: coupled training in a row store per view over the
-        // labeled images and the pool, served every row: the samples are
-        // borrowed (row views of the database's flat matrix, references
-        // into the log store).
-        let pool = unlabeled_ids.iter().copied();
-        let ids: Vec<usize> = labeled.iter().map(|l| l.0).chain(pool).collect();
-        let content = r.content.store(&r, &mut warm.blocks, &ids);
-        let log = r.log.store(&r, &mut warm.blocks, &ids);
-        let outcome = train_coupled(content, log, &y, &y_init, &cfg.coupled)
-            // lrf-lint: allow(service-panic): the round is non-empty (the two
-            // step-1 fits above ran on it), its labels and the pseudo-labels
-            // are ±1, both stores hold the labeled images then the pool, and
-            // `LrfConfig::validate` made every bound positive
-            .expect("coupled training cannot fail on validated feedback rounds");
-
-        // ---- Step 3: CSVM_Dist over the universe, from the same blocks.
-        let finals = outcome.report.final_labels.iter().copied();
-        let pseudo = unlabeled_ids.iter().copied().zip(finals);
-        let samples: Vec<(usize, f64)> = labeled.iter().copied().chain(pseudo).collect();
-        let duals = [Some(&outcome.content), Some(&outcome.log)];
-        let scores = warm.blocks.scores(&r, &samples, duals);
-
-        warm.finish(outcome.solves, [step1, duals], y.len());
-        CsvmFit {
-            scores,
-            unlabeled_ids,
-            outcome,
-        }
-    }
-
-    /// Step 1's selection over explicit `(id, combined distance)`
-    /// candidates: returns `(ids, initial pseudo-labels)`.
-    fn select_unlabeled_in(
-        &self,
-        ctx: &QueryContext<'_>,
-        mut scored: Vec<(usize, f64)>,
-    ) -> (Vec<usize>, Vec<f64>) {
-        // Candidates sorted by descending combined distance, ties by id
-        // (total order: a NaN distance sorts last, never panics the sort).
-        scored.sort_by(|a, b| crate::feedback::cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0)));
-
-        let n = self.config.n_unlabeled.min(scored.len());
-        if n == 0 {
-            return (Vec::new(), Vec::new());
-        }
-
-        let n_top = n / 2;
-        let chosen: Vec<(usize, f64)> = match self.config.selection {
-            UnlabeledSelection::MaxMinCombinedDistance => {
-                let mut chosen: Vec<(usize, f64)> = scored[..n_top].to_vec();
-                chosen.extend_from_slice(&scored[scored.len() - (n - n_top)..]);
-                chosen
-            }
-            UnlabeledSelection::ClosestToBoundary => {
-                let mut by_abs = scored.clone();
-                by_abs.sort_by(|a, b| a.1.abs().total_cmp(&b.1.abs()).then(a.0.cmp(&b.0)));
-                by_abs.truncate(n);
-                by_abs
-            }
-            UnlabeledSelection::Random => {
-                use rand::seq::SliceRandom;
-                use rand::SeedableRng;
-                /// Seed of the ablation control's draw, mixed with the
-                /// query id.
-                const RANDOM_SELECTION_SEED: u64 = 0x1f2e3d4c;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(
-                    RANDOM_SELECTION_SEED ^ ctx.example.query as u64,
-                );
-                // Shuffle in id order so the draw is independent of the
-                // caller's candidate ordering.
-                let mut shuffled = scored.clone();
-                shuffled.sort_by_key(|&(id, _)| id);
-                shuffled.shuffle(&mut rng);
-                shuffled.truncate(n);
-                shuffled
-            }
-        };
-
-        // The max/min split labels by selection side (§6.5); the other
-        // selections have no sides: the sign of the distance.
-        let positive = |i: usize, d: f64| match self.config.selection {
-            UnlabeledSelection::MaxMinCombinedDistance => i < n_top,
-            _ => d >= 0.0,
-        };
-        let y_init = chosen.iter().enumerate();
-        let y_init = y_init.map(|(i, &(_, d))| if positive(i, d) { 1.0 } else { -1.0 });
-        (chosen.iter().map(|&(id, _)| id).collect(), y_init.collect())
+/// Runs Fig. 1 under `config` over the whole database, returning the
+/// ranking and its diagnostics: the same fit → score → sort as
+/// [`crate::Scheme::rank`] for [`crate::SchemeKind::LrfCsvm`], keeping what
+/// the scorer drops (unlabeled pool, training report).
+///
+/// # Panics
+/// Panics if `config` fails [`LrfConfig::validate`].
+pub fn run_lrf_csvm(config: &LrfConfig, ctx: &QueryContext<'_>) -> LrfCsvmOutcome {
+    config.validate();
+    let universe: Vec<usize> = (0..ctx.db.len()).collect();
+    let fit = fit_on(config, ctx, &universe, &mut WarmState::default());
+    LrfCsvmOutcome {
+        ranking: rank_by_scores(&fit.scores),
+        unlabeled_ids: fit.unlabeled_ids,
+        report: fit.outcome.report,
     }
 }
 
-impl RelevanceFeedback for LrfCsvm {
-    fn name(&self) -> &'static str {
-        "LRF-CSVM"
+/// Fig. 1 over a candidate `pool` (the whole database, or an index's
+/// pool) and the judged ids it lacks: unlabeled selection, coupled
+/// training, and the `CSVM_Dist` of every member of that universe, in
+/// universe order (the pool first). Every kernel value of the fit is read
+/// from the session's row blocks in `warm`: step 1's stores are served the
+/// labeled images' rows, the anneal's those and the pool's, and the final
+/// score finds every row resident.
+pub(crate) fn fit_on(
+    cfg: &LrfConfig,
+    ctx: &QueryContext<'_>,
+    pool: &[usize],
+    warm: &mut WarmState,
+) -> CsvmFit {
+    let y = ctx.labels();
+
+    // ---- Step 1: initial per-modality SVMs on the labeled round, one row
+    // store per view, seeded from the previous round: the labeled prefix
+    // of the last coupled solution is bounded by the same `C` as a
+    // labeled-only solve, so it prefix-maps directly.
+    let (labeled, r) = (&ctx.example.labeled, Round::new(cfg, ctx));
+    let universe = warm.blocks.align(&r, pool);
+    let (content0, log0) = (r.content.fit(&r, warm), r.log.fit(&r, warm));
+    let step1 = [Some(&content0), Some(&log0)];
+    let dist = warm.blocks.scores(&r, labeled, step1);
+    let judged: std::collections::HashSet<usize> = labeled.iter().map(|&(id, _)| id).collect();
+    let scored = universe.iter().copied().zip(dist);
+    let scored: Vec<(usize, f64)> = scored.filter(|(id, _)| !judged.contains(id)).collect();
+
+    let (unlabeled_ids, y_init) = select_unlabeled_in(cfg, ctx, scored);
+
+    // ---- Step 2: coupled training in a row store per view over the
+    // labeled images and the pool, served every row: the samples are
+    // borrowed (row views of the database's flat matrix, references into
+    // the log store).
+    let pool = unlabeled_ids.iter().copied();
+    let ids: Vec<usize> = labeled.iter().map(|l| l.0).chain(pool).collect();
+    let content = r.content.store(&r, &mut warm.blocks, &ids);
+    let log = r.log.store(&r, &mut warm.blocks, &ids);
+    let outcome = train_coupled(content, log, &y, &y_init, &cfg.coupled)
+        // lrf-lint: allow(service-panic): the round is non-empty (the two
+        // step-1 fits above ran on it), its labels and the pseudo-labels
+        // are ±1, both stores hold the labeled images then the pool, and
+        // `LrfConfig::validate` made every bound positive
+        .expect("coupled training cannot fail on validated feedback rounds");
+
+    // ---- Step 3: CSVM_Dist over the universe, from the same blocks.
+    let finals = outcome.report.final_labels.iter().copied();
+    let pseudo = unlabeled_ids.iter().copied().zip(finals);
+    let samples: Vec<(usize, f64)> = labeled.iter().copied().chain(pseudo).collect();
+    let duals = [Some(&outcome.content), Some(&outcome.log)];
+    let scores = warm.blocks.scores(&r, &samples, duals);
+
+    warm.finish(outcome.solves, [step1, duals], y.len());
+    CsvmFit {
+        scores,
+        unlabeled_ids,
+        outcome,
+    }
+}
+
+/// Step 1's selection over explicit `(id, combined distance)` candidates:
+/// returns `(ids, initial pseudo-labels)`.
+fn select_unlabeled_in(
+    cfg: &LrfConfig,
+    ctx: &QueryContext<'_>,
+    mut scored: Vec<(usize, f64)>,
+) -> (Vec<usize>, Vec<f64>) {
+    // Candidates sorted by descending combined distance, ties by id (total
+    // order: a NaN distance sorts last, never panics the sort).
+    scored.sort_by(|a, b| cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0)));
+
+    let n = cfg.n_unlabeled.min(scored.len());
+    if n == 0 {
+        return (Vec::new(), Vec::new());
     }
 
-    fn fit_warm(
-        &self,
-        ctx: &QueryContext<'_>,
-        pool: &[usize],
-        warm: &mut WarmState,
-    ) -> Option<ScorerRef> {
-        let fit = self.fit_on(ctx, pool, warm);
-        Some(pool_scores(pool, fit.scores))
-    }
+    let n_top = n / 2;
+    let chosen: Vec<(usize, f64)> = match cfg.selection {
+        UnlabeledSelection::MaxMinCombinedDistance => {
+            let mut chosen: Vec<(usize, f64)> = scored[..n_top].to_vec();
+            chosen.extend_from_slice(&scored[scored.len() - (n - n_top)..]);
+            chosen
+        }
+        UnlabeledSelection::ClosestToBoundary => {
+            let mut by_abs = scored.clone();
+            by_abs.sort_by(|a, b| a.1.abs().total_cmp(&b.1.abs()).then(a.0.cmp(&b.0)));
+            by_abs.truncate(n);
+            by_abs
+        }
+        UnlabeledSelection::Random => {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            /// Seed of the ablation control's draw, mixed with the query
+            /// id.
+            const RANDOM_SELECTION_SEED: u64 = 0x1f2e3d4c;
+            let mut rng =
+                rand::rngs::StdRng::seed_from_u64(RANDOM_SELECTION_SEED ^ ctx.example.query as u64);
+            // Shuffle in id order so the draw is independent of the
+            // caller's candidate ordering.
+            let mut shuffled = scored.clone();
+            shuffled.sort_by_key(|&(id, _)| id);
+            shuffled.shuffle(&mut rng);
+            shuffled.truncate(n);
+            shuffled
+        }
+    };
+
+    // The max/min split labels by selection side (§6.5); the other
+    // selections have no sides: the sign of the distance.
+    let positive = |i: usize, d: f64| match cfg.selection {
+        UnlabeledSelection::MaxMinCombinedDistance => i < n_top,
+        _ => d >= 0.0,
+    };
+    let y_init = chosen.iter().enumerate();
+    let y_init = y_init.map(|(i, &(_, d))| if positive(i, d) { 1.0 } else { -1.0 });
+    (chosen.iter().map(|&(id, _)| id).collect(), y_init.collect())
 }
 
 #[cfg(test)]
@@ -217,6 +187,7 @@ mod tests {
     use super::*;
     use crate::block::content_fit;
     use crate::kernels::LogRbfKernel;
+    use crate::{Scheme, SchemeKind};
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::{LogStore, SimulationConfig, SparseVector};
     use lrf_svm::{Dual, KernelCache};
@@ -238,21 +209,23 @@ mod tests {
         (store, dual)
     }
 
-    impl LrfCsvm {
-        /// Step 1's selection over the full database (exercised directly by
-        /// the selection-invariant tests): `dist[id]` is the combined SVM
-        /// distance of image `id`.
-        fn select_unlabeled(&self, ctx: &QueryContext<'_>, dist: &[f64]) -> (Vec<usize>, Vec<f64>) {
-            let labeled: std::collections::HashSet<usize> =
-                ctx.example.labeled.iter().map(|&(id, _)| id).collect();
-            let scored: Vec<(usize, f64)> = dist
-                .iter()
-                .enumerate()
-                .filter(|(id, _)| !labeled.contains(id))
-                .map(|(id, &d)| (id, d))
-                .collect();
-            self.select_unlabeled_in(ctx, scored)
-        }
+    /// Step 1's selection over the full database (exercised directly by
+    /// the selection-invariant tests): `dist[id]` is the combined SVM
+    /// distance of image `id`.
+    fn select_unlabeled(
+        cfg: &LrfConfig,
+        ctx: &QueryContext<'_>,
+        dist: &[f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let labeled: std::collections::HashSet<usize> =
+            ctx.example.labeled.iter().map(|&(id, _)| id).collect();
+        let scored: Vec<(usize, f64)> = dist
+            .iter()
+            .enumerate()
+            .filter(|(id, _)| !labeled.contains(id))
+            .map(|(id, &d)| (id, d))
+            .collect();
+        select_unlabeled_in(cfg, ctx, scored)
     }
 
     fn setup(noise: f64, sessions: usize) -> (CorelDataset, LogStore) {
@@ -293,18 +266,24 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 7);
-        let scheme = LrfCsvm::new(small_config());
-        let out = scheme.run(&QueryContext {
-            db: &ds.db,
-            log: &log,
-            example: &example,
-        });
+        let cfg = small_config();
+        let out = run_lrf_csvm(
+            &cfg,
+            &QueryContext {
+                db: &ds.db,
+                log: &log,
+                example: &example,
+            },
+        );
         let mut sorted = out.ranking.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>());
         assert_eq!(out.unlabeled_ids.len(), 8);
         assert!(out.report.retrains >= out.report.rho_steps);
-        assert_eq!(scheme.name(), "LRF-CSVM");
+        assert_eq!(
+            Scheme::new(SchemeKind::LrfCsvm, cfg).kind().name(),
+            "LRF-CSVM"
+        );
     }
 
     #[test]
@@ -316,12 +295,14 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 3);
-        let scheme = LrfCsvm::new(small_config());
-        let out = scheme.run(&QueryContext {
-            db: &ds.db,
-            log: &log,
-            example: &example,
-        });
+        let out = run_lrf_csvm(
+            &small_config(),
+            &QueryContext {
+                db: &ds.db,
+                log: &log,
+                example: &example,
+            },
+        );
         for &(id, _) in &example.labeled {
             assert!(
                 !out.unlabeled_ids.contains(&id),
@@ -349,12 +330,14 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let maxmin = LrfCsvm::new(small_config()).run(&ctx).unlabeled_ids;
-        let boundary = LrfCsvm::new(LrfConfig {
-            selection: UnlabeledSelection::ClosestToBoundary,
-            ..small_config()
-        })
-        .run(&ctx)
+        let maxmin = run_lrf_csvm(&small_config(), &ctx).unlabeled_ids;
+        let boundary = run_lrf_csvm(
+            &LrfConfig {
+                selection: UnlabeledSelection::ClosestToBoundary,
+                ..small_config()
+            },
+            &ctx,
+        )
         .unlabeled_ids;
         assert_ne!(maxmin, boundary, "strategies should pick different pools");
     }
@@ -369,7 +352,6 @@ mod tests {
         };
         let example = proto.feedback_example(&ds.db, 5);
         let cfg = small_config();
-        let scheme = LrfCsvm::new(cfg);
         let ctx = QueryContext {
             db: &ds.db,
             log: &log,
@@ -385,7 +367,7 @@ mod tests {
         let f_w = content.machine(content0, &y).model.decision_batch(&rows);
         let f_u = logside.machine(log0, &y).model.decision_batch(&log_rows);
         let dist: Vec<f64> = f_w.iter().zip(&f_u).map(|(c, l)| c + l).collect();
-        let (ids, init) = scheme.select_unlabeled(&ctx, &dist);
+        let (ids, init) = select_unlabeled(&cfg, &ctx, &dist);
         let n_top = ids.len() / 2;
         for (i, y0) in init.iter().enumerate() {
             assert_eq!(*y0, if i < n_top { 1.0 } else { -1.0 });
@@ -422,11 +404,11 @@ mod tests {
             UnlabeledSelection::ClosestToBoundary,
             UnlabeledSelection::Random,
         ] {
-            let scheme = LrfCsvm::new(LrfConfig {
+            let cfg = LrfConfig {
                 selection,
                 ..LrfConfig::default()
-            });
-            let (ids, init) = scheme.select_unlabeled(&ctx, &dist);
+            };
+            let (ids, init) = select_unlabeled(&cfg, &ctx, &dist);
             assert_eq!(ids.len(), 10, "{selection:?}");
             let want: Vec<f64> = ids
                 .iter()
@@ -445,8 +427,8 @@ mod tests {
             n_labeled: 10,
             seed: 13,
         };
-        let lrf = LrfCsvm::new(small_config());
-        let rf = crate::rf_svm::RfSvm::default();
+        let lrf = Scheme::new(SchemeKind::LrfCsvm, small_config());
+        let rf = Scheme::new(SchemeKind::RfSvm, LrfConfig::default());
         let mut p_lrf = 0.0;
         let mut p_rf = 0.0;
         let queries = proto.sample_queries(&ds.db);
@@ -477,7 +459,7 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 1);
-        let ranked = LrfCsvm::new(small_config()).rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::LrfCsvm, small_config()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,
@@ -500,11 +482,14 @@ mod tests {
             n_unlabeled: 100,
             ..small_config()
         };
-        let out = LrfCsvm::new(cfg).run(&QueryContext {
-            db: &ds.db,
-            log: &log,
-            example: &example,
-        });
+        let out = run_lrf_csvm(
+            &cfg,
+            &QueryContext {
+                db: &ds.db,
+                log: &log,
+                example: &example,
+            },
+        );
         assert_eq!(out.unlabeled_ids.len(), ds.db.len() - 6);
     }
 
@@ -532,7 +517,7 @@ mod tests {
             let (_, log0) = log_fit(&cfg, &log, &example.labeled);
             assert!(content0.stats.converged && log0.stats.converged);
             let mut warm = WarmState::default();
-            let fit = LrfCsvm::new(cfg).fit_on(&ctx, &universe, &mut warm);
+            let fit = fit_on(&cfg, &ctx, &universe, &mut warm);
             let diag = warm.last.expect("the fit records its diagnostics");
             assert_eq!(diag.converged, converged, "max_iter {max_iter}");
             // Every solve is counted: two step-1 solves and two per retrain.
@@ -561,8 +546,8 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let a = LrfCsvm::new(cfg).run(&ctx).unlabeled_ids;
-        let b = LrfCsvm::new(cfg).run(&ctx).unlabeled_ids;
+        let a = run_lrf_csvm(&cfg, &ctx).unlabeled_ids;
+        let b = run_lrf_csvm(&cfg, &ctx).unlabeled_ids;
         assert_eq!(a, b);
     }
 }

@@ -8,7 +8,7 @@
 //!    neighbors of the query feature (an exact scan: no workload is served
 //!    faster by an approximate index);
 //! 2. the learned scheme is fitted on the round
-//!    ([`RelevanceFeedback::fit_warm`]), which scores *only the pool*
+//!    ([`Scheme`]'s fit), which scores *only the pool*
 //!    (from the session's row blocks; the returned
 //!    [`crate::feedback::PoolScorer`] hands those values back); images
 //!    outside the pool trail in id order (every evaluation cutoff that
@@ -18,7 +18,8 @@
 //! construction, not by accident — to the paper's full ranking, so the
 //! pooled path is a strict generalization of the reproduction.
 
-use crate::feedback::{cmp_scores_desc, QueryContext, RelevanceFeedback, ScorerRef, WarmState};
+use crate::feedback::{cmp_scores_desc, QueryContext, ScorerRef, WarmState};
+use crate::scheme::Scheme;
 use lrf_index::{AnnIndex, FlatIndex, SearchStats};
 
 /// The two-stage (index → re-rank) retrieval driver.
@@ -61,11 +62,7 @@ impl<'a> PooledRetrieval<'a> {
     /// scores (descending, ties by id), then every out-of-pool id
     /// ascending. Schemes without a decision function (Euclidean) keep the
     /// pool's distance order, which *is* their ranking.
-    pub fn rank<S: RelevanceFeedback + ?Sized>(
-        &self,
-        scheme: &S,
-        ctx: &QueryContext<'_>,
-    ) -> Vec<usize> {
+    pub fn rank(&self, scheme: &Scheme, ctx: &QueryContext<'_>) -> Vec<usize> {
         let ranked_pool = rank_candidates(
             scheme,
             ctx,
@@ -106,27 +103,26 @@ pub(crate) fn candidate_pool(mut pool: Vec<usize>, labeled: &[(usize, f64)]) -> 
 /// `score` returns the decision values; every caller passes
 /// [`crate::feedback::PoolScorer::score_ids`], which reads back the
 /// values the fit computed. Every
-/// ranking entry ([`RelevanceFeedback::rank`], [`PooledRetrieval::rank`],
+/// ranking entry ([`Scheme::rank`]'s learning arms, [`PooledRetrieval::rank`],
 /// [`crate::rounds::FeedbackLoop::rerank_scattered`]) is this function, so
 /// they cannot drift apart.
 ///
 /// # Panics
 /// Panics if `score` returns a vector not aligned with `pool`.
-pub(crate) fn rank_candidates<S, F>(
-    scheme: &S,
+pub(crate) fn rank_candidates<F>(
+    scheme: &Scheme,
     ctx: &QueryContext<'_>,
     pool: &[usize],
     warm: &mut WarmState,
     score: F,
 ) -> Vec<usize>
 where
-    S: RelevanceFeedback + ?Sized,
     F: FnOnce(&ScorerRef, &[usize]) -> Vec<f64>,
 {
     let fitted = if ctx.example.labeled.is_empty() {
         None
     } else {
-        scheme.fit_warm(ctx, pool, warm)
+        scheme.fit(ctx, pool, warm)
     };
     match fitted {
         Some(scorer) => {
@@ -146,9 +142,7 @@ where
 mod tests {
     use super::*;
     use crate::config::LrfConfig;
-    use crate::euclidean::EuclideanScheme;
-    use crate::lrf_csvm::LrfCsvm;
-    use crate::rf_svm::RfSvm;
+    use crate::scheme::SchemeKind;
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::SimulationConfig;
 
@@ -182,7 +176,7 @@ mod tests {
     #[test]
     fn full_pool_over_flat_index_reproduces_the_full_ranking() {
         // pool_size = N + exact backend ⇒ the pooled path must equal the
-        // schemes' full-database ranking for every scheme with scores.
+        // schemes' full-database ranking for every scheme.
         let (ds, log) = setup();
         let index = lrf_cbir::build_flat_index(&ds.db);
         let pooled = PooledRetrieval::new(&index, ds.db.len());
@@ -198,14 +192,15 @@ mod tests {
                 log: &log,
                 example: &example,
             };
-            let rf = RfSvm::new(small_config());
-            assert_eq!(pooled.rank(&rf, &ctx), rf.rank(&ctx), "RF-SVM query {q}");
-            let csvm = LrfCsvm::new(small_config());
-            assert_eq!(
-                pooled.rank(&csvm, &ctx),
-                csvm.rank(&ctx),
-                "LRF-CSVM query {q}"
-            );
+            for kind in SchemeKind::all() {
+                let scheme = Scheme::new(kind, small_config());
+                assert_eq!(
+                    pooled.rank(&scheme, &ctx),
+                    scheme.rank(&ctx),
+                    "{} query {q}",
+                    kind.name()
+                );
+            }
         }
     }
 
@@ -225,7 +220,7 @@ mod tests {
             log: &log,
             example: &example,
         };
-        let ranked = pooled.rank(&EuclideanScheme, &ctx);
+        let ranked = pooled.rank(&Scheme::new(SchemeKind::Euclidean, small_config()), &ctx);
         assert_eq!(&ranked[..12], &lrf_cbir::top_k_euclidean(&ds.db, 3, 12)[..]);
         let mut sorted = ranked.clone();
         sorted.sort_unstable();
@@ -249,7 +244,7 @@ mod tests {
                 log: &log,
                 example: &example,
             };
-            let ranked = pooled.rank(&LrfCsvm::new(small_config()), &ctx);
+            let ranked = pooled.rank(&Scheme::new(SchemeKind::LrfCsvm, small_config()), &ctx);
             let mut sorted = ranked.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..ds.db.len()).collect::<Vec<_>>(), "query {q}");
@@ -324,7 +319,7 @@ mod tests {
             n_labeled: 8,
             seed: 5,
         };
-        let scheme = RfSvm::new(small_config());
+        let scheme = Scheme::new(SchemeKind::RfSvm, small_config());
         let (mut p_full, mut p_pool) = (0.0, 0.0);
         let queries = proto.sample_queries(&ds.db);
         for &q in &queries {

@@ -1,51 +1,10 @@
-//! The `RF-SVM` baseline: regular SVM relevance feedback on content only.
-//!
-//! "In a regular SVM based relevance feedback algorithm [Tong & Chang],
-//! only the low-level features of image content is considered" — train one
-//! SVM on the judged images' feature vectors and rank the database by the
-//! decision value.
-
-use crate::block::Round;
-use crate::config::LrfConfig;
-use crate::feedback::{QueryContext, RelevanceFeedback, ScorerRef, WarmState};
-
-/// Content-only SVM relevance feedback.
-#[derive(Clone, Debug, Default)]
-pub struct RfSvm {
-    /// Shared configuration (only `coupled.c_content`, `coupled.smo`, and
-    /// `gamma_content` are read by this scheme).
-    config: LrfConfig,
-}
-
-impl RfSvm {
-    /// Creates the scheme with an explicit configuration.
-    pub fn new(config: LrfConfig) -> Self {
-        config.validate();
-        Self { config }
-    }
-}
-
-impl RelevanceFeedback for RfSvm {
-    fn name(&self) -> &'static str {
-        "RF-SVM"
-    }
-
-    fn fit_warm(
-        &self,
-        ctx: &QueryContext<'_>,
-        pool: &[usize],
-        warm: &mut WarmState,
-    ) -> Option<ScorerRef> {
-        Some(warm.summed_round(&Round::new(&self.config, ctx), pool, false))
-    }
-}
-
-#[cfg(test)]
-use crate::block::content_fit;
+//! Tests of [`crate::Scheme`] as the `RF-SVM` baseline
+//! ([`crate::SchemeKind::RfSvm`]): one content SVM on the judged images.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::block::content_fit;
+    use crate::{LrfConfig, QueryContext, Scheme, SchemeKind, WarmState};
     use lrf_cbir::{collect_log, precision_at, CorelDataset, CorelSpec, QueryProtocol};
     use lrf_logdb::SimulationConfig;
 
@@ -73,7 +32,7 @@ mod tests {
             seed: 0,
         };
         let example = proto.feedback_example(&ds.db, 0);
-        let ranked = RfSvm::default().rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::RfSvm, LrfConfig::default()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,
@@ -99,7 +58,7 @@ mod tests {
                 pos >= 2 && pos <= ex.labeled.len() - 2
             })
             .expect("some query must have mixed feedback");
-        let ranked = RfSvm::default().rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::RfSvm, LrfConfig::default()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,
@@ -148,8 +107,8 @@ mod tests {
             .map(|id| svm.model.decision_batch(&[ds.db.feature(id)])[0])
             .collect();
         let all: Vec<usize> = (0..ds.db.len()).collect();
-        let scorer = RfSvm::default()
-            .fit_warm(&ctx, &all, &mut WarmState::default())
+        let scorer = Scheme::new(SchemeKind::RfSvm, LrfConfig::default())
+            .fit(&ctx, &all, &mut WarmState::default())
             .expect("RF-SVM trains");
         assert_eq!(bits(&scorer.score_ids(&ds.db, &log, &all)), bits(&serial));
         let ids: Vec<usize> = (0..ds.db.len()).step_by(3).collect();
@@ -157,8 +116,8 @@ mod tests {
         let expect: Vec<f64> = ids.iter().map(|&id| serial[id]).collect();
         assert_eq!(bits(&subset), bits(&expect));
         let pool = &ids[..4];
-        let scorer = RfSvm::default()
-            .fit_warm(&ctx, pool, &mut WarmState::default())
+        let scorer = Scheme::new(SchemeKind::RfSvm, LrfConfig::default())
+            .fit(&ctx, pool, &mut WarmState::default())
             .expect("RF-SVM trains");
         let outside = scorer.score_ids(&ds.db, &log, &[pool[0], 1]);
         assert_eq!(outside[0].to_bits(), serial[pool[0]].to_bits());
@@ -173,7 +132,7 @@ mod tests {
             query: 0,
             labeled: vec![(0, 1.0), (1, 1.0), (2, 1.0)],
         };
-        let ranked = RfSvm::default().rank(&QueryContext {
+        let ranked = Scheme::new(SchemeKind::RfSvm, LrfConfig::default()).rank(&QueryContext {
             db: &ds.db,
             log: &log,
             example: &example,
@@ -189,7 +148,7 @@ mod tests {
             n_labeled: 8,
             seed: 5,
         };
-        let scheme = RfSvm::default();
+        let scheme = Scheme::new(SchemeKind::RfSvm, LrfConfig::default());
         let mut total = 0.0;
         let queries = proto.sample_queries(&ds.db);
         for &q in &queries {

@@ -23,62 +23,11 @@
 //! iterations.
 
 use crate::config::LrfConfig;
-use crate::euclidean::EuclideanScheme;
-use crate::feedback::{QueryContext, RelevanceFeedback, RoundDiagnostics, ScorerRef, WarmState};
-use crate::lrf_2svms::Lrf2Svms;
-use crate::lrf_csvm::LrfCsvm;
+use crate::feedback::{QueryContext, RoundDiagnostics, ScorerRef, WarmState};
 use crate::pooled::{candidate_pool, rank_candidates};
-use crate::rf_svm::RfSvm;
+use crate::scheme::{Scheme, SchemeKind};
 use lrf_cbir::{FeedbackExample, ImageDatabase};
 use lrf_logdb::{LogSession, LogStore, Relevance};
-use serde::{Deserialize, Serialize};
-
-/// Which relevance-feedback scheme a session runs — the serializable
-/// selector the service API carries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchemeKind {
-    /// No learning: content distance only (the initial ranking, frozen).
-    Euclidean,
-    /// Content-only SVM relevance feedback (Tong & Chang baseline).
-    RfSvm,
-    /// Independent content + log SVMs, decisions summed.
-    Lrf2Svms,
-    /// The paper's coupled SVM (Fig. 1).
-    #[default]
-    LrfCsvm,
-}
-
-impl SchemeKind {
-    /// The scheme's name as used in the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Euclidean => "Euclidean",
-            SchemeKind::RfSvm => "RF-SVM",
-            SchemeKind::Lrf2Svms => "LRF-2SVMs",
-            SchemeKind::LrfCsvm => "LRF-CSVM",
-        }
-    }
-
-    /// Instantiates the scheme object behind the shared trait.
-    pub fn build(self, config: LrfConfig) -> Box<dyn RelevanceFeedback + Send + Sync> {
-        match self {
-            SchemeKind::Euclidean => Box::new(EuclideanScheme),
-            SchemeKind::RfSvm => Box::new(RfSvm::new(config)),
-            SchemeKind::Lrf2Svms => Box::new(Lrf2Svms::new(config)),
-            SchemeKind::LrfCsvm => Box::new(LrfCsvm::new(config)),
-        }
-    }
-
-    /// All kinds, in comparison-table order.
-    pub fn all() -> [SchemeKind; 4] {
-        [
-            SchemeKind::Euclidean,
-            SchemeKind::RfSvm,
-            SchemeKind::Lrf2Svms,
-            SchemeKind::LrfCsvm,
-        ]
-    }
-}
 
 /// A rejected judgment — the session stays usable after any of these.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,7 +65,7 @@ impl std::error::Error for RoundError {}
 /// One user's resumable feedback session: accumulated judgments + the
 /// scheme that re-ranks on each round.
 pub struct FeedbackLoop {
-    scheme: Box<dyn RelevanceFeedback + Send + Sync>,
+    scheme: Scheme,
     query: usize,
     n_images: usize,
     /// `(image_id, ±1.0)` in mark order — the order the SMO solver sees,
@@ -130,19 +79,21 @@ pub struct FeedbackLoop {
 }
 
 impl FeedbackLoop {
-    /// Opens a session for `query` over a database of `n_images`.
+    /// Opens a session for `query` over a database of `n_images`, running
+    /// the scheme `kind` under `config`.
     ///
     /// # Panics
     /// Panics if `query >= n_images` (the caller resolves queries against
     /// its own database; an unknown query is a caller bug, unlike the
-    /// user-supplied judgments which get typed errors).
+    /// user-supplied judgments which get typed errors), or if `config`
+    /// fails [`LrfConfig::validate`].
     pub fn new(kind: SchemeKind, config: LrfConfig, query: usize, n_images: usize) -> Self {
         assert!(
             query < n_images,
             "query {query} outside database of {n_images}"
         );
         Self {
-            scheme: kind.build(config),
+            scheme: Scheme::new(kind, config),
             query,
             n_images,
             labeled: Vec::new(),
@@ -205,9 +156,8 @@ impl FeedbackLoop {
     /// [`WarmState`] (the first round bit-identical to a cold one-shot;
     /// warm-started later rounds within the solver tolerance).
     ///
-    /// The scheme trains exactly once, here (via
-    /// [`RelevanceFeedback::fit_warm`]), which scores the pool from the
-    /// session's row blocks. `scatter` receives the trained
+    /// The scheme trains exactly once, here, and its fit scores the pool
+    /// from the session's row blocks. `scatter` receives the trained
     /// [`crate::feedback::PoolScorer`] plus the pool and returns decision
     /// scores aligned with the pool; every caller passes
     /// `scorer.score_ids(db, log, ids)`, which reads the fit's values
@@ -240,7 +190,7 @@ impl FeedbackLoop {
             example: &example,
         };
         let pool = candidate_pool(pool.to_vec(), &example.labeled);
-        let ranking = rank_candidates(self.scheme.as_ref(), &ctx, &pool, &mut self.warm, scatter);
+        let ranking = rank_candidates(&self.scheme, &ctx, &pool, &mut self.warm, scatter);
         self.rounds += 1;
         ranking
     }
@@ -313,11 +263,7 @@ mod tests {
     }
 
     /// The stateless path: a cold fit on `ctx`, scored in place.
-    fn rank_cold(
-        scheme: &dyn RelevanceFeedback,
-        ctx: &QueryContext<'_>,
-        pool: &[usize],
-    ) -> Vec<usize> {
+    fn rank_cold(scheme: &Scheme, ctx: &QueryContext<'_>, pool: &[usize]) -> Vec<usize> {
         rank_candidates(
             scheme,
             ctx,
@@ -330,8 +276,8 @@ mod tests {
     #[test]
     fn scheme_kinds_build_and_name() {
         for kind in SchemeKind::all() {
-            let scheme = kind.build(small_config());
-            assert_eq!(scheme.name(), kind.name());
+            let scheme = Scheme::new(kind, small_config());
+            assert_eq!(scheme.kind().name(), kind.name());
         }
         assert_eq!(SchemeKind::default(), SchemeKind::LrfCsvm);
     }
@@ -363,8 +309,8 @@ mod tests {
             };
             let pool = pooled.pool(&ctx);
             let stateful = rerank_in_place(&mut fb, &ds.db, &log, &pool);
-            let scheme = kind.build(small_config());
-            let oneshot = rank_cold(scheme.as_ref(), &ctx, &pool);
+            let scheme = Scheme::new(kind, small_config());
+            let oneshot = rank_cold(&scheme, &ctx, &pool);
             assert_eq!(stateful, oneshot, "{}", kind.name());
             assert_eq!(fb.rounds(), 1);
         }
@@ -401,10 +347,10 @@ mod tests {
                     log: &log,
                     example: &sofar,
                 };
-                let cold_scheme = kind.build(small_config());
-                let cold = rank_cold(cold_scheme.as_ref(), &ctx, &pool);
+                let cold_scheme = Scheme::new(kind, small_config());
+                let cold = rank_cold(&cold_scheme, &ctx, &pool);
                 let cold_scores = cold_scheme
-                    .fit_warm(&ctx, &pool, &mut WarmState::default())
+                    .fit(&ctx, &pool, &mut WarmState::default())
                     .expect("SVM schemes produce scores")
                     .score_ids(&ds.db, &log, &pool);
                 let mut score_of = vec![0.0; ds.db.len()];
@@ -545,12 +491,17 @@ mod tests {
         assert_eq!(session.len(), 3);
         assert_eq!(session.judgment(2), Some(Relevance::Relevant));
         assert_eq!(session.judgment(9), Some(Relevance::Irrelevant));
-        assert_eq!(session.n_relevant(), 2);
+        let relevant = session.iter().filter(|&(_, r)| r == Relevance::Relevant);
+        assert_eq!(relevant.count(), 2);
         // Flushing closes the paper's loop: the session lands in a store
         // and becomes a new dimension of every judged image's log vector.
         let mut store = LogStore::new(ds.db.len());
         let sid = store.record(session);
-        assert_eq!(store.entry(5, sid), 1.0);
+        let mut column = store.log_vector(5).iter();
+        let entry = column
+            .find(|&(s, _)| s as usize == sid)
+            .map_or(0.0, |(_, v)| v);
+        assert_eq!(entry, 1.0);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl FlatIndex {
         assert_eq!(data.len() % dim, 0, "data length must be a multiple of dim");
         Self { data, dim }
     }
-
-    /// The shared handle to the indexed matrix.
-    pub fn shared_data(&self) -> Arc<Vec<f64>> {
-        Arc::clone(&self.data)
-    }
 }
 
 impl AnnIndex for FlatIndex {
@@ -265,9 +260,9 @@ mod tests {
     fn from_shared_does_not_copy() {
         let data = Arc::new(random_matrix(30, 4, 2));
         let index = FlatIndex::from_shared(Arc::clone(&data), 4);
-        assert!(Arc::ptr_eq(&data, &index.shared_data()));
+        assert!(Arc::ptr_eq(&data, &index.data));
         // Clones of the index still share the one allocation.
-        assert!(Arc::ptr_eq(&data, &index.clone().shared_data()));
+        assert!(Arc::ptr_eq(&data, &index.clone().data));
         // And the search results equal the copying constructor's.
         let copied = FlatIndex::build(&data, 4);
         assert_eq!(index.search(&data[0..4], 5), copied.search(&data[0..4], 5));

@@ -96,7 +96,7 @@ mod tests {
         let (db, rec) = SharedLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(rec.recovered_sessions, 2);
         assert_eq!(db.n_sessions(), 2);
-        assert_eq!(db.snapshot().entry(3, 1), -1.0);
+        assert_eq!(db.snapshot().log_vector(3).get(1), -1.0);
     }
 
     #[test]
@@ -140,7 +140,7 @@ mod tests {
         let (db, rec) = SharedLogStore::open(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(db.n_sessions(), 3, "each session recovers exactly once");
         assert_eq!(rec.replayed_sessions, 1, "only the post-compact session");
-        assert_eq!(db.snapshot().entry(5, 1), 1.0);
+        assert_eq!(db.snapshot().log_vector(5).get(1), 1.0);
         assert_eq!(db.unsynced(), 0);
     }
 

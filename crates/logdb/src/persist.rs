@@ -121,8 +121,8 @@ mod tests {
         let bytes = to_json(&store).unwrap();
         let back = from_json(&bytes).unwrap();
         assert_eq!(store, back);
-        assert_eq!(back.entry(3, 0), -1.0);
-        assert_eq!(back.entry(3, 1), 1.0);
+        assert_eq!(back.log_vector(3).get(0), -1.0);
+        assert_eq!(back.log_vector(3).get(1), 1.0);
     }
 
     /// The exact bytes a version-1 build wrote for [`sample_store`]: both
@@ -226,7 +226,7 @@ mod tests {
     fn version_1_snapshot_loads_to_an_equal_store() {
         let back = from_json(V1_SAMPLE.as_bytes()).unwrap();
         assert_eq!(back, sample_store());
-        assert_eq!(back.entry(3, 0), -1.0);
+        assert_eq!(back.log_vector(3).get(0), -1.0);
         assert_eq!(back.log_vector(7).nnz(), 1);
     }
 

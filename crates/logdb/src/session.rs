@@ -118,11 +118,6 @@ impl LogSession {
             .ok()
             .map(|pos| unpack(self.judgments[pos]).1)
     }
-
-    /// Count of relevant marks.
-    pub fn n_relevant(&self) -> usize {
-        self.judgments.iter().filter(|&&p| p & NEG == 0).count()
-    }
 }
 
 impl Serialize for LogSession {
@@ -154,6 +149,11 @@ mod tests {
         }
     }
 
+    /// Count of relevant marks.
+    fn n_relevant(s: &LogSession) -> usize {
+        s.iter().filter(|&(_, r)| r == Relevance::Relevant).count()
+    }
+
     #[test]
     fn relevance_signs() {
         assert_eq!(Relevance::Relevant.sign(), 1.0);
@@ -170,7 +170,7 @@ mod tests {
             (5, Relevance::Relevant),
         ]);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.n_relevant(), 2);
+        assert_eq!(n_relevant(&s), 2);
         assert_eq!(s.judgment(2), Some(Relevance::Relevant));
         assert_eq!(s.judgment(9), Some(Relevance::Irrelevant));
         assert_eq!(s.judgment(4), None);
@@ -197,6 +197,6 @@ mod tests {
     fn empty_session_is_allowed() {
         let s = LogSession::new(vec![]);
         assert!(s.is_empty());
-        assert_eq!(s.n_relevant(), 0);
+        assert_eq!(n_relevant(&s), 0);
     }
 }

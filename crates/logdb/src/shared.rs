@@ -289,7 +289,7 @@ mod tests {
         assert_eq!((s0, s1), (0, 1));
         assert_eq!(shared.n_sessions(), 2);
         assert_eq!(shared.n_images(), 8);
-        assert_eq!(shared.snapshot().entry(3, 1), 1.0);
+        assert_eq!(shared.snapshot().log_vector(3).get(1), 1.0);
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
             assert_eq!(same, i != 2 && i != 3, "column {i}");
         }
         assert_eq!((held.n_sessions(), live.n_sessions()), (2, 3));
-        assert_eq!(live.entry(2, 2), -1.0);
+        assert_eq!(live.log_vector(2).get(2), -1.0);
     }
 
     #[test]

@@ -83,6 +83,7 @@ impl SparseVector {
     }
 
     /// The value at `index` (zero when absent).
+    #[cfg(test)]
     pub(crate) fn get(&self, index: u32) -> f64 {
         let found = self.entries.binary_search_by_key(&index, |&e| e & !NEG);
         found.map_or(0.0, |pos| sign(self.entries[pos]))

@@ -216,15 +216,6 @@ impl LogStore {
         self.base.sessions.iter().chain(&self.tail)
     }
 
-    /// The raw matrix element `r_{image, session}` (`+1`, `−1`, or `0`).
-    pub fn entry(&self, image_id: usize, session_id: usize) -> f64 {
-        assert!(
-            session_id < self.n_sessions(),
-            "unknown session {session_id}"
-        );
-        self.log_vector(image_id).get(session_id as u32)
-    }
-
     /// Number of images that have at least one judgment — coverage is the
     /// key statistic determining how much the log can help retrieval.
     pub fn n_judged_images(&self) -> usize {
@@ -270,12 +261,12 @@ mod tests {
         assert_eq!((s0, s1), (0, 1));
         assert_eq!(store.n_sessions(), 2);
 
-        assert_eq!(store.entry(0, 0), 1.0);
-        assert_eq!(store.entry(1, 0), -1.0);
-        assert_eq!(store.entry(1, 1), 1.0);
-        assert_eq!(store.entry(2, 0), 0.0);
-        assert_eq!(store.entry(4, 0), 1.0);
-        assert_eq!(store.entry(4, 1), 1.0);
+        assert_eq!(store.log_vector(0).get(0), 1.0);
+        assert_eq!(store.log_vector(1).get(0), -1.0);
+        assert_eq!(store.log_vector(1).get(1), 1.0);
+        assert_eq!(store.log_vector(2).get(0), 0.0);
+        assert_eq!(store.log_vector(4).get(0), 1.0);
+        assert_eq!(store.log_vector(4).get(1), 1.0);
 
         // Column views as sparse vectors.
         assert_eq!(store.log_vector(4).nnz(), 2);

@@ -192,8 +192,8 @@ mod tests {
         let (_, store, _, rec) = recover(mem.clone(), dir(), 8, WalOptions::default()).unwrap();
         assert_eq!(rec.replayed_sessions, 2);
         assert_eq!(store.n_sessions(), 2);
-        assert_eq!(store.entry(3, 0), -1.0);
-        assert_eq!(store.entry(7, 1), 1.0);
+        assert_eq!(store.log_vector(3).get(0), -1.0);
+        assert_eq!(store.log_vector(7).get(1), 1.0);
     }
 
     #[test]
@@ -217,7 +217,7 @@ mod tests {
         assert!(had_snapshot);
         assert_eq!(rec.replayed_sessions, 1);
         assert_eq!(store.n_sessions(), 2);
-        assert_eq!(store.entry(2, 1), -1.0);
+        assert_eq!(store.log_vector(2).get(1), -1.0);
     }
 
     #[test]
@@ -371,7 +371,7 @@ mod tests {
             let io = raw_disk(Some(&v1_snapshot(sessions, columns)), &[]);
             let store = open(io, 8).snapshot();
             assert_eq!(store.log_vector(7).iter().collect::<Vec<_>>(), [(0, 1.0)]);
-            assert_eq!(store.entry(3, 0), -1.0);
+            assert_eq!(store.log_vector(3).get(0), -1.0);
             assert!(store.log_vector(5).is_empty());
             assert_eq!(store.nnz(), 2);
         }

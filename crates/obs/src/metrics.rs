@@ -293,11 +293,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 90th-percentile estimate.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
     /// 99th-percentile estimate.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)

@@ -223,11 +223,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// Whether stage timers are live (counters always are).
-    pub fn is_timed(&self) -> bool {
-        self.timed
-    }
-
     /// The underlying registry (e.g. to adopt a component's counters).
     pub(crate) fn registry(&self) -> &Registry {
         &self.registry
@@ -302,7 +297,7 @@ mod tests {
     fn timed_metrics_record_spans_and_counts() {
         let clock = ManualClock::shared();
         let m = ServiceMetrics::with_clock(clock.clone());
-        assert!(m.is_timed());
+        assert!(m.timed);
         {
             let _span = m.time(&m.request_latency);
             clock.advance(500);
@@ -317,7 +312,7 @@ mod tests {
     #[test]
     fn disabled_metrics_skip_timers_but_keep_counters() {
         let m = ServiceMetrics::disabled();
-        assert!(!m.is_timed());
+        assert!(!m.timed);
         assert!(m.time(&m.request_latency).is_none());
         m.flushed_sessions.inc();
         let s = m.snapshot();

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use lrf_sync::{Mutex, MutexExt};
 
-use crate::io::{IoRef, StorageIo};
+use crate::io::StorageIo;
 
 #[derive(Debug, Clone)]
 struct FileState {
@@ -49,13 +49,8 @@ impl MemIo {
         Self::default()
     }
 
-    /// Concrete shared handle; coerces to [`IoRef`] where needed.
+    /// Concrete shared handle; coerces to [`crate::IoRef`] where needed.
     pub fn handle() -> std::sync::Arc<MemIo> {
-        std::sync::Arc::new(MemIo::new())
-    }
-
-    /// Shared handle pre-coerced to the trait object.
-    pub fn io_ref() -> IoRef {
         std::sync::Arc::new(MemIo::new())
     }
 

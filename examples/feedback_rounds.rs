@@ -13,9 +13,7 @@
 //! ```
 
 use corelog::cbir::{precision_at, CorelDataset, CorelSpec, FeedbackExample, QueryProtocol};
-use corelog::core::{
-    collect_feedback_log, LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm,
-};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, Scheme, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
 /// Simulates one user feedback round: judge the scheme's top-k unjudged
@@ -68,8 +66,8 @@ fn main() {
     );
     println!("{:>5}  {:>10}  {:>10}", "round", "RF-SVM", "LRF-CSVM");
 
-    let rf = RfSvm::new(lrf);
-    let csvm = LrfCsvm::new(lrf);
+    let rf = Scheme::new(SchemeKind::RfSvm, lrf);
+    let csvm = Scheme::new(SchemeKind::LrfCsvm, lrf);
 
     // Each scheme gets its own interaction state (its rounds depend on its
     // own refined rankings), starting from the judged Euclidean top-15.

@@ -10,7 +10,7 @@
 //! Fig. 2, "some images selected from COREL image CDs").
 
 use corelog::cbir::{precision_at, CorelDataset, CorelSpec, QueryProtocol};
-use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, SchemeKind};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, Scheme, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
 fn main() {
@@ -81,15 +81,14 @@ fn main() {
         example.labeled.iter().filter(|&&(_, y)| y > 0.0).count()
     );
 
-    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
     println!("\n{:<10} {:>6}  top-10 result categories", "scheme", "P@20");
-    for scheme in &schemes {
-        let ranked = scheme.rank(&ctx);
+    for kind in SchemeKind::all() {
+        let ranked = Scheme::new(kind, lrf).rank(&ctx);
         let p20 = precision_at(&ranked, |id| ds.db.same_category(id, query), 20);
         let cats: Vec<String> = ranked[..10]
             .iter()
             .map(|&id| ds.db.category(id).to_string())
             .collect();
-        println!("{:<10} {:>6.2}  [{}]", scheme.name(), p20, cats.join(" "));
+        println!("{:<10} {:>6.2}  [{}]", kind.name(), p20, cats.join(" "));
     }
 }

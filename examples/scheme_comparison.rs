@@ -7,7 +7,7 @@
 //! ```
 
 use corelog::cbir::{CorelDataset, CorelSpec, PrecisionCurve, QueryProtocol, CUTOFFS};
-use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, SchemeKind};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, Scheme, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
         n_labeled: 20,
         seed: 17,
     };
-    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
+    let schemes = SchemeKind::all().map(|kind| Scheme::new(kind, lrf));
 
     let queries = protocol.sample_queries(&ds.db);
     let mut curves: Vec<PrecisionCurve> = schemes.iter().map(|_| PrecisionCurve::new()).collect();
@@ -55,8 +55,8 @@ fn main() {
     let curves: Vec<PrecisionCurve> = curves.into_iter().map(|c| c.finish()).collect();
 
     print!("{:>6}", "#TOP");
-    for s in &schemes {
-        print!("  {:>10}", s.name());
+    for kind in SchemeKind::all() {
+        print!("  {:>10}", kind.name());
     }
     println!();
     for (i, &k) in CUTOFFS.iter().enumerate() {

@@ -4,8 +4,8 @@
 
 use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
 use corelog::core::{
-    collect_feedback_log, train_coupled, CoupledConfig, LogRbfKernel, LrfConfig, LrfCsvm,
-    QueryContext, RelevanceFeedback,
+    collect_feedback_log, train_coupled, CoupledConfig, LogRbfKernel, LrfConfig, QueryContext,
+    Scheme, SchemeKind,
 };
 use lrf_logdb::SimulationConfig;
 use lrf_svm::{KernelCache, RbfKernel};
@@ -101,7 +101,7 @@ proptest! {
         let protocol = QueryProtocol { n_queries: 1, n_labeled: 8, seed: 0 };
         let example = protocol.feedback_example(&ds.db, query);
         let ctx = QueryContext { db: &ds.db, log: &log, example: &example };
-        let scheme = LrfCsvm::new(LrfConfig { n_unlabeled, ..LrfConfig::default() });
+        let scheme = Scheme::new(SchemeKind::LrfCsvm, LrfConfig { n_unlabeled, ..LrfConfig::default() });
         let a = scheme.rank(&ctx);
         let b = scheme.rank(&ctx);
         prop_assert_eq!(&a, &b);
@@ -137,20 +137,20 @@ fn coupled_training_survives_hostile_log_noise() {
         n_labeled: 8,
         seed: 4,
     };
-    let scheme = LrfCsvm::new(LrfConfig {
-        n_unlabeled: 6,
-        ..LrfConfig::default()
-    });
+    let scheme = Scheme::new(
+        SchemeKind::LrfCsvm,
+        LrfConfig {
+            n_unlabeled: 6,
+            ..LrfConfig::default()
+        },
+    );
     for &q in &protocol.sample_queries(&ds.db) {
         let example = protocol.feedback_example(&ds.db, q);
-        let ranked = corelog::core::RelevanceFeedback::rank(
-            &scheme,
-            &QueryContext {
-                db: &ds.db,
-                log: &log,
-                example: &example,
-            },
-        );
+        let ranked = scheme.rank(&QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        });
         assert_eq!(ranked.len(), ds.db.len());
     }
 }

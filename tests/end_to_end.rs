@@ -2,10 +2,7 @@
 //! → feedback log → every retrieval scheme, crossing all seven crates.
 
 use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
-use corelog::core::{
-    collect_feedback_log, Lrf2Svms, LrfConfig, LrfCsvm, QueryContext, RelevanceFeedback, RfSvm,
-    SchemeKind,
-};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, Scheme, SchemeKind};
 use corelog::storage::{StdIo, WalOptions};
 use lrf_logdb::{SharedLogStore, SimulationConfig};
 
@@ -37,7 +34,7 @@ fn build() -> (CorelDataset, lrf_logdb::LogStore, LrfConfig) {
 #[test]
 fn every_scheme_returns_a_full_permutation_for_every_query() {
     let (ds, log, lrf) = build();
-    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
+    let schemes = SchemeKind::all().map(|kind| Scheme::new(kind, lrf));
     let protocol = QueryProtocol {
         n_queries: 5,
         n_labeled: 10,
@@ -54,7 +51,12 @@ fn every_scheme_returns_a_full_permutation_for_every_query() {
         for scheme in &schemes {
             let mut ranked = scheme.rank(&ctx);
             ranked.sort_unstable();
-            assert_eq!(ranked, expected, "{} broke the permutation", scheme.name());
+            assert_eq!(
+                ranked,
+                expected,
+                "{} broke the permutation",
+                scheme.kind().name()
+            );
         }
     }
 }
@@ -69,9 +71,9 @@ fn learning_schemes_beat_chance_decisively() {
     };
     let chance = 1.0 / ds.db.n_categories() as f64;
     for scheme in [
-        Box::new(RfSvm::new(lrf)) as Box<dyn RelevanceFeedback>,
-        Box::new(Lrf2Svms::new(lrf)),
-        Box::new(LrfCsvm::new(lrf)),
+        Scheme::new(SchemeKind::RfSvm, lrf),
+        Scheme::new(SchemeKind::Lrf2Svms, lrf),
+        Scheme::new(SchemeKind::LrfCsvm, lrf),
     ] {
         let mut total = 0.0;
         let queries = protocol.sample_queries(&ds.db);
@@ -93,7 +95,7 @@ fn learning_schemes_beat_chance_decisively() {
         assert!(
             mean > chance * 1.8,
             "{} precision {mean:.3} vs chance {chance:.3}",
-            scheme.name()
+            scheme.kind().name()
         );
     }
 }
@@ -112,7 +114,7 @@ fn full_stack_is_deterministic_across_rebuilds() {
     };
     let q = protocol.sample_queries(&ds1.db)[0];
     let example = protocol.feedback_example(&ds1.db, q);
-    let scheme = LrfCsvm::new(lrf);
+    let scheme = Scheme::new(SchemeKind::LrfCsvm, lrf);
     let a = scheme.rank(&QueryContext {
         db: &ds1.db,
         log: &log1,

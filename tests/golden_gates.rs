@@ -216,7 +216,6 @@ fn timed_service_reads_the_clock_a_fixed_number_of_times_per_request() {
 #[test]
 fn untimed_service_counts_requests_and_records_no_latency() {
     let svc = service(ServiceMetrics::disabled());
-    assert!(!svc.metrics().is_timed());
     assert!(svc.metrics().clock_ref().is_none());
     drive_session(&svc, |_| {});
 
@@ -433,7 +432,7 @@ fn close_after(svc: &Service, query: usize, marks: usize) -> (Option<usize>, boo
 /// the snapshot too.
 #[test]
 fn durable_close_costs_a_fixed_number_of_storage_calls() {
-    let probe = FaultIo::handle(MemIo::io_ref(), FaultPlan::new());
+    let probe = FaultIo::handle(MemIo::handle(), FaultPlan::new());
     let (db, seed) = corpus();
     let index = Box::new(build_flat_index(&db));
     let (svc, _) = Service::with_durability_metrics(

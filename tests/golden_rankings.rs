@@ -10,7 +10,8 @@
 
 use corelog::cbir::{build_flat_index, precision_at, CorelDataset, CorelSpec, QueryProtocol};
 use corelog::core::{
-    collect_feedback_log, FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, SchemeKind,
+    collect_feedback_log, FeedbackLoop, LrfConfig, PooledRetrieval, QueryContext, Scheme,
+    SchemeKind,
 };
 use lrf_logdb::{LogStore, SimulationConfig};
 
@@ -67,7 +68,7 @@ fn top(ranking: &[usize]) -> [usize; TOP] {
 
 fn observe(kind: SchemeKind, ds: &CorelDataset, log: &LogStore, lrf: LrfConfig) -> Golden {
     let db = &ds.db;
-    let scheme = kind.build(lrf);
+    let scheme = Scheme::new(kind, lrf);
     let proto = protocol();
     let example = proto.feedback_example(db, QUERY);
     let ctx = QueryContext {
@@ -110,7 +111,7 @@ fn observe(kind: SchemeKind, ds: &CorelDataset, log: &LogStore, lrf: LrfConfig) 
 
     Golden {
         full: top(&scheme.rank(&ctx)),
-        pooled: top(&pooled.rank(scheme.as_ref(), &ctx)),
+        pooled: top(&pooled.rank(&scheme, &ctx)),
         round1,
         round2,
         p_at_20: total / queries.len() as f64,

@@ -11,7 +11,7 @@
 
 use corelog::cbir::{collect_log, rank_by_euclidean, CorelDataset, CorelSpec, QueryProtocol};
 use corelog::core::{
-    collect_feedback_log, train_coupled, CoupledConfig, FeedbackLoop, LrfConfig, LrfCsvm,
+    collect_feedback_log, run_lrf_csvm, train_coupled, CoupledConfig, FeedbackLoop, LrfConfig,
     QueryContext, SchemeKind, TrainReport,
 };
 use lrf_logdb::{LogStore, Relevance, SimulationConfig};
@@ -92,11 +92,14 @@ fn trace_example(ds: &CorelDataset) -> corelog::cbir::FeedbackExample {
 fn lrf_csvm_training_trace_is_pinned() {
     let (ds, log, lrf) = build();
     let example = trace_example(&ds);
-    let out = LrfCsvm::new(lrf).run(&QueryContext {
-        db: &ds.db,
-        log: &log,
-        example: &example,
-    });
+    let out = run_lrf_csvm(
+        &lrf,
+        &QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        },
+    );
     assert_eq!(
         out.unlabeled_ids,
         [27, 22, 95, 4, 32, 65, 93, 81, 43, 20, 50, 44]
@@ -167,11 +170,14 @@ fn golden_traces_finish_converged() {
     let ranking = fb.rerank_scattered(&ds.db, &log, &pool, |scorer, ids| {
         scorer.score_ids(&ds.db, &log, ids)
     });
-    let run = LrfCsvm::new(lrf).run(&QueryContext {
-        db: &ds.db,
-        log: &log,
-        example: &example,
-    });
+    let run = run_lrf_csvm(
+        &lrf,
+        &QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        },
+    );
     assert_eq!(ranking, run.ranking);
     let diag = fb.last_diagnostics().expect("LRF-CSVM trains");
     assert!(diag.converged, "{diag:?}");

@@ -2,8 +2,17 @@
 //! formal setup of §2/§4, at the integration level.
 
 use corelog::cbir::{CorelDataset, CorelSpec, QueryProtocol};
-use corelog::core::{collect_feedback_log, LrfConfig, LrfCsvm, QueryContext};
-use lrf_logdb::SimulationConfig;
+use corelog::core::{collect_feedback_log, run_lrf_csvm, LrfConfig, QueryContext};
+use lrf_logdb::{LogStore, SimulationConfig};
+
+/// The matrix element `r_{image, session}` (`+1`, `−1`, or `0`), read from
+/// the image's log vector.
+fn entry(log: &LogStore, image: usize, session: usize) -> f64 {
+    let mut column = log.log_vector(image).iter();
+    column
+        .find(|&(s, _)| s as usize == session)
+        .map_or(0.0, |(_, v)| v)
+}
 
 fn fixture() -> (CorelDataset, lrf_logdb::LogStore) {
     let ds = CorelDataset::build(CorelSpec {
@@ -42,7 +51,7 @@ fn relevance_matrix_encoding_matches_section_2() {
     // Cross-check the column view against the row (session) view.
     for sid in 0..m {
         for (image, judgment) in log.session(sid).iter() {
-            assert_eq!(log.entry(image, sid), judgment.sign());
+            assert_eq!(entry(&log, image, sid), judgment.sign());
         }
     }
 }
@@ -57,24 +66,30 @@ fn fig1_pool_is_split_half_max_half_min() {
     };
     let q = protocol.sample_queries(&ds.db)[0];
     let example = protocol.feedback_example(&ds.db, q);
-    let scheme = LrfCsvm::new(LrfConfig {
+    let cfg = LrfConfig {
         n_unlabeled: 8,
         ..LrfConfig::default()
-    });
-    let out = scheme.run(&QueryContext {
-        db: &ds.db,
-        log: &log,
-        example: &example,
-    });
+    };
+    let out = run_lrf_csvm(
+        &cfg,
+        &QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        },
+    );
     assert_eq!(out.unlabeled_ids.len(), 8, "N' samples selected");
     // Initial labels recorded in the report may have been corrected, but
     // the pool split itself is 4 + 4 by construction; verify via a fresh
     // run's diagnostics (selection is deterministic).
-    let out2 = scheme.run(&QueryContext {
-        db: &ds.db,
-        log: &log,
-        example: &example,
-    });
+    let out2 = run_lrf_csvm(
+        &cfg,
+        &QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        },
+    );
     assert_eq!(out.unlabeled_ids, out2.unlabeled_ids);
     assert_eq!(out.report.final_labels.len(), 8);
 }
@@ -95,11 +110,14 @@ fn fig1_annealing_schedule_doubles_from_rho_init() {
         n_unlabeled: 6,
         ..LrfConfig::default()
     };
-    let out = LrfCsvm::new(cfg).run(&QueryContext {
-        db: &ds.db,
-        log: &log,
-        example: &example,
-    });
+    let out = run_lrf_csvm(
+        &cfg,
+        &QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        },
+    );
     let expected = ((cfg.coupled.rho / cfg.coupled.rho_init).log2().ceil() as usize) + 1;
     assert_eq!(out.report.rho_steps, expected);
     assert!(out.report.retrains >= out.report.rho_steps);
@@ -114,15 +132,17 @@ fn all_relevant_round_returns_constant_content_model_not_a_crash() {
         query: 0,
         labeled: (0..10).map(|id| (id, 1.0)).collect(),
     };
-    let out = LrfCsvm::new(LrfConfig {
-        n_unlabeled: 6,
-        ..LrfConfig::default()
-    })
-    .run(&QueryContext {
-        db: &ds.db,
-        log: &log,
-        example: &example,
-    });
+    let out = run_lrf_csvm(
+        &LrfConfig {
+            n_unlabeled: 6,
+            ..LrfConfig::default()
+        },
+        &QueryContext {
+            db: &ds.db,
+            log: &log,
+            example: &example,
+        },
+    );
     assert_eq!(out.ranking.len(), ds.db.len());
 }
 

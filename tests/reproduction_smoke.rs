@@ -3,7 +3,7 @@
 //! if a refactor breaks the science, this test goes red.
 
 use corelog::cbir::{CorelDataset, CorelSpec, PrecisionCurve, QueryProtocol};
-use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, SchemeKind};
+use corelog::core::{collect_feedback_log, LrfConfig, QueryContext, Scheme, SchemeKind};
 use lrf_logdb::SimulationConfig;
 
 /// Runs a reduced experiment (10 categories × 30, 25 queries) and returns
@@ -32,7 +32,7 @@ fn run_reduced(seed: u64) -> Vec<PrecisionCurve> {
         n_labeled: 15,
         seed: seed ^ 0x5a,
     };
-    let schemes = SchemeKind::all().map(|kind| kind.build(lrf));
+    let schemes = SchemeKind::all().map(|kind| Scheme::new(kind, lrf));
     let mut curves: Vec<PrecisionCurve> = schemes.iter().map(|_| PrecisionCurve::new()).collect();
     for &q in &protocol.sample_queries(&ds.db) {
         let example = protocol.feedback_example(&ds.db, q);

@@ -84,7 +84,7 @@ fn service_with(io: IoRef, policy: DurabilityConfig) -> Service {
 /// Storage ops a durable service spends opening over an empty disk:
 /// everything before the first flush (open/mark never touch disk).
 fn construction_ops() -> u64 {
-    let probe = FaultIo::handle(MemIo::io_ref(), FaultPlan::new());
+    let probe = FaultIo::handle(MemIo::handle(), FaultPlan::new());
     let _svc = durable_service(probe.clone());
     probe.ops()
 }

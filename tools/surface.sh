@@ -5,7 +5,8 @@
 # rows in the CHANGES.md line of any PR that claims to simplify, and lower
 # tools/surface.baseline to the new totals.
 #
-# Per first-party crate (crates/<c>/src/*.rs, vendored stand-ins excluded):
+# Per first-party crate (every .rs file under crates/<c>/src, subdirectories
+# such as src/bin included; vendored stand-ins excluded):
 #   code  lines before the file's first column-0 `#[cfg(test)]` (its test
 #         module), not counting blank lines and lines that hold only a
 #         `//` comment (docs included)
@@ -45,7 +46,8 @@ total_fields=0
 for dir in crates/*/; do
     crate="$(basename "$dir")"
     [ "$crate" != vendor ] || continue
-    read -r code pub fields < <(count "$dir"src/*.rs)
+    mapfile -t files < <(find "$dir"src -name '*.rs' | sort)
+    read -r code pub fields < <(count "${files[@]}")
     printf '%-14s %6d %5d %6d\n' "lrf-$crate" "$code" "$pub" "$fields"
     total_code=$((total_code + code))
     total_pub=$((total_pub + pub))
