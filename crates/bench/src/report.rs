@@ -2,7 +2,14 @@
 
 use crate::experiment::ExperimentResult;
 use lrf_cbir::CUTOFFS;
+use lrf_core::SchemeKind;
 use std::fmt::Write as _;
+
+/// Whether the curve `name` is a log-based scheme's: its columns carry the
+/// relative improvement over RF-SVM.
+fn log_based(name: &str) -> bool {
+    name == SchemeKind::Lrf2Svms.name() || name == SchemeKind::LrfCsvm.name()
+}
 
 /// Renders an [`ExperimentResult`] in the layout of the paper's Tables 1–2:
 /// one row per cutoff plus the MAP row; log-based schemes annotated with
@@ -12,10 +19,10 @@ pub fn paper_table(title: &str, result: &ExperimentResult) -> String {
     let _ = writeln!(out, "{title}");
     let _ = writeln!(out, "(averaged over {} queries)", result.n_queries);
 
-    let baseline = result.curve("RF-SVM");
+    let baseline = result.curve(SchemeKind::RfSvm.name());
     let mut header = format!("{:>6}", "#TOP");
     for (name, _) in &result.curves {
-        let wide = name == "LRF-2SVMs" || name == "LRF-CSVM";
+        let wide = log_based(name);
         let _ = write!(
             header,
             "  {:>width$}",
@@ -32,7 +39,7 @@ pub fn paper_table(title: &str, result: &ExperimentResult) -> String {
                 Some(i) => curve.values[i],
                 None => curve.map(),
             };
-            let annotated = name == "LRF-2SVMs" || name == "LRF-CSVM";
+            let annotated = log_based(name);
             match (annotated, baseline) {
                 (true, Some(base)) => {
                     let b = match idx {
@@ -94,15 +101,12 @@ pub fn markdown_table(result: &ExperimentResult) -> String {
         let _ = write!(out, "---|");
     }
     let _ = writeln!(out);
-    let baseline = result.curve("RF-SVM").cloned();
+    let baseline = result.curve(SchemeKind::RfSvm.name()).cloned();
     for (i, &k) in CUTOFFS.iter().enumerate() {
         let _ = write!(out, "| {k} |");
         for (name, curve) in &result.curves {
             let v = curve.values[i];
-            if let (true, Some(base)) = (
-                (name == "LRF-2SVMs" || name == "LRF-CSVM"),
-                baseline.as_ref(),
-            ) {
+            if let (true, Some(base)) = (log_based(name), baseline.as_ref()) {
                 let b = base.values[i];
                 let imp = if b > 0.0 { (v - b) / b * 100.0 } else { 0.0 };
                 let _ = write!(out, " {v:.3} ({imp:+.1}%) |");
@@ -115,10 +119,7 @@ pub fn markdown_table(result: &ExperimentResult) -> String {
     let _ = write!(out, "| MAP |");
     for (name, curve) in &result.curves {
         let v = curve.map();
-        if let (true, Some(base)) = (
-            (name == "LRF-2SVMs" || name == "LRF-CSVM"),
-            baseline.as_ref(),
-        ) {
+        if let (true, Some(base)) = (log_based(name), baseline.as_ref()) {
             let b = base.map();
             let imp = if b > 0.0 { (v - b) / b * 100.0 } else { 0.0 };
             let _ = write!(out, " {v:.3} ({imp:+.1}%) |");
